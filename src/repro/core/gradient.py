@@ -81,19 +81,23 @@ class FeatureGradient:
         identical to the scalar loop while the measurement itself is served
         by one vectorised backend evaluation per batch.
         """
-        rows = np.atleast_1d(np.asarray(rows, dtype=int))
-        cols = np.atleast_1d(np.asarray(cols, dtype=int))
+        rows = np.asarray(rows, dtype=int).reshape(-1)
+        cols = np.asarray(cols, dtype=int).reshape(-1)
         grid_rows, grid_cols = self._meter.shape
-        center_rows = np.clip(rows, 0, grid_rows - 1)
-        center_cols = np.clip(cols, 0, grid_cols - 1)
-        shifted_cols = np.clip(center_cols + self._delta, 0, grid_cols - 1)
-        upper_rows = np.clip(center_rows + self._delta, 0, grid_rows - 1)
-        probe_rows = np.column_stack([center_rows, center_rows, upper_rows]).ravel()
-        probe_cols = np.column_stack([center_cols, shifted_cols, shifted_cols]).ravel()
-        currents = self._meter.get_currents(probe_rows, probe_cols).reshape(-1, 3)
-        center = currents[:, 0]
-        right = currents[:, 1]
-        upper_right = currents[:, 2]
+        # Columns: centre, right, upper-right.  A clamped centre is never
+        # negative, so the shifted neighbours need only the upper clamp.
+        probe_rows = np.empty((rows.size, 3), dtype=int)
+        probe_cols = np.empty((rows.size, 3), dtype=int)
+        np.minimum(np.maximum(rows, 0), grid_rows - 1, out=probe_rows[:, 0])
+        probe_rows[:, 1] = probe_rows[:, 0]
+        np.minimum(probe_rows[:, 0] + self._delta, grid_rows - 1, out=probe_rows[:, 2])
+        np.minimum(np.maximum(cols, 0), grid_cols - 1, out=probe_cols[:, 0])
+        np.minimum(probe_cols[:, 0] + self._delta, grid_cols - 1, out=probe_cols[:, 1])
+        probe_cols[:, 2] = probe_cols[:, 1]
+        currents = self._meter.get_currents(probe_rows.ravel(), probe_cols.ravel())
+        center = currents[0::3]
+        right = currents[1::3]
+        upper_right = currents[2::3]
         return (center - right) + (center - upper_right)
 
 
@@ -108,7 +112,13 @@ def oriented_mask(mask: np.ndarray | tuple) -> np.ndarray:
 
 
 class MaskResponse:
-    """Sweep an anchor mask along one axis, measuring pixels on demand."""
+    """Sweep an anchor mask along one axis, measuring pixels on demand.
+
+    A whole sweep is one batched probe: the pixels under every kernel
+    position are requested position by position, kernel row by kernel row,
+    clamped at the grid edges — the order a per-pixel loop would probe them
+    in, so probe counts, cache hits and the log are the same.
+    """
 
     def __init__(self, meter: ChargeSensorMeter, mask: np.ndarray | tuple) -> None:
         self._meter = meter
@@ -119,21 +129,23 @@ class MaskResponse:
         """The oriented kernel."""
         return self._mask.copy()
 
-    def _patch(self, row0: int, col0: int) -> np.ndarray:
-        rows, cols = self._mask.shape
+    def _responses(self, row0: np.ndarray, col0: np.ndarray) -> np.ndarray:
+        """Responses with the kernel's lower-left corner at each ``(row0, col0)``."""
+        kernel_rows, kernel_cols = self._mask.shape
         grid_rows, grid_cols = self._meter.shape
-        patch = np.zeros((rows, cols), dtype=float)
-        for dr in range(rows):
-            for dc in range(cols):
-                row = min(max(row0 + dr, 0), grid_rows - 1)
-                col = min(max(col0 + dc, 0), grid_cols - 1)
-                patch[dr, dc] = self._meter.get_current(row, col)
-        return patch
+        shape = (row0.size, kernel_rows, kernel_cols)
+        rows = np.clip(row0[:, None] + np.arange(kernel_rows), 0, grid_rows - 1)
+        cols = np.clip(col0[:, None] + np.arange(kernel_cols), 0, grid_cols - 1)
+        patches = self._meter.get_currents(
+            np.broadcast_to(rows[:, :, None], shape).ravel(),
+            np.broadcast_to(cols[:, None, :], shape).ravel(),
+        )
+        weighted = patches.reshape(row0.size, kernel_rows * kernel_cols) * self._mask.ravel()
+        return weighted.sum(axis=1)
 
     def response(self, row0: int, col0: int) -> float:
         """Mask response with the kernel's lower-left corner at ``(row0, col0)``."""
-        patch = self._patch(row0, col0)
-        return float(np.sum(self._mask * patch))
+        return float(self._responses(np.array([row0]), np.array([col0]))[0])
 
     def sweep_along_columns(self, start_col: int, end_col: int, center_row: int) -> np.ndarray:
         """Responses for every kernel position from ``start_col`` to ``end_col``.
@@ -141,20 +153,18 @@ class MaskResponse:
         The kernel is vertically centred on ``center_row``; the returned array
         has one entry per starting column (inclusive range).
         """
-        half_rows = self._mask.shape[0] // 2
-        row0 = center_row - half_rows
-        columns = range(int(start_col), int(end_col) + 1)
-        return np.array([self.response(row0, col) for col in columns], dtype=float)
+        col0 = np.arange(int(start_col), int(end_col) + 1)
+        row0 = np.full(col0.size, center_row - self._mask.shape[0] // 2)
+        return self._responses(row0, col0)
 
     def sweep_along_rows(self, start_row: int, end_row: int, center_col: int) -> np.ndarray:
         """Responses for every kernel position from ``start_row`` to ``end_row``.
 
         The kernel is horizontally centred on ``center_col``.
         """
-        half_cols = self._mask.shape[1] // 2
-        col0 = center_col - half_cols
-        rows = range(int(start_row), int(end_row) + 1)
-        return np.array([self.response(row, col0) for row in rows], dtype=float)
+        row0 = np.arange(int(start_row), int(end_row) + 1)
+        col0 = np.full(row0.size, center_col - self._mask.shape[1] // 2)
+        return self._responses(row0, col0)
 
 
 def gaussian_window(length: int, center_fraction: float = 0.5, sigma_fraction: float = 0.25) -> np.ndarray:

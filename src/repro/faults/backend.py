@@ -163,13 +163,13 @@ class FaultyBackend(MeasurementBackend):
         Returns the corrupted values and the first disruption.  Pure: the
         same ``(rows, cols, times)`` always yield the same plan, which is
         what lets the meter re-plan a disrupted probe after committing the
-        prefix and get the identical outcome.
+        prefix and get the identical outcome.  The pixels are validated
+        once, by the inner backend's ``currents``.
         """
-        rows, cols = self._inner.validate_pixels(rows, cols)
         times = np.ascontiguousarray(np.asarray(times_s, dtype=float)).ravel()
-        if times.size != rows.size:
+        if times.size != np.size(rows):
             raise ValueError(
-                f"expected {rows.size} probe timestamps, got {times.size}"
+                f"expected {np.size(rows)} probe timestamps, got {times.size}"
             )
         inner_times = times if self._inner.is_time_dependent else None
         values = np.asarray(
@@ -219,8 +219,7 @@ class FaultyBackend(MeasurementBackend):
         cols: np.ndarray,
         times_s: np.ndarray | None = None,
     ) -> np.ndarray:
-        rows, cols = self._inner.validate_pixels(rows, cols)
-        times = self.validate_times(times_s, rows.size)
+        times = self.validate_times(times_s, np.size(rows))
         plan = self.plan_batch(rows, cols, times)
         disruption = plan.disruption
         if disruption is not None and disruption.error is not None:

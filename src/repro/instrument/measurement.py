@@ -26,8 +26,17 @@ Every entry point exists in a scalar and a batched form: ``current`` /
 meter.  The batched form serves whole pixel-index arrays through one
 vectorised physics evaluation while preserving the scalar semantics
 bit-for-bit — same values, same probe counts, same cache and budget
-behaviour, same log contents — so algorithms can batch their hot loops
-without changing the paper's accounting.
+behaviour, same log contents — so algorithms batch their hot loops without
+changing the paper's accounting: the anchor search's diagonal probe and
+each of its two mask sweeps, every shrinking-triangle sweep row, and the
+baseline's full-grid scan are one ``get_currents`` call each.  The scalar
+``get_current`` is the reference the equivalence tests compare the batched
+path against.
+
+The meter validates each request once, at its boundary, and hands the
+physical probes to its backend marked as already checked, so the backend
+(and a fault-injecting wrapper in between) does not check them again.  Any
+other caller of a backend's ``currents`` gets the full check.
 """
 
 from __future__ import annotations
@@ -58,6 +67,20 @@ from .timing import TimingModel, VirtualClock
 
 #: Initial column capacity of a probe log.
 _LOG_INITIAL_CAPACITY = 64
+
+
+class _CheckedPixels(np.ndarray):
+    """Pixel indices a :class:`ChargeSensorMeter` has already validated.
+
+    The meter checks every request at its boundary and passes the physical
+    probes on as views of this type; :meth:`MeasurementBackend.validate_pixels`
+    returns them as plain arrays without checking them again.  Only the
+    meter creates these views, right before handing them to its backend.
+    """
+
+
+def _checked(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return rows.view(_CheckedPixels), cols.view(_CheckedPixels)
 
 
 @dataclass(frozen=True)
@@ -405,26 +428,33 @@ class MeasurementBackend:
         """Validate whole pixel-index arrays; returns them as 1-D ``int64``.
 
         Raises :class:`MeasurementError` naming the first off-grid pixel.
+        Indices a meter has already checked pass through unchecked.
         """
-        rows = np.atleast_1d(np.asarray(rows))
-        cols = np.atleast_1d(np.asarray(cols))
+        if type(rows) is _CheckedPixels and type(cols) is _CheckedPixels:
+            return rows.view(np.ndarray), cols.view(np.ndarray)
+        rows = np.asarray(rows)
+        cols = np.asarray(cols)
         if rows.shape != cols.shape:
-            raise MeasurementError(
-                f"rows and cols must have matching shapes, got {rows.shape} "
-                f"and {cols.shape}"
-            )
-        rows = rows.ravel()
-        cols = cols.ravel()
-        if rows.size and not (
-            np.issubdtype(rows.dtype, np.integer)
-            and np.issubdtype(cols.dtype, np.integer)
-        ):
+            # A 0-d index counts as one pixel.
+            row_shape, col_shape = rows.shape or (1,), cols.shape or (1,)
+            if row_shape != col_shape:
+                raise MeasurementError(
+                    f"rows and cols must have matching shapes, got {row_shape} "
+                    f"and {col_shape}"
+                )
+        if rows.ndim != 1:
+            rows = rows.reshape(-1)
+        if cols.ndim != 1:
+            cols = cols.reshape(-1)
+        if rows.size and (rows.dtype.kind not in "iu" or cols.dtype.kind not in "iu"):
             raise MeasurementError("pixel indices must be integers")
         rows = rows.astype(np.int64, copy=False)
         cols = cols.astype(np.int64, copy=False)
         n_rows, n_cols = self.shape
-        off_grid = (rows < 0) | (rows >= n_rows) | (cols < 0) | (cols >= n_cols)
-        if np.any(off_grid):
+        if rows.size and (
+            rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols
+        ):
+            off_grid = (rows < 0) | (rows >= n_rows) | (cols < 0) | (cols >= n_cols)
             i = int(np.argmax(off_grid))
             raise MeasurementError(
                 f"pixel ({int(rows[i])}, {int(cols[i])}) outside the "
@@ -450,7 +480,7 @@ class MeasurementBackend:
                     "pass times_s explicitly"
                 )
             return None
-        times = np.atleast_1d(np.asarray(times_s, dtype=float)).ravel()
+        times = np.asarray(times_s, dtype=float).reshape(-1)
         if times.size != n:
             raise MeasurementError(
                 f"expected {n} probe timestamps, got {times.size}"
@@ -688,22 +718,39 @@ class DeviceBackend(MeasurementBackend):
             )
         return cache.entry(self._kernel_fp, self.shape)
 
+    def _points(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Gate-voltage points of the given pixels, shape ``(n, n_gates)``."""
+        points = np.tile(self._fixed, (rows.size, 1))
+        points[:, self._gate_x] = self._xs[cols]
+        points[:, self._gate_y] = self._ys[rows]
+        return points
+
     def _pure_currents(
-        self,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        points: np.ndarray,
-        detuning_offset_mv: np.ndarray | float,
+        self, rows: np.ndarray, cols: np.ndarray, times: np.ndarray | None
     ) -> np.ndarray:
-        """Noise-free currents, served through the kernel cache when pure."""
+        """Noise-free currents, served through the kernel cache when pure.
+
+        On a cache hit no gate-voltage point is built: points are built only
+        for the pixels the cache has to solve.
+        """
         entry = self._kernel_entry()
         if entry is None:
+            points = self._points(rows, cols)
+            detuning_offset_mv: np.ndarray | float = 0.0
+            if self._drift is not None and not self._drift.is_static and rows.size:
+                state = self._drifting()
+                scale = state.gate_scale(times)
+                points[:, self._gate_x] *= scale
+                points[:, self._gate_y] *= scale
+                detuning_offset_mv = state.detuning_offset_mv(times)
             return self._device.sensor_currents(
                 points, detuning_offset_mv=detuning_offset_mv
             )
         before = entry.n_pixel_solves
         values = entry.fetch(
-            rows, cols, lambda idx: self._device.sensor_currents(points[idx])
+            rows,
+            cols,
+            lambda idx: self._device.sensor_currents(self._points(rows[idx], cols[idx])),
         )
         solved = entry.n_pixel_solves - before
         self._kernel_solves += solved
@@ -732,28 +779,20 @@ class DeviceBackend(MeasurementBackend):
     ) -> np.ndarray:
         """Batched physics evaluation of an arbitrary set of pixels.
 
-        Builds the gate-voltage points, solves all ground states through the
-        solver's vectorised lattice kernel, converts them to sensor currents
-        in one evaluation, and adds the noise — either the pixel's share of
-        the seeded static field, or (for time-dependent noise) the temporal
-        sampler evaluated at each probe's timestamp.  Device drift enters as
+        Builds the gate-voltage points of the pixels the kernel cache does
+        not hold yet (every pixel when the backend bypasses the cache),
+        solves their ground states through the solver's vectorised lattice
+        kernel, converts them to sensor currents in one evaluation, and adds
+        the noise — either the pixel's share of the seeded static field, or
+        (for time-dependent noise) the temporal sampler evaluated at each
+        probe's timestamp.  Device drift enters as
         a per-probe sensor-detuning offset and swept-gate scale.  Every term
         is an elementwise function of (pixel, timestamp), so batched and
         scalar probes agree bit-for-bit regardless of batch splitting.
         """
         rows, cols = self.validate_pixels(rows, cols)
         times = self.validate_times(times_s, rows.size)
-        points = np.tile(self._fixed, (rows.size, 1))
-        points[:, self._gate_x] = self._xs[cols]
-        points[:, self._gate_y] = self._ys[rows]
-        detuning_offset_mv: np.ndarray | float = 0.0
-        if self._drift is not None and not self._drift.is_static and rows.size:
-            state = self._drifting()
-            scale = state.gate_scale(times)
-            points[:, self._gate_x] *= scale
-            points[:, self._gate_y] *= scale
-            detuning_offset_mv = state.detuning_offset_mv(times)
-        values = self._pure_currents(rows, cols, points, detuning_offset_mv)
+        values = self._pure_currents(rows, cols, times)
         if self._time_dependent_noise:
             return values + self._temporal().sample_at(times)
         return values + self._noise_grid()[rows, cols]
@@ -1068,20 +1107,25 @@ class ChargeSensorMeter:
         done = 0
         failure: Exception | None = None
         while done < n_physical:
-            segment = slice(done, n_physical)
-            tentative = self._clock.preview_probes(n_physical - done)
-            plan = self._backend.plan_batch(
-                probe_rows[segment], probe_cols[segment], tentative
-            )
-            disruption = plan.disruption
-            clean = (n_physical - done) if disruption is None else disruption.index
-            if clean:
-                times = self._clock.charge_probes(clean)
-                probe_values[done : done + clean] = plan.values[:clean]
-                probe_times[done : done + clean] = times
-                done += clean
-            if disruption is None:
-                continue
+            # With the breaker open, the retry loop below refuses the next
+            # probe without touching the backend, as on the scalar path.
+            if not self._breaker_open:
+                segment = slice(done, n_physical)
+                tentative = self._clock.preview_probes(n_physical - done)
+                plan = self._backend.plan_batch(
+                    *_checked(probe_rows[segment], probe_cols[segment]), tentative
+                )
+                disruption = plan.disruption
+                clean = (n_physical - done) if disruption is None else disruption.index
+                if clean:
+                    # Clean reads are successes: they reset the breaker count.
+                    self._consecutive_failures = 0
+                    times = self._clock.charge_probes(clean)
+                    probe_values[done : done + clean] = plan.values[:clean]
+                    probe_times[done : done + clean] = times
+                    done += clean
+                if disruption is None:
+                    continue
             try:
                 value, time_s = self._resilient_probe(
                     int(probe_rows[done]), int(probe_cols[done])
@@ -1226,7 +1270,7 @@ class ChargeSensorMeter:
         probe_times = self._clock.charge_probes(int(probe_rows.size))
         if probe_rows.size:
             measured_values = self._backend.currents(
-                probe_rows, probe_cols, times_s=probe_times
+                *_checked(probe_rows, probe_cols), times_s=probe_times
             )
             values[committed_physical] = measured_values
             self._value_grid[probe_rows, probe_cols] = measured_values

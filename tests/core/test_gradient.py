@@ -7,8 +7,15 @@ import pytest
 
 from repro.core import FeatureGradient, MaskResponse, gaussian_window, oriented_mask
 from repro.core.config import PAPER_MASK_X, PAPER_MASK_Y
-from repro.instrument import ChargeSensorMeter, DatasetBackend
-from repro.physics import ChargeStabilityDiagram
+from repro.exceptions import InstrumentFault, ProbeBudgetExceededError
+from repro.faults import FaultyBackend, TransientReadFault
+from repro.instrument import (
+    ChargeSensorMeter,
+    DatasetBackend,
+    DeviceBackend,
+    ProbeRetryPolicy,
+)
+from repro.physics import ChargeStabilityDiagram, DeviceDrift, standard_lab_noise
 
 
 def make_step_csd(step_col: int = 10, size: int = 20, high: float = 1.0, low: float = 0.2):
@@ -114,6 +121,97 @@ class TestMaskResponse:
         meter = meter_for(csd)
         MaskResponse(meter, PAPER_MASK_X).response(5, 5)
         assert meter.n_probes == 15  # 3x5 patch
+
+
+def _drifting_backend(device):
+    axis = np.linspace(0.0, 0.04, 40)
+    return DeviceBackend(
+        device,
+        axis,
+        axis,
+        noise=standard_lab_noise(telegraph_amplitude_na=0.03),
+        seed=11,
+        drift=DeviceDrift(operating_point_mv_per_hour=40.0, charge_jumps_per_hour=900.0),
+        time_dependent_noise=True,
+    )
+
+
+def _scalar_mask_sweep(meter, mask, row0s, col0s):
+    """Reference: every kernel position probed pixel by pixel."""
+    kernel = oriented_mask(mask)
+    grid_rows, grid_cols = meter.shape
+    responses = []
+    for row0, col0 in zip(row0s, col0s):
+        patch = np.zeros(kernel.shape)
+        for dr in range(kernel.shape[0]):
+            for dc in range(kernel.shape[1]):
+                row = min(max(row0 + dr, 0), grid_rows - 1)
+                col = min(max(col0 + dc, 0), grid_cols - 1)
+                patch[dr, dc] = meter.get_current(row, col)
+        responses.append(float(np.sum(kernel * patch)))
+    return np.array(responses)
+
+
+def _both_sweeps(meter, batched):
+    """Mask_x along row 0 then Mask_y along column 1, both crossing the grid
+    edges, so the kernels clamp and the second sweep hits the first's cache."""
+    rows, cols = meter.shape
+    if batched:
+        along_cols = MaskResponse(meter, PAPER_MASK_X).sweep_along_columns(-2, cols - 3, 0)
+        along_rows = MaskResponse(meter, PAPER_MASK_Y).sweep_along_rows(-1, rows - 2, 1)
+    else:
+        col0s = range(-2, cols - 2)
+        along_cols = _scalar_mask_sweep(meter, PAPER_MASK_X, [-1] * len(col0s), col0s)
+        row0s = range(-1, rows - 1)
+        along_rows = _scalar_mask_sweep(meter, PAPER_MASK_Y, row0s, [0] * len(row0s))
+    return along_cols, along_rows
+
+
+class TestMaskSweepMatchesScalarReference:
+    @pytest.mark.parametrize("case", ["dataset", "drifting", "faulty", "budget"])
+    def test_sweeps(self, case, clean_csd, double_dot_device):
+        def make_meter():
+            if case == "dataset":
+                return ChargeSensorMeter(DatasetBackend(clean_csd))
+            if case == "drifting":
+                return ChargeSensorMeter(_drifting_backend(double_dot_device))
+            if case == "faulty":
+                backend = FaultyBackend(
+                    DatasetBackend(clean_csd), (TransientReadFault(rate=0.2),), seed=5
+                )
+                policy = ProbeRetryPolicy(max_attempts=2, breaker_failures=0)
+                return ChargeSensorMeter(backend, retry=policy)
+            return ChargeSensorMeter(DatasetBackend(clean_csd), max_probes=150)
+
+        outcomes = []
+        for batched in (True, False):
+            meter = make_meter()
+            try:
+                result = _both_sweeps(meter, batched)
+            except (InstrumentFault, ProbeBudgetExceededError) as exc:
+                result = type(exc)
+            outcomes.append((meter, result))
+        (batch_meter, batch_result), (scalar_meter, scalar_result) = outcomes
+        if case in ("faulty", "budget"):
+            # The run stops mid-sweep, after some probes were committed.
+            assert isinstance(batch_result, type)
+            assert scalar_meter.n_probes > 0
+        if case == "faulty":
+            assert batch_meter.n_probes_exhausted == scalar_meter.n_probes_exhausted == 1
+            assert batch_meter.n_probe_retries == scalar_meter.n_probe_retries > 0
+            assert batch_meter.fault_delay_s == scalar_meter.fault_delay_s
+        if isinstance(batch_result, type):
+            assert batch_result is scalar_result
+        else:
+            for batch, scalar in zip(batch_result, scalar_result):
+                assert np.array_equal(batch, scalar)
+        assert batch_meter.elapsed_s == scalar_meter.elapsed_s
+        assert batch_meter.n_probes == scalar_meter.n_probes
+        assert batch_meter.n_cache_hits == scalar_meter.n_cache_hits > 0
+        batch_log = batch_meter.log.as_arrays()
+        scalar_log = scalar_meter.log.as_arrays()
+        for key in batch_log:
+            assert np.array_equal(batch_log[key], scalar_log[key]), key
 
 
 class TestGaussianWindow:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exceptions import TransientReadError
+from repro.exceptions import MeasurementError, TransientReadError
 from repro.faults import (
     FaultyBackend,
     ProbeHangFault,
@@ -83,6 +83,15 @@ class TestFaultyBackendSurface:
             )
         with pytest.raises(TransientReadError):
             backend.current(0, 0, time_s=0.03)
+
+    def test_direct_calls_validate_pixels(self):
+        backend = _session(faults="transient-reads", probe_retry=RETRY).meter.backend
+        times = np.linspace(0.03, 0.06, 2)
+        for rows, cols in [([0, 1000], [0, 0]), ([-1, 0], [0, 0]), ([0.5, 1.5], [0, 1])]:
+            with pytest.raises(MeasurementError):
+                backend.currents(rows, cols, times)
+            with pytest.raises(MeasurementError):
+                backend.plan_batch(np.array(rows), np.array(cols), times)
 
 
 class TestIdentityGuarantees:

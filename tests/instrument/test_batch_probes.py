@@ -101,8 +101,19 @@ class TestBackendCurrents:
 
     def test_non_integer_indices_rejected(self, clean_csd):
         backend = DatasetBackend(clean_csd)
-        with pytest.raises(MeasurementError):
-            backend.currents([0.5, 1.5], [0.0, 1.0])
+        meter = ChargeSensorMeter(backend)
+        boolean = np.array([True, False])
+        for rows, cols in [
+            ([0.5, 1.5], [0.0, 1.0]),
+            (boolean, np.array([0, 1])),
+            (np.array([0, 1]), boolean),
+            (boolean, boolean),
+        ]:
+            with pytest.raises(MeasurementError):
+                backend.currents(rows, cols)
+            with pytest.raises(MeasurementError):
+                meter.get_currents(rows, cols)
+        assert meter.n_requests == 0
 
     def test_empty_batch(self, clean_csd):
         backend = DatasetBackend(clean_csd)

@@ -12,8 +12,14 @@ from repro.exceptions import (
     ProbeTimeoutError,
     TransientReadError,
 )
-from repro.faults import ProbeHangFault, TransientReadFault
-from repro.instrument import ExperimentSession, ProbeRetryPolicy
+from repro.faults import BatchPlan, ProbeDisruption, ProbeHangFault, TransientReadFault
+from repro.instrument import (
+    ChargeSensorMeter,
+    DatasetBackend,
+    ExperimentSession,
+    ProbeRetryPolicy,
+)
+from repro.physics import ChargeStabilityDiagram
 from repro.scenarios import DeviceSpec
 
 
@@ -183,3 +189,58 @@ class TestCircuitBreaker:
         assert np.isfinite(image).all()
         assert session.meter.n_fault_events >= 4
         assert not session.meter.breaker_open
+
+
+class _FailsColumnZero(DatasetBackend):
+    """A scripted fault-capable backend: every read in column 0 fails."""
+
+    def __init__(self) -> None:
+        axis = np.linspace(0.0, 1.0, 4)
+        super().__init__(
+            ChargeStabilityDiagram(data=np.ones((4, 4)), x_voltages=axis, y_voltages=axis)
+        )
+
+    def plan_batch(self, rows, cols, times_s) -> BatchPlan:
+        values = self.currents(rows, cols)
+        failing = np.flatnonzero(np.asarray(cols) == 0)
+        if failing.size == 0:
+            return BatchPlan(values=values)
+        error = TransientReadError("scripted read failure in column 0")
+        return BatchPlan(
+            values=values, disruption=ProbeDisruption(index=int(failing[0]), error=error)
+        )
+
+
+class TestBreakerOnBothProbePaths:
+    """A clean batched read resets the breaker count and an open breaker
+    refuses batched reads, exactly as on the scalar path."""
+
+    PIXELS = ((0, 0), (0, 1), (1, 0), (2, 0), (2, 1))
+    EXPECTED = (
+        TransientReadError,
+        None,
+        TransientReadError,
+        CircuitBreakerOpenError,
+        CircuitBreakerOpenError,
+    )
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_outcome_sequence(self, batched):
+        meter = ChargeSensorMeter(
+            _FailsColumnZero(),
+            retry=ProbeRetryPolicy(max_attempts=1, breaker_failures=2),
+        )
+        outcomes = []
+        for row, col in self.PIXELS:
+            try:
+                if batched:
+                    meter.get_currents([row], [col])
+                else:
+                    meter.get_current(row, col)
+            except InstrumentFault as exc:
+                outcomes.append(type(exc))
+            else:
+                outcomes.append(None)
+        assert tuple(outcomes) == self.EXPECTED
+        assert meter.n_probes == 1
+        assert meter.n_fault_events == 3
