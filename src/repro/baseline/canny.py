@@ -5,6 +5,11 @@ suppression along the gradient direction, double thresholding, and edge
 tracking by hysteresis.  Thresholds are expressed as fractions of the maximum
 gradient magnitude, which makes the detector insensitive to the absolute
 current scale of a charge-stability diagram.
+
+Every stage works on whole arrays.  Suppression compares each pixel with the
+two shifted views of the padded magnitude that its direction bin selects, and
+hysteresis grows the strong set by masked 3x3 dilation until it stops
+changing; both give exactly the result of a per-pixel walk.
 """
 
 from __future__ import annotations
@@ -68,26 +73,22 @@ class CannyEdgeDetector:
     # ------------------------------------------------------------------
     @staticmethod
     def non_maximum_suppression(magnitude: np.ndarray, direction: np.ndarray) -> np.ndarray:
-        """Keep only pixels that are local maxima along their gradient direction."""
+        """Keep only pixels that are local maxima along their gradient direction.
+
+        A pixel survives when it is ``>=`` both neighbours across its direction
+        bin (a NaN angle takes the last bin); the result keeps the input dtype.
+        """
         rows, cols = magnitude.shape
-        suppressed = np.zeros_like(magnitude)
         angle = np.rad2deg(direction) % 180.0
+        bins = [(angle < 22.5) | (angle >= 157.5), angle < 67.5, angle < 112.5]
         padded = np.pad(magnitude, 1, mode="constant")
-        # Neighbour offsets for the four quantised directions.
-        for row in range(rows):
-            for col in range(cols):
-                a = angle[row, col]
-                if a < 22.5 or a >= 157.5:
-                    neighbours = (padded[row + 1, col], padded[row + 1, col + 2])
-                elif a < 67.5:
-                    neighbours = (padded[row, col], padded[row + 2, col + 2])
-                elif a < 112.5:
-                    neighbours = (padded[row, col + 1], padded[row + 2, col + 1])
-                else:
-                    neighbours = (padded[row, col + 2], padded[row + 2, col])
-                value = magnitude[row, col]
-                if value >= neighbours[0] and value >= neighbours[1]:
-                    suppressed[row, col] = value
+        keep = np.ones(magnitude.shape, dtype=bool)
+        # Each bin's first, then second neighbour, as (row, col) offsets into padded.
+        for offsets in (((1, 0), (0, 0), (0, 1), (0, 2)), ((1, 2), (2, 2), (2, 1), (2, 0))):
+            neighbours = [padded[r : r + rows, c : c + cols] for r, c in offsets]
+            keep &= magnitude >= np.select(bins, neighbours[:3], neighbours[3])
+        suppressed = np.zeros_like(magnitude)
+        np.copyto(suppressed, magnitude, where=keep)
         return suppressed
 
     def double_threshold(self, suppressed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -105,19 +106,17 @@ class CannyEdgeDetector:
     @staticmethod
     def hysteresis(strong: np.ndarray, weak: np.ndarray) -> np.ndarray:
         """Keep weak pixels only when connected (8-neighbourhood) to strong ones."""
-        rows, cols = strong.shape
+        candidates = strong | weak
         edges = strong.copy()
-        stack = list(zip(*np.nonzero(strong)))
-        weak_remaining = weak.copy()
-        while stack:
-            row, col = stack.pop()
-            for dr in (-1, 0, 1):
-                for dc in (-1, 0, 1):
-                    if dr == 0 and dc == 0:
-                        continue
-                    r, c = row + dr, col + dc
-                    if 0 <= r < rows and 0 <= c < cols and weak_remaining[r, c]:
-                        weak_remaining[r, c] = False
-                        edges[r, c] = True
-                        stack.append((r, c))
-        return edges
+        while True:
+            # One 3x3 dilation (rows, then columns), masked to the candidates.
+            grown = edges.copy()
+            grown[1:] |= edges[:-1]
+            grown[:-1] |= edges[1:]
+            spread = grown.copy()
+            spread[:, 1:] |= grown[:, :-1]
+            spread[:, :-1] |= grown[:, 1:]
+            spread &= candidates
+            if np.array_equal(spread, edges):
+                return edges
+            edges = spread

@@ -2,10 +2,11 @@
 
 Edge pixels vote in a ``(rho, theta)`` accumulator with
 ``rho = col * cos(theta) + row * sin(theta)``; straight transition lines show
-up as accumulator peaks.  Peak picking uses a greedy non-maximum suppression
-in accumulator space, and each peak can be converted back to a slope in pixel
-coordinates (and, given the voltage steps of the CSD axes, to a slope in
-voltage space).
+up as accumulator peaks.  A block of edge pixels votes with one ``np.bincount``
+over flat ``(rho bin, theta)`` indices; no Python loop runs per pixel.  Peak
+picking uses a greedy non-maximum suppression in accumulator space, and each
+peak can be converted back to a slope in pixel coordinates (and, given the
+voltage steps of the CSD axes, to a slope in voltage space).
 """
 
 from __future__ import annotations
@@ -15,6 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import BaselineError
+
+#: Edge pixels per voting block; bounds the (thetas x pixels) temporaries.
+VOTE_BLOCK_PIXELS = 4096
 
 
 @dataclass(frozen=True)
@@ -95,17 +99,23 @@ class HoughTransform:
         diagonal = float(np.hypot(rows, cols))
         rhos = np.arange(-diagonal, diagonal + cfg.rho_resolution_pixels, cfg.rho_resolution_pixels)
         accumulator = np.zeros((rhos.size, thetas.size), dtype=np.int64)
+        votes = accumulator.reshape(-1)
         edge_rows, edge_cols = np.nonzero(edges)
-        if edge_rows.size == 0:
-            return accumulator, thetas, rhos
         cos_t = np.cos(thetas)
         sin_t = np.sin(thetas)
-        # rho for every (pixel, theta) pair; digitise into accumulator bins.
-        rho_values = np.outer(edge_cols, cos_t) + np.outer(edge_rows, sin_t)
-        rho_indices = np.round((rho_values + diagonal) / cfg.rho_resolution_pixels).astype(int)
-        rho_indices = np.clip(rho_indices, 0, rhos.size - 1)
-        theta_indices = np.broadcast_to(np.arange(thetas.size), rho_indices.shape)
-        np.add.at(accumulator, (rho_indices.ravel(), theta_indices.ravel()), 1)
+        theta_indices = np.arange(thetas.size)[:, np.newaxis]
+        for start in range(0, edge_rows.size, VOTE_BLOCK_PIXELS):
+            block = slice(start, start + VOTE_BLOCK_PIXELS)
+            # rho per (theta, pixel), in place; theta-major so inner loops run over pixels.
+            rho = np.multiply.outer(cos_t, edge_cols[block])
+            rho += np.multiply.outer(sin_t, edge_rows[block])
+            rho += diagonal
+            rho /= cfg.rho_resolution_pixels
+            bins = np.round(rho, out=rho).astype(int)
+            np.clip(bins, 0, rhos.size - 1, out=bins)
+            bins *= thetas.size
+            bins += theta_indices
+            votes += np.bincount(bins.ravel(), minlength=votes.size)
         return accumulator, thetas, rhos
 
     def find_lines(self, edges: np.ndarray) -> list[HoughLine]:
@@ -114,7 +124,7 @@ class HoughTransform:
         if accumulator.max() == 0:
             return []
         cfg = self._config
-        working = accumulator.astype(float).copy()
+        working = accumulator.astype(float)
         min_votes = cfg.min_votes_fraction * float(accumulator.max())
         theta_halfwidth = max(1, int(round(cfg.neighborhood_theta_deg / cfg.theta_resolution_deg)))
         rho_halfwidth = max(1, int(round(cfg.neighborhood_rho_pixels / cfg.rho_resolution_pixels)))
