@@ -4,8 +4,8 @@ One file measures all three layers of the round-two performance work and
 persists them as ``BENCH_9.json`` for :mod:`benchmarks.perf_gate`:
 
 * **solver** — bound-certified lattice pruning while rasterising a 6-dot
-  chain's default CSD window (reuses :func:`bench_probe_path.compare_pruning`);
-  exact equality plus the lattice-score reduction;
+  chain's default CSD window (:func:`compare_pruning`); exact equality plus
+  the lattice-score reduction;
 * **cache** — the process-wide kernel cache on a repeat-heavy serial
   campaign (reuses :func:`bench_campaign.compare_kernel_cache`); exact
   record equality plus the wall-time speedup;
@@ -31,13 +31,61 @@ import numpy as np
 import pytest
 from _emit import emit_json
 from bench_campaign import compare_kernel_cache
-from bench_probe_path import compare_pruning
 
 from repro.execution import ProcessPoolBackend
+from repro.physics import ChargeStateSolver, CSDSimulator, DotArrayDevice
 
 #: Speedup the shared-memory transport must reach over the pickle pipe on
 #: the columnar payload grid below (transfer-bound, compute-trivial jobs).
 TARGET_TRANSPORT_SPEEDUP = 1.2
+
+#: Lattice-score reduction the pruned solver must reach on a 6-dot chain's
+#: default window (it lands around 30x in practice).
+TARGET_PRUNE_RATIO = 5.0
+
+#: Dots in the pruning-section device; 6 gives a 4096-state lattice.
+PRUNE_DOTS = 6
+
+
+def compare_pruning(resolution: int, n_dots: int = PRUNE_DOTS) -> dict:
+    """Rasterise one device window with and without solver pruning.
+
+    Returns the comparison payload: wall times, lattice-score counts for both
+    solvers (the pruned side pays for bound evaluations too, so its count is
+    ``n_state_scores + n_bound_scores``), and exact equality of the maps.
+    """
+    device = DotArrayDevice.linear_array(n_dots)
+    window = CSDSimulator(device).default_window()
+    (x_min, x_max), (y_min, y_max) = window
+    xs = np.linspace(x_min, x_max, resolution)
+    ys = np.linspace(y_min, y_max, resolution)
+
+    def rasterise(prune: bool) -> tuple[np.ndarray, float, int]:
+        solver = ChargeStateSolver(
+            device.capacitance,
+            max_electrons_per_dot=device.solver.max_electrons_per_dot,
+            prune=prune,
+        )
+        start = time.perf_counter()
+        occupations = solver.occupation_map("P1", "P2", xs, ys)
+        elapsed = time.perf_counter() - start
+        stats = solver.stats
+        return occupations, elapsed, stats.n_state_scores + stats.n_bound_scores
+
+    full_map, full_s, full_scores = rasterise(prune=False)
+    pruned_map, pruned_s, pruned_scores = rasterise(prune=True)
+    return {
+        "prune_dots": n_dots,
+        "prune_resolution": resolution,
+        "prune_lattice_states": int(device.solver.n_lattice_states),
+        "prune_full_s": round(full_s, 4),
+        "prune_pruned_s": round(pruned_s, 4),
+        "prune_full_scores": int(full_scores),
+        "prune_pruned_scores": int(pruned_scores),
+        "prune_score_ratio_x": round(full_scores / max(pruned_scores, 1), 2),
+        "prune_speedup_x": round(full_s / max(pruned_s, 1e-12), 2),
+        "prune_bit_identical": bool(np.array_equal(full_map, pruned_map)),
+    }
 
 
 @dataclass(frozen=True)
@@ -109,6 +157,29 @@ def run_suite(smoke: bool) -> dict:
         n_jobs=8 if smoke else 32, n_rows=1 << 14 if smoke else 1 << 19
     )
     return {"bench": "round2", **solver, **cache, **transport}
+
+
+@pytest.mark.benchmark(group="round2")
+def test_pruned_raster_identical_and_lean(write_report):
+    """Pruned rasterisation is exactly equal and scores far fewer states."""
+    stats = compare_pruning(resolution=60)
+    write_report(
+        "solver_pruning.txt",
+        "\n".join(
+            [
+                f"device: {stats['prune_dots']}-dot chain, "
+                f"{stats['prune_lattice_states']} lattice states",
+                f"grid: {stats['prune_resolution']}x{stats['prune_resolution']} "
+                "default CSD window",
+                f"full enumeration: {stats['prune_full_scores']} scores",
+                f"pruned:           {stats['prune_pruned_scores']} scores "
+                f"({stats['prune_score_ratio_x']:.1f}x fewer)",
+                f"bit-identical: {stats['prune_bit_identical']}",
+            ]
+        ),
+    )
+    assert stats["prune_bit_identical"]
+    assert stats["prune_score_ratio_x"] >= TARGET_PRUNE_RATIO
 
 
 @pytest.mark.benchmark(group="round2")

@@ -8,8 +8,8 @@ supplies the misbehaviour — reproducibly:
   built-ins (transient read errors, probe hangs, stuck/railed sensors,
   burst-correlated dropouts, worker crashes).  Draws are pure functions of
   the probe timestamp and a :class:`numpy.random.SeedSequence`-derived key,
-  so scalar and batched probe paths fail identically and every chaos run is
-  bit-reproducible.
+  so a probe fails the same way however its batch is split, and every chaos
+  run is bit-reproducible.
 * :class:`FaultyBackend` wraps any measurement backend with probe-scope
   models; the meter's retry/backoff/circuit-breaker machinery
   (:class:`~repro.instrument.resilience.ProbeRetryPolicy`) tolerates them.

@@ -4,10 +4,11 @@
 and any inner :class:`~repro.instrument.measurement.MeasurementBackend`,
 applying probe-scope fault models to every read.  Draws are keyed by the
 probe timestamp (see :mod:`repro.faults.models`), so the wrapper is
-stateless between calls and scalar/batched probe paths fault identically.
+stateless between calls and a probe faults the same way whichever batch it
+is measured in.
 
-The meter's resilient path does not call ``currents`` directly; it asks for
-a :class:`BatchPlan` via :meth:`FaultyBackend.plan_batch` — the corrupted
+The meter does not call ``currents`` on this backend; it asks for a
+:class:`BatchPlan` via :meth:`FaultyBackend.plan_batch` — the corrupted
 values for a whole candidate batch plus the first *disruption* (a stall or
 a raising error), if any.  That lets the meter commit the fault-free prefix
 in one vectorised step and handle only the disrupted probe through its
@@ -199,26 +200,20 @@ class FaultyBackend(MeasurementBackend):
         return BatchPlan(values=values, disruption=disruption)
 
     # ------------------------------------------------------------------
-    # MeasurementBackend surface for direct (meter-less) use.  Stalls are
-    # meaningful only under a virtual clock, so bare reads apply the value
-    # corruptions and raise the first injected error; the meter's resilient
-    # path goes through plan_batch instead and honours stalls.
-    def current(self, row: int, col: int, time_s: float | None = None) -> float:
-        return float(
-            self.currents(np.array([row]), np.array([col]), self._single_time(time_s))[0]
-        )
-
-    def _single_time(self, time_s: float | None) -> np.ndarray:
-        if time_s is None:
-            self.validate_times(None, 1)  # raises: fault draws need timestamps
-        return np.array([float(time_s)])
-
     def currents(
         self,
         rows: np.ndarray,
         cols: np.ndarray,
         times_s: np.ndarray | None = None,
     ) -> np.ndarray:
+        """Corrupted currents of a direct read, without a meter.
+
+        Stalls are meaningful only under a virtual clock, so a direct read
+        applies the value corruptions and raises the first injected error;
+        the meter plans its batches through :meth:`plan_batch` instead and
+        honours stalls.  Fault draws are keyed by timestamp, so ``times_s``
+        is required.
+        """
         times = self.validate_times(times_s, np.size(rows))
         plan = self.plan_batch(rows, cols, times)
         disruption = plan.disruption

@@ -6,8 +6,8 @@ lab.  Models never hold random state; every draw is a pure function of
 :class:`numpy.random.SeedSequence` child by the
 :class:`~repro.faults.backend.FaultyBackend` that applies the model.  Hashing
 the timestamp (SplitMix64, the same construction the time-dependent noise
-samplers use) instead of consuming a generator stream is what makes scalar
-and batched probe paths fail identically: the n-th probe faults based on
+samplers use) instead of consuming a generator stream is what makes a probe
+fail the same way however its batch is split: the n-th probe faults based on
 *when* it happens, not on how many draws preceded it.
 
 Probe-scope models act through three hooks, all vectorised over a batch:
@@ -169,7 +169,7 @@ class StuckSensorFault(FaultModel):
 
     Time is divided into ``window_s``-second windows; each window is stuck
     with probability ``rate`` (drawn from the *window index*, so every probe
-    inside an afflicted window — scalar or batched — reads the rail value).
+    inside an afflicted window, in any batch, reads the rail value).
     """
 
     rate: float = 0.05

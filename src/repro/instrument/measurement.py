@@ -21,17 +21,16 @@ log (used to reproduce Figure 7), optional per-pixel caching (re-requesting an
 already measured pixel costs nothing, mirroring how an automation script keeps
 values it has already paid for), and an optional probe budget.
 
-Every entry point exists in a scalar and a batched form: ``current`` /
-``currents`` on the backends and ``get_current`` / ``get_currents`` on the
-meter.  The batched form serves whole pixel-index arrays through one
-vectorised physics evaluation while preserving the scalar semantics
-bit-for-bit — same values, same probe counts, same cache and budget
-behaviour, same log contents — so algorithms batch their hot loops without
-changing the paper's accounting: the anchor search's diagonal probe and
-each of its two mask sweeps, every shrinking-triangle sweep row, and the
-baseline's full-grid scan are one ``get_currents`` call each.  The scalar
-``get_current`` is the reference the equivalence tests compare the batched
-path against.
+The meter has one probe path, :meth:`ChargeSensorMeter.get_currents`, and
+backends implement one method, ``currents``: whole pixel-index arrays are
+served through one vectorised physics evaluation, so algorithms batch their
+hot loops without changing the paper's accounting.  The anchor search's
+diagonal probe and each of its two mask sweeps, every shrinking-triangle
+sweep row, and the baseline's full-grid scan are one ``get_currents`` call
+each; :meth:`~ChargeSensorMeter.get_current` is a one-pixel batch.  A batch
+behaves request by request like a sequential loop of single probes — same
+values, probe counts, cache and budget behaviour, clock readings and log
+contents — with every pixel validated up front.
 
 The meter validates each request once, at its boundary, and hands the
 physical probes to its backend marked as already checked, so the backend
@@ -56,6 +55,7 @@ from ..kernelcache import (
     KernelCache,
     KernelCacheEntry,
     default_kernel_cache,
+    first_requests,
     kernel_fingerprint,
 )
 from ..physics.csd import ChargeStabilityDiagram, nearest_axis_index, uniform_axis_step
@@ -101,8 +101,12 @@ class ProbeLog:
 
     Stored as growable columnar numpy arrays (amortised O(1) appends, O(n)
     bulk extends) rather than one Python object per request, so logging does
-    not dominate batched acquisitions.  The record-oriented surface —
-    :attr:`records`, iteration, indexing, ``append`` of a
+    not dominate batched acquisitions.  A meter batch is queued as it was
+    measured (flat pixel keys, values, probe times and the positions of its
+    physical probes) and expanded into the seven columns only when something
+    reads them; the request and cache-hit counts are running counters, so
+    the meter's snapshots never expand the queue.  The record-oriented
+    surface — :attr:`records`, iteration, indexing, ``append`` of a
     :class:`ProbeRecord` — is preserved on top of the columns.
     """
 
@@ -125,6 +129,9 @@ class ProbeLog:
         self._currents = np.empty(_LOG_INITIAL_CAPACITY, dtype=float)
         self._times = np.empty(_LOG_INITIAL_CAPACITY, dtype=float)
         self._cached = np.empty(_LOG_INITIAL_CAPACITY, dtype=bool)
+        self._pending: list[tuple] = []
+        self._n_requests = 0
+        self._n_cached = 0
         if records:
             for record in records:
                 self.append(record)
@@ -146,37 +153,15 @@ class ProbeLog:
 
     def append(self, record: ProbeRecord) -> None:
         """Append a record."""
-        self.append_probe(
-            record.row,
-            record.col,
-            record.voltage_x,
-            record.voltage_y,
-            record.current_na,
-            record.time_s,
-            record.cached,
+        self.extend(
+            [record.row],
+            [record.col],
+            [record.voltage_x],
+            [record.voltage_y],
+            [record.current_na],
+            [record.time_s],
+            [record.cached],
         )
-
-    def append_probe(
-        self,
-        row: int,
-        col: int,
-        voltage_x: float,
-        voltage_y: float,
-        current_na: float,
-        time_s: float,
-        cached: bool,
-    ) -> None:
-        """Append one request without building a :class:`ProbeRecord`."""
-        self._reserve(1)
-        i = self._n
-        self._rows[i] = row
-        self._cols[i] = col
-        self._voltage_x[i] = voltage_x
-        self._voltage_y[i] = voltage_y
-        self._currents[i] = current_na
-        self._times[i] = time_s
-        self._cached[i] = cached
-        self._n = i + 1
 
     def extend(
         self,
@@ -189,6 +174,13 @@ class ProbeLog:
         cached: np.ndarray,
     ) -> None:
         """Append a whole batch of requests in one columnar copy."""
+        self._expand()
+        written = self._write(rows, cols, voltage_x, voltage_y, currents_na, times_s, cached)
+        self._n_requests += written.stop - written.start
+        self._n_cached += int(np.count_nonzero(self._cached[written]))
+
+    def _write(self, rows, cols, voltage_x, voltage_y, currents_na, times_s, cached) -> slice:
+        """Copy columns onto the end of the log; returns the rows written."""
         n = len(rows)
         self._reserve(n)
         grown = slice(self._n, self._n + n)
@@ -200,14 +192,64 @@ class ProbeLog:
         self._times[grown] = times_s
         self._cached[grown] = cached
         self._n += n
+        return grown
+
+    def queue_batch(
+        self,
+        keys: np.ndarray,
+        currents_na: np.ndarray,
+        base_time_s: float,
+        probe_times_s: np.ndarray,
+        probe_positions: np.ndarray,
+        x_voltages: np.ndarray,
+        y_voltages: np.ndarray,
+    ) -> None:
+        """Queue one meter batch; it is expanded into columns when read.
+
+        ``keys`` are the requests' flat pixel indices ``row * n_cols + col``
+        on the grid spanned by ``x_voltages`` (columns) and ``y_voltages``
+        (rows).  The requests at ``probe_positions`` (ascending) were
+        physical probes, measured at ``probe_times_s``; every other request
+        was a cache hit, stamped with the time of the last probe before it
+        (``base_time_s`` before the first).  The caller hands over arrays it
+        will not touch again.
+        """
+        self._pending.append(
+            (
+                keys,
+                currents_na,
+                base_time_s,
+                probe_times_s,
+                probe_positions,
+                x_voltages,
+                y_voltages,
+            )
+        )
+        self._n_requests += keys.size
+        self._n_cached += keys.size - probe_positions.size
+
+    def _expand(self) -> None:
+        """Write every queued batch into the columns, in request order."""
+        if not self._pending:
+            return
+        pending, self._pending = self._pending, []
+        for keys, currents, base, probe_times, positions, xs, ys in pending:
+            rows, cols = np.divmod(keys, xs.size)
+            cached = np.ones(keys.size, dtype=bool)
+            cached[positions] = False
+            # A request's timestamp is the elapsed time after the last
+            # physical probe at or before it (cache hits cost nothing).
+            times = np.concatenate(([base], probe_times))[np.cumsum(~cached)]
+            self._write(rows, cols, xs[cols], ys[rows], currents, times, cached)
 
     # ------------------------------------------------------------------
     # Record-oriented views
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return self._n
+        return self._n_requests
 
     def __getitem__(self, index: int) -> ProbeRecord:
+        self._expand()
         i = int(index)
         if i < 0:
             i += self._n
@@ -224,7 +266,7 @@ class ProbeLog:
         )
 
     def __iter__(self):
-        for i in range(self._n):
+        for i in range(len(self)):
             yield self[i]
 
     @property
@@ -235,7 +277,7 @@ class ProbeLog:
         code appending to it fails loudly instead of mutating a throwaway
         copy; append through :meth:`append` / :meth:`extend` instead.
         """
-        return tuple(self[i] for i in range(self._n))
+        return tuple(self[i] for i in range(len(self)))
 
     # ------------------------------------------------------------------
     # Statistics
@@ -243,27 +285,29 @@ class ProbeLog:
     @property
     def n_requests(self) -> int:
         """Total number of requests, including cache hits."""
-        return self._n
+        return self._n_requests
+
+    def _measured_pairs(self) -> np.ndarray:
+        """``(row, col)`` of every physical probe, in request order."""
+        self._expand()
+        measured = ~self._cached[: self._n]
+        return np.column_stack(
+            [self._rows[: self._n][measured], self._cols[: self._n][measured]]
+        )
 
     @property
     def n_unique_pixels(self) -> int:
         """Number of distinct pixels that were physically measured."""
-        measured = ~self._cached[: self._n]
-        if not np.any(measured):
+        pairs = self._measured_pairs()
+        if not pairs.size:
             return 0
-        pairs = np.column_stack(
-            [self._rows[: self._n][measured], self._cols[: self._n][measured]]
-        )
         return int(np.unique(pairs, axis=0).shape[0])
 
     def unique_pixels(self) -> list[tuple[int, int]]:
         """Distinct physically measured pixels in first-probe order."""
-        measured = ~self._cached[: self._n]
-        if not np.any(measured):
+        pairs = self._measured_pairs()
+        if not pairs.size:
             return []
-        pairs = np.column_stack(
-            [self._rows[: self._n][measured], self._cols[: self._n][measured]]
-        )
         _, first_seen = np.unique(pairs, axis=0, return_index=True)
         ordered = pairs[np.sort(first_seen)]
         return [(int(row), int(col)) for row, col in ordered]
@@ -271,10 +315,11 @@ class ProbeLog:
     @property
     def n_cached(self) -> int:
         """Number of requests answered from the meter cache."""
-        return int(np.count_nonzero(self._cached[: self._n]))
+        return self._n_cached
 
     def as_arrays(self) -> dict[str, np.ndarray]:
         """Columns of the log as independent numpy arrays (export/plotting)."""
+        self._expand()
         n = self._n
         return {
             "row": self._rows[:n].astype(int),
@@ -289,9 +334,8 @@ class ProbeLog:
     def probe_mask(self, shape: tuple[int, int]) -> np.ndarray:
         """Boolean image of which pixels were physically measured."""
         mask = np.zeros(shape, dtype=bool)
-        measured = ~self._cached[: self._n]
-        rows = self._rows[: self._n][measured]
-        cols = self._cols[: self._n][measured]
+        pairs = self._measured_pairs()
+        rows, cols = pairs[:, 0], pairs[:, 1]
         in_bounds = (rows >= 0) & (rows < shape[0]) & (cols >= 0) & (cols < shape[1])
         mask[rows[in_bounds], cols[in_bounds]] = True
         return mask
@@ -345,14 +389,6 @@ class MeasurementBackend:
         """
         return False
 
-    def current(self, row: int, col: int, time_s: float | None = None) -> float:
-        """Sensor current (nA) of the pixel at ``(row, col)``.
-
-        ``time_s`` is the simulated clock reading at which the probe happens;
-        static backends ignore it, time-dependent ones require it.
-        """
-        raise NotImplementedError
-
     def currents(
         self,
         rows: np.ndarray,
@@ -361,22 +397,13 @@ class MeasurementBackend:
     ) -> np.ndarray:
         """Sensor currents (nA) for arrays of pixel indices.
 
-        The base implementation loops over :meth:`current`; both built-in
-        backends override it with a fully vectorised evaluation that returns
-        bit-identical values.  ``times_s``, when given, carries one simulated
-        timestamp per probe.
+        The one method a backend implements.  ``times_s``, when given,
+        carries the simulated timestamp at which each probe happens; static
+        backends ignore it, time-dependent ones require it.  Implementations
+        normalise the indices through :meth:`validate_pixels` and the
+        timestamps through :meth:`validate_times`.
         """
-        rows, cols = self.validate_pixels(rows, cols)
-        times = self.validate_times(times_s, rows.size)
-        return np.array(
-            [
-                self.current(int(row), int(col), None if times is None else float(t))
-                for row, col, t in zip(
-                    rows, cols, times if times is not None else np.zeros(rows.size)
-                )
-            ],
-            dtype=float,
-        )
+        raise NotImplementedError
 
     # Convenience shared by both backends -------------------------------
     @property
@@ -414,14 +441,6 @@ class MeasurementBackend:
         row = nearest_axis_index(self.y_voltages, vy, y_step)
         return row, col
 
-    def validate_pixel(self, row: int, col: int) -> None:
-        """Raise :class:`MeasurementError` if the pixel is off-grid."""
-        rows, cols = self.shape
-        if not (0 <= row < rows and 0 <= col < cols):
-            raise MeasurementError(
-                f"pixel ({row}, {col}) outside the {rows}x{cols} measurement grid"
-            )
-
     def validate_pixels(
         self, rows: np.ndarray | list, cols: np.ndarray | list
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -451,8 +470,11 @@ class MeasurementBackend:
         rows = rows.astype(np.int64, copy=False)
         cols = cols.astype(np.int64, copy=False)
         n_rows, n_cols = self.shape
+        # Viewed unsigned, a negative index is huge: one max() per axis
+        # checks both of its bounds.
         if rows.size and (
-            rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols
+            np.maximum.reduce(rows.view(np.uint64)) >= n_rows
+            or np.maximum.reduce(cols.view(np.uint64)) >= n_cols
         ):
             off_grid = (rows < 0) | (rows >= n_rows) | (cols < 0) | (cols >= n_cols)
             i = int(np.argmax(off_grid))
@@ -506,10 +528,6 @@ class DatasetBackend(MeasurementBackend):
     @property
     def y_voltages(self) -> np.ndarray:
         return self._csd.y_voltages
-
-    def current(self, row: int, col: int, time_s: float | None = None) -> float:
-        self.validate_pixel(row, col)
-        return float(self._csd.data[row, col])
 
     def currents(
         self,
@@ -643,11 +661,12 @@ class DeviceBackend(MeasurementBackend):
         drifting = self._drift is not None and not self._drift.is_static
         return drifting or self._time_dependent_noise
 
-    def _noise_grid(self) -> np.ndarray:
+    def _static_noise(self) -> np.ndarray:
+        """The seeded static noise field, flat in row-major pixel-key order."""
         if self._noise_field is None:
             rng = np.random.default_rng(self._seed)
             self._noise_field = self._noise.sample_grid(self.shape, rng)
-        return self._noise_field
+        return self._noise_field.reshape(-1)
 
     def _seed_children(self) -> tuple[np.random.SeedSequence, ...]:
         # Independent child streams for the temporal noise sampler and the
@@ -726,7 +745,11 @@ class DeviceBackend(MeasurementBackend):
         return points
 
     def _pure_currents(
-        self, rows: np.ndarray, cols: np.ndarray, times: np.ndarray | None
+        self,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        keys: np.ndarray,
+        times: np.ndarray | None,
     ) -> np.ndarray:
         """Noise-free currents, served through the kernel cache when pure.
 
@@ -748,8 +771,7 @@ class DeviceBackend(MeasurementBackend):
             )
         before = entry.n_pixel_solves
         values = entry.fetch(
-            rows,
-            cols,
+            keys,
             lambda idx: self._device.sensor_currents(self._points(rows[idx], cols[idx])),
         )
         solved = entry.n_pixel_solves - before
@@ -765,11 +787,6 @@ class DeviceBackend(MeasurementBackend):
                 np.random.default_rng(drift_seed)
             )
         return self._drift_state
-
-    def current(self, row: int, col: int, time_s: float | None = None) -> float:
-        self.validate_pixel(row, col)
-        times = None if time_s is None else np.array([float(time_s)])
-        return float(self.currents(np.array([row]), np.array([col]), times)[0])
 
     def currents(
         self,
@@ -787,15 +804,16 @@ class DeviceBackend(MeasurementBackend):
         (for time-dependent noise) the temporal sampler evaluated at each
         probe's timestamp.  Device drift enters as
         a per-probe sensor-detuning offset and swept-gate scale.  Every term
-        is an elementwise function of (pixel, timestamp), so batched and
-        scalar probes agree bit-for-bit regardless of batch splitting.
+        is an elementwise function of (pixel, timestamp), so probes agree
+        bit-for-bit regardless of batch splitting.
         """
         rows, cols = self.validate_pixels(rows, cols)
         times = self.validate_times(times_s, rows.size)
-        values = self._pure_currents(rows, cols, times)
+        keys = rows * self._xs.size + cols
+        values = self._pure_currents(rows, cols, keys, times)
         if self._time_dependent_noise:
             return values + self._temporal().sample_at(times)
-        return values + self._noise_grid()[rows, cols]
+        return values + self._static_noise()[keys]
 
 
 class ChargeSensorMeter:
@@ -842,13 +860,14 @@ class ChargeSensorMeter:
         self._cache_enabled = bool(cache)
         self._max_probes = max_probes
         self._log = ProbeLog()
-        self._measured = np.zeros(backend.shape, dtype=bool)
-        self._value_grid = np.zeros(backend.shape, dtype=float)
+        # The pixel cache, flat in row-major key order (row * n_cols + col).
+        self._n_cols = backend.shape[1]
+        self._measured = np.zeros(backend.n_pixels, dtype=bool)
+        self._values = np.zeros(backend.n_pixels, dtype=float)
         self._n_probes = 0
-        # Resilience state.  The fault-free code paths below are the exact
-        # pre-fault-injection ones — the resilient twins are only entered
-        # for a backend that can plan faults, so a clean meter stays
-        # bit-identical (and overhead-free) by construction.
+        # Resilience state.  Only the measuring step of a batch differs for
+        # a backend that can plan faults (it goes through the retry loop);
+        # caching, budget, clock and log are shared with clean backends.
         self._retry = retry
         self._fault_capable = hasattr(backend, "plan_batch")
         self._n_probe_retries = 0
@@ -1050,174 +1069,96 @@ class ChargeSensorMeter:
         self._n_probes_exhausted += 1
         raise last_error
 
-    def _get_current_resilient(self, row: int, col: int) -> float:
-        """Scalar measurement against a fault-capable backend."""
-        self._backend.validate_pixel(row, col)
-        vx, vy = self._backend.voltage_at(row, col)
-        if self._cache_enabled and self._measured[row, col]:
-            value = float(self._value_grid[row, col])
-            self._log.append_probe(
-                row, col, vx, vy, value, self._clock.elapsed_s, True
-            )
-            return value
-        if self._max_probes is not None and self._n_probes >= self._max_probes:
-            raise ProbeBudgetExceededError(
-                f"probe budget of {self._max_probes} points exhausted"
-            )
-        value, time_s = self._resilient_probe(row, col)
-        if not self._measured[row, col]:
-            self._n_probes += 1
-        self._measured[row, col] = True
-        self._value_grid[row, col] = value
-        self._log.append_probe(row, col, vx, vy, value, time_s, False)
-        return value
+    def _measure_faulty(
+        self, probe_rows: np.ndarray, probe_cols: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, InstrumentFault | None]:
+        """Measure a batch's physical probes against a fault-capable backend.
 
-    def _get_currents_resilient(
-        self,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        physical: np.ndarray,
-        new_unique: np.ndarray,
-        stop: int,
-        n: int,
-    ) -> np.ndarray:
-        """Batched measurement against a fault-capable backend.
-
-        Optimistic vectorisation: preview the timestamps the whole pending
-        segment of physical probes *would* get, plan it in one backend
-        call, commit the fault-free prefix wholesale (bit-identical clock
-        arithmetic via :meth:`VirtualClock.preview_probes` /
-        ``charge_probes``), then push only the disrupted probe through the
-        scalar retry loop — re-planning it at the same scheduled timestamp
-        reproduces the same fault, so scalar and batched paths agree
-        bit-for-bit.  A probe that exhausts its retries commits everything
-        measured before it (cache hits included) and re-raises, mirroring
-        the mid-batch budget semantics.
+        Optimistic vectorisation: preview the timestamps the pending probes
+        *would* get, plan them in one backend call, commit the fault-free
+        prefix wholesale (bit-identical clock arithmetic via
+        :meth:`VirtualClock.preview_probes` / ``charge_probes``), then push
+        only the disrupted probe through the retry loop — re-planning it at
+        the same scheduled timestamp reproduces the same fault.  Returns the
+        committed probes' values and completion times, and the fault that
+        exhausted a probe's retries and stopped the batch, if any.
         """
-        committed_rows = rows[:stop]
-        committed_cols = cols[:stop]
-        committed_physical = physical[:stop]
-        probe_positions = np.flatnonzero(committed_physical)
-        probe_rows = committed_rows[committed_physical]
-        probe_cols = committed_cols[committed_physical]
-        n_physical = int(probe_rows.size)
-        probe_values = np.empty(n_physical, dtype=float)
-        probe_times = np.empty(n_physical, dtype=float)
-        base_elapsed = self._clock.elapsed_s
+        n_physical = probe_rows.size
+        values = np.empty(n_physical, dtype=float)
+        times = np.empty(n_physical, dtype=float)
         done = 0
-        failure: Exception | None = None
         while done < n_physical:
             # With the breaker open, the retry loop below refuses the next
-            # probe without touching the backend, as on the scalar path.
+            # probe without touching the backend.
             if not self._breaker_open:
-                segment = slice(done, n_physical)
                 tentative = self._clock.preview_probes(n_physical - done)
                 plan = self._backend.plan_batch(
-                    *_checked(probe_rows[segment], probe_cols[segment]), tentative
+                    *_checked(probe_rows[done:], probe_cols[done:]), tentative
                 )
                 disruption = plan.disruption
                 clean = (n_physical - done) if disruption is None else disruption.index
                 if clean:
                     # Clean reads are successes: they reset the breaker count.
                     self._consecutive_failures = 0
-                    times = self._clock.charge_probes(clean)
-                    probe_values[done : done + clean] = plan.values[:clean]
-                    probe_times[done : done + clean] = times
+                    times[done : done + clean] = self._clock.charge_probes(clean)
+                    values[done : done + clean] = plan.values[:clean]
                     done += clean
                 if disruption is None:
                     continue
             try:
-                value, time_s = self._resilient_probe(
+                values[done], times[done] = self._resilient_probe(
                     int(probe_rows[done]), int(probe_cols[done])
                 )
             except InstrumentFault as exc:
-                failure = exc
-                break
-            probe_values[done] = value
-            probe_times[done] = time_s
+                return values[:done], times[:done], exc
             done += 1
-        # Requests before the first uncommitted physical probe are final.
-        request_stop = stop if failure is None else int(probe_positions[done])
-        final_rows = committed_rows[:request_stop]
-        final_cols = committed_cols[:request_stop]
-        final_physical = committed_physical[:request_stop]
-        values = np.empty(request_stop, dtype=float)
-        if done:
-            measured_values = probe_values[:done]
-            values[final_physical] = measured_values
-            self._value_grid[probe_rows[:done], probe_cols[:done]] = measured_values
-            self._measured[probe_rows[:done], probe_cols[:done]] = True
-        from_cache = ~final_physical
-        if np.any(from_cache):
-            values[from_cache] = self._value_grid[
-                final_rows[from_cache], final_cols[from_cache]
-            ]
-        self._n_probes += int(np.count_nonzero(new_unique[:request_stop]))
-        times = np.concatenate(([base_elapsed], probe_times[:done]))[
-            np.cumsum(final_physical)
-        ]
-        self._log.extend(
-            final_rows,
-            final_cols,
-            self._backend.x_voltages[final_cols].astype(float),
-            self._backend.y_voltages[final_rows].astype(float),
-            values,
-            times,
-            from_cache,
-        )
-        if failure is not None:
-            raise failure
-        if stop < n:
-            raise ProbeBudgetExceededError(
-                f"probe budget of {self._max_probes} points exhausted"
-            )
-        return values
+        return values, times, None
+
+    def _budget_stop(self, new: np.ndarray, n: int) -> int:
+        """Index of the first request the probe budget refuses (``n``: none).
+
+        ``new`` holds the ascending positions of the batch's first requests
+        for never-measured pixels; the ``j``-th of them is preceded by ``j``
+        new pixels.  With the cache on, the new pixels are the physical
+        probes, so the batch stops at the first one past the budget.  With
+        it off every request is physical, so the batch stops at the first
+        request after the one that filled the budget, even a re-probe.
+        """
+        if self._max_probes is None:
+            return n
+        remaining = max(self._max_probes - self._n_probes, 0)
+        if self._cache_enabled:
+            return int(new[remaining]) if remaining < new.size else n
+        if remaining == 0:
+            return 0
+        if remaining <= new.size:
+            return min(int(new[remaining - 1]) + 1, n)
+        return n
 
     # ------------------------------------------------------------------
     def get_current(self, row: int, col: int) -> float:
         """Measure the pixel at ``(row, col)`` — the paper's Algorithm 1."""
-        if self._fault_capable:
-            return self._get_current_resilient(row, col)
-        self._backend.validate_pixel(row, col)
-        vx, vy = self._backend.voltage_at(row, col)
-        if self._cache_enabled and self._measured[row, col]:
-            value = float(self._value_grid[row, col])
-            self._log.append_probe(
-                row, col, vx, vy, value, self._clock.elapsed_s, True
-            )
-            return value
-        if self._max_probes is not None and self._n_probes >= self._max_probes:
-            raise ProbeBudgetExceededError(
-                f"probe budget of {self._max_probes} points exhausted"
-            )
-        # The clock is charged first so the probe's timestamp — which
-        # time-dependent backends measure *at* — is the elapsed time after
-        # its dwell, matching the batched path's charge_probes readings.
-        self._clock.charge_probe()
-        value = self._backend.current(row, col, time_s=self._clock.elapsed_s)
-        if not self._measured[row, col]:
-            self._n_probes += 1
-        self._measured[row, col] = True
-        self._value_grid[row, col] = value
-        self._log.append_probe(row, col, vx, vy, value, self._clock.elapsed_s, False)
-        return value
+        return float(self.get_currents([row], [col])[0])
 
     def get_currents(self, rows: np.ndarray | list, cols: np.ndarray | list) -> np.ndarray:
         """Measure a whole batch of pixels — the vectorised Algorithm 1.
 
-        Equivalent, request by request, to calling :meth:`get_current` in a
-        loop — identical values, cache hits, probe counts, clock charges, and
-        log entries — but the cache split, the physics evaluation, the clock,
-        and the log append are all array operations, so large acquisitions
+        Equivalent, request by request, to measuring the pixels one at a
+        time — identical values, cache hits, probe counts, clock charges,
+        and log entries — but the cache split, the physics evaluation, the
+        clock, and the log are all array operations, so large acquisitions
         cost one vectorised pass instead of per-pixel Python overhead.
 
-        Duplicate pixels within a batch behave exactly like repeated scalar
-        requests: the first occurrence is a physical probe and later ones are
-        cache hits (when caching is enabled).  When the probe budget runs out
-        mid-batch, every request before the violating one is committed (as a
-        sequential loop would have) and :class:`ProbeBudgetExceededError` is
-        raised.  Unlike the sequential loop, all pixels are validated
-        up front before anything is measured.
+        Duplicate pixels within a batch behave exactly like repeated single
+        requests: the first occurrence is a physical probe and later ones
+        are cache hits (when caching is enabled).  Each physical probe
+        charges the clock before it is evaluated, so time-dependent backends
+        measure at the elapsed time after its dwell.  When the probe budget
+        runs out mid-batch, every request before the violating one is
+        committed and :class:`ProbeBudgetExceededError` is raised; a probe
+        that exhausts its fault retries likewise commits everything before
+        it and re-raises.  All pixels are validated up front, before
+        anything is measured.
 
         Parameters
         ----------
@@ -1233,68 +1174,50 @@ class ChargeSensorMeter:
         n = rows.size
         if n == 0:
             return np.zeros(0)
-        # Split requests into physical probes and cache hits.  "Fresh" pixels
-        # have never been measured; only the first in-batch occurrence of a
-        # fresh pixel is physical when the cache is enabled.
-        fresh = ~self._measured[rows, cols]
-        new_unique = np.zeros(n, dtype=bool)
-        fresh_indices = np.flatnonzero(fresh)
-        if fresh_indices.size:
-            keys = rows[fresh_indices] * self._backend.shape[1] + cols[fresh_indices]
-            _, first_seen = np.unique(keys, return_index=True)
-            new_unique[fresh_indices[first_seen]] = True
-        physical = new_unique if self._cache_enabled else np.ones(n, dtype=bool)
-        # Budget enforcement with sequential semantics: the number of unique
-        # measured pixels before request i is n_probes + (new uniques in
-        # [0, i)); the first physical request that would exceed the budget
-        # stops the batch there, after committing everything before it.
-        stop = n
-        if self._max_probes is not None:
-            unique_before = np.cumsum(new_unique) - new_unique
-            violating = (self._n_probes + unique_before >= self._max_probes) & physical
-            hits = np.flatnonzero(violating)
-            if hits.size:
-                stop = int(hits[0])
-        if self._fault_capable:
-            return self._get_currents_resilient(rows, cols, physical, new_unique, stop, n)
-        committed_rows = rows[:stop]
-        committed_cols = cols[:stop]
-        committed_physical = physical[:stop]
-        values = np.empty(stop, dtype=float)
-        probe_rows = committed_rows[committed_physical]
-        probe_cols = committed_cols[committed_physical]
-        # Each physical probe charges the clock before it is evaluated, so
-        # time-dependent backends see the same per-probe timestamps (elapsed
-        # time after each dwell) the scalar loop produces.
-        base_elapsed = self._clock.elapsed_s
-        probe_times = self._clock.charge_probes(int(probe_rows.size))
-        if probe_rows.size:
-            measured_values = self._backend.currents(
-                *_checked(probe_rows, probe_cols), times_s=probe_times
+        keys = rows * self._n_cols + cols
+        # The first request of each never-measured pixel adds a new pixel;
+        # with the cache on, those are the physical probes.
+        new = first_requests(keys, (~self._measured[keys]).nonzero()[0])
+        stop = self._budget_stop(new, n)
+        n_new = new.size if stop == n else int(np.searchsorted(new, stop))
+        probes = new[:n_new] if self._cache_enabled else np.arange(stop)
+        base_time = self._clock.elapsed_s
+        failure = None
+        if not probes.size:
+            measured = probe_times = np.zeros(0)
+        elif self._fault_capable:
+            measured, probe_times, failure = self._measure_faulty(
+                rows[probes], cols[probes]
             )
-            values[committed_physical] = measured_values
-            self._value_grid[probe_rows, probe_cols] = measured_values
-            self._measured[probe_rows, probe_cols] = True
-        from_cache = ~committed_physical
-        if np.any(from_cache):
-            values[from_cache] = self._value_grid[
-                committed_rows[from_cache], committed_cols[from_cache]
-            ]
-        self._n_probes += int(np.count_nonzero(new_unique[:stop]))
-        # A request's timestamp is the elapsed time after the last physical
-        # probe at or before it (cache hits cost nothing).
-        times = np.concatenate(([base_elapsed], probe_times))[
-            np.cumsum(committed_physical)
-        ]
-        self._log.extend(
-            committed_rows,
-            committed_cols,
-            self._backend.x_voltages[committed_cols].astype(float),
-            self._backend.y_voltages[committed_rows].astype(float),
-            values,
-            times,
-            from_cache,
-        )
+            if failure is not None:
+                # Requests before the first uncommitted probe are final.
+                stop = int(probes[measured.size])
+                probes = probes[: measured.size]
+                n_new = int(np.searchsorted(new, stop))
+        else:
+            probe_times = self._clock.charge_probes(probes.size)
+            measured = self._backend.currents(
+                *_checked(rows[probes], cols[probes]), times_s=probe_times
+            )
+        probe_keys = keys[probes]
+        self._values[probe_keys] = measured
+        self._measured[probe_keys] = True
+        self._n_probes += n_new
+        # When every committed request was a probe (always, with the cache
+        # off), the values are the measurements themselves.
+        values = measured if probes.size == stop else self._values[keys[:stop]]
+        if stop:
+            self._log.queue_batch(
+                keys[:stop],
+                values.copy(),
+                base_time,
+                probe_times,
+                probes,
+                self._backend.x_voltages,
+                self._backend.y_voltages,
+            )
+        if failure is not None:
+            raise failure
         if stop < n:
             raise ProbeBudgetExceededError(
                 f"probe budget of {self._max_probes} points exhausted"
@@ -1311,7 +1234,7 @@ class ChargeSensorMeter:
 
         Served through :meth:`get_currents` in row-major request order, so a
         full 100x100 acquisition is one batched physics evaluation instead of
-        10,000 scalar probes.
+        10,000 single-pixel probes.
         """
         rows, cols = self._backend.shape
         row_indices = np.repeat(np.arange(rows), cols)
@@ -1320,9 +1243,9 @@ class ChargeSensorMeter:
 
     def measured_image(self, fill_value: float = np.nan) -> np.ndarray:
         """Image of measured pixel values with unmeasured pixels set to ``fill_value``."""
-        image = np.full(self._backend.shape, fill_value, dtype=float)
-        image[self._measured] = self._value_grid[self._measured]
-        return image
+        image = np.full(self._backend.n_pixels, fill_value, dtype=float)
+        image[self._measured] = self._values[self._measured]
+        return image.reshape(self._backend.shape)
 
     def reset(self) -> None:
         """Clear the probe log, cache, clock, fault counters, and breaker."""

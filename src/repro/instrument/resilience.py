@@ -65,12 +65,14 @@ class ProbeRetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ConfigurationError("max_attempts must be at least 1")
-        if self.backoff_s < 0:
-            raise ConfigurationError("backoff_s must be non-negative")
-        if self.backoff_factor < 1.0:
-            raise ConfigurationError("backoff_factor must be at least 1.0")
-        if self.timeout_s is not None and self.timeout_s < 0:
-            raise ConfigurationError("timeout_s must be non-negative")
+        # Chained comparisons are false for NaN, so NaN is refused too; an
+        # infinite timeout tolerates every stall, the same as None.
+        if not 0 <= self.backoff_s < float("inf"):
+            raise ConfigurationError("backoff_s must be finite and non-negative")
+        if not 1.0 <= self.backoff_factor < float("inf"):
+            raise ConfigurationError("backoff_factor must be finite and at least 1.0")
+        if self.timeout_s is not None and not self.timeout_s >= 0:
+            raise ConfigurationError("timeout_s must be a non-negative number")
         if self.breaker_failures < 0:
             raise ConfigurationError("breaker_failures must be non-negative")
 

@@ -41,8 +41,10 @@ class TimingModel:
     readout_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.dwell_time_s < 0 or self.set_voltage_s < 0 or self.readout_s < 0:
-            raise ConfigurationError("timing costs must be non-negative")
+        for cost in (self.dwell_time_s, self.set_voltage_s, self.readout_s):
+            # The chained comparison is false for NaN, so it is refused too.
+            if not 0 <= cost < np.inf:
+                raise ConfigurationError("timing costs must be finite and non-negative")
 
     @property
     def cost_per_probe_s(self) -> float:
@@ -86,8 +88,10 @@ class VirtualClock:
 
     def advance(self, seconds: float) -> None:
         """Advance the simulated clock by an arbitrary amount."""
-        if seconds < 0:
-            raise ConfigurationError("cannot advance the clock by a negative amount")
+        if not 0 <= seconds < np.inf:
+            raise ConfigurationError(
+                "cannot advance the clock by a negative or non-finite amount"
+            )
         self._elapsed_s += seconds
         if self._realtime and seconds > 0:
             time.sleep(seconds)  # repro: allow[wall-clock] -- realtime=True opts into genuine delays; elapsed_s stays deterministic
@@ -100,19 +104,14 @@ class VirtualClock:
         """Charge ``n`` probes at once; return the elapsed time after each.
 
         Bit-identical to ``n`` successive :meth:`charge_probe` calls: the
-        accumulation runs through the same sequential float additions
-        (``numpy.cumsum``), so batched and scalar measurement paths agree on
-        every recorded timestamp.  In realtime mode the whole batch sleeps
-        once for the total duration.
+        timestamps are :meth:`preview_probes`' sequential float additions.
+        In realtime mode the whole batch sleeps once for the total duration.
         """
         if n < 0:
             raise ConfigurationError("cannot charge a negative number of probes")
+        times = self.preview_probes(n)
         if n == 0:
-            return np.zeros(0)
-        cost = self._timing.cost_per_probe_s
-        times = np.cumsum(
-            np.concatenate(([self._elapsed_s], np.full(int(n), cost)))
-        )[1:]
+            return times
         if self._realtime:
             total = float(times[-1]) - self._elapsed_s
             if total > 0:
@@ -123,20 +122,20 @@ class VirtualClock:
     def preview_probes(self, n: int) -> np.ndarray:
         """Timestamps :meth:`charge_probes` *would* return, without charging.
 
-        Runs the identical ``cumsum`` arithmetic, so committing any prefix
-        later via ``charge_probes(k)`` (``k <= n``) yields exactly the first
-        ``k`` previewed floats.  The meter's fault-tolerant batched path
-        uses this to plan a whole candidate batch, then charge only the
-        prefix that measured cleanly.
+        One in-place ``cumsum`` from the current reading: the same
+        sequential float additions as ``n`` :meth:`charge_probe` calls, so
+        committing any prefix later via ``charge_probes(k)`` (``k <= n``)
+        yields exactly the first ``k`` previewed floats.  The meter plans a
+        whole candidate batch against a fault-injecting backend this way,
+        then charges only the prefix that measured cleanly.
         """
         if n < 0:
             raise ConfigurationError("cannot preview a negative number of probes")
-        if n == 0:
-            return np.zeros(0)
-        cost = self._timing.cost_per_probe_s
-        return np.cumsum(
-            np.concatenate(([self._elapsed_s], np.full(int(n), cost)))
-        )[1:]
+        times = np.empty(int(n) + 1)
+        times.fill(self._timing.cost_per_probe_s)
+        times[0] = self._elapsed_s
+        times.cumsum(out=times)
+        return times[1:]
 
     def reset(self) -> None:
         """Reset the accumulated simulated time to zero."""

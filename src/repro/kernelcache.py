@@ -44,12 +44,35 @@ __all__ = [
     "clear_kernel_cache",
     "configure_kernel_cache",
     "default_kernel_cache",
+    "first_requests",
     "kernel_fingerprint",
 ]
 
 #: Default bound on cached kernels; one 100x100 entry is ~90 KB, so the
 #: default cache tops out at a few MB even with full-grid workloads.
 DEFAULT_MAX_ENTRIES = 32
+
+
+def first_requests(keys: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """The first of ``positions`` to request each distinct key, ascending.
+
+    ``positions`` are ascending indices into the flat pixel ``keys`` of one
+    request batch; a key requested at several of them keeps only its
+    earliest.  A stable argsort groups equal keys with their positions in
+    request order, so the first of each group is its earliest request;
+    fewer than two positions cannot repeat a key at all.
+    """
+    if positions.size < 2:
+        return positions
+    requested = keys[positions]
+    order = requested.argsort(kind="stable")
+    ranked = requested[order]
+    first = np.empty(ranked.size, dtype=bool)
+    first[0] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    chosen = positions[order[first]]
+    chosen.sort()
+    return chosen
 
 
 def _array_bytes(values: np.ndarray | list) -> bytes:
@@ -138,49 +161,60 @@ class KernelCacheStats:
 
 
 class KernelCacheEntry:
-    """Lazily filled noise-free current grid for one kernel fingerprint."""
+    """Lazily filled noise-free current grid for one kernel fingerprint.
+
+    The grid is stored flat, row-major, and looked up by pixel key
+    ``row * n_cols + col``; :attr:`values` and :attr:`solved` are its 2-D
+    views.
+    """
 
     def __init__(self, fingerprint: str, shape: tuple[int, int]) -> None:
         self.fingerprint = fingerprint
-        self.values = np.zeros(shape, dtype=float)
-        self.solved = np.zeros(shape, dtype=bool)
+        self.shape = (int(shape[0]), int(shape[1]))
+        self._values = np.zeros(self.shape[0] * self.shape[1], dtype=float)
+        self._solved = np.zeros(self._values.size, dtype=bool)
         self.n_pixel_hits = 0
         self.n_pixel_solves = 0
 
     def __repr__(self) -> str:
         return (
             f"KernelCacheEntry(fingerprint={self.fingerprint[:12]!r}, "
-            f"shape={self.values.shape}, solved={int(self.solved.sum())})"
+            f"shape={self.shape}, solved={self.n_solved})"
         )
+
+    @property
+    def values(self) -> np.ndarray:
+        """Pure currents of the solved pixels (2-D view; 0 where unsolved)."""
+        return self._values.reshape(self.shape)
+
+    @property
+    def solved(self) -> np.ndarray:
+        """Which pixels have been solved (2-D view)."""
+        return self._solved.reshape(self.shape)
 
     @property
     def n_solved(self) -> int:
         """Number of pixels whose pure value has been computed."""
-        return int(np.count_nonzero(self.solved))
+        return int(np.count_nonzero(self._solved))
 
-    def fetch(self, rows: np.ndarray, cols: np.ndarray, solve) -> np.ndarray:
-        """Values for the requested pixels, solving the missing ones once.
+    def fetch(self, keys: np.ndarray, solve) -> np.ndarray:
+        """Values for the requested pixel keys, solving the missing ones once.
 
-        ``solve(indices)`` must return the pure values of
-        ``(rows[indices], cols[indices])``; it is called with the first
-        in-request-order occurrence of each not-yet-solved pixel.  Because
-        the physics kernel is batch-size independent, values are identical
-        whether pixels are solved here, in a different grouping, or without
-        any cache at all.
+        ``keys`` are flat row-major pixel indices (``row * n_cols + col``).
+        ``solve(indices)`` must return the pure values of the pixels at
+        ``keys[indices]``; it is called with the first in-request-order
+        occurrence of each not-yet-solved pixel.  Because the physics kernel
+        is batch-size independent, values are identical whether pixels are
+        solved here, in a different grouping, or without any cache at all.
         """
-        missing = np.flatnonzero(~self.solved[rows, cols])
-        if missing.size:
-            keys = rows[missing] * self.values.shape[1] + cols[missing]
-            _, first_seen = np.unique(keys, return_index=True)
-            idx = missing[np.sort(first_seen)]
-            fresh = np.asarray(solve(idx), dtype=float)
-            self.values[rows[idx], cols[idx]] = fresh
-            self.solved[rows[idx], cols[idx]] = True
+        idx = first_requests(keys, (~self._solved[keys]).nonzero()[0])
+        if idx.size:
+            solved_keys = keys[idx]
+            self._values[solved_keys] = np.asarray(solve(idx), dtype=float)
+            self._solved[solved_keys] = True
             self.n_pixel_solves += int(idx.size)
-            self.n_pixel_hits += int(rows.size - idx.size)
-        else:
-            self.n_pixel_hits += int(rows.size)
-        return self.values[rows, cols]
+        self.n_pixel_hits += int(keys.size - idx.size)
+        return self._values[keys]
 
 
 class KernelCache:

@@ -76,8 +76,9 @@ class TestOnCleanData:
             def y_voltages(self):
                 return clean_csd.y_voltages
 
-            def current(self, row, col, time_s=None):
-                return float(clean_csd.data[row, col])
+            def currents(self, rows, cols, times_s=None):
+                rows, cols = self.validate_pixels(rows, cols)
+                return clean_csd.data[rows, cols].astype(float)
 
         meter = ChargeSensorMeter(NamelessBackend())
         with pytest.raises(ExtractionError, match="gate names"):
@@ -99,8 +100,9 @@ class TestOnCleanData:
             def y_voltages(self):
                 return clean_csd.y_voltages
 
-            def current(self, row, col, time_s=None):
-                return float(clean_csd.data[row, col])
+            def currents(self, rows, cols, times_s=None):
+                rows, cols = self.validate_pixels(rows, cols)
+                return clean_csd.data[rows, cols].astype(float)
 
         with pytest.raises(ExtractionError, match="gate names"):
             gate_names_for(ChargeSensorMeter(HalfNamedBackend()))

@@ -82,7 +82,9 @@ class TestFaultyBackendSurface:
                 np.array([0, 1]), np.array([0, 1]), np.linspace(0.03, 0.06, 2)
             )
         with pytest.raises(TransientReadError):
-            backend.current(0, 0, time_s=0.03)
+            backend.currents([0], [0], [0.03])
+        with pytest.raises(MeasurementError, match="timestamps"):
+            backend.currents([0], [0])
 
     def test_direct_calls_validate_pixels(self):
         backend = _session(faults="transient-reads", probe_retry=RETRY).meter.backend

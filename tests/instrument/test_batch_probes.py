@@ -1,10 +1,12 @@
-"""Equivalence tests for the batched probe path.
+"""Batch-split invariance of the probe path.
 
-The batch API (`MeasurementBackend.currents`, `ChargeSensorMeter.get_currents`,
-`FeatureGradient.values`, batched `acquire_full_grid`) must be request-by-
-request indistinguishable from the scalar path: same values (bit-identical),
-same probe counts, same cache hits, same clock charges, same log contents,
-and the same budget-exhaustion point.
+A batch (`MeasurementBackend.currents`, `ChargeSensorMeter.get_currents`,
+`FeatureGradient.values`, `acquire_full_grid`) must be request-by-request
+indistinguishable from the same requests made one pixel at a time: same
+values (bit-identical), same probe counts, same cache hits, same clock
+charges, same log contents, and the same budget-exhaustion point.
+`get_current` is a one-pixel `get_currents`; `test_reference_meter.py`
+checks the meter against an independent per-pixel implementation.
 """
 
 from __future__ import annotations
@@ -69,15 +71,16 @@ class TestBackendCurrents:
         backend = DatasetBackend(clean_csd)
         rows, cols = _request_pattern(rng, backend.shape, 200)
         batch = backend.currents(rows, cols)
-        scalar = np.array([backend.current(int(r), int(c)) for r, c in zip(rows, cols)])
-        assert np.array_equal(batch, scalar)
+        assert np.array_equal(batch, clean_csd.data[rows, cols])
+        single = np.array([backend.currents([r], [c])[0] for r, c in zip(rows, cols)])
+        assert np.array_equal(batch, single)
 
     def test_device_backend_matches_scalar(self, double_dot_device, rng):
         backend = _device_backend(double_dot_device)
         rows, cols = _request_pattern(rng, backend.shape, 200)
         batch = backend.currents(rows, cols)
-        scalar = np.array([backend.current(int(r), int(c)) for r, c in zip(rows, cols)])
-        assert np.array_equal(batch, scalar)
+        single = np.array([backend.currents([r], [c])[0] for r, c in zip(rows, cols)])
+        assert np.array_equal(batch, single)
 
     def test_device_backend_batch_split_invariance(self, double_dot_device, rng):
         """The same requests give the same bits regardless of batching."""
@@ -89,10 +92,19 @@ class TestBackendCurrents:
         )
         assert np.array_equal(whole, parts)
 
-    def test_off_grid_batch_rejected(self, clean_csd):
+    @pytest.mark.parametrize(
+        "pixel", [(1000, 0), (63, 0), (0, 63), (-1, 0), (0, -1), (63, 63)]
+    )
+    def test_off_grid_batch_rejected(self, clean_csd, pixel):
         backend = DatasetBackend(clean_csd)
-        with pytest.raises(MeasurementError):
-            backend.currents([0, 1000], [0, 0])
+        meter = ChargeSensorMeter(backend)
+        rows, cols = [0, pixel[0]], [0, pixel[1]]
+        with pytest.raises(MeasurementError, match="outside"):
+            backend.currents(rows, cols)
+        with pytest.raises(MeasurementError, match="outside"):
+            meter.get_currents(rows, cols)
+        assert meter.n_requests == 0
+        assert np.array_equal(backend.currents([62, 0], [0, 62]), clean_csd.data[[62, 0], [0, 62]])
 
     def test_shape_mismatch_rejected(self, clean_csd):
         backend = DatasetBackend(clean_csd)
@@ -287,8 +299,6 @@ class TestTimeDependentEquivalence:
         assert backend.is_time_dependent
         with pytest.raises(MeasurementError):
             backend.currents(np.array([0]), np.array([0]))
-        with pytest.raises(MeasurementError):
-            backend.current(0, 0)
 
     def test_static_backend_ignores_timestamps(self, double_dot_device):
         backend = _device_backend(double_dot_device)

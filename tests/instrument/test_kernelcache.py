@@ -177,9 +177,7 @@ class TestLRUAndStats:
     def test_evicted_pixel_work_stays_counted(self):
         cache = KernelCache(max_entries=1)
         entry = cache.entry("a", (4, 4))
-        entry.fetch(
-            np.array([0, 0]), np.array([0, 1]), lambda idx: np.zeros(idx.size)
-        )
+        entry.fetch(np.array([0, 1]), lambda idx: np.zeros(idx.size))
         cache.entry("b", (4, 4))
         assert cache.stats.pixel_solves == 2
 
@@ -193,9 +191,12 @@ class TestLRUAndStats:
 
         rows = np.array([1, 1, 1, 2])
         cols = np.array([3, 3, 3, 0])
-        entry.fetch(rows, cols, solve)
+        values = entry.fetch(rows * 4 + cols, solve)
         assert calls == [2]
         assert entry.n_solved == 2
+        assert np.array_equal(values, [0.0, 0.0, 0.0, 1.0])
+        assert entry.values[1, 3] == 0.0 and entry.values[2, 0] == 1.0
+        assert entry.solved.sum() == 2 and entry.solved[1, 3] and entry.solved[2, 0]
 
     def test_stats_round_trip_strict_json(self):
         stats = KernelCacheStats(2, 100, 10, 5, 2, 1)

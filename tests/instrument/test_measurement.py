@@ -20,12 +20,12 @@ class TestDatasetBackend:
     def test_replays_pixels(self, clean_csd):
         backend = DatasetBackend(clean_csd)
         assert backend.shape == clean_csd.shape
-        assert backend.current(5, 7) == pytest.approx(clean_csd.data[5, 7])
+        assert backend.currents([5], [7])[0] == pytest.approx(clean_csd.data[5, 7])
 
     def test_off_grid_rejected(self, clean_csd):
         backend = DatasetBackend(clean_csd)
         with pytest.raises(MeasurementError):
-            backend.current(1000, 0)
+            backend.currents([1000], [0])
 
     def test_pixel_at_voltage(self, clean_csd):
         backend = DatasetBackend(clean_csd)
@@ -39,7 +39,7 @@ class TestDeviceBackend:
         ys = np.linspace(0.0, 0.03, 20)
         backend = DeviceBackend(double_dot_device, xs, ys)
         vg = np.array([xs[4], ys[11]])
-        assert backend.current(11, 4) == pytest.approx(
+        assert backend.currents([11], [4])[0] == pytest.approx(
             double_dot_device.sensor_current(vg)
         )
 
@@ -48,13 +48,13 @@ class TestDeviceBackend:
         ys = np.linspace(0.0, 0.03, 10)
         a = DeviceBackend(double_dot_device, xs, ys, noise=WhiteNoise(0.1), seed=5)
         b = DeviceBackend(double_dot_device, xs, ys, noise=WhiteNoise(0.1), seed=5)
-        assert a.current(3, 3) == pytest.approx(b.current(3, 3))
+        assert a.currents([3], [3])[0] == pytest.approx(b.currents([3], [3])[0])
 
     def test_value_cached_between_calls(self, double_dot_device):
         xs = np.linspace(0.0, 0.03, 10)
         ys = np.linspace(0.0, 0.03, 10)
         backend = DeviceBackend(double_dot_device, xs, ys, noise=WhiteNoise(0.1), seed=1)
-        assert backend.current(2, 2) == backend.current(2, 2)
+        assert backend.currents([2], [2])[0] == backend.currents([2], [2])[0]
 
     def test_grid_validation(self, double_dot_device):
         with pytest.raises(MeasurementError):

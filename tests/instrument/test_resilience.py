@@ -43,11 +43,27 @@ class TestProbeRetryPolicy:
             {"backoff_factor": 0.5},
             {"timeout_s": -1.0},
             {"breaker_failures": -1},
+            {"backoff_s": float("nan")},
+            {"backoff_s": float("inf")},
+            {"backoff_factor": float("nan")},
+            {"backoff_factor": float("inf")},
+            {"timeout_s": float("nan")},
+            {"timeout_s": np.float64("nan")},
         ],
     )
     def test_invalid_parameters_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             ProbeRetryPolicy(**kwargs)
+
+    def test_infinite_timeout_tolerates_every_stall_like_none(self):
+        hang = ProbeHangFault(rate=1.0, hang_s=5.0)
+        unbounded = _session(faults=hang, probe_retry=ProbeRetryPolicy(timeout_s=float("inf")))
+        untimed = _session(faults=hang, probe_retry=ProbeRetryPolicy(timeout_s=None))
+        for session in (unbounded, untimed):
+            session.meter.get_currents([0, 1, 2], [0, 1, 2])
+        assert unbounded.meter.elapsed_s == untimed.meter.elapsed_s
+        assert unbounded.meter.fault_delay_s == untimed.meter.fault_delay_s == 15.0
+        assert unbounded.meter.n_fault_events == 0
 
     def test_no_retry_fails_on_first_fault(self):
         policy = ProbeRetryPolicy.no_retry()

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
@@ -21,6 +24,17 @@ class TestTimingModel:
     def test_negative_costs_rejected(self):
         with pytest.raises(ConfigurationError):
             TimingModel(dwell_time_s=-0.01)
+
+    @pytest.mark.parametrize("field", ["dwell_time_s", "set_voltage_s", "readout_s"])
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), np.float64("nan"), np.inf]
+    )
+    def test_non_finite_costs_rejected(self, field, value):
+        with pytest.raises(ConfigurationError):
+            TimingModel(**{field: value})
+        # A model derived from a valid one is checked too.
+        with pytest.raises(ConfigurationError):
+            dataclasses.replace(TimingModel.paper_default(), **{field: value})
 
 
 class TestVirtualClock:
@@ -43,6 +57,16 @@ class TestVirtualClock:
         clock = VirtualClock()
         with pytest.raises(ConfigurationError):
             clock.advance(-1.0)
+
+    @pytest.mark.parametrize(
+        "seconds", [float("nan"), float("inf"), np.float64("nan"), -np.inf]
+    )
+    def test_non_finite_advance_rejected(self, seconds):
+        clock = VirtualClock()
+        clock.advance(0.5)
+        with pytest.raises(ConfigurationError):
+            clock.advance(seconds)
+        assert clock.elapsed_s == 0.5
 
     def test_reset(self):
         clock = VirtualClock()

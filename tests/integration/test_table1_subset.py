@@ -15,6 +15,8 @@ import pytest
 
 from repro.analysis import ComparisonRunner, summarize_suite
 from repro.datasets import load_benchmark
+from repro.exceptions import ConfigurationError
+from repro.instrument import TimingModel
 
 
 @pytest.fixture(scope="module")
@@ -61,3 +63,14 @@ class TestSummaryShape:
         assert summary.baseline_successes == 2
         assert summary.min_speedup > 4.0
         assert summary.mean_probe_fraction < 0.2
+
+
+class TestNonFiniteTiming:
+    @pytest.mark.parametrize("dwell", [float("nan"), float("inf")])
+    def test_replay_refuses_non_finite_dwell(self, dwell):
+        # A NaN or infinite dwell used to pass the timing checks, and the
+        # replay "succeeded" with a non-finite elapsed_s.
+        with pytest.raises(ConfigurationError):
+            ComparisonRunner(timing=TimingModel(dwell_time_s=dwell)).run_benchmark(
+                load_benchmark(4), index=4
+            )

@@ -269,8 +269,9 @@ class TestComposerSemantics:
             def y_voltages(self):
                 return clean_csd.y_voltages
 
-            def current(self, row, col, time_s=None):
-                return float(clean_csd.data[row, col])
+            def currents(self, rows, cols, times_s=None):
+                rows, cols = self.validate_pixels(rows, cols)
+                return clean_csd.data[rows, cols].astype(float)
 
         ctx = TuneContext(meter=ChargeSensorMeter(NamelessBackend()))
         with pytest.raises(ExtractionError, match="gate names"):
