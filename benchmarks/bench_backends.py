@@ -1,11 +1,11 @@
 """Benchmark: execution-backend × worker-count throughput on a fixed grid.
 
 The execution layer's contract is that backends differ *only* in wall time:
-`SerialBackend`, `ProcessPoolBackend`, and `AsyncioBackend` all produce
-bit-identical `CampaignResult.records` for the same grid and seed at any
-worker count.  This benchmark sweeps the backend × worker matrix over one
-fixed grid, checks every cell against the serial reference, and reports
-throughput (jobs/s) per cell.
+`SerialBackend` and `ProcessPoolBackend` produce bit-identical
+`CampaignResult.records` for the same grid and seed at any worker count.
+This benchmark sweeps the backend × worker matrix over one fixed grid,
+checks every cell against the serial reference, and reports throughput
+(jobs/s) per cell.
 
 This file is both a pytest benchmark (like its siblings) and a standalone
 script for CI smoke runs and the persisted perf trajectory::
@@ -63,22 +63,19 @@ def sweep(grid: CampaignGrid, worker_counts: tuple[int, ...]) -> tuple[list[dict
         }
     ]
     all_identical = True
-    for backend in ("process", "asyncio"):
-        for workers in worker_counts:
-            result = TuningCampaign(grid, n_workers=workers, backend=backend).run()
-            identical = (
-                result.normalized().records == reference.normalized().records
-            )
-            all_identical &= identical
-            rows.append(
-                {
-                    "backend": backend,
-                    "workers": workers,
-                    "wall_s": result.wall_time_s,
-                    "jobs_per_s": result.n_jobs / max(result.wall_time_s, 1e-9),
-                    "identical": identical,
-                }
-            )
+    for workers in worker_counts:
+        result = TuningCampaign(grid, n_workers=workers, backend="process").run()
+        identical = result.normalized().records == reference.normalized().records
+        all_identical &= identical
+        rows.append(
+            {
+                "backend": "process",
+                "workers": workers,
+                "wall_s": result.wall_time_s,
+                "jobs_per_s": result.n_jobs / max(result.wall_time_s, 1e-9),
+                "identical": identical,
+            }
+        )
     return rows, all_identical
 
 

@@ -70,11 +70,6 @@ MANIFEST: dict[str, dict[str, str]] = {
         "cache_resolution": "exact",
         "cache_records_identical": "exact",
         "cache_speedup_x": "speed",
-        "transport_jobs": "exact",
-        "transport_rows_per_job": "exact",
-        "transport_payload_mb": "exact",
-        "transport_values_identical": "exact",
-        "transport_speedup_x": "speed",
     },
     "BENCH_10.json": {
         "bench": "exact",

@@ -39,7 +39,6 @@ from .core import (
 )
 from .exceptions import ReproError
 from .execution import (
-    AsyncioBackend,
     CheckpointJournal,
     ExecutionBackend,
     ProcessPoolBackend,
@@ -124,7 +123,6 @@ __all__ = [
     "FastVirtualGateExtractor",
     "VirtualizationMatrix",
     "ReproError",
-    "AsyncioBackend",
     "CheckpointJournal",
     "ClusterBackend",
     "ClusterStats",

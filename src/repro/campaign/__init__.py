@@ -14,7 +14,7 @@ the managed layer for that workload:
   taxonomy;
 * :class:`~repro.campaign.engine.TuningCampaign` dispatches the jobs
   through a pluggable :mod:`repro.execution` backend (serial, process
-  pool, or asyncio — results are bit-identical at any worker count),
+  pool, or cluster — results are bit-identical at any worker count),
   journals records to an optional JSONL checkpoint it can
   :meth:`~repro.campaign.engine.TuningCampaign.resume` from, and
   aggregates everything into a

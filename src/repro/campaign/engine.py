@@ -142,8 +142,8 @@ class TuningCampaign:
         capped default balances pickling overhead against tail
         load-balancing when omitted.
     backend:
-        Execution policy: a registered backend name (``"serial"``,
-        ``"process"``, ``"asyncio"``), an
+        Execution policy: a registered backend name or spec (``"serial"``,
+        ``"process"``, ``"process:8"``, ``"cluster:local:4"``), an
         :class:`~repro.execution.base.ExecutionBackend` instance, or
         ``None`` to choose serial/process from ``n_workers``.
     retry:
@@ -217,9 +217,10 @@ class TuningCampaign:
         ):
             # With an explicit non-process backend the knob would be a
             # silent no-op (instances carry their own configuration; the
-            # serial/asyncio backends have no chunks) — fail loudly in the
-            # engine's usual style.  The auto spec keeps the historical
-            # behaviour of ignoring chunk_size when it resolves to serial.
+            # serial backend has no chunks, the cluster sizes its own
+            # leases) — fail loudly in the engine's usual style.  The auto
+            # spec keeps the historical behaviour of ignoring chunk_size
+            # when it resolves to serial.
             raise ConfigurationError(
                 "chunk_size only applies to the process backend; configure "
                 "the backend instance directly or drop the argument"

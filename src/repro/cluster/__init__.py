@@ -17,14 +17,7 @@ Select it like any backend: ``TuningCampaign(grid, backend="cluster:local:4")``.
 
 from .backend import ClusterBackend, LocalCluster, job_affinity
 from .coordinator import DEFAULT_HEARTBEAT_S, ClusterStats, Coordinator
-from .wire import (
-    MESSAGE_CLASSES,
-    RECORD_ENCODINGS,
-    decode_record,
-    encode_record,
-    recv_message,
-    send_message,
-)
+from .wire import MESSAGE_CLASSES, recv_message, send_message
 from .worker import worker_main
 
 __all__ = [
@@ -34,9 +27,6 @@ __all__ = [
     "DEFAULT_HEARTBEAT_S",
     "LocalCluster",
     "MESSAGE_CLASSES",
-    "RECORD_ENCODINGS",
-    "decode_record",
-    "encode_record",
     "job_affinity",
     "recv_message",
     "send_message",

@@ -36,7 +36,6 @@ from typing import Any, Callable, Iterable, Iterator
 
 from ..exceptions import ConfigurationError
 from ..execution.base import ExecutionBackend, SupportsJobId, register_backend
-from ..execution.chunking import AdaptiveChunkPolicy
 from .coordinator import DEFAULT_HEARTBEAT_S, ClusterStats, Coordinator
 from .worker import _local_worker
 
@@ -175,6 +174,10 @@ class LocalCluster:
 class ClusterBackend(ExecutionBackend):
     """Distributed execution over the cluster wire protocol.
 
+    Leases are sized by the default
+    :class:`~repro.execution.chunking.AdaptiveChunkPolicy`, which targets
+    0.25 s leases.
+
     Parameters
     ----------
     n_workers:
@@ -185,22 +188,18 @@ class ClusterBackend(ExecutionBackend):
         exclusive with treating ``n_workers`` as a launch count.
     heartbeat_s:
         Worker heartbeat period; death is declared after ~5 missed beats.
-    chunking:
-        An :class:`~repro.execution.chunking.AdaptiveChunkPolicy` used as
-        lease-size configuration (a fresh copy per submission); the shared
-        default targets 0.25 s leases.
     register_timeout_s:
         Listen mode: how long a submission waits for the first worker
-        before failing loudly.
+        before failing loudly.  ``inf`` waits forever.
     stall_timeout_s:
         How long a submission tolerates a cluster that had workers but has
         none left (all died, none reconnected) with jobs still unfinished
-        before raising instead of blocking forever.
+        before raising instead of blocking forever.  ``inf`` never raises.
 
     .. warning::
        The wire protocol ships pickles both ways (the task callable to
-       workers, crash payloads back), and unpickling is arbitrary code
-       execution for whoever you connect to.  Listen mode
+       workers, records and crash payloads back), and unpickling is
+       arbitrary code execution for whoever you connect to.  Listen mode
        (``host``/``port``, e.g. ``cluster:0.0.0.0:7077``) must therefore
        only bind on networks where every host that can reach the port is
        trusted — and workers must only ``--connect`` to coordinators they
@@ -215,7 +214,6 @@ class ClusterBackend(ExecutionBackend):
         host: str | None = None,
         port: int | None = None,
         heartbeat_s: float = DEFAULT_HEARTBEAT_S,
-        chunking: AdaptiveChunkPolicy | None = None,
         register_timeout_s: float = 60.0,
         stall_timeout_s: float = 300.0,
     ) -> None:
@@ -232,21 +230,19 @@ class ClusterBackend(ExecutionBackend):
                 "n_workers is a local-mode knob; in listen mode the worker "
                 "count is however many workers connect"
             )
-        if heartbeat_s <= 0:
-            raise ConfigurationError("heartbeat_s must be positive")
-        if register_timeout_s <= 0:
+        # Chained comparisons are false for NaN, so NaN is refused too.  The
+        # heartbeat is a sleep period and must be finite; an infinite
+        # timeout means "no limit".
+        if not 0 < heartbeat_s < float("inf"):
+            raise ConfigurationError("heartbeat_s must be finite and positive")
+        if not register_timeout_s > 0:
             raise ConfigurationError("register_timeout_s must be positive")
-        if stall_timeout_s <= 0:
+        if not stall_timeout_s > 0:
             raise ConfigurationError("stall_timeout_s must be positive")
-        if chunking is not None and not isinstance(chunking, AdaptiveChunkPolicy):
-            raise ConfigurationError(
-                "chunking must be an AdaptiveChunkPolicy instance (or None)"
-            )
         self._n_workers = n_workers
         self._host = host
         self._port = None if port is None else int(port)
         self._heartbeat_s = float(heartbeat_s)
-        self._chunking = chunking
         self._register_timeout_s = float(register_timeout_s)
         self._stall_timeout_s = float(stall_timeout_s)
         self._last_stats: ClusterStats | None = None
@@ -285,7 +281,6 @@ class ClusterBackend(ExecutionBackend):
             host=self._host or "127.0.0.1",
             port=self._port or 0,
             heartbeat_s=self._heartbeat_s,
-            policy=self._chunking,
             affinity=job_affinity,
             register_timeout_s=self._register_timeout_s,
             stall_timeout_s=self._stall_timeout_s,

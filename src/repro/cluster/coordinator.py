@@ -52,7 +52,6 @@ from .wire import (
     Stolen,
     Task,
     Welcome,
-    decode_record,
     recv_message,
     send_message,
 )
@@ -158,10 +157,10 @@ class Coordinator:
     .. warning::
        The data plane trusts its peers: workers unpickle the ``Task``
        callable from the coordinator, and the coordinator unpickles
-       ``Crash`` payloads from registered workers — pickle is arbitrary
-       code execution for whoever you connect to.  Only bind non-loopback
-       addresses (and only point workers at coordinators) on networks
-       where every reachable host is trusted.
+       ``Result`` and ``Crash`` payloads from registered workers — pickle
+       is arbitrary code execution for whoever you connect to.  Only bind
+       non-loopback addresses (and only point workers at coordinators) on
+       networks where every reachable host is trusted.
     """
 
     def __init__(
@@ -388,7 +387,7 @@ class Coordinator:
                 state.last_seen = time.monotonic()
 
     def _on_result(self, worker_id: int, message: Result, payload: bytes) -> None:
-        record = decode_record(message.encoding, payload)
+        record = pickle.loads(payload)
         job_id = message.job_id
         with self._lock:
             state = self._workers.get(worker_id)

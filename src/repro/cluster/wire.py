@@ -12,36 +12,29 @@ Every frame on a coordinator/worker TCP connection is::
 with any JSON tooling and survives the same strict-JSON round-trip contract
 as every other record class in the library (the classes are registered with
 :func:`repro.lint.register_contract_sample`).  The payload carries whatever
-bulk bytes the message needs: pickled jobs for a lease, an encoded record
-for a result, a pickled exception for a crash.
-
-Record payloads reuse the PR-9 columnar encoding
-(:func:`repro.execution.shm.encode_columnar_bytes`) whenever the record is
-columnar — a numpy array or a dict of numpy columns travels as raw aligned
-bytes, not a pickle — with strict JSON for scalars and pickle as the general
-fallback.  :func:`encode_record` / :func:`decode_record` are strictly
-value-preserving for every encoding, which is what lets the cluster backend
-hold records bit-identical to :class:`~repro.execution.backends.SerialBackend`.
+bulk bytes the message needs, always as a pickle: the ``run_one`` callable
+for a task, the leased jobs for a lease, the record for a result, the
+exception for a crash.  Pickle carries every record value-identically,
+which is what lets the cluster backend hold records bit-identical to
+:class:`~repro.execution.backends.SerialBackend`; a record pickle refuses
+fails its job as a :class:`Crash`, like a raising runner.
 """
 
 from __future__ import annotations
 
 import json
-import pickle
 import socket
 import struct
 from dataclasses import dataclass, fields
 from typing import Any, ClassVar
 
 from ..exceptions import ClusterProtocolError
-from ..execution.shm import decode_columnar_bytes, encode_columnar_bytes
 
 __all__ = [
     "Crash",
     "Heartbeat",
     "Lease",
     "MESSAGE_CLASSES",
-    "RECORD_ENCODINGS",
     "Register",
     "Result",
     "Shutdown",
@@ -49,8 +42,6 @@ __all__ = [
     "Stolen",
     "Task",
     "Welcome",
-    "decode_record",
-    "encode_record",
     "recv_message",
     "send_message",
 ]
@@ -172,11 +163,10 @@ class Stolen:
 
 @wire_message
 class Result:
-    """Worker -> coordinator: one finished job; payload is the record."""
+    """Worker -> coordinator: one finished job; payload is the pickled record."""
 
     kind: ClassVar[str] = "result"
     job_id: int
-    encoding: str
 
 
 @wire_message
@@ -253,46 +243,3 @@ def recv_message(sock: socket.socket) -> tuple[Any, bytes]:
             f"malformed {header.get('kind')!r} frame: {exc!r}"
         ) from None
 
-
-# ---------------------------------------------------------------------------
-# Record payload encodings
-# ---------------------------------------------------------------------------
-
-#: Encodings a :class:`Result` payload may carry, in preference order.
-RECORD_ENCODINGS = ("columnar", "strict-json", "pickle")
-
-
-def encode_record(record: Any) -> tuple[str, bytes]:
-    """Choose the cheapest value-preserving encoding for one record.
-
-    Columnar records (numpy arrays, dicts of numpy columns) reuse the PR-9
-    aligned-raw-bytes layout; JSON-native scalars travel as strict JSON
-    (human-inspectable on the wire); everything else — campaign record
-    dataclasses included — pickles.  All three round-trip bit-identically
-    through :func:`decode_record`.
-    """
-    blob = encode_columnar_bytes(record)
-    if blob is not None:
-        return "columnar", blob
-    if record is None or type(record) in (bool, int, str):
-        return "strict-json", json.dumps(record, allow_nan=False).encode("utf-8")
-    if type(record) is float:
-        try:
-            return "strict-json", json.dumps(record, allow_nan=False).encode("utf-8")
-        except ValueError:
-            # Non-finite float: strict JSON refuses it, pickle carries it.
-            return "pickle", pickle.dumps(record)
-    return "pickle", pickle.dumps(record)
-
-
-def decode_record(encoding: str, payload: bytes) -> Any:
-    """Invert :func:`encode_record`."""
-    if encoding == "columnar":
-        return decode_columnar_bytes(payload)
-    if encoding == "strict-json":
-        return json.loads(payload.decode("utf-8"))
-    if encoding == "pickle":
-        return pickle.loads(payload)
-    raise ClusterProtocolError(
-        f"unknown record encoding {encoding!r}; expected one of {RECORD_ENCODINGS}"
-    )

@@ -24,7 +24,6 @@ import socket
 import threading
 import time
 from collections import deque
-from typing import Any
 
 from ..exceptions import ClusterProtocolError
 from .wire import (
@@ -38,7 +37,6 @@ from .wire import (
     Stolen,
     Task,
     Welcome,
-    encode_record,
     recv_message,
     send_message,
 )
@@ -100,14 +98,15 @@ def _executor_loop(session: _Session) -> None:
             session.current_job = int(job.job_id)
         try:
             try:
-                record = session.run_one(job)
+                payload = pickle.dumps(session.run_one(job))
             except Exception as exc:
-                # The runner raised: per the backend contract this aborts
-                # the submission, so ship the exception itself.  An
-                # exception that refuses to pickle (holds a socket/lock,
-                # broken __reduce__) must not kill this thread — the
-                # heartbeats would keep beating and the campaign would
-                # hang — so it degrades to a picklable surrogate.
+                # The runner raised, or returned a record pickle refuses:
+                # per the backend contract this aborts the submission, so
+                # ship the exception itself.  Neither failure may kill this
+                # thread — the heartbeats would keep beating and the
+                # campaign would hang.  An exception that refuses to pickle
+                # too (holds a socket/lock, broken __reduce__) degrades to
+                # a picklable surrogate.
                 try:
                     blob = pickle.dumps(exc)
                 except Exception:
@@ -118,10 +117,7 @@ def _executor_loop(session: _Session) -> None:
                     Crash(job_id=int(job.job_id), message=str(exc)), blob
                 )
                 continue
-            encoding, payload = encode_record(record)
-            session.send(
-                Result(job_id=int(job.job_id), encoding=encoding), payload
-            )
+            session.send(Result(job_id=int(job.job_id)), payload)
             session.results_sent += 1
             if (
                 session.mute_after is not None

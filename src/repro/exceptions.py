@@ -72,7 +72,7 @@ class CircuitBreakerOpenError(InstrumentFault):
 class WorkerCrashError(ReproError):
     """An execution worker died (or was deterministically made to die).
 
-    Raised in-process by serial/asyncio backends when a crash fault fires,
+    Raised in-process by the serial backend when a crash fault fires,
     and synthesised by :class:`~repro.execution.backends.ProcessPoolBackend`
     when a pool worker hard-exits; the run controller converts it into a
     ``worker_error`` record instead of aborting the campaign.

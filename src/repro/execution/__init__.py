@@ -11,9 +11,10 @@ drivers.
 * :class:`~repro.execution.base.ExecutionBackend` — the streaming protocol:
   ``submit(jobs, run_one)`` yields ``(job_id, record)`` in completion order.
 * :class:`~repro.execution.backends.SerialBackend`,
-  :class:`~repro.execution.backends.ProcessPoolBackend`,
-  :class:`~repro.execution.backends.AsyncioBackend` — the stock
-  implementations, bit-identical per job at any worker count.
+  :class:`~repro.execution.backends.ProcessPoolBackend` and
+  :class:`~repro.cluster.ClusterBackend` — the stock implementations,
+  bit-identical per job at any worker count.  Records travel back from
+  workers pickled, on every backend.
 * :class:`~repro.execution.controller.RunController` — retry policy,
   per-job fault isolation, progress callbacks, and incremental JSONL
   checkpointing via
@@ -28,14 +29,7 @@ Typical direct use (the campaign engine wires all of this up for you)::
     records = controller.run(jobs, run_one, on_error=make_error_record)
 """
 
-from .backends import (
-    CHUNKINGS,
-    DEFAULT_CHUNK_CAP,
-    TRANSPORTS,
-    AsyncioBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-)
+from .backends import DEFAULT_CHUNK_CAP, ProcessPoolBackend, SerialBackend
 from .base import (
     ExecutionBackend,
     ProgressCallback,
@@ -49,45 +43,28 @@ from .base import (
 from .checkpoint import CheckpointJournal
 from .chunking import AdaptiveChunkPolicy, static_chunk_size
 from .controller import RetryPolicy, RunController, guarded_runner
-from .shm import (
-    DEFAULT_MIN_SHM_BYTES,
-    ShmChunk,
-    decode_chunk,
-    decode_columnar_bytes,
-    encode_chunk,
-    encode_columnar_bytes,
-)
 
 # Imported for its registration side effect: loading the execution layer
-# must always make the "cluster" spec resolvable, exactly like the three
+# must always make the "cluster" spec resolvable, exactly like the two
 # stock backends above.  Deferred to the bottom so the cluster package can
-# import .base/.chunking/.shm without a cycle.
+# import .base/.chunking without a cycle.
 from ..cluster import backend as _cluster_backend  # noqa: E402,F401
 
 __all__ = [
     "AdaptiveChunkPolicy",
-    "AsyncioBackend",
-    "CHUNKINGS",
     "CheckpointJournal",
     "DEFAULT_CHUNK_CAP",
-    "DEFAULT_MIN_SHM_BYTES",
     "ExecutionBackend",
     "ProcessPoolBackend",
     "ProgressCallback",
     "RetryPolicy",
     "RunController",
     "SerialBackend",
-    "ShmChunk",
     "SupportsJobId",
-    "TRANSPORTS",
     "WorkerCrash",
     "backend_from_spec",
     "backend_names",
     "crash_message",
-    "decode_chunk",
-    "decode_columnar_bytes",
-    "encode_chunk",
-    "encode_columnar_bytes",
     "guarded_runner",
     "register_backend",
     "static_chunk_size",

@@ -1,9 +1,9 @@
-"""The three stock execution backends: serial, process pool, asyncio.
+"""The serial and process-pool execution backends.
 
-All three satisfy the same streaming contract
+Both satisfy the same streaming contract
 (:meth:`~repro.execution.base.ExecutionBackend.submit` yields
 ``(job_id, record)`` pairs as jobs finish) and, because seeds are bound to
-jobs before anything runs, all three produce bit-identical records for the
+jobs before anything runs, both produce bit-identical records for the
 same job list at any worker count — the orchestrator sorts by job id after
 draining, so completion order never leaks into results.
 
@@ -14,58 +14,23 @@ draining, so completion order never leaks into results.
   :class:`~concurrent.futures.ProcessPoolExecutor` (the extraction pipeline
   is CPU-bound pure Python, so processes beat threads) and yields each
   chunk's records the moment its future completes, rather than blocking on
-  a pool-wide ``map``.
-* :class:`AsyncioBackend` drives jobs through an event loop over a small
-  thread pool — the shape a future remote-hardware backend will take, where
-  ``run_one`` is I/O-bound (network calls to instruments) rather than
-  CPU-bound.
+  a pool-wide ``map``.  Records travel back through the pool's pickle pipe.
+
+The third stock backend, :class:`~repro.cluster.ClusterBackend`, lives in
+:mod:`repro.cluster`.
 """
 
 from __future__ import annotations
 
-import asyncio
-import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-    wait,
-)
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, AsyncIterator, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from ..exceptions import ConfigurationError
 from .base import ExecutionBackend, SupportsJobId, WorkerCrash, register_backend
-from .chunking import STATIC_CHUNK_CAP, AdaptiveChunkPolicy, static_chunk_size
-from .shm import (
-    DEFAULT_MIN_SHM_BYTES,
-    decode_payload,
-    encode_chunk,
-    ensure_tracker,
-    release_payload,
-)
+from .chunking import STATIC_CHUNK_CAP, static_chunk_size
 
-__all__ = [
-    "AsyncioBackend",
-    "CHUNKINGS",
-    "DEFAULT_CHUNK_CAP",
-    "ProcessPoolBackend",
-    "SerialBackend",
-    "TRANSPORTS",
-]
-
-#: Record transports a :class:`ProcessPoolBackend` can ship chunks with.
-#: ``auto`` uses shared memory for columnar payloads above the size floor
-#: and pickle otherwise; ``shared-memory`` forces shared memory whenever the
-#: payload is columnar at all; ``pickle`` is the classic pipe.
-TRANSPORTS = ("auto", "pickle", "shared-memory")
-
-#: Chunk-size policies a :class:`ProcessPoolBackend` can dispatch with.
-#: ``static`` is the historical fixed-cap default (bit-identical behaviour);
-#: ``adaptive`` opts into the cluster coordinator's target-lease-duration
-#: policy (:class:`~repro.execution.chunking.AdaptiveChunkPolicy`).
-CHUNKINGS = ("static", "adaptive")
+__all__ = ["DEFAULT_CHUNK_CAP", "ProcessPoolBackend", "SerialBackend"]
 
 #: Ceiling on the default process-pool chunk size.  The old campaign default
 #: (``len(jobs) // (4 * workers)``) grows with the grid, so a 1000-job grid
@@ -97,23 +62,9 @@ class SerialBackend(ExecutionBackend):
 def _run_chunk(
     run_one: Callable[[Any], Any],
     chunk: tuple[SupportsJobId, ...],
-    transport: str = "pickle",
-    shm_min_bytes: int = DEFAULT_MIN_SHM_BYTES,
-) -> Any:
-    """Worker-side body: run one chunk of jobs, pairing records with ids.
-
-    Returns either the plain ``[(job_id, record), ...]`` list (pickled back
-    through the result pipe) or a :class:`~repro.execution.shm.ShmChunk`
-    descriptor when the transport settings elect shared memory; the parent
-    normalises both through :func:`~repro.execution.shm.decode_payload`.
-    """
-    results = [(job.job_id, run_one(job)) for job in chunk]
-    if transport == "pickle":
-        return results
-    encoded = encode_chunk(
-        results, min_bytes=0 if transport == "shared-memory" else shm_min_bytes
-    )
-    return results if encoded is None else encoded
+) -> list[tuple[int, Any]]:
+    """Worker-side body: run one chunk of jobs, pairing records with ids."""
+    return [(job.job_id, run_one(job)) for job in chunk]
 
 
 class ProcessPoolBackend(ExecutionBackend):
@@ -128,92 +79,28 @@ class ProcessPoolBackend(ExecutionBackend):
         chunks per worker capped at :data:`DEFAULT_CHUNK_CAP`, so large
         grids keep fine-grained dispatch (tail load-balancing) and small
         grids still amortise pickling.
-    transport:
-        How finished records travel back from the workers — one of
-        :data:`TRANSPORTS`.  The default ``"auto"`` ships columnar payloads
-        (numpy arrays, dicts of numpy columns) above ``shm_min_bytes``
-        through :mod:`multiprocessing.shared_memory` and everything else
-        through the classic pickle pipe; records are value-identical either
-        way.
-    shm_min_bytes:
-        Payload-size floor (bytes per chunk) below which ``"auto"`` sticks
-        with pickle — tiny payloads lose more to segment syscalls than they
-        save in copies.
-    chunking:
-        Dispatch-size policy — one of :data:`CHUNKINGS`, or an
-        :class:`~repro.execution.chunking.AdaptiveChunkPolicy` instance
-        used as configuration.  The default ``"static"`` keeps the
-        historical fixed-cap behaviour bit-identically; ``"adaptive"`` opts
-        into target-lease-duration sizing (observed per-job wall time
-        decides how many jobs travel per dispatch), the same policy the
-        cluster coordinator leases with.  Ignored when ``chunk_size`` is
-        explicit — a fixed size *is* a policy.  Records are bit-identical
-        under every policy.
     """
 
     name = "process"
 
-    def __init__(
-        self,
-        max_workers: int,
-        chunk_size: int | None = None,
-        transport: str = "auto",
-        shm_min_bytes: int = DEFAULT_MIN_SHM_BYTES,
-        chunking: str | AdaptiveChunkPolicy = "static",
-    ) -> None:
+    def __init__(self, max_workers: int, chunk_size: int | None = None) -> None:
         if max_workers < 1:
             raise ConfigurationError("max_workers must be at least 1")
         if chunk_size is not None and chunk_size < 1:
             raise ConfigurationError("chunk_size must be at least 1")
-        if transport not in TRANSPORTS:
-            raise ConfigurationError(
-                f"unknown transport {transport!r}; expected one of {TRANSPORTS}"
-            )
-        if shm_min_bytes < 0:
-            raise ConfigurationError("shm_min_bytes must be non-negative")
-        if not isinstance(chunking, AdaptiveChunkPolicy) and chunking not in CHUNKINGS:
-            raise ConfigurationError(
-                f"unknown chunking {chunking!r}; expected one of {CHUNKINGS} "
-                "or an AdaptiveChunkPolicy instance"
-            )
         self._max_workers = int(max_workers)
         self._chunk_size = chunk_size
-        self._transport = transport
-        self._shm_min_bytes = int(shm_min_bytes)
-        self._chunking = chunking
 
     @property
     def max_workers(self) -> int:
         """Configured pool size."""
         return self._max_workers
 
-    @property
-    def transport(self) -> str:
-        """Configured record transport (see :data:`TRANSPORTS`)."""
-        return self._transport
-
-    @property
-    def chunking(self) -> str | AdaptiveChunkPolicy:
-        """Configured dispatch-size policy (see :data:`CHUNKINGS`)."""
-        return self._chunking
-
     def effective_chunk_size(self, n_jobs: int) -> int:
-        """The chunk size a grid of ``n_jobs`` would be dispatched with.
-
-        For the adaptive policy this is the *initial* dispatch size; later
-        dispatches resize as per-job wall times are observed.
-        """
+        """The chunk size a grid of ``n_jobs`` would be dispatched with."""
         if self._chunk_size is not None:
             return self._chunk_size
-        if self._chunking != "static":
-            return self._adaptive_policy().chunk_size()
         return static_chunk_size(n_jobs, self._max_workers)
-
-    def _adaptive_policy(self) -> AdaptiveChunkPolicy:
-        """A fresh, unobserved policy for one submission."""
-        if isinstance(self._chunking, AdaptiveChunkPolicy):
-            return self._chunking.fresh()
-        return AdaptiveChunkPolicy()
 
     def submit(
         self,
@@ -241,137 +128,31 @@ class ProcessPoolBackend(ExecutionBackend):
         jobs = tuple(jobs)
         if not jobs:
             return
-        if self._transport != "pickle":
-            ensure_tracker()
-        if self._chunk_size is None and self._chunking != "static":
-            yield from self._submit_adaptive(jobs, run_one)
-            return
         chunk = self.effective_chunk_size(len(jobs))
         suspects: list[SupportsJobId] = []
-        consumed: set = set()
-        futures: dict = {}
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(self._max_workers, len(jobs))
-            ) as pool:
-                futures = {
-                    pool.submit(
-                        _run_chunk,
-                        run_one,
-                        jobs[start : start + chunk],
-                        self._transport,
-                        self._shm_min_bytes,
-                    ): jobs[start : start + chunk]
-                    for start in range(0, len(jobs), chunk)
-                }
-                try:
-                    for future in as_completed(futures):
-                        consumed.add(future)
-                        try:
-                            payload = future.result()
-                        except BrokenProcessPool:
-                            suspects.extend(futures[future])
-                            continue
-                        yield from decode_payload(payload)
-                finally:
-                    # When the consumer abandons the stream (an interrupting
-                    # progress hook, a raising chunk) cancel every not-yet-
-                    # started chunk so teardown waits only for the chunks
-                    # already running, not the whole remaining grid.
-                    for future in futures:
-                        future.cancel()
-        finally:
-            self._release_undecoded(futures, consumed)
-        yield from self._rescue_suspects(jobs, suspects, run_one)
-
-    def _submit_adaptive(
-        self,
-        jobs: tuple[SupportsJobId, ...],
-        run_one: Callable[[Any], Any],
-    ) -> Iterator[tuple[int, Any]]:
-        """Incremental dispatch under the adaptive chunk-size policy.
-
-        Unlike the static path (every chunk submitted up front), this keeps
-        a bounded window of chunks in flight — two per worker, enough to
-        hide dispatch latency without committing the whole tail to sizes
-        chosen before anything was observed — and sizes each new chunk from
-        the policy's running per-job wall-time estimate.  Same streaming
-        semantics, same broken-pool recovery, bit-identical records.
-        """
-        policy = self._adaptive_policy()
-        workers = min(self._max_workers, len(jobs))
-        window = 2 * workers
-        suspects: list[SupportsJobId] = []
-        consumed: set = set()
-        inflight: dict = {}
-        seen: dict = {}
-        position = 0
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                try:
-                    broken = False
-                    while position < len(jobs) or inflight:
-                        while (
-                            not broken
-                            and position < len(jobs)
-                            and len(inflight) < window
-                        ):
-                            size = min(policy.chunk_size(), len(jobs) - position)
-                            chunk = jobs[position : position + size]
-                            position += size
-                            future = pool.submit(
-                                _run_chunk,
-                                run_one,
-                                chunk,
-                                self._transport,
-                                self._shm_min_bytes,
-                            )
-                            inflight[future] = (chunk, time.perf_counter())
-                            seen[future] = chunk
-                        if not inflight:
-                            break
-                        done, _ = wait(inflight, return_when=FIRST_COMPLETED)
-                        for future in done:
-                            chunk, started = inflight.pop(future)
-                            consumed.add(future)
-                            try:
-                                payload = future.result()
-                            except BrokenProcessPool:
-                                # The pool is unusable from here on: the
-                                # in-flight chunks all raise, and the
-                                # undispatched tail joins the suspects for
-                                # the one-per-fresh-pool recovery pass.
-                                suspects.extend(chunk)
-                                broken = True
-                                continue
-                            policy.observe(
-                                len(chunk), time.perf_counter() - started
-                            )
-                            yield from decode_payload(payload)
-                    if broken:
-                        suspects.extend(jobs[position:])
-                        position = len(jobs)
-                finally:
-                    for future in seen:
-                        future.cancel()
-        finally:
-            self._release_undecoded(seen, consumed)
-        yield from self._rescue_suspects(jobs, suspects, run_one)
-
-    def _release_undecoded(self, futures: dict, consumed: set) -> None:
-        """Free shared-memory payloads of settled-but-never-decoded chunks.
-
-        Called after pool shutdown, so every future is settled.  Any
-        completed-but-never-decoded chunk may hold a shared-memory segment;
-        release it so abandoned streams cannot leak.
-        """
-        for future in futures:
-            if future in consumed or future.cancelled():
-                continue
+        with ProcessPoolExecutor(
+            max_workers=min(self._max_workers, len(jobs))
+        ) as pool:
+            futures = {}
+            for start in range(0, len(jobs), chunk):
+                batch = jobs[start : start + chunk]
+                futures[pool.submit(_run_chunk, run_one, batch)] = batch
             try:
-                release_payload(future.result())
-            except Exception:
-                continue
+                for future in as_completed(futures):
+                    try:
+                        results = future.result()
+                    except BrokenProcessPool:
+                        suspects.extend(futures[future])
+                        continue
+                    yield from results
+            finally:
+                # When the consumer abandons the stream (an interrupting
+                # progress hook, a raising chunk) cancel every not-yet-
+                # started chunk so teardown waits only for the chunks
+                # already running, not the whole remaining grid.
+                for future in futures:
+                    future.cancel()
+        yield from self._rescue_suspects(jobs, suspects, run_one)
 
     def _rescue_suspects(
         self,
@@ -390,101 +171,9 @@ class ProcessPoolBackend(ExecutionBackend):
         for job in sorted(suspects, key=lambda job: order[id(job)]):
             with ProcessPoolExecutor(max_workers=1) as rescue:
                 try:
-                    payload = rescue.submit(
-                        _run_chunk,
-                        run_one,
-                        (job,),
-                        self._transport,
-                        self._shm_min_bytes,
-                    ).result()
-                    yield from decode_payload(payload)
+                    yield from rescue.submit(_run_chunk, run_one, (job,)).result()
                 except BrokenProcessPool:
                     yield job.job_id, WorkerCrash(job_id=job.job_id)
-
-
-class AsyncioBackend(ExecutionBackend):
-    """Drive jobs through an asyncio event loop over a small thread pool.
-
-    Jobs run in threads (``loop.run_in_executor``), so CPU-bound pure-Python
-    work serialises on the GIL — the value of this backend is the execution
-    *shape*: completion-order streaming through an event loop, which is what
-    an I/O-bound backend (remote instruments, network services) looks like.
-    Correctness and determinism are identical to the other backends.
-    """
-
-    name = "asyncio"
-
-    def __init__(self, max_workers: int = 4) -> None:
-        if max_workers < 1:
-            raise ConfigurationError("max_workers must be at least 1")
-        self._max_workers = int(max_workers)
-
-    @property
-    def max_workers(self) -> int:
-        """Thread-pool size serving the event loop."""
-        return self._max_workers
-
-    async def _stream(
-        self,
-        jobs: tuple[SupportsJobId, ...],
-        run_one: Callable[[Any], Any],
-    ) -> AsyncIterator[tuple[int, Any]]:
-        loop = asyncio.get_running_loop()
-        with ThreadPoolExecutor(max_workers=min(self._max_workers, len(jobs))) as pool:
-
-            async def one(job: SupportsJobId) -> tuple[int, Any]:
-                return job.job_id, await loop.run_in_executor(pool, run_one, job)
-
-            tasks = [asyncio.ensure_future(one(job)) for job in jobs]
-            try:
-                for future in asyncio.as_completed(tasks):
-                    yield await future
-            finally:
-                # On early exit (a raising runner, an abandoned consumer)
-                # cancel the stragglers and retrieve every outcome so no
-                # task dies with an unobserved exception.
-                for task in tasks:
-                    task.cancel()
-                await asyncio.gather(*tasks, return_exceptions=True)
-
-    def submit(
-        self,
-        jobs: Iterable[SupportsJobId],
-        run_one: Callable[[Any], Any],
-    ) -> Iterator[tuple[int, Any]]:
-        jobs = tuple(jobs)
-        if not jobs:
-            return
-        try:
-            asyncio.get_running_loop()
-        except RuntimeError:
-            pass
-        else:
-            # A nested run_until_complete would raise a bare "another loop
-            # is running" mid-campaign (Jupyter/ipykernel executes user code
-            # inside its own loop); fail up front with the workaround.
-            raise ConfigurationError(
-                "AsyncioBackend cannot run inside an already-running event "
-                "loop (e.g. a Jupyter cell); use the serial or process "
-                "backend there, or run the campaign from a plain thread"
-            )
-        # Bridge the async generator into the synchronous streaming contract:
-        # drive the loop one record at a time so the consumer sees records as
-        # they complete, and close the generator (cancelling stragglers) if
-        # the consumer abandons iteration early.
-        loop = asyncio.new_event_loop()
-        stream = self._stream(jobs, run_one)
-        try:
-            while True:
-                try:
-                    yield loop.run_until_complete(stream.__anext__())
-                except StopAsyncIteration:
-                    break
-        finally:
-            try:
-                loop.run_until_complete(stream.aclose())
-            finally:
-                loop.close()
 
 
 def _process_spec(
@@ -512,4 +201,3 @@ register_backend(
     lambda n_workers, chunk_size: ProcessPoolBackend(n_workers, chunk_size),
     spec_factory=_process_spec,
 )
-register_backend("asyncio", lambda n_workers, chunk_size: AsyncioBackend(n_workers))

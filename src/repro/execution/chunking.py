@@ -3,7 +3,7 @@
 A dispatcher that ships jobs in chunks trades two costs against each other:
 per-dispatch overhead (pickling, frame round-trips) is amortised by *large*
 chunks, while tail load-balancing and prompt streaming want *small* ones.
-The static policy — the process pool's historical default — resolves the
+The static policy — the process pool's — resolves the
 tension with a fixed cap (:func:`static_chunk_size`); the adaptive policy
 (:class:`AdaptiveChunkPolicy`) resolves it with a target *lease duration*:
 observe how long one job actually takes, then size the next chunk so a
@@ -11,11 +11,11 @@ worker stays busy for roughly ``target_lease_s`` before it has to come back
 for more.  Cheap jobs get big chunks, expensive jobs get leased one at a
 time, and a grid that mixes both converges per observation.
 
-Both the :class:`~repro.execution.backends.ProcessPoolBackend` (opt-in via
-``chunking="adaptive"``) and the :class:`~repro.cluster.ClusterBackend`
-coordinator (always) size their dispatches through this module, so the two
-schedulers cannot drift apart.  Chunking never affects *results* — jobs are
-seeded before dispatch, so records are bit-identical under any policy.
+The :class:`~repro.execution.backends.ProcessPoolBackend` dispatches with
+the static policy and the :class:`~repro.cluster.ClusterBackend`
+coordinator leases with the adaptive one.  Chunking never affects
+*results* — jobs are seeded before dispatch, so records are bit-identical
+under any policy.
 """
 
 from __future__ import annotations

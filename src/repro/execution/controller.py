@@ -59,12 +59,12 @@ class RetryPolicy:
         Total attempts per job, including the first.
     backoff_s:
         Wall-clock sleep before the first retry, doubling on each further
-        retry.  ``0`` (default) retries immediately.
+        retry.  ``0`` (default) retries immediately.  Must be finite.
     max_elapsed_s:
         Wall-clock budget across all of a job's attempts: once exceeded,
         no further retry is started (the attempt in progress is never
         interrupted — in-process code cannot safely preempt a runner).
-        ``0`` (default) means unlimited.
+        ``0`` (default) or ``inf`` means unlimited.
     """
 
     max_attempts: int = 1
@@ -74,10 +74,13 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ConfigurationError("max_attempts must be at least 1")
-        if self.backoff_s < 0:
-            raise ConfigurationError("backoff_s must be non-negative")
-        if self.max_elapsed_s < 0:
-            raise ConfigurationError("max_elapsed_s must be non-negative")
+        # Chained comparisons are false for NaN, so NaN is refused too.  The
+        # backoff is a sleep period and must be finite; an infinite budget
+        # means "no limit", the same as 0.
+        if not 0 <= self.backoff_s < float("inf"):
+            raise ConfigurationError("backoff_s must be finite and non-negative")
+        if not self.max_elapsed_s >= 0:
+            raise ConfigurationError("max_elapsed_s must be a non-negative number")
 
 
 def _guarded_run(

@@ -5,14 +5,14 @@ worker-scope models act here, at the start of a campaign job.  The crash
 decision is drawn from the job's own spawned seed (reserved branch, no
 ``spawn()`` mutation), so the *same jobs* die under every execution backend
 and worker count — which is what lets a chaos campaign's records stay
-comparable across serial, process-pool, and asyncio runs.
+comparable across serial, process-pool, and cluster runs.
 
 How death is delivered depends on where the job runs:
 
 * inside a spawned pool worker, ``os._exit`` kills the process mid-job —
   the real thing, exercising :class:`~repro.execution.backends.ProcessPoolBackend`'s
   broken-pool recovery;
-* in-process (serial/asyncio backends), killing the interpreter would take
+* in-process (the serial backend), killing the interpreter would take
   the caller's session down with it, so the injection raises
   :class:`~repro.exceptions.WorkerCrashError` with the same canonical
   message the pool recovery synthesises — both paths condense into

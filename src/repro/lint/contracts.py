@@ -385,7 +385,7 @@ def _register_builtin_samples() -> None:
         wire.Heartbeat: lambda: wire.Heartbeat(worker_id=1, current_job=-1, n_queued=2),
         wire.Steal: lambda: wire.Steal(max_jobs=4),
         wire.Stolen: lambda: wire.Stolen(job_ids=(5,)),
-        wire.Result: lambda: wire.Result(job_id=3, encoding="columnar"),
+        wire.Result: lambda: wire.Result(job_id=3),
         wire.Crash: lambda: wire.Crash(job_id=3, message="ValueError: boom"),
         wire.Shutdown: wire.Shutdown,
     }

@@ -13,7 +13,7 @@ from repro.campaign import (
     run_campaign_job,
 )
 from repro.exceptions import ConfigurationError
-from repro.execution import AsyncioBackend, SerialBackend
+from repro.execution import ProcessPoolBackend, SerialBackend
 
 POISONED_JOB_ID = 1
 
@@ -69,8 +69,6 @@ class TestTuningCampaign:
             ("serial", 1),
             ("process", 2),
             ("process", 3),
-            ("asyncio", 2),
-            ("asyncio", 4),
         ],
     )
     def test_backend_matrix_bit_identical(
@@ -85,10 +83,10 @@ class TestTuningCampaign:
 
     def test_backend_instance_accepted(self, small_grid, sequential_result):
         result = TuningCampaign(
-            small_grid, backend=AsyncioBackend(max_workers=3)
+            small_grid, backend=ProcessPoolBackend(max_workers=3)
         ).run()
         assert result.normalized().records == sequential_result.normalized().records
-        assert result.metadata["backend"] == "asyncio"
+        assert result.metadata["backend"] == "process"
         # The result reports the workers the backend actually used, not the
         # constructor's n_workers default.
         assert result.n_workers == 3
@@ -101,11 +99,9 @@ class TestTuningCampaign:
         # Silent no-ops hide tuning mistakes; only the process backend
         # chunks (the auto spec keeps the historical ignore-when-serial).
         with pytest.raises(ConfigurationError, match="chunk_size"):
-            TuningCampaign(small_grid, backend="asyncio", chunk_size=4)
+            TuningCampaign(small_grid, backend="cluster:local:2", chunk_size=4)
         with pytest.raises(ConfigurationError, match="chunk_size"):
-            TuningCampaign(
-                small_grid, backend=AsyncioBackend(max_workers=2), chunk_size=4
-            )
+            TuningCampaign(small_grid, backend=SerialBackend(), chunk_size=4)
         TuningCampaign(small_grid, backend="process", n_workers=2, chunk_size=4)
         TuningCampaign(small_grid, chunk_size=4)  # auto spec: historical
 
@@ -350,8 +346,8 @@ class TestCheckpointResume:
         # historical in-process fallback (and its no-pickling guarantee).
         campaign = TuningCampaign(small_grid.expand()[:1], n_workers=8)
         assert isinstance(campaign.backend, SerialBackend)
-        explicit = TuningCampaign(small_grid.expand()[:1], backend="asyncio")
-        assert explicit.backend.name == "asyncio"  # explicit spec still wins
+        explicit = TuningCampaign(small_grid.expand()[:1], backend="process")
+        assert explicit.backend.name == "process"  # explicit spec still wins
 
     def test_resume_after_scenario_redefinition_rejected(self, tmp_path):
         from repro.scenarios import get_scenario, register_scenario

@@ -125,7 +125,7 @@ class TestFaultResilience:
 class TestCrossBackendIdentity:
     @pytest.mark.parametrize(
         "backend, n_workers",
-        [("process", 2), ("process", 3), ("asyncio", 2)],
+        [("process", 2), ("process", 3)],
     )
     def test_same_chaos_on_every_backend(
         self, faulty_grid, serial_result, backend, n_workers

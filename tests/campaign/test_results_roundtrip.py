@@ -195,9 +195,9 @@ class TestResultRoundTrip:
             seed=5,
         )
         process = TuningCampaign(grid, n_workers=2).run()
-        asyncio_run = TuningCampaign(grid, backend="asyncio", n_workers=3).run()
+        process3 = TuningCampaign(grid, backend="process:3").run()
         serial = TuningCampaign(grid).run()
-        assert serial.normalized() == process.normalized() == asyncio_run.normalized()
+        assert serial.normalized() == process.normalized() == process3.normalized()
 
     def test_save_emits_strict_json_even_with_failures(self, result, tmp_path):
         # Failure records carry infinite max_alpha_error; the persisted

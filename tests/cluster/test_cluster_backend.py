@@ -12,7 +12,6 @@ import pytest
 from repro.cluster import ClusterBackend, ClusterStats
 from repro.exceptions import ConfigurationError
 from repro.execution import (
-    AdaptiveChunkPolicy,
     SerialBackend,
     WorkerCrash,
     crash_message,
@@ -126,7 +125,14 @@ class TestConfiguration:
             {"heartbeat_s": 0.0},
             {"register_timeout_s": 0.0},
             {"stall_timeout_s": 0.0},
-            {"chunking": "adaptive"},  # the pool's string spelling
+            # NaN would hang or silently disable each knob; an infinite
+            # heartbeat is a sleep that never ends.
+            pytest.param({"heartbeat_s": float("nan")}, id="heartbeat_s=nan"),
+            pytest.param({"heartbeat_s": float("inf")}, id="heartbeat_s=inf"),
+            pytest.param(
+                {"register_timeout_s": float("nan")}, id="register_timeout_s=nan"
+            ),
+            pytest.param({"stall_timeout_s": float("nan")}, id="stall_timeout_s=nan"),
         ],
         ids=lambda kw: ",".join(kw),
     )
@@ -144,10 +150,12 @@ class TestConfiguration:
         backend = ClusterBackend(host="0.0.0.0", port=7077)
         assert backend.max_workers == 1
 
-    def test_chunking_policy_accepted(self):
-        policy = AdaptiveChunkPolicy(target_lease_s=0.5)
-        backend = ClusterBackend(n_workers=2, chunking=policy)
-        assert "target_lease_s=0.5" in repr(backend)
+    def test_infinite_timeouts_mean_no_limit(self):
+        backend = ClusterBackend(
+            register_timeout_s=float("inf"), stall_timeout_s=float("inf")
+        )
+        assert "register_timeout_s=inf" in repr(backend)
+        assert "stall_timeout_s=inf" in repr(backend)
 
     def test_backend_is_picklable_at_rest(self):
         backend = ClusterBackend(n_workers=3, heartbeat_s=0.1)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from record_samples import RECORDS, identical
 from repro.cluster import worker as worker_module
 from repro.cluster.coordinator import Coordinator
 from repro.cluster.worker import worker_main
@@ -31,7 +32,6 @@ from repro.cluster.wire import (
     Stolen,
     Task,
     Welcome,
-    encode_record,
     recv_message,
     send_message,
 )
@@ -66,6 +66,22 @@ class UnpicklableError(RuntimeError):
 
 def unpicklable_raiser(job: FakeJob) -> str:
     raise UnpicklableError(f"boom-{job.job_id}")
+
+
+def unpicklable_record(job: FakeJob) -> threading.Lock:
+    """A runner that succeeds but returns a record pickle refuses."""
+    return threading.Lock()
+
+
+@dataclass(frozen=True)
+class RecordJob:
+    job_id: int
+    kind: str
+
+
+def sample_runner(job: RecordJob):
+    """Returns the shared sample record of the job's kind."""
+    return RECORDS[job.kind]
 
 
 class _Harness:
@@ -155,9 +171,8 @@ class _ScriptedWorker:
                     return
 
     def send_result(self, job) -> None:
-        encoding, payload = encode_record(self.run_one(job))
         send_message(
-            self.sock, Result(job_id=job.job_id, encoding=encoding), payload
+            self.sock, Result(job_id=job.job_id), pickle.dumps(self.run_one(job))
         )
 
     def send_stolen(self, job_ids) -> None:
@@ -482,3 +497,34 @@ class TestRealWorkerLoop:
             harness.finish()
         harness.close()
         worker.join()
+
+    def test_unpicklable_record_aborts_instead_of_hanging(self):
+        """A record pickle refuses ships as a Crash, like a raising runner.
+
+        Regression: the worker used to encode the record outside the
+        ``try`` that turns runner failures into Crash frames, so the
+        encoding error killed the executor thread while the heartbeats
+        kept beating, and the submission never returned.
+        """
+        jobs = (FakeJob(0),)
+        harness = _Harness(jobs, runner=unpicklable_record, heartbeat_s=0.05)
+        worker = _ThreadWorker(harness.coordinator.address)
+        with pytest.raises(TypeError, match="pickle"):
+            harness.finish()
+        harness.close()
+        worker.join()
+
+    @pytest.mark.parametrize("kind", RECORDS)
+    def test_record_crosses_the_wire_exactly(self, kind):
+        """A record pickled into a Result frame arrives value-, type- and layout-exact."""
+        jobs = (RecordJob(job_id=0, kind=kind), RecordJob(job_id=1, kind=kind))
+        harness = _Harness(jobs, runner=sample_runner, heartbeat_s=0.05)
+        try:
+            worker = _ThreadWorker(harness.coordinator.address)
+            records = harness.finish()
+            worker.join()
+        finally:
+            harness.close()
+        assert sorted(records) == [0, 1]
+        for record in records.values():
+            assert identical(record, RECORDS[kind])

@@ -61,8 +61,6 @@ class TestProcessSpecs:
     def test_parameterless_backends_refuse_parameters(self):
         with pytest.raises(ConfigurationError, match="parameter"):
             backend_from_spec("serial:4")
-        with pytest.raises(ConfigurationError, match="parameter"):
-            backend_from_spec("asyncio:4")
 
     def test_unknown_backend_still_lists_the_catalogue(self):
         with pytest.raises(ConfigurationError, match="serial"):

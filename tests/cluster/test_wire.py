@@ -1,18 +1,15 @@
-"""Tests for the cluster wire protocol: frames, messages, record encodings."""
+"""Tests for the cluster wire protocol: frames and messages."""
 
 from __future__ import annotations
 
 import json
 import socket
 import struct
-from dataclasses import dataclass
 
-import numpy as np
 import pytest
 
 from repro.cluster.wire import (
     MESSAGE_CLASSES,
-    RECORD_ENCODINGS,
     Crash,
     Heartbeat,
     Lease,
@@ -23,8 +20,6 @@ from repro.cluster.wire import (
     Stolen,
     Task,
     Welcome,
-    decode_record,
-    encode_record,
     recv_message,
     send_message,
 )
@@ -38,7 +33,7 @@ SAMPLES = [
     Heartbeat(worker_id=3, current_job=-1, n_queued=2),
     Steal(max_jobs=4),
     Stolen(job_ids=()),
-    Result(job_id=9, encoding="columnar"),
+    Result(job_id=9),
     Crash(job_id=9, message="ValueError: boom"),
     Shutdown(),
 ]
@@ -123,58 +118,3 @@ class TestMalformedFrames:
             left.close()
             right.close()
 
-
-@dataclass(frozen=True)
-class _OpaqueRecord:
-    value: float
-
-
-class TestRecordEncodings:
-    @pytest.mark.parametrize(
-        "record",
-        [None, True, 0, 42, -7, "a string", 1.5, 0.0],
-        ids=repr,
-    )
-    def test_json_scalars_travel_as_strict_json(self, record):
-        encoding, payload = encode_record(record)
-        assert encoding == "strict-json"
-        restored = decode_record(encoding, payload)
-        assert restored == record
-        assert type(restored) is type(record)
-
-    def test_nonfinite_float_falls_back_to_pickle(self):
-        encoding, payload = encode_record(float("nan"))
-        assert encoding == "pickle"
-        assert np.isnan(decode_record(encoding, payload))
-
-    def test_numpy_array_travels_columnar(self):
-        record = np.arange(12, dtype=np.float64).reshape(3, 4)
-        encoding, payload = encode_record(record)
-        assert encoding == "columnar"
-        np.testing.assert_array_equal(decode_record(encoding, payload), record)
-
-    def test_dict_of_columns_travels_columnar(self):
-        record = {
-            "current": np.linspace(0.0, 1.0, 64),
-            "labels": np.arange(64, dtype=np.int32),
-        }
-        encoding, payload = encode_record(record)
-        assert encoding == "columnar"
-        restored = decode_record(encoding, payload)
-        assert set(restored) == set(record)
-        for key in record:
-            np.testing.assert_array_equal(restored[key], record[key])
-            assert restored[key].dtype == record[key].dtype
-
-    def test_arbitrary_object_pickles(self):
-        record = _OpaqueRecord(value=float("inf"))
-        encoding, payload = encode_record(record)
-        assert encoding == "pickle"
-        assert decode_record(encoding, payload) == record
-
-    def test_unknown_encoding_refused(self):
-        with pytest.raises(ClusterProtocolError, match="morse"):
-            decode_record("morse", b"")
-
-    def test_preference_order_is_published(self):
-        assert RECORD_ENCODINGS == ("columnar", "strict-json", "pickle")

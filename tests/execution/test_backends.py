@@ -11,7 +11,6 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.execution import (
     DEFAULT_CHUNK_CAP,
-    AsyncioBackend,
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
@@ -58,8 +57,6 @@ ALL_BACKENDS = [
     SerialBackend(),
     ProcessPoolBackend(max_workers=2),
     ProcessPoolBackend(max_workers=3, chunk_size=2),
-    AsyncioBackend(max_workers=2),
-    AsyncioBackend(max_workers=8),
 ]
 
 
@@ -154,45 +151,9 @@ class TestProcessPoolBackend:
         assert ran < len(jobs)
 
 
-class TestAsyncioBackend:
-    def test_invalid_config_rejected(self):
-        with pytest.raises(ConfigurationError):
-            AsyncioBackend(max_workers=0)
-
-    def test_abandoned_stream_cleans_up(self):
-        # Closing the generator early must not leak the event loop.
-        stream = AsyncioBackend(max_workers=2).submit(JOBS, echo_runner)
-        next(stream)
-        stream.close()
-
-    def test_rejected_inside_running_event_loop(self):
-        # Jupyter/ipykernel runs user code inside a live loop, where the
-        # sync bridge cannot nest; the backend must fail up front with the
-        # workaround rather than mid-campaign with a bare RuntimeError.
-        import asyncio
-
-        async def attempt():
-            stream = AsyncioBackend(max_workers=2).submit(JOBS, echo_runner)
-            with pytest.raises(ConfigurationError, match="already-running"):
-                next(stream)
-
-        asyncio.run(attempt())
-
-    def test_slow_job_does_not_block_streaming(self):
-        jobs = (FakeJob(0, cost=0.5),) + tuple(
-            FakeJob(i, cost=0.01) for i in range(1, 6)
-        )
-        order = [
-            job_id
-            for job_id, _ in AsyncioBackend(max_workers=2).submit(jobs, sleepy_runner)
-        ]
-        assert sorted(order) == list(range(6))
-        assert order[-1] == 0  # the sleeper finishes last, others streamed past
-
-
 class TestBackendRegistry:
     def test_stock_backends_registered(self):
-        assert {"serial", "process", "asyncio"} <= set(backend_names())
+        assert backend_names() == ("cluster", "process", "serial")
 
     def test_auto_spec_follows_worker_count(self):
         assert isinstance(backend_from_spec(None, n_workers=1), SerialBackend)
@@ -203,10 +164,12 @@ class TestBackendRegistry:
 
     def test_name_spec(self):
         assert isinstance(backend_from_spec("serial", n_workers=4), SerialBackend)
-        assert isinstance(backend_from_spec("asyncio", n_workers=4), AsyncioBackend)
+        process = backend_from_spec("process", n_workers=4)
+        assert isinstance(process, ProcessPoolBackend)
+        assert process.max_workers == 4
 
     def test_instance_passes_through(self):
-        backend = AsyncioBackend(max_workers=2)
+        backend = ProcessPoolBackend(max_workers=2)
         assert backend_from_spec(backend, n_workers=99) is backend
 
     def test_unknown_name_rejected_with_catalogue(self):

@@ -1,9 +1,6 @@
-"""Tests for the shared chunk-size policies and the pool's adaptive opt-in."""
+"""Tests for the chunk-size policies shared by the pool and the cluster."""
 
 from __future__ import annotations
-
-import time
-from dataclasses import dataclass
 
 import pytest
 
@@ -12,21 +9,8 @@ from repro.execution import (
     DEFAULT_CHUNK_CAP,
     AdaptiveChunkPolicy,
     ProcessPoolBackend,
-    SerialBackend,
     static_chunk_size,
 )
-
-
-@dataclass(frozen=True)
-class FakeJob:
-    job_id: int
-    cost: float = 0.0
-
-
-def echo_runner(job: FakeJob) -> str:
-    if job.cost:
-        time.sleep(job.cost)
-    return f"record-{job.job_id}"
 
 
 class TestStaticChunkSize:
@@ -113,38 +97,3 @@ class TestAdaptiveChunkPolicy:
         assert "0x" not in repr(policy)
         assert repr(pickle.loads(pickle.dumps(policy))) == repr(policy)
 
-
-class TestPoolAdaptiveChunking:
-    def test_unknown_chunking_rejected(self):
-        with pytest.raises(ConfigurationError, match="chunking"):
-            ProcessPoolBackend(max_workers=2, chunking="dynamic")
-
-    def test_default_stays_static(self):
-        assert ProcessPoolBackend(max_workers=2).chunking == "static"
-
-    def test_adaptive_records_match_static_bit_for_bit(self):
-        jobs = tuple(FakeJob(job_id=i, cost=0.002) for i in range(24))
-        serial = dict(SerialBackend().submit(jobs, echo_runner))
-        static = dict(
-            ProcessPoolBackend(max_workers=2).submit(jobs, echo_runner)
-        )
-        adaptive = dict(
-            ProcessPoolBackend(max_workers=2, chunking="adaptive").submit(
-                jobs, echo_runner
-            )
-        )
-        assert adaptive == static == serial
-
-    def test_policy_instance_is_accepted_as_configuration(self):
-        policy = AdaptiveChunkPolicy(target_lease_s=0.1, max_chunk=8)
-        backend = ProcessPoolBackend(max_workers=2, chunking=policy)
-        jobs = tuple(FakeJob(job_id=i) for i in range(8))
-        records = dict(backend.submit(jobs, echo_runner))
-        assert records == {i: f"record-{i}" for i in range(8)}
-        # The configuration instance itself stays unobserved: submissions
-        # run on fresh copies, so reuse cannot leak timing state.
-        assert policy.per_job_s is None
-
-    def test_explicit_chunk_size_overrides_the_policy(self):
-        backend = ProcessPoolBackend(max_workers=2, chunk_size=3, chunking="adaptive")
-        assert backend.effective_chunk_size(100) == 3

@@ -83,7 +83,16 @@ class TestControllerCrashConversion:
 
 class TestRetryPolicy:
     @pytest.mark.parametrize(
-        "kwargs", [{"backoff_s": -1.0}, {"max_elapsed_s": -0.5}]
+        "kwargs",
+        [
+            {"backoff_s": -1.0},
+            {"max_elapsed_s": -0.5},
+            # An infinite backoff is a sleep that never ends; NaN would
+            # silently mean no backoff and no budget.
+            {"max_attempts": 3, "backoff_s": float("inf")},
+            {"backoff_s": float("nan")},
+            {"max_elapsed_s": float("nan")},
+        ],
     )
     def test_invalid_parameters_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -129,6 +138,23 @@ class TestRetryPolicy:
         )
         assert records[0].startswith("error-0:")
         assert len(attempts) < 50
+
+    def test_infinite_budget_means_no_limit(self):
+        attempts: list[int] = []
+
+        def always_fails(job):
+            attempts.append(len(attempts))
+            raise RuntimeError("permanent")
+
+        controller = RunController(
+            SerialBackend(),
+            retry=RetryPolicy(max_attempts=3, max_elapsed_s=float("inf")),
+        )
+        records = controller.run(
+            (CrashyJob(0),), always_fails, on_error=failure_record
+        )
+        assert records[0].startswith("error-0:")
+        assert len(attempts) == 3
 
 
 class TestInProcessCrashInjection:

@@ -58,3 +58,29 @@ class TestTopLevelApi:
         result = repro.FastVirtualGateExtractor().extract(session)
         assert result.success
         assert 0 < result.probe_stats.probe_fraction < 1
+
+
+#: Modules ``import repro`` must not load.  Every record travels pickled, so
+#: no event loop and no shared-memory segment sits on the import path.
+NOT_IMPORTED = ("asyncio", "multiprocessing.shared_memory")
+
+
+class TestImportGraph:
+    def test_import_leaves_out_unused_machinery(self):
+        # A fresh interpreter: modules this test session already imported
+        # must not mask what ``import repro`` itself pulls in.
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        probe = (
+            "import sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "import repro\n"
+            f"print([m for m in {NOT_IMPORTED!r} if m in sys.modules])\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        )
+        assert run.stdout.strip() == "[]"
