@@ -28,13 +28,16 @@ from ..analysis.reporting import (
 )
 from ..core.result import StageTelemetry
 from ..execution.checkpoint import CheckpointJournal
-from ..strictjson import decode_value as _decode_value
-from ..strictjson import encode_value as _encode_value
+from ..strictjson import record
 
 
+@record
 @dataclass(frozen=True, eq=False)
 class CampaignJobRecord:
     """Condensed, picklable outcome of one campaign job.
+
+    Journals and saved results store it via :func:`repro.strictjson.record`'s
+    ``as_dict``/``from_dict``; report tables use :meth:`CampaignResult.job_rows`.
 
     Equality is field-by-field with NaN comparing equal to NaN: a record
     with an undefined ground truth (``max_alpha_error`` is NaN when the
@@ -100,39 +103,8 @@ class CampaignJobRecord:
 
         return hash(tuple(norm(getattr(self, f.name)) for f in fields(self)))
 
-    def as_dict(self) -> dict:
-        """Full-fidelity plain-dict view (every field, JSON-native values).
 
-        This is the round-trip serialisation used by the checkpoint journal
-        and :meth:`CampaignResult.save` — :meth:`from_dict` rebuilds an
-        equal record, bit-for-bit (JSON serialises floats by shortest repr,
-        which round-trips exactly).  Non-finite floats (a failure record's
-        infinite ``max_alpha_error``) are encoded as tagged dicts so the
-        output stays *strict* JSON — ``json.dump``'s default ``Infinity``
-        token would be rejected by non-Python tooling.  The report tables
-        do **not** consume this encoding; they take the plain-value dicts
-        of :meth:`CampaignResult.job_rows`.
-        """
-        payload = {f.name: _encode_value(getattr(self, f.name)) for f in fields(self)}
-        payload["stage_telemetry"] = [t.as_dict() for t in self.stage_telemetry]
-        return payload
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CampaignJobRecord":
-        """Rebuild a record from :meth:`as_dict` output (extra keys ignored)."""
-        known = {f.name for f in fields(cls)}
-        decoded = {
-            key: _decode_value(value)
-            for key, value in data.items()
-            if key in known
-        }
-        decoded["stage_telemetry"] = tuple(
-            StageTelemetry.from_dict(entry)
-            for entry in data.get("stage_telemetry") or ()
-        )
-        return cls(**decoded)
-
-
+@record
 @dataclass(frozen=True)
 class CampaignResult:
     """Everything a finished campaign produced, ordered by job id."""
@@ -322,27 +294,6 @@ class CampaignResult:
             wall_time_s=wall_time_s,
             n_workers=0,
             metadata=metadata,
-        )
-
-    def as_dict(self) -> dict:
-        """JSON-native dict: records plus run metadata."""
-        return {
-            "records": [record.as_dict() for record in self.records],
-            "n_workers": self.n_workers,
-            "wall_time_s": self.wall_time_s,
-            "metadata": dict(self.metadata),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CampaignResult":
-        """Rebuild a result from :meth:`as_dict` output."""
-        return cls(
-            records=tuple(
-                CampaignJobRecord.from_dict(entry) for entry in data["records"]
-            ),
-            n_workers=int(data["n_workers"]),
-            wall_time_s=float(data["wall_time_s"]),
-            metadata=dict(data.get("metadata") or {}),
         )
 
     def save(self, path: str | Path) -> Path:

@@ -35,12 +35,13 @@ import queue
 import socket
 import threading
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from ..exceptions import ClusterProtocolError
 from ..execution.base import SupportsJobId, WorkerCrash
 from ..execution.chunking import AdaptiveChunkPolicy
+from ..strictjson import record
 from .wire import (
     Crash,
     Heartbeat,
@@ -71,6 +72,7 @@ HEARTBEAT_TIMEOUT_FACTOR = 5.0
 _AFFINITY_WINDOW = 64
 
 
+@record
 @dataclass(frozen=True)
 class ClusterStats:
     """Counters from one coordinator run (see ``Coordinator.stats``)."""
@@ -92,15 +94,6 @@ class ClusterStats:
     n_rejected_peers: int = 0
     #: Mean seconds from steal request to the stolen jobs being re-leased.
     steal_latency_s: float = 0.0
-
-    def as_dict(self) -> dict:
-        """JSON-native dict view (every field)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ClusterStats":
-        """Rebuild from :meth:`as_dict` output."""
-        return cls(**{f.name: data[f.name] for f in fields(cls)})
 
 
 class _WorkerState:

@@ -7,11 +7,11 @@ Every frame on a coordinator/worker TCP connection is::
 (both lengths big-endian).  The header is one control message —
 :class:`Register`, :class:`Welcome`, :class:`Task`, :class:`Lease`,
 :class:`Heartbeat`, :class:`Steal`, :class:`Stolen`, :class:`Result`,
-:class:`Crash`, or :class:`Shutdown` — encoded by its ``as_dict`` through
-``json.dumps(..., allow_nan=False)``, so the control plane is inspectable
-with any JSON tooling and survives the same strict-JSON round-trip contract
-as every other record class in the library (the classes are registered with
-:func:`repro.lint.register_contract_sample`).  The payload carries whatever
+:class:`Crash`, or :class:`Shutdown` — encoded as strict JSON by the same
+:mod:`repro.strictjson` record codec as every record class in the library,
+and type-checked field by field on receipt (a wrong-typed field is a
+malformed frame, like a missing one).  The classes are registered with
+:func:`repro.lint.register_contract_sample`.  The payload carries whatever
 bulk bytes the message needs, always as a pickle: the ``run_one`` callable
 for a task, the leased jobs for a lease, the record for a result, the
 exception for a crash.  Pickle carries every record value-identically,
@@ -25,10 +25,11 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, ClassVar
 
 from ..exceptions import ClusterProtocolError
+from ..strictjson import from_dict, to_dict
 
 __all__ = [
     "Crash",
@@ -58,12 +59,8 @@ MESSAGE_CLASSES: dict[str, type] = {}
 
 
 def _message_as_dict(self) -> dict:
-    """JSON-native dict view, ``kind`` included (tuples become lists)."""
-    payload: dict[str, Any] = {"kind": self.kind}
-    for f in fields(self):
-        value = getattr(self, f.name)
-        payload[f.name] = list(value) if isinstance(value, tuple) else value
-    return payload
+    """The record codec's dict, led by the message's ``kind``."""
+    return {"kind": self.kind, **to_dict(self)}
 
 
 def _message_from_dict(cls, data: dict):
@@ -72,19 +69,16 @@ def _message_from_dict(cls, data: dict):
         raise ClusterProtocolError(
             f"message kind {data.get('kind')!r} does not match {cls.kind!r}"
         )
-    kwargs = {}
-    for f in fields(cls):
-        value = data[f.name]
-        kwargs[f.name] = tuple(value) if isinstance(value, list) else value
-    return cls(**kwargs)
+    return from_dict(cls, data)
 
 
 def wire_message(cls: type) -> type:
     """Make ``cls`` a frozen wire-message dataclass and register its kind.
 
-    Installs ``as_dict``/``from_dict`` *on each class* (not a shared base)
-    so :mod:`repro.lint`'s record discovery — which looks for the pair in a
-    class's own ``vars()`` — walks every concrete message type through the
+    ``as_dict``/``from_dict`` go through :mod:`repro.strictjson`'s record
+    codec, installed *on each class* (not a shared base) so
+    :mod:`repro.lint`'s record discovery — which looks for the pair in a
+    class's own ``vars()`` — walks every message type through the
     strict-JSON round-trip, pickle, and address-free-repr audits.
     """
     cls = dataclass(frozen=True)(cls)

@@ -9,14 +9,16 @@ paper's illustrative figures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ..strictjson import record
 from .region import PixelPoint
 from .virtualization import VirtualizationMatrix
 
 
+@record
 @dataclass(frozen=True)
 class StageTelemetry:
     """Cost and outcome of one pipeline stage, as measured by the meter.
@@ -37,16 +39,6 @@ class StageTelemetry:
     sim_elapsed_s: float = 0.0
     wall_s: float = 0.0
     detail: str = ""
-
-    def as_dict(self) -> dict:
-        """JSON-native plain-dict view (every field)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StageTelemetry":
-        """Rebuild from :meth:`as_dict` output (extra keys ignored)."""
-        known = {f.name for f in fields(cls)}
-        return cls(**{key: value for key, value in data.items() if key in known})
 
     def normalized(self, wall_s: float = 0.0) -> "StageTelemetry":
         """This telemetry with the wall clock pinned, for determinism checks."""

@@ -22,10 +22,10 @@ wrong records.
 
 The journal is generic: it stores whatever ``serialize(record)`` returns
 (any JSON-serialisable dict) and rebuilds records with ``deserialize``.
-The campaign layer plugs in
-:meth:`~repro.campaign.results.CampaignJobRecord.as_dict` /
-:meth:`~repro.campaign.results.CampaignJobRecord.from_dict`.  All file I/O
-is binary so the healing offsets are exact byte positions.
+The campaign layer plugs in ``CampaignJobRecord``'s ``as_dict`` /
+``from_dict`` (the :func:`repro.strictjson.record` codec), whose typed
+decode makes a line with a wrong-typed field unreadable, like a torn one.
+All file I/O is binary so the healing offsets are exact byte positions.
 """
 
 from __future__ import annotations

@@ -36,6 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .strictjson import record
+
 __all__ = [
     "DEFAULT_MAX_ENTRIES",
     "KernelCache",
@@ -120,6 +122,7 @@ def kernel_fingerprint(
     return h.hexdigest()
 
 
+@record
 @dataclass(frozen=True)
 class KernelCacheStats:
     """Counters of a :class:`KernelCache` (strict-JSON round-trippable).
@@ -135,29 +138,6 @@ class KernelCacheStats:
     entry_hits: int
     entry_misses: int
     evictions: int
-
-    def as_dict(self) -> dict:
-        """Plain-dict view with JSON-safe scalar values."""
-        return {
-            "n_entries": int(self.n_entries),
-            "pixel_hits": int(self.pixel_hits),
-            "pixel_solves": int(self.pixel_solves),
-            "entry_hits": int(self.entry_hits),
-            "entry_misses": int(self.entry_misses),
-            "evictions": int(self.evictions),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "KernelCacheStats":
-        """Rebuild from :meth:`as_dict` output."""
-        return cls(
-            n_entries=int(payload["n_entries"]),
-            pixel_hits=int(payload["pixel_hits"]),
-            pixel_solves=int(payload["pixel_solves"]),
-            entry_hits=int(payload["entry_hits"]),
-            entry_misses=int(payload["entry_misses"]),
-            evictions=int(payload["evictions"]),
-        )
 
 
 class KernelCacheEntry:

@@ -14,9 +14,9 @@ reviewer-folklore invariants into a machine-checked gate with two halves:
   flowing into record fields.
 * **Import-time contract audit** (:mod:`repro.lint.contracts`) — for every
   class reachable from the scenario, pipeline, and execution registries and
-  every strict-JSON record class: picklability under spawn semantics,
-  content-based (address-free) ``__repr__``, ``as_dict`` → ``from_dict``
-  round-trip closure, and registry name/alias uniqueness.
+  every strict-JSON record class (most via :func:`repro.strictjson.record`):
+  spawn picklability, content-based (address-free) ``__repr__``, ``as_dict``
+  → ``from_dict`` round-trip closure, and registry name/alias uniqueness.
 
 Run it as ``python -m repro.lint`` (see :mod:`repro.lint.cli`); suppress a
 single deliberate violation with an inline ``# repro: allow[rule-name] --

@@ -17,11 +17,11 @@ against the contracts the campaign/checkpoint machinery relies on:
     repr changes across processes, so fingerprints built from it can never
     match on resume.
 ``contract-roundtrip``
-    For every class defining both ``as_dict`` and ``from_dict``:
+    For every class defining both ``as_dict`` and ``from_dict`` (the
+    :func:`repro.strictjson.record` codec, or a hand-written pair):
     ``from_dict(json.loads(json.dumps(as_dict(), allow_nan=False)))``
-    reconstructs an equal object, and ``as_dict`` emits every dataclass
-    field — the drift check that keeps new fields from silently falling
-    out of checkpoints.
+    reconstructs an equal object and ``as_dict`` emits every dataclass
+    field, so no field silently falls out of checkpoints.
 ``contract-registry``
     Registry name hygiene: a backend's ``name`` matches its registry key,
     and a pipeline alias may not shadow a registered pipeline name.
@@ -376,7 +376,7 @@ def _register_builtin_samples() -> None:
 
     # One sample per wire-message kind: the cluster control plane rides the
     # same strict-JSON round-trip contract as the checkpoint records, so a
-    # field added to a message without as_dict coverage fails the audit.
+    # message field the record codec cannot carry fails the audit.
     wire_samples = {
         wire.Register: lambda: wire.Register(pid=4242, host="node-a"),
         wire.Welcome: lambda: wire.Welcome(worker_id=1, heartbeat_s=0.2),

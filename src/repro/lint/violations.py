@@ -9,9 +9,12 @@ itself covered by the contract audit it feeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+
+from ..strictjson import record
 
 
+@record
 @dataclass(frozen=True, order=True)
 class Violation:
     """One finding: a rule, where it fired, and why.
@@ -43,13 +46,3 @@ class Violation:
         """The canonical one-line rendering: ``path:line rule: message``."""
         location = f"{self.path}:{self.line}" if self.line else self.path
         return f"{location} {self.rule}: {self.message}"
-
-    def as_dict(self) -> dict:
-        """JSON-native plain-dict view (every field)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Violation":
-        """Rebuild from :meth:`as_dict` output (extra keys ignored)."""
-        known = {f.name for f in fields(cls)}
-        return cls(**{key: value for key, value in data.items() if key in known})

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import ChargeStateError
+from ..strictjson import record
 from .capacitance import CapacitanceModel
 
 
@@ -49,6 +50,7 @@ class ChargeState:
         return format_charge_state(self.occupations)
 
 
+@record
 @dataclass(frozen=True)
 class SolverStats:
     """Work counters for one :class:`ChargeStateSolver` instance.
@@ -71,27 +73,6 @@ class SolverStats:
         if self.n_points == 0:
             return float("nan")
         return self.n_state_scores / self.n_points
-
-    def as_dict(self) -> dict:
-        """Plain-dict view (handy for benchmark payloads and reports)."""
-        return {
-            "n_points": self.n_points,
-            "n_state_scores": self.n_state_scores,
-            "n_bound_scores": self.n_bound_scores,
-            "n_pruned_points": self.n_pruned_points,
-            "n_full_points": self.n_full_points,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SolverStats":
-        """Rebuild from :meth:`as_dict` output."""
-        return cls(
-            n_points=int(payload["n_points"]),
-            n_state_scores=int(payload["n_state_scores"]),
-            n_bound_scores=int(payload["n_bound_scores"]),
-            n_pruned_points=int(payload["n_pruned_points"]),
-            n_full_points=int(payload["n_full_points"]),
-        )
 
 
 class ChargeStateSolver:

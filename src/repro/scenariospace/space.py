@@ -34,6 +34,7 @@ from ..physics.drift import DeviceDrift
 from ..scenarios.catalog import LabScenario, temporary_scenarios
 from ..scenarios.devices import DeviceSpec
 from ..seeding import spawn_seeds
+from ..strictjson import record
 from .distributions import Choice, Fixed, LogUniform, Sampler, Uniform
 
 #: The numeric axes the adversarial miner may stress and the distiller
@@ -47,6 +48,7 @@ SEVERITY_AXES: tuple[str, ...] = ("noise_scale", "drift_mv_per_hour", "fault_rat
 MAX_FAULT_RATE = 0.9
 
 
+@record
 @dataclass(frozen=True)
 class ScenarioParams:
     """The parameter vector behind one sampled scenario.
@@ -82,34 +84,6 @@ class ScenarioParams:
                 f"unknown severity axis {axis!r}; known: {SEVERITY_AXES}"
             )
         return replace(self, **{axis: float(value)})
-
-    def as_dict(self) -> dict:
-        """JSON-native view (see :meth:`from_dict`)."""
-        return {
-            "device": {
-                "factory": self.device.factory,
-                "kwargs": [[name, value] for name, value in self.device.kwargs],
-            },
-            "noise_scale": self.noise_scale,
-            "drift_mv_per_hour": self.drift_mv_per_hour,
-            "fault_rate": self.fault_rate,
-            "time_dependent": self.time_dependent,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScenarioParams":
-        """Rebuild a parameter vector from :meth:`as_dict` output."""
-        device = data["device"]
-        return cls(
-            device=DeviceSpec(
-                factory=device["factory"],
-                kwargs=tuple((name, value) for name, value in device["kwargs"]),
-            ),
-            noise_scale=float(data["noise_scale"]),
-            drift_mv_per_hour=float(data["drift_mv_per_hour"]),
-            fault_rate=float(data["fault_rate"]),
-            time_dependent=bool(data["time_dependent"]),
-        )
 
 
 def scenario_from_params(name: str, params: ScenarioParams) -> LabScenario:

@@ -17,9 +17,11 @@ import numpy as np
 from ..analysis.metrics import wilson_interval
 from ..analysis.reporting import format_surface_table
 from ..exceptions import ConfigurationError
+from ..strictjson import record
 from .space import SEVERITY_AXES, ScenarioSpace, run_draws
 
 
+@record
 @dataclass(frozen=True)
 class SurfaceCell:
     """One region of the surface: bounds, counts, and the Wilson interval."""
@@ -40,34 +42,8 @@ class SurfaceCell:
             return float("nan")
         return self.n_succeeded / self.n_jobs
 
-    def as_dict(self) -> dict:
-        """JSON-native view (all fields finite by construction)."""
-        return {
-            "x_low": self.x_low,
-            "x_high": self.x_high,
-            "y_low": self.y_low,
-            "y_high": self.y_high,
-            "n_jobs": self.n_jobs,
-            "n_succeeded": self.n_succeeded,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SurfaceCell":
-        """Rebuild a cell from :meth:`as_dict` output."""
-        return cls(
-            x_low=float(data["x_low"]),
-            x_high=float(data["x_high"]),
-            y_low=float(data["y_low"]),
-            y_high=float(data["y_high"]),
-            n_jobs=int(data["n_jobs"]),
-            n_succeeded=int(data["n_succeeded"]),
-            ci_low=float(data["ci_low"]),
-            ci_high=float(data["ci_high"]),
-        )
-
-
+@record
 @dataclass(frozen=True)
 class SurfaceReport:
     """A binned success surface over two severity axes."""
@@ -107,29 +83,6 @@ class SurfaceReport:
                 f"({self.n_succeeded}/{self.n_jobs} over {self.n_draws} draws, "
                 f"seed {self.seed})"
             ),
-        )
-
-    def as_dict(self) -> dict:
-        """JSON-native view of the whole surface."""
-        return {
-            "space": self.space,
-            "x_axis": self.x_axis,
-            "y_axis": self.y_axis,
-            "n_draws": self.n_draws,
-            "seed": self.seed,
-            "cells": [cell.as_dict() for cell in self.cells],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SurfaceReport":
-        """Rebuild a surface report from :meth:`as_dict` output."""
-        return cls(
-            space=str(data["space"]),
-            x_axis=str(data["x_axis"]),
-            y_axis=str(data["y_axis"]),
-            n_draws=int(data["n_draws"]),
-            seed=int(data["seed"]),
-            cells=tuple(SurfaceCell.from_dict(entry) for entry in data["cells"]),
         )
 
 

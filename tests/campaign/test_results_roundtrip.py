@@ -15,6 +15,7 @@ from repro.campaign import (
     DeviceSpec,
     TuningCampaign,
 )
+from repro.exceptions import ConfigurationError
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +219,35 @@ class TestResultRoundTrip:
         loaded = CampaignResult.load(path)
         assert math.isinf(loaded.records[0].max_alpha_error)
         assert loaded == failed_result
+
+
+class TestJournalTyping:
+    def test_resume_refuses_a_wrong_typed_journal_record(self, tmp_path):
+        """A journaled record whose field has the wrong JSON type is corruption.
+
+        Regression: a middle record with ``n_probes`` rewritten as a string
+        used to be adopted on resume, and only ``total_probes`` failed
+        later, adding ``int`` to ``str``.
+        """
+        grid = CampaignGrid(
+            devices=(DeviceSpec.of("double_dot", cross_coupling=(0.25, 0.22)),),
+            resolutions=(63,),
+            noise_scales=(0.0, 0.5, 1.0),
+            n_repeats=1,
+            seed=5,
+        )
+        journal_path = tmp_path / "run.jsonl"
+        TuningCampaign(grid).run(checkpoint=journal_path)
+        lines = journal_path.read_text().splitlines(keepends=True)
+        record_lines = [i for i, line in enumerate(lines) if '"record"' in line]
+        assert len(record_lines) == 3
+        middle = record_lines[1]
+        entry = json.loads(lines[middle])
+        entry["record"]["n_probes"] = str(entry["record"]["n_probes"])
+        lines[middle] = json.dumps(entry) + "\n"
+        journal_path.write_text("".join(lines))
+        with pytest.raises(ConfigurationError, match="corrupt mid-file"):
+            TuningCampaign(grid).resume(journal_path)
 
 
 class TestJournalView:

@@ -9,6 +9,7 @@ frame, deterministically, with no process spawn cost.
 
 from __future__ import annotations
 
+import json
 import pickle
 import socket
 import struct
@@ -461,6 +462,33 @@ class TestStrayPeers:
         finally:
             harness.close()
         assert harness.coordinator.stats.n_rejected_peers == 2
+
+
+class TestMalformedWorkerFrames:
+    def test_wrong_typed_result_aborts_the_run(self):
+        """A registered worker's ``Result`` with a string job id is refused.
+
+        Regression: the frame used to decode as-is, so a one-job run
+        finished as ``{"0": "record-0"}`` and job 0 never yielded under its
+        own id.  A registered worker speaking out of protocol aborts the
+        run, exactly as a frame missing a field does.
+        """
+        jobs = (FakeJob(0),)
+        harness = _Harness(jobs)
+        try:
+            worker = _ScriptedWorker(harness.coordinator.address).register()
+            (job,) = worker.expect_lease()
+            header = json.dumps({"kind": "result", "job_id": "0"}).encode()
+            payload = pickle.dumps(worker.run_one(job))
+            worker.sock.sendall(
+                struct.pack(">II", len(header), len(payload)) + header + payload
+            )
+            with pytest.raises(ClusterProtocolError, match="malformed 'result' frame"):
+                harness.finish()
+            assert harness.records == []
+            worker.close()
+        finally:
+            harness.close()
 
 
 class TestRealWorkerLoop:

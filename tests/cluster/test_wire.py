@@ -38,6 +38,24 @@ SAMPLES = [
     Shutdown(),
 ]
 
+#: Frame headers a peer could send with a field of the wrong JSON type
+#: (plus one missing a field), each of which must be refused.
+WRONG_TYPED_HEADERS = {
+    "result-job-id-str": {"kind": "result", "job_id": "3"},
+    "result-job-id-bool": {"kind": "result", "job_id": True},
+    "stolen-job-ids-int": {"kind": "stolen", "job_ids": 5},
+    "stolen-job-ids-items": {"kind": "stolen", "job_ids": ["a", None]},
+    "heartbeat-fields": {
+        "kind": "heartbeat",
+        "worker_id": 1,
+        "current_job": 2.5,
+        "n_queued": "many",
+    },
+    "welcome-heartbeat-str": {"kind": "welcome", "worker_id": 1, "heartbeat_s": "0.2"},
+    "crash-message-list": {"kind": "crash", "job_id": 3, "message": ["x"]},
+    "register-missing-host": {"kind": "register", "pid": 7},
+}
+
 
 class TestMessageRoundTrip:
     def test_every_kind_has_a_sample(self):
@@ -118,3 +136,19 @@ class TestMalformedFrames:
             left.close()
             right.close()
 
+    @pytest.mark.parametrize(
+        "header", WRONG_TYPED_HEADERS.values(), ids=list(WRONG_TYPED_HEADERS)
+    )
+    def test_wrong_typed_field_refused(self, header):
+        """Every field is decoded against its annotation, not taken on trust."""
+        left, right = socket.socketpair()
+        try:
+            raw = json.dumps(header).encode()
+            left.sendall(struct.pack(">II", len(raw), 0) + raw)
+            with pytest.raises(
+                ClusterProtocolError, match=f"malformed '{header['kind']}' frame"
+            ):
+                recv_message(right)
+        finally:
+            left.close()
+            right.close()
