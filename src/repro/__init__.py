@@ -93,7 +93,6 @@ from .scenarios import (
     get_scenario,
     register_scenario,
     scenario_names,
-    temporary_scenarios,
 )
 from .scenariospace import (
     MinedRegression,
@@ -169,7 +168,6 @@ __all__ = [
     "get_scenario",
     "register_scenario",
     "scenario_names",
-    "temporary_scenarios",
     "MinedRegression",
     "ScenarioParams",
     "ScenarioSpace",

@@ -1,7 +1,9 @@
 """The campaign engine: fan a job grid out over an execution backend.
 
-:class:`TuningCampaign` owns *what* runs — the expanded job list, scenario
-resolution, the success criterion — and delegates *how* it runs to the
+:class:`TuningCampaign` owns *what* runs — the expanded job list, resolved
+once per run into jobs that carry their scenario, pipeline and fault models
+(:func:`~repro.campaign.grid.resolve_jobs`), the success criterion — and
+delegates *how* it runs to the
 :mod:`repro.execution` layer: an
 :class:`~repro.execution.base.ExecutionBackend` schedules jobs and streams
 ``(job_id, record)`` pairs back in completion order, while a
@@ -20,7 +22,6 @@ an uninterrupted run.
 from __future__ import annotations
 
 import hashlib
-import inspect
 import time
 from functools import partial
 from pathlib import Path
@@ -28,7 +29,6 @@ from typing import Callable, Iterable, Sequence
 
 from ..analysis.metrics import SuccessCriterion
 from ..exceptions import ConfigurationError
-from ..faults import get_fault
 from ..execution import (
     CheckpointJournal,
     ExecutionBackend,
@@ -38,19 +38,14 @@ from ..execution import (
     SerialBackend,
     backend_from_spec,
 )
-from ..pipeline.registry import get_pipeline
 from ..reprs import ADDRESS_REPR as _ADDRESS_REPR
-from ..scenarios.catalog import get_scenario
-from .grid import CampaignGrid, CampaignJob
+from .grid import CampaignGrid, CampaignJob, resolve_jobs
 from .results import CampaignJobRecord, CampaignResult
 from .worker import run_campaign_job, worker_error_record
 
 
 def campaign_fingerprint(
-    jobs: Sequence[CampaignJob],
-    criterion: SuccessCriterion,
-    scenarios: dict[str, object] | None = None,
-    faults: dict[str, tuple] | None = None,
+    jobs: Sequence[CampaignJob], criterion: SuccessCriterion
 ) -> str:
     """A stable identity for "this job list scored this way".
 
@@ -59,10 +54,10 @@ def campaign_fingerprint(
     criterion — whose records would be silently wrong) fails loudly.  Built
     from each job's label (device spec, gates, resolution, environment,
     fault condition, method, repeat), its seed identity, the criterion's
-    repr, and the repr of every resolved scenario and fault-condition
-    *definition* — a scenario or condition re-registered with different
-    physics under the same name changes the fingerprint, because the name
-    alone would let stale records slip through.
+    repr, and the repr of every scenario and fault-condition *definition*
+    the (resolved) jobs carry — a scenario or condition re-registered with
+    different physics under the same name changes the fingerprint, because
+    the name alone would let stale records slip through.
     """
     criterion_part = repr(criterion)
     if _ADDRESS_REPR.search(criterion_part):
@@ -72,32 +67,33 @@ def campaign_fingerprint(
             "give the criterion class a content-based __repr__ (or make it "
             "a dataclass) to use checkpointing"
         )
+    jobs = resolve_jobs(jobs)
+    scenarios = {
+        (str(job.scenario), repr(job.environment))
+        for job in jobs
+        if job.environment is not None
+    }
+    faults = {(str(job.fault), repr(job.fault_models)) for job in jobs if job.fault_models}
     parts = [criterion_part]
-    for name in sorted(scenarios or {}):
-        part = f"{name}={scenarios[name]!r}"
-        if _ADDRESS_REPR.search(part):
-            # A default object repr embeds a memory address, which differs
-            # every process — the journal would reject every cross-process
-            # resume as "a different run".  Fail at checkpoint time with
-            # the actual fix instead.
-            raise ConfigurationError(
-                f"scenario {name!r} contains an object whose repr embeds a "
-                "memory address, so its checkpoint fingerprint would not "
-                "survive a process restart; give that class a content-based "
-                "__repr__ (or make it a dataclass) to use checkpointing"
-            )
-        parts.append(part)
-    for name in sorted(faults or {}):
-        part = f"fault:{name}={faults[name]!r}"
-        if _ADDRESS_REPR.search(part):
-            raise ConfigurationError(
-                f"fault condition {name!r} contains an object whose repr "
-                "embeds a memory address, so its checkpoint fingerprint "
-                "would not survive a process restart; give that class a "
-                "content-based __repr__ (or make it a dataclass) to use "
-                "checkpointing"
-            )
-        parts.append(part)
+    for kind, prefix, definitions in (
+        ("scenario", "", scenarios),
+        ("fault condition", "fault:", faults),
+    ):
+        for name, definition in sorted(definitions):
+            part = f"{prefix}{name}={definition}"
+            if _ADDRESS_REPR.search(part):
+                # A default object repr embeds a memory address, which
+                # differs every process — the journal would reject every
+                # cross-process resume as "a different run".  Fail at
+                # checkpoint time with the actual fix instead.
+                raise ConfigurationError(
+                    f"{kind} {name!r} contains an object whose repr embeds a "
+                    "memory address, so its checkpoint fingerprint would not "
+                    "survive a process restart; give that class a "
+                    "content-based __repr__ (or make it a dataclass) to use "
+                    "checkpointing"
+                )
+            parts.append(part)
     for job in jobs:
         seed = job.seed
         seed_key = (
@@ -160,15 +156,11 @@ class TuningCampaign:
         process after every completed job, in completion order.
     job_runner:
         The per-job work function; :func:`~repro.campaign.worker.run_campaign_job`
-        by default.  A replacement must accept
-        ``(job, criterion=..., scenarios=...)``, return a
-        :class:`~repro.campaign.results.CampaignJobRecord`, and be
-        picklable for process-based backends.  A runner that also declares
-        a ``pipelines=`` keyword receives the parent-resolved
-        :class:`~repro.pipeline.composer.TuningPipeline` objects for the
-        grid's methods, and one declaring ``faults=`` receives the
-        parent-resolved fault-model tuples for the grid's fault conditions
-        (both needed for user-registered entries under spawn-start pools).
+        by default.  A replacement is called as ``(job, criterion=...)``
+        with a resolved job (one that carries its scenario, pipeline and
+        fault models), must return a
+        :class:`~repro.campaign.results.CampaignJobRecord`, and must be
+        picklable for process-based backends.
     """
 
     def __init__(
@@ -247,24 +239,6 @@ class TuningCampaign:
         """The execution backend this campaign dispatches through."""
         return self._backend
 
-    def _runner_accepts(self, name: str) -> bool:
-        """Whether the configured job runner takes a keyword argument.
-
-        Keeps the historical ``(job, criterion=..., scenarios=...)`` runner
-        contract working: newer engine-supplied kwargs (``pipelines``,
-        ``faults``) are only passed to runners that declare them (or
-        ``**kwargs``).
-        """
-        try:
-            parameters = inspect.signature(self._job_runner).parameters
-        except (TypeError, ValueError):  # builtins/C callables: be conservative
-            return False
-        if name in parameters:
-            return True
-        return any(
-            p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()
-        )
-
     def _effective_workers(self) -> int:
         """Workers the backend will actually use — what the result reports.
 
@@ -302,38 +276,15 @@ class TuningCampaign:
                 "to re-run failures from; pass checkpoint= as well"
             )
         started = time.perf_counter()
-        # Resolve scenario names, pipeline methods, and fault conditions in
-        # this process and ship the objects to the workers: user-registered
-        # entries live only in the parent's registry, which a spawn-start
-        # worker would not have.
-        scenarios = {
-            name: get_scenario(name)
-            for name in {job.scenario for job in self._jobs if job.scenario}
-        }
-        faults = {
-            name: get_fault(name)
-            for name in {
-                getattr(job, "fault", None) for job in self._jobs
-            }
-            if name is not None
-        }
-        runner_kwargs = {"criterion": self._criterion, "scenarios": scenarios}
-        if self._runner_accepts("pipelines"):
-            runner_kwargs["pipelines"] = {
-                method: get_pipeline(method)
-                for method in {job.method for job in self._jobs}
-            }
-        if self._runner_accepts("faults"):
-            runner_kwargs["faults"] = faults
-        run_one = partial(self._job_runner, **runner_kwargs)
+        # One lookup per name, here in the parent: the jobs then carry what
+        # they run, including entries registered only in this process.
+        jobs = resolve_jobs(self._jobs)
         journal = (
             CheckpointJournal(
                 checkpoint,
                 serialize=CampaignJobRecord.as_dict,
                 deserialize=CampaignJobRecord.from_dict,
-                fingerprint=campaign_fingerprint(
-                    self._jobs, self._criterion, scenarios, faults
-                ),
+                fingerprint=campaign_fingerprint(jobs, self._criterion),
             )
             if checkpoint is not None
             else None
@@ -354,7 +305,8 @@ class TuningCampaign:
             journal=journal,
             adopt=adopt,
         )
-        completed = controller.run(self._jobs, run_one, on_error=worker_error_record)
+        run_one = partial(self._job_runner, criterion=self._criterion)
+        completed = controller.run(jobs, run_one, on_error=worker_error_record)
         ordered: tuple[CampaignJobRecord, ...] = tuple(
             completed[job_id] for job_id in sorted(completed)
         )

@@ -20,26 +20,31 @@ scenario as registered (recorded at noise scale 1) and is *not* crossed with
 the noise axis — that would only duplicate jobs whose noise the scenario
 already fixes.  Hand-crafted jobs may still combine the two: the worker
 scales a scenario's noise by the job's ``noise_scale`` through
-:func:`repro.scenarios.catalog.scaled_scenario`.
+:meth:`~repro.scenarios.catalog.LabScenario.scaled`.
 
 Because the seeds are bound to job identity rather than execution order, a
 campaign produces bit-identical per-job results whether it runs on one
-worker or many.  Jobs are small frozen dataclasses built from plain values,
-so they pickle cheaply into worker processes.
+worker or many.  A job names its scenario, method and fault condition;
+:func:`resolve_jobs` looks each name up once, in the parent, and the
+resolved job carries the objects themselves, so a worker process (spawn
+start included) runs it without consulting any registry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cache
+from typing import Iterable
 
 import numpy as np
 
 from ..exceptions import ConfigurationError
+from ..faults.models import FaultModel
 from ..faults.registry import get_fault
 from ..physics.noise import NoiseModel, standard_lab_noise
-from ..pipeline.registry import resolve_method
-from ..scenarios.catalog import get_scenario
+from ..pipeline.composer import TuningPipeline
+from ..pipeline.registry import get_pipeline, resolve_method
+from ..scenarios.catalog import LabScenario, get_scenario
 from ..scenarios.devices import DEVICE_FACTORIES, DeviceSpec
 from ..seeding import spawn_seeds
 
@@ -53,6 +58,7 @@ __all__ = [
     "DEVICE_FACTORIES",
     "KNOWN_METHODS",
     "noise_for_scale",
+    "resolve_jobs",
 ]
 
 
@@ -80,6 +86,12 @@ class CampaignJob:
     (:func:`repro.faults.get_fault`) injected into the job — probe-scope
     models wrap the session's backend, worker-scope models may kill the
     executing worker — or ``None`` for a fault-free run.
+
+    ``environment``, ``pipeline`` and ``fault_models`` are what those names
+    resolve to; :func:`resolve_jobs` fills them.  They take no part in
+    equality, ``repr`` or :attr:`label`, and a resolved job's objects win
+    over its names: ``replace(resolved_job, method=...)`` still runs the
+    old pipeline, so rename before resolving (or clear the field).
     """
 
     job_id: int
@@ -95,6 +107,9 @@ class CampaignJob:
     seed: np.random.SeedSequence | None
     scenario: str | None = None
     fault: str | None = None
+    environment: LabScenario | None = field(default=None, compare=False, repr=False)
+    pipeline: TuningPipeline | None = field(default=None, compare=False, repr=False)
+    fault_models: tuple[FaultModel, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def label(self) -> str:
@@ -110,6 +125,31 @@ class CampaignJob:
             f"#{self.job_id} {self.device.factory}:{self.gate_x}-{self.gate_y}"
             f" r{self.resolution} {environment} {self.method} x{self.repeat}"
         )
+
+
+def resolve_jobs(jobs: Iterable[CampaignJob]) -> tuple[CampaignJob, ...]:
+    """Jobs that carry the scenario, pipeline and fault models they run.
+
+    Fills only the fields a job is missing, with one registry lookup per
+    distinct name, so jobs that share a name share one object (and a
+    pickled batch of them carries it once).  An object a job already
+    carries wins over its name.  Unknown names raise
+    :class:`~repro.exceptions.ConfigurationError`.
+    """
+    scenario_for, pipeline_for, faults_for = (
+        cache(get_scenario), cache(get_pipeline), cache(get_fault)
+    )
+    resolved = []
+    for job in jobs:
+        updates = {}
+        if job.scenario is not None and job.environment is None:
+            updates["environment"] = scenario_for(job.scenario)
+        if job.pipeline is None:
+            updates["pipeline"] = pipeline_for(job.method)
+        if job.fault is not None and not job.fault_models:
+            updates["fault_models"] = faults_for(job.fault)
+        resolved.append(replace(job, **updates) if updates else job)
+    return tuple(resolved)
 
 
 @dataclass(frozen=True)
@@ -167,10 +207,7 @@ class CampaignGrid:
             raise ConfigurationError("the fault axis must not repeat entries")
         for name in self.faults:
             if name is not None:
-                try:
-                    get_fault(name)
-                except KeyError as exc:
-                    raise ConfigurationError(str(exc)) from None
+                get_fault(name)  # raises ConfigurationError when unknown
         if not self.methods:
             raise ConfigurationError("a campaign grid needs at least one method")
         for method in self.methods:

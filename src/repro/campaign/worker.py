@@ -1,13 +1,15 @@
 """Execution of a single campaign job, isolated and picklable.
 
 :func:`run_campaign_job` is the unit of work a :class:`~repro.campaign.engine.TuningCampaign`
-dispatches: build the device and session from the declarative spec, run the
-requested extraction method, score it against the session's ground truth,
-and condense everything into a flat :class:`~repro.campaign.results.CampaignJobRecord`.
-It is a module-level function of picklable arguments so a
-:class:`~concurrent.futures.ProcessPoolExecutor` can ship it to workers, and
-it never raises: an unexpected exception becomes a failed record with the
-``"crash"`` category, so one broken job cannot take down a 1000-job campaign.
+dispatches: build the device and session from the job, run the job's
+pipeline, score it against the session's ground truth, and condense
+everything into a flat :class:`~repro.campaign.results.CampaignJobRecord`.
+The job carries its resolved scenario, pipeline and fault models
+(:func:`~repro.campaign.grid.resolve_jobs`), so the worker reads only the
+job and never a registry.  It is a module-level function of picklable
+arguments so a process pool can ship it to workers, and it never raises:
+an unexpected exception becomes a failed record with the ``"crash"``
+category, so one broken job cannot take down a 1000-job campaign.
 """
 
 from __future__ import annotations
@@ -17,18 +19,10 @@ from dataclasses import replace
 
 from ..analysis.metrics import SuccessCriterion, accuracy_metrics
 from ..core.result import ExtractionResult
-from ..faults import (
-    FaultModel,
-    get_fault,
-    inject_worker_faults,
-    models_for,
-    probe_fault_models,
-)
+from ..faults import inject_worker_faults, models_for, probe_fault_models
 from ..instrument.resilience import ProbeRetryPolicy
 from ..instrument.session import SessionFactory
-from ..pipeline.registry import get_pipeline
-from ..scenarios.catalog import LabScenario, get_scenario
-from .grid import CampaignJob, noise_for_scale
+from .grid import CampaignJob, noise_for_scale, resolve_jobs
 from .results import CampaignJobRecord
 
 #: Probe retry policy a fault-axis job runs under when neither the scenario
@@ -74,26 +68,6 @@ def classify_failure(reason: str, extractor_success: bool, matched_truth: bool) 
     return "other"
 
 
-def _pipeline_for(method: str, pipelines: dict | None = None):
-    """The tuning pipeline behind a job's method string.
-
-    ``"fast"`` and ``"baseline"`` stay as shorthand for the two methods the
-    campaign engine shipped with; any other registered pipeline name
-    (``"no-anchors"``, a user-registered composition) works directly, which
-    is how campaign configs sweep ablation variants as a method axis.
-
-    ``pipelines`` maps method strings to parent-resolved
-    :class:`~repro.pipeline.composer.TuningPipeline` instances — the same
-    ship-the-objects treatment scenarios get, because a pipeline registered
-    by the user exists only in the parent's registry and a spawn-start
-    worker process would re-import the built-ins and miss it.  The
-    per-process registry is the fallback for direct in-process calls.
-    """
-    if pipelines is not None and method in pipelines:
-        return pipelines[method]
-    return get_pipeline(method)
-
-
 def _base_record_fields(job: CampaignJob) -> dict:
     """Record fields that come straight from the job spec."""
     return {
@@ -107,48 +81,25 @@ def _base_record_fields(job: CampaignJob) -> dict:
         "gate_x": job.gate_x,
         "gate_y": job.gate_y,
         "scenario": job.scenario,
-        # getattr: hand-crafted job specs predating the fault axis (and
-        # custom runners' job types) may not carry the field.
-        "fault": getattr(job, "fault", None),
+        "fault": job.fault,
     }
 
 
-def _fault_models_for(
-    name: str, faults: dict[str, tuple[FaultModel, ...]] | None
-) -> tuple[FaultModel, ...]:
-    """The fault models behind a job's fault-condition name.
-
-    ``faults`` maps names to parent-resolved model tuples — the same
-    ship-the-objects treatment scenarios and pipelines get, because a
-    condition registered by the user exists only in the parent's registry.
-    The per-process registry is the fallback for direct in-process calls.
-    """
-    if faults is not None and name in faults:
-        return faults[name]
-    return get_fault(name)
-
-
 def run_campaign_job(
-    job: CampaignJob,
-    criterion: SuccessCriterion | None = None,
-    scenarios: dict[str, LabScenario] | None = None,
-    pipelines: dict | None = None,
-    faults: dict[str, tuple[FaultModel, ...]] | None = None,
+    job: CampaignJob, criterion: SuccessCriterion | None = None
 ) -> CampaignJobRecord:
     """Run one campaign job and return its condensed, picklable record.
 
-    ``scenarios`` maps scenario names to resolved :class:`LabScenario`
-    objects, ``pipelines`` maps method strings to resolved
-    :class:`~repro.pipeline.composer.TuningPipeline` instances, and
-    ``faults`` maps fault-condition names to resolved model tuples.  The
-    engine fills all three in the parent process and ships them with the
-    job, because a scenario, pipeline, or fault condition registered by the
-    user exists only in the parent's registry — a spawn-start worker
-    process would re-import the built-ins and miss it.  The per-process
-    registries are only a fallback for direct in-process calls.
+    Reads only the job: its ``environment`` scenario (scaled by the job's
+    ``noise_scale``), its ``pipeline`` and its ``fault_models``.  The
+    engine resolves them in the parent, so entries registered only there
+    reach spawn-start workers too; an unresolved job from a direct call
+    goes through the same :func:`~repro.campaign.grid.resolve_jobs`, which
+    raises :class:`~repro.exceptions.ConfigurationError` for an unknown
+    name before the job starts.
 
-    A job with a ``fault`` condition runs its worker-scope models *before*
-    the never-raise envelope below: an injected crash must escape this
+    A job with fault models runs its worker-scope models *before* the
+    never-raise envelope below: an injected crash must escape this
     function (hard process exit in a pool worker,
     :class:`~repro.exceptions.WorkerCrashError` in-process) so every
     backend condenses it into the same ``"worker_error"`` record, rather
@@ -158,25 +109,17 @@ def run_campaign_job(
     already sets a probe-retry policy.
     """
     criterion = criterion or SuccessCriterion()
-    fault_name = getattr(job, "fault", None)
-    job_fault_models: tuple[FaultModel, ...] = ()
-    if fault_name is not None:
-        job_fault_models = _fault_models_for(fault_name, faults)
-        inject_worker_faults(job.job_id, job_fault_models, job.seed)
+    (job,) = resolve_jobs((job,))
+    inject_worker_faults(job.job_id, job.fault_models, job.seed)
     started = time.perf_counter()
     try:
         device = job.device.build()
-        if job.scenario is not None:
+        if job.environment is not None:
             # The scenario supplies the environment (noise, drift, timing,
             # time-dependence); the grid supplies the device under test.
             # Grid-expanded scenario jobs carry noise_scale 1 (the scenario
             # as registered); hand-crafted jobs may scale the scenario noise.
-            scenario = (
-                scenarios[job.scenario]
-                if scenarios is not None and job.scenario in scenarios
-                else get_scenario(job.scenario)
-            )
-            factory = scenario.scaled(job.noise_scale).session_factory(
+            factory = job.environment.scaled(job.noise_scale).session_factory(
                 device=device, resolution=job.resolution
             )
         else:
@@ -185,7 +128,7 @@ def run_campaign_job(
                 resolution=job.resolution,
                 noise=noise_for_scale(job.noise_scale),
             )
-        probe_models = probe_fault_models(job_fault_models)
+        probe_models = probe_fault_models(job.fault_models)
         if probe_models:
             # Compose with (not replace) any faults the scenario itself
             # bakes in; the scenario's own retry policy wins when set.
@@ -202,7 +145,7 @@ def run_campaign_job(
             seed=job.seed,
             label=job.label,
         )
-        result: ExtractionResult = _pipeline_for(job.method, pipelines).run(session)
+        result: ExtractionResult = job.pipeline.run(session)
         geometry = session.geometry
         matched = criterion.evaluate(result, geometry)
         max_alpha_error = float("nan")  # repro: allow[nan-record-field] -- documented sentinel: no ground-truth geometry => error undefined; tagged-JSON + NaN-aware equality handle it
@@ -227,7 +170,7 @@ def run_campaign_job(
             wall_elapsed_s=time.perf_counter() - started,
             failure_category=category,
             failure_reason=result.failure_reason if not matched else "",
-            n_probe_retries=int(getattr(session.meter, "n_probe_retries", 0)),
+            n_probe_retries=session.meter.n_probe_retries,
             stage_telemetry=result.stage_telemetry,
         )
     except Exception as exc:  # a crashed job must not sink the campaign

@@ -26,9 +26,11 @@ from dataclasses import dataclass
 from typing import Any, Callable, ClassVar, Iterable, Iterator, Protocol, runtime_checkable
 
 from ..exceptions import ConfigurationError
+from ..registry import Registry
 from ..reprs import ContentRepr
 
 __all__ = [
+    "BACKENDS",
     "ExecutionBackend",
     "ProgressCallback",
     "SupportsJobId",
@@ -112,13 +114,12 @@ class ExecutionBackend(ContentRepr, abc.ABC):
         """
 
 
-#: Registered backend factories: name -> ``factory(n_workers, chunk_size)``.
-_BACKEND_FACTORIES: dict[str, Callable[[int, int | None], ExecutionBackend]] = {}
-
-#: Parameterised-spec factories: name -> ``factory(arg, n_workers, chunk_size)``
-#: where ``arg`` is everything after the first colon of a ``"name:arg"`` spec
-#: (e.g. ``"8"`` for ``"process:8"``, ``"local:4"`` for ``"cluster:local:4"``).
-_SPEC_FACTORIES: dict[str, Callable[[str, int, int | None], ExecutionBackend]] = {}
+#: Registered backends: name -> ``(factory, spec_factory)``, where
+#: ``factory(n_workers, chunk_size)`` builds a bare-name backend and the
+#: optional ``spec_factory(arg, n_workers, chunk_size)`` a parameterised one
+#: (``arg`` is everything after the first colon of a ``"name:arg"`` spec,
+#: e.g. ``"8"`` for ``"process:8"``, ``"local:4"`` for ``"cluster:local:4"``).
+BACKENDS: Registry[tuple[Callable, Callable | None]] = Registry("execution backend")
 
 
 def register_backend(
@@ -133,17 +134,14 @@ def register_backend(
     given, additionally accepts parameterised specs (``"name:arg"``) and is
     called as ``spec_factory(arg, n_workers, chunk_size)``; it must raise
     :class:`~repro.exceptions.ConfigurationError` on a malformed ``arg``.
+    A name registers once.
     """
-    _BACKEND_FACTORIES[str(name)] = factory
-    if spec_factory is not None:
-        _SPEC_FACTORIES[str(name)] = spec_factory
-    else:
-        _SPEC_FACTORIES.pop(str(name), None)
+    BACKENDS.register(name, (factory, spec_factory))
 
 
 def backend_names() -> tuple[str, ...]:
     """Names accepted by :func:`backend_from_spec`, sorted."""
-    return tuple(sorted(_BACKEND_FACTORIES))
+    return tuple(sorted(BACKENDS.names()))
 
 
 def backend_from_spec(
@@ -171,14 +169,9 @@ def backend_from_spec(
     if spec is None:
         spec = "serial" if n_workers == 1 else "process"
     name, sep, arg = spec.partition(":")
-    if name not in _BACKEND_FACTORIES:
-        raise ConfigurationError(
-            f"unknown execution backend {spec!r}; known backends: "
-            f"{', '.join(backend_names())}"
-        )
+    factory, spec_factory = BACKENDS.get(name)
     if not sep:
-        return _BACKEND_FACTORIES[name](n_workers, chunk_size)
-    spec_factory = _SPEC_FACTORIES.get(name)
+        return factory(n_workers, chunk_size)
     if spec_factory is None:
         raise ConfigurationError(
             f"backend {name!r} does not take spec parameters "

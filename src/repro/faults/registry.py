@@ -1,16 +1,19 @@
-"""Named fault-model catalogue, mirroring the scenario/pipeline registries.
+"""Named fault conditions: one :class:`~repro.registry.Registry` of model tuples.
 
 Campaign grids and CLI flags refer to fault conditions by name
-(``faults="flaky-lab"``); the registry maps each name to a tuple of
+(``faults="flaky-lab"``); :data:`FAULTS` maps each name to a tuple of
 :class:`~repro.faults.models.FaultModel` instances.  Entries are frozen
 dataclasses — picklable, content-repr'd — so they ship to spawn-start
-workers and participate in checkpoint fingerprints, and the lint contract
-audit (:func:`repro.lint.contracts.audit_registry_contracts`) walks this
-registry exactly as it walks the other three.
+workers on resolved campaign jobs and participate in checkpoint
+fingerprints, and the lint contract audit
+(:func:`repro.lint.contracts.audit_registry_contracts`) walks this registry
+exactly as it walks the others.  A condition cannot be overwritten.
 """
 
 from __future__ import annotations
 
+from ..exceptions import ConfigurationError
+from ..registry import Registry
 from .models import (
     DropoutFault,
     FaultModel,
@@ -21,6 +24,7 @@ from .models import (
 )
 
 __all__ = [
+    "FAULTS",
     "all_faults",
     "fault_names",
     "get_fault",
@@ -28,44 +32,37 @@ __all__ = [
     "register_fault",
 ]
 
-_REGISTRY: dict[str, tuple[FaultModel, ...]] = {}
+#: Every registered fault condition: name -> tuple of fault models.
+FAULTS: Registry[tuple[FaultModel, ...]] = Registry("fault condition")
 
 
 def register_fault(name: str, models) -> None:
     """Register a named fault condition (a tuple of fault models)."""
     models = (models,) if isinstance(models, FaultModel) else tuple(models)
     if not models:
-        raise ValueError(f"fault condition {name!r} must contain at least one model")
+        raise ConfigurationError(
+            f"fault condition {name!r} must contain at least one model"
+        )
     for model in models:
         if not isinstance(model, FaultModel):
             raise TypeError(
                 f"fault condition {name!r} contains a non-FaultModel entry: "
                 f"{model!r}"
             )
-    if name in _REGISTRY:
-        raise ValueError(f"fault condition {name!r} is already registered")
-    _REGISTRY[name] = models
+    FAULTS.register(name, models)
 
 
-def get_fault(name: str) -> tuple[FaultModel, ...]:
-    """Look up a registered fault condition by name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY)) or "(none)"
-        raise KeyError(
-            f"unknown fault condition {name!r}; registered: {known}"
-        ) from None
+get_fault = FAULTS.get
 
 
 def fault_names() -> tuple[str, ...]:
     """Registered fault-condition names, sorted."""
-    return tuple(sorted(_REGISTRY))
+    return tuple(sorted(FAULTS.names()))
 
 
 def all_faults() -> dict[str, tuple[FaultModel, ...]]:
     """Copy of the whole registry (name -> models)."""
-    return dict(_REGISTRY)
+    return dict(FAULTS.items())
 
 
 def models_for(spec) -> tuple[FaultModel, ...]:

@@ -1,10 +1,11 @@
 """The :class:`LintRule` protocol and rule registry.
 
-The registry mirrors the scenario, pipeline, and execution-backend
-registries (:func:`register_rule` / :func:`get_rule` / :func:`rule_names` /
-:func:`rule_catalogue`): the built-ins in :mod:`repro.lint.ast_rules`
-register themselves on import, and a project can register extra rules the
-same way it registers extra scenarios.
+:data:`RULES` is one :class:`~repro.registry.Registry`, like the scenario,
+pipeline, fault and execution-backend registries (:func:`register_rule` /
+:func:`get_rule` / :func:`rule_names` / :func:`rule_catalogue`): the
+built-ins in :mod:`repro.lint.ast_rules` register themselves on import, and
+a project can register extra rules the same way it registers extra
+scenarios.
 
 Every rule belongs to an *exit class* — a bit in the CLI's exit code — so
 CI logs show at a glance which invariant family regressed:
@@ -30,6 +31,7 @@ from pathlib import Path
 from typing import Protocol, runtime_checkable
 
 from ..exceptions import ConfigurationError
+from ..registry import Registry
 from .pragmas import PragmaIndex
 from .violations import Violation
 
@@ -43,6 +45,7 @@ __all__ = [
     "EXIT_WALL_CLOCK",
     "FileContext",
     "LintRule",
+    "RULES",
     "all_rules",
     "exit_code_for",
     "get_rule",
@@ -131,46 +134,25 @@ class LintRule(Protocol):
         ...
 
 
-#: Registered rules, in registration order (mirrors the other registries).
-_REGISTRY: dict[str, LintRule] = {}
+#: Registered rules, in registration order.
+RULES: Registry[LintRule] = Registry("lint rule")
 
 
 def register_rule(rule: LintRule, overwrite: bool = False) -> LintRule:
     """Add a rule to the registry (returns it, so it chains)."""
-    if rule.name in _REGISTRY and not overwrite:
-        raise ConfigurationError(
-            f"lint rule {rule.name!r} is already registered; "
-            "pass overwrite=True to replace it"
-        )
-    _REGISTRY[rule.name] = rule
-    return rule
+    return RULES.register(rule.name, rule, overwrite)
 
 
-def get_rule(name: str) -> LintRule:
-    """Look a rule up by name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown lint rule {name!r}; known: {', '.join(rule_names())}"
-        ) from None
-
-
-def rule_names() -> tuple[str, ...]:
-    """Registered rule names, in registration order."""
-    return tuple(_REGISTRY)
-
-
-def all_rules() -> tuple[LintRule, ...]:
-    """Every registered rule, in registration order."""
-    return tuple(_REGISTRY.values())
+get_rule = RULES.get
+rule_names = RULES.names
+all_rules = RULES.values
 
 
 def rule_catalogue() -> str:
     """Plain-text table of every registered rule (name, exit bit, summary)."""
     lines = ["Lint rule catalogue", "=" * 19]
-    width = max((len(name) for name in _REGISTRY), default=0)
-    for rule in _REGISTRY.values():
+    width = max((len(name) for name in rule_names()), default=0)
+    for rule in all_rules():
         scope = ", ".join(rule.scope) if rule.scope else "everywhere"
         lines.append(f"{rule.name:<{width}}  [exit {rule.exit_bit:>2}]  {rule.description}")
         lines.append(f"{'':<{width}}             scope: {scope}")

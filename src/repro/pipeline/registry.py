@@ -1,10 +1,13 @@
-"""Named tuning pipelines, mirroring the scenario and backend registries.
+"""Named tuning pipelines: one :class:`~repro.registry.Registry` of factories.
 
 Campaign configs, benchmarks, and the CLI reference extraction methods by
-name; the registry maps each name to a factory that builds a fresh
-:class:`~repro.pipeline.composer.TuningPipeline`.  Fresh instances (rather
-than shared singletons) keep stage objects free to hold per-run state
-without leaking it across concurrent runs.
+name; :data:`PIPELINES` maps each name to a factory that builds a fresh
+:class:`~repro.pipeline.composer.TuningPipeline`, and
+:data:`METHOD_ALIASES` (this registry's alone) maps the campaign
+shorthands onto names.  Fresh instances (rather than shared singletons)
+keep stage objects free to hold per-run state without leaking it across
+concurrent runs.  A campaign resolves each method once, in the parent,
+and its jobs carry the built pipeline to the workers.
 
 Built-ins:
 
@@ -24,6 +27,7 @@ from typing import Callable
 
 from ..core.config import ExtractionConfig
 from ..exceptions import ConfigurationError
+from ..registry import Registry
 from .baseline_stages import (
     BaselineValidateStage,
     EdgeDetectStage,
@@ -41,6 +45,7 @@ from .stages import (
 )
 
 __all__ = [
+    "PIPELINES",
     "all_pipelines",
     "get_pipeline",
     "pipeline_catalogue",
@@ -50,7 +55,7 @@ __all__ = [
 ]
 
 #: Registered pipeline factories, in registration order.
-_REGISTRY: dict[str, Callable[[], TuningPipeline]] = {}
+PIPELINES: Registry[Callable[[], TuningPipeline]] = Registry("pipeline")
 
 #: Campaign-grid shorthand for the two methods PR 1 shipped with.
 METHOD_ALIASES: dict[str, str] = {
@@ -63,25 +68,12 @@ def register_pipeline(
     name: str, factory: Callable[[], TuningPipeline], overwrite: bool = False
 ) -> Callable[[], TuningPipeline]:
     """Register a pipeline factory under ``name`` (returns it, so it chains)."""
-    if name in _REGISTRY and not overwrite:
-        raise ConfigurationError(
-            f"pipeline {name!r} is already registered; "
-            "pass overwrite=True to replace it"
-        )
-    _REGISTRY[str(name)] = factory
-    return factory
+    return PIPELINES.register(name, factory, overwrite)
 
 
 def get_pipeline(name: str) -> TuningPipeline:
     """Build a fresh pipeline registered under ``name`` (aliases accepted)."""
-    resolved = METHOD_ALIASES.get(name, name)
-    try:
-        factory = _REGISTRY[resolved]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown pipeline {name!r}; known: {', '.join(pipeline_names())}"
-        ) from None
-    return factory()
+    return PIPELINES.get(METHOD_ALIASES.get(name, name))()
 
 
 def resolve_method(method: str) -> str:
@@ -91,22 +83,20 @@ def resolve_method(method: str) -> str:
     (``"fast"``, ``"baseline"``) nor a registered pipeline.
     """
     resolved = METHOD_ALIASES.get(method, method)
-    if resolved not in _REGISTRY:
+    if resolved not in PIPELINES.names():
         raise ConfigurationError(
             f"unknown extraction method {method!r}; known: "
-            f"{', '.join(sorted(set(METHOD_ALIASES) | set(_REGISTRY)))}"
+            f"{', '.join(sorted(set(METHOD_ALIASES) | set(PIPELINES.names())))}"
         )
     return resolved
 
 
-def pipeline_names() -> tuple[str, ...]:
-    """Registered pipeline names, in registration order."""
-    return tuple(_REGISTRY)
+pipeline_names = PIPELINES.names
 
 
 def all_pipelines() -> tuple[TuningPipeline, ...]:
     """A fresh instance of every registered pipeline, in registration order."""
-    return tuple(factory() for factory in _REGISTRY.values())
+    return tuple(factory() for factory in PIPELINES.values())
 
 
 def pipeline_catalogue() -> str:

@@ -33,7 +33,6 @@ from .catalog import (
     scaled_scenario,
     scenario_catalogue,
     scenario_names,
-    temporary_scenarios,
     unregister_scenario,
 )
 from .devices import DEVICE_FACTORIES, DeviceSpec
@@ -48,7 +47,6 @@ __all__ = [
     "scaled_scenario",
     "scenario_catalogue",
     "scenario_names",
-    "temporary_scenarios",
     "unregister_scenario",
     "DEVICE_FACTORIES",
     "DeviceSpec",

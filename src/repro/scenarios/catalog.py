@@ -10,13 +10,13 @@ under?": every entry is constructible by name, sweepable as a campaign axis
 (:class:`~repro.campaign.grid.CampaignGrid`), and exercised by the test
 suite.
 
-The registry is open: :func:`register_scenario` adds project-specific
-entries, and the built-ins below double as examples of the vocabulary.
+The registry (:data:`SCENARIOS`, one :class:`~repro.registry.Registry`) is
+open: :func:`register_scenario` adds project-specific entries, and the
+built-ins below double as examples of the vocabulary.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -35,6 +35,7 @@ from ..physics.noise import (
     WhiteNoise,
     standard_lab_noise,
 )
+from ..registry import Registry
 from .devices import DeviceSpec
 
 
@@ -209,80 +210,26 @@ def _fault_models(spec) -> tuple:
 # Registry
 # ---------------------------------------------------------------------------
 
-_REGISTRY: dict[str, LabScenario] = {}
+#: Every registered scenario, by name.
+SCENARIOS: Registry[LabScenario] = Registry("scenario")
 
 
 def register_scenario(scenario: LabScenario, overwrite: bool = False) -> LabScenario:
     """Add a scenario to the registry (returns it, so it chains)."""
-    if scenario.name in _REGISTRY and not overwrite:
-        raise ConfigurationError(
-            f"scenario {scenario.name!r} is already registered; "
-            "pass overwrite=True to replace it"
-        )
-    _REGISTRY[scenario.name] = scenario
-    return scenario
+    return SCENARIOS.register(scenario.name, scenario, overwrite)
 
 
-def get_scenario(name: str) -> LabScenario:
-    """Look a scenario up by name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown scenario {name!r}; known: {', '.join(scenario_names())}"
-        ) from None
-
-
-def unregister_scenario(name: str) -> LabScenario:
-    """Remove a scenario from the registry, returning it."""
-    try:
-        return _REGISTRY.pop(name)
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown scenario {name!r}; known: {', '.join(scenario_names())}"
-        ) from None
-
-
-@contextmanager
-def temporary_scenarios(*scenarios: LabScenario):
-    """Register scenarios for the duration of a ``with`` block.
-
-    Campaign workers resolve scenarios by name, so anything sampled on the
-    fly (scenario-space draws, miner candidates) must pass through the
-    registry to run.  This keeps those entries from leaking into the
-    catalogue: on exit each name is restored to whatever it mapped to
-    before the block, whether that was absent or a registered scenario.
-    """
-    previous: dict[str, LabScenario | None] = {}
-    try:
-        for scenario in scenarios:
-            if scenario.name not in previous:
-                previous[scenario.name] = _REGISTRY.get(scenario.name)
-            register_scenario(scenario, overwrite=True)
-        yield scenarios
-    finally:
-        for name, original in previous.items():
-            if original is None:
-                _REGISTRY.pop(name, None)
-            else:
-                _REGISTRY[name] = original
-
-
-def scenario_names() -> tuple[str, ...]:
-    """Registered scenario names, in registration order."""
-    return tuple(_REGISTRY)
-
-
-def all_scenarios() -> tuple[LabScenario, ...]:
-    """Every registered scenario, in registration order."""
-    return tuple(_REGISTRY.values())
+get_scenario = SCENARIOS.get
+unregister_scenario = SCENARIOS.unregister
+scenario_names = SCENARIOS.names
+all_scenarios = SCENARIOS.values
 
 
 def scenario_catalogue() -> str:
     """Plain-text table of every registered scenario (name, story, physics)."""
     lines = ["Scenario catalogue", "=" * 18]
-    width = max(len(name) for name in _REGISTRY) if _REGISTRY else 0
-    for scenario in _REGISTRY.values():
+    width = max((len(name) for name in scenario_names()), default=0)
+    for scenario in all_scenarios():
         lines.append(f"{scenario.name:<{width}}  {scenario.story}")
         lines.append(f"{'':<{width}}  {scenario.describe()}")
     return "\n".join(lines)

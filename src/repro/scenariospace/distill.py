@@ -27,7 +27,6 @@ import numpy as np
 from ..campaign.grid import CampaignJob
 from ..campaign.worker import run_campaign_job
 from ..exceptions import ConfigurationError
-from ..scenarios.catalog import temporary_scenarios
 from .mining import MinedFailure
 from .space import SEVERITY_AXES, ScenarioParams, scenario_from_params
 
@@ -70,7 +69,6 @@ def replay_failure(
     shared evaluation primitive of the distiller and the regression suite,
     so both judge "does it still fail?" identically.
     """
-    scenario = scenario_from_params(name, params)
     dot_a, dot_b, gate_x, gate_y = params.device.build().neighbour_pairs()[0]
     job = CampaignJob(
         job_id=0,
@@ -86,12 +84,9 @@ def replay_failure(
         seed=seed,
         scenario=name,
         fault=None,
+        environment=scenario_from_params(name, params),
     )
-    with temporary_scenarios(scenario):
-        kwargs = {"scenarios": {name: scenario}}
-        if criterion is not None:
-            kwargs["criterion"] = criterion
-        return run_campaign_job(job, **kwargs)
+    return run_campaign_job(job, criterion)
 
 
 def distill_failure(

@@ -31,7 +31,7 @@ from ..exceptions import ConfigurationError
 from ..instrument.resilience import ProbeRetryPolicy
 from ..faults.models import TransientReadFault
 from ..physics.drift import DeviceDrift
-from ..scenarios.catalog import LabScenario, temporary_scenarios
+from ..scenarios.catalog import LabScenario
 from ..scenarios.devices import DeviceSpec
 from ..seeding import spawn_seeds
 from ..strictjson import record
@@ -285,6 +285,7 @@ def jobs_for_draws(
                     seed=pair_seed,
                     scenario=draw.scenario.name,
                     fault=None,
+                    environment=draw.scenario,
                 )
             )
     return tuple(jobs)
@@ -302,14 +303,12 @@ def run_draws(
 ) -> CampaignResult:
     """Run sampled draws as a campaign; records come back in job-id order.
 
-    The draws' scenarios are registered for exactly the duration of the
-    run (:func:`~repro.scenarios.catalog.temporary_scenarios`), which is
-    all the campaign engine needs — it resolves names in the parent and
-    ships the objects to workers, so spawned pools see them too.
+    Each job carries its draw's scenario (:func:`jobs_for_draws`), so the
+    draws never enter the scenario registry and spawned pools run them
+    too.
     """
     jobs = jobs_for_draws(draws, resolution=resolution, method=method, pairs=pairs)
-    with temporary_scenarios(*[draw.scenario for draw in draws]):
-        campaign = TuningCampaign(
-            jobs, n_workers=n_workers, backend=backend, criterion=criterion
-        )
-        return campaign.run(checkpoint=checkpoint)
+    campaign = TuningCampaign(
+        jobs, n_workers=n_workers, backend=backend, criterion=criterion
+    )
+    return campaign.run(checkpoint=checkpoint)

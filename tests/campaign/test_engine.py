@@ -18,7 +18,7 @@ from repro.execution import ProcessPoolBackend, SerialBackend
 POISONED_JOB_ID = 1
 
 
-def poisoned_job_runner(job, criterion=None, scenarios=None):
+def poisoned_job_runner(job, criterion=None):
     """Module-level (picklable) runner that raises for one job id.
 
     Raising *outside* :func:`run_campaign_job` models infrastructure-level
@@ -28,7 +28,7 @@ def poisoned_job_runner(job, criterion=None, scenarios=None):
     """
     if job.job_id == POISONED_JOB_ID:
         raise RuntimeError("poisoned payload")
-    return run_campaign_job(job, criterion=criterion, scenarios=scenarios)
+    return run_campaign_job(job, criterion=criterion)
 
 
 @pytest.fixture(scope="module")
@@ -158,7 +158,7 @@ class TestFaultIsolation:
     def test_retry_budget_reruns_before_conceding(self, small_grid):
         attempts = []
 
-        def counting_runner(job, criterion=None, scenarios=None):
+        def counting_runner(job, criterion=None):
             attempts.append(job.job_id)
             raise RuntimeError("always down")
 
@@ -248,9 +248,9 @@ class TestCheckpointResume:
             )
         ran = []
 
-        def spying_runner(job, criterion=None, scenarios=None):
+        def spying_runner(job, criterion=None):
             ran.append(job.job_id)
-            return run_campaign_job(job, criterion=criterion, scenarios=scenarios)
+            return run_campaign_job(job, criterion=criterion)
 
         TuningCampaign(small_grid, job_runner=spying_runner).resume(journal_path)
         assert sorted(ran) == list(range(2, small_grid.n_jobs))
@@ -290,12 +290,10 @@ class TestCheckpointResume:
             "from repro.campaign import CampaignGrid, DeviceSpec, "
             "campaign_fingerprint\n"
             "from repro.analysis import SuccessCriterion\n"
-            "from repro.scenarios import get_scenario\n"
             "jobs = CampaignGrid(devices=(DeviceSpec.of('double_dot', "
             "cross_coupling=(0.25, 0.22)),), resolutions=(63,), "
             "scenarios=(None, 'standard_lab'), seed=17).expand()\n"
-            "scenarios = {'standard_lab': get_scenario('standard_lab')}\n"
-            "print(campaign_fingerprint(jobs, SuccessCriterion(), scenarios))\n"
+            "print(campaign_fingerprint(jobs, SuccessCriterion()))\n"
         )
         run = lambda: subprocess.run(
             [sys.executable, "-c", snippet],
@@ -326,18 +324,19 @@ class TestCheckpointResume:
         )
 
     def test_fingerprint_rejects_address_bearing_scenario_reprs(self, small_grid):
+        import dataclasses
+
         from repro.analysis import SuccessCriterion
         from repro.campaign import campaign_fingerprint
 
         class OpaqueModel:  # default object repr embeds a memory address
             pass
 
+        job = dataclasses.replace(
+            small_grid.expand()[0], scenario="homemade", environment=OpaqueModel()
+        )
         with pytest.raises(ConfigurationError, match="memory address"):
-            campaign_fingerprint(
-                small_grid.expand()[:1],
-                SuccessCriterion(),
-                scenarios={"homemade": OpaqueModel()},
-            )
+            campaign_fingerprint((job,), SuccessCriterion())
         with pytest.raises(ConfigurationError, match="criterion"):
             campaign_fingerprint(small_grid.expand()[:1], OpaqueModel())
 
@@ -350,7 +349,7 @@ class TestCheckpointResume:
         assert explicit.backend.name == "process"  # explicit spec still wins
 
     def test_resume_after_scenario_redefinition_rejected(self, tmp_path):
-        from repro.scenarios import get_scenario, register_scenario
+        from repro.scenarios import get_scenario, register_scenario, unregister_scenario
         import dataclasses as dc
 
         base = get_scenario("quiet_lab")
@@ -374,9 +373,7 @@ class TestCheckpointResume:
             with pytest.raises(ConfigurationError, match="different run"):
                 TuningCampaign(jobs).resume(journal_path)
         finally:
-            from repro.scenarios.catalog import _REGISTRY
-
-            _REGISTRY.pop("retune_test_lab", None)
+            unregister_scenario("retune_test_lab")
 
     def test_resume_can_rerun_journaled_worker_errors(self, small_grid, tmp_path):
         journal_path = tmp_path / "campaign.jsonl"
@@ -404,9 +401,9 @@ class TestCheckpointResume:
         first = TuningCampaign(small_grid).run(checkpoint=journal_path)
         ran = []
 
-        def spying_runner(job, criterion=None, scenarios=None):
+        def spying_runner(job, criterion=None):
             ran.append(job.job_id)
-            return run_campaign_job(job, criterion=criterion, scenarios=scenarios)
+            return run_campaign_job(job, criterion=criterion)
 
         rerun = TuningCampaign(small_grid, job_runner=spying_runner).resume(
             journal_path

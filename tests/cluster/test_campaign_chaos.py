@@ -16,13 +16,28 @@ serial run — records, summaries, and retry counters, bit for bit.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 
 import pytest
 
 from repro.campaign import CampaignGrid, CampaignResult, DeviceSpec, TuningCampaign
 from repro.cluster import ClusterBackend
+from repro.core import ExtractionConfig
 from repro.exceptions import ConfigurationError
+from repro.faults import TransientReadFault, register_fault
+from repro.faults.registry import FAULTS
+from repro.pipeline import (
+    AnchorStage,
+    FilterStage,
+    FitStage,
+    SweepStage,
+    TuningPipeline,
+    ValidateStage,
+    register_pipeline,
+)
+from repro.pipeline.registry import PIPELINES
+from repro.scenarios import get_scenario, register_scenario, unregister_scenario
 
 
 def _grid(**overrides) -> CampaignGrid:
@@ -76,6 +91,45 @@ class TestSerialIdentity:
     def test_worker_count_lands_in_the_result(self, grid):
         result = TuningCampaign(grid, backend="cluster:local:2").run()
         assert result.n_workers == 2
+
+
+class TestParentOnlyEntries:
+    def test_entries_registered_in_the_parent_reach_spawned_workers(self):
+        # cluster:local workers are spawn-started interpreters whose
+        # registries hold only the built-ins, so these three entries reach
+        # them only on the jobs TuningCampaign.run resolved in the parent.
+        scenario = "_test_spawn_lab"
+        method = "_test-spawn-fast"
+        condition = "_test-spawn-reads"
+        register_scenario(
+            dataclasses.replace(get_scenario("drifting_sensor"), name=scenario)
+        )
+        register_pipeline(
+            method,
+            lambda: TuningPipeline(
+                method,
+                [AnchorStage(), SweepStage(), FilterStage(), FitStage(), ValidateStage()],
+                default_config=ExtractionConfig.paper_defaults,
+            ),
+        )
+        register_fault(condition, TransientReadFault(rate=0.05))
+        try:
+            grid = CampaignGrid(
+                resolutions=(32,),
+                scenarios=(scenario,),
+                faults=(None, condition),
+                methods=(method,),
+                n_repeats=2,
+                seed=3,
+            )
+            serial = TuningCampaign(grid).run()
+            spawned = TuningCampaign(grid, backend="cluster:local:2").run()
+            assert spawned.normalized() == serial.normalized()
+            assert [r.failure_category for r in spawned.records] == ["ok"] * 4
+        finally:
+            unregister_scenario(scenario)
+            PIPELINES.unregister(method)
+            FAULTS.unregister(condition)
 
 
 class TestInjectedWorkerCrashes:

@@ -187,6 +187,6 @@ class TestBackendRegistry:
         try:
             assert isinstance(backend_from_spec("null"), NullBackend)
         finally:
-            from repro.execution.base import _BACKEND_FACTORIES
+            from repro.execution.base import BACKENDS
 
-            _BACKEND_FACTORIES.pop("null", None)
+            BACKENDS.unregister("null")

@@ -133,15 +133,15 @@ class TestRegistry:
         )
 
     def test_unknown_name_raises_naming_known(self):
-        with pytest.raises(KeyError, match="flaky-lab"):
+        with pytest.raises(ConfigurationError, match="flaky-lab"):
             get_fault("does-not-exist")
 
     def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
+        with pytest.raises(ConfigurationError, match="already registered"):
             register_fault("flaky-lab", TransientReadFault())
 
     def test_empty_condition_rejected(self):
-        with pytest.raises(ValueError, match="at least one model"):
+        with pytest.raises(ConfigurationError, match="at least one model"):
             register_fault("empty-condition", ())
 
     def test_non_model_entry_rejected(self):

@@ -11,10 +11,9 @@ to 0) in ``fault_campaign_records.json``, asserted *bit-identical*:
   registered ``transient-reads``, ``probe-hangs`` and ``flaky-lab``
   conditions, 2 repeats each: 12 jobs that ride out 166 retries.
 * ``flood`` — the same two environments, 2 repeats, under a
-  ``TransientReadFault(rate=0.5)`` condition handed to
-  :func:`~repro.campaign.worker.run_campaign_job` directly (nothing is
-  added to the global fault registry).  Every job exhausts its retries
-  mid-batch and fails as ``instrument-fault``.
+  ``TransientReadFault(rate=0.5)`` condition the jobs carry as their
+  ``fault_models`` (nothing is added to the global fault registry).  Every
+  job exhausts its retries mid-batch and fails as ``instrument-fault``.
 
 Regenerate deliberately (after a change that is *supposed* to alter the
 records) with::
@@ -68,8 +67,7 @@ def _flood_records() -> list:
     )
     return [
         run_campaign_job(
-            dataclasses.replace(job, fault=FLOOD_NAME),
-            faults={FLOOD_NAME: FLOOD_MODELS},
+            dataclasses.replace(job, fault=FLOOD_NAME, fault_models=FLOOD_MODELS)
         )
         for job in grid.expand()
     ]

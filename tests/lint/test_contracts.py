@@ -74,11 +74,11 @@ class TestLibraryIsClean:
 
 class TestSeededRegressions:
     def test_address_repr_scenario_is_flagged(self):
-        catalog._REGISTRY["lint-test-bad-repr"] = _AddressReprScenario()
+        catalog.SCENARIOS.register("lint-test-bad-repr", _AddressReprScenario())
         try:
             violations = audit_registry_contracts()
         finally:
-            del catalog._REGISTRY["lint-test-bad-repr"]
+            catalog.SCENARIOS.unregister("lint-test-bad-repr")
         flagged = [v for v in violations if "lint-test-bad-repr" in v.path]
         assert any(v.rule == "contract-repr" for v in flagged)
         assert any("memory address" in v.message for v in flagged)
@@ -90,11 +90,11 @@ class TestSeededRegressions:
             def __repr__(self):
                 return "LocalScenario()"
 
-        catalog._REGISTRY["lint-test-unpicklable"] = LocalScenario()
+        catalog.SCENARIOS.register("lint-test-unpicklable", LocalScenario())
         try:
             violations = audit_registry_contracts()
         finally:
-            del catalog._REGISTRY["lint-test-unpicklable"]
+            catalog.SCENARIOS.unregister("lint-test-unpicklable")
         flagged = [v for v in violations if "lint-test-unpicklable" in v.path]
         assert [v.rule for v in flagged] == ["contract-pickle"]
 
@@ -148,11 +148,11 @@ class TestFaultRegistryAudit:
     def test_empty_fault_condition_is_flagged(self):
         from repro.faults import registry as fault_registry
 
-        fault_registry._REGISTRY["lint-test-empty-fault"] = ()
+        fault_registry.FAULTS.register("lint-test-empty-fault", ())
         try:
             violations = audit_registry_contracts()
         finally:
-            del fault_registry._REGISTRY["lint-test-empty-fault"]
+            fault_registry.FAULTS.unregister("lint-test-empty-fault")
         flagged = [v for v in violations if "lint-test-empty-fault" in v.path]
         assert [v.rule for v in flagged] == ["contract-registry"]
         assert "no models" in flagged[0].message
@@ -163,11 +163,11 @@ class TestFaultRegistryAudit:
         class _AddressReprFault:
             scope = "probe"
 
-        fault_registry._REGISTRY["lint-test-bad-fault"] = (_AddressReprFault(),)
+        fault_registry.FAULTS.register("lint-test-bad-fault", (_AddressReprFault(),))
         try:
             violations = audit_registry_contracts()
         finally:
-            del fault_registry._REGISTRY["lint-test-bad-fault"]
+            fault_registry.FAULTS.unregister("lint-test-bad-fault")
         flagged = [v for v in violations if "lint-test-bad-fault" in v.path]
         assert any(v.rule == "contract-repr" for v in flagged)
         # Defined locally, so the pickle contract trips too.

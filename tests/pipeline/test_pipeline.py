@@ -59,12 +59,22 @@ class TestRegistry:
         assert "anchors -> sweeps -> filter -> fit -> validate" in catalogue
 
     def test_every_registered_pipeline_runs_end_to_end(self, clean_csd):
-        # The registry contract: anything listed is runnable on a device.
+        # The registry contract: anything listed runs on a replayed CSD and
+        # on a simulated device, and its stage rows account for every probe.
         for pipeline in all_pipelines():
-            result = pipeline.run(ExperimentSession.from_csd(clean_csd))
-            assert result.method == pipeline.method_name
-            assert result.stage_telemetry, pipeline.name
-            assert result.probe_stats.n_probes > 0
+            for source, session in (
+                ("csd", ExperimentSession.from_csd(clean_csd)),
+                ("device", get_scenario("quiet_lab").open_session(resolution=48, seed=7)),
+            ):
+                result = pipeline.run(session)
+                where = f"{pipeline.name} on {source}"
+                assert result.method == pipeline.method_name, where
+                assert result.stage_telemetry, where
+                assert result.probe_stats.n_probes > 0, where
+                stage_probes = sum(t.n_probes for t in result.stage_telemetry)
+                assert stage_probes == result.probe_stats.n_probes, where
+                if pipeline.name == "fast-extraction":
+                    assert result.success, where
 
     def test_empty_pipeline_rejected(self):
         with pytest.raises(ExtractionError, match="at least one stage"):
@@ -344,8 +354,8 @@ class TestWorkflowTelemetry:
 
 class TestCampaignMethodAxis:
     def test_user_registered_pipeline_ships_to_process_workers(self, tmp_path):
-        # The engine resolves pipelines in the parent and ships the objects
-        # with the runner, the same treatment scenarios get — so a pipeline
+        # The engine resolves pipelines in the parent and the jobs carry
+        # the objects, the same treatment scenarios get — so a pipeline
         # registered only in the parent's registry still runs under a
         # process pool (a spawn-start worker would miss it otherwise).
         from repro.campaign import CampaignGrid, DeviceSpec, TuningCampaign
@@ -382,26 +392,6 @@ class TestCampaignMethodAxis:
         shipped = [r for r in serial.records if r.method == name]
         assert shipped and all(r.failure_category != "worker_error" for r in shipped)
         assert all(r.stage_telemetry for r in shipped)
-
-    def test_legacy_runner_signature_still_supported(self):
-        # Custom runners written against the PR 4 contract
-        # (job, criterion=..., scenarios=...) must keep working: the engine
-        # only passes pipelines= to runners that declare it.
-        from repro.campaign import CampaignGrid, DeviceSpec, TuningCampaign
-        from repro.campaign.worker import run_campaign_job
-
-        def legacy_runner(job, criterion=None, scenarios=None):
-            return run_campaign_job(job, criterion=criterion, scenarios=scenarios)
-
-        grid = CampaignGrid(
-            devices=(DeviceSpec.of("double_dot", cross_coupling=(0.25, 0.22)),),
-            resolutions=(63,),
-            noise_scales=(0.0,),
-            n_repeats=1,
-            seed=4,
-        )
-        result = TuningCampaign(grid, job_runner=legacy_runner).run()
-        assert all(r.failure_category != "worker_error" for r in result.records)
 
 
 class TestCli:

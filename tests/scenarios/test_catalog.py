@@ -18,6 +18,7 @@ from repro.scenarios import (
     scaled_scenario,
     scenario_catalogue,
     scenario_names,
+    unregister_scenario,
 )
 
 EXPECTED_BUILTINS = {
@@ -56,9 +57,7 @@ class TestRegistry:
             register_scenario(replacement, overwrite=True)
             assert get_scenario("_test_custom") is replacement
         finally:
-            from repro.scenarios.catalog import _REGISTRY
-
-            _REGISTRY.pop("_test_custom", None)
+            unregister_scenario("_test_custom")
 
     def test_catalogue_lists_every_scenario(self):
         text = scenario_catalogue()
@@ -189,9 +188,7 @@ class TestScaledScenario:
             scaled = scaled_scenario("_test_nonoise", 2.0)
             assert isinstance(scaled.noise.components[0], NoNoise)
         finally:
-            from repro.scenarios.catalog import _REGISTRY
-
-            _REGISTRY.pop("_test_nonoise", None)
+            unregister_scenario("_test_nonoise")
 
 
 class TestAllScenariosListing:
@@ -201,9 +198,10 @@ class TestAllScenariosListing:
 
 class TestUserScenariosReachWorkers:
     def test_jobs_run_without_the_registry(self):
-        """The engine resolves scenarios in the parent and ships the objects,
-        so a user-registered scenario works even when the worker process has
-        a fresh registry (spawn start method)."""
+        """The engine resolves scenarios in the parent and the jobs carry the
+        objects, so a user-registered scenario works even when the worker
+        process has a fresh registry (spawn start method)."""
+        from repro.campaign.grid import resolve_jobs
         from repro.campaign.worker import run_campaign_job
 
         custom = LabScenario(
@@ -211,22 +209,20 @@ class TestUserScenariosReachWorkers:
             story="registered in the parent only",
             noise=WhiteNoise(sigma_na=0.01),
         )
+        register_scenario(custom)
         try:
-            register_scenario(custom)
             grid = CampaignGrid(
                 resolutions=(32,), scenarios=("_test_worker_only",), seed=4
             )
-            job = grid.expand()[0]
-            # Simulate a spawn-start worker: the registry entry is gone, only
-            # the shipped mapping is available.
-            from repro.scenarios.catalog import _REGISTRY
-
-            _REGISTRY.pop("_test_worker_only")
-            record = run_campaign_job(job, scenarios={"_test_worker_only": custom})
-            assert record.failure_category != "crash"
-            assert record.scenario == "_test_worker_only"
+            (job,) = resolve_jobs(grid.expand()[:1])
         finally:
-            _REGISTRY.pop("_test_worker_only", None)
+            # Simulate a spawn-start worker: the registry entry is gone,
+            # only the resolved job is available.
+            unregister_scenario("_test_worker_only")
+        assert job.environment is custom
+        record = run_campaign_job(job)
+        assert record.failure_category != "crash"
+        assert record.scenario == "_test_worker_only"
 
     def test_parallel_campaign_with_user_scenario(self):
         custom = LabScenario(
@@ -245,6 +241,4 @@ class TestUserScenariosReachWorkers:
             result = TuningCampaign(grid, n_workers=2).run()
             assert all(r.failure_category != "crash" for r in result.records)
         finally:
-            from repro.scenarios.catalog import _REGISTRY
-
-            _REGISTRY.pop("_test_parallel", None)
+            unregister_scenario("_test_parallel")

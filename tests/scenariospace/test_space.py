@@ -18,11 +18,7 @@ from repro.scenariospace import (
     scenario_from_params,
 )
 from repro.scenarios import get_scenario
-from repro.scenarios.catalog import (
-    register_scenario,
-    temporary_scenarios,
-    unregister_scenario,
-)
+from repro.scenarios.catalog import register_scenario, unregister_scenario
 from repro.scenarios.devices import DeviceSpec
 
 
@@ -177,7 +173,7 @@ class TestRunDraws:
         assert [r.scenario for r in result.records] == [
             "tiny-0000", "tiny-0001"
         ]
-        # temporary_scenarios must have cleaned up after the run.
+        # The jobs carry their draws' scenarios; none enters the registry.
         with pytest.raises(ConfigurationError):
             get_scenario("tiny-0000")
 
@@ -219,30 +215,3 @@ class TestRegistryHelpers:
     def test_unregister_unknown_name_rejected(self):
         with pytest.raises(ConfigurationError):
             unregister_scenario("never-registered")
-
-    def test_temporary_scenarios_shadow_and_restore(self):
-        original = get_scenario("quiet_lab")
-        shadow = ScenarioSpace(name="shadowspace").sample(1, seed=0)[0].scenario
-        shadow = type(shadow)(
-            name="quiet_lab",
-            story=shadow.story,
-            device=shadow.device,
-            noise=shadow.noise,
-            drift=shadow.drift,
-            timing=shadow.timing,
-            time_dependent_noise=shadow.time_dependent_noise,
-            faults=shadow.faults,
-            probe_retry=shadow.probe_retry,
-        )
-        with temporary_scenarios(shadow):
-            assert get_scenario("quiet_lab") == shadow
-        assert get_scenario("quiet_lab") == original
-
-    def test_temporary_scenarios_clean_up_on_error(self):
-        scenario = ScenarioSpace(name="doomed").sample(1, seed=0)[0].scenario
-        with pytest.raises(RuntimeError):
-            with temporary_scenarios(scenario):
-                assert get_scenario(scenario.name) == scenario
-                raise RuntimeError("boom")
-        with pytest.raises(ConfigurationError):
-            get_scenario(scenario.name)
