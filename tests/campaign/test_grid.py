@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.campaign import CampaignGrid, DeviceSpec
-from repro.campaign.grid import noise_for_scale
+from repro.campaign.grid import noise_for_scale, resolve_jobs
 from repro.exceptions import ConfigurationError
+from repro.faults.registry import get_fault
 from repro.physics.noise import CompositeNoise
+from repro.pipeline.registry import get_pipeline
 
 
 class TestDeviceSpec:
@@ -153,3 +156,65 @@ class TestScenarioAxis:
         jobs = CampaignGrid(scenarios=("overnight_run",), seed=1).expand()
         restored = pickle.loads(pickle.dumps(jobs))
         assert restored[0].scenario == "overnight_run"
+
+
+class TestResolveJobs:
+    @pytest.fixture
+    def jobs(self):
+        return CampaignGrid(
+            noise_scales=(0.0,),
+            scenarios=(None, "quiet_lab", "standard_lab"),
+            faults=(None, "stuck-sensor", "flaky-lab"),
+            methods=("fast", "baseline"),
+            seed=3,
+        ).expand()
+
+    def test_fills_what_each_name_resolves_to(self, jobs):
+        for job in resolve_jobs(jobs):
+            assert job.pipeline is not None
+            assert (job.environment is None) == (job.scenario is None)
+            if job.scenario is not None:
+                assert job.environment.name == job.scenario
+            assert job.fault_models == (
+                () if job.fault is None else get_fault(job.fault)
+            )
+
+    def test_jobs_sharing_a_name_share_one_object(self, jobs):
+        resolved = resolve_jobs(jobs)
+        for attribute, name_of in (
+            ("pipeline", lambda job: job.method),
+            ("environment", lambda job: job.scenario),
+            ("fault_models", lambda job: job.fault),
+        ):
+            by_name = {}
+            for job in resolved:
+                if name_of(job) is not None:
+                    by_name.setdefault(name_of(job), []).append(
+                        id(getattr(job, attribute))
+                    )
+            assert len(by_name) == 2
+            assert all(len(ids) > 1 and len(set(ids)) == 1 for ids in by_name.values())
+
+    def test_resolution_leaves_identity_untouched(self, jobs):
+        resolved = resolve_jobs(jobs)
+        assert resolved == jobs
+        assert [job.label for job in resolved] == [job.label for job in jobs]
+        assert [repr(job) for job in resolved] == [repr(job) for job in jobs]
+
+    def test_resolved_jobs_pass_through_unchanged(self, jobs):
+        resolved = resolve_jobs(jobs)
+        again = resolve_jobs(resolved)
+        assert all(a is b for a, b in zip(again, resolved))
+
+    def test_a_carried_object_wins_over_its_name(self, jobs):
+        (job,) = resolve_jobs(jobs[:1])
+        renamed = replace(job, method="no-anchors")
+        (kept,) = resolve_jobs([renamed])
+        assert kept.pipeline is job.pipeline
+        assert kept.pipeline is not get_pipeline("no-anchors")
+
+    def test_unknown_names_rejected(self, jobs):
+        for field_name in ("method", "scenario", "fault"):
+            unknown = replace(jobs[0], **{field_name: "not_registered"})
+            with pytest.raises(ConfigurationError, match="not_registered"):
+                resolve_jobs([unknown])
