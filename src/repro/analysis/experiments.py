@@ -2,8 +2,9 @@
 
 Each runner builds its workload from the synthetic substrate, executes the
 relevant method(s), and returns plain data structures plus a formatted text
-report.  The benchmark harness (``benchmarks/``) and the example scripts call
-these functions, and EXPERIMENTS.md records their output.
+report.  ``tests/analysis/test_experiments.py`` runs every runner at its
+experiment's full input and asserts the property the paper draws from it;
+Table 1 itself is replayed exactly by perfbench's ``table1`` workload.
 """
 
 from __future__ import annotations

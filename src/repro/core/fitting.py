@@ -4,9 +4,9 @@ The filtered transition points trace two straight lines that meet near the
 triple point.  Following the paper, the fit parameterises the shape by the two
 *initial anchor points* (which are taken as fixed, they are known to lie on
 the lines) and the intersection point ``(x0, y0)`` — only the intersection is
-free.  SciPy's ``curve_fit`` finds the intersection that minimises the
-vertical residuals of the filtered points; the two slopes then follow from the
-anchor points and the fitted intersection.
+free.  SciPy's bounded ``least_squares`` finds the intersection that minimises
+the vertical residuals of the filtered points; the two slopes then follow from
+the anchor points and the fitted intersection.
 """
 
 from __future__ import annotations
@@ -75,7 +75,8 @@ class TransitionLineFitter:
         Raises
         ------
         FitError
-            If there are too few points or the optimiser fails outright.
+            If there are too few points, a point is not finite, or the
+            optimiser does not converge.
         """
         points = np.asarray(points_voltage, dtype=float)
         if points.ndim != 2 or points.shape[1] != 2:
@@ -109,19 +110,21 @@ class TransitionLineFitter:
             (vx_shallow + eps_x, vy_steep + eps_y),
             (vx_steep - eps_x, vy_shallow - eps_y),
         )
-        converged = True
         try:
-            popt, _ = optimize.curve_fit(
-                model,
-                x_data,
-                y_data,
-                p0=p0,
+            np.asarray_chkfinite(points)  # a NaN or inf point is refused, not fitted
+            result = optimize.least_squares(
+                lambda p: model(x_data, *p) - y_data,
+                p0,
+                jac="2-point",
                 bounds=bounds,
-                maxfev=self._config.max_function_evaluations,
+                method="trf",
+                max_nfev=self._config.max_function_evaluations,
             )
-        except (RuntimeError, ValueError) as exc:
+        except ValueError as exc:
             raise FitError(f"transition-line fit did not converge: {exc}") from exc
-        x0, y0 = float(popt[0]), float(popt[1])
+        if not result.success:
+            raise FitError(f"transition-line fit did not converge: {result.message}")
+        x0, y0 = float(result.x[0]), float(result.x[1])
         residuals = y_data - model(x_data, x0, y0)
         residual_rms = float(np.sqrt(np.mean(residuals**2)))
 
@@ -137,5 +140,4 @@ class TransitionLineFitter:
             slope_shallow=float(shallow_slope),
             residual_rms=residual_rms,
             n_points_used=int(points.shape[0]),
-            converged=converged,
         )

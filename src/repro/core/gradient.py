@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..exceptions import ConfigurationError
 from ..instrument.measurement import ChargeSensorMeter
 
 
@@ -39,7 +40,7 @@ class FeatureGradient:
 
     def __init__(self, meter: ChargeSensorMeter, delta_pixels: int = 1) -> None:
         if delta_pixels < 1:
-            raise ValueError("delta_pixels must be at least 1")
+            raise ConfigurationError("delta_pixels must be at least 1")
         self._meter = meter
         self._delta = int(delta_pixels)
 
@@ -180,7 +181,7 @@ def gaussian_window(length: int, center_fraction: float = 0.5, sigma_fraction: f
         Width of the Gaussian as a fraction of the response range.
     """
     if length < 1:
-        raise ValueError("length must be at least 1")
+        raise ConfigurationError("length must be at least 1")
     if length == 1:
         return np.ones(1)
     positions = np.linspace(0.0, 1.0, length)

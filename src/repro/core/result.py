@@ -109,7 +109,6 @@ class SlopeFitResult:
     slope_shallow: float
     residual_rms: float
     n_points_used: int
-    converged: bool
 
 
 @dataclass(frozen=True)

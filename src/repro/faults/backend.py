@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..exceptions import ConfigurationError, MeasurementError
 from ..instrument.measurement import MeasurementBackend
 from .models import FaultModel
 
@@ -93,7 +94,7 @@ class FaultyBackend(MeasurementBackend):
         self._models = tuple(models)
         if any(m.scope != "probe" for m in self._models):
             bad = next(m for m in self._models if m.scope != "probe")
-            raise ValueError(
+            raise ConfigurationError(
                 f"{type(bad).__name__} is {bad.scope}-scope; FaultyBackend "
                 "applies probe-scope models only (worker-scope models are "
                 "applied by the campaign layer)"
@@ -169,7 +170,7 @@ class FaultyBackend(MeasurementBackend):
         """
         times = np.ascontiguousarray(np.asarray(times_s, dtype=float)).ravel()
         if times.size != np.size(rows):
-            raise ValueError(
+            raise MeasurementError(
                 f"expected {np.size(rows)} probe timestamps, got {times.size}"
             )
         inner_times = times if self._inner.is_time_dependent else None

@@ -115,13 +115,12 @@ class ExperimentSession:
         cls,
         csd: ChargeStabilityDiagram,
         timing: TimingModel | None = None,
-        realtime: bool = False,
         cache: bool = True,
         max_probes: int | None = None,
         label: str | None = None,
     ) -> "ExperimentSession":
         """Replay a recorded or simulated charge-stability diagram."""
-        clock = VirtualClock(timing or TimingModel.paper_default(), realtime=realtime)
+        clock = VirtualClock(timing or TimingModel.paper_default())
         meter = ChargeSensorMeter(
             DatasetBackend(csd), clock=clock, cache=cache, max_probes=max_probes
         )
@@ -146,7 +145,6 @@ class ExperimentSession:
         noise: NoiseModel | None = None,
         seed: int | np.random.SeedSequence | None = None,
         timing: TimingModel | None = None,
-        realtime: bool = False,
         cache: bool = True,
         max_probes: int | None = None,
         drift: DeviceDrift | None = None,
@@ -213,7 +211,7 @@ class ExperimentSession:
             probe_models = probe_fault_models(models_for(faults))
             if probe_models:
                 backend = FaultyBackend(backend, probe_models, seed=seed)
-        clock = VirtualClock(timing, realtime=realtime)
+        clock = VirtualClock(timing)
         meter = ChargeSensorMeter(
             backend,
             clock=clock,
@@ -251,7 +249,6 @@ class SessionFactory:
     timing: TimingModel | None = None
     cache: bool = True
     max_probes: int | None = None
-    realtime: bool = False
     drift: DeviceDrift | None = None
     time_dependent_noise: bool = False
     #: Fault injection: a registered condition name or fault model(s); probe
@@ -286,7 +283,6 @@ class SessionFactory:
             noise=self.noise,
             seed=seed,
             timing=self.timing,
-            realtime=self.realtime,
             cache=self.cache,
             max_probes=self.max_probes,
             drift=self.drift,

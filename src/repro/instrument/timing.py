@@ -6,9 +6,7 @@ a small per-point overhead for setting the DACs and digitising the sensor
 current.  Those delays, not the computation, dominate virtual gate extraction,
 so reproducing the paper's Table 1 runtimes requires an explicit cost model.
 
-:class:`VirtualClock` accumulates simulated time without sleeping (the
-default) or, when ``realtime=True``, actually sleeps so the library can also
-be exercised end-to-end with genuine wall-clock delays.
+:class:`VirtualClock` accumulates that simulated time; it never sleeps.
 """
 
 from __future__ import annotations
@@ -58,11 +56,10 @@ class TimingModel:
 
 
 class VirtualClock:
-    """Accumulates simulated experiment time (optionally sleeping for real)."""
+    """Accumulates simulated experiment time."""
 
-    def __init__(self, timing: TimingModel | None = None, realtime: bool = False) -> None:
+    def __init__(self, timing: TimingModel | None = None) -> None:
         self._timing = timing or TimingModel.paper_default()
-        self._realtime = bool(realtime)
         self._elapsed_s = 0.0
         self._started_wall = time.monotonic()  # repro: allow[wall-clock] -- anchors the wall_time_s telemetry property; simulated time never reads it
 
@@ -70,11 +67,6 @@ class VirtualClock:
     def timing(self) -> TimingModel:
         """The per-operation cost model."""
         return self._timing
-
-    @property
-    def realtime(self) -> bool:
-        """Whether the clock actually sleeps."""
-        return self._realtime
 
     @property
     def elapsed_s(self) -> float:
@@ -93,8 +85,6 @@ class VirtualClock:
                 "cannot advance the clock by a negative or non-finite amount"
             )
         self._elapsed_s += seconds
-        if self._realtime and seconds > 0:
-            time.sleep(seconds)  # repro: allow[wall-clock] -- realtime=True opts into genuine delays; elapsed_s stays deterministic
 
     def charge_probe(self) -> None:
         """Charge the cost of one probed voltage point."""
@@ -105,17 +95,12 @@ class VirtualClock:
 
         Bit-identical to ``n`` successive :meth:`charge_probe` calls: the
         timestamps are :meth:`preview_probes`' sequential float additions.
-        In realtime mode the whole batch sleeps once for the total duration.
         """
         if n < 0:
             raise ConfigurationError("cannot charge a negative number of probes")
         times = self.preview_probes(n)
         if n == 0:
             return times
-        if self._realtime:
-            total = float(times[-1]) - self._elapsed_s
-            if total > 0:
-                time.sleep(total)  # repro: allow[wall-clock] -- realtime=True opts into genuine delays; elapsed_s stays deterministic
         self._elapsed_s = float(times[-1])
         return times
 

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exceptions import ConfigurationError
 from .strictjson import record
 
 __all__ = [
@@ -202,7 +203,7 @@ class KernelCache:
 
     def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES, enabled: bool = True):
         if max_entries < 1:
-            raise ValueError("max_entries must be at least 1")
+            raise ConfigurationError("max_entries must be at least 1")
         self.max_entries = int(max_entries)
         self.enabled = bool(enabled)
         self._entries: OrderedDict[str, KernelCacheEntry] = OrderedDict()
@@ -289,7 +290,7 @@ def configure_kernel_cache(
         cache.enabled = bool(enabled)
     if max_entries is not None:
         if max_entries < 1:
-            raise ValueError("max_entries must be at least 1")
+            raise ConfigurationError("max_entries must be at least 1")
         cache.max_entries = int(max_entries)
         cache._shrink()
     return cache

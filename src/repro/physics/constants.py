@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 
+from ..exceptions import ConfigurationError
+
 #: Elementary charge in coulombs.
 ELEMENTARY_CHARGE_C: float = 1.602176634e-19
 
@@ -42,7 +44,7 @@ def thermal_energy_mev(temperature_k: float) -> float:
         Electron temperature in kelvin. Must be non-negative.
     """
     if temperature_k < 0:
-        raise ValueError(f"temperature must be non-negative, got {temperature_k}")
+        raise ConfigurationError(f"temperature must be non-negative, got {temperature_k}")
     return BOLTZMANN_MEV_PER_K * temperature_k
 
 
@@ -55,7 +57,7 @@ def charging_energy_mev(total_capacitance_af: float) -> float:
         Total (self) capacitance of a dot in attofarads. Must be positive.
     """
     if total_capacitance_af <= 0:
-        raise ValueError(
+        raise ConfigurationError(
             f"total capacitance must be positive, got {total_capacitance_af}"
         )
     return E_SQUARED_OVER_AF_IN_MEV / total_capacitance_af
@@ -73,6 +75,6 @@ def lever_arm_to_mev_per_volt(lever_arm: float) -> float:
 def gaussian(x: float, mu: float, sigma: float) -> float:
     """Normalised Gaussian density, used for peak shapes and window weights."""
     if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+        raise ConfigurationError(f"sigma must be positive, got {sigma}")
     z = (x - mu) / sigma
     return math.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))

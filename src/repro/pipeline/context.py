@@ -33,6 +33,7 @@ from ..core.result import (
 )
 from ..core.virtualization import VirtualizationMatrix
 from ..core.window_search import WindowSearchResult
+from ..exceptions import ConfigurationError
 from ..instrument.measurement import ChargeSensorMeter
 from ..instrument.session import ExperimentSession
 from ..instrument.timing import VirtualClock
@@ -61,7 +62,7 @@ class StageOutcome:
 
     def __post_init__(self) -> None:
         if self.status not in ("ok", "failed", "skipped"):
-            raise ValueError(
+            raise ConfigurationError(
                 f"stage outcome status must be 'ok', 'failed', or 'skipped'; "
                 f"got {self.status!r}"
             )

@@ -270,8 +270,6 @@ class ValidateStage(ContentRepr):
         if fit is None or matrix is None:
             return "pipeline did not produce a fit"
         cfg = ctx.config.fit
-        if not fit.converged:
-            return "slope fit did not converge"
         if not (np.isfinite(fit.slope_steep) and np.isfinite(fit.slope_shallow)):
             return "fitted slopes are not finite"
         if fit.slope_steep >= 0 or fit.slope_shallow >= 0:

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .exceptions import ConfigurationError
+
 
 def as_seed_sequence(seed: int | np.random.SeedSequence) -> np.random.SeedSequence:
     """Wrap an integer seed into a :class:`~numpy.random.SeedSequence`."""
@@ -44,7 +46,7 @@ def spawn_seeds(
     of the same campaign stay bit-identical.
     """
     if n_children < 0:
-        raise ValueError("n_children must be non-negative")
+        raise ConfigurationError("n_children must be non-negative")
     if seed is None:
         return (None,) * n_children
     root = as_seed_sequence(seed)

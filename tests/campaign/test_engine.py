@@ -481,7 +481,7 @@ class TestClassifyFailure:
     @pytest.mark.parametrize(
         "reason, category",
         [
-            ("slope fit did not converge", "fit-divergence"),
+            ("transition-line fit did not converge: The maximum", "fit-divergence"),
             ("pipeline did not produce a fit", "no-fit"),
             ("fitted slopes must both be negative (device physics); got", "slope-sign"),
             ("fitted slopes are not finite", "non-finite-slopes"),

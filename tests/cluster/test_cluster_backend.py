@@ -6,6 +6,8 @@ import os
 import pickle
 import time
 from dataclasses import dataclass
+from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +45,15 @@ def raising_runner(job: FakeJob) -> str:
     raise RuntimeError(f"boom on {job.job_id}")
 
 
+def logged_runner(job: FakeJob, dwell_s: float, log_dir: str) -> str:
+    """``echo_runner`` after a dwell; writes (pid, start, end) beside the record."""
+    start = time.time()
+    time.sleep(dwell_s)
+    end = time.time()
+    Path(log_dir, str(job.job_id)).write_text(f"{os.getpid()} {start!r} {end!r}")
+    return echo_runner(job)
+
+
 JOBS = tuple(FakeJob(job_id=i) for i in range(20))
 EXPECTED = {job.job_id: f"record-{job.job_id}" for job in JOBS}
 
@@ -76,6 +87,23 @@ class TestStreamingContract:
         first = dict(backend.submit(JOBS[:4], echo_runner))
         second = dict(backend.submit(JOBS[:4], echo_runner))
         assert first == second == {i: f"record-{i}" for i in range(4)}
+
+
+class TestConcurrency:
+    def test_four_workers_run_dwell_jobs_at_once(self, tmp_path):
+        # Dwell-bound jobs overlap on worker processes, not on cores, so
+        # this holds on a single-CPU machine; the side channel keeps the
+        # records themselves comparable with serial ones.
+        jobs = JOBS[:8]
+        runner = partial(logged_runner, dwell_s=0.2, log_dir=str(tmp_path))
+        records = dict(ClusterBackend(n_workers=4).submit(jobs, runner))
+        assert records == dict(SerialBackend().submit(jobs, echo_runner))
+
+        logs = [(tmp_path / str(job.job_id)).read_text().split() for job in jobs]
+        assert len({pid for pid, _, _ in logs}) >= 2
+        spans = [(float(start), float(end)) for _, start, end in logs]
+        in_flight = max(sum(s <= start < e for s, e in spans) for start, _ in spans)
+        assert in_flight >= 2
 
 
 class TestCrashCondensation:

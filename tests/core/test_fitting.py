@@ -56,7 +56,6 @@ class TestFitter:
         result = fitter.fit(synthetic_points(), STEEP_ANCHOR, SHALLOW_ANCHOR)
         assert result.intersection_voltage[0] == pytest.approx(TRUE_INTERSECTION[0], abs=2e-4)
         assert result.intersection_voltage[1] == pytest.approx(TRUE_INTERSECTION[1], abs=2e-4)
-        assert result.converged
         assert result.residual_rms < 1e-4
 
     def test_recovers_slopes_with_noise(self):
@@ -97,3 +96,18 @@ class TestFitter:
     def test_wrong_point_shape_rejected(self):
         with pytest.raises(FitError):
             TransitionLineFitter().fit(np.zeros((5, 3)), STEEP_ANCHOR, SHALLOW_ANCHOR)
+
+    def test_non_finite_point_rejected(self):
+        points = synthetic_points()
+        points[3, 1] = np.nan
+        with pytest.raises(FitError, match="did not converge: array must not contain"):
+            TransitionLineFitter().fit(points, STEEP_ANCHOR, SHALLOW_ANCHOR)
+
+    def test_evaluation_budget_exhaustion_rejected(self):
+        # Points scattered over the anchors' box, with no line to find,
+        # outlast the smallest evaluation budget.
+        rng = np.random.default_rng(1)
+        points = np.column_stack([rng.uniform(0, 0.030, 20), rng.uniform(0, 0.024, 20)])
+        fitter = TransitionLineFitter(FitConfig(max_function_evaluations=10))
+        with pytest.raises(FitError, match="did not converge: The maximum number"):
+            fitter.fit(points, STEEP_ANCHOR, SHALLOW_ANCHOR)

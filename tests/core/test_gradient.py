@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import FeatureGradient, MaskResponse, gaussian_window, oriented_mask
 from repro.core.config import PAPER_MASK_X, PAPER_MASK_Y
-from repro.exceptions import InstrumentFault, ProbeBudgetExceededError
+from repro.exceptions import ConfigurationError, InstrumentFault, ProbeBudgetExceededError
 from repro.faults import FaultyBackend, TransientReadFault
 from repro.instrument import (
     ChargeSensorMeter,
@@ -78,7 +78,7 @@ class TestFeatureGradient:
 
     def test_delta_validation(self):
         csd = make_step_csd()
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             FeatureGradient(meter_for(csd), delta_pixels=0)
 
     def test_larger_delta_spans_wider(self):
@@ -229,5 +229,5 @@ class TestGaussianWindow:
         assert int(np.argmax(window)) == 0
 
     def test_invalid_length(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             gaussian_window(0)

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from repro.exceptions import MeasurementError, TransientReadError
+from repro.exceptions import ConfigurationError, MeasurementError, TransientReadError
 from repro.faults import (
     FaultyBackend,
     ProbeHangFault,
@@ -13,7 +15,7 @@ from repro.faults import (
     WorkerCrashFault,
     probe_fault_models,
 )
-from repro.instrument import ExperimentSession, ProbeRetryPolicy
+from repro.instrument import DeviceBackend, ExperimentSession, ProbeRetryPolicy
 from repro.scenarios import DeviceSpec
 
 RETRY = ProbeRetryPolicy(max_attempts=5, backoff_s=0.1, timeout_s=3.0)
@@ -23,20 +25,40 @@ def _device():
     return DeviceSpec.of("double_dot", cross_coupling=(0.25, 0.22)).build()
 
 
-def _session(faults=None, probe_retry=None, seed=7, resolution=24):
+def _session(faults=None, probe_retry=None, seed=7, resolution=24, kernel_cache=True):
     return ExperimentSession.from_device(
         _device(),
         resolution=resolution,
         seed=seed,
         faults=faults,
         probe_retry=probe_retry,
+        kernel_cache=kernel_cache,
     )
+
+
+@pytest.fixture
+def backend_calls(monkeypatch):
+    """Calls of ``FaultyBackend.plan_batch`` and ``DeviceBackend.currents``."""
+    calls = Counter()
+
+    def count(cls, name):
+        original = getattr(cls, name)
+
+        def counted(self, *args, **kwargs):
+            calls[name] += 1
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    count(FaultyBackend, "plan_batch")
+    count(DeviceBackend, "currents")
+    return calls
 
 
 class TestFaultyBackendSurface:
     def test_rejects_worker_scope_models(self):
         inner = _session().meter.backend
-        with pytest.raises(ValueError, match="worker-scope"):
+        with pytest.raises(ConfigurationError, match="worker-scope"):
             FaultyBackend(inner, (WorkerCrashFault(rate=0.5),), seed=7)
 
     def test_probe_fault_models_filters_scope(self):
@@ -94,22 +116,28 @@ class TestFaultyBackendSurface:
                 backend.currents(rows, cols, times)
             with pytest.raises(MeasurementError):
                 backend.plan_batch(np.array(rows), np.array(cols), times)
+        with pytest.raises(MeasurementError, match="expected 3 probe timestamps"):
+            backend.plan_batch(np.arange(3), np.arange(3), times)
 
 
 class TestIdentityGuarantees:
-    def test_rate_zero_faults_are_bit_identical_to_clean(self):
+    def test_rate_zero_faults_are_bit_identical_to_clean(self, backend_calls):
         clean = _session()
         clean_image = clean.meter.acquire_full_grid()
+        assert backend_calls == {"currents": 1}
         zeroed = _session(
             faults=(TransientReadFault(rate=0.0), ProbeHangFault(rate=0.0)),
             probe_retry=RETRY,
         )
+        backend_calls.clear()
         zeroed_image = zeroed.meter.acquire_full_grid()
         np.testing.assert_array_equal(clean_image, zeroed_image)
         assert clean.meter.elapsed_s == zeroed.meter.elapsed_s
         assert clean.meter.n_probes == zeroed.meter.n_probes
         assert zeroed.meter.n_probe_retries == 0
         assert zeroed.meter.n_fault_events == 0
+        # Armed but silent, the wrapper plans the whole grid as one batch.
+        assert backend_calls == {"plan_batch": 1, "currents": 1}
 
     def test_scalar_and_batched_paths_fail_identically(self):
         batched = _session(faults="flaky-lab", probe_retry=RETRY)
@@ -146,3 +174,25 @@ class TestIdentityGuarantees:
         np.testing.assert_array_equal(
             clean.meter.acquire_full_grid(), faulty.meter.acquire_full_grid()
         )
+
+
+class TestFaultPathWorkCounts:
+    def test_flaky_lab_pays_per_fault_event_not_per_probe(self, backend_calls):
+        # A 63x63 full grid of the double dot, kernel cache off.  A clean
+        # grid is one planned batch; here each disruption (a fault or a
+        # tolerated stall) plans one probe per attempt and then re-plans
+        # the rest of the grid, so 3,969 probes cost 306 batches.
+        session = _session(
+            faults="flaky-lab",
+            probe_retry=ProbeRetryPolicy(max_attempts=6, backoff_s=0.05, timeout_s=10.0),
+            resolution=63,
+            kernel_cache=False,
+        )
+        session.meter.acquire_full_grid()
+        meter = session.meter
+        assert meter.n_probes == 3969
+        assert backend_calls == {"plan_batch": 306, "currents": 306}
+        assert meter.n_fault_events == 91
+        assert meter.n_probe_retries == 91
+        assert meter.n_probes_exhausted == 0
+        assert meter.fault_delay_s == pytest.approx(56.95, abs=1e-9)

@@ -14,6 +14,8 @@ import json
 import numpy as np
 import pytest
 
+from repro.campaign import CampaignGrid, DeviceSpec, TuningCampaign
+from repro.exceptions import ConfigurationError
 from repro.instrument import ChargeSensorMeter, DeviceBackend, ExperimentSession
 from repro.kernelcache import (
     KernelCache,
@@ -204,8 +206,12 @@ class TestLRUAndStats:
         assert KernelCacheStats.from_dict(payload) == stats
 
     def test_max_entries_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             KernelCache(max_entries=0)
+        max_entries = default_kernel_cache().max_entries
+        with pytest.raises(ConfigurationError):
+            configure_kernel_cache(max_entries=0)
+        assert default_kernel_cache().max_entries == max_entries
 
 
 class TestGlobalCache:
@@ -248,3 +254,49 @@ class TestGlobalCache:
             np.testing.assert_array_equal(cached, uncached)
         finally:
             clear_kernel_cache()
+
+    def test_repeat_heavy_campaign_solves_each_kernel_once(self, monkeypatch):
+        # 20 baseline jobs on a 6-dot chain at 40x40: 5 gate pairs x 2 noise
+        # scales x 2 repeats, so each pair's kernel is read by 4 jobs.
+        grid = CampaignGrid(
+            devices=(DeviceSpec.of("linear_array", n_dots=6),),
+            resolutions=(40,),
+            noise_scales=(0.0, 1.0),
+            methods=("baseline",),
+            n_repeats=2,
+            seed=2024,
+        )
+        solved = [0]
+        sensor_currents = DotArrayDevice.sensor_currents
+
+        def counted(self, points, *args, **kwargs):
+            solved[0] += len(points)
+            return sensor_currents(self, points, *args, **kwargs)
+
+        monkeypatch.setattr(DotArrayDevice, "sensor_currents", counted)
+
+        def run(enabled):
+            clear_kernel_cache()
+            configure_kernel_cache(enabled=enabled)
+            solved[0] = 0
+            result = TuningCampaign(grid, backend="serial").run()
+            return result.normalized().records, solved[0]
+
+        try:
+            uncached, uncached_solves = run(enabled=False)
+            cached, cached_solves = run(enabled=True)
+            stats = default_kernel_cache().stats
+        finally:
+            clear_kernel_cache()
+            configure_kernel_cache(enabled=True)
+        assert cached == uncached
+        assert uncached_solves == 20 * 40 * 40
+        assert cached_solves == 5 * 40 * 40
+        assert stats == KernelCacheStats(
+            n_entries=5,
+            pixel_hits=24_000,
+            pixel_solves=8_000,
+            entry_hits=15,
+            entry_misses=5,
+            evictions=0,
+        )

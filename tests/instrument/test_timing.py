@@ -79,8 +79,3 @@ class TestVirtualClock:
         clock.charge_probe()  # must return immediately
         assert clock.elapsed_s == pytest.approx(10.0)
         assert clock.wall_time_s < 1.0
-
-    def test_realtime_mode_sleeps(self):
-        clock = VirtualClock(TimingModel(dwell_time_s=0.01), realtime=True)
-        clock.charge_probe()
-        assert clock.wall_time_s >= 0.009

@@ -1,7 +1,8 @@
 """Integration test: a subset of the Table 1 reproduction.
 
-The full twelve-benchmark run lives in ``benchmarks/bench_table1.py``; here we
-verify the qualitative structure the paper reports on a fast subset:
+The full twelve-benchmark run is perfbench's ``table1`` workload, which
+replays every row exactly; here we verify the qualitative structure the
+paper reports on a fast subset:
 
 * ordinary benchmarks succeed for both methods and show a large speedup,
 * the low-contrast benchmark 7 splits the two methods (fast succeeds,

@@ -21,7 +21,7 @@ def test_library_is_strict_lint_clean_with_empty_baseline():
     # The suppression budget is explicit: every pragma carries a
     # justification (strict mode enforces it), and the count only moves
     # when someone deliberately sanctions a new wall-clock/NaN site.
-    # Sites 12-14: the cluster affinity proxy in cluster/backend.py, where
+    # Sites 10-12: the cluster affinity proxy in cluster/backend.py, where
     # a missing duck-typed job field degrades scheduler placement but can
     # never mislabel a result.
-    assert len(report.suppressed) == 14
+    assert len(report.suppressed) == 12

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from repro.exceptions import ConfigurationError
 from repro.physics import constants
 
 
@@ -30,7 +31,7 @@ class TestThermalEnergy:
         assert constants.thermal_energy_mev(0.0) == 0.0
 
     def test_negative_temperature_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             constants.thermal_energy_mev(-1.0)
 
 
@@ -46,7 +47,7 @@ class TestChargingEnergy:
 
     @pytest.mark.parametrize("capacitance", [0.0, -1.0])
     def test_nonpositive_capacitance_rejected(self, capacitance):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             constants.charging_energy_mev(capacitance)
 
 
@@ -70,5 +71,5 @@ class TestGaussian:
         )
 
     def test_invalid_sigma(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             constants.gaussian(0.0, 0.0, 0.0)

@@ -244,7 +244,7 @@ class TestComposerSemantics:
         assert result.stage_telemetry[0].n_probes == 0
 
     def test_invalid_outcome_status_rejected(self):
-        with pytest.raises(ValueError, match="ok"):
+        with pytest.raises(ConfigurationError, match="ok"):
             StageOutcome(status="exploded")
 
     def test_execute_without_meter_fails_loudly(self):

@@ -107,8 +107,9 @@ class TestEveryScenario:
         record = result.records[0]
         assert record.scenario == name
         # Every job must complete without crashing the campaign machinery;
-        # hostile scenarios may legitimately fail extraction.
+        # hostile scenarios may legitimately fail extraction, but say why.
         assert record.failure_category != "crash"
+        assert record.extractor_success or record.failure_reason
 
 
 class TestScenarioSemantics:

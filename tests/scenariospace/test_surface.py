@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import json
 import math
+import time
 
 import pytest
 
 from repro.analysis.metrics import wilson_interval
 from repro.analysis.reporting import format_surface_table
 from repro.exceptions import ConfigurationError
+from repro.scenarios import DeviceSpec
 from repro.scenariospace import (
+    Choice,
     Fixed,
+    LogUniform,
     ScenarioSpace,
     SurfaceCell,
     SurfaceReport,
@@ -177,6 +181,46 @@ class TestSuccessSurface:
             success_surface(space, axes=("noise_scale", "resolution"))
         with pytest.raises(ConfigurationError):
             success_surface(space, bins=0)
+
+
+class TestThreeDeviceSurface:
+    """A surface over three device families, every axis random, pinned."""
+
+    @pytest.fixture(scope="class")
+    def space(self):
+        return ScenarioSpace(
+            name="three-devices",
+            device=Choice(
+                options=(
+                    DeviceSpec.of("double_dot"),
+                    DeviceSpec.of("linear_array", n_dots=6),
+                    DeviceSpec.of("grid_array", rows=2, cols=3),
+                )
+            ),
+            noise_scale=LogUniform(0.25, 4.0),
+            drift_mv_per_hour=Uniform(0.0, 30.0),
+            fault_rate=Uniform(0.0, 0.2),
+        )
+
+    def test_surface_outcome_is_pinned(self, space):
+        report = success_surface(
+            space,
+            n_draws=8,
+            seed=1,
+            axes=("noise_scale", "drift_mv_per_hour"),
+            bins=2,
+            resolution=24,
+        )
+        assert report.n_jobs == 8
+        assert report.n_succeeded == 4
+
+    def test_sampling_keeps_fifty_draws_per_second(self, space):
+        # A floor two orders of magnitude under the usual rate: it trips
+        # only if sampling stops being cheap next to running a draw.
+        started = time.perf_counter()
+        draws = space.sample(200, seed=3)
+        assert time.perf_counter() - started < 4.0
+        assert len(draws) == 200
 
 
 class TestFormatSurfaceTable:

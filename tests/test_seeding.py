@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core import ArrayVirtualGateExtractor
+from repro.exceptions import ConfigurationError
 from repro.instrument.measurement import DeviceBackend
 from repro.physics import DotArrayDevice, standard_lab_noise
 from repro.seeding import as_seed_sequence, spawn_seeds
@@ -66,7 +67,7 @@ class TestSpawnSeeds:
         assert root.n_children_spawned == 0
 
     def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             spawn_seeds(1, -1)
 
     def test_as_seed_sequence_passthrough(self):
