@@ -48,20 +48,20 @@ def main() -> None:
 
     # 1. The fault-free reference.
     clean_grid = build_grid(faults=(None,))
-    clean = TuningCampaign(clean_grid, n_workers=2).run()
+    clean = TuningCampaign(clean_grid, backend="process:2").run()
     print(f"clean run: {clean.n_succeeded}/{clean.n_jobs} jobs succeeded\n")
 
     # 2. The same gate pairs, now swept across injected fault conditions.
     chaos_grid = build_grid(faults=(None, "flaky-lab", "worker-crashes"))
     print(f"chaos grid: {chaos_grid.n_jobs} jobs "
           f"({clean_grid.n_jobs} per fault condition)")
-    chaos = TuningCampaign(chaos_grid, n_workers=2).run()
+    chaos = TuningCampaign(chaos_grid, backend="process:2").run()
 
     # Chaos is deterministic: a serial re-run of the same grid reproduces
     # every record — values, failures, and retry counts — bit for bit
     # (``normalized()`` pins the wall-clock fields, the only
     # nondeterministic content).
-    serial = TuningCampaign(chaos_grid, n_workers=1).run()
+    serial = TuningCampaign(chaos_grid).run()
     assert serial.normalized() == chaos.normalized()
     print("determinism check: serial re-run reproduces the chaos bit for bit")
 

@@ -27,7 +27,6 @@ Run with::
 from __future__ import annotations
 
 from repro import CampaignGrid, DeviceSpec, TuningCampaign
-from repro.cluster import ClusterBackend
 
 
 def build_grid() -> CampaignGrid:
@@ -50,11 +49,10 @@ def main() -> None:
     print(f"serial:  {serial.n_succeeded}/{serial.n_jobs} succeeded "
           f"in {serial.wall_time_s:.2f}s")
 
-    # 2. The same grid over the cluster wire.  Passing a backend instance
-    #    (instead of the "cluster:local:2" spec string) keeps a handle for
-    #    reading the scheduling counters afterwards.
-    backend = ClusterBackend(n_workers=2)
-    cluster = TuningCampaign(grid, backend=backend).run()
+    # 2. The same grid over the cluster wire.  The campaign keeps the
+    #    backend its spec built, for reading the scheduling counters after.
+    campaign = TuningCampaign(grid, backend="cluster:local:2")
+    cluster = campaign.run()
     print(f"cluster: {cluster.n_succeeded}/{cluster.n_jobs} succeeded "
           f"in {cluster.wall_time_s:.2f}s "
           f"(spec {cluster.metadata['backend_spec']!r})\n")
@@ -65,7 +63,7 @@ def main() -> None:
     print("cluster records are bit-identical to the serial reference\n")
 
     # 3. What the coordinator did to get there.
-    stats = backend.last_stats
+    stats = campaign.backend.last_stats
     print("coordinator counters:")
     for key, value in stats.as_dict().items():
         print(f"  {key:>20}: {value}")

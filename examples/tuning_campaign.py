@@ -4,15 +4,19 @@ The paper demonstrates probe-efficient extraction for a single plunger-gate
 pair; a production bring-up repeats that extraction across many devices,
 gate pairs, and operating conditions.  This example declares a 50+-job grid
 — three device variants, two resolutions, three noise amplitudes, several
-repeats — fans it out over a worker pool, and prints the aggregate report:
-success rate, probe totals, and the failure taxonomy of whatever went wrong.
+repeats — fans it out over the execution backend a spec names, and prints
+the aggregate report: success rate, probe totals, and the failure taxonomy
+of whatever went wrong.
 
 Per-job seeds are spawned from the grid's root seed, so the campaign is
-fully reproducible and gives bit-identical results at any worker count.
+fully reproducible and gives bit-identical results on every backend.
 
 Run with::
 
-    python examples/tuning_campaign.py [n_workers]
+    python examples/tuning_campaign.py [backend]
+
+where ``backend`` is a spec such as ``serial``, ``process:4`` (the
+default) or ``cluster:local:2``.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from repro import CampaignGrid, DeviceSpec, TuningCampaign
 
 
 def main() -> None:
-    n_workers = int(sys.argv[1]) if len(sys.argv) > 1 else 4
+    backend = sys.argv[1] if len(sys.argv) > 1 else "process:4"
 
     grid = CampaignGrid(
         devices=(
@@ -38,9 +42,9 @@ def main() -> None:
         seed=2024,
     )
     # 4 gate pairs x 2 resolutions x 3 noise scales x 3 repeats = 72 jobs.
-    print(f"running {grid.n_jobs} jobs on {n_workers} worker(s) ...")
+    print(f"running {grid.n_jobs} jobs on backend {backend!r} ...")
 
-    result = TuningCampaign(grid, n_workers=n_workers).run()
+    result = TuningCampaign(grid, backend=backend).run()
 
     print()
     print(result.format_report(max_rows=15))

@@ -14,12 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.array_extraction import ArrayVirtualGateExtractor
-from ..core.config import AnchorConfig, ExtractionConfig, SweepConfig
-from ..core.extraction import FastVirtualGateExtractor
+from ..core.config import AnchorConfig, ExtractionConfig
+from ..core.extraction import METHOD_NAME, FastVirtualGateExtractor
 from ..datasets.qflow import load_benchmark, load_suite
 from ..datasets.synthetic import NoiseRecipe, SyntheticCSDConfig
 from ..instrument.session import ExperimentSession
 from ..physics.dot_array import DotArrayDevice
+from ..pipeline.registry import get_pipeline
 from .comparison import BenchmarkRecord, ComparisonRunner
 from .metrics import SuccessCriterion, accuracy_metrics
 from .reporting import format_summary, format_table, format_table1, summarize_suite
@@ -98,16 +99,16 @@ class AblationRow:
 def _evaluate_config_on_suite(
     config: ExtractionConfig,
     indices: tuple[int, ...],
-    criterion: SuccessCriterion | None = None,
+    pipeline: str = METHOD_NAME,
 ) -> tuple[float, float, float]:
-    criterion = criterion or SuccessCriterion()
+    criterion = SuccessCriterion()
     successes = 0
     alpha_errors: list[float] = []
     fractions: list[float] = []
     for index in indices:
         csd = load_benchmark(index)
         session = ExperimentSession.from_csd(csd)
-        result = FastVirtualGateExtractor(config).extract(session)
+        result = get_pipeline(pipeline).run(session, config=config)
         geometry = csd.geometry
         if criterion.evaluate(result, geometry):
             successes += 1
@@ -129,26 +130,22 @@ ABLATION_INDICES: tuple[int, ...] = (3, 4, 5, 6, 7, 8, 9, 10, 11, 12)
 def run_ablation_sweeps(
     indices: tuple[int, ...] = ABLATION_INDICES,
 ) -> tuple[list[AblationRow], str]:
-    """Ablate the sweep directions and the erroneous-point filter (§4.3.2)."""
+    """Ablate the sweep directions and the erroneous-point filter (§4.3.2).
+
+    Each variant is a registered pipeline, run at the paper's configuration.
+    """
     base = ExtractionConfig.paper_defaults()
     variants = [
-        ("both sweeps + filter (paper)", base),
-        (
-            "row sweep only",
-            base.replace(sweeps=SweepConfig(run_row_sweep=True, run_column_sweep=False)),
-        ),
-        (
-            "column sweep only",
-            base.replace(sweeps=SweepConfig(run_row_sweep=False, run_column_sweep=True)),
-        ),
-        (
-            "both sweeps, no filter",
-            base.replace(sweeps=SweepConfig(apply_postprocess=False)),
-        ),
+        ("both sweeps + filter (paper)", METHOD_NAME),
+        ("row sweep only", "row-sweep-only"),
+        ("column sweep only", "column-sweep-only"),
+        ("both sweeps, no filter", "no-filter"),
     ]
     rows = []
-    for label, config in variants:
-        success_rate, mean_error, mean_fraction = _evaluate_config_on_suite(config, indices)
+    for label, pipeline in variants:
+        success_rate, mean_error, mean_fraction = _evaluate_config_on_suite(
+            base, indices, pipeline
+        )
         rows.append(
             AblationRow(
                 label=label,

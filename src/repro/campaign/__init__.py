@@ -13,8 +13,9 @@ the managed layer for that workload:
   isolation and condenses the outcome into a picklable record with a failure
   taxonomy;
 * :class:`~repro.campaign.engine.TuningCampaign` dispatches the jobs
-  through a pluggable :mod:`repro.execution` backend (serial, process
-  pool, or cluster — results are bit-identical at any worker count),
+  through the :mod:`repro.execution` backend its one ``backend=`` spec
+  names (``None`` for serial, ``"process:N"``, ``"cluster:local:N"`` —
+  results are bit-identical on every backend),
   journals records to an optional JSONL checkpoint it can
   :meth:`~repro.campaign.engine.TuningCampaign.resume` from, and
   aggregates everything into a
@@ -34,7 +35,7 @@ Typical use::
         n_repeats=5,
         seed=7,
     )
-    campaign = TuningCampaign(grid, n_workers=4)
+    campaign = TuningCampaign(grid, backend="process:4")
     result = campaign.run(checkpoint="campaign.jsonl")  # resumable
     print(result.format_report())
 """

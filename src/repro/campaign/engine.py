@@ -4,7 +4,7 @@
 once per run into jobs that carry their scenario, pipeline and fault models
 (:func:`~repro.campaign.grid.resolve_jobs`), the success criterion — and
 delegates *how* it runs to the
-:mod:`repro.execution` layer: an
+:mod:`repro.execution` layer, chosen by one ``backend=`` spec: an
 :class:`~repro.execution.base.ExecutionBackend` schedules jobs and streams
 ``(job_id, record)`` pairs back in completion order, while a
 :class:`~repro.execution.controller.RunController` wraps the runner with
@@ -35,7 +35,6 @@ from ..execution import (
     ProgressCallback,
     RetryPolicy,
     RunController,
-    SerialBackend,
     backend_from_spec,
 )
 from ..reprs import ADDRESS_REPR as _ADDRESS_REPR
@@ -126,22 +125,18 @@ class TuningCampaign:
     grid:
         A :class:`~repro.campaign.grid.CampaignGrid` to expand, or an
         already-expanded sequence of :class:`~repro.campaign.grid.CampaignJob`.
-    n_workers:
-        ``1`` runs jobs sequentially in-process (bit-identical to, and the
-        reference for, every parallel run); larger values use a process
-        pool of that size.  Ignored when ``backend`` is an instance.
+    backend:
+        How the jobs run, and the only setting that chooses it: ``None``
+        (the default) runs them one after another in-process — the
+        reference every other backend is bit-identical to; a spec string
+        (``"process:N"``, ``"cluster:local:N"``,
+        ``"cluster:HOST:PORT"``; see
+        :func:`~repro.execution.base.backend_from_spec`) or an
+        :class:`~repro.execution.base.ExecutionBackend` instance selects
+        another.
     criterion:
         Ground-truth success criterion applied to every job; the paper
         defaults when omitted.
-    chunk_size:
-        Jobs handed to a process-pool worker per dispatch; the backend's
-        capped default balances pickling overhead against tail
-        load-balancing when omitted.
-    backend:
-        Execution policy: a registered backend name or spec (``"serial"``,
-        ``"process"``, ``"process:8"``, ``"cluster:local:4"``), an
-        :class:`~repro.execution.base.ExecutionBackend` instance, or
-        ``None`` to choose serial/process from ``n_workers``.
     retry:
         A :class:`~repro.execution.controller.RetryPolicy`, or an int
         shorthand for ``RetryPolicy(max_attempts=...)``; attempts per job
@@ -166,18 +161,13 @@ class TuningCampaign:
     def __init__(
         self,
         grid: CampaignGrid | Sequence[CampaignJob] | Iterable[CampaignJob],
-        n_workers: int = 1,
-        criterion: SuccessCriterion | None = None,
-        chunk_size: int | None = None,
+        *,
         backend: str | ExecutionBackend | None = None,
+        criterion: SuccessCriterion | None = None,
         retry: RetryPolicy | int | None = None,
         progress: ProgressCallback | None = None,
         job_runner: Callable[..., CampaignJobRecord] = run_campaign_job,
     ) -> None:
-        if n_workers < 1:
-            raise ConfigurationError("n_workers must be at least 1")
-        if chunk_size is not None and chunk_size < 1:
-            raise ConfigurationError("chunk_size must be at least 1")
         if isinstance(grid, CampaignGrid):
             self._jobs = grid.expand()
         else:
@@ -185,38 +175,13 @@ class TuningCampaign:
         ids = [job.job_id for job in self._jobs]
         if len(set(ids)) != len(ids):
             raise ConfigurationError("campaign jobs must have unique job_ids")
-        self._n_workers = int(n_workers)
         self._criterion = criterion or SuccessCriterion()
-        # Auto-selection keeps the historical small-grid fallback: a grid of
-        # at most one job never benefits from a pool, so it runs serially
-        # in-process rather than paying process spawn + pickling for nothing.
-        auto_workers = self._n_workers if len(self._jobs) > 1 else 1
-        self._backend = backend_from_spec(
-            backend, n_workers=auto_workers, chunk_size=chunk_size
-        )
+        self._backend = backend_from_spec(backend)
         # The spec string (or resolved name) travels into result metadata so
         # a saved result records how it was executed, parameters included.
         self._backend_spec = (
             backend if isinstance(backend, str) else self._backend.name
         )
-        if (
-            chunk_size is not None
-            and backend is not None
-            and not (
-                isinstance(backend, str)
-                and backend.partition(":")[0] == "process"
-            )
-        ):
-            # With an explicit non-process backend the knob would be a
-            # silent no-op (instances carry their own configuration; the
-            # serial backend has no chunks, the cluster sizes its own
-            # leases) — fail loudly in the engine's usual style.  The auto
-            # spec keeps the historical behaviour of ignoring chunk_size
-            # when it resolves to serial.
-            raise ConfigurationError(
-                "chunk_size only applies to the process backend; configure "
-                "the backend instance directly or drop the argument"
-            )
         if isinstance(retry, int):
             retry = RetryPolicy(max_attempts=retry)
         self._retry = retry or RetryPolicy()
@@ -230,29 +195,9 @@ class TuningCampaign:
         return self._jobs
 
     @property
-    def n_workers(self) -> int:
-        """Configured worker count."""
-        return self._n_workers
-
-    @property
     def backend(self) -> ExecutionBackend:
         """The execution backend this campaign dispatches through."""
         return self._backend
-
-    def _effective_workers(self) -> int:
-        """Workers the backend will actually use — what the result reports.
-
-        A supplied backend instance's own configuration (its
-        ``max_workers``, when it exposes one — a custom backend that does
-        not is reported as the configured ``n_workers``) wins over the
-        ``n_workers`` argument, pools clamp to the job count at submit
-        time, and the single-job serial fallback really runs on one
-        worker however many were requested.
-        """
-        if isinstance(self._backend, SerialBackend):
-            return 1
-        configured = int(getattr(self._backend, "max_workers", self._n_workers))
-        return max(1, min(configured, len(self._jobs)))
 
     # ------------------------------------------------------------------
     def run(
@@ -312,7 +257,8 @@ class TuningCampaign:
         )
         return CampaignResult(
             records=ordered,
-            n_workers=self._effective_workers(),
+            # Pools and clusters clamp their width to the job count.
+            n_workers=max(1, min(self._backend.max_workers, len(self._jobs))),
             wall_time_s=time.perf_counter() - started,
             metadata={
                 "n_jobs": len(self._jobs),

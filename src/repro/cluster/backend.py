@@ -10,13 +10,14 @@ clean like every other backend.
 
 Two modes:
 
-* **local** (``ClusterBackend(n_workers=4)``, spec ``"cluster:local:4"``):
-  the backend launches ``n_workers`` spawn-start worker subprocesses on
-  localhost, used by tests, CI, and single-machine scale-out;
-* **listen** (``ClusterBackend(host="0.0.0.0", port=7077)``, spec
-  ``"cluster:HOST:PORT"``): the backend binds the given address and waits
-  for externally started workers — ``python -m repro.cluster worker
-  --connect HOST:PORT`` on each machine of the fleet.
+* **local** (spec ``"cluster:local:4"``, i.e. ``ClusterBackend(n_workers=4)``;
+  the bare ``"cluster"`` is ``ClusterBackend()``, two workers): the backend
+  launches ``n_workers`` spawn-start worker subprocesses on localhost, used
+  by tests, CI, and single-machine scale-out;
+* **listen** (spec ``"cluster:HOST:PORT"``, i.e.
+  ``ClusterBackend(host="0.0.0.0", port=7077)``): the backend binds the
+  given address and waits for externally started workers — ``python -m
+  repro.cluster worker --connect HOST:PORT`` on each machine of the fleet.
 
 Records are bit-identical to
 :class:`~repro.execution.backends.SerialBackend` at any worker count:
@@ -174,14 +175,15 @@ class LocalCluster:
 class ClusterBackend(ExecutionBackend):
     """Distributed execution over the cluster wire protocol.
 
-    Leases are sized by the default
-    :class:`~repro.execution.chunking.AdaptiveChunkPolicy`, which targets
-    0.25 s leases.
+    Leases are sized by :func:`~repro.cluster.coordinator.lease_size`,
+    which targets :data:`~repro.cluster.coordinator.LEASE_TARGET_S` of work
+    per lease.
 
     Parameters
     ----------
     n_workers:
-        Local mode: worker subprocesses to launch per submission.
+        Local mode: worker subprocesses to launch per submission (two by
+        default).
     host / port:
         Listen mode: bind this address and wait for remote workers
         (``python -m repro.cluster worker --connect HOST:PORT``).  Mutually
@@ -303,10 +305,10 @@ class ClusterBackend(ExecutionBackend):
                 cluster.stop()
 
 
-def _cluster_spec(
-    arg: str, n_workers: int, chunk_size: int | None
-) -> ClusterBackend:
-    """Build from ``"cluster:local:N"`` or ``"cluster:HOST:PORT"``."""
+def _cluster_spec(arg: str) -> ClusterBackend:
+    """Build from ``"cluster"``, ``"cluster:local:N"`` or ``"cluster:HOST:PORT"``."""
+    if not arg:
+        return ClusterBackend()
     head, sep, rest = arg.partition(":")
     if not sep or not rest:
         raise ConfigurationError(
@@ -337,8 +339,4 @@ def _cluster_spec(
     return ClusterBackend(host=head, port=port)
 
 
-register_backend(
-    "cluster",
-    lambda n_workers, chunk_size: ClusterBackend(n_workers=n_workers),
-    spec_factory=_cluster_spec,
-)
+register_backend("cluster", _cluster_spec)

@@ -6,8 +6,7 @@ most recently leased.  The scheduling loop is event-driven off the wire:
 
 * **registration** — a connecting worker is welcomed, handed the pickled
   ``run_one`` once, and immediately granted a lease;
-* **leasing** — chunks are sized by the shared
-  :class:`~repro.execution.chunking.AdaptiveChunkPolicy` (observed per-job
+* **leasing** — chunks are sized by :func:`lease_size` (observed per-job
   wall time targets a fixed lease duration) and filled cache-affine: jobs
   whose affinity key the worker has already served are preferred, so
   repeated kernels rasterise where they are already cached;
@@ -40,7 +39,6 @@ from typing import Any, Callable, Iterator
 
 from ..exceptions import ClusterProtocolError
 from ..execution.base import SupportsJobId, WorkerCrash
-from ..execution.chunking import AdaptiveChunkPolicy
 from ..strictjson import record
 from .wire import (
     Crash,
@@ -57,7 +55,16 @@ from .wire import (
     send_message,
 )
 
-__all__ = ["ClusterStats", "Coordinator", "DEFAULT_HEARTBEAT_S"]
+__all__ = [
+    "ClusterStats",
+    "Coordinator",
+    "DEFAULT_HEARTBEAT_S",
+    "LEASE_MAX_JOBS",
+    "LEASE_SMOOTHING",
+    "LEASE_TARGET_S",
+    "lease_size",
+    "observe_lease",
+]
 
 #: Default worker heartbeat period.  Death is declared after
 #: ``HEARTBEAT_TIMEOUT_FACTOR`` missed beats, so detection latency is
@@ -70,6 +77,48 @@ HEARTBEAT_TIMEOUT_FACTOR = 5.0
 
 #: How many queue-front jobs a lease may scan for cache-affine matches.
 _AFFINITY_WINDOW = 64
+
+#: Wall seconds one lease should keep a worker busy: short enough that
+#: stealing and re-leasing stay responsive, long enough to amortise the
+#: round trip.  Cheap jobs travel in big leases, expensive ones alone.
+LEASE_TARGET_S = 0.25
+
+#: Ceiling on the jobs one lease carries.
+LEASE_MAX_JOBS = 64
+
+#: Weight of the newest observation in the per-job wall-time average.
+LEASE_SMOOTHING = 0.5
+
+
+def observe_lease(
+    per_job_s: float | None, n_jobs: int, elapsed_s: float
+) -> float | None:
+    """Fold one finished lease (``n_jobs`` over ``elapsed_s``) into the average.
+
+    ``per_job_s`` is the moving average so far, ``None`` before any
+    observation.  Non-positive observations are ignored rather than folded
+    in as zero: a sub-resolution timer reading would otherwise drive the
+    estimate to "jobs are free" and the lease size to its ceiling.
+    """
+    if n_jobs < 1 or elapsed_s <= 0:
+        return per_job_s
+    observed = elapsed_s / n_jobs
+    if per_job_s is None:
+        return observed
+    return per_job_s + LEASE_SMOOTHING * (observed - per_job_s)
+
+
+def lease_size(per_job_s: float | None) -> int:
+    """Jobs the next lease should carry: ``LEASE_TARGET_S`` of work, clamped.
+
+    One job before the first observation — nothing is known yet, and a
+    wrong big first lease starves the tail.  Sizing decides only how many
+    jobs travel per lease, never which or with what seeds, so records are
+    bit-identical under any sequence of observations.
+    """
+    if per_job_s is None:
+        return 1
+    return max(1, min(LEASE_MAX_JOBS, int(LEASE_TARGET_S / per_job_s)))
 
 
 @record
@@ -127,9 +176,6 @@ class Coordinator:
         after construction, before any worker exists.
     heartbeat_s:
         Heartbeat period pushed to workers in their ``Welcome``.
-    policy:
-        Chunk-size policy *configuration*; a fresh unobserved copy is taken
-        per run so coordinators can share one instance.
     affinity:
         Optional ``job -> str | None`` giving a job's cache-affinity key
         (e.g. :func:`repro.cluster.backend.job_affinity`).  ``None``
@@ -161,13 +207,13 @@ class Coordinator:
         host: str = "127.0.0.1",
         port: int = 0,
         heartbeat_s: float = DEFAULT_HEARTBEAT_S,
-        policy: AdaptiveChunkPolicy | None = None,
         affinity: Callable[[Any], str | None] | None = None,
         register_timeout_s: float = 60.0,
         stall_timeout_s: float = 300.0,
     ) -> None:
         self._heartbeat_s = float(heartbeat_s)
-        self._policy = (policy or AdaptiveChunkPolicy()).fresh()
+        # Moving average of per-job wall seconds (see observe_lease).
+        self._per_job_s: float | None = None
         self._affinity = affinity
         self._register_timeout_s = float(register_timeout_s)
         self._stall_timeout_s = float(stall_timeout_s)
@@ -401,8 +447,10 @@ class Coordinator:
                 if key is not None:
                     state.warm.add(key)
             if not state.outstanding:
-                self._policy.observe(
-                    state.lease_size, time.monotonic() - state.lease_started
+                self._per_job_s = observe_lease(
+                    self._per_job_s,
+                    state.lease_size,
+                    time.monotonic() - state.lease_started,
                 )
                 self._grant(worker_id)
 
@@ -468,7 +516,7 @@ class Coordinator:
         """Pop the next lease's job ids off the pending queue.
 
         Suspects lease solo (exact crash attribution needs a worker that
-        dies holding one job); otherwise the adaptive policy sizes the
+        dies holding one job); otherwise :func:`lease_size` sizes the
         chunk — capped by a fair share of the queue so one worker cannot
         strand its peers idle — and cache-affine jobs near the queue front
         are preferred.
@@ -481,7 +529,7 @@ class Coordinator:
         size = max(
             1,
             min(
-                self._policy.chunk_size(),
+                lease_size(self._per_job_s),
                 -(-len(self._pending) // alive),  # ceil-div fair share
             ),
         )

@@ -9,17 +9,17 @@ centred on that pair's first charge transitions (with all other plungers held
 at fixed voltages), runs the fast extractor, and accumulates the pairwise
 coefficients into a full :class:`~repro.core.virtualization.ArrayVirtualization`.
 
-The pairwise sessions are mutually independent — each opens its own meter
-over its own window with its own spawned child seed — so they can run
-concurrently.  Passing ``n_workers > 1`` dispatches them over a process pool;
-the default stays strictly sequential, and both modes produce bit-identical
-results because the per-pair seeds are assigned by pair index before any
-session runs.
+The pairs run one after another, as the paper describes the procedure.
+Each opens its own meter over its own window with its own child seed,
+spawned by pair index before any session runs.  To tune the pairs (or
+many devices) in parallel, run a campaign over the device's
+:class:`~repro.campaign.grid.DeviceSpec` — a
+:class:`~repro.campaign.grid.CampaignGrid` makes every neighbouring pair
+its own job — on a ``"process:N"`` or ``"cluster:local:N"`` backend.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,45 +81,8 @@ class ArrayExtractionResult:
         return float(max(errors)) if errors else 0.0
 
 
-@dataclass(frozen=True)
-class _PairJob:
-    """Everything one pairwise extraction needs, picklable for worker pools."""
-
-    pair_index: int
-    dot_a: int
-    dot_b: int
-    gate_x: str
-    gate_y: str
-    seed: np.random.SeedSequence | None
-
-
-def _run_pair_job(
-    factory: SessionFactory, config: ExtractionConfig, job: _PairJob
-) -> ExtractionResult:
-    """Run one pairwise extraction (module-level so process pools can pickle it)."""
-    session = factory.make(
-        gate_x=job.gate_x,
-        gate_y=job.gate_y,
-        dot_a=job.dot_a,
-        dot_b=job.dot_b,
-        seed=job.seed,
-        label=f"{factory.device.name}:{job.gate_x}-{job.gate_y}",
-    )
-    return FastVirtualGateExtractor(config).extract(session)
-
-
 class ArrayVirtualGateExtractor:
-    """Run the fast pairwise extraction on every neighbouring plunger pair.
-
-    Parameters
-    ----------
-    n_workers:
-        Number of worker processes for the pairwise sessions.  ``1`` (the
-        default) runs them sequentially in-process, exactly as the paper
-        describes the procedure; larger values fan the independent sessions
-        out over a :class:`~concurrent.futures.ProcessPoolExecutor`.  Results
-        are identical in both modes for a given ``seed``.
-    """
+    """Run the fast pairwise extraction on every neighbouring plunger pair, in order."""
 
     def __init__(
         self,
@@ -128,18 +91,14 @@ class ArrayVirtualGateExtractor:
         noise: NoiseModel | None = None,
         timing: TimingModel | None = None,
         seed: int | np.random.SeedSequence | None = None,
-        n_workers: int = 1,
     ) -> None:
         if resolution < 16:
             raise ExtractionError("array extraction needs a resolution of at least 16")
-        if n_workers < 1:
-            raise ExtractionError("n_workers must be at least 1")
         self._config = config or ExtractionConfig.paper_defaults()
         self._resolution = int(resolution)
         self._noise = noise
         self._timing = timing or TimingModel.paper_default()
         self._seed = seed
-        self._n_workers = int(n_workers)
 
     # ------------------------------------------------------------------
     def extract(self, device: DotArrayDevice) -> ArrayExtractionResult:
@@ -150,59 +109,42 @@ class ArrayVirtualGateExtractor:
             raise ExtractionError("array extraction expects one plunger gate per dot")
         gate_names = device.gate_names[: device.n_dots]
         pairs = device.neighbour_pairs()
-        n_pairs = len(pairs)
         # Child seeds are spawned (not derived arithmetically) so every
         # pair's noise stream is independent of its neighbours and of runs
-        # rooted at adjacent seeds, and they are assigned by pair index up
-        # front so parallel execution cannot reorder them.
-        seeds = spawn_seeds(self._seed, n_pairs)
-        jobs = [
-            _PairJob(
-                pair_index=pair_index,
-                dot_a=dot_a,
-                dot_b=dot_b,
-                gate_x=gate_x,
-                gate_y=gate_y,
-                seed=seeds[pair_index],
-            )
-            for pair_index, (dot_a, dot_b, gate_x, gate_y) in enumerate(pairs)
-        ]
+        # rooted at adjacent seeds.
+        seeds = spawn_seeds(self._seed, len(pairs))
         factory = SessionFactory(
             device=device,
             resolution=self._resolution,
             noise=self._noise,
             timing=self._timing,
         )
-        if self._n_workers == 1 or n_pairs == 1:
-            results = [_run_pair_job(factory, self._config, job) for job in jobs]
-        else:
-            max_workers = min(self._n_workers, n_pairs)
-            with ProcessPoolExecutor(max_workers=max_workers) as pool:
-                results = list(
-                    pool.map(
-                        _run_pair_job,
-                        [factory] * n_pairs,
-                        [self._config] * n_pairs,
-                        jobs,
-                    )
-                )
-
+        extractor = FastVirtualGateExtractor(self._config)
         virtualization = ArrayVirtualization(gate_names)
         records: list[PairExtractionRecord] = []
         total_probes = 0
         total_elapsed = 0.0
-        for job, result in zip(jobs, results):
+        for (dot_a, dot_b, gate_x, gate_y), seed in zip(pairs, seeds):
+            session = factory.make(
+                gate_x=gate_x,
+                gate_y=gate_y,
+                dot_a=dot_a,
+                dot_b=dot_b,
+                seed=seed,
+                label=f"{device.name}:{gate_x}-{gate_y}",
+            )
+            result = extractor.extract(session)
             true_alpha_12, true_alpha_21 = device.ground_truth_alphas(
-                job.dot_a, job.dot_b, job.gate_x, job.gate_y
+                dot_a, dot_b, gate_x, gate_y
             )
             if result.success and result.matrix is not None:
                 virtualization.add_pair(result.matrix)
             records.append(
                 PairExtractionRecord(
-                    dot_a=job.dot_a,
-                    dot_b=job.dot_b,
-                    gate_x=job.gate_x,
-                    gate_y=job.gate_y,
+                    dot_a=dot_a,
+                    dot_b=dot_b,
+                    gate_x=gate_x,
+                    gate_y=gate_y,
                     result=result,
                     true_alpha_12=true_alpha_12,
                     true_alpha_21=true_alpha_21,
@@ -219,6 +161,5 @@ class ArrayVirtualGateExtractor:
                 "device": device.name,
                 "resolution": self._resolution,
                 "n_dots": device.n_dots,
-                "n_workers": self._n_workers,
             },
         )

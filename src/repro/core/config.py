@@ -82,15 +82,10 @@ class SweepConfig:
     """Parameters of the shrinking-triangle sweeps (paper §4.3)."""
 
     delta_pixels: int = 1
-    run_row_sweep: bool = True
-    run_column_sweep: bool = True
-    apply_postprocess: bool = True
 
     def __post_init__(self) -> None:
         if self.delta_pixels < 1:
             raise ConfigurationError("delta_pixels must be at least 1")
-        if not (self.run_row_sweep or self.run_column_sweep):
-            raise ConfigurationError("at least one of the two sweeps must be enabled")
 
 
 @dataclass(frozen=True)

@@ -115,11 +115,16 @@ class TransitionLineSweeper:
 
     # ------------------------------------------------------------------
     def run(
-        self, steep_anchor: PixelPoint, shallow_anchor: PixelPoint
+        self,
+        steep_anchor: PixelPoint,
+        shallow_anchor: PixelPoint,
+        run_row: bool = True,
+        run_column: bool = True,
     ) -> tuple[SweepTrace, SweepTrace]:
         """Run the enabled sweeps and return ``(row_trace, column_trace)``.
 
-        A disabled sweep (ablation studies) yields an empty trace.  Raises
+        A disabled sweep (the ``row-sweep-only`` and ``column-sweep-only``
+        ablation pipelines) yields an empty trace.  Raises
         :class:`SweepError` when both enabled sweeps come back empty, since
         the fit cannot proceed without transition points.
         """
@@ -129,12 +134,12 @@ class TransitionLineSweeper:
         )
         row_trace = (
             self.row_major_sweep(steep_anchor, shallow_anchor)
-            if self._config.run_row_sweep
+            if run_row
             else empty_row
         )
         column_trace = (
             self.column_major_sweep(steep_anchor, shallow_anchor)
-            if self._config.run_column_sweep
+            if run_column
             else empty_col
         )
         if row_trace.n_points == 0 and column_trace.n_points == 0:

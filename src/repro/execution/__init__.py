@@ -15,6 +15,10 @@ drivers.
   :class:`~repro.cluster.ClusterBackend` — the stock implementations,
   bit-identical per job at any worker count.  Records travel back from
   workers pickled, on every backend.
+* :func:`~repro.execution.base.backend_from_spec` — the one way to choose
+  one: ``"serial"``, ``"process"`` (one worker per CPU), ``"process:N"``,
+  ``"cluster"`` (two local workers), ``"cluster:local:N"`` or
+  ``"cluster:HOST:PORT"``.
 * :class:`~repro.execution.controller.RunController` — retry policy,
   per-job fault isolation, progress callbacks, and incremental JSONL
   checkpointing via
@@ -23,13 +27,13 @@ drivers.
 
 Typical direct use (the campaign engine wires all of this up for you)::
 
-    from repro.execution import ProcessPoolBackend, RunController
+    from repro.execution import RunController, backend_from_spec
 
-    controller = RunController(ProcessPoolBackend(max_workers=4))
+    controller = RunController(backend_from_spec("process:4"))
     records = controller.run(jobs, run_one, on_error=make_error_record)
 """
 
-from .backends import DEFAULT_CHUNK_CAP, ProcessPoolBackend, SerialBackend
+from .backends import ProcessPoolBackend, SerialBackend
 from .base import (
     ExecutionBackend,
     ProgressCallback,
@@ -41,19 +45,16 @@ from .base import (
     register_backend,
 )
 from .checkpoint import CheckpointJournal
-from .chunking import AdaptiveChunkPolicy, static_chunk_size
 from .controller import RetryPolicy, RunController, guarded_runner
 
 # Imported for its registration side effect: loading the execution layer
 # must always make the "cluster" spec resolvable, exactly like the two
 # stock backends above.  Deferred to the bottom so the cluster package can
-# import .base/.chunking without a cycle.
+# import .base without a cycle.
 from ..cluster import backend as _cluster_backend  # noqa: E402,F401
 
 __all__ = [
-    "AdaptiveChunkPolicy",
     "CheckpointJournal",
-    "DEFAULT_CHUNK_CAP",
     "ExecutionBackend",
     "ProcessPoolBackend",
     "ProgressCallback",
@@ -67,5 +68,4 @@ __all__ = [
     "crash_message",
     "guarded_runner",
     "register_backend",
-    "static_chunk_size",
 ]

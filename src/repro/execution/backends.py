@@ -15,6 +15,7 @@ draining, so completion order never leaks into results.
   is CPU-bound pure Python, so processes beat threads) and yields each
   chunk's records the moment its future completes, rather than blocking on
   a pool-wide ``map``.  Records travel back through the pool's pickle pipe.
+  It is the only code in the package that builds a process pool.
 
 The third stock backend, :class:`~repro.cluster.ClusterBackend`, lives in
 :mod:`repro.cluster`.
@@ -22,27 +23,24 @@ The third stock backend, :class:`~repro.cluster.ClusterBackend`, lives in
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Iterable, Iterator
 
 from ..exceptions import ConfigurationError
 from .base import ExecutionBackend, SupportsJobId, WorkerCrash, register_backend
-from .chunking import STATIC_CHUNK_CAP, static_chunk_size
 
-__all__ = ["DEFAULT_CHUNK_CAP", "ProcessPoolBackend", "SerialBackend"]
+__all__ = ["ProcessPoolBackend", "SerialBackend"]
 
-#: Ceiling on the default process-pool chunk size.  The old campaign default
-#: (``len(jobs) // (4 * workers)``) grows with the grid, so a 1000-job grid
-#: on 2 workers shipped 125-job chunks — one chunk of expensive scenario
-#: jobs could starve the pool tail while every other worker sat idle, and
-#: nothing streamed back until a whole chunk finished.  Capping the chunk
-#: keeps dispatch granularity fine enough that heterogeneous grids stay
-#: load-balanced and records stream promptly, while still amortising
-#: pickling for tiny jobs.  (The policy itself now lives in
-#: :func:`~repro.execution.chunking.static_chunk_size`, shared with the
-#: cluster scheduler.)
-DEFAULT_CHUNK_CAP = STATIC_CHUNK_CAP
+#: Ceiling on the pool's chunk size.  Uncapped, roughly four chunks per
+#: worker (``len(jobs) // (4 * workers)``) grows with the grid: a 1000-job
+#: grid on 2 workers would ship 125-job chunks, one chunk of expensive
+#: scenario jobs could starve the pool tail while every other worker sat
+#: idle, and nothing would stream back until a whole chunk finished.  The
+#: cap keeps dispatch fine-grained while still amortising pickling for tiny
+#: jobs.  Chunking never affects records: jobs are seeded before dispatch.
+CHUNK_CAP = 4
 
 
 class SerialBackend(ExecutionBackend):
@@ -73,34 +71,28 @@ class ProcessPoolBackend(ExecutionBackend):
     Parameters
     ----------
     max_workers:
-        Pool size; clamped to the job count at submit time.
-    chunk_size:
-        Jobs shipped to a worker per dispatch.  Defaults to roughly four
-        chunks per worker capped at :data:`DEFAULT_CHUNK_CAP`, so large
-        grids keep fine-grained dispatch (tail load-balancing) and small
-        grids still amortise pickling.
+        Pool size, clamped to the job count at submit time.  ``None`` (the
+        default) is one worker per CPU, as
+        :class:`~concurrent.futures.ProcessPoolExecutor` defaults.
+
+    Each worker is shipped chunks of ``len(jobs) // (4 * workers)`` jobs,
+    at least 1 and at most :data:`CHUNK_CAP`: about four chunks per worker
+    on small grids, fine-grained dispatch on large ones.
     """
 
     name = "process"
 
-    def __init__(self, max_workers: int, chunk_size: int | None = None) -> None:
+    def __init__(self, max_workers: int | None = None) -> None:
+        if max_workers is None:
+            max_workers = os.cpu_count() or 1
         if max_workers < 1:
             raise ConfigurationError("max_workers must be at least 1")
-        if chunk_size is not None and chunk_size < 1:
-            raise ConfigurationError("chunk_size must be at least 1")
         self._max_workers = int(max_workers)
-        self._chunk_size = chunk_size
 
     @property
     def max_workers(self) -> int:
         """Configured pool size."""
         return self._max_workers
-
-    def effective_chunk_size(self, n_jobs: int) -> int:
-        """The chunk size a grid of ``n_jobs`` would be dispatched with."""
-        if self._chunk_size is not None:
-            return self._chunk_size
-        return static_chunk_size(n_jobs, self._max_workers)
 
     def submit(
         self,
@@ -112,11 +104,11 @@ class ProcessPoolBackend(ExecutionBackend):
         A worker that hard-exits (``os._exit``, OOM kill, an injected
         :class:`~repro.faults.WorkerCrashFault`) breaks the whole
         :class:`~concurrent.futures.ProcessPoolExecutor`: the chunk it was
-        running *and* every chunk still pending raise
-        :class:`~concurrent.futures.process.BrokenProcessPool`, and before
-        this backend handled it the records of already-completed chunks were
-        abandoned with the raise.  Now completed chunks have already been
-        streamed by the time the break surfaces, and the affected jobs are
+        running, every chunk still pending *and* every ``submit`` after the
+        break raise
+        :class:`~concurrent.futures.process.BrokenProcessPool`.  Completed
+        chunks have already been streamed by the time the break surfaces,
+        and the affected jobs — including any not yet submitted — are
         retried one at a time, each in a fresh single-worker pool: a job
         that breaks *that* pool is unambiguously the culprit and yields a
         :class:`~repro.execution.base.WorkerCrash` marker, while innocent
@@ -128,15 +120,20 @@ class ProcessPoolBackend(ExecutionBackend):
         jobs = tuple(jobs)
         if not jobs:
             return
-        chunk = self.effective_chunk_size(len(jobs))
+        workers = min(self._max_workers, len(jobs))
+        chunk = max(1, min(CHUNK_CAP, len(jobs) // (4 * workers)))
         suspects: list[SupportsJobId] = []
-        with ProcessPoolExecutor(
-            max_workers=min(self._max_workers, len(jobs))
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {}
             for start in range(0, len(jobs), chunk):
                 batch = jobs[start : start + chunk]
-                futures[pool.submit(_run_chunk, run_one, batch)] = batch
+                try:
+                    futures[pool.submit(_run_chunk, run_one, batch)] = batch
+                except BrokenProcessPool:
+                    # A worker died while chunks were still being queued:
+                    # this chunk and every later one never reached the pool.
+                    suspects.extend(jobs[start:])
+                    break
             try:
                 for future in as_completed(futures):
                     try:
@@ -176,10 +173,20 @@ class ProcessPoolBackend(ExecutionBackend):
                     yield job.job_id, WorkerCrash(job_id=job.job_id)
 
 
-def _process_spec(
-    arg: str, n_workers: int, chunk_size: int | None
-) -> ProcessPoolBackend:
-    """Build from a ``"process:N"`` spec: ``N`` workers, overriding the knob."""
+def _serial_spec(arg: str) -> SerialBackend:
+    """Build from ``"serial"``, which takes no parameter."""
+    if arg:
+        raise ConfigurationError(
+            f"backend 'serial' does not take spec parameters (got "
+            f"'serial:{arg}'); use the bare name"
+        )
+    return SerialBackend()
+
+
+def _process_spec(arg: str) -> ProcessPoolBackend:
+    """Build from ``"process"`` (one worker per CPU) or ``"process:N"``."""
+    if not arg:
+        return ProcessPoolBackend()
     try:
         workers = int(arg)
     except ValueError:
@@ -192,12 +199,8 @@ def _process_spec(
             f"malformed backend spec 'process:{arg}': worker count must be "
             "at least 1"
         )
-    return ProcessPoolBackend(workers, chunk_size)
+    return ProcessPoolBackend(workers)
 
 
-register_backend("serial", lambda n_workers, chunk_size: SerialBackend())
-register_backend(
-    "process",
-    lambda n_workers, chunk_size: ProcessPoolBackend(n_workers, chunk_size),
-    spec_factory=_process_spec,
-)
+register_backend("serial", _serial_spec)
+register_backend("process", _process_spec)

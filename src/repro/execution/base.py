@@ -3,7 +3,9 @@
 A :class:`~repro.campaign.engine.TuningCampaign` (or any other batch
 orchestrator) owns the job list and the semantics of one job; an
 :class:`ExecutionBackend` owns nothing but execution policy — worker count,
-dispatch granularity, scheduling.  The contract is deliberately tiny:
+dispatch granularity, scheduling — and a spec string such as
+``"process:4"`` (:func:`backend_from_spec`) is the one way to choose it.
+The contract is deliberately tiny:
 
 ``submit(jobs, run_one)`` returns an **iterator of** ``(job_id, record)``
 **pairs in completion order**.  Streaming is the load-bearing part: records
@@ -98,6 +100,10 @@ class ExecutionBackend(ContentRepr, abc.ABC):
     #: Stable name used by :func:`backend_from_spec` and result metadata.
     name: ClassVar[str] = "abstract"
 
+    #: Jobs the backend runs at once; pools and clusters override it.  A
+    #: campaign reports this, clamped to its job count, as its worker count.
+    max_workers: int = 1
+
     @abc.abstractmethod
     def submit(
         self,
@@ -114,29 +120,21 @@ class ExecutionBackend(ContentRepr, abc.ABC):
         """
 
 
-#: Registered backends: name -> ``(factory, spec_factory)``, where
-#: ``factory(n_workers, chunk_size)`` builds a bare-name backend and the
-#: optional ``spec_factory(arg, n_workers, chunk_size)`` a parameterised one
-#: (``arg`` is everything after the first colon of a ``"name:arg"`` spec,
-#: e.g. ``"8"`` for ``"process:8"``, ``"local:4"`` for ``"cluster:local:4"``).
-BACKENDS: Registry[tuple[Callable, Callable | None]] = Registry("execution backend")
+#: Registered backends: name -> ``factory(arg)``, where ``arg`` is the text
+#: after the first colon of the spec (``"8"`` for ``"process:8"``,
+#: ``"local:4"`` for ``"cluster:local:4"``, ``""`` for a bare name).
+BACKENDS: Registry[Callable[[str], ExecutionBackend]] = Registry("execution backend")
 
 
-def register_backend(
-    name: str,
-    factory: Callable[[int, int | None], ExecutionBackend],
-    spec_factory: Callable[[str, int, int | None], ExecutionBackend] | None = None,
-) -> None:
-    """Register a backend factory under ``name`` for :func:`backend_from_spec`.
+def register_backend(name: str, factory: Callable[[str], ExecutionBackend]) -> None:
+    """Register ``factory`` under ``name`` for :func:`backend_from_spec`.
 
-    The factory is called as ``factory(n_workers, chunk_size)``; backends
-    that ignore one of the knobs simply drop it.  ``spec_factory``, when
-    given, additionally accepts parameterised specs (``"name:arg"``) and is
-    called as ``spec_factory(arg, n_workers, chunk_size)``; it must raise
-    :class:`~repro.exceptions.ConfigurationError` on a malformed ``arg``.
-    A name registers once.
+    The factory is called as ``factory(arg)`` with the text after the first
+    colon of the spec, ``""`` for the bare name, and must raise
+    :class:`~repro.exceptions.ConfigurationError` on an ``arg`` it does not
+    accept.  A name registers once.
     """
-    BACKENDS.register(name, (factory, spec_factory))
+    BACKENDS.register(name, factory)
 
 
 def backend_names() -> tuple[str, ...]:
@@ -144,41 +142,22 @@ def backend_names() -> tuple[str, ...]:
     return tuple(sorted(BACKENDS.names()))
 
 
-def backend_from_spec(
-    spec: str | ExecutionBackend | None,
-    n_workers: int = 1,
-    chunk_size: int | None = None,
-) -> ExecutionBackend:
-    """Resolve a backend from a name, a spec string, an instance, or ``None``.
+def backend_from_spec(spec: str | ExecutionBackend | None) -> ExecutionBackend:
+    """Resolve a backend from a spec string, an instance, or ``None``.
 
-    ``None`` keeps the historical campaign behaviour: one worker runs
-    serially in-process, more workers fan out over a process pool.  A
-    string selects a registered backend by name — either a bare name
-    (``"process"``) configured by the ``n_workers``/``chunk_size``
-    arguments, or a parameterised spec (``"process:8"``,
-    ``"cluster:HOST:PORT"``, ``"cluster:local:4"``) whose argument is
-    parsed by the backend's own spec factory.  Malformed specs and
-    parameters on a backend that takes none raise
-    :class:`~repro.exceptions.ConfigurationError` loudly rather than
-    falling back to a default.  An :class:`ExecutionBackend` instance
-    passes through untouched (its own worker configuration wins over
-    ``n_workers``).
+    ``None`` is ``"serial"``.  A string names a registered backend, either
+    bare (``"process"``: the backend's defaults) or with a parameter
+    (``"process:8"``, ``"cluster:local:4"``, ``"cluster:HOST:PORT"``) that
+    the backend's factory parses.  Malformed specs raise
+    :class:`~repro.exceptions.ConfigurationError` rather than falling back
+    to a default.  An :class:`ExecutionBackend` instance passes through
+    untouched.
     """
     if isinstance(spec, ExecutionBackend):
         return spec
-    if spec is None:
-        spec = "serial" if n_workers == 1 else "process"
-    name, sep, arg = spec.partition(":")
-    factory, spec_factory = BACKENDS.get(name)
-    if not sep:
-        return factory(n_workers, chunk_size)
-    if spec_factory is None:
-        raise ConfigurationError(
-            f"backend {name!r} does not take spec parameters "
-            f"(got {spec!r}); use the bare name"
-        )
-    if not arg:
+    name, sep, arg = ("serial" if spec is None else spec).partition(":")
+    if sep and not arg:
         raise ConfigurationError(
             f"malformed backend spec {spec!r}: empty parameter after ':'"
         )
-    return spec_factory(arg, n_workers, chunk_size)
+    return BACKENDS.get(name)(arg)

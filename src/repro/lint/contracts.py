@@ -190,7 +190,7 @@ def audit_registry_contracts() -> list[Violation]:
             )
     for name in backend_names():
         where = f"backend:{name}"
-        backend = backend_from_spec(name, n_workers=2, chunk_size=None)
+        backend = backend_from_spec(name)
         if backend.name != name:
             violations.append(
                 _violation(

@@ -119,7 +119,6 @@ class TuneContext:
     gate_x: str | None = None
     gate_y: str | None = None
     clock: VirtualClock | None = None
-    seed: Any = None
     # Accumulated artifacts ------------------------------------------------
     window: WindowSearchResult | None = None
     anchors: AnchorSearchResult | None = None

@@ -13,8 +13,6 @@ same order, and produces bit-identical results, as the pre-pipeline
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from ..core.anchors import AnchorFinder
@@ -25,7 +23,7 @@ from ..core.result import AnchorSearchResult
 from ..core.sweeps import TransitionLineSweeper
 from ..core.virtualization import VirtualizationMatrix
 from ..core.window_search import TransitionWindowFinder, WindowSearchConfig
-from ..exceptions import ExtractionError
+from ..exceptions import ConfigurationError, ExtractionError
 from ..instrument.measurement import ChargeSensorMeter
 from ..instrument.session import ExperimentSession
 from ..instrument.timing import TimingModel
@@ -104,16 +102,15 @@ class FixedCornerAnchorStage(ContentRepr):
 class SweepStage(ContentRepr):
     """Shrinking-triangle row- and column-major sweeps (paper §4.3.2).
 
-    ``run_row`` / ``run_column`` override the corresponding
-    :class:`~repro.core.config.SweepConfig` flags, so single-sweep ablation
-    pipelines do not need a whole separate configuration object.
+    ``run_row`` / ``run_column`` switch one sweep off for the
+    ``row-sweep-only`` and ``column-sweep-only`` ablation pipelines.
     """
 
     name = "sweeps"
 
-    def __init__(
-        self, run_row: bool | None = None, run_column: bool | None = None
-    ) -> None:
+    def __init__(self, run_row: bool = True, run_column: bool = True) -> None:
+        if not (run_row or run_column):
+            raise ConfigurationError("at least one of the two sweeps must be enabled")
         self._run_row = run_row
         self._run_column = run_column
 
@@ -123,17 +120,12 @@ class SweepStage(ContentRepr):
             raise ExtractionError(
                 "sweeps stage needs anchor points; compose an anchor stage first"
             )
-        config = ctx.config.sweeps
-        overrides = {}
-        if self._run_row is not None:
-            overrides["run_row_sweep"] = self._run_row
-        if self._run_column is not None:
-            overrides["run_column_sweep"] = self._run_column
-        if overrides:
-            config = replace(config, **overrides)
-        sweeper = TransitionLineSweeper(meter, config)
+        sweeper = TransitionLineSweeper(meter, ctx.config.sweeps)
         row_trace, column_trace = sweeper.run(
-            ctx.anchors.steep_anchor, ctx.anchors.shallow_anchor
+            ctx.anchors.steep_anchor,
+            ctx.anchors.shallow_anchor,
+            run_row=self._run_row,
+            run_column=self._run_column,
         )
         ctx.extras["sweep_traces"] = (row_trace, column_trace)
         return StageOutcome()
@@ -142,14 +134,14 @@ class SweepStage(ContentRepr):
 class FilterStage(ContentRepr):
     """Erroneous-point filtering: combine traces into the fit's point set.
 
-    Compute-only (no probes).  ``apply_filter`` overrides
-    ``SweepConfig.apply_postprocess``; the ``no-filter`` ablation passes
-    ``False`` to measure what the post-processing filter contributes.
+    Compute-only (no probes).  The ``no-filter`` ablation passes
+    ``apply_filter=False`` to measure what the post-processing filter
+    contributes.
     """
 
     name = "filter"
 
-    def __init__(self, apply_filter: bool | None = None) -> None:
+    def __init__(self, apply_filter: bool = True) -> None:
         self._apply_filter = apply_filter
 
     def run(self, ctx: TuneContext) -> StageOutcome:
@@ -158,12 +150,9 @@ class FilterStage(ContentRepr):
             raise ExtractionError(
                 "filter stage needs sweep traces; compose a sweep stage first"
             )
-        apply_filter = (
-            ctx.config.sweeps.apply_postprocess
-            if self._apply_filter is None
-            else self._apply_filter
+        ctx.points = build_point_set(
+            traces[0], traces[1], apply_filter=self._apply_filter
         )
-        ctx.points = build_point_set(traces[0], traces[1], apply_filter=apply_filter)
         return StageOutcome()
 
 

@@ -8,7 +8,7 @@ start, so any identity built from it can never match on resume.
 
 :class:`ContentRepr` is the one-line fix for plain (non-dataclass) classes:
 it renders every instance attribute, sorted by name, with leading
-underscores stripped — ``ProcessPoolBackend(chunk_size=None, max_workers=4)``
+underscores stripped — ``ProcessPoolBackend(max_workers=4)``
 — which is stable across processes as long as the attribute values
 themselves repr by content.
 """

@@ -296,7 +296,6 @@ def run_draws(
     resolution: int = 24,
     method: str = "fast",
     pairs: str = "first",
-    n_workers: int = 1,
     backend=None,
     criterion=None,
     checkpoint=None,
@@ -308,7 +307,5 @@ def run_draws(
     too.
     """
     jobs = jobs_for_draws(draws, resolution=resolution, method=method, pairs=pairs)
-    campaign = TuningCampaign(
-        jobs, n_workers=n_workers, backend=backend, criterion=criterion
-    )
+    campaign = TuningCampaign(jobs, backend=backend, criterion=criterion)
     return campaign.run(checkpoint=checkpoint)

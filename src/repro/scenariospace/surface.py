@@ -112,7 +112,6 @@ def success_surface(
     resolution: int = 24,
     method: str = "fast",
     pairs: str = "first",
-    n_workers: int = 1,
     backend=None,
     criterion=None,
     checkpoint=None,
@@ -142,7 +141,6 @@ def success_surface(
         resolution=resolution,
         method=method,
         pairs=pairs,
-        n_workers=n_workers,
         backend=backend,
         criterion=criterion,
         checkpoint=checkpoint,

@@ -48,7 +48,7 @@ def small_grid() -> CampaignGrid:
 
 @pytest.fixture(scope="module")
 def sequential_result(small_grid):
-    return TuningCampaign(small_grid, n_workers=1).run()
+    return TuningCampaign(small_grid).run()
 
 
 class TestTuningCampaign:
@@ -63,20 +63,11 @@ class TestTuningCampaign:
         assert noise_free and all(r.success for r in noise_free)
         assert sequential_result.success_rate > 0.5
 
-    @pytest.mark.parametrize(
-        "backend, n_workers",
-        [
-            ("serial", 1),
-            ("process", 2),
-            ("process", 3),
-        ],
-    )
-    def test_backend_matrix_bit_identical(
-        self, small_grid, sequential_result, backend, n_workers
-    ):
+    @pytest.mark.parametrize("backend", ["serial", "process:2", "process:3"])
+    def test_backend_matrix_bit_identical(self, small_grid, sequential_result, backend):
         # The tentpole contract: every backend at every worker count
         # produces bit-identical records (everything but wall-clock time).
-        result = TuningCampaign(small_grid, n_workers=n_workers, backend=backend).run()
+        result = TuningCampaign(small_grid, backend=backend).run()
         assert (
             result.normalized().records == sequential_result.normalized().records
         )
@@ -87,23 +78,12 @@ class TestTuningCampaign:
         ).run()
         assert result.normalized().records == sequential_result.normalized().records
         assert result.metadata["backend"] == "process"
-        # The result reports the workers the backend actually used, not the
-        # constructor's n_workers default.
+        # The result reports the workers the backend actually used.
         assert result.n_workers == 3
 
     def test_unknown_backend_rejected(self, small_grid):
         with pytest.raises(ConfigurationError):
             TuningCampaign(small_grid, backend="teleport")
-
-    def test_chunk_size_with_chunkless_backend_rejected(self, small_grid):
-        # Silent no-ops hide tuning mistakes; only the process backend
-        # chunks (the auto spec keeps the historical ignore-when-serial).
-        with pytest.raises(ConfigurationError, match="chunk_size"):
-            TuningCampaign(small_grid, backend="cluster:local:2", chunk_size=4)
-        with pytest.raises(ConfigurationError, match="chunk_size"):
-            TuningCampaign(small_grid, backend=SerialBackend(), chunk_size=4)
-        TuningCampaign(small_grid, backend="process", n_workers=2, chunk_size=4)
-        TuningCampaign(small_grid, chunk_size=4)  # auto spec: historical
 
     def test_rerun_failures_without_checkpoint_rejected(self, small_grid):
         with pytest.raises(ConfigurationError, match="rerun_failures"):
@@ -111,7 +91,7 @@ class TestTuningCampaign:
 
     def test_accepts_pre_expanded_jobs(self, small_grid, sequential_result):
         jobs = small_grid.expand()
-        rerun = TuningCampaign(jobs[:2], n_workers=1).run()
+        rerun = TuningCampaign(jobs[:2]).run()
         assert rerun.n_jobs == 2
         assert rerun.records[0].alpha_12 == sequential_result.records[0].alpha_12
 
@@ -119,10 +99,6 @@ class TestTuningCampaign:
         job = small_grid.expand()[0]
         with pytest.raises(ConfigurationError):
             TuningCampaign([job, job])
-
-    def test_invalid_worker_count_rejected(self, small_grid):
-        with pytest.raises(ConfigurationError):
-            TuningCampaign(small_grid, n_workers=0)
 
     def test_empty_campaign(self):
         result = TuningCampaign([]).run()
@@ -134,15 +110,15 @@ class TestTuningCampaign:
 class TestFaultIsolation:
     """A raising job yields a ``worker_error`` record, not a dead campaign."""
 
-    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("backend", [None, "process:2"])
     def test_poisoned_job_survives_as_worker_error_record(
-        self, small_grid, sequential_result, n_workers
+        self, small_grid, sequential_result, backend
     ):
         # Regression: with the old blocking pool.map, the poisoned job's
         # exception aborted the whole campaign and discarded every
         # completed record.
         result = TuningCampaign(
-            small_grid, n_workers=n_workers, job_runner=poisoned_job_runner
+            small_grid, backend=backend, job_runner=poisoned_job_runner
         ).run()
         assert result.n_jobs == small_grid.n_jobs
         poisoned = result.records[POISONED_JOB_ID]
@@ -340,13 +316,12 @@ class TestCheckpointResume:
         with pytest.raises(ConfigurationError, match="criterion"):
             campaign_fingerprint(small_grid.expand()[:1], OpaqueModel())
 
-    def test_single_job_grid_auto_selects_serial(self, small_grid):
-        # A pool buys nothing for one job; the auto spec keeps the
-        # historical in-process fallback (and its no-pickling guarantee).
-        campaign = TuningCampaign(small_grid.expand()[:1], n_workers=8)
-        assert isinstance(campaign.backend, SerialBackend)
+    def test_default_backend_is_serial(self, small_grid):
+        # No spec runs in-process (and never pickles); a spec is the only
+        # way to ask for anything else, whatever the grid size.
+        assert isinstance(TuningCampaign(small_grid).backend, SerialBackend)
         explicit = TuningCampaign(small_grid.expand()[:1], backend="process")
-        assert explicit.backend.name == "process"  # explicit spec still wins
+        assert explicit.backend.name == "process"
 
     def test_resume_after_scenario_redefinition_rejected(self, tmp_path):
         from repro.scenarios import get_scenario, register_scenario, unregister_scenario
@@ -393,7 +368,7 @@ class TestCheckpointResume:
         assert again.records[POISONED_JOB_ID].success
 
     def test_reported_workers_clamp_to_job_count(self, small_grid):
-        result = TuningCampaign(small_grid.expand()[:2], n_workers=8).run()
+        result = TuningCampaign(small_grid.expand()[:2], backend="process:8").run()
         assert result.n_workers == 2
 
     def test_completed_journal_short_circuits(self, small_grid, tmp_path):

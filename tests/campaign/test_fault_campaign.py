@@ -32,7 +32,7 @@ def faulty_grid() -> CampaignGrid:
 
 @pytest.fixture(scope="module")
 def serial_result(faulty_grid) -> CampaignResult:
-    return TuningCampaign(faulty_grid, n_workers=1).run()
+    return TuningCampaign(faulty_grid).run()
 
 
 class TestGridFaultAxis:
@@ -123,19 +123,12 @@ class TestFaultResilience:
 
 
 class TestCrossBackendIdentity:
-    @pytest.mark.parametrize(
-        "backend, n_workers",
-        [("process", 2), ("process", 3)],
-    )
-    def test_same_chaos_on_every_backend(
-        self, faulty_grid, serial_result, backend, n_workers
-    ):
+    @pytest.mark.parametrize("backend", ["process:2", "process:3"])
+    def test_same_chaos_on_every_backend(self, faulty_grid, serial_result, backend):
         # The fault-axis contract: injected faults, retry counts, and
         # worker deaths are seed-determined, so every backend at every
         # worker count condenses into bit-identical records.
-        result = TuningCampaign(
-            faulty_grid, n_workers=n_workers, backend=backend
-        ).run()
+        result = TuningCampaign(faulty_grid, backend=backend).run()
         assert result.normalized() == serial_result.normalized()
         assert [r.n_probe_retries for r in result.records] == [
             r.n_probe_retries for r in serial_result.records

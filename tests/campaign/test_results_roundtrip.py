@@ -195,7 +195,7 @@ class TestResultRoundTrip:
             n_repeats=1,
             seed=5,
         )
-        process = TuningCampaign(grid, n_workers=2).run()
+        process = TuningCampaign(grid, backend="process:2").run()
         process3 = TuningCampaign(grid, backend="process:3").run()
         serial = TuningCampaign(grid).run()
         assert serial.normalized() == process.normalized() == process3.normalized()

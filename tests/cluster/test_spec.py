@@ -1,26 +1,51 @@
-"""Tests for parameterised backend specs and their campaign threading."""
+"""Tests for backend specs, the one way to choose execution, and their threading."""
 
 from __future__ import annotations
+
+import inspect
+import os
 
 import pytest
 
 from repro.campaign import CampaignGrid, DeviceSpec, TuningCampaign
 from repro.cluster import ClusterBackend
+from repro.core import ArrayVirtualGateExtractor
 from repro.exceptions import ConfigurationError
-from repro.execution import ProcessPoolBackend, backend_from_spec, backend_names
+from repro.execution import (
+    ProcessPoolBackend,
+    SerialBackend,
+    backend_from_spec,
+    backend_names,
+    register_backend,
+)
+from repro.scenariospace import run_draws, success_surface
+
+
+class TestBareNames:
+    """A bare name builds the backend's defaults."""
+
+    def test_none_and_serial_run_in_process(self):
+        assert isinstance(backend_from_spec(None), SerialBackend)
+        assert isinstance(backend_from_spec("serial"), SerialBackend)
+
+    def test_process_is_one_worker_per_cpu(self):
+        backend = backend_from_spec("process")
+        assert isinstance(backend, ProcessPoolBackend)
+        assert backend.max_workers == (os.cpu_count() or 1)
+
+    def test_cluster_is_two_local_workers(self):
+        backend = backend_from_spec("cluster")
+        assert isinstance(backend, ClusterBackend)
+        assert backend.max_workers == 2
+        assert repr(backend) == repr(ClusterBackend())
 
 
 class TestClusterSpecs:
     def test_cluster_is_registered(self):
         assert "cluster" in backend_names()
 
-    def test_bare_name_uses_the_worker_count(self):
-        backend = backend_from_spec("cluster", n_workers=3)
-        assert isinstance(backend, ClusterBackend)
-        assert backend.max_workers == 3
-
     def test_local_spec_sets_the_worker_count(self):
-        backend = backend_from_spec("cluster:local:4", n_workers=1)
+        backend = backend_from_spec("cluster:local:4")
         assert isinstance(backend, ClusterBackend)
         assert backend.max_workers == 4
 
@@ -49,7 +74,7 @@ class TestClusterSpecs:
 
 class TestProcessSpecs:
     def test_worker_count_parameter(self):
-        backend = backend_from_spec("process:8", n_workers=1)
+        backend = backend_from_spec("process:8")
         assert isinstance(backend, ProcessPoolBackend)
         assert backend.max_workers == 8
 
@@ -58,9 +83,15 @@ class TestProcessSpecs:
         with pytest.raises(ConfigurationError, match="process"):
             backend_from_spec(spec)
 
-    def test_parameterless_backends_refuse_parameters(self):
+    @pytest.mark.parametrize("spec", ["serial:4", "serial:"])
+    def test_parameterless_backends_refuse_parameters(self, spec):
         with pytest.raises(ConfigurationError, match="parameter"):
-            backend_from_spec("serial:4")
+            backend_from_spec(spec)
+
+    @pytest.mark.parametrize("spec", ["", ":4"])
+    def test_nameless_specs_fail_loudly(self, spec):
+        with pytest.raises(ConfigurationError):
+            backend_from_spec(spec)
 
     def test_unknown_backend_still_lists_the_catalogue(self):
         with pytest.raises(ConfigurationError, match="serial"):
@@ -93,8 +124,20 @@ class TestCampaignSpecThreading:
         serial_run = TuningCampaign(grid).run()
         assert spec_run.normalized() == serial_run.normalized()
 
-    def test_chunk_size_knob_still_guards_non_process_backends(self, grid):
-        with pytest.raises(ConfigurationError, match="chunk_size"):
-            TuningCampaign(grid, backend="cluster:local:2", chunk_size=3)
-        # The process spec keeps the knob, parameters and all.
-        TuningCampaign(grid, backend="process:2", chunk_size=3)
+
+@pytest.mark.parametrize(
+    "func",
+    [
+        TuningCampaign,
+        backend_from_spec,
+        register_backend,
+        ProcessPoolBackend,
+        ArrayVirtualGateExtractor,
+        run_draws,
+        success_surface,
+    ],
+    ids=lambda func: func.__name__,
+)
+def test_execution_is_chosen_only_by_a_backend_spec(func):
+    parameters = inspect.signature(func).parameters
+    assert not {"n_workers", "chunk_size", "spec_factory"} & set(parameters)

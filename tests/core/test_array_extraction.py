@@ -57,27 +57,6 @@ class TestTripleDot:
         assert outcome.metadata["device"] == device.name
 
 
-class TestParallelDispatch:
-    def test_parallel_matches_sequential_bit_for_bit(self, triple_dot_result):
-        device, sequential = triple_dot_result
-        parallel = ArrayVirtualGateExtractor(
-            resolution=63, seed=21, n_workers=2
-        ).extract(device)
-        assert np.array_equal(
-            parallel.virtualization.matrix, sequential.virtualization.matrix
-        )
-        assert parallel.total_probes == sequential.total_probes
-        assert parallel.total_elapsed_s == sequential.total_elapsed_s
-        for seq_rec, par_rec in zip(sequential.pair_records, parallel.pair_records):
-            assert (seq_rec.dot_a, seq_rec.dot_b) == (par_rec.dot_a, par_rec.dot_b)
-            assert seq_rec.result.matrix.alpha_12 == par_rec.result.matrix.alpha_12
-            assert seq_rec.result.matrix.alpha_21 == par_rec.result.matrix.alpha_21
-
-    def test_worker_count_recorded(self, triple_dot_result):
-        _, outcome = triple_dot_result
-        assert outcome.metadata["n_workers"] == 1
-
-
 class TestValidation:
     def test_single_dot_rejected(self):
         device = DotArrayDevice.linear_array(n_dots=1)
@@ -87,7 +66,3 @@ class TestValidation:
     def test_tiny_resolution_rejected(self):
         with pytest.raises(ExtractionError):
             ArrayVirtualGateExtractor(resolution=4)
-
-    def test_zero_workers_rejected(self):
-        with pytest.raises(ExtractionError):
-            ArrayVirtualGateExtractor(n_workers=0)

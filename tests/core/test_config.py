@@ -54,16 +54,10 @@ class TestSweepConfig:
     def test_defaults(self):
         config = SweepConfig()
         assert config.delta_pixels == 1
-        assert config.run_row_sweep and config.run_column_sweep
-        assert config.apply_postprocess
 
     def test_invalid_delta(self):
         with pytest.raises(ConfigurationError):
             SweepConfig(delta_pixels=0)
-
-    def test_both_sweeps_disabled_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SweepConfig(run_row_sweep=False, run_column_sweep=False)
 
 
 class TestFitConfig:
@@ -96,11 +90,11 @@ class TestExtractionConfig:
 
     def test_replace_single_section(self):
         config = ExtractionConfig.paper_defaults()
-        updated = config.replace(sweeps=SweepConfig(run_column_sweep=False))
-        assert updated.sweeps.run_column_sweep is False
+        updated = config.replace(sweeps=SweepConfig(delta_pixels=2))
+        assert updated.sweeps.delta_pixels == 2
         assert updated.anchors is config.anchors
         # Original untouched (frozen dataclasses).
-        assert config.sweeps.run_column_sweep is True
+        assert config.sweeps.delta_pixels == 1
 
     def test_replace_unknown_field_rejected(self):
         with pytest.raises(ConfigurationError):

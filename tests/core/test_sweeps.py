@@ -8,7 +8,6 @@ import pytest
 from repro.core import (
     AnchorFinder,
     PixelPoint,
-    SweepConfig,
     TransitionLineSweeper,
 )
 from repro.exceptions import SweepError
@@ -123,8 +122,9 @@ class TestRunBoth:
 
     def test_disabled_sweep_yields_empty_trace(self, anchors_and_meter):
         anchors, meter = anchors_and_meter
-        sweeper = TransitionLineSweeper(meter, SweepConfig(run_column_sweep=False))
-        row_trace, column_trace = sweeper.run(anchors.steep_anchor, anchors.shallow_anchor)
+        row_trace, column_trace = TransitionLineSweeper(meter).run(
+            anchors.steep_anchor, anchors.shallow_anchor, run_column=False
+        )
         assert row_trace.n_points > 0
         assert column_trace.n_points == 0
 

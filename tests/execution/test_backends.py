@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -10,7 +11,6 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.execution import (
-    DEFAULT_CHUNK_CAP,
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
@@ -18,6 +18,8 @@ from repro.execution import (
     backend_names,
     register_backend,
 )
+from repro.execution import backends
+from repro.execution.backends import CHUNK_CAP
 
 
 @dataclass(frozen=True)
@@ -51,12 +53,13 @@ def raising_runner(job: FakeJob) -> str:
     raise RuntimeError(f"boom on {job.job_id}")
 
 
-JOBS = tuple(FakeJob(job_id=i) for i in range(10))
+JOBS = tuple(FakeJob(job_id=i) for i in range(16))
 
+# 16 jobs ship in 1-job chunks on 4 workers and in 2-job chunks on 2.
 ALL_BACKENDS = [
     SerialBackend(),
+    ProcessPoolBackend(max_workers=4),
     ProcessPoolBackend(max_workers=2),
-    ProcessPoolBackend(max_workers=3, chunk_size=2),
 ]
 
 
@@ -101,25 +104,54 @@ class TestSerialBackend:
         assert seen == [0]
 
 
+class InlineExecutor:
+    """Stands in for the process pool: runs each chunk at submit, noting its size."""
+
+    def __init__(self) -> None:
+        self.chunk_sizes: list[int] = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        return None
+
+    def submit(self, fn, run_one, chunk):
+        self.chunk_sizes.append(len(chunk))
+        future = Future()
+        future.set_result(fn(run_one, chunk))
+        return future
+
+
 class TestProcessPoolBackend:
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigurationError):
             ProcessPoolBackend(max_workers=0)
-        with pytest.raises(ConfigurationError):
-            ProcessPoolBackend(max_workers=2, chunk_size=0)
 
-    def test_default_chunk_is_capped(self):
-        backend = ProcessPoolBackend(max_workers=2)
-        # The old campaign default (len // (4 * workers)) would ship
-        # 125-job chunks here, starving the pool tail on mixed-cost grids.
-        assert 1000 // (4 * 2) == 125
-        assert backend.effective_chunk_size(1000) == DEFAULT_CHUNK_CAP
-        # Small grids keep the fine-grained old behaviour.
-        assert backend.effective_chunk_size(10) == 1
-        assert backend.effective_chunk_size(0) == 1
-
-    def test_explicit_chunk_wins(self):
-        assert ProcessPoolBackend(2, chunk_size=17).effective_chunk_size(1000) == 17
+    @pytest.mark.parametrize(
+        ("n_jobs", "max_workers", "chunk"),
+        [
+            # Uncapped, len // (4 * workers) would ship 125-job chunks
+            # here, starving the pool tail on mixed-cost grids.
+            (1000, 2, CHUNK_CAP),
+            (16, 2, 2),
+            (24, 2, 3),
+            # Small grids dispatch one job at a time.
+            (10, 2, 1),
+            (1, 2, 1),
+            # The pool clamps to the job count before sizing chunks.
+            (3, 8, 1),
+        ],
+    )
+    def test_default_chunk_is_capped(self, monkeypatch, n_jobs, max_workers, chunk):
+        pool = InlineExecutor()
+        monkeypatch.setattr(backends, "ProcessPoolExecutor", lambda max_workers: pool)
+        jobs = tuple(FakeJob(i) for i in range(n_jobs))
+        records = dict(ProcessPoolBackend(max_workers).submit(jobs, echo_runner))
+        assert sorted(records) == list(range(n_jobs))
+        assert pool.chunk_sizes == [
+            min(chunk, n_jobs - start) for start in range(0, n_jobs, chunk)
+        ]
 
     def test_mixed_cost_grid_streams_past_a_slow_job(self):
         # One expensive job up front plus a tail of cheap ones: with the
@@ -139,12 +171,11 @@ class TestProcessPoolBackend:
         # An interrupting consumer (a progress hook raising) must not sit
         # through the whole remaining grid: unstarted chunks are cancelled,
         # so only the chunk(s) already running can still execute.
+        # 7 jobs on one worker ship one job per chunk.
         jobs = tuple(
-            FakeJob(i, cost=0.05, marker_dir=str(tmp_path)) for i in range(8)
+            FakeJob(i, cost=0.05, marker_dir=str(tmp_path)) for i in range(7)
         )
-        stream = ProcessPoolBackend(max_workers=1, chunk_size=1).submit(
-            jobs, marker_runner
-        )
+        stream = ProcessPoolBackend(max_workers=1).submit(jobs, marker_runner)
         next(stream)
         stream.close()
         ran = len(list(tmp_path.iterdir()))
@@ -155,22 +186,9 @@ class TestBackendRegistry:
     def test_stock_backends_registered(self):
         assert backend_names() == ("cluster", "process", "serial")
 
-    def test_auto_spec_follows_worker_count(self):
-        assert isinstance(backend_from_spec(None, n_workers=1), SerialBackend)
-        auto = backend_from_spec(None, n_workers=3, chunk_size=5)
-        assert isinstance(auto, ProcessPoolBackend)
-        assert auto.max_workers == 3
-        assert auto.effective_chunk_size(100) == 5
-
-    def test_name_spec(self):
-        assert isinstance(backend_from_spec("serial", n_workers=4), SerialBackend)
-        process = backend_from_spec("process", n_workers=4)
-        assert isinstance(process, ProcessPoolBackend)
-        assert process.max_workers == 4
-
     def test_instance_passes_through(self):
         backend = ProcessPoolBackend(max_workers=2)
-        assert backend_from_spec(backend, n_workers=99) is backend
+        assert backend_from_spec(backend) is backend
 
     def test_unknown_name_rejected_with_catalogue(self):
         with pytest.raises(ConfigurationError, match="serial"):
@@ -183,9 +201,10 @@ class TestBackendRegistry:
             def submit(self, jobs, run_one):
                 return iter(())
 
-        register_backend("null", lambda n_workers, chunk_size: NullBackend())
+        register_backend("null", lambda arg: NullBackend())
         try:
             assert isinstance(backend_from_spec("null"), NullBackend)
+            assert NullBackend().max_workers == 1
         finally:
             from repro.execution.base import BACKENDS
 

@@ -33,19 +33,22 @@ def sample_runner(job: RecordJob):
     return RECORDS[job.kind]
 
 
+# Two workers ship ``n_jobs // 8`` jobs per chunk (at most 4): the job
+# counts below choose multi-job chunks.
 class TestPoolRecordFidelity:
     @pytest.mark.parametrize("kind", RECORDS)
     def test_record_comes_back_identical(self, kind):
-        jobs = tuple(RecordJob(job_id=i, kind=kind) for i in range(3))
-        backend = ProcessPoolBackend(max_workers=2, chunk_size=2)
+        jobs = tuple(RecordJob(job_id=i, kind=kind) for i in range(16))  # 2 per chunk
+        backend = ProcessPoolBackend(max_workers=2)
         records = dict(backend.submit(jobs, sample_runner))
-        assert sorted(records) == [0, 1, 2]
+        assert sorted(records) == list(range(16))
         for record in records.values():
             assert identical(record, RECORDS[kind])
 
     def test_every_kind_keeps_its_job_id(self):
+        assert len(RECORDS) >= 16  # multi-job chunks
         jobs = tuple(RecordJob(job_id=i, kind=kind) for i, kind in enumerate(RECORDS))
-        backend = ProcessPoolBackend(max_workers=2, chunk_size=3)
+        backend = ProcessPoolBackend(max_workers=2)
         records = dict(backend.submit(jobs, sample_runner))
         assert sorted(records) == [job.job_id for job in jobs]
         for job in jobs:
@@ -54,9 +57,9 @@ class TestPoolRecordFidelity:
     def test_rescued_records_are_identical(self):
         jobs = tuple(
             RecordJob(job_id=i, kind=kind, lethal=(i == 3))
-            for i, kind in enumerate(list(RECORDS)[-8:])
+            for i, kind in enumerate(list(RECORDS)[-8:] * 2)  # 2 per chunk
         )
-        backend = ProcessPoolBackend(max_workers=2, chunk_size=2)
+        backend = ProcessPoolBackend(max_workers=2)
         records = dict(backend.submit(jobs, sample_runner))
         assert sorted(records) == [job.job_id for job in jobs]
         assert records[3] == WorkerCrash(job_id=3)

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor, wait
 from dataclasses import dataclass
 
 import pytest
 
 from repro.exceptions import ConfigurationError, WorkerCrashError
+from repro.execution import backends
 from repro.execution import (
     ProcessPoolBackend,
     RetryPolicy,
@@ -38,12 +40,14 @@ def failure_record(job: CrashyJob, error: BaseException) -> str:
     return f"error-{job.job_id}:{error}"
 
 
-JOBS = tuple(CrashyJob(job_id=i, lethal=(i == 4)) for i in range(9))
+# 16 jobs on two workers ship in 2-job chunks (``n_jobs // 8``), so the
+# crashed job always takes a chunk-mate down with it.
+JOBS = tuple(CrashyJob(job_id=i, lethal=(i == 4)) for i in range(16))
 
 
 class TestProcessPoolCrashRecovery:
     def test_survivors_all_stream_despite_hard_crash(self):
-        backend = ProcessPoolBackend(max_workers=2, chunk_size=2)
+        backend = ProcessPoolBackend(max_workers=2)
         records = dict(backend.submit(JOBS, crashy_runner))
         assert set(records) == {job.job_id for job in JOBS}
         for job in JOBS:
@@ -52,7 +56,7 @@ class TestProcessPoolCrashRecovery:
             assert records[job.job_id] == f"record-{job.job_id}"
 
     def test_crashed_job_yields_a_marker_not_an_exception(self):
-        backend = ProcessPoolBackend(max_workers=2, chunk_size=2)
+        backend = ProcessPoolBackend(max_workers=2)
         records = dict(backend.submit(JOBS, crashy_runner))
         marker = records[4]
         assert isinstance(marker, WorkerCrash)
@@ -60,23 +64,51 @@ class TestProcessPoolCrashRecovery:
         assert marker.message == crash_message(4)
 
     def test_multiple_crashes_are_each_attributed(self):
-        jobs = tuple(CrashyJob(job_id=i, lethal=i in (1, 5)) for i in range(7))
-        backend = ProcessPoolBackend(max_workers=2, chunk_size=3)
+        # 24 jobs: 3-job chunks.
+        jobs = tuple(CrashyJob(job_id=i, lethal=i in (1, 5)) for i in range(24))
+        backend = ProcessPoolBackend(max_workers=2)
         records = dict(backend.submit(jobs, crashy_runner))
         assert isinstance(records[1], WorkerCrash)
         assert isinstance(records[5], WorkerCrash)
         assert records[6] == "record-6"
 
+    def test_worker_death_while_chunks_are_still_queueing(self, monkeypatch):
+        # A broken pool refuses new chunks: ``submit`` itself raises
+        # BrokenProcessPool.  The pool below holds its second submit until
+        # the first chunk's worker has died, so the break always lands
+        # while chunks are still being queued, as it can on a big grid.
+        class DyingWhileQueueingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.submitted = []
+
+            def submit(self, *args, **kwargs):
+                if len(self.submitted) == 1:
+                    done, _ = wait(self.submitted, timeout=60)
+                    assert done, "the first chunk's worker never died"
+                future = super().submit(*args, **kwargs)
+                self.submitted.append(future)
+                return future
+
+        monkeypatch.setattr(backends, "ProcessPoolExecutor", DyingWhileQueueingPool)
+        jobs = tuple(CrashyJob(job_id=i, lethal=(i == 0)) for i in range(16))
+        records = RunController(ProcessPoolBackend(max_workers=2)).run(
+            jobs, crashy_runner, on_error=failure_record
+        )
+        assert records[0] == f"error-0:{crash_message(0)}"
+        for job in jobs[1:]:
+            assert records[job.job_id] == f"record-{job.job_id}"
+
 
 class TestControllerCrashConversion:
     def test_marker_converted_through_on_error(self):
-        controller = RunController(ProcessPoolBackend(max_workers=2, chunk_size=2))
+        controller = RunController(ProcessPoolBackend(max_workers=2))
         records = controller.run(JOBS, crashy_runner, on_error=failure_record)
         assert records[4] == f"error-4:{crash_message(4)}"
         assert records[0] == "record-0"
 
     def test_marker_raises_without_on_error(self):
-        controller = RunController(ProcessPoolBackend(max_workers=2, chunk_size=2))
+        controller = RunController(ProcessPoolBackend(max_workers=2))
         with pytest.raises(WorkerCrashError, match="job 4"):
             controller.run(JOBS, crashy_runner)
 

@@ -21,10 +21,7 @@ from repro.scenarios.catalog import all_scenarios
 def registry_objects():
     objects = list(all_scenarios())
     objects += [get_pipeline(name) for name in pipeline_names()]
-    objects += [
-        backend_from_spec(name, n_workers=2, chunk_size=None)
-        for name in backend_names()
-    ]
+    objects += [backend_from_spec(name) for name in backend_names()]
     _register_builtin_samples()
     objects += [factory() for factory in _SAMPLE_FACTORIES.values()]
     return objects

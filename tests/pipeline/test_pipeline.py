@@ -10,6 +10,7 @@ from repro.exceptions import ConfigurationError, ExtractionError
 from repro.instrument import ExperimentSession
 from repro.pipeline import (
     StageOutcome,
+    SweepStage,
     TuneContext,
     TuningPipeline,
     all_pipelines,
@@ -247,6 +248,10 @@ class TestComposerSemantics:
         with pytest.raises(ConfigurationError, match="ok"):
             StageOutcome(status="exploded")
 
+    def test_sweep_stage_with_both_sweeps_disabled_rejected(self):
+        with pytest.raises(ConfigurationError, match="sweeps"):
+            SweepStage(run_row=False, run_column=False)
+
     def test_execute_without_meter_fails_loudly(self):
         pipeline = TuningPipeline("bare", [_NotingStage([])])
         with pytest.raises(ExtractionError, match="without a measurement"):
@@ -387,7 +392,7 @@ class TestCampaignMethodAxis:
             seed=4,
         )
         serial = TuningCampaign(grid).run()
-        parallel = TuningCampaign(grid, n_workers=2).run()
+        parallel = TuningCampaign(grid, backend="process:2").run()
         assert serial.normalized() == parallel.normalized()
         shipped = [r for r in serial.records if r.method == name]
         assert shipped and all(r.failure_category != "worker_error" for r in shipped)

@@ -239,7 +239,7 @@ class TestUserScenariosReachWorkers:
                 n_repeats=2,
                 seed=4,
             )
-            result = TuningCampaign(grid, n_workers=2).run()
+            result = TuningCampaign(grid, backend="process:2").run()
             assert all(r.failure_category != "crash" for r in result.records)
         finally:
             unregister_scenario("_test_parallel")

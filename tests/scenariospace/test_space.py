@@ -194,9 +194,7 @@ class TestRunDraws:
         )
         draws = space.sample(4, seed=13)
         serial = run_draws(draws, resolution=16, backend="serial")
-        pooled = run_draws(
-            draws, resolution=16, n_workers=2, backend="process"
-        )
+        pooled = run_draws(draws, resolution=16, backend="process:2")
         # Prove we compared genuinely different execution policies before
         # normalization strips them.
         assert serial.metadata["backend"] == "serial"

@@ -56,7 +56,7 @@ class TestSpawnSeeds:
     def test_seed_sequence_root_is_not_consumed(self):
         # Repeated calls with the same SeedSequence must return the same
         # children (the caller's spawn counter is neither read nor advanced);
-        # this is what keeps n_workers=1 and n_workers=N runs bit-identical
+        # this is what keeps serial and "process:N" runs bit-identical
         # when the user seeds with a SeedSequence instead of an int.
         root = np.random.SeedSequence(21)
         first = spawn_seeds(root, 2)
