@@ -18,7 +18,7 @@ Run with::
 from __future__ import annotations
 
 from repro import DotArrayDevice, standard_lab_noise
-from repro.core import AutoTuningWorkflow
+from repro.pipeline import AutoTuningWorkflow
 from repro.visualization import ascii_heatmap
 
 

@@ -28,6 +28,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro import CampaignGrid, DeviceSpec, TuningCampaign
+from repro.analysis import format_stage_costs
+from repro.core import ExtractionConfig
 from repro.pipeline import (
     AnchorStage,
     FilterStage,
@@ -36,12 +38,10 @@ from repro.pipeline import (
     SweepStage,
     TuningPipeline,
     ValidateStage,
-    format_stage_costs,
     get_pipeline,
     pipeline_names,
     register_pipeline,
 )
-from repro.core import ExtractionConfig
 from repro.scenarios import get_scenario
 
 SCENARIO = "standard_lab"

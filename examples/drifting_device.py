@@ -15,7 +15,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro.core import AutoTuningWorkflow
+from repro.pipeline import AutoTuningWorkflow
 from repro.scenarios import get_scenario
 
 

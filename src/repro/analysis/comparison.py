@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..baseline.extraction import BaselineConfig, HoughBaselineExtractor
+from ..baseline.extraction import BaselineConfig
 from ..core.config import ExtractionConfig
-from ..core.extraction import FastVirtualGateExtractor
 from ..core.result import ExtractionResult
 from ..instrument.session import ExperimentSession
 from ..instrument.timing import TimingModel
 from ..physics.csd import ChargeStabilityDiagram
+from ..pipeline.registry import FastVirtualGateExtractor, HoughBaselineExtractor
 from .metrics import AccuracyMetrics, SuccessCriterion, accuracy_metrics, speedup
 
 

@@ -13,14 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.array_extraction import ArrayVirtualGateExtractor
 from ..core.config import AnchorConfig, ExtractionConfig
-from ..core.extraction import METHOD_NAME, FastVirtualGateExtractor
+from ..core.extraction import METHOD_NAME
 from ..datasets.qflow import load_benchmark, load_suite
 from ..datasets.synthetic import NoiseRecipe, SyntheticCSDConfig
 from ..instrument.session import ExperimentSession
 from ..physics.dot_array import DotArrayDevice
-from ..pipeline.registry import get_pipeline
+from ..pipeline.array_extraction import ArrayVirtualGateExtractor
+from ..pipeline.registry import FastVirtualGateExtractor, get_pipeline
 from .comparison import BenchmarkRecord, ComparisonRunner
 from .metrics import SuccessCriterion, accuracy_metrics
 from .reporting import format_summary, format_table, format_table1, summarize_suite

@@ -294,6 +294,30 @@ def stage_breakdown_rows(rows: list[dict]) -> list[list[str]]:
     return out
 
 
+def format_stage_costs(stage_telemetry) -> str:
+    """Per-stage cost table of one run's telemetry (plain text).
+
+    Accepts any iterable of :class:`~repro.core.result.StageTelemetry`
+    (``result.stage_telemetry``, ``auto_tune_result.stage_telemetry``).
+    """
+    rows = [
+        [
+            t.stage,
+            t.outcome,
+            str(t.n_probes),
+            str(t.cache_hits),
+            f"{t.sim_elapsed_s:.2f}s",
+            f"{1e3 * t.wall_s:.1f}ms",
+        ]
+        for t in stage_telemetry
+    ]
+    return format_table(
+        ["Stage", "Outcome", "Probes", "Cache hits", "Sim time", "Wall"],
+        rows,
+        title="Per-stage cost",
+    )
+
+
 def format_stage_breakdown(rows: list[dict]) -> str:
     """Per-stage cost table over a campaign's jobs (empty string if no telemetry).
 

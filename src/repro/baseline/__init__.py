@@ -1,12 +1,14 @@
-"""Baseline method: full-CSD acquisition + Canny edges + Hough transform.
+"""Baseline method steps: Canny edges + Hough transform, and their config.
 
 Implemented from scratch on numpy (no OpenCV) so the comparison in the
 evaluation exercises the same mathematical pipeline the paper's baseline
-references use, while still paying for every pixel of the diagram.
+references use, while still paying for every pixel of the diagram.  The
+procedure that acquires the full diagram and runs these steps,
+``HoughBaselineExtractor``, lives in :mod:`repro.pipeline`.
 """
 
 from .canny import CannyConfig, CannyEdgeDetector
-from .extraction import BASELINE_METHOD_NAME, BaselineConfig, HoughBaselineExtractor
+from .extraction import BASELINE_METHOD_NAME, BaselineConfig
 from .filters import (
     SOBEL_X,
     SOBEL_Y,
@@ -24,7 +26,6 @@ __all__ = [
     "CannyEdgeDetector",
     "BASELINE_METHOD_NAME",
     "BaselineConfig",
-    "HoughBaselineExtractor",
     "SOBEL_X",
     "SOBEL_Y",
     "convolve2d",

@@ -1,4 +1,4 @@
-"""The conventional baseline: full-CSD acquisition + Canny + Hough (§3, §5.1).
+"""The conventional baseline's configuration (§3, §5.1).
 
 The baseline the paper compares against (refs [12, 18]) works in three steps:
 
@@ -10,31 +10,24 @@ The baseline the paper compares against (refs [12, 18]) works in three steps:
    them into the steep (x-axis dot) and shallow (y-axis dot) line by their
    normal angle, and convert their slopes into the virtualization matrix.
 
-Since the pipeline refactor the sequence lives in
-:mod:`repro.pipeline.baseline_stages` as the registered
-``dense-grid-baseline`` composition; this class remains the stable public
-front.  It mirrors the fast extractor's interface: it consumes an
-:class:`~repro.instrument.session.ExperimentSession` (so probes and
-simulated runtime are accounted identically, now per stage) and returns an
-:class:`~repro.core.result.ExtractionResult` with ``method="hough-baseline"``.
+This package holds the steps (:mod:`repro.baseline.canny`,
+:mod:`repro.baseline.hough`) and :class:`BaselineConfig`.  The procedure
+is the ``dense-grid-baseline`` stage composition in
+:mod:`repro.pipeline.baseline_stages`, and its public front,
+:class:`~repro.pipeline.registry.HoughBaselineExtractor`, lives in
+:mod:`repro.pipeline` next to the fast extractor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.result import ExtractionResult
 from ..exceptions import BaselineError
-from ..instrument.measurement import ChargeSensorMeter
-from ..instrument.session import ExperimentSession
 from .canny import CannyConfig
 from .hough import HoughConfig
 
 #: Name used in result records and report tables.
 BASELINE_METHOD_NAME = "hough-baseline"
-
-#: Registry name of the stage composition behind this extractor.
-BASELINE_PIPELINE_NAME = "dense-grid-baseline"
 
 
 @dataclass(frozen=True)
@@ -54,26 +47,3 @@ class BaselineConfig:
             raise BaselineError("steep_theta_max_deg must lie in (0, 90)")
         if self.min_edge_pixels < 1:
             raise BaselineError("min_edge_pixels must be at least 1")
-
-
-class HoughBaselineExtractor:
-    """Full-scan virtual gate extraction with Canny edges and Hough lines."""
-
-    def __init__(self, config: BaselineConfig | None = None) -> None:
-        self._config = config or BaselineConfig()
-
-    @property
-    def config(self) -> BaselineConfig:
-        """The baseline configuration."""
-        return self._config
-
-    # ------------------------------------------------------------------
-    def extract(
-        self, target: ExperimentSession | ChargeSensorMeter
-    ) -> ExtractionResult:
-        """Acquire the full CSD and extract the virtualization matrix."""
-        # Imported lazily: repro.pipeline composes this package's stages,
-        # so a module-level import would be circular.
-        from ..pipeline.registry import get_pipeline
-
-        return get_pipeline(BASELINE_PIPELINE_NAME).run(target, config=self._config)

@@ -1,23 +1,23 @@
-"""The paper's contribution: fast, probe-efficient virtual gate extraction.
+"""The paper's steps of fast, probe-efficient virtual gate extraction.
 
-Public surface:
+Each step of Section 4 is here with its config and result types:
 
-* :class:`FastVirtualGateExtractor` — the full pipeline of Section 4
-  (anchor preprocessing, shrinking-triangle sweeps, erroneous-point filtering,
-  two-piece-wise linear fit).
+* :class:`AnchorFinder` — anchor-point preprocessing (§4.4);
+* :class:`TransitionLineSweeper` — the shrinking-triangle row- and
+  column-major sweeps (§4.3.2);
+* :func:`build_point_set` — the erroneous-point filter;
+* :class:`TransitionLineFitter` — the two-piece-wise linear fit (§4.3.3);
 * :class:`VirtualizationMatrix` / :class:`ArrayVirtualization` — the output
-  objects, including the affine transformation to virtual gate space.
-* :class:`ArrayVirtualGateExtractor` — the n-dot extension via sequential
-  pairwise extraction.
+  objects, including the affine transformation to virtual gate space (§2.3);
+* :class:`TransitionWindowFinder` — the coarse window search;
 * :class:`ExtractionConfig` — every tunable with its paper default.
+
+The procedures built from these steps — ``FastVirtualGateExtractor``, the
+n-dot ``ArrayVirtualGateExtractor`` and the ``AutoTuningWorkflow`` — live
+in :mod:`repro.pipeline`, one layer up.
 """
 
 from .anchors import AnchorFinder
-from .array_extraction import (
-    ArrayExtractionResult,
-    ArrayVirtualGateExtractor,
-    PairExtractionRecord,
-)
 from .config import (
     PAPER_MASK_X,
     PAPER_MASK_Y,
@@ -26,12 +26,7 @@ from .config import (
     FitConfig,
     SweepConfig,
 )
-from .extraction import (
-    METHOD_NAME,
-    FastVirtualGateExtractor,
-    gate_names_for,
-    resolve_meter,
-)
+from .extraction import METHOD_NAME, gate_names_for, resolve_meter
 from .fitting import TransitionLineFitter, piecewise_transition_model
 from .gradient import FeatureGradient, MaskResponse, gaussian_window, oriented_mask
 from .postprocess import (
@@ -58,26 +53,15 @@ from .window_search import (
     WindowSearchResult,
     tilted_gradient_image,
 )
-from .workflow import (
-    AutoTuneResult,
-    AutoTuningWorkflow,
-    DriftAwareTuneResult,
-    RetuneCycle,
-    StalenessCheck,
-)
 
 __all__ = [
     "AnchorFinder",
-    "ArrayExtractionResult",
-    "ArrayVirtualGateExtractor",
-    "PairExtractionRecord",
     "AnchorConfig",
     "ExtractionConfig",
     "FitConfig",
     "SweepConfig",
     "PAPER_MASK_X",
     "PAPER_MASK_Y",
-    "FastVirtualGateExtractor",
     "METHOD_NAME",
     "gate_names_for",
     "resolve_meter",
@@ -106,9 +90,4 @@ __all__ = [
     "WindowSearchConfig",
     "WindowSearchResult",
     "tilted_gradient_image",
-    "AutoTuneResult",
-    "AutoTuningWorkflow",
-    "DriftAwareTuneResult",
-    "RetuneCycle",
-    "StalenessCheck",
 ]

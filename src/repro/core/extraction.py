@@ -1,26 +1,9 @@
-"""The fast virtual gate extraction pipeline (the paper's contribution).
+"""What every extraction procedure shares: the fast method's name, and the
+meter and gate names behind a measurement target.
 
-:class:`FastVirtualGateExtractor` runs the four stages of Section 4
-against a measurement session:
-
-1. anchor-point preprocessing (:mod:`repro.core.anchors`, §4.4),
-2. shrinking-triangle row- and column-major sweeps (:mod:`repro.core.sweeps`,
-   §4.3.2),
-3. erroneous-point filtering (:mod:`repro.core.postprocess`),
-4. two-piece-wise linear fit and slope → virtualization-matrix conversion
-   (:mod:`repro.core.fitting`, §4.3.3 and §2.3).
-
-Since the pipeline refactor, the sequence itself lives in
-:mod:`repro.pipeline` as the registered ``fast-extraction`` composition —
-this class is the stable public front for it (and the seeded probe order
-is bit-identical to the historical monolithic implementation).  Every
-stage probes the device only through the session's cached meter, so the
-result carries the exact experimental cost — now broken down per stage in
-:attr:`~repro.core.result.ExtractionResult.stage_telemetry`.  Failures at
-any stage are converted into an unsuccessful
-:class:`~repro.core.result.ExtractionResult` rather than an exception,
-because "extraction failed on this device" is an expected outcome the
-evaluation has to count (two of the paper's twelve benchmarks fail).
+The procedures themselves (the fast extractor, the Canny+Hough baseline,
+the auto-tuning workflow) are compositions of this package's steps and
+live in :mod:`repro.pipeline`, which imports these helpers.
 """
 
 from __future__ import annotations
@@ -28,8 +11,6 @@ from __future__ import annotations
 from ..exceptions import ExtractionError
 from ..instrument.measurement import ChargeSensorMeter
 from ..instrument.session import ExperimentSession
-from .config import ExtractionConfig
-from .result import ExtractionResult
 
 #: Name used in result records and report tables.
 METHOD_NAME = "fast-extraction"
@@ -71,26 +52,3 @@ def gate_names_for(
         "matrix cannot be labeled with its gate names; add those attributes "
         "to the backend (or wrap it in a DatasetBackend/DeviceBackend)"
     )
-
-
-class FastVirtualGateExtractor:
-    """Probe-efficient virtual gate extraction for one plunger-gate pair."""
-
-    def __init__(self, config: ExtractionConfig | None = None) -> None:
-        self._config = config or ExtractionConfig.paper_defaults()
-
-    @property
-    def config(self) -> ExtractionConfig:
-        """The pipeline configuration."""
-        return self._config
-
-    # ------------------------------------------------------------------
-    def extract(
-        self, target: ExperimentSession | ChargeSensorMeter
-    ) -> ExtractionResult:
-        """Run the full pipeline against a session (or bare meter)."""
-        # Imported lazily: repro.pipeline composes this package's stages,
-        # so a module-level import would be circular.
-        from ..pipeline.registry import get_pipeline
-
-        return get_pipeline(METHOD_NAME).run(target, config=self._config)

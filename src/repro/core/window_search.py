@@ -22,8 +22,9 @@ the coarse image:
    size.
 
 The result feeds straight into
-:class:`~repro.instrument.session.ExperimentSession.from_device` or
-:class:`~repro.core.workflow.AutoTuningWorkflow`.
+:class:`~repro.instrument.session.ExperimentSession.from_device`, and the
+procedure that runs this search and then extracts inside the found window
+is :class:`~repro.pipeline.workflow.AutoTuningWorkflow`, one layer up.
 """
 
 from __future__ import annotations

@@ -18,7 +18,9 @@ drivers.
 * :func:`~repro.execution.base.backend_from_spec` — the one way to choose
   one: ``"serial"``, ``"process"`` (one worker per CPU), ``"process:N"``,
   ``"cluster"`` (two local workers), ``"cluster:local:N"`` or
-  ``"cluster:HOST:PORT"``.
+  ``"cluster:HOST:PORT"``.  The cluster layer sits above this one and
+  registers its specs when :mod:`repro.cluster.backend` loads, which the
+  ``repro`` package root does before any submodule runs.
 * :class:`~repro.execution.controller.RunController` — retry policy,
   per-job fault isolation, progress callbacks, and incremental JSONL
   checkpointing via
@@ -46,12 +48,6 @@ from .base import (
 )
 from .checkpoint import CheckpointJournal
 from .controller import RetryPolicy, RunController, guarded_runner
-
-# Imported for its registration side effect: loading the execution layer
-# must always make the "cluster" spec resolvable, exactly like the two
-# stock backends above.  Deferred to the bottom so the cluster package can
-# import .base without a cycle.
-from ..cluster import backend as _cluster_backend  # noqa: E402,F401
 
 __all__ = [
     "CheckpointJournal",

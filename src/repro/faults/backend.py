@@ -5,7 +5,10 @@ and any inner :class:`~repro.instrument.measurement.MeasurementBackend`,
 applying probe-scope fault models to every read.  Draws are keyed by the
 probe timestamp (see :mod:`repro.faults.models`), so the wrapper is
 stateless between calls and a probe faults the same way whichever batch it
-is measured in.
+is measured in.  The wrapper sits below the instrument layer, so it does
+not subclass the backend base class: it forwards the grid surface
+(``x_voltages``, ``shape``, ``validate_pixels``, ``pixel_at``, ...) to the
+inner backend.
 
 The meter does not call ``currents`` on this backend; it asks for a
 :class:`BatchPlan` via :meth:`FaultyBackend.plan_batch` — the corrupted
@@ -22,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import ConfigurationError, MeasurementError
-from ..instrument.measurement import MeasurementBackend
 from .models import FaultModel
 
 __all__ = ["BatchPlan", "FaultyBackend", "ProbeDisruption", "probe_fault_models"]
@@ -67,13 +69,14 @@ def probe_fault_models(models) -> tuple[FaultModel, ...]:
     return tuple(m for m in models if m.scope == "probe")
 
 
-class FaultyBackend(MeasurementBackend):
+class FaultyBackend:
     """Apply probe-scope fault models on top of any measurement backend.
 
     Parameters
     ----------
     inner:
-        The backend producing clean values.
+        The backend producing clean values (a
+        :class:`~repro.instrument.measurement.MeasurementBackend`).
     models:
         Probe-scope fault models, applied in order (corruptions compose;
         the first stall or error at a probe wins).
@@ -86,7 +89,7 @@ class FaultyBackend(MeasurementBackend):
 
     def __init__(
         self,
-        inner: MeasurementBackend,
+        inner,
         models,
         seed: int | np.random.SeedSequence | None = None,
     ) -> None:
@@ -104,7 +107,7 @@ class FaultyBackend(MeasurementBackend):
 
     # ------------------------------------------------------------------
     @property
-    def inner(self) -> MeasurementBackend:
+    def inner(self):
         """The wrapped backend."""
         return self._inner
 
@@ -113,13 +116,12 @@ class FaultyBackend(MeasurementBackend):
         """The applied fault models."""
         return self._models
 
-    @property
-    def x_voltages(self) -> np.ndarray:
-        return self._inner.x_voltages
-
-    @property
-    def y_voltages(self) -> np.ndarray:
-        return self._inner.y_voltages
+    # The grid surface the meter reads on every batch: forwarded here, not
+    # through __getattr__, whose failed normal lookup costs about 1 us.
+    x_voltages = property(lambda self: self._inner.x_voltages)
+    y_voltages = property(lambda self: self._inner.y_voltages)
+    shape = property(lambda self: self._inner.shape)
+    validate_pixels = property(lambda self: self._inner.validate_pixels)
 
     @property
     def is_time_dependent(self) -> bool:
@@ -128,11 +130,11 @@ class FaultyBackend(MeasurementBackend):
 
     def __getattr__(self, name: str):
         # Reached only when normal lookup fails: forward the inner
-        # backend's extra surface (``gate_x_name``/``gate_y_name``, a
-        # DatasetBackend's ``csd``) so wrapping stays invisible to
-        # consumers that sniff backend attributes.  Private names are not
-        # forwarded — during unpickling ``_inner`` itself is briefly
-        # missing, and forwarding would recurse.
+        # backend's grid surface and its extras (``gate_x_name``/
+        # ``gate_y_name``, a DatasetBackend's ``csd``) so wrapping stays
+        # invisible to the meter and to consumers that sniff attributes.
+        # Private names are not forwarded — during unpickling ``_inner``
+        # itself is briefly missing, and forwarding would recurse.
         if name.startswith("_"):
             raise AttributeError(name)
         return getattr(self._inner, name)
@@ -215,8 +217,13 @@ class FaultyBackend(MeasurementBackend):
         honours stalls.  Fault draws are keyed by timestamp, so ``times_s``
         is required.
         """
-        times = self.validate_times(times_s, np.size(rows))
-        plan = self.plan_batch(rows, cols, times)
+        if times_s is None:
+            raise MeasurementError(
+                "fault draws are keyed by the probe time; probes require "
+                "per-probe timestamps — measure through a ChargeSensorMeter, "
+                "or pass times_s explicitly"
+            )
+        plan = self.plan_batch(rows, cols, times_s)
         disruption = plan.disruption
         if disruption is not None and disruption.error is not None:
             raise disruption.error

@@ -99,15 +99,15 @@ class ProbeRecord:
 class ProbeLog:
     """Ordered log of every measurement request.
 
-    Stored as growable columnar numpy arrays (amortised O(1) appends, O(n)
-    bulk extends) rather than one Python object per request, so logging does
-    not dominate batched acquisitions.  A meter batch is queued as it was
-    measured (flat pixel keys, values, probe times and the positions of its
-    physical probes) and expanded into the seven columns only when something
-    reads them; the request and cache-hit counts are running counters, so
-    the meter's snapshots never expand the queue.  The record-oriented
-    surface — :attr:`records`, iteration, indexing, ``append`` of a
-    :class:`ProbeRecord` — is preserved on top of the columns.
+    Stored as growable columnar numpy arrays rather than one Python object
+    per request, so logging does not dominate batched acquisitions.  The
+    meter writes through one path, :meth:`queue_batch`: a batch is queued
+    as it was measured (flat pixel keys, values, probe times and the
+    positions of its physical probes) and expanded into the seven columns
+    only when something reads them; the request and cache-hit counts are
+    running counters, so the meter's snapshots never expand the queue.  The
+    record-oriented surface — :attr:`records`, iteration, indexing — reads
+    :class:`ProbeRecord` views of the columns.
     """
 
     _COLUMN_NAMES = (
@@ -120,7 +120,7 @@ class ProbeLog:
         "_cached",
     )
 
-    def __init__(self, records: list[ProbeRecord] | None = None) -> None:
+    def __init__(self) -> None:
         self._n = 0
         self._rows = np.empty(_LOG_INITIAL_CAPACITY, dtype=np.int64)
         self._cols = np.empty(_LOG_INITIAL_CAPACITY, dtype=np.int64)
@@ -132,12 +132,9 @@ class ProbeLog:
         self._pending: list[tuple] = []
         self._n_requests = 0
         self._n_cached = 0
-        if records:
-            for record in records:
-                self.append(record)
 
     # ------------------------------------------------------------------
-    # Appends
+    # Writes
     # ------------------------------------------------------------------
     def _reserve(self, extra: int) -> None:
         need = self._n + extra
@@ -150,49 +147,6 @@ class ProbeLog:
             grown = np.empty(new_capacity, dtype=old.dtype)
             grown[: self._n] = old[: self._n]
             setattr(self, name, grown)
-
-    def append(self, record: ProbeRecord) -> None:
-        """Append a record."""
-        self.extend(
-            [record.row],
-            [record.col],
-            [record.voltage_x],
-            [record.voltage_y],
-            [record.current_na],
-            [record.time_s],
-            [record.cached],
-        )
-
-    def extend(
-        self,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        voltage_x: np.ndarray,
-        voltage_y: np.ndarray,
-        currents_na: np.ndarray,
-        times_s: np.ndarray,
-        cached: np.ndarray,
-    ) -> None:
-        """Append a whole batch of requests in one columnar copy."""
-        self._expand()
-        written = self._write(rows, cols, voltage_x, voltage_y, currents_na, times_s, cached)
-        self._n_requests += written.stop - written.start
-        self._n_cached += int(np.count_nonzero(self._cached[written]))
-
-    def _write(self, rows, cols, voltage_x, voltage_y, currents_na, times_s, cached) -> slice:
-        """Copy columns onto the end of the log; returns the rows written."""
-        n = len(rows)
-        self._reserve(n)
-        grown = slice(self._n, self._n + n)
-        self._rows[grown] = rows
-        self._cols[grown] = cols
-        self._voltage_x[grown] = voltage_x
-        self._voltage_y[grown] = voltage_y
-        self._currents[grown] = currents_na
-        self._times[grown] = times_s
-        self._cached[grown] = cached
-        self._n += n
-        return grown
 
     def queue_batch(
         self,
@@ -240,7 +194,16 @@ class ProbeLog:
             # A request's timestamp is the elapsed time after the last
             # physical probe at or before it (cache hits cost nothing).
             times = np.concatenate(([base], probe_times))[np.cumsum(~cached)]
-            self._write(rows, cols, xs[cols], ys[rows], currents, times, cached)
+            self._reserve(keys.size)
+            grown = slice(self._n, self._n + keys.size)
+            self._rows[grown] = rows
+            self._cols[grown] = cols
+            self._voltage_x[grown] = xs[cols]
+            self._voltage_y[grown] = ys[rows]
+            self._currents[grown] = currents
+            self._times[grown] = times
+            self._cached[grown] = cached
+            self._n += keys.size
 
     # ------------------------------------------------------------------
     # Record-oriented views
@@ -271,11 +234,11 @@ class ProbeLog:
 
     @property
     def records(self) -> tuple[ProbeRecord, ...]:
-        """Materialised record view of the columns (compatibility API).
+        """Materialised record view of the columns.
 
         A fresh tuple per access — O(n), and deliberately immutable so that
         code appending to it fails loudly instead of mutating a throwaway
-        copy; append through :meth:`append` / :meth:`extend` instead.
+        copy.
         """
         return tuple(self[i] for i in range(len(self)))
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..faults import FaultyBackend, models_for, probe_fault_models
 from ..physics.csd import ChargeStabilityDiagram, CSDSimulator, TransitionLineGeometry
 from ..physics.dot_array import DotArrayDevice
 from ..physics.drift import DeviceDrift
@@ -190,7 +191,7 @@ class ExperimentSession:
         xs = np.linspace(x_min, x_max, n_cols)
         ys = np.linspace(y_min, y_max, n_rows)
         timing = timing or TimingModel.paper_default()
-        backend: MeasurementBackend = DeviceBackend(
+        backend: MeasurementBackend | FaultyBackend = DeviceBackend(
             device,
             x_voltages=xs,
             y_voltages=ys,
@@ -204,10 +205,6 @@ class ExperimentSession:
             kernel_cache=kernel_cache,
         )
         if faults is not None:
-            # Imported here: repro.faults builds on the instrument layer, so
-            # a top-level import would be circular.
-            from ..faults import FaultyBackend, models_for, probe_fault_models
-
             probe_models = probe_fault_models(models_for(faults))
             if probe_models:
                 backend = FaultyBackend(backend, probe_models, seed=seed)

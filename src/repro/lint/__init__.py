@@ -20,8 +20,9 @@ reviewer-folklore invariants into a machine-checked gate with two halves:
 
 Run it as ``python -m repro.lint`` (see :mod:`repro.lint.cli`); suppress a
 single deliberate violation with an inline ``# repro: allow[rule-name] --
-justification`` pragma (:mod:`repro.lint.pragmas`) or a whole known-debt
-set with a baseline file (:mod:`repro.lint.baseline`).
+justification`` pragma (:mod:`repro.lint.pragmas`).  The ``layer-order``
+rule takes no pragma: the package order it checks,
+:data:`~repro.lint.ast_rules.LAYERS`, holds everywhere.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from __future__ import annotations
 # Importing the built-in rules registers them, exactly like the scenario
 # and pipeline catalogues populate their registries on import.
 from . import ast_rules as _ast_rules  # noqa: F401  (import for side effect)
-from .baseline import Baseline
 from .contracts import (
     register_contract_sample,
     run_contract_audit,
@@ -49,7 +49,6 @@ from .rules import (
 from .violations import Violation
 
 __all__ = [
-    "Baseline",
     "FileContext",
     "LintReport",
     "LintRule",

@@ -36,14 +36,21 @@ from reviewer folklore to a machine check:
     must be deliberate: NaN fields need the tagged-dict JSON encoding and
     NaN-aware equality (:mod:`repro.campaign.results`), so each such site
     carries a pragma explaining which contract makes it safe.
+``layer-order``
+    Every import points down :data:`LAYERS`, at module level and inside
+    functions alike: a package imports its own layer and earlier layers
+    only, so the dependency graph has one direction and no cycle.  No
+    pragma waives it; an upward import is fixed by moving code.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
+from pathlib import Path
 
 from .rules import (
+    EXIT_LAYER,
     EXIT_NAN_RECORD,
     EXIT_RNG,
     EXIT_SILENT_FALLBACK,
@@ -55,6 +62,8 @@ from .rules import (
 from .violations import Violation
 
 __all__ = [
+    "LAYERS",
+    "LayerOrderRule",
     "NanRecordFieldRule",
     "RngGlobalStateRule",
     "RngUnseededRule",
@@ -487,6 +496,91 @@ class NanRecordFieldRule:
         return violations
 
 
+#: The package order of ``repro``, lowest first.  A package may import its
+#: own layer and earlier layers only; ``lint`` and the root ``__init__``
+#: may import anything.
+LAYERS: tuple[tuple[str, ...], ...] = (
+    ("exceptions", "reprs", "strictjson", "registry", "seeding"),
+    ("execution",),
+    ("cluster",),
+    ("physics", "kernelcache"),
+    ("datasets", "visualization"),
+    ("faults",),
+    ("instrument",),
+    ("scenarios",),
+    ("core",),
+    ("baseline",),
+    ("pipeline",),
+    ("analysis",),
+    ("campaign",),
+    ("scenariospace",),
+)
+
+_LAYER_RANK = {name: rank for rank, layer in enumerate(LAYERS) for name in layer}
+
+
+def _imported_packages(node: ast.AST, package: tuple[str, ...]) -> list[str]:
+    """The top-level ``repro`` names one import statement loads.
+
+    ``package`` is the importing module's package path below ``repro``
+    (``("core",)`` for ``core/sweeps.py``); relative imports resolve
+    against it.  Importing from the root itself yields ``"repro"``.
+    """
+    if isinstance(node, ast.Import):
+        parts = [alias.name.split(".") for alias in node.names]
+        paths = [path[1:] for path in parts if path[0] == "repro"]
+    elif isinstance(node, ast.ImportFrom):
+        module = node.module.split(".") if node.module else []
+        if node.level:
+            if node.level - 1 > len(package):
+                return []
+            path = [*package[: len(package) - node.level + 1], *module]
+        elif module[:1] == ["repro"]:
+            path = module[1:]
+        else:
+            return []
+        paths = [path] if path else [[alias.name] for alias in node.names]
+    else:
+        return []
+    return [path[0] if path else "repro" for path in paths]
+
+
+@dataclass(frozen=True)
+class LayerOrderRule:
+    """Every import points down :data:`LAYERS`."""
+
+    name: str = "layer-order"
+    description: str = (
+        "a package imports only its own layer and earlier ones in LAYERS "
+        "(repro.lint.ast_rules), at module level or inside a function; no "
+        "pragma waives it"
+    )
+    exit_bit: int = EXIT_LAYER
+    scope: tuple[str, ...] = ()
+
+    def check(self, ctx: FileContext) -> list[Violation]:
+        # Paths are read relative to the lint root as the repro package:
+        # ``core/sweeps.py`` is in layer ``core``.
+        parts = Path(ctx.relpath).with_suffix("").parts
+        rank = _LAYER_RANK.get(parts[0]) if parts else None
+        if rank is None:
+            return []
+        violations: list[Violation] = []
+        for node in ast.walk(ctx.tree):
+            for target in _imported_packages(node, parts[:-1]):
+                if _LAYER_RANK.get(target, len(LAYERS)) > rank:
+                    violations.append(
+                        ctx.violation(
+                            self,
+                            node.lineno,
+                            f"{parts[0]} (layer {rank + 1}) imports {target}, "
+                            "which is not at or below its layer; move the code "
+                            "so the import points down",
+                        )
+                    )
+        return violations
+
+
 for _rule in (
     RngGlobalStateRule(),
     RngUnseededRule(),
@@ -494,5 +588,6 @@ for _rule in (
     SilentFallbackRule(),
     StrictJsonRule(),
     NanRecordFieldRule(),
+    LayerOrderRule(),
 ):
     register_rule(_rule)

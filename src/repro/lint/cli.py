@@ -6,19 +6,14 @@ Lint the installed ``repro`` package (the default root)::
 
     python -m repro.lint
 
-Gate CI (pragmas need justifications, stale baseline entries fail)::
+Gate CI (pragmas need justifications)::
 
     python -m repro.lint --strict
 
-Adopt today's debt, then burn it down::
-
-    python -m repro.lint --write-baseline lint-baseline.json
-    python -m repro.lint --baseline lint-baseline.json
-
 The exit code ORs one bit per regressed rule class (see
 :mod:`repro.lint.rules`): 1 RNG, 2 wall-clock, 4 silent-fallback,
-8 strict-JSON, 16 NaN-record-field, 32 contract audit, 64 pragma hygiene;
-120 marks a usage error.
+8 strict-JSON, 16 NaN-record-field, 32 contract audit, 64 pragma hygiene,
+128 layer order; 120 marks a usage error.
 """
 
 from __future__ import annotations
@@ -28,7 +23,6 @@ import sys
 from pathlib import Path
 
 from ..exceptions import ConfigurationError
-from .baseline import Baseline
 from .engine import run_lint
 from .rules import rule_catalogue
 
@@ -63,23 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule names to run (default: all)",
     )
     parser.add_argument(
-        "--baseline",
-        default=None,
-        help="JSON baseline file of adopted violations",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        default=None,
-        metavar="PATH",
-        help="write the current violations as a baseline and exit 0",
-    )
-    parser.add_argument(
         "--strict",
         action="store_true",
-        help=(
-            "CI gate mode: justification-less pragmas and stale baseline "
-            "entries are violations too"
-        ),
+        help="CI gate mode: justification-less pragmas are violations too",
     )
     parser.add_argument(
         "--json",
@@ -111,23 +91,12 @@ def main(argv: list[str] | None = None) -> int:
         else None
     )
     try:
-        baseline = Baseline.load(args.baseline) if args.baseline else None
         report = run_lint(
-            root,
-            rules=rules,
-            baseline=baseline,
-            strict=args.strict,
-            contracts=not args.no_contracts,
+            root, rules=rules, strict=args.strict, contracts=not args.no_contracts
         )
     except ConfigurationError as exc:
         print(f"repro.lint: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    if args.write_baseline:
-        path = Baseline.from_violations(list(report.violations)).save(
-            args.write_baseline
-        )
-        print(f"wrote {len(report.violations)} entries to {path}")
-        return 0
     print(report.format_json() if args.json else report.format_text())
     return report.exit_code
 

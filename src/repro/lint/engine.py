@@ -1,9 +1,9 @@
-"""The lint engine: walk files, run rules, apply pragmas and baseline.
+"""The lint engine: walk files, run rules, apply pragmas.
 
 :func:`run_lint` is the one entry point the CLI and the tests share.  The
 engine owns everything that is *not* a rule's business: which files are in
-a rule's scope, whether a violation is suppressed by an inline pragma or
-adopted by the baseline, pragma hygiene (unknown rule names always;
+a rule's scope, whether a violation is suppressed by an inline pragma (the
+``layer-order`` rule never is), pragma hygiene (unknown rule names always;
 justification-less pragmas in strict mode), and folding the contract audit
 into the same report.
 """
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..exceptions import ConfigurationError
-from .baseline import Baseline
+from .ast_rules import LayerOrderRule
 from .contracts import run_contract_audit
 from .rules import FileContext, LintRule, all_rules, exit_code_for, rule_names
 from .violations import Violation
@@ -32,8 +32,6 @@ class LintReport:
 
     violations: tuple[Violation, ...]
     suppressed: tuple[Violation, ...]
-    adopted: tuple[Violation, ...]
-    unused_baseline: tuple[Violation, ...]
     n_files: int
     strict: bool = False
 
@@ -53,15 +51,10 @@ class LintReport:
     def format_text(self) -> str:
         """The human-facing report."""
         lines = [violation.format() for violation in sorted(self.violations)]
-        if self.unused_baseline:
-            lines.append("")
-            lines.append("unused baseline entries (stale debt — remove them):")
-            lines.extend(f"  {entry.format()}" for entry in sorted(self.unused_baseline))
         lines.append("")
         summary = (
             f"checked {self.n_files} files: {len(self.violations)} violation(s)"
-            f" ({len(self.suppressed)} pragma-suppressed,"
-            f" {len(self.adopted)} baseline-adopted)"
+            f" ({len(self.suppressed)} pragma-suppressed)"
         )
         if self.counts:
             per_rule = ", ".join(f"{rule}={n}" for rule, n in sorted(self.counts.items()))
@@ -74,8 +67,6 @@ class LintReport:
         payload = {
             "violations": [v.as_dict() for v in sorted(self.violations)],
             "suppressed": [v.as_dict() for v in sorted(self.suppressed)],
-            "adopted": [v.as_dict() for v in sorted(self.adopted)],
-            "unused_baseline": [v.as_dict() for v in sorted(self.unused_baseline)],
             "counts": self.counts,
             "n_files": self.n_files,
             "strict": self.strict,
@@ -86,7 +77,7 @@ class LintReport:
 
 @dataclass(frozen=True)
 class _FileFindings:
-    """Per-file rule output before pragma/baseline resolution."""
+    """Per-file rule output before pragmas are applied."""
 
     context: FileContext
     violations: list[Violation] = field(default_factory=list)
@@ -173,7 +164,6 @@ def lint_paths(
 def run_lint(
     root: str | Path,
     rules: list[str] | None = None,
-    baseline: Baseline | None = None,
     strict: bool = False,
     contracts: bool = True,
 ) -> LintReport:
@@ -185,10 +175,8 @@ def run_lint(
         Directory (or single file) to walk.
     rules:
         Rule names to run; ``None`` runs every registered rule.
-    baseline:
-        Known-debt entries to adopt (see :class:`~repro.lint.baseline.Baseline`).
     strict:
-        Fail justification-less pragmas and unused baseline entries too.
+        Fail justification-less pragmas too.
     contracts:
         Whether to fold the import-time contract audit into the report.
     """
@@ -217,7 +205,9 @@ def run_lint(
     suppressed: list[Violation] = []
     for finding in findings:
         for violation in finding.violations:
-            if finding.context.pragmas.allows(violation.rule, violation.line):
+            if violation.rule != LayerOrderRule.name and finding.context.pragmas.allows(
+                violation.rule, violation.line
+            ):
                 suppressed.append(violation)
             else:
                 live.append(violation)
@@ -225,31 +215,9 @@ def run_lint(
 
     if contracts:
         live.extend(run_contract_audit())
-
-    adopted: list[Violation] = []
-    unused: list[Violation] = []
-    if baseline is not None:
-        live, adopted, unused = baseline.partition(live)
-        if strict and unused:
-            live = live + [
-                Violation(
-                    path=entry.path,
-                    line=entry.line,
-                    rule=PRAGMA_RULE,
-                    message=(
-                        "stale baseline entry (the violation it adopted is "
-                        "gone); strict mode requires pruning it: "
-                        f"{entry.rule}: {entry.snippet or entry.message}"
-                    ),
-                    snippet=entry.snippet,
-                )
-                for entry in unused
-            ]
     return LintReport(
         violations=tuple(live),
         suppressed=tuple(suppressed),
-        adopted=tuple(adopted),
-        unused_baseline=tuple(unused),
         n_files=len(findings),
         strict=strict,
     )

@@ -1,8 +1,8 @@
 """Inline suppression pragmas: ``# repro: allow[rule-name] -- justification``.
 
-A pragma silences the named rule(s) on its own source line only — broad
-waivers belong in a baseline file, not scattered through the code.  The
-syntax is deliberately rigid so a typo cannot silently disable nothing:
+A pragma silences the named rule(s) on its own source line only; there
+are no broad waivers.  The syntax is deliberately rigid so a typo cannot
+silently disable nothing:
 
 ``# repro: allow[wall-clock]``
     Suppress the ``wall-clock`` rule on this line.

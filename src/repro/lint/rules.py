@@ -20,6 +20,7 @@ exit bit                    val  rule class
 ``EXIT_NAN_RECORD``          16  NaN literals entering record fields
 ``EXIT_CONTRACT``            32  import-time contract audit
 ``EXIT_PRAGMA``              64  pragma hygiene (unknown rule, bare pragma)
+``EXIT_LAYER``              128  layer order (every import points down)
 ==========================  ===  ============================================
 """
 
@@ -37,6 +38,7 @@ from .violations import Violation
 
 __all__ = [
     "EXIT_CONTRACT",
+    "EXIT_LAYER",
     "EXIT_NAN_RECORD",
     "EXIT_PRAGMA",
     "EXIT_RNG",
@@ -61,6 +63,7 @@ EXIT_STRICT_JSON = 8
 EXIT_NAN_RECORD = 16
 EXIT_CONTRACT = 32
 EXIT_PRAGMA = 64
+EXIT_LAYER = 128
 
 
 @dataclass(frozen=True)
@@ -154,8 +157,8 @@ def rule_catalogue() -> str:
     width = max((len(name) for name in rule_names()), default=0)
     for rule in all_rules():
         scope = ", ".join(rule.scope) if rule.scope else "everywhere"
-        lines.append(f"{rule.name:<{width}}  [exit {rule.exit_bit:>2}]  {rule.description}")
-        lines.append(f"{'':<{width}}             scope: {scope}")
+        lines.append(f"{rule.name:<{width}}  [exit {rule.exit_bit:>3}]  {rule.description}")
+        lines.append(f"{'':<{width}}              scope: {scope}")
     return "\n".join(lines)
 
 

@@ -1,10 +1,10 @@
 """The one currency every lint half trades in: a :class:`Violation`.
 
-AST rules, the contract audit, pragma hygiene, and baseline bookkeeping all
-report through this record, so the CLI, the JSON report, and the baseline
-file share one shape.  Like every other record in the library it is
-strict-JSON round-trippable (``as_dict`` / ``from_dict``) — and it is
-itself covered by the contract audit it feeds.
+AST rules, the contract audit, and pragma hygiene all report through this
+record, so the CLI's text and JSON reports share one shape.  Like every
+other record in the library it is strict-JSON round-trippable
+(``as_dict`` / ``from_dict``) — and it is itself covered by the contract
+audit it feeds.
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ class Violation:
     message:
         Human-readable explanation, including the fix direction.
     snippet:
-        The stripped source line (empty for contract findings); the
-        baseline matches on this so entries survive line drift.
+        The stripped source line (empty for contract findings).
     """
 
     path: str

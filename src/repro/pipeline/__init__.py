@@ -1,12 +1,21 @@
-"""Composable tuning pipelines with per-stage telemetry.
+"""The extraction procedures: named stage compositions with per-stage telemetry.
 
-The tuning path — the paper's four-stage extraction, the dense-grid
-baseline, the auto-tuning workflow around them — is expressed as named
+:mod:`repro.core` holds the paper's steps; this package owns every
+procedure built from them.  The paper's four-stage extraction, the
+dense-grid baseline, and the auto-tuning workflow around them are
 compositions of :class:`~repro.pipeline.context.Stage` objects over a
 shared :class:`~repro.pipeline.context.TuneContext`.  The composer charges
 every stage for exactly what it probed (meter snapshot/diff), and the
 resulting :class:`~repro.core.result.StageTelemetry` rows ride the result
 objects all the way into campaign records and report tables.
+
+* :class:`FastVirtualGateExtractor` and :class:`HoughBaselineExtractor` —
+  the two compared methods, fronting the registered ``fast-extraction``
+  and ``dense-grid-baseline`` compositions;
+* :class:`ArrayVirtualGateExtractor` — the n-dot procedure (§2.3): the
+  fast extractor once per neighbouring pair;
+* :class:`AutoTuningWorkflow` — window search, then extraction, with an
+  optional drift-aware retuning mode.
 
 Quick tour::
 
@@ -21,6 +30,11 @@ Quick tour::
 """
 
 from ..core.result import StageTelemetry
+from .array_extraction import (
+    ArrayExtractionResult,
+    ArrayVirtualGateExtractor,
+    PairExtractionRecord,
+)
 from .baseline_stages import (
     BaselineValidateStage,
     EdgeDetectStage,
@@ -31,6 +45,8 @@ from .composer import TuningPipeline, run_stage
 from .context import Stage, StageOutcome, TuneContext
 from .registry import (
     METHOD_ALIASES,
+    FastVirtualGateExtractor,
+    HoughBaselineExtractor,
     all_pipelines,
     get_pipeline,
     pipeline_catalogue,
@@ -44,26 +60,43 @@ from .stages import (
     FitStage,
     FixedCornerAnchorStage,
     OpenSessionStage,
+    StalenessCheck,
     StalenessCheckStage,
     SweepStage,
     ValidateStage,
     WindowSearchStage,
 )
+from .workflow import (
+    AutoTuneResult,
+    AutoTuningWorkflow,
+    DriftAwareTuneResult,
+    RetuneCycle,
+)
 
 __all__ = [
     "METHOD_ALIASES",
     "AnchorStage",
+    "ArrayExtractionResult",
+    "ArrayVirtualGateExtractor",
+    "AutoTuneResult",
+    "AutoTuningWorkflow",
     "BaselineValidateStage",
+    "DriftAwareTuneResult",
     "EdgeDetectStage",
+    "FastVirtualGateExtractor",
     "FilterStage",
     "FitStage",
     "FixedCornerAnchorStage",
     "FullScanStage",
+    "HoughBaselineExtractor",
     "LineFitStage",
     "OpenSessionStage",
+    "PairExtractionRecord",
+    "RetuneCycle",
     "Stage",
     "StageOutcome",
     "StageTelemetry",
+    "StalenessCheck",
     "StalenessCheckStage",
     "SweepStage",
     "TuneContext",
@@ -71,7 +104,6 @@ __all__ = [
     "ValidateStage",
     "WindowSearchStage",
     "all_pipelines",
-    "format_stage_costs",
     "get_pipeline",
     "pipeline_catalogue",
     "pipeline_names",
@@ -79,29 +111,3 @@ __all__ = [
     "resolve_method",
     "run_stage",
 ]
-
-
-def format_stage_costs(stage_telemetry) -> str:
-    """Per-stage cost table of one run's telemetry (plain text).
-
-    Accepts any iterable of :class:`~repro.core.result.StageTelemetry`
-    (``result.stage_telemetry``, ``auto_tune_result.stage_telemetry``).
-    """
-    from ..analysis.reporting import format_table
-
-    rows = [
-        [
-            t.stage,
-            t.outcome,
-            str(t.n_probes),
-            str(t.cache_hits),
-            f"{t.sim_elapsed_s:.2f}s",
-            f"{1e3 * t.wall_s:.1f}ms",
-        ]
-        for t in stage_telemetry
-    ]
-    return format_table(
-        ["Stage", "Outcome", "Probes", "Cache hits", "Sim time", "Wall"],
-        rows,
-        title="Per-stage cost",
-    )

@@ -24,16 +24,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..core.config import ExtractionConfig
+from ..core.result import ExtractionResult
+from ..core.virtualization import ArrayVirtualization
 from ..exceptions import ExtractionError
 from ..instrument.session import SessionFactory
 from ..instrument.timing import TimingModel
 from ..physics.dot_array import DotArrayDevice
 from ..physics.noise import NoiseModel
 from ..seeding import spawn_seeds
-from .config import ExtractionConfig
-from .extraction import FastVirtualGateExtractor
-from .result import ExtractionResult
-from .virtualization import ArrayVirtualization
+from .registry import FastVirtualGateExtractor
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Iterable
 
+from ..core.extraction import gate_names_for, resolve_meter
 from ..core.result import ExtractionResult, ProbeStatistics, StageTelemetry
 from ..exceptions import ExtractionError, InstrumentFault
 from ..instrument.measurement import ChargeSensorMeter
@@ -201,8 +202,6 @@ class TuningPipeline:
         config: object | None = None,
     ) -> ExtractionResult:
         """Run the full composition against a session (or bare meter)."""
-        from ..core.extraction import gate_names_for, resolve_meter
-
         meter = resolve_meter(target)
         gate_x, gate_y = gate_names_for(target)
         ctx = TuneContext(
@@ -226,8 +225,6 @@ class TuningPipeline:
         resolved from the meter's backend — loudly, so a custom backend
         without name attributes cannot produce a mislabeled matrix.
         """
-        from ..core.extraction import gate_names_for
-
         if ctx.config is None:
             ctx.config = self.default_config()
         if ctx.meter is not None and (ctx.gate_x is None or ctx.gate_y is None):

@@ -9,6 +9,10 @@ keep stage objects free to hold per-run state without leaking it across
 concurrent runs.  A campaign resolves each method once, in the parent,
 and its jobs carry the built pipeline to the workers.
 
+The two public extractors front the two compared methods:
+:class:`FastVirtualGateExtractor` runs ``fast-extraction`` and
+:class:`HoughBaselineExtractor` runs ``dense-grid-baseline``.
+
 Built-ins:
 
 ``fast-extraction``
@@ -25,8 +29,13 @@ from __future__ import annotations
 
 from typing import Callable
 
+from ..baseline.extraction import BaselineConfig
 from ..core.config import ExtractionConfig
+from ..core.extraction import METHOD_NAME
+from ..core.result import ExtractionResult
 from ..exceptions import ConfigurationError
+from ..instrument.measurement import ChargeSensorMeter
+from ..instrument.session import ExperimentSession
 from ..registry import Registry
 from .baseline_stages import (
     BaselineValidateStage,
@@ -46,6 +55,8 @@ from .stages import (
 
 __all__ = [
     "PIPELINES",
+    "FastVirtualGateExtractor",
+    "HoughBaselineExtractor",
     "all_pipelines",
     "get_pipeline",
     "pipeline_catalogue",
@@ -120,10 +131,6 @@ def pipeline_catalogue() -> str:
 
 
 def _baseline_config():
-    # Imported here: repro.baseline is loaded lazily so the registry module
-    # stays importable from either package first.
-    from ..baseline.extraction import BaselineConfig
-
     return BaselineConfig()
 
 
@@ -211,3 +218,56 @@ register_pipeline(
         description="Ablation: only the column-major (shallow-line) sweep runs.",
     ),
 )
+
+
+# ---------------------------------------------------------------------------
+# The public extractors
+# ---------------------------------------------------------------------------
+
+
+class FastVirtualGateExtractor:
+    """Probe-efficient virtual gate extraction for one plunger-gate pair.
+
+    Runs the registered ``fast-extraction`` composition of the paper's
+    Section 4 steps (anchors, sweeps, filter, fit).  The result carries the
+    exact probe cost, per stage; a failure at any step yields an
+    unsuccessful result rather than an exception, because "extraction
+    failed on this device" is an outcome the evaluation counts.
+    """
+
+    def __init__(self, config: ExtractionConfig | None = None) -> None:
+        self._config = config or ExtractionConfig.paper_defaults()
+
+    @property
+    def config(self) -> ExtractionConfig:
+        """The pipeline configuration."""
+        return self._config
+
+    def extract(
+        self, target: ExperimentSession | ChargeSensorMeter
+    ) -> ExtractionResult:
+        """Run the full pipeline against a session (or bare meter)."""
+        return get_pipeline(METHOD_NAME).run(target, config=self._config)
+
+
+class HoughBaselineExtractor:
+    """Full-scan virtual gate extraction with Canny edges and Hough lines.
+
+    Runs the registered ``dense-grid-baseline`` composition (§3, §5.1) with
+    the fast extractor's interface; its results carry
+    ``method="hough-baseline"``.
+    """
+
+    def __init__(self, config: BaselineConfig | None = None) -> None:
+        self._config = config or BaselineConfig()
+
+    @property
+    def config(self) -> BaselineConfig:
+        """The baseline configuration."""
+        return self._config
+
+    def extract(
+        self, target: ExperimentSession | ChargeSensorMeter
+    ) -> ExtractionResult:
+        """Acquire the full CSD and extract the virtualization matrix."""
+        return get_pipeline("dense-grid-baseline").run(target, config=self._config)

@@ -13,9 +13,12 @@ same order, and produces bit-identical results, as the pre-pipeline
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from ..core.anchors import AnchorFinder
+from ..core.extraction import gate_names_for
 from ..core.fitting import TransitionLineFitter
 from ..core.postprocess import build_point_set
 from ..core.region import PixelPoint
@@ -36,6 +39,7 @@ __all__ = [
     "FitStage",
     "FixedCornerAnchorStage",
     "OpenSessionStage",
+    "StalenessCheck",
     "StalenessCheckStage",
     "SweepStage",
     "ValidateStage",
@@ -393,10 +397,23 @@ class OpenSessionStage(ContentRepr):
         ctx.meter = session.meter
         ctx.clock = session.meter.clock
         if ctx.gate_x is None or ctx.gate_y is None:
-            from ..core.extraction import gate_names_for
-
             ctx.gate_x, ctx.gate_y = gate_names_for(session.meter)
         return StageOutcome()
+
+
+@dataclass(frozen=True)
+class StalenessCheck:
+    """Outcome of one cheap re-probe of the reference pixels."""
+
+    checked_at_s: float
+    max_deviation_na: float
+    threshold_na: float
+    n_check_pixels: int
+
+    @property
+    def stale(self) -> bool:
+        """Whether the device moved past the tolerance since last extraction."""
+        return self.max_deviation_na > self.threshold_na
 
 
 class StalenessCheckStage(ContentRepr):
@@ -404,7 +421,7 @@ class StalenessCheckStage(ContentRepr):
 
     Probes through a fresh cache-off meter on the shared timeline clock —
     the whole point is paying for fresh values — and reports the outcome as
-    a :class:`~repro.core.workflow.StalenessCheck` in
+    a :class:`StalenessCheck` in
     ``ctx.extras["staleness_check"]``.  Costs are reported explicitly
     because the probe goes through the stage's private meter.
     """
@@ -428,8 +445,6 @@ class StalenessCheckStage(ContentRepr):
         self._threshold_na = threshold_na
 
     def run(self, ctx: TuneContext) -> StageOutcome:
-        from ..core.workflow import StalenessCheck
-
         started_s = self._clock.elapsed_s
         check_meter = ChargeSensorMeter(self._backend, clock=self._clock, cache=False)
         fresh = check_meter.get_currents(self._rows, self._cols)

@@ -10,15 +10,14 @@ plunger-gate pair:
    :mod:`repro.pipeline` composition by name) extracts the virtualization
    matrix inside that window at the requested resolution.
 
-Since the pipeline refactor the workflow *is* a stage composition: the
-coarse search runs as a :class:`~repro.pipeline.stages.WindowSearchStage`,
-the fine session opens through an
-:class:`~repro.pipeline.stages.OpenSessionStage`, and the extraction stages
-follow on the same :class:`~repro.pipeline.context.TuneContext` — so the
-combined probe/time budget arrives as one per-stage telemetry sequence
-(window search included), and the cost of finding the window — which the
-paper's benchmarks assume has already been paid — is accounted for
-explicitly.
+The workflow is a stage composition: the coarse search runs as a
+:class:`~repro.pipeline.stages.WindowSearchStage`, the fine session opens
+through an :class:`~repro.pipeline.stages.OpenSessionStage`, and the
+extraction stages follow on the same
+:class:`~repro.pipeline.context.TuneContext` — so the combined probe/time
+budget arrives as one per-stage telemetry sequence (window search
+included), and the cost of finding the window — which the paper's
+benchmarks assume has already been paid — is accounted for explicitly.
 
 On a *time-dependent* device (:class:`~repro.physics.drift.DeviceDrift`
 and/or time-dependent noise, bundled conveniently by a
@@ -37,7 +36,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..exceptions import ExtractionError
+from ..core.config import ExtractionConfig
+from ..core.extraction import METHOD_NAME
+from ..core.result import ExtractionResult, StageTelemetry
+from ..core.window_search import WindowSearchConfig, WindowSearchResult
+from ..exceptions import ConfigurationError, ExtractionError
 from ..instrument.measurement import ChargeSensorMeter, DeviceBackend
 from ..instrument.timing import TimingModel, VirtualClock
 from ..physics.dot_array import DotArrayDevice
@@ -45,10 +48,10 @@ from ..physics.drift import DeviceDrift
 from ..physics.noise import NoiseModel
 from ..scenarios.catalog import LabScenario, get_scenario
 from ..seeding import spawn_seeds
-from .config import ExtractionConfig
-from .extraction import METHOD_NAME
-from .result import ExtractionResult, StageTelemetry
-from .window_search import WindowSearchConfig, WindowSearchResult
+from .composer import TuningPipeline, run_stage
+from .context import TuneContext
+from .registry import get_pipeline
+from .stages import OpenSessionStage, StalenessCheck, StalenessCheckStage, WindowSearchStage
 
 
 @dataclass(frozen=True)
@@ -88,21 +91,6 @@ class AutoTuneResult:
             }
         )
         return payload
-
-
-@dataclass(frozen=True)
-class StalenessCheck:
-    """Outcome of one cheap re-probe of the reference pixels."""
-
-    checked_at_s: float
-    max_deviation_na: float
-    threshold_na: float
-    n_check_pixels: int
-
-    @property
-    def stale(self) -> bool:
-        """Whether the device moved past the tolerance since last extraction."""
-        return self.max_deviation_na > self.threshold_na
 
 
 @dataclass(frozen=True)
@@ -224,9 +212,20 @@ class AutoTuningWorkflow:
         seed: int | np.random.SeedSequence | None = None,
         pipeline: str | object | None = None,
     ) -> "AutoTuningWorkflow":
-        """A workflow configured for a (possibly named) lab scenario."""
+        """A workflow configured for a (possibly named) lab scenario.
+
+        Raises :class:`ConfigurationError` for a scenario with fault
+        injection: no probe path of the workflow applies faults, so running
+        it would silently tune a fault-free lab.
+        """
         if isinstance(scenario, str):
             scenario = get_scenario(scenario)
+        if scenario.faults is not None:
+            raise ConfigurationError(
+                f"scenario {scenario.name!r} injects faults, which "
+                "AutoTuningWorkflow does not apply; run it through "
+                "LabScenario.open_session or a TuningCampaign instead"
+            )
         return cls(
             resolution=resolution,
             extraction_config=extraction_config,
@@ -241,9 +240,6 @@ class AutoTuningWorkflow:
 
     def _pipeline(self):
         """The extraction pipeline instance for this run."""
-        from ..pipeline.composer import TuningPipeline
-        from ..pipeline.registry import get_pipeline
-
         if isinstance(self._pipeline_spec, TuningPipeline):
             return self._pipeline_spec
         return get_pipeline(str(self._pipeline_spec))
@@ -263,8 +259,6 @@ class AutoTuningWorkflow:
         :meth:`run_with_retuning`, so the two modes cannot drift apart in
         which noise/drift/timing the window is searched under.
         """
-        from ..pipeline.stages import WindowSearchStage
-
         return WindowSearchStage(
             device,
             gate_x=gate_x,
@@ -291,10 +285,6 @@ class AutoTuningWorkflow:
         y_range: tuple[float, float] | None = None,
     ) -> AutoTuneResult:
         """Run the full stage composition against a simulated device."""
-        from ..pipeline.composer import run_stage
-        from ..pipeline.context import TuneContext
-        from ..pipeline.stages import OpenSessionStage
-
         # Spawned children keep the two stages' noise streams independent of
         # each other and of neighbouring root seeds (seed + 1 would collide
         # with the window-search stream of a run rooted at seed + 1).
@@ -367,10 +357,6 @@ class AutoTuningWorkflow:
         with per-stage telemetry on one timeline — so callers can see both
         how often the environment forced a retune and what each retune cost.
         """
-        from ..pipeline.composer import run_stage
-        from ..pipeline.context import TuneContext
-        from ..pipeline.stages import StalenessCheckStage
-
         if idle_time_s < 0:
             raise ExtractionError("idle_time_s must be non-negative")
         if n_cycles < 1:
@@ -486,8 +472,6 @@ class AutoTuningWorkflow:
         time this extraction itself consumed.  The per-stage telemetry is
         snapshot-diffed and therefore already stage-local.
         """
-        from ..pipeline.context import TuneContext
-
         started_s = clock.elapsed_s
         meter = ChargeSensorMeter(backend, clock=clock)
         ctx = TuneContext(meter=meter, config=self._extraction_config)

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..exceptions import ConfigurationError
+from ..faults import models_for
 from ..instrument.resilience import ProbeRetryPolicy
 from ..instrument.session import ExperimentSession, SessionFactory
 from ..instrument.timing import TimingModel
@@ -190,20 +191,10 @@ class LabScenario:
             injected = (
                 self.faults
                 if isinstance(self.faults, str)
-                else ", ".join(type(m).__name__ for m in _fault_models(self.faults))
+                else ", ".join(type(m).__name__ for m in models_for(self.faults))
             )
             text += f", faults={injected}"
         return text
-
-
-def _fault_models(spec) -> tuple:
-    """Resolve a scenario's fault spec into model instances (for describe)."""
-    # Imported lazily: repro.faults builds on the instrument layer this
-    # module also imports, and keeping the import local avoids ordering
-    # sensitivity during package import.
-    from ..faults import models_for
-
-    return models_for(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,8 @@ from ..campaign.engine import TuningCampaign
 from ..campaign.grid import CampaignJob, noise_for_scale
 from ..campaign.results import CampaignResult
 from ..exceptions import ConfigurationError
-from ..instrument.resilience import ProbeRetryPolicy
 from ..faults.models import TransientReadFault
+from ..instrument.resilience import ProbeRetryPolicy
 from ..physics.drift import DeviceDrift
 from ..scenarios.catalog import LabScenario
 from ..scenarios.devices import DeviceSpec

@@ -7,10 +7,10 @@ import math
 import pytest
 
 from repro.analysis import SuccessCriterion, accuracy_metrics, probe_reduction, speedup
-from repro.core import FastVirtualGateExtractor
 from repro.core.result import ExtractionResult, ProbeStatistics
 from repro.core.virtualization import VirtualizationMatrix
 from repro.physics.csd import TransitionLineGeometry
+from repro.pipeline import FastVirtualGateExtractor
 
 
 GEOMETRY = TransitionLineGeometry(

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baseline import BaselineConfig, HoughBaselineExtractor
+from repro.baseline import BaselineConfig
 from repro.exceptions import BaselineError
 from repro.instrument import ExperimentSession
 from repro.physics import CSDSimulator, WhiteNoise
+from repro.pipeline import HoughBaselineExtractor
 
 
 class TestOnCleanData:

@@ -9,7 +9,6 @@ import pytest
 
 from repro.campaign import CampaignGrid, DeviceSpec, TuningCampaign
 from repro.cluster import ClusterBackend
-from repro.core import ArrayVirtualGateExtractor
 from repro.exceptions import ConfigurationError
 from repro.execution import (
     ProcessPoolBackend,
@@ -18,6 +17,7 @@ from repro.execution import (
     backend_names,
     register_backend,
 )
+from repro.pipeline import ArrayVirtualGateExtractor
 from repro.scenariospace import run_draws, success_surface
 
 

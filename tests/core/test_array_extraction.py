@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import ArrayVirtualGateExtractor
 from repro.exceptions import ExtractionError
 from repro.physics import DotArrayDevice
+from repro.pipeline import ArrayVirtualGateExtractor
 
 
 @pytest.fixture(scope="module")

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import ExtractionConfig, FastVirtualGateExtractor, FitConfig
+from repro.core import ExtractionConfig, FitConfig
 from repro.exceptions import ExtractionError
 from repro.instrument import ExperimentSession
 from repro.physics import CSDSimulator, DotArrayDevice, WhiteNoise
+from repro.pipeline import FastVirtualGateExtractor
 
 
 class TestOnCleanData:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    AutoTuningWorkflow,
     TransitionWindowFinder,
     WindowSearchConfig,
     tilted_gradient_image,
@@ -14,6 +13,7 @@ from repro.core import (
 from repro.core.window_search import _first_and_second_crossings
 from repro.exceptions import ExtractionError
 from repro.physics import CSDSimulator, DotArrayDevice, standard_lab_noise
+from repro.pipeline import AutoTuningWorkflow
 
 
 class TestTiltedGradientImage:

@@ -19,8 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import ArrayVirtualGateExtractor
 from repro.physics import DotArrayDevice, WhiteNoise
+from repro.pipeline import ArrayVirtualGateExtractor
 
 FIXTURE_PATH = Path(__file__).with_name("array_extractions.json")
 

@@ -23,9 +23,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.baseline import CannyEdgeDetector, HoughBaselineExtractor, HoughTransform
+from repro.baseline import CannyEdgeDetector, HoughTransform
 from repro.datasets import load_benchmark
 from repro.instrument import ExperimentSession
+from repro.pipeline import HoughBaselineExtractor
 from repro.scenarios import get_scenario
 
 FIXTURE_PATH = Path(__file__).with_name("baseline_extractions.json")

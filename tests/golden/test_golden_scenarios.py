@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import FastVirtualGateExtractor
+from repro.pipeline import FastVirtualGateExtractor
 from repro.scenarios import get_scenario
 
 FIXTURE_PATH = Path(__file__).with_name("scenario_extractions.json")

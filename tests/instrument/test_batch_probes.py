@@ -448,16 +448,6 @@ class TestProbeLogColumnar:
         with pytest.raises(IndexError):
             log[2]
 
-    def test_log_constructible_from_records(self, clean_csd):
-        from repro.instrument import ProbeLog, ProbeRecord
-
-        record = ProbeRecord(
-            row=1, col=2, voltage_x=0.1, voltage_y=0.2, current_na=0.5, time_s=0.05
-        )
-        log = ProbeLog(records=[record])
-        assert log.records == (record,)
-        assert log.n_unique_pixels == 1
-
     def test_growth_beyond_initial_capacity(self, clean_csd):
         meter = ChargeSensorMeter(DatasetBackend(clean_csd))
         meter.acquire_full_grid()

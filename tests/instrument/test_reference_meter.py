@@ -11,14 +11,12 @@ leave both meters with equal values, log columns, clock, probe count and
 cache hits.
 
 The meter's probe log queues each batch and expands it only when read; the
-second half of this file interleaves those batches with direct appends,
-reads the log mid-run and after `reset()`, and mutates what a caller got
-back or passed in, against the reference's eagerly built records.
+second half of this file reads the log mid-run and after `reset()`, and
+mutates what a caller got back or passed in, against the reference's
+eagerly built records.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -284,33 +282,6 @@ class TestDeferredLog:
     def _pair(self, cache=True):
         meter = ChargeSensorMeter(dataset_backend(), clock=VirtualClock(TIMING), cache=cache)
         return meter, ReferenceMeter(dataset_backend(), cache=cache)
-
-    def test_batches_interleave_with_appends_and_extends(self):
-        meter, reference = self._pair()
-        log = meter.log
-        run_both(meter, reference, [[(1, 2), (1, 2), (3, 4)]])
-        outside = _record(9, 9, -1.5, 0.25, False)
-        log.append(outside)
-        reference.log.append(dataclasses.astuple(outside))
-        run_both(meter, reference, [[(3, 4), (5, 6)], [], [(0, 0)]])
-        log.extend(
-            np.array([7, 8]),
-            np.array([1, 2]),
-            np.array([0.1, 0.2]),
-            np.array([0.3, 0.4]),
-            np.array([2.0, 3.0]),
-            np.array([9.0, 9.5]),
-            np.array([True, False]),
-        )
-        reference.log.extend(
-            [(7, 1, 0.1, 0.3, 2.0, 9.0, True), (8, 2, 0.2, 0.4, 3.0, 9.5, False)]
-        )
-        run_both(meter, reference, [[(5, 6), (8, 2), (2, 2)]])
-        log.append(ProbeRecord(40, 40, 0.5, 0.5, 4.0, 10.0, True))
-        reference.log.append((40, 40, 0.5, 0.5, 4.0, 10.0, True))
-        assert_log_matches(log, reference.log)
-        # The out-of-grid appended pixel stays out of the probe mask.
-        assert not log.probe_mask((GRID, GRID))[GRID - 1, GRID - 1]
 
     @pytest.mark.parametrize("cache", [True, False])
     def test_reads_mid_run_and_after_reset(self, cache):

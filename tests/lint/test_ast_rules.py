@@ -4,15 +4,19 @@ The fixtures under ``fixtures/`` are a regression corpus: one file per
 rule seeded with every form the rule must catch, one file per rule with
 the nearest legitimate idioms it must leave alone.  The directory layout
 matters — ``fixtures/core/`` puts files in the ``wall-clock`` rule's
-scope, ``fixtures/analysis/`` outside it.
+scope, ``fixtures/analysis/`` outside it, and the ``layer-order`` rule
+reads ``fixtures/`` as the ``repro`` package root.
 """
 
 from pathlib import Path
 
 import pytest
 
+import repro
+from repro.lint.ast_rules import LAYERS
 from repro.lint.engine import run_lint
 from repro.lint.rules import (
+    EXIT_LAYER,
     EXIT_NAN_RECORD,
     EXIT_PRAGMA,
     EXIT_RNG,
@@ -73,6 +77,15 @@ class TestTriggerCorpus:
         assert rules_hit(report, "nan_record_trigger.py") == {"nan-record-field"}
         assert count(report, "nan_record_trigger.py", "nan-record-field") == 2
 
+    def test_layer_order(self, report):
+        assert rules_hit(report, "layer_order_trigger.py") == {"layer-order"}
+        # A module-level absolute import, one inside a function, and a
+        # relative one whose pragma waives nothing.
+        assert count(report, "layer_order_trigger.py", "layer-order") == 3
+        assert not [
+            v for v in report.suppressed if Path(v.path).name == "layer_order_trigger.py"
+        ]
+
     def test_nan_flagged_at_assignment_line(self, report):
         lines = {
             v.line: v.snippet
@@ -89,6 +102,7 @@ class TestTriggerCorpus:
             | EXIT_STRICT_JSON
             | EXIT_NAN_RECORD
             | EXIT_PRAGMA  # fixtures/pragma_unknown.py
+            | EXIT_LAYER
         )
 
 
@@ -101,6 +115,7 @@ class TestNoTriggerCorpus:
             "strict_json_clean.py",
             "nan_record_clean.py",
             "wall_clock_out_of_scope.py",
+            "layer_order_clean.py",
         ],
     )
     def test_clean_fixture_reports_nothing(self, report, filename):
@@ -132,4 +147,17 @@ class TestRuleSelection:
             "silent-fallback",
             "strict-json",
             "nan-record-field",
+            "layer-order",
         }
+
+    def test_layers_name_every_package_but_lint(self):
+        root = Path(repro.__file__).parent
+        top_level = {
+            path.stem
+            for path in root.iterdir()
+            if (path.suffix == ".py" and path.stem != "__init__")
+            or (path / "__init__.py").is_file()
+        }
+        layered = [name for layer in LAYERS for name in layer]
+        assert len(layered) == len(set(layered))
+        assert set(layered) == top_level - {"lint"}

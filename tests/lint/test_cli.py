@@ -1,10 +1,11 @@
-"""``python -m repro.lint`` CLI: exit codes, JSON report, baselines."""
+"""``python -m repro.lint`` CLI: exit codes and the JSON report."""
 
 import json
 from pathlib import Path
 
 from repro.lint.cli import USAGE_ERROR, main
 from repro.lint.rules import (
+    EXIT_LAYER,
     EXIT_NAN_RECORD,
     EXIT_PRAGMA,
     EXIT_RNG,
@@ -22,6 +23,7 @@ CORPUS_EXIT = (
     | EXIT_STRICT_JSON
     | EXIT_NAN_RECORD
     | EXIT_PRAGMA
+    | EXIT_LAYER
 )
 
 
@@ -60,37 +62,13 @@ class TestJsonReport:
         assert payload["exit_code"] == code == CORPUS_EXIT
         assert payload["n_files"] > 0
         assert set(payload["counts"]) >= {"rng-global-state", "strict-json"}
+        assert set(payload) == {
+            "violations",
+            "suppressed",
+            "counts",
+            "n_files",
+            "strict",
+            "exit_code",
+        }
         first = payload["violations"][0]
         assert set(first) == {"path", "line", "rule", "message", "snippet"}
-
-
-class TestBaselineFlow:
-    def test_write_then_adopt_then_burn_down(self, tmp_path, capsys):
-        baseline = tmp_path / "lint-baseline.json"
-        assert (
-            main([str(FIXTURES), "--no-contracts", "--write-baseline", str(baseline)])
-            == 0
-        )
-        capsys.readouterr()
-        # Adopting today's debt makes the same tree pass...
-        assert (
-            main([str(FIXTURES), "--no-contracts", "--baseline", str(baseline)]) == 0
-        )
-        # ...but a clean tree against the stale baseline fails strict mode.
-        code = main(
-            [
-                str(FIXTURES / "rng_clean.py"),
-                "--no-contracts",
-                "--baseline",
-                str(baseline),
-                "--strict",
-            ]
-        )
-        assert code == EXIT_PRAGMA
-        assert "stale baseline" in capsys.readouterr().out
-
-    def test_unreadable_baseline_is_a_usage_error(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        code = main([str(FIXTURES), "--no-contracts", "--baseline", str(bad)])
-        assert code == USAGE_ERROR

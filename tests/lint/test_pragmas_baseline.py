@@ -1,14 +1,9 @@
-"""Pragma hygiene and baseline adopt/burn-down semantics."""
+"""Pragma parsing and pragma hygiene."""
 
 from pathlib import Path
 
-import pytest
-
-from repro.exceptions import ConfigurationError
-from repro.lint.baseline import BASELINE_VERSION, Baseline
 from repro.lint.engine import PRAGMA_RULE, run_lint
 from repro.lint.pragmas import PragmaIndex
-from repro.lint.violations import Violation
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -51,72 +46,3 @@ class TestPragmaHygiene:
         report = run_lint(FIXTURES / "pragma_bare.py", contracts=False, strict=True)
         assert [v.rule for v in report.violations] == [PRAGMA_RULE]
         assert "justification" in report.violations[0].message
-
-
-class TestBaseline:
-    def make_violation(self, rule="strict-json", path="a.py", snippet="x = 1", line=3):
-        return Violation(path=path, line=line, rule=rule, message="m", snippet=snippet)
-
-    def test_round_trip_through_disk(self, tmp_path):
-        baseline = Baseline.from_violations([self.make_violation()])
-        path = baseline.save(tmp_path / "baseline.json")
-        assert Baseline.load(path).entries == baseline.entries
-
-    def test_load_rejects_foreign_files(self, tmp_path):
-        path = tmp_path / "nope.json"
-        path.write_text('{"version": 999}')
-        with pytest.raises(ConfigurationError):
-            Baseline.load(path)
-        assert BASELINE_VERSION == 1
-
-    def test_matching_ignores_line_drift(self):
-        baseline = Baseline.from_violations([self.make_violation(line=3)])
-        fresh, adopted, unused = baseline.partition([self.make_violation(line=90)])
-        assert fresh == []
-        assert len(adopted) == 1
-        assert unused == []
-
-    def test_each_entry_absolves_one_violation(self):
-        baseline = Baseline.from_violations([self.make_violation()])
-        fresh, adopted, unused = baseline.partition(
-            [self.make_violation(), self.make_violation()]
-        )
-        assert len(adopted) == 1
-        assert len(fresh) == 1
-
-    def test_unused_entries_surface(self):
-        baseline = Baseline.from_violations(
-            [self.make_violation(), self.make_violation(snippet="gone = 2")]
-        )
-        fresh, adopted, unused = baseline.partition([self.make_violation()])
-        assert fresh == []
-        assert len(adopted) == 1
-        assert [entry.snippet for entry in unused] == ["gone = 2"]
-
-
-class TestBaselineInEngine:
-    def test_baseline_adopts_the_whole_corpus(self):
-        first = run_lint(FIXTURES, contracts=False)
-        assert first.violations
-        baseline = Baseline.from_violations(list(first.violations))
-        second = run_lint(FIXTURES, contracts=False, baseline=baseline)
-        assert second.violations == ()
-        assert len(second.adopted) == len(first.violations)
-        assert second.exit_code == 0
-
-    def test_stale_entry_passes_default_but_fails_strict(self):
-        stale = Violation(
-            path="strict_json_clean.py",
-            line=1,
-            rule="strict-json",
-            message="m",
-            snippet="json.dumps(payload)  # long gone",
-        )
-        baseline = Baseline.from_violations([stale])
-        target = FIXTURES / "strict_json_clean.py"
-        default = run_lint(target, contracts=False, baseline=baseline)
-        assert default.violations == ()
-        assert len(default.unused_baseline) == 1
-        strict = run_lint(target, contracts=False, baseline=baseline, strict=True)
-        assert [v.rule for v in strict.violations] == [PRAGMA_RULE]
-        assert "stale baseline entry" in strict.violations[0].message

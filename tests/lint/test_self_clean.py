@@ -1,9 +1,10 @@
 """The acceptance criterion as a test: the library lints clean, strictly.
 
-Runs the full lint (AST rules + contract audit) over ``src/repro`` in
-strict mode with no baseline — exactly the CI gate.  Every violation in
-the tree has been fixed or carries a justified inline pragma; a change
-that regresses any invariant fails here before it fails in CI.
+Runs the full lint (AST rules, the layer order included, + contract
+audit) over ``src/repro`` in strict mode — exactly the CI gate.  Every
+violation in the tree has been fixed or carries a justified inline
+pragma; a change that regresses any invariant fails here before it fails
+in CI.
 """
 
 from pathlib import Path

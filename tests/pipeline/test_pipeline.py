@@ -4,17 +4,19 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baseline import HoughBaselineExtractor
-from repro.core import FastVirtualGateExtractor, StageTelemetry
+from repro.analysis import format_stage_costs
+from repro.core import StageTelemetry
 from repro.exceptions import ConfigurationError, ExtractionError
 from repro.instrument import ExperimentSession
 from repro.pipeline import (
+    AutoTuningWorkflow,
+    FastVirtualGateExtractor,
+    HoughBaselineExtractor,
     StageOutcome,
     SweepStage,
     TuneContext,
     TuningPipeline,
     all_pipelines,
-    format_stage_costs,
     get_pipeline,
     pipeline_catalogue,
     pipeline_names,
@@ -295,8 +297,6 @@ class TestComposerSemantics:
 
 class TestWorkflowTelemetry:
     def test_autotune_threads_window_search_telemetry(self, double_dot_device):
-        from repro.core import AutoTuningWorkflow
-
         result = AutoTuningWorkflow(resolution=48, seed=7).run(double_dot_device)
         stages = [t.stage for t in result.stage_telemetry]
         assert stages[:2] == ["window-search", "open-session"]
@@ -317,8 +317,6 @@ class TestWorkflowTelemetry:
         )
 
     def test_retuning_cycles_carry_staleness_telemetry(self):
-        from repro.core import AutoTuningWorkflow
-
         scenario = get_scenario("charge_jumpy")
         workflow = AutoTuningWorkflow.for_scenario(scenario, resolution=48, seed=3)
         result = workflow.run_with_retuning(
@@ -336,8 +334,6 @@ class TestWorkflowTelemetry:
         assert sum(t.n_probes for t in timeline) == result.total_probes
 
     def test_workflow_accepts_ablation_pipeline_by_name(self, double_dot_device):
-        from repro.core import AutoTuningWorkflow
-
         result = AutoTuningWorkflow(
             resolution=48, seed=7, pipeline="no-anchors"
         ).run(double_dot_device)
@@ -348,8 +344,6 @@ class TestWorkflowTelemetry:
         # Regression: the workflow used to force ExtractionConfig.paper_defaults
         # into the context, crashing any pipeline whose stages expect a
         # different config type (the dense-grid baseline reads .canny).
-        from repro.core import AutoTuningWorkflow
-
         result = AutoTuningWorkflow(
             resolution=48, seed=7, pipeline="baseline"
         ).run(double_dot_device)

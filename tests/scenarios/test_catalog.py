@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from repro.campaign import CampaignGrid, TuningCampaign
-from repro.core import FastVirtualGateExtractor
 from repro.exceptions import ConfigurationError
 from repro.physics import CompositeNoise, NoNoise, TelegraphNoise, WhiteNoise
+from repro.pipeline import FastVirtualGateExtractor
 from repro.scenarios import (
     DeviceSpec,
     LabScenario,

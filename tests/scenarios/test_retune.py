@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from repro.core import AutoTuningWorkflow
-from repro.exceptions import ExtractionError
+from repro.exceptions import ConfigurationError, ExtractionError
+from repro.faults import TransientReadFault
 from repro.physics import DeviceDrift, WhiteNoise
+from repro.pipeline import AutoTuningWorkflow, FastVirtualGateExtractor
 from repro.scenarios import get_scenario
 
 RESOLUTION = 48
@@ -124,6 +127,18 @@ class TestForScenario:
         )
         outcome = workflow.run(get_scenario("drifting_sensor").build_device())
         assert outcome.extraction.probe_stats.n_probes > 0
+
+    def test_refuses_a_scenario_with_faults(self):
+        # No probe path of the workflow applies faults, so a faulty lab
+        # would silently tune as a clean one; the scenario's own session
+        # applies them (every read fails at rate 1).
+        scenario = dataclasses.replace(
+            get_scenario("quiet_lab"), faults=TransientReadFault(rate=1.0)
+        )
+        with pytest.raises(ConfigurationError, match="open_session.*TuningCampaign"):
+            AutoTuningWorkflow.for_scenario(scenario, resolution=32, seed=1)
+        session = scenario.open_session(resolution=32, seed=1)
+        assert not FastVirtualGateExtractor().extract(session).success
 
 
 class TestParameterValidation:

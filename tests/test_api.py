@@ -3,21 +3,16 @@
 from __future__ import annotations
 
 import importlib
+import pkgutil
 
 import pytest
 
 import repro
 
-
-SUBPACKAGES = [
-    "repro.physics",
-    "repro.instrument",
-    "repro.datasets",
-    "repro.core",
-    "repro.baseline",
-    "repro.analysis",
-    "repro.visualization",
-]
+#: Every subpackage, found on disk so a new one is checked without a list.
+SUBPACKAGES = sorted(
+    f"repro.{info.name}" for info in pkgutil.iter_modules(repro.__path__) if info.ispkg
+)
 
 
 class TestTopLevelApi:

@@ -12,10 +12,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import ArrayVirtualGateExtractor
 from repro.exceptions import ConfigurationError
 from repro.instrument.measurement import DeviceBackend
 from repro.physics import DotArrayDevice, standard_lab_noise
+from repro.pipeline import ArrayVirtualGateExtractor
 from repro.seeding import as_seed_sequence, spawn_seeds
 
 
