@@ -93,7 +93,6 @@ class FitConfig:
     """Parameters of the two-piece-wise linear slope fit (paper §4.3.3)."""
 
     min_points: int = 4
-    max_function_evaluations: int = 2000
     min_steep_slope_magnitude: float = 1.0
     max_shallow_slope_magnitude: float = 1.0
     max_alpha: float = 1.5
@@ -101,8 +100,6 @@ class FitConfig:
     def __post_init__(self) -> None:
         if self.min_points < 3:
             raise ConfigurationError("min_points must be at least 3")
-        if self.max_function_evaluations < 10:
-            raise ConfigurationError("max_function_evaluations must be at least 10")
         if self.min_steep_slope_magnitude <= 0:
             raise ConfigurationError("min_steep_slope_magnitude must be positive")
         if self.max_shallow_slope_magnitude <= 0:

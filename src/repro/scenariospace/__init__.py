@@ -26,9 +26,9 @@ bit-identical scenarios in any process, and campaign runs over the draws
 are bit-identical across execution backends and worker counts.
 """
 
+from .distill import DistilledFailure, distill_failure
 from .distributions import Choice, Fixed, LogUniform, Sampler, Uniform
 from .mining import MinedFailure, MiningResult, MiningRoundRecord, mine_failures
-from .distill import DistilledFailure, distill_failure
 from .regressions import MINED_REGRESSIONS, MinedRegression, regression_record
 from .space import (
     SEVERITY_AXES,

@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from ..exceptions import ConfigurationError
-from .space import SEVERITY_AXES, ScenarioParams, ScenarioSpace, run_draws
 from ..seeding import spawn_seeds
+from .space import SEVERITY_AXES, ScenarioParams, ScenarioSpace, run_draws
 
 #: Bounds on any single axis's cumulative severity multiplier.  The climb
 #: must not wander to absurdity (a 10^6x noise scale "finds" failures that

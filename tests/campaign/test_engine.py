@@ -324,8 +324,9 @@ class TestCheckpointResume:
         assert explicit.backend.name == "process"
 
     def test_resume_after_scenario_redefinition_rejected(self, tmp_path):
-        from repro.scenarios import get_scenario, register_scenario, unregister_scenario
         import dataclasses as dc
+
+        from repro.scenarios import get_scenario, register_scenario, unregister_scenario
 
         base = get_scenario("quiet_lab")
         scenario = dc.replace(base, name="retune_test_lab")

@@ -70,7 +70,6 @@ class TestFitConfig:
         "kwargs",
         [
             {"min_points": 2},
-            {"max_function_evaluations": 1},
             {"min_steep_slope_magnitude": 0.0},
             {"max_shallow_slope_magnitude": -1.0},
             {"max_alpha": 0.0},

@@ -8,8 +8,8 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.scenariospace import (
-    Fixed,
     MINED_REGRESSIONS,
+    Fixed,
     MinedFailure,
     ScenarioParams,
     ScenarioSpace,
