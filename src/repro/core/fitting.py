@@ -135,10 +135,10 @@ class TransitionLineFitter:
                 "too few transition points to locate the intersection: every "
                 "point lies on an anchor's abscissa"
             )
-        steep = (vx_steep, vy_steep)
-        shallow = (vx_shallow, vy_shallow)
-        x0, y0 = _exact_intersection(x_data, y_data, steep, shallow)
-        residuals = y_data - piecewise_transition_model(x_data, x0, y0, steep, shallow)
+        x0, y0 = _exact_intersection(x_data, y_data, steep_anchor_v, shallow_anchor_v)
+        residuals = y_data - piecewise_transition_model(
+            x_data, x0, y0, steep_anchor_v, shallow_anchor_v
+        )
         residual_rms = float(np.sqrt(np.mean(residuals**2)))
 
         steep_den = vx_steep - x0

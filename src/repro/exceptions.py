@@ -108,7 +108,13 @@ class SweepError(ExtractionError):
 
 
 class FitError(ExtractionError):
-    """The piece-wise linear fit of the transition lines did not converge."""
+    """The piece-wise linear fit of the transition lines was refused.
+
+    The fit is solved exactly, so it never fails to converge; it refuses
+    points of the wrong shape, too few or non-finite points, anchors out of
+    their arrangement, and a point set that leaves the intersection
+    undetermined (every point on an anchor's abscissa).
+    """
 
 
 class BaselineError(ExtractionError):

@@ -304,9 +304,9 @@ def _register_builtin_samples() -> None:
             snippet="t = time.time()",
         )
 
+    from ..scenarios.devices import DeviceSpec
     from ..scenariospace.space import ScenarioParams
     from ..scenariospace.surface import SurfaceCell, SurfaceReport
-    from ..scenarios.devices import DeviceSpec
 
     def scenario_params() -> ScenarioParams:
         return ScenarioParams(
@@ -357,8 +357,8 @@ def _register_builtin_samples() -> None:
             n_full_points=256,
         )
 
-    from ..cluster.coordinator import ClusterStats
     from ..cluster import wire
+    from ..cluster.coordinator import ClusterStats
 
     def cluster_stats() -> ClusterStats:
         return ClusterStats(

@@ -22,7 +22,6 @@ import pytest
 from record_samples import RECORDS, identical
 from repro.cluster import worker as worker_module
 from repro.cluster.coordinator import Coordinator
-from repro.cluster.worker import worker_main
 from repro.cluster.wire import (
     Heartbeat,
     Lease,
@@ -36,6 +35,7 @@ from repro.cluster.wire import (
     recv_message,
     send_message,
 )
+from repro.cluster.worker import worker_main
 from repro.exceptions import ClusterProtocolError
 from repro.execution import WorkerCrash
 

@@ -271,7 +271,8 @@ class TestAgainstLeastSquares:
     @given(data=st.data())
     def test_bound_hugging_points(self, data):
         # Every point above the shallow anchor's level or below the steep
-        # anchor's: the minimum sits on a y0 bound, off any data abscissa.
+        # anchor's: the minimum often sits on a y0 bound between two data
+        # abscissae, which only the stationarity-quartic candidates reach.
         fit_or_refuse(*data.draw(point_sets("hugging")))
 
 

@@ -22,9 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.reprs import ADDRESS_REPR
-from repro.scenariospace import Choice, Fixed, LogUniform, ScenarioSpace, Uniform
 from repro.scenarios import LabScenario
 from repro.scenarios.devices import DeviceSpec
+from repro.scenariospace import Choice, Fixed, LogUniform, ScenarioSpace, Uniform
 
 DEVICES = (
     DeviceSpec.of("double_dot"),

@@ -24,8 +24,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.scenariospace import MINED_REGRESSIONS, regression_record
 from repro.scenarios import get_scenario
+from repro.scenariospace import MINED_REGRESSIONS, regression_record
 
 FIXTURE_PATH = (
     Path(__file__).parent.parent / "golden" / "mined_regressions.json"

@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.scenarios.devices import DeviceSpec
 from repro.scenariospace import (
     MINED_REGRESSIONS,
     Fixed,
@@ -19,7 +20,6 @@ from repro.scenariospace import (
 )
 from repro.scenariospace.distill import replay_failure
 from repro.scenariospace.mining import MULTIPLIER_RANGE, _clamp_multiplier
-from repro.scenarios.devices import DeviceSpec
 
 #: A parameter vector + seed known to fail (the distilled transient-flood
 #: regression), reused here so distiller tests run one real failing job

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.scenarios import get_scenario
+from repro.scenarios.catalog import register_scenario, unregister_scenario
+from repro.scenarios.devices import DeviceSpec
 from repro.scenariospace import (
     Choice,
     Fixed,
@@ -17,9 +20,6 @@ from repro.scenariospace import (
     run_draws,
     scenario_from_params,
 )
-from repro.scenarios import get_scenario
-from repro.scenarios.catalog import register_scenario, unregister_scenario
-from repro.scenarios.devices import DeviceSpec
 
 
 class TestScenarioParams:
