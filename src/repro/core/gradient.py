@@ -43,6 +43,9 @@ class FeatureGradient:
             raise ConfigurationError("delta_pixels must be at least 1")
         self._meter = meter
         self._delta = int(delta_pixels)
+        # Offsets of the centre, right and upper-right probes.
+        self._row_steps = np.array([0, 0, self._delta])
+        self._col_steps = np.array([0, self._delta, self._delta])
 
     @property
     def meter(self) -> ChargeSensorMeter:
@@ -85,16 +88,10 @@ class FeatureGradient:
         rows = np.asarray(rows, dtype=int).reshape(-1)
         cols = np.asarray(cols, dtype=int).reshape(-1)
         grid_rows, grid_cols = self._meter.shape
-        # Columns: centre, right, upper-right.  A clamped centre is never
-        # negative, so the shifted neighbours need only the upper clamp.
-        probe_rows = np.empty((rows.size, 3), dtype=int)
-        probe_cols = np.empty((rows.size, 3), dtype=int)
-        np.minimum(np.maximum(rows, 0), grid_rows - 1, out=probe_rows[:, 0])
-        probe_rows[:, 1] = probe_rows[:, 0]
-        np.minimum(probe_rows[:, 0] + self._delta, grid_rows - 1, out=probe_rows[:, 2])
-        np.minimum(np.maximum(cols, 0), grid_cols - 1, out=probe_cols[:, 0])
-        np.minimum(probe_cols[:, 0] + self._delta, grid_cols - 1, out=probe_cols[:, 1])
-        probe_cols[:, 2] = probe_cols[:, 1]
+        # Columns: centre, right, upper-right.  min(max(x, 0) + step, edge)
+        # is the clamped centre plus the step, clamped again at the edge.
+        probe_rows = np.minimum(np.maximum(rows, 0)[:, None] + self._row_steps, grid_rows - 1)
+        probe_cols = np.minimum(np.maximum(cols, 0)[:, None] + self._col_steps, grid_cols - 1)
         currents = self._meter.get_currents(probe_rows.ravel(), probe_cols.ravel())
         center = currents[0::3]
         right = currents[1::3]

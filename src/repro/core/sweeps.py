@@ -73,10 +73,13 @@ class TransitionLineSweeper:
             segment_lengths.append(len(segment))
             if not segment:
                 continue
-            columns = np.asarray(segment, dtype=int)
+            # A segment is a run of consecutive columns.
+            columns = np.arange(segment[0], segment[-1] + 1)
+            rows = np.empty(columns.size, dtype=np.int64)
+            rows.fill(row)
             # One batched gradient evaluation serves the whole segment.
-            gradients = self._gradient.values(np.full(columns.size, row), columns)
-            best_col = int(columns[int(np.argmax(gradients))])
+            gradients = self._gradient.values(rows, columns)
+            best_col = segment[0] + int(gradients.argmax())
             transition_points.append((row, best_col))
             region = region.with_steep_anchor(PixelPoint(row=row, col=best_col))
         return SweepTrace(
@@ -101,10 +104,13 @@ class TransitionLineSweeper:
             segment_lengths.append(len(segment))
             if not segment:
                 continue
-            rows = np.asarray(segment, dtype=int)
+            # A segment is a run of consecutive rows.
+            rows = np.arange(segment[0], segment[-1] + 1)
+            columns = np.empty(rows.size, dtype=np.int64)
+            columns.fill(col)
             # One batched gradient evaluation serves the whole segment.
-            gradients = self._gradient.values(rows, np.full(rows.size, col))
-            best_row = int(rows[int(np.argmax(gradients))])
+            gradients = self._gradient.values(rows, columns)
+            best_row = segment[0] + int(gradients.argmax())
             transition_points.append((best_row, col))
             region = region.with_shallow_anchor(PixelPoint(row=best_row, col=col))
         return SweepTrace(

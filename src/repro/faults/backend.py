@@ -11,11 +11,15 @@ not subclass the backend base class: it forwards the grid surface
 inner backend.
 
 The meter does not call ``currents`` on this backend; it asks for a
-:class:`BatchPlan` via :meth:`FaultyBackend.plan_batch` — the corrupted
-values for a whole candidate batch plus the first *disruption* (a stall or
-a raising error), if any.  That lets the meter commit the fault-free prefix
-in one vectorised step and handle only the disrupted probe through its
-retry loop, keeping chaos runs close to clean-path speed.
+:class:`BatchPlan` via :meth:`FaultyBackend.plan_batch` — the first
+*disruption* of a candidate batch (a stall or a raising error), if any, and
+the corrupted values of the probes the meter can commit.  Every fault hook
+is a pure function of the probe timestamp, so the plan finds the disruption
+from the timestamps alone and then reads the inner backend only for the
+probes before it (and a stalled probe itself, whose late read lands).  The
+meter commits that prefix in one vectorised step and handles only the
+disrupted probe through its retry loop, so no probe is solved at a
+timestamp the meter then discards.
 """
 
 from __future__ import annotations
@@ -53,11 +57,12 @@ class ProbeDisruption:
 class BatchPlan:
     """What a candidate batch of probes would return.
 
-    ``values`` covers every planned probe (corruptions applied);
     ``disruption`` is the first stall/error, or ``None`` for a clean batch.
-    Probes after the disruption index carry values too, but the meter must
-    not commit them — the disruption shifts the clock, which shifts their
-    timestamps and therefore their draws.
+    ``values`` (corruptions applied) covers exactly the probes the meter may
+    commit: the whole batch when it is clean, the probes before an error,
+    and the probes up to and including a stall.  Probes after the
+    disruption get no value, because the disruption shifts the clock, which
+    shifts their timestamps and therefore their draws.
     """
 
     values: np.ndarray
@@ -156,6 +161,51 @@ class FaultyBackend:
         return self._keys_cache
 
     # ------------------------------------------------------------------
+    def _validated(self, rows, cols, times_s) -> tuple[np.ndarray, ...]:
+        """Every pixel of the batch checked, and one timestamp per pixel.
+
+        A meter's checked pixels come back from the inner backend still
+        marked, so their slices pass through the inner ``currents`` unchecked.
+        """
+        rows, cols = self._inner.validate_pixels(rows, cols)
+        times = np.ascontiguousarray(np.asarray(times_s, dtype=float)).ravel()
+        if times.size != rows.size:
+            raise MeasurementError(
+                f"expected {rows.size} probe timestamps, got {times.size}"
+            )
+        return rows, cols, times
+
+    def _first_disruption(self, times: np.ndarray) -> ProbeDisruption | None:
+        """The first stall or error among probes at ``times``, if any."""
+        stalls = np.zeros(times.shape, dtype=float)
+        erroring = np.zeros(times.shape, dtype=bool)
+        masks = []
+        for model, key in zip(self._models, self._keys()):
+            stalls += model.stall_s(times, key)
+            masks.append(model.error_mask(times, key))
+            erroring |= masks[-1]
+        disrupted = np.flatnonzero(erroring | (stalls > 0))
+        if disrupted.size == 0:
+            return None
+        first = int(disrupted[0])
+        if erroring[first]:
+            # The first model that errors at the probe raises.
+            model = next(m for m, mask in zip(self._models, masks) if mask[first])
+            return ProbeDisruption(index=first, error=model.error_at(float(times[first])))
+        return ProbeDisruption(index=first, stall_s=float(stalls[first]))
+
+    def _read(self, rows: np.ndarray, cols: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """Corrupted inner values of validated probes; an empty batch reads nothing."""
+        if not times.size:
+            return np.zeros(0)
+        inner_times = times if self._inner.is_time_dependent else None
+        values = np.asarray(
+            self._inner.currents(rows, cols, times_s=inner_times), dtype=float
+        )
+        for model, key in zip(self._models, self._keys()):
+            values = model.corrupt(values, times, key)
+        return values
+
     def plan_batch(
         self,
         rows: np.ndarray,
@@ -164,42 +214,21 @@ class FaultyBackend:
     ) -> BatchPlan:
         """Plan a candidate batch scheduled at the given timestamps.
 
-        Returns the corrupted values and the first disruption.  Pure: the
-        same ``(rows, cols, times)`` always yield the same plan, which is
-        what lets the meter re-plan a disrupted probe after committing the
-        prefix and get the identical outcome.  The pixels are validated
-        once, by the inner backend's ``currents``.
+        Returns the first disruption and the corrupted values of the probes
+        the meter may commit (see :class:`BatchPlan`).  Every pixel is
+        validated, even when the first probe errors, but the inner backend
+        reads only the committable probes.  Pure: the same ``(rows, cols,
+        times)`` always yield the same plan, which is what lets the meter
+        re-plan a disrupted probe after committing the prefix and get the
+        identical outcome.
         """
-        times = np.ascontiguousarray(np.asarray(times_s, dtype=float)).ravel()
-        if times.size != np.size(rows):
-            raise MeasurementError(
-                f"expected {np.size(rows)} probe timestamps, got {times.size}"
-            )
-        inner_times = times if self._inner.is_time_dependent else None
-        values = np.asarray(
-            self._inner.currents(rows, cols, times_s=inner_times), dtype=float
-        )
-        keys = self._keys()
-        stalls = np.zeros(times.shape, dtype=float)
-        erroring = np.zeros(times.shape, dtype=bool)
-        error_model = np.full(times.shape, -1, dtype=np.int64)
-        for i, model in enumerate(self._models):
-            values = model.corrupt(values, times, keys[i])
-            stalls = stalls + model.stall_s(times, keys[i])
-            mask = model.error_mask(times, keys[i]) & ~erroring
-            erroring |= mask
-            error_model[mask] = i
-        disrupted = np.flatnonzero(erroring | (stalls > 0))
-        if disrupted.size == 0:
-            return BatchPlan(values=values)
-        first = int(disrupted[0])
-        if erroring[first]:
-            model = self._models[int(error_model[first])]
-            disruption = ProbeDisruption(
-                index=first, error=model.error_at(float(times[first]))
-            )
-        else:
-            disruption = ProbeDisruption(index=first, stall_s=float(stalls[first]))
+        rows, cols, times = self._validated(rows, cols, times_s)
+        disruption = self._first_disruption(times)
+        if disruption is None:
+            return BatchPlan(values=self._read(rows, cols, times))
+        # A stalled read lands late, so the meter keeps its value.
+        n_read = disruption.index + (disruption.error is None)
+        values = self._read(rows[:n_read], cols[:n_read], times[:n_read])
         return BatchPlan(values=values, disruption=disruption)
 
     # ------------------------------------------------------------------
@@ -212,10 +241,11 @@ class FaultyBackend:
         """Corrupted currents of a direct read, without a meter.
 
         Stalls are meaningful only under a virtual clock, so a direct read
-        applies the value corruptions and raises the first injected error;
-        the meter plans its batches through :meth:`plan_batch` instead and
-        honours stalls.  Fault draws are keyed by timestamp, so ``times_s``
-        is required.
+        applies the value corruptions to every probe and raises the
+        injected error when the batch's first disruption is one; the meter
+        plans its batches through :meth:`plan_batch` instead and honours
+        stalls.  Fault draws are keyed by timestamp, so ``times_s`` is
+        required.
         """
         if times_s is None:
             raise MeasurementError(
@@ -223,8 +253,8 @@ class FaultyBackend:
                 "per-probe timestamps — measure through a ChargeSensorMeter, "
                 "or pass times_s explicitly"
             )
-        plan = self.plan_batch(rows, cols, times_s)
-        disruption = plan.disruption
+        rows, cols, times = self._validated(rows, cols, times_s)
+        disruption = self._first_disruption(times)
         if disruption is not None and disruption.error is not None:
             raise disruption.error
-        return plan.values
+        return self._read(rows, cols, times)

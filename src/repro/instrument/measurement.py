@@ -32,10 +32,14 @@ behaves request by request like a sequential loop of single probes — same
 values, probe counts, cache and budget behaviour, clock readings and log
 contents — with every pixel validated up front.
 
-The meter validates each request once, at its boundary, and hands the
-physical probes to its backend marked as already checked, so the backend
-(and a fault-injecting wrapper in between) does not check them again.  Any
-other caller of a backend's ``currents`` gets the full check.
+Each meter batch does its bookkeeping once.  The meter validates the
+requests at its boundary against the grid shape it read from the backend at
+construction, builds their flat pixel keys, and deduplicates them against its
+cache.  It hands the physical probes to the backend as views marked already
+checked, carrying their flat keys, with timestamps from its own clock.  The
+backend reads those without validating, re-keying or normalising them again,
+and a fault-injecting wrapper in between keeps the mark on the prefix it
+reads.  Any other caller of a backend's ``currents`` gets the full check.
 """
 
 from __future__ import annotations
@@ -74,13 +78,81 @@ class _CheckedPixels(np.ndarray):
 
     The meter checks every request at its boundary and passes the physical
     probes on as views of this type; :meth:`MeasurementBackend.validate_pixels`
-    returns them as plain arrays without checking them again.  Only the
-    meter creates these views, right before handing them to its backend.
+    returns them unchanged, and the backends read them without checking
+    them again.  The meter's row view carries the probes' flat keys
+    (``row * n_cols + col``) in ``flat_keys``; a slice of it (a fault plan's
+    committable prefix) stays checked but has ``flat_keys`` ``None``.  Only
+    the meter creates these views, right before handing them to its backend.
     """
 
+    flat_keys: np.ndarray | None = None
 
-def _checked(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return rows.view(_CheckedPixels), cols.view(_CheckedPixels)
+
+def _checked(
+    rows: np.ndarray, cols: np.ndarray, keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    checked_rows = rows.view(_CheckedPixels)
+    checked_rows.flat_keys = keys
+    return checked_rows, cols.view(_CheckedPixels)
+
+
+def _from_meter(rows, cols) -> bool:
+    """Whether a backend's pixels are a meter's checked probes."""
+    return type(rows) is _CheckedPixels and type(cols) is _CheckedPixels
+
+
+_INT64 = np.dtype(np.int64)
+
+
+def _validated_pixels(
+    rows: np.ndarray | list, cols: np.ndarray | list, shape: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pixel-index arrays as 1-D ``int64``, checked against a grid ``shape``.
+
+    Raises :class:`MeasurementError` for mismatched shapes, non-integer
+    indices or the first off-grid pixel.  Matching 1-D ``int64`` arrays,
+    what the extraction stages send, skip the conversion.
+    """
+    if not (
+        type(rows) is np.ndarray
+        and type(cols) is np.ndarray
+        and rows.dtype is _INT64
+        and cols.dtype is _INT64
+        and rows.ndim == 1
+        and rows.shape == cols.shape
+    ):
+        rows = np.asarray(rows)
+        cols = np.asarray(cols)
+        if rows.shape != cols.shape:
+            # A 0-d index counts as one pixel.
+            row_shape, col_shape = rows.shape or (1,), cols.shape or (1,)
+            if row_shape != col_shape:
+                raise MeasurementError(
+                    f"rows and cols must have matching shapes, got {row_shape} "
+                    f"and {col_shape}"
+                )
+        if rows.ndim != 1:
+            rows = rows.reshape(-1)
+        if cols.ndim != 1:
+            cols = cols.reshape(-1)
+        if rows.size and (rows.dtype.kind not in "iu" or cols.dtype.kind not in "iu"):
+            raise MeasurementError("pixel indices must be integers")
+        rows = rows.astype(np.int64, copy=False)
+        cols = cols.astype(np.int64, copy=False)
+    n_rows, n_cols = shape
+    # Viewed unsigned, a negative index is huge: one max() per axis checks
+    # both of its bounds.
+    if rows.size and (
+        np.maximum.reduce(rows.view(np.uint64)) >= n_rows
+        or np.maximum.reduce(cols.view(np.uint64)) >= n_cols
+    ):
+        off_grid = (rows < 0) | (rows >= n_rows) | (cols < 0) | (cols >= n_cols)
+        i = int(np.argmax(off_grid))
+        raise MeasurementError(
+            f"pixel ({int(rows[i])}, {int(cols[i])}) outside the "
+            f"{n_rows}x{n_cols} measurement grid"
+        )
+    return rows, cols
 
 
 @dataclass(frozen=True)
@@ -410,42 +482,12 @@ class MeasurementBackend:
         """Validate whole pixel-index arrays; returns them as 1-D ``int64``.
 
         Raises :class:`MeasurementError` naming the first off-grid pixel.
-        Indices a meter has already checked pass through unchecked.
+        Indices a meter has already checked come back unchanged, still
+        marked, so a wrapper that slices them keeps them checked.
         """
-        if type(rows) is _CheckedPixels and type(cols) is _CheckedPixels:
-            return rows.view(np.ndarray), cols.view(np.ndarray)
-        rows = np.asarray(rows)
-        cols = np.asarray(cols)
-        if rows.shape != cols.shape:
-            # A 0-d index counts as one pixel.
-            row_shape, col_shape = rows.shape or (1,), cols.shape or (1,)
-            if row_shape != col_shape:
-                raise MeasurementError(
-                    f"rows and cols must have matching shapes, got {row_shape} "
-                    f"and {col_shape}"
-                )
-        if rows.ndim != 1:
-            rows = rows.reshape(-1)
-        if cols.ndim != 1:
-            cols = cols.reshape(-1)
-        if rows.size and (rows.dtype.kind not in "iu" or cols.dtype.kind not in "iu"):
-            raise MeasurementError("pixel indices must be integers")
-        rows = rows.astype(np.int64, copy=False)
-        cols = cols.astype(np.int64, copy=False)
-        n_rows, n_cols = self.shape
-        # Viewed unsigned, a negative index is huge: one max() per axis
-        # checks both of its bounds.
-        if rows.size and (
-            np.maximum.reduce(rows.view(np.uint64)) >= n_rows
-            or np.maximum.reduce(cols.view(np.uint64)) >= n_cols
-        ):
-            off_grid = (rows < 0) | (rows >= n_rows) | (cols < 0) | (cols >= n_cols)
-            i = int(np.argmax(off_grid))
-            raise MeasurementError(
-                f"pixel ({int(rows[i])}, {int(cols[i])}) outside the "
-                f"{n_rows}x{n_cols} measurement grid"
-            )
-        return rows, cols
+        if _from_meter(rows, cols):
+            return rows, cols
+        return _validated_pixels(rows, cols, self.shape)
 
     def validate_times(
         self, times_s: np.ndarray | list | None, n: int
@@ -499,9 +541,10 @@ class DatasetBackend(MeasurementBackend):
         times_s: np.ndarray | None = None,
     ) -> np.ndarray:
         """Batched replay: one fancy-index into the stored pixel grid."""
-        rows, cols = self.validate_pixels(rows, cols)
-        self.validate_times(times_s, rows.size)
-        return self._csd.data[rows, cols].astype(float)
+        if not _from_meter(rows, cols):
+            rows, cols = self.validate_pixels(rows, cols)
+            self.validate_times(times_s, rows.size)
+        return self._csd.data[rows, cols].astype(float, copy=False)
 
 
 class DeviceBackend(MeasurementBackend):
@@ -567,6 +610,8 @@ class DeviceBackend(MeasurementBackend):
             raise MeasurementError(
                 f"fixed_voltages must have shape ({device.n_gates},)"
             )
+        self._shape = (self._ys.size, self._xs.size)
+        self._n_cols = self._xs.size
         self._noise = noise or NoNoise()
         self._seed = seed
         self._noise_field: np.ndarray | None = None
@@ -580,12 +625,20 @@ class DeviceBackend(MeasurementBackend):
                 "(a zero-cost probe never advances the clock)"
             )
         self._drift = drift
+        self._drifting_device = drift is not None and not drift.is_static
         self._time_dependent_noise = bool(time_dependent_noise)
         self._probe_interval_s = float(probe_interval_s)
         self._temporal_noise: TimeDependentNoise | None = None
         self._drift_state: DeviceDriftState | None = None
         self._seed_children_cache: tuple[np.random.SeedSequence, ...] | None = None
-        self._kernel_cache_opt = kernel_cache
+        # ``None`` bypasses the kernel cache, ``True`` is the process-wide
+        # cache (looked up per batch, so a pickled backend uses its own
+        # process's cache).  A time-dependent backend always bypasses it.
+        self._kernel_cache = (
+            None
+            if self._drifting_device or self._time_dependent_noise or kernel_cache is False
+            else kernel_cache
+        )
         self._kernel_fp: str | None = None
         self._kernel_hits = 0
         self._kernel_solves = 0
@@ -621,15 +674,14 @@ class DeviceBackend(MeasurementBackend):
     @property
     def is_time_dependent(self) -> bool:
         """Whether probe values depend on the simulated timestamp."""
-        drifting = self._drift is not None and not self._drift.is_static
-        return drifting or self._time_dependent_noise
+        return self._drifting_device or self._time_dependent_noise
 
     def _static_noise(self) -> np.ndarray:
         """The seeded static noise field, flat in row-major pixel-key order."""
         if self._noise_field is None:
             rng = np.random.default_rng(self._seed)
-            self._noise_field = self._noise.sample_grid(self.shape, rng)
-        return self._noise_field.reshape(-1)
+            self._noise_field = self._noise.sample_grid(self._shape, rng).reshape(-1)
+        return self._noise_field
 
     def _seed_children(self) -> tuple[np.random.SeedSequence, ...]:
         # Independent child streams for the temporal noise sampler and the
@@ -681,12 +733,11 @@ class DeviceBackend(MeasurementBackend):
         bypass: their pure values depend on the probe timestamp and a cached
         grid would go stale the moment the device evolves.
         """
-        if self.is_time_dependent:
+        cache = self._kernel_cache
+        if cache is None:
             return None
-        opt = self._kernel_cache_opt
-        if opt is False or opt is None:
-            return None
-        cache = default_kernel_cache() if opt is True else opt
+        if cache is True:
+            cache = default_kernel_cache()
         if not cache.enabled:
             return None
         if self._kernel_fp is None:
@@ -698,11 +749,12 @@ class DeviceBackend(MeasurementBackend):
                 self._gate_y,
                 self._fixed,
             )
-        return cache.entry(self._kernel_fp, self.shape)
+        return cache.entry(self._kernel_fp, self._shape)
 
     def _points(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Gate-voltage points of the given pixels, shape ``(n, n_gates)``."""
-        points = np.tile(self._fixed, (rows.size, 1))
+        points = np.empty((rows.size, self._fixed.size))
+        points[:] = self._fixed
         points[:, self._gate_x] = self._xs[cols]
         points[:, self._gate_y] = self._ys[rows]
         return points
@@ -723,7 +775,7 @@ class DeviceBackend(MeasurementBackend):
         if entry is None:
             points = self._points(rows, cols)
             detuning_offset_mv: np.ndarray | float = 0.0
-            if self._drift is not None and not self._drift.is_static and rows.size:
+            if self._drifting_device and rows.size:
                 state = self._drifting()
                 scale = state.gate_scale(times)
                 points[:, self._gate_x] *= scale
@@ -770,9 +822,16 @@ class DeviceBackend(MeasurementBackend):
         is an elementwise function of (pixel, timestamp), so probes agree
         bit-for-bit regardless of batch splitting.
         """
-        rows, cols = self.validate_pixels(rows, cols)
-        times = self.validate_times(times_s, rows.size)
-        keys = rows * self._xs.size + cols
+        if _from_meter(rows, cols):
+            # Checked, keyed and timed by the meter.
+            keys = rows.flat_keys
+            rows, cols, times = rows.view(np.ndarray), cols.view(np.ndarray), times_s
+            if keys is None:
+                keys = rows * self._n_cols + cols
+        else:
+            rows, cols = self.validate_pixels(rows, cols)
+            times = self.validate_times(times_s, rows.size)
+            keys = rows * self._n_cols + cols
         values = self._pure_currents(rows, cols, keys, times)
         if self._time_dependent_noise:
             return values + self._temporal().sample_at(times)
@@ -823,10 +882,15 @@ class ChargeSensorMeter:
         self._cache_enabled = bool(cache)
         self._max_probes = max_probes
         self._log = ProbeLog()
+        # The grid is fixed for the meter's lifetime: read it once.
+        n_rows, n_cols = backend.shape
+        self._shape = (int(n_rows), int(n_cols))
+        self._xs = backend.x_voltages
+        self._ys = backend.y_voltages
         # The pixel cache, flat in row-major key order (row * n_cols + col).
-        self._n_cols = backend.shape[1]
-        self._measured = np.zeros(backend.n_pixels, dtype=bool)
-        self._values = np.zeros(backend.n_pixels, dtype=float)
+        self._n_cols = self._shape[1]
+        self._measured = np.zeros(n_rows * n_cols, dtype=bool)
+        self._values = np.zeros(n_rows * n_cols, dtype=float)
         self._n_probes = 0
         # Resilience state.  Only the measuring step of a batch differs for
         # a backend that can plan faults (it goes through the retry loop);
@@ -859,17 +923,17 @@ class ChargeSensorMeter:
     @property
     def shape(self) -> tuple[int, int]:
         """Grid shape."""
-        return self._backend.shape
+        return self._shape
 
     @property
     def x_voltages(self) -> np.ndarray:
         """Column voltages."""
-        return self._backend.x_voltages
+        return self._xs
 
     @property
     def y_voltages(self) -> np.ndarray:
         """Row voltages."""
-        return self._backend.y_voltages
+        return self._ys
 
     @property
     def n_probes(self) -> int:
@@ -884,7 +948,7 @@ class ChargeSensorMeter:
     @property
     def probe_fraction(self) -> float:
         """Fraction of the grid that has been physically measured."""
-        return self.n_probes / float(self._backend.n_pixels)
+        return self.n_probes / float(self._measured.size)
 
     @property
     def elapsed_s(self) -> float:
@@ -978,8 +1042,9 @@ class ChargeSensorMeter:
             raise CircuitBreakerOpenError(
                 "circuit breaker is open; reset() the meter to re-arm it"
             )
-        rows = np.array([row])
-        cols = np.array([col])
+        rows, cols = _checked(
+            np.array([row]), np.array([col]), np.array([row * self._n_cols + col])
+        )
         cost = self._clock.timing.cost_per_probe_s
         backoff = policy.backoff_s
         last_error: Exception | None = None
@@ -1033,7 +1098,7 @@ class ChargeSensorMeter:
         raise last_error
 
     def _measure_faulty(
-        self, probe_rows: np.ndarray, probe_cols: np.ndarray
+        self, probe_rows: np.ndarray, probe_cols: np.ndarray, probe_keys: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, InstrumentFault | None]:
         """Measure a batch's physical probes against a fault-capable backend.
 
@@ -1056,7 +1121,8 @@ class ChargeSensorMeter:
             if not self._breaker_open:
                 tentative = self._clock.preview_probes(n_physical - done)
                 plan = self._backend.plan_batch(
-                    *_checked(probe_rows[done:], probe_cols[done:]), tentative
+                    *_checked(probe_rows[done:], probe_cols[done:], probe_keys[done:]),
+                    tentative,
                 )
                 disruption = plan.disruption
                 clean = (n_physical - done) if disruption is None else disruption.index
@@ -1133,7 +1199,7 @@ class ChargeSensorMeter:
         numpy.ndarray
             Measured currents (nA), one per request, in request order.
         """
-        rows, cols = self._backend.validate_pixels(rows, cols)
+        rows, cols = _validated_pixels(rows, cols, self._shape)
         n = rows.size
         if n == 0:
             return np.zeros(0)
@@ -1144,25 +1210,26 @@ class ChargeSensorMeter:
         stop = self._budget_stop(new, n)
         n_new = new.size if stop == n else int(np.searchsorted(new, stop))
         probes = new[:n_new] if self._cache_enabled else np.arange(stop)
+        probe_keys = keys[probes]
         base_time = self._clock.elapsed_s
         failure = None
         if not probes.size:
             measured = probe_times = np.zeros(0)
         elif self._fault_capable:
             measured, probe_times, failure = self._measure_faulty(
-                rows[probes], cols[probes]
+                rows[probes], cols[probes], probe_keys
             )
             if failure is not None:
                 # Requests before the first uncommitted probe are final.
                 stop = int(probes[measured.size])
                 probes = probes[: measured.size]
+                probe_keys = probe_keys[: measured.size]
                 n_new = int(np.searchsorted(new, stop))
         else:
             probe_times = self._clock.charge_probes(probes.size)
             measured = self._backend.currents(
-                *_checked(rows[probes], cols[probes]), times_s=probe_times
+                *_checked(rows[probes], cols[probes], probe_keys), times_s=probe_times
             )
-        probe_keys = keys[probes]
         self._values[probe_keys] = measured
         self._measured[probe_keys] = True
         self._n_probes += n_new
@@ -1176,8 +1243,8 @@ class ChargeSensorMeter:
                 base_time,
                 probe_times,
                 probes,
-                self._backend.x_voltages,
-                self._backend.y_voltages,
+                self._xs,
+                self._ys,
             )
         if failure is not None:
             raise failure
@@ -1199,16 +1266,16 @@ class ChargeSensorMeter:
         full 100x100 acquisition is one batched physics evaluation instead of
         10,000 single-pixel probes.
         """
-        rows, cols = self._backend.shape
+        rows, cols = self._shape
         row_indices = np.repeat(np.arange(rows), cols)
         col_indices = np.tile(np.arange(cols), rows)
         return self.get_currents(row_indices, col_indices).reshape(rows, cols)
 
     def measured_image(self, fill_value: float = np.nan) -> np.ndarray:
         """Image of measured pixel values with unmeasured pixels set to ``fill_value``."""
-        image = np.full(self._backend.n_pixels, fill_value, dtype=float)
+        image = np.full(self._measured.size, fill_value, dtype=float)
         image[self._measured] = self._values[self._measured]
-        return image.reshape(self._backend.shape)
+        return image.reshape(self._shape)
 
     def reset(self) -> None:
         """Clear the probe log, cache, clock, fault counters, and breaker."""

@@ -187,8 +187,12 @@ class KernelCacheEntry:
         occurrence of each not-yet-solved pixel.  Because the physics kernel
         is batch-size independent, values are identical whether pixels are
         solved here, in a different grouping, or without any cache at all.
+        Only a batch with two or more unsolved pixels can repeat one, so
+        only such a batch is deduplicated.
         """
-        idx = first_requests(keys, (~self._solved[keys]).nonzero()[0])
+        idx = (~self._solved[keys]).nonzero()[0]
+        if idx.size > 1:
+            idx = first_requests(keys, idx)
         if idx.size:
             solved_keys = keys[idx]
             self._values[solved_keys] = np.asarray(solve(idx), dtype=float)

@@ -40,7 +40,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from ..exceptions import ConfigurationError
 from .events import ExponentialEventStream, require_finite as _require_finite
@@ -451,8 +450,13 @@ class _WhiteTemporal(TimeDependentNoise):
     """
 
     def __init__(self, sigma_na: float, key: int) -> None:
+        # Imported here, where the sampler is built, so that importing the
+        # library does not load SciPy.
+        from scipy.special import ndtri
+
         self._sigma_na = float(sigma_na)
         self._key = np.uint64(key)
+        self._ndtri = ndtri
 
     def sample_at(self, times_s: np.ndarray) -> np.ndarray:
         times = np.ascontiguousarray(np.asarray(times_s, dtype=float))
@@ -462,7 +466,7 @@ class _WhiteTemporal(TimeDependentNoise):
         # Map the hash to a uniform in (0, 1); the half-bit offset keeps the
         # inverse CDF away from its infinities at 0 and 1.
         uniform = (np.right_shift(_mix_bits(bits), np.uint64(11)) + 0.5) * 2.0**-53
-        return self._sigma_na * ndtri(uniform)
+        return self._sigma_na * self._ndtri(uniform)
 
     def describe(self) -> str:
         return f"white(sigma={self._sigma_na:g} nA)"

@@ -16,6 +16,7 @@ from repro.faults import (
     probe_fault_models,
 )
 from repro.instrument import DeviceBackend, ExperimentSession, ProbeRetryPolicy
+from repro.physics import DotArrayDevice
 from repro.scenarios import DeviceSpec
 
 RETRY = ProbeRetryPolicy(max_attempts=5, backoff_s=0.1, timeout_s=3.0)
@@ -53,6 +54,20 @@ def backend_calls(monkeypatch):
     count(FaultyBackend, "plan_batch")
     count(DeviceBackend, "currents")
     return calls
+
+
+@pytest.fixture
+def solved_points(monkeypatch):
+    """Points solved by ``DotArrayDevice.sensor_currents``, one entry per call."""
+    sizes: list[int] = []
+    original = DotArrayDevice.sensor_currents
+
+    def counted(self, points, *args, **kwargs):
+        sizes.append(len(points))
+        return original(self, points, *args, **kwargs)
+
+    monkeypatch.setattr(DotArrayDevice, "sensor_currents", counted)
+    return sizes
 
 
 class TestFaultyBackendSurface:
@@ -108,8 +123,14 @@ class TestFaultyBackendSurface:
         with pytest.raises(MeasurementError, match="timestamps"):
             backend.currents([0], [0])
 
-    def test_direct_calls_validate_pixels(self):
-        backend = _session(faults="transient-reads", probe_retry=RETRY).meter.backend
+    @pytest.mark.parametrize(
+        "faults",
+        # At rate 1 the first probe errors, so a plan reads no probe at all.
+        ["transient-reads", TransientReadFault(rate=1.0)],
+        ids=["transient-reads", "every-read-fails"],
+    )
+    def test_direct_calls_validate_pixels(self, faults):
+        backend = _session(faults=faults, probe_retry=RETRY).meter.backend
         times = np.linspace(0.03, 0.06, 2)
         for rows, cols in [([0, 1000], [0, 0]), ([-1, 0], [0, 0]), ([0.5, 1.5], [0, 1])]:
             with pytest.raises(MeasurementError):
@@ -118,6 +139,36 @@ class TestFaultyBackendSurface:
                 backend.plan_batch(np.array(rows), np.array(cols), times)
         with pytest.raises(MeasurementError, match="expected 3 probe timestamps"):
             backend.plan_batch(np.arange(3), np.arange(3), times)
+
+    @pytest.mark.parametrize(
+        "fault, n_values, stall_s",
+        [
+            (TransientReadFault(rate=0.0), 4, None),
+            (TransientReadFault(rate=1.0), 0, 0.0),
+            (ProbeHangFault(rate=1.0, hang_s=2.0), 1, 2.0),
+        ],
+        ids=["clean", "error-first", "stall-first"],
+    )
+    def test_plan_values_cover_only_committable_probes(
+        self, fault, n_values, stall_s, solved_points
+    ):
+        # An error's probe gets no value; a stalled read lands late, so the
+        # meter keeps its value.  Nothing after the disruption is read.
+        backend = _session(faults=fault, probe_retry=RETRY, kernel_cache=False).meter.backend
+        times = np.linspace(0.03, 0.12, 4)
+        plan = backend.plan_batch(np.arange(4), np.arange(4), times)
+        assert plan.values.size == n_values
+        assert sum(solved_points) == n_values
+        if stall_s is None:
+            assert plan.disruption is None
+        else:
+            assert plan.disruption.index == 0
+            assert plan.disruption.stall_s == stall_s
+            assert (plan.disruption.error is None) == (stall_s > 0)
+        clean = _session(kernel_cache=False).meter.backend
+        np.testing.assert_array_equal(
+            plan.values, clean.currents(np.arange(n_values), np.arange(n_values))
+        )
 
 
 class TestIdentityGuarantees:
@@ -177,11 +228,15 @@ class TestIdentityGuarantees:
 
 
 class TestFaultPathWorkCounts:
-    def test_flaky_lab_pays_per_fault_event_not_per_probe(self, backend_calls):
+    def test_flaky_lab_pays_per_fault_event_not_per_probe(
+        self, backend_calls, solved_points
+    ):
         # A 63x63 full grid of the double dot, kernel cache off.  A clean
         # grid is one planned batch; here each disruption (a fault or a
         # tolerated stall) plans one probe per attempt and then re-plans
-        # the rest of the grid, so 3,969 probes cost 306 batches.
+        # the rest of the grid, so 3,969 probes cost 306 plans.  A plan
+        # reads the inner backend only for the probes the meter can commit,
+        # and not at all when its first probe errors: 213 of them read.
         session = _session(
             faults="flaky-lab",
             probe_retry=ProbeRetryPolicy(max_attempts=6, backoff_s=0.05, timeout_s=10.0),
@@ -191,7 +246,12 @@ class TestFaultPathWorkCounts:
         session.meter.acquire_full_grid()
         meter = session.meter
         assert meter.n_probes == 3969
-        assert backend_calls == {"plan_batch": 306, "currents": 306}
+        assert backend_calls == {"plan_batch": 306, "currents": 213}
+        # Each committed probe is solved once.  The only other solves are
+        # the 23 tolerated stalls a batch plan read before the retry loop
+        # re-planned them.  Planning whole batches solved 196,281 points.
+        assert len(solved_points) == 213
+        assert sum(solved_points) == 3969 + 23
         assert meter.n_fault_events == 91
         assert meter.n_probe_retries == 91
         assert meter.n_probes_exhausted == 0

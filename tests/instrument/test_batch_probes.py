@@ -11,9 +11,16 @@ checks the meter against an independent per-pixel implementation.
 
 from __future__ import annotations
 
+import contextlib
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import repro.instrument.measurement as measurement
+import repro.kernelcache as kernelcache
+from repro.campaign import CampaignGrid
+from repro.campaign.worker import run_campaign_job
 from repro.core.gradient import FeatureGradient
 from repro.exceptions import MeasurementError, ProbeBudgetExceededError
 from repro.instrument import (
@@ -24,6 +31,7 @@ from repro.instrument import (
     VirtualClock,
 )
 from repro.physics import DeviceDrift, WhiteNoise, standard_lab_noise
+from repro.scenarios import DeviceSpec
 
 
 def _device_backend(device, noise=True):
@@ -54,6 +62,28 @@ def _request_pattern(rng, shape, n):
     rows[n // 2 : n // 2 + n // 4] = rows[: n // 4]
     cols[n // 2 : n // 2 + n // 4] = cols[: n // 4]
     return rows, cols
+
+
+def _pixel_form(indices: list[int], form: str):
+    """One axis of a pixel batch as a caller might send it."""
+    if form == "list":
+        return list(indices)
+    if form == "2-D":
+        return np.array(indices, dtype=np.int64).reshape(-1, 1)
+    if form == "0-d":
+        (index,) = indices
+        return np.array(index, dtype=np.int64)
+    return np.array(indices, dtype=form)
+
+
+@contextlib.contextmanager
+def _refusal_leaves_meter_untouched(meter, match):
+    """The body must raise MeasurementError and change nothing on ``meter``."""
+    meter.get_currents([3, 4], [5, 6])
+    before = (meter.elapsed_s, meter.n_probes, meter.n_requests, meter.log.records)
+    with pytest.raises(MeasurementError, match=match):
+        yield
+    assert (meter.elapsed_s, meter.n_probes, meter.n_requests, meter.log.records) == before
 
 
 def _assert_meters_identical(batch_meter, scalar_meter):
@@ -93,39 +123,73 @@ class TestBackendCurrents:
         assert np.array_equal(whole, parts)
 
     @pytest.mark.parametrize(
-        "pixel", [(1000, 0), (63, 0), (0, 63), (-1, 0), (0, -1), (63, 63)]
+        "pixel, form",
+        [
+            pytest.param(pixel, form, id=f"{pixel[0]},{pixel[1]}-{form}")
+            for pixel in [(1000, 0), (63, 0), (0, 63), (-1, 0), (0, -1), (63, 63)]
+            for form in ["list", "int64", "int32", "uint64", "2-D"]
+            # uint64 cannot hold a negative index.
+            if not (form == "uint64" and min(pixel) < 0)
+        ],
     )
-    def test_off_grid_batch_rejected(self, clean_csd, pixel):
+    def test_off_grid_batch_rejected(self, clean_csd, pixel, form):
         backend = DatasetBackend(clean_csd)
         meter = ChargeSensorMeter(backend)
-        rows, cols = [0, pixel[0]], [0, pixel[1]]
+        rows, cols = _pixel_form([0, pixel[0]], form), _pixel_form([0, pixel[1]], form)
         with pytest.raises(MeasurementError, match="outside"):
             backend.currents(rows, cols)
-        with pytest.raises(MeasurementError, match="outside"):
+        with _refusal_leaves_meter_untouched(meter, "outside"):
             meter.get_currents(rows, cols)
-        assert meter.n_requests == 0
         assert np.array_equal(backend.currents([62, 0], [0, 62]), clean_csd.data[[62, 0], [0, 62]])
 
-    def test_shape_mismatch_rejected(self, clean_csd):
-        backend = DatasetBackend(clean_csd)
-        with pytest.raises(MeasurementError):
-            backend.currents([0, 1], [0])
+    @pytest.mark.parametrize("form", ["list", "int64", "int32", "uint64", "2-D", "0-d"])
+    def test_array_forms_match_list_form(self, clean_csd, form):
+        pixels = ([5, 62, 5], [0, 7, 0]) if form != "0-d" else ([5], [0])
+        listed, shaped = _meter_pair(lambda: DatasetBackend(clean_csd))
+        expected = listed.get_currents(*pixels)
+        rows, cols = (_pixel_form(axis, form) for axis in pixels)
+        assert np.array_equal(shaped.get_currents(rows, cols), expected)
+        assert np.array_equal(DatasetBackend(clean_csd).currents(rows, cols), expected)
+        _assert_meters_identical(shaped, listed)
 
-    def test_non_integer_indices_rejected(self, clean_csd):
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [
+            ([0, 1], [0]),
+            (np.array([0, 1]), np.array([0])),
+            (np.array([[0], [1]]), np.array([[0, 1]])),
+            (np.array(0), np.array([0, 1])),
+        ],
+        ids=["list", "int64", "2-D", "0-d"],
+    )
+    def test_shape_mismatch_rejected(self, clean_csd, rows, cols):
         backend = DatasetBackend(clean_csd)
+        with pytest.raises(MeasurementError, match="matching shapes"):
+            backend.currents(rows, cols)
         meter = ChargeSensorMeter(backend)
-        boolean = np.array([True, False])
-        for rows, cols in [
+        with _refusal_leaves_meter_untouched(meter, "matching shapes"):
+            meter.get_currents(rows, cols)
+
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [
             ([0.5, 1.5], [0.0, 1.0]),
-            (boolean, np.array([0, 1])),
-            (np.array([0, 1]), boolean),
-            (boolean, boolean),
-        ]:
-            with pytest.raises(MeasurementError):
-                backend.currents(rows, cols)
-            with pytest.raises(MeasurementError):
-                meter.get_currents(rows, cols)
-        assert meter.n_requests == 0
+            (np.array([0.0, 1.0]), np.array([0, 1])),
+            (np.array([0, 1]), np.array([0.0, 1.0])),
+            (np.array([True, False]), np.array([0, 1])),
+            (np.array([0, 1]), np.array([True, False])),
+            (np.array([True, False]), np.array([True, False])),
+            (np.array(1.0), np.array(1)),
+        ],
+        ids=["list", "float-rows", "float-cols", "bool-rows", "bool-cols", "bool", "0-d-float"],
+    )
+    def test_non_integer_indices_rejected(self, clean_csd, rows, cols):
+        backend = DatasetBackend(clean_csd)
+        with pytest.raises(MeasurementError, match="integers"):
+            backend.currents(rows, cols)
+        meter = ChargeSensorMeter(backend)
+        with _refusal_leaves_meter_untouched(meter, "integers"):
+            meter.get_currents(rows, cols)
 
     def test_empty_batch(self, clean_csd):
         backend = DatasetBackend(clean_csd)
@@ -513,3 +577,80 @@ class TestPixelAtFastPath:
             )
             assert backend.pixel_at(value, value) == expected
             assert clean_csd.pixel_at(value, value) == expected
+
+
+class TestOnePassPerBatch:
+    """A meter batch validates, keys and deduplicates its pixels once.
+
+    The job is the first fast-method job of perfbench's seed-1
+    ``grid-fast-serial`` grid (double dot P1-P2, noise-free), run twice on a
+    fresh kernel cache: cold, then with its kernel cached, as most of that
+    grid's ten repeats per gate pair run.
+    """
+
+    JOB = CampaignGrid(
+        devices=(DeviceSpec.of("double_dot", cross_coupling=(0.25, 0.22)),),
+        resolutions=(63,),
+        noise_scales=(0.0,),
+        methods=("fast",),
+        seed=1,
+    ).expand()[0]
+
+    def test_recorded_grid_job(self, monkeypatch):
+        counts = Counter()
+
+        def count(owner, name, note=None):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                if note is not None:
+                    note(*args)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        def note_fetch(entry, keys, solve):
+            # Only a batch with two or more unsolved pixels can repeat one.
+            counts["fetch_2plus_unsolved"] += int((~entry.solved.ravel()[keys]).sum() >= 2)
+
+        def note_read(backend, rows, cols, times_s=None):
+            keys = getattr(rows, "flat_keys", None)
+            handed = keys is not None and np.array_equal(keys, rows * backend.shape[1] + cols)
+            counts["read_with_meter_keys"] += handed
+
+        count(measurement.ChargeSensorMeter, "get_currents")
+        count(measurement, "_validated_pixels")
+        count(measurement.MeasurementBackend, "validate_pixels")
+        count(measurement, "first_requests")
+        count(kernelcache, "first_requests")
+        count(kernelcache.KernelCacheEntry, "fetch", note_fetch)
+        count(measurement.DeviceBackend, "currents", note_read)
+        monkeypatch.setattr(kernelcache, "_default_cache", kernelcache.KernelCache())
+
+        cold = run_campaign_job(self.JOB)
+        cold_counts, counts = counts, Counter()
+        warm = run_campaign_job(self.JOB)
+        assert cold.success and cold.n_probes == warm.n_probes == 556
+        # Absent keys were never called: the backend's validate_pixels.
+        assert cold_counts == {
+            "get_currents": 69,
+            # Once per batch, at the meter's boundary; never in the backend.
+            "_validated_pixels": 69,
+            "currents": 66,
+            "read_with_meter_keys": 66,
+            "fetch": 66,
+            # The meter's dedup on every batch, the kernel cache's only
+            # where it has two or more pixels to solve.
+            "fetch_2plus_unsolved": 58,
+            "first_requests": 69 + 58,
+        }
+        assert counts == {
+            "get_currents": 69,
+            "_validated_pixels": 69,
+            "currents": 66,
+            "read_with_meter_keys": 66,
+            "fetch": 66,
+            "fetch_2plus_unsolved": 0,
+            "first_requests": 69,
+        }

@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import MeasurementError, ProbeBudgetExceededError
+from repro.faults import FaultyBackend, ProbeHangFault, TransientReadFault
 from repro.instrument import (
     ChargeSensorMeter,
     DatasetBackend,
@@ -79,10 +80,21 @@ def drifting_device_backend() -> MeasurementBackend:
     )
 
 
+def fault_wrapped_backend() -> FaultyBackend:
+    # Armed but silent: the meter takes its fault path (``plan_batch`` and
+    # the committed prefix), the reference reads through ``currents``.
+    return FaultyBackend(
+        static_device_backend(),
+        (TransientReadFault(rate=0.0), ProbeHangFault(rate=0.0)),
+        seed=7,
+    )
+
+
 BACKENDS = {
     "dataset": dataset_backend,
     "static-device": static_device_backend,
     "drifting-device": drifting_device_backend,
+    "fault-wrapped": fault_wrapped_backend,
 }
 
 

@@ -58,7 +58,12 @@ class TestTopLevelApi:
 #: Modules ``import repro`` must not load.  Every record travels pickled, so
 #: no event loop and no shared-memory segment sits on the import path, and
 #: the transition-line fit is solved in closed form, without SciPy's optimizers.
-NOT_IMPORTED = ("asyncio", "multiprocessing.shared_memory", "scipy.optimize")
+NOT_IMPORTED = (
+    "asyncio",
+    "multiprocessing.shared_memory",
+    "scipy.optimize",
+    "scipy.special",
+)
 
 
 class TestImportGraph:
