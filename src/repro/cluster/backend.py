@@ -47,10 +47,14 @@ def job_affinity(job: Any) -> str | None:
     """A job's kernel-cache affinity key, or ``None`` when it has none.
 
     Jobs sharing this key rasterise the same charge-stability kernel
-    (device geometry, gate pair, resolution, and scenario fix the kernel;
-    seeds, noise draws, and repeats do not), so the coordinator prefers to
-    place them on a worker whose per-process
-    :func:`~repro.kernelcache.default_kernel_cache` already holds it.
+    (device geometry, gate pair and resolution fix the kernel; seeds, noise
+    draws, and repeats do not), so the coordinator prefers to place them on
+    a worker whose per-process
+    :func:`~repro.kernelcache.default_kernel_cache` already holds it.  The
+    scenario only picks the cached layer: the currents without drift, the
+    base sensor detuning under sensor-only drift, none under lever-arm
+    drift.  Scenarios sharing a layer share its entry, so keying on the
+    scenario may split jobs that could share a worker's entry.
     This is a cheap *proxy* for the full
     :func:`~repro.kernelcache.kernel_fingerprint` — computing the real
     fingerprint needs the voltage axes, which only exist inside the job —

@@ -566,15 +566,18 @@ class DeviceBackend(MeasurementBackend):
         parameters (telegraph dwell, 1/f band) into seconds.  Pass the
         session's ``TimingModel.cost_per_probe_s``.
     kernel_cache:
-        Where to memoise the noise-free physics kernel across backends with
+        Where to memoise the time-independent physics across backends with
         identical content fingerprints (see :mod:`repro.kernelcache`).
         ``True`` (default) uses the process-wide cache, ``False``/``None``
         disables caching for this backend, or pass a
-        :class:`~repro.kernelcache.KernelCache` instance.  Only the pure
-        layer is cached — the seeded noise field and every time-dependent
-        mechanism stay per-backend, and a time-dependent backend (active
-        drift or time-dependent noise) bypasses the cache entirely, so
-        cached and uncached probes are bit-identical.
+        :class:`~repro.kernelcache.KernelCache` instance.  The backend
+        caches the layer the probe time does not change, chosen at
+        construction from its physics: the noise-free currents without
+        device drift (static or time-dependent noise is added per probe),
+        the base sensor detuning when the drift moves only the sensor (the
+        drift offset and the line shape are applied per probe), and nothing
+        when lever-arm drift moves the charge states.  Cached and uncached
+        probes are bit-identical.
     """
 
     def __init__(
@@ -633,13 +636,14 @@ class DeviceBackend(MeasurementBackend):
         self._seed_children_cache: tuple[np.random.SeedSequence, ...] | None = None
         # ``None`` bypasses the kernel cache, ``True`` is the process-wide
         # cache (looked up per batch, so a pickled backend uses its own
-        # process's cache).  A time-dependent backend always bypasses it.
-        self._kernel_cache = (
-            None
-            if self._drifting_device or self._time_dependent_noise or kernel_cache is False
-            else kernel_cache
-        )
-        self._kernel_fp: str | None = None
+        # process's cache).  The cached layer is what the probe time leaves
+        # alone: the currents without drift, the base sensor detuning under
+        # sensor-only drift, nothing when drift moves the charge states.
+        if self._drifting_device and drift.moves_charge_states:
+            kernel_cache = None
+        self._kernel_cache = None if kernel_cache is False else kernel_cache
+        self._kernel_layer = "detuning" if self._drifting_device else "currents"
+        self._kernel_key: str | None = None
         self._kernel_hits = 0
         self._kernel_solves = 0
 
@@ -714,7 +718,7 @@ class DeviceBackend(MeasurementBackend):
         return self._temporal_noise
 
     # ------------------------------------------------------------------
-    # Kernel caching (noise-free layer only)
+    # Kernel caching (time-independent layers only)
     # ------------------------------------------------------------------
     @property
     def kernel_cache_hits(self) -> int:
@@ -727,11 +731,10 @@ class DeviceBackend(MeasurementBackend):
         return self._kernel_solves
 
     def _kernel_entry(self) -> "KernelCacheEntry | None":
-        """The cache entry for this backend's kernel, or ``None`` to bypass.
+        """The cache entry for this backend's layer, or ``None`` to bypass.
 
-        Time-dependent backends (active drift, time-dependent noise) always
-        bypass: their pure values depend on the probe timestamp and a cached
-        grid would go stale the moment the device evolves.
+        Its key is the layer's name and the kernel fingerprint, so a
+        currents entry and a detuning entry of one kernel never collide.
         """
         cache = self._kernel_cache
         if cache is None:
@@ -740,8 +743,8 @@ class DeviceBackend(MeasurementBackend):
             cache = default_kernel_cache()
         if not cache.enabled:
             return None
-        if self._kernel_fp is None:
-            self._kernel_fp = kernel_fingerprint(
+        if self._kernel_key is None:
+            fingerprint = kernel_fingerprint(
                 self._device,
                 self._xs,
                 self._ys,
@@ -749,7 +752,8 @@ class DeviceBackend(MeasurementBackend):
                 self._gate_y,
                 self._fixed,
             )
-        return cache.entry(self._kernel_fp, self._shape)
+            self._kernel_key = f"{self._kernel_layer}:{fingerprint}"
+        return cache.entry(self._kernel_key, self._shape)
 
     def _points(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Gate-voltage points of the given pixels, shape ``(n, n_gates)``."""
@@ -766,10 +770,15 @@ class DeviceBackend(MeasurementBackend):
         keys: np.ndarray,
         times: np.ndarray | None,
     ) -> np.ndarray:
-        """Noise-free currents, served through the kernel cache when pure.
+        """Noise-free currents at the probe times, through the cached layer.
 
         On a cache hit no gate-voltage point is built: points are built only
-        for the pixels the cache has to solve.
+        for the pixels the cache has to solve.  A detuning entry holds each
+        pixel's base sensor detuning; the drift offset at the probe's
+        timestamp and the line shape are applied per probe, after the same
+        sum :meth:`~repro.physics.sensor.ChargeSensor.currents` computes.
+        Lever-arm drift is zero there, so its gate scale (exactly ``1.0``)
+        is skipped.
         """
         entry = self._kernel_entry()
         if entry is None:
@@ -784,11 +793,23 @@ class DeviceBackend(MeasurementBackend):
             return self._device.sensor_currents(
                 points, detuning_offset_mv=detuning_offset_mv
             )
+        if not self._drifting_device:
+            return self._fetch(entry, rows, cols, keys, self._device.sensor_currents)
+        detunings = self._fetch(entry, rows, cols, keys, self._device.sensor_detunings)
+        offsets = self._drifting().detuning_offset_mv(times)
+        return self._device.sensor.current_from_detuning(detunings + offsets)
+
+    def _fetch(
+        self,
+        entry: "KernelCacheEntry",
+        rows: np.ndarray,
+        cols: np.ndarray,
+        keys: np.ndarray,
+        solve,
+    ) -> np.ndarray:
+        """The entry's values for the pixels, ``solve``-ing its misses."""
         before = entry.n_pixel_solves
-        values = entry.fetch(
-            keys,
-            lambda idx: self._device.sensor_currents(self._points(rows[idx], cols[idx])),
-        )
+        values = entry.fetch(keys, lambda idx: solve(self._points(rows[idx], cols[idx])))
         solved = entry.n_pixel_solves - before
         self._kernel_solves += solved
         self._kernel_hits += rows.size - solved
@@ -820,7 +841,8 @@ class DeviceBackend(MeasurementBackend):
         probe's timestamp.  Device drift enters as
         a per-probe sensor-detuning offset and swept-gate scale.  Every term
         is an elementwise function of (pixel, timestamp), so probes agree
-        bit-for-bit regardless of batch splitting.
+        bit-for-bit regardless of batch splitting and of which layer the
+        kernel cache holds.
         """
         if _from_meter(rows, cols):
             # Checked, keyed and timed by the meter.
@@ -1026,6 +1048,25 @@ class ChargeSensorMeter:
     # ------------------------------------------------------------------
     # Resilient probing against a fault-capable backend
     # ------------------------------------------------------------------
+    def _tolerated_stall(self, disruption) -> bool:
+        """Whether a planned disruption is a stall the retry policy waits out.
+
+        An error never is; a stall is when the policy has no timeout or the
+        stall fits in it.  Such a read is late but lands, with the value
+        the backend drew at the scheduled instant.
+        """
+        timeout_s = (self._retry or ProbeRetryPolicy.no_retry()).timeout_s
+        return disruption.error is None and (
+            timeout_s is None or disruption.stall_s <= timeout_s
+        )
+
+    def _wait_out(self, stall_s: float) -> float:
+        """Charge a tolerated stall; returns the probe's completion time."""
+        self._clock.advance(stall_s)
+        self._fault_delay_s += stall_s
+        self._consecutive_failures = 0
+        return self._clock.elapsed_s
+
     def _resilient_probe(self, row: int, col: int) -> tuple[float, float]:
         """One physical probe through the retry loop.
 
@@ -1062,16 +1103,8 @@ class ChargeSensorMeter:
             if disruption is None:
                 self._consecutive_failures = 0
                 return float(plan.values[0]), scheduled
-            tolerated_stall = disruption.error is None and (
-                policy.timeout_s is None or disruption.stall_s <= policy.timeout_s
-            )
-            if tolerated_stall:
-                # The read is late but lands: wait out the hang, keep the
-                # value the backend drew at the scheduled instant.
-                self._clock.advance(disruption.stall_s)
-                self._fault_delay_s += disruption.stall_s
-                self._consecutive_failures = 0
-                return float(plan.values[0]), self._clock.elapsed_s
+            if self._tolerated_stall(disruption):
+                return float(plan.values[0]), self._wait_out(disruption.stall_s)
             # Failed attempt: the dwell bought nothing.
             self._n_fault_events += 1
             self._fault_delay_s += cost
@@ -1105,11 +1138,14 @@ class ChargeSensorMeter:
         Optimistic vectorisation: preview the timestamps the pending probes
         *would* get, plan them in one backend call, commit the fault-free
         prefix wholesale (bit-identical clock arithmetic via
-        :meth:`VirtualClock.preview_probes` / ``charge_probes``), then push
-        only the disrupted probe through the retry loop — re-planning it at
-        the same scheduled timestamp reproduces the same fault.  Returns the
-        committed probes' values and completion times, and the fault that
-        exhausted a probe's retries and stopped the batch, if any.
+        :meth:`VirtualClock.preview_probes` / ``charge_probes``).  A stall
+        the policy tolerates is committed from the same plan: its value was
+        read at its scheduled timestamp, and the meter waits the stall out.
+        Only any other disrupted probe goes through the retry loop —
+        re-planning it at the same scheduled timestamp reproduces the same
+        fault.  Returns the committed probes' values and completion times,
+        and the fault that exhausted a probe's retries and stopped the
+        batch, if any.
         """
         n_physical = probe_rows.size
         values = np.empty(n_physical, dtype=float)
@@ -1126,13 +1162,17 @@ class ChargeSensorMeter:
                 )
                 disruption = plan.disruption
                 clean = (n_physical - done) if disruption is None else disruption.index
-                if clean:
-                    # Clean reads are successes: they reset the breaker count.
+                landed = disruption is not None and self._tolerated_stall(disruption)
+                committed = clean + int(landed)
+                if committed:
+                    # Reads that land are successes: they reset the breaker count.
                     self._consecutive_failures = 0
-                    times[done : done + clean] = self._clock.charge_probes(clean)
-                    values[done : done + clean] = plan.values[:clean]
-                    done += clean
-                if disruption is None:
+                    times[done : done + committed] = self._clock.charge_probes(committed)
+                    values[done : done + committed] = plan.values[:committed]
+                    if landed:
+                        times[done + clean] = self._wait_out(disruption.stall_s)
+                    done += committed
+                if disruption is None or landed:
                     continue
             try:
                 values[done], times[done] = self._resilient_probe(

@@ -157,10 +157,13 @@ class ExperimentSession:
     ) -> "ExperimentSession":
         """Measure a simulated device on demand over a voltage grid.
 
-        ``kernel_cache`` (default on) lets the backend serve its noise-free
-        physics from the process-wide :mod:`repro.kernelcache` — bit-identical
-        values, shared across sessions with the same device/window/resolution
-        fingerprint; time-dependent sessions bypass it automatically.
+        ``kernel_cache`` (default on) lets the backend serve its
+        time-independent physics from the process-wide
+        :mod:`repro.kernelcache` — bit-identical values, shared across
+        sessions with the same device/window/resolution fingerprint.  A
+        session without drift caches its noise-free currents, time-dependent
+        noise or not; under drift that moves only the sensor it caches the
+        base sensor detuning; lever-arm drift bypasses the cache.
 
         ``drift`` and ``time_dependent_noise`` make the backend evolve with
         the session's simulated clock (see

@@ -1,4 +1,4 @@
-"""Cross-job memoisation of noise-free CSD kernels.
+"""Cross-job memoisation of time-independent CSD kernels.
 
 Campaign repeats, ablation variants, and array-extraction gate-pair sweeps
 rasterise the *same* noise-free physics over and over: the pure sensor-current
@@ -10,14 +10,28 @@ pure layer, keyed by a content fingerprint of everything the values depend on.
 What is — and is not — cached
 -----------------------------
 
-Only the noise-free, time-independent sensor currents are memoised.  The
-seeded noise field, time-dependent noise draws, and drift trajectories are
-*never* cached: :class:`~repro.instrument.measurement.DeviceBackend` adds its
-own seeded noise on top of the cached kernel, and bypasses the cache entirely
-whenever it is time-dependent (active drift or time-dependent noise), because
-those values depend on the probe timestamp and would otherwise go stale.
-Cached values are produced by the same batched physics kernel a cache miss
-would run, so cache on/off is bit-identical by construction.
+A backend caches every layer that the probe time does not change, and
+nothing that it does.  :class:`~repro.instrument.measurement.DeviceBackend`
+picks its layer once, at construction, from its physics:
+
+* without device drift it caches the noise-free sensor currents, whether
+  its noise is a static field or drawn per probe time; the noise is added
+  per probe on top of the cached value;
+* when its drift moves only the sensor (an operating-point ramp, charge
+  jumps, interference) it caches the base sensor detuning, the operating
+  point plus the charge term plus the gate cross-talk; the drift offset at
+  each probe's timestamp and the Coulomb-peak line shape are applied per
+  probe;
+* lever-arm drift moves the charge states themselves, so such a backend
+  bypasses the cache.
+
+The seeded noise field, time-dependent noise draws and drift trajectories
+are never cached.  An entry's key is its layer's name and the kernel
+fingerprint, so a currents entry and a detuning entry never share one.
+Cached values are produced by the same batch-size-independent kernels a
+cache miss runs, and the per-probe steps are the same float operations in
+the same order as an uncached probe, so cache on/off is bit-identical by
+construction.
 
 Entries fill lazily, pixel by pixel, so probe-efficient algorithms that only
 touch a fraction of the grid never pay for a full rasterisation.
@@ -99,7 +113,9 @@ def kernel_fingerprint(
     unswept gates.  Deliberately excludes seeds, noise models, timing, drift,
     and solver pruning flags: none of them change the noise-free values
     (pruning is bit-identical by proof, the rest enter downstream of the
-    kernel), so jobs differing only in those share one entry.
+    kernel), so jobs differing only in those share one entry.  Both cached
+    layers use this fingerprint; a backend's entry key prefixes it with the
+    layer's name.
     """
     model = device.capacitance
     h = hashlib.sha256()
@@ -142,11 +158,11 @@ class KernelCacheStats:
 
 
 class KernelCacheEntry:
-    """Lazily filled noise-free current grid for one kernel fingerprint.
+    """Lazily filled grid of one cached layer for one kernel fingerprint.
 
     The grid is stored flat, row-major, and looked up by pixel key
     ``row * n_cols + col``; :attr:`values` and :attr:`solved` are its 2-D
-    views.
+    views.  ``fingerprint`` is the entry's key, which names the layer.
     """
 
     def __init__(self, fingerprint: str, shape: tuple[int, int]) -> None:
@@ -165,7 +181,11 @@ class KernelCacheEntry:
 
     @property
     def values(self) -> np.ndarray:
-        """Pure currents of the solved pixels (2-D view; 0 where unsolved)."""
+        """Pure values of the solved pixels (2-D view; 0 where unsolved).
+
+        Noise-free currents (nA) in a currents entry, base sensor detunings
+        (mV) in a detuning entry.
+        """
         return self._values.reshape(self.shape)
 
     @property

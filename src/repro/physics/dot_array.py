@@ -235,12 +235,7 @@ class DotArrayDevice:
         numpy.ndarray
             Noise-free sensor currents in nA, shape ``(n_points,)``.
         """
-        points = np.asarray(gate_voltage_points, dtype=float)
-        if points.ndim != 2 or points.shape[1] != self.n_gates:
-            raise DeviceModelError(
-                f"expected voltage points of shape (n, {self.n_gates}), "
-                f"got {points.shape}"
-            )
+        points = self._validated_points(gate_voltage_points)
         if occupations is None:
             occupations = self._solver.occupations_at(points)
         return self._sensor.currents(
@@ -248,6 +243,19 @@ class DotArrayDevice:
             points,
             detuning_offset_mv=detuning_offset_mv,
         )
+
+    def sensor_detunings(self, gate_voltage_points: np.ndarray) -> np.ndarray:
+        """Time-independent sensor detuning (mV) over a batch of voltage points.
+
+        Solves the ground states like :meth:`sensor_currents` and stops
+        before the drift offset and the line shape
+        (:meth:`~repro.physics.sensor.ChargeSensor.detunings`).  A backend
+        whose drift moves only the sensor caches these values per pixel;
+        ``sensor.current_from_detuning(detunings + offset)`` then equals
+        ``sensor_currents(points, detuning_offset_mv=offset)`` bit for bit.
+        """
+        points = self._validated_points(gate_voltage_points)
+        return self._sensor.detunings(self._solver.occupations_at(points), points)
 
     def ground_truth_alphas(
         self, dot_a: int, dot_b: int, gate_x: int | str, gate_y: int | str
@@ -260,6 +268,15 @@ class DotArrayDevice:
     ) -> tuple[float, float]:
         """Ground-truth (steep, shallow) transition-line slopes for a pair."""
         return self._capacitance.transition_slopes(dot_a, dot_b, gate_x, gate_y)
+
+    def _validated_points(self, gate_voltage_points: np.ndarray) -> np.ndarray:
+        points = np.asarray(gate_voltage_points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != self.n_gates:
+            raise DeviceModelError(
+                f"expected voltage points of shape (n, {self.n_gates}), "
+                f"got {points.shape}"
+            )
+        return points
 
     def _validated_voltages(self, gate_voltages: np.ndarray | list) -> np.ndarray:
         vg = np.asarray(gate_voltages, dtype=float)

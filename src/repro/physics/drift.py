@@ -21,7 +21,9 @@ physical effects:
   (the capacitance-matrix entries the virtualization matrix is built from).
 
 Both are pure functions of the timestamp once constructed, so the batched and
-scalar probe paths see bit-identical devices.
+scalar probe paths see bit-identical devices.  Only the second moves the
+charge states (:attr:`DeviceDrift.moves_charge_states`); with it at zero,
+``gate_scale`` is exactly ``1.0`` at every finite timestamp.
 """
 
 from __future__ import annotations
@@ -99,6 +101,16 @@ class DeviceDrift:
             and (self.charge_jumps_per_hour == 0 or self.charge_jump_mv == 0)
             and self.interference_mv == 0
         )
+
+    @property
+    def moves_charge_states(self) -> bool:
+        """Whether the drift changes which charge state a pixel is in.
+
+        Only lever-arm drift does: it scales the swept gate voltages the
+        solver sees.  The other terms shift the sensor's detuning alone, so
+        a pixel's charge state, and the detuning it induces, never move.
+        """
+        return self.lever_arm_fraction_per_hour != 0
 
     def at_times(self, rng: np.random.Generator) -> "DeviceDriftState":
         """Compile the drift into a seeded, time-evaluable state."""

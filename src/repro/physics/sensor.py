@@ -146,6 +146,51 @@ class ChargeSensor:
         detuning = self.detuning_mv(occupations, gate_voltages) + detuning_offset_mv
         return float(self.current_from_detuning(detuning))
 
+    def detunings(self, occupations: np.ndarray, gate_voltages: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`detuning_mv` over a batch of points.
+
+        The time-independent part of :meth:`currents`: the operating point
+        plus the charge term plus the gate cross-talk, summed in that order.
+        A drift-aware backend caches these per pixel and applies the drift
+        offset and the line shape per probe, the same float operations in
+        the same order as :meth:`currents`.
+
+        Parameters
+        ----------
+        occupations:
+            Per-point dot occupations, shape ``(n_points, >= n_dot_shifts)``.
+        gate_voltages:
+            Per-point gate voltages, shape ``(n_points, >= n_crosstalk)``.
+
+        Returns
+        -------
+        numpy.ndarray
+            Sensor detunings in mV, shape ``(n_points,)``.
+        """
+        cfg = self._config
+        occ = np.asarray(occupations, dtype=float)
+        vg = np.asarray(gate_voltages, dtype=float)
+        if occ.ndim != 2 or vg.ndim != 2 or occ.shape[0] != vg.shape[0]:
+            raise SensorModelError(
+                "occupations and gate_voltages must be 2-D with one row per "
+                f"point, got shapes {occ.shape} and {vg.shape}"
+            )
+        shifts = np.asarray(cfg.dot_shift_mv, dtype=float)
+        crosstalk = np.asarray(cfg.gate_crosstalk_mv_per_v, dtype=float)
+        if occ.shape[1] < shifts.size:
+            raise SensorModelError(
+                f"expected at least {shifts.size} dot occupations, got {occ.shape[1]}"
+            )
+        if vg.shape[1] < crosstalk.size:
+            raise SensorModelError(
+                f"expected at least {crosstalk.size} gate voltages, got {vg.shape[1]}"
+            )
+        # einsum, not BLAS @: its per-element summation is independent of the
+        # batch size, so one-point and many-point batches agree bit-for-bit.
+        charge_term = np.einsum("nd,d->n", occ[:, : shifts.size], shifts)
+        gate_term = np.einsum("ng,g->n", vg[:, : crosstalk.size], crosstalk)
+        return cfg.operating_point_mv + charge_term + gate_term
+
     def currents(
         self,
         occupations: np.ndarray,
@@ -170,30 +215,7 @@ class ChargeSensor:
             Sensor currents in nA, shape ``(n_points,)``; identical values to
             calling :meth:`current` per point.
         """
-        cfg = self._config
-        occ = np.asarray(occupations, dtype=float)
-        vg = np.asarray(gate_voltages, dtype=float)
-        if occ.ndim != 2 or vg.ndim != 2 or occ.shape[0] != vg.shape[0]:
-            raise SensorModelError(
-                "occupations and gate_voltages must be 2-D with one row per "
-                f"point, got shapes {occ.shape} and {vg.shape}"
-            )
-        shifts = np.asarray(cfg.dot_shift_mv, dtype=float)
-        crosstalk = np.asarray(cfg.gate_crosstalk_mv_per_v, dtype=float)
-        if occ.shape[1] < shifts.size:
-            raise SensorModelError(
-                f"expected at least {shifts.size} dot occupations, got {occ.shape[1]}"
-            )
-        if vg.shape[1] < crosstalk.size:
-            raise SensorModelError(
-                f"expected at least {crosstalk.size} gate voltages, got {vg.shape[1]}"
-            )
-        # einsum, not BLAS @: its per-element summation is independent of the
-        # batch size, so one-point and many-point batches agree bit-for-bit.
-        charge_term = np.einsum("nd,d->n", occ[:, : shifts.size], shifts)
-        gate_term = np.einsum("ng,g->n", vg[:, : crosstalk.size], crosstalk)
-        detuning = cfg.operating_point_mv + charge_term + gate_term
-        detuning = detuning + detuning_offset_mv
+        detuning = self.detunings(occupations, gate_voltages) + detuning_offset_mv
         return np.asarray(self.current_from_detuning(detuning), dtype=float)
 
     # ------------------------------------------------------------------

@@ -232,11 +232,12 @@ class TestFaultPathWorkCounts:
         self, backend_calls, solved_points
     ):
         # A 63x63 full grid of the double dot, kernel cache off.  A clean
-        # grid is one planned batch; here each disruption (a fault or a
-        # tolerated stall) plans one probe per attempt and then re-plans
-        # the rest of the grid, so 3,969 probes cost 306 plans.  A plan
-        # reads the inner backend only for the probes the meter can commit,
-        # and not at all when its first probe errors: 213 of them read.
+        # grid is one planned batch; here each fault plans one probe per
+        # attempt and then re-plans the rest of the grid, while a tolerated
+        # stall is committed from the plan that found it, so 3,969 probes
+        # cost 283 plans.  A plan reads the inner backend only for the
+        # probes the meter can commit, and not at all when its first probe
+        # errors: 190 of them read.
         session = _session(
             faults="flaky-lab",
             probe_retry=ProbeRetryPolicy(max_attempts=6, backoff_s=0.05, timeout_s=10.0),
@@ -246,12 +247,12 @@ class TestFaultPathWorkCounts:
         session.meter.acquire_full_grid()
         meter = session.meter
         assert meter.n_probes == 3969
-        assert backend_calls == {"plan_batch": 306, "currents": 213}
-        # Each committed probe is solved once.  The only other solves are
-        # the 23 tolerated stalls a batch plan read before the retry loop
-        # re-planned them.  Planning whole batches solved 196,281 points.
-        assert len(solved_points) == 213
-        assert sum(solved_points) == 3969 + 23
+        assert backend_calls == {"plan_batch": 283, "currents": 190}
+        # Each committed probe is solved once, the 23 tolerated stalls
+        # included.  Re-planning those stalls in the retry loop solved them
+        # twice (3,969 + 23); planning whole batches solved 196,281 points.
+        assert len(solved_points) == 190
+        assert sum(solved_points) == 3969
         assert meter.n_fault_events == 91
         assert meter.n_probe_retries == 91
         assert meter.n_probes_exhausted == 0

@@ -1,10 +1,12 @@
-"""Kernel cache: bit-identical reuse of noise-free CSD kernels.
+"""Kernel cache: bit-identical reuse of time-independent CSD kernels.
 
 The cache's contract has three legs: cached and uncached measurements are
 exactly equal (the cache stores the same values the solver would recompute),
-the fingerprint separates every input the pure values depend on, and
-anything time-dependent (drift, time-dependent noise) bypasses the cache
-completely so stale kernels can never leak into evolving sessions.
+the fingerprint separates every input the pure values depend on, and a
+backend caches only the layer the probe time does not change.  Without
+device drift that is the noise-free currents, whatever the noise; under
+drift that moves only the sensor it is the base sensor detuning, in an entry
+of its own; lever-arm drift moves the charge states and bypasses the cache.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ import json
 import numpy as np
 import pytest
 
+import repro.kernelcache as kernelcache
 from repro.campaign import CampaignGrid, DeviceSpec, TuningCampaign
+from repro.campaign.worker import run_campaign_job
 from repro.exceptions import ConfigurationError
 from repro.instrument import ChargeSensorMeter, DeviceBackend, ExperimentSession
 from repro.kernelcache import (
@@ -27,8 +31,30 @@ from repro.kernelcache import (
     kernel_fingerprint,
 )
 from repro.physics import DeviceDrift, DotArrayDevice, WhiteNoise
+from repro.physics.charge_state import ChargeStateSolver
+from repro.scenarios.catalog import SCENARIOS
 
 RESOLUTION = 24
+N_PIXELS = RESOLUTION * RESOLUTION
+
+#: Drift terms that move only the sensor, each strong enough to move the
+#: 24x24 scan's currents within its 28.8 simulated seconds.
+SENSOR_DRIFTS = {
+    "operating-point": DeviceDrift(operating_point_mv_per_hour=3600.0),
+    "charge-jumps": DeviceDrift(charge_jumps_per_hour=3600.0, charge_jump_mv=0.5),
+    "interference": DeviceDrift(interference_mv=0.3, interference_period_s=0.34),
+}
+#: Lever-arm drift, alone and with every sensor-only term.
+LEVER_ARM_DRIFTS = {
+    "lever-arm": DeviceDrift(lever_arm_fraction_per_hour=0.5),
+    "lever-arm-and-sensor": DeviceDrift(
+        operating_point_mv_per_hour=3600.0,
+        lever_arm_fraction_per_hour=0.5,
+        charge_jumps_per_hour=3600.0,
+        interference_mv=0.3,
+        interference_period_s=0.34,
+    ),
+}
 
 
 def build_backend(cache, seed=7, noise=None, drift=None, time_dependent_noise=False,
@@ -97,27 +123,111 @@ class TestCacheHits:
         assert meter.kernel_cache_solves == 0
 
 
+def probe_one_by_one(backend, rows, cols):
+    """Single-pixel meter probes, each a physical probe at its own time."""
+    meter = ChargeSensorMeter(backend, cache=False)
+    return np.array([meter.get_current(r, c) for r, c in zip(rows, cols)])
+
+
+class TestCachedLayers:
+    """Each backend caches the layer the probe time does not change."""
+
+    def test_time_dependent_noise_shares_the_static_entry(self):
+        cache = KernelCache()
+        noise = WhiteNoise(0.05)
+        temporal = ChargeSensorMeter(
+            build_backend(cache, noise=noise, time_dependent_noise=True)
+        ).acquire_full_grid()
+        assert cache.stats == KernelCacheStats(1, 0, N_PIXELS, 0, 1, 0)
+        static = ChargeSensorMeter(build_backend(cache, noise=noise)).acquire_full_grid()
+        # The static backend reads every pixel from the entry the
+        # time-dependent one filled, and the other way round.
+        assert cache.stats == KernelCacheStats(1, N_PIXELS, N_PIXELS, 1, 1, 0)
+        again = ChargeSensorMeter(
+            build_backend(cache, noise=noise, time_dependent_noise=True)
+        ).acquire_full_grid()
+        assert cache.stats == KernelCacheStats(1, 2 * N_PIXELS, N_PIXELS, 2, 1, 0)
+
+        uncached = ChargeSensorMeter(
+            build_backend(False, noise=noise, time_dependent_noise=True)
+        ).acquire_full_grid()
+        np.testing.assert_array_equal(temporal, uncached)
+        np.testing.assert_array_equal(again, uncached)
+        np.testing.assert_array_equal(
+            static, ChargeSensorMeter(build_backend(False, noise=noise)).acquire_full_grid()
+        )
+        assert not np.array_equal(temporal, static)
+
+    @pytest.mark.parametrize("drift", SENSOR_DRIFTS.values(), ids=SENSOR_DRIFTS.keys())
+    def test_sensor_drift_caches_detuning_in_its_own_entry(self, drift):
+        cache = KernelCache()
+        static = ChargeSensorMeter(build_backend(cache)).acquire_full_grid()
+        cold = ChargeSensorMeter(build_backend(cache, drift=drift)).acquire_full_grid()
+        # A second entry: the detuning layer never reads the currents entry.
+        assert cache.stats == KernelCacheStats(2, 0, 2 * N_PIXELS, 0, 2, 0)
+        uncached = ChargeSensorMeter(build_backend(False, drift=drift)).acquire_full_grid()
+        np.testing.assert_array_equal(cold, uncached)
+        assert not np.array_equal(cold, static)
+
+        # Single-pixel probes at the same timestamps, repeats included,
+        # served from the warm detuning entry.
+        rng = np.random.default_rng(4)
+        rows = rng.integers(0, RESOLUTION, 150).tolist()
+        cols = rng.integers(0, RESOLUTION, 150).tolist()
+        warm = build_backend(cache, drift=drift)
+        probed = probe_one_by_one(warm, rows, cols)
+        assert warm.kernel_cache_hits == 150 and warm.kernel_cache_solves == 0
+        np.testing.assert_array_equal(
+            probed, probe_one_by_one(build_backend(False, drift=drift), rows, cols)
+        )
+
+    def test_sensor_drift_terms_share_one_detuning_entry(self):
+        cache = KernelCache()
+        for drift in SENSOR_DRIFTS.values():
+            ChargeSensorMeter(build_backend(cache, drift=drift)).acquire_full_grid()
+        assert cache.stats == KernelCacheStats(1, 2 * N_PIXELS, N_PIXELS, 2, 1, 0)
+
+    @pytest.mark.parametrize("drift", LEVER_ARM_DRIFTS.values(), ids=LEVER_ARM_DRIFTS.keys())
+    def test_lever_arm_drift_bypasses_cache(self, drift):
+        cache = KernelCache()
+        noise = WhiteNoise(0.05)
+        backend = build_backend(cache, drift=drift, noise=noise, time_dependent_noise=True)
+        image = ChargeSensorMeter(backend).acquire_full_grid()
+        assert cache.stats == KernelCacheStats(0, 0, 0, 0, 0, 0)
+        assert backend.kernel_cache_hits == backend.kernel_cache_solves == 0
+        uncached = build_backend(False, drift=drift, noise=noise, time_dependent_noise=True)
+        np.testing.assert_array_equal(image, ChargeSensorMeter(uncached).acquire_full_grid())
+
+    def test_static_and_sensor_drift_backends_share_one_cache(self):
+        cache = KernelCache()
+        drift = SENSOR_DRIFTS["operating-point"]
+        device = DotArrayDevice.double_dot(cross_coupling=(0.25, 0.22))
+        for _ in ("cold", "warm"):
+            static = ChargeSensorMeter(
+                build_backend(cache, device=device)
+            ).acquire_full_grid()
+            drifting = ChargeSensorMeter(
+                build_backend(cache, device=device, drift=drift)
+            ).acquire_full_grid()
+        assert cache.stats == KernelCacheStats(2, 2 * N_PIXELS, 2 * N_PIXELS, 2, 2, 0)
+        np.testing.assert_array_equal(
+            static,
+            ChargeSensorMeter(build_backend(False, device=device)).acquire_full_grid(),
+        )
+        np.testing.assert_array_equal(
+            drifting,
+            ChargeSensorMeter(
+                build_backend(False, device=device, drift=drift)
+            ).acquire_full_grid(),
+        )
+
+
 class TestCacheBypass:
     def test_disabled_backend_leaves_cache_untouched(self):
         cache = KernelCache()
         meter = ChargeSensorMeter(build_backend(False))
         meter.acquire_full_grid()
         assert cache.stats.as_dict() == KernelCacheStats(0, 0, 0, 0, 0, 0).as_dict()
-
-    def test_drift_bypasses_cache(self):
-        cache = KernelCache()
-        drift = DeviceDrift(operating_point_mv_per_hour=8.0)
-        meter = ChargeSensorMeter(build_backend(cache, drift=drift))
-        meter.acquire_full_grid()
-        assert cache.stats == KernelCacheStats(0, 0, 0, 0, 0, 0)
-
-    def test_time_dependent_noise_bypasses_cache(self):
-        cache = KernelCache()
-        meter = ChargeSensorMeter(
-            build_backend(cache, noise=WhiteNoise(0.05), time_dependent_noise=True)
-        )
-        meter.acquire_full_grid()
-        assert cache.stats == KernelCacheStats(0, 0, 0, 0, 0, 0)
 
     def test_disabled_cache_object_serves_nothing(self):
         cache = KernelCache(enabled=False)
@@ -300,3 +410,83 @@ class TestGlobalCache:
             entry_misses=5,
             evictions=0,
         )
+
+    def test_every_scenario_and_fault_condition_cache_on_off_identical(self):
+        # Every registered scenario x {no faults, transient-reads, flaky-lab},
+        # fast and baseline, on one 32x32 double dot.
+        grid = CampaignGrid(
+            devices=(DeviceSpec.of("double_dot", cross_coupling=(0.25, 0.22)),),
+            resolutions=(32,),
+            scenarios=SCENARIOS.names(),
+            faults=(None, "transient-reads", "flaky-lab"),
+            methods=("fast", "baseline"),
+            seed=3,
+        )
+
+        def run(enabled):
+            clear_kernel_cache()
+            configure_kernel_cache(enabled=enabled)
+            return TuningCampaign(grid, backend="serial").run().normalized().records
+
+        try:
+            uncached = run(enabled=False)
+            cached = run(enabled=True)
+            stats = default_kernel_cache().stats
+        finally:
+            clear_kernel_cache()
+            configure_kernel_cache(enabled=True)
+        assert len(cached) == len(SCENARIOS.names()) * 3 * 2
+        assert cached == uncached
+        # One currents entry and one detuning entry served every scenario
+        # except those with lever-arm drift.
+        assert stats.n_entries == 2
+
+
+class TestRecordedDriftChaosSlice:
+    """Solved points of a recorded ``grid-drift-chaos`` slice.
+
+    The slice is the 20 fast jobs of perfbench's seed-1 ``grid-drift-chaos``
+    grid on its first gate pair: the double dot P1-P2 at 63x63, in
+    ``drifting_sensor`` and ``telegraph_storm``, without faults and with
+    ``transient-reads``, 5 repeats each, run in order on a cold kernel
+    cache.  Points are counted where the solver does the work, as rows
+    through ``ChargeStateSolver.occupations_at``.
+    """
+
+    JOBS = CampaignGrid(
+        devices=(DeviceSpec.of("double_dot", cross_coupling=(0.25, 0.22)),),
+        resolutions=(63,),
+        scenarios=("drifting_sensor", "telegraph_storm"),
+        faults=(None, "transient-reads"),
+        methods=("fast",),
+        n_repeats=5,
+        seed=1,
+    ).expand()
+
+    def test_solved_points_per_job(self, monkeypatch):
+        solved: list[int] = []
+        occupations_at = ChargeStateSolver.occupations_at
+
+        def counted(self, points):
+            solved[-1] += len(points)
+            return occupations_at(self, points)
+
+        monkeypatch.setattr(ChargeStateSolver, "occupations_at", counted)
+        monkeypatch.setattr(kernelcache, "_default_cache", KernelCache())
+        probes = []
+        for job in self.JOBS:
+            solved.append(0)
+            probes.append(run_campaign_job(job).n_probes)
+        # drifting_sensor: 10 jobs, then telegraph_storm: 10 jobs.
+        assert probes == [
+            605, 583, 564, 574, 603, 576, 585, 612, 570, 174,
+            570, 616, 577, 611, 575, 580, 579, 334, 574, 583,
+        ]
+        # Solving every probe afresh cost 11,045 points.  Now the first job
+        # of each layer (the detuning entry, then the currents entry) solves
+        # its probes, and later jobs solve only pixels no earlier job probed.
+        assert solved == [
+            605, 15, 5, 0, 127, 0, 6, 0, 0, 0,
+            570, 172, 2, 3, 0, 0, 0, 206, 0, 0,
+        ]
+        assert kernelcache.default_kernel_cache().stats.n_entries == 2
