@@ -17,9 +17,9 @@ the corrupted values of the probes the meter can commit.  Every fault hook
 is a pure function of the probe timestamp, so the plan finds the disruption
 from the timestamps alone and then reads the inner backend only for the
 probes before it (and a stalled probe itself, whose late read lands).  The
-meter commits that prefix in one vectorised step and handles only the
-disrupted probe through its retry loop, so no probe is solved at a
-timestamp the meter then discards.
+meter commits that prefix in one vectorised step; a disruption it does not
+wait out is a failed attempt of that probe, and the meter's next plan
+covers the retry and every probe after it.
 """
 
 from __future__ import annotations
@@ -218,9 +218,8 @@ class FaultyBackend:
         the meter may commit (see :class:`BatchPlan`).  Every pixel is
         validated, even when the first probe errors, but the inner backend
         reads only the committable probes.  Pure: the same ``(rows, cols,
-        times)`` always yield the same plan, which is what lets the meter
-        re-plan a disrupted probe after committing the prefix and get the
-        identical outcome.
+        times)`` always yield the same plan, so a campaign's probes fault
+        the same way on every run, however its batches are split.
         """
         rows, cols, times = self._validated(rows, cols, times_s)
         disruption = self._first_disruption(times)

@@ -50,7 +50,6 @@ import numpy as np
 
 from ..exceptions import (
     CircuitBreakerOpenError,
-    InstrumentFault,
     MeasurementError,
     ProbeBudgetExceededError,
     ProbeTimeoutError,
@@ -880,15 +879,16 @@ class ChargeSensorMeter:
         Optional hard budget on physical probes; exceeding it raises
         :class:`ProbeBudgetExceededError`.
     retry:
-        Optional :class:`~repro.instrument.resilience.ProbeRetryPolicy`
-        governing how probes against a fault-injecting backend (one
-        exposing ``plan_batch``, i.e.
-        :class:`~repro.faults.backend.FaultyBackend`) are retried.  With a
-        fault-capable backend and no policy, the first fault fails the
-        probe; with an ordinary backend the policy is inert.  Retried
-        attempts, backoffs, and tolerated stalls all charge the virtual
-        clock but never the probe budget or the log — only the attempt
-        that finally returns a value is a probe.
+        Optional :class:`~repro.instrument.resilience.ProbeRetryPolicy` for
+        a fault-injecting backend (one exposing ``plan_batch``, i.e.
+        :class:`~repro.faults.backend.FaultyBackend`): the attempts a
+        disrupted probe gets, the backoff between them, the stall timeout
+        and the circuit breaker.  ``None`` means
+        :meth:`~repro.instrument.resilience.ProbeRetryPolicy.no_retry`, so
+        the first fault fails the probe; with an ordinary backend the
+        policy is inert.  Failed attempts, backoffs, and tolerated stalls
+        all charge the virtual clock but never the probe budget or the
+        log — only the attempt that returns a value is a probe.
     """
 
     def __init__(
@@ -915,8 +915,9 @@ class ChargeSensorMeter:
         self._values = np.zeros(n_rows * n_cols, dtype=float)
         self._n_probes = 0
         # Resilience state.  Only the measuring step of a batch differs for
-        # a backend that can plan faults (it goes through the retry loop);
-        # caching, budget, clock and log are shared with clean backends.
+        # a backend that can plan faults (``_measure_faulty`` plans, commits
+        # and retries); caching, budget, clock and log are shared with
+        # clean backends.
         self._retry = retry
         self._fault_capable = hasattr(backend, "plan_batch")
         self._n_probe_retries = 0
@@ -1046,75 +1047,83 @@ class ChargeSensorMeter:
         return self._breaker_open
 
     # ------------------------------------------------------------------
-    # Resilient probing against a fault-capable backend
+    # Probing a fault-capable backend
     # ------------------------------------------------------------------
-    def _tolerated_stall(self, disruption) -> bool:
-        """Whether a planned disruption is a stall the retry policy waits out.
+    def _measure_faulty(
+        self, probe_rows: np.ndarray, probe_cols: np.ndarray, probe_keys: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, Exception | None]:
+        """Measure a batch's physical probes against a fault-capable backend.
 
-        An error never is; a stall is when the policy has no timeout or the
-        stall fits in it.  Such a read is late but lands, with the value
-        the backend drew at the scheduled instant.
-        """
-        timeout_s = (self._retry or ProbeRetryPolicy.no_retry()).timeout_s
-        return disruption.error is None and (
-            timeout_s is None or disruption.stall_s <= timeout_s
-        )
-
-    def _wait_out(self, stall_s: float) -> float:
-        """Charge a tolerated stall; returns the probe's completion time."""
-        self._clock.advance(stall_s)
-        self._fault_delay_s += stall_s
-        self._consecutive_failures = 0
-        return self._clock.elapsed_s
-
-    def _resilient_probe(self, row: int, col: int) -> tuple[float, float]:
-        """One physical probe through the retry loop.
-
-        Returns ``(value, completion_time)``.  Every attempt charges a full
-        probe cost; backoffs and tolerated stalls charge the clock too.  A
-        retry therefore samples a *later* timestamp — and, because fault
-        draws are keyed by timestamp, fresh fault luck — exactly like a
-        retry on real hardware.  Raises a typed
-        :class:`~repro.exceptions.InstrumentFault` when attempts are
-        exhausted or the circuit breaker trips.
+        Each pass plans every pending probe at the timestamps it *would* get
+        (:meth:`VirtualClock.preview_probes`) in one backend call and
+        commits the plan's readable prefix with bit-identical clock
+        arithmetic (``charge_probes``).  A stall the retry policy tolerates
+        (no timeout, or a stall within it) is committed from the same plan,
+        with the value read at its scheduled timestamp, and waited out.  Any
+        other disruption is a failed attempt of the first pending probe,
+        charged where the plan found it: plans are pure, so re-planning it
+        there could only find the same fault.  After the backoff, the next
+        plan covers the retry and every probe behind it; the retry samples a
+        *later* timestamp, and so fresh fault luck, as on real hardware.
+        Returns the committed probes' values and completion times, and the
+        fault that stopped the batch (a probe out of attempts, or the
+        circuit breaker), if any.
         """
         policy = self._retry or ProbeRetryPolicy.no_retry()
+        n_physical = probe_rows.size
+        values = np.empty(n_physical, dtype=float)
+        times = np.empty(n_physical, dtype=float)
         if self._breaker_open:
-            raise CircuitBreakerOpenError(
+            # Refused without touching the backend or the clock.
+            return values[:0], times[:0], CircuitBreakerOpenError(
                 "circuit breaker is open; reset() the meter to re-arm it"
             )
-        rows, cols = _checked(
-            np.array([row]), np.array([col]), np.array([row * self._n_cols + col])
-        )
-        cost = self._clock.timing.cost_per_probe_s
+        done = 0
+        attempt = 1
         backoff = policy.backoff_s
-        last_error: Exception | None = None
-        for attempt in range(1, policy.max_attempts + 1):
+        while done < n_physical:
             if attempt > 1:
                 self._n_probe_retries += 1
-                if backoff > 0:
-                    self._clock.advance(backoff)
-                    self._fault_delay_s += backoff
-                    backoff *= policy.backoff_factor
-            self._clock.charge_probe()
-            scheduled = self._clock.elapsed_s
-            plan = self._backend.plan_batch(rows, cols, np.array([scheduled]))
+                self._clock.advance(backoff)
+                self._fault_delay_s += backoff
+                backoff *= policy.backoff_factor
+            plan = self._backend.plan_batch(
+                *_checked(probe_rows[done:], probe_cols[done:], probe_keys[done:]),
+                self._clock.preview_probes(n_physical - done),
+            )
             disruption = plan.disruption
-            if disruption is None:
+            clean = (n_physical - done) if disruption is None else disruption.index
+            landed = (
+                disruption is not None
+                and disruption.error is None
+                and (policy.timeout_s is None or disruption.stall_s <= policy.timeout_s)
+            )
+            committed = clean + int(landed)
+            if committed:
+                # Reads that land are successes: they reset the breaker count
+                # and give the next pending probe a fresh set of attempts.
                 self._consecutive_failures = 0
-                return float(plan.values[0]), scheduled
-            if self._tolerated_stall(disruption):
-                return float(plan.values[0]), self._wait_out(disruption.stall_s)
-            # Failed attempt: the dwell bought nothing.
+                attempt, backoff = 1, policy.backoff_s
+                times[done : done + committed] = self._clock.charge_probes(committed)
+                values[done : done + committed] = plan.values[:committed]
+                if landed:
+                    self._clock.advance(disruption.stall_s)
+                    self._fault_delay_s += disruption.stall_s
+                    times[done + clean] = self._clock.elapsed_s
+                done += committed
+            if disruption is None or landed:
+                continue
+            # A failed attempt of the first pending probe: the dwell bought nothing.
+            self._clock.charge_probe()
             self._n_fault_events += 1
-            self._fault_delay_s += cost
-            if disruption.error is not None:
-                last_error = disruption.error
-            else:
+            self._fault_delay_s += self._clock.timing.cost_per_probe_s
+            error = disruption.error
+            if error is None:
                 self._clock.advance(policy.timeout_s)
                 self._fault_delay_s += policy.timeout_s
-                last_error = ProbeTimeoutError(
-                    f"probe ({row}, {col}) stalled {disruption.stall_s:.3f}s, "
+                error = ProbeTimeoutError(
+                    f"probe ({int(probe_rows[done])}, {int(probe_cols[done])}) "
+                    f"stalled {disruption.stall_s:.3f}s, "
                     f"over the {policy.timeout_s:.3f}s timeout budget"
                 )
             self._consecutive_failures += 1
@@ -1123,64 +1132,14 @@ class ChargeSensorMeter:
                 and self._consecutive_failures >= policy.breaker_failures
             ):
                 self._breaker_open = True
-                raise CircuitBreakerOpenError(
+                return values[:done], times[:done], CircuitBreakerOpenError(
                     f"circuit breaker open after {self._consecutive_failures} "
-                    f"consecutive probe failures (last: {last_error})"
+                    f"consecutive probe failures (last: {error})"
                 )
-        self._n_probes_exhausted += 1
-        raise last_error
-
-    def _measure_faulty(
-        self, probe_rows: np.ndarray, probe_cols: np.ndarray, probe_keys: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, InstrumentFault | None]:
-        """Measure a batch's physical probes against a fault-capable backend.
-
-        Optimistic vectorisation: preview the timestamps the pending probes
-        *would* get, plan them in one backend call, commit the fault-free
-        prefix wholesale (bit-identical clock arithmetic via
-        :meth:`VirtualClock.preview_probes` / ``charge_probes``).  A stall
-        the policy tolerates is committed from the same plan: its value was
-        read at its scheduled timestamp, and the meter waits the stall out.
-        Only any other disrupted probe goes through the retry loop —
-        re-planning it at the same scheduled timestamp reproduces the same
-        fault.  Returns the committed probes' values and completion times,
-        and the fault that exhausted a probe's retries and stopped the
-        batch, if any.
-        """
-        n_physical = probe_rows.size
-        values = np.empty(n_physical, dtype=float)
-        times = np.empty(n_physical, dtype=float)
-        done = 0
-        while done < n_physical:
-            # With the breaker open, the retry loop below refuses the next
-            # probe without touching the backend.
-            if not self._breaker_open:
-                tentative = self._clock.preview_probes(n_physical - done)
-                plan = self._backend.plan_batch(
-                    *_checked(probe_rows[done:], probe_cols[done:], probe_keys[done:]),
-                    tentative,
-                )
-                disruption = plan.disruption
-                clean = (n_physical - done) if disruption is None else disruption.index
-                landed = disruption is not None and self._tolerated_stall(disruption)
-                committed = clean + int(landed)
-                if committed:
-                    # Reads that land are successes: they reset the breaker count.
-                    self._consecutive_failures = 0
-                    times[done : done + committed] = self._clock.charge_probes(committed)
-                    values[done : done + committed] = plan.values[:committed]
-                    if landed:
-                        times[done + clean] = self._wait_out(disruption.stall_s)
-                    done += committed
-                if disruption is None or landed:
-                    continue
-            try:
-                values[done], times[done] = self._resilient_probe(
-                    int(probe_rows[done]), int(probe_cols[done])
-                )
-            except InstrumentFault as exc:
-                return values[:done], times[:done], exc
-            done += 1
+            if attempt == policy.max_attempts:
+                self._n_probes_exhausted += 1
+                return values[:done], times[:done], error
+            attempt += 1
         return values, times, None
 
     def _budget_stop(self, new: np.ndarray, n: int) -> int:

@@ -152,18 +152,18 @@ class ExperimentSession:
         time_dependent_noise: bool = False,
         faults=None,
         probe_retry: ProbeRetryPolicy | None = None,
-        kernel_cache: bool = True,
         label: str | None = None,
     ) -> "ExperimentSession":
         """Measure a simulated device on demand over a voltage grid.
 
-        ``kernel_cache`` (default on) lets the backend serve its
-        time-independent physics from the process-wide
-        :mod:`repro.kernelcache` — bit-identical values, shared across
-        sessions with the same device/window/resolution fingerprint.  A
-        session without drift caches its noise-free currents, time-dependent
-        noise or not; under drift that moves only the sensor it caches the
-        base sensor detuning; lever-arm drift bypasses the cache.
+        The backend serves its time-independent physics from the
+        process-wide :mod:`repro.kernelcache` — bit-identical values, shared
+        across sessions with the same device/window/resolution fingerprint.
+        A session without drift caches its noise-free currents,
+        time-dependent noise or not; under drift that moves only the sensor
+        it caches the base sensor detuning; lever-arm drift bypasses the
+        cache.  ``configure_kernel_cache(enabled=False)`` turns the cache
+        off for every session in the process.
 
         ``drift`` and ``time_dependent_noise`` make the backend evolve with
         the session's simulated clock (see
@@ -205,7 +205,6 @@ class ExperimentSession:
             drift=drift,
             time_dependent_noise=time_dependent_noise,
             probe_interval_s=timing.cost_per_probe_s,
-            kernel_cache=kernel_cache,
         )
         if faults is not None:
             probe_models = probe_fault_models(models_for(faults))
@@ -257,9 +256,6 @@ class SessionFactory:
     faults: object | None = None
     #: How sessions ride out injected probe faults (None = fail on first).
     probe_retry: ProbeRetryPolicy | None = None
-    #: Whether opened sessions may share noise-free kernels through the
-    #: process-wide :mod:`repro.kernelcache` (bit-identical either way).
-    kernel_cache: bool = True
 
     def make(
         self,
@@ -289,6 +285,5 @@ class SessionFactory:
             time_dependent_noise=self.time_dependent_noise,
             faults=self.faults,
             probe_retry=self.probe_retry,
-            kernel_cache=self.kernel_cache,
             label=label or f"{self.device.name}:{gate_x}-{gate_y}",
         )

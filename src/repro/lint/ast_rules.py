@@ -49,16 +49,7 @@ import ast
 from dataclasses import dataclass
 from pathlib import Path
 
-from .rules import (
-    EXIT_LAYER,
-    EXIT_NAN_RECORD,
-    EXIT_RNG,
-    EXIT_SILENT_FALLBACK,
-    EXIT_STRICT_JSON,
-    EXIT_WALL_CLOCK,
-    FileContext,
-    register_rule,
-)
+from .rules import FileContext, register_rule
 from .violations import Violation
 
 __all__ = [
@@ -111,7 +102,6 @@ class RngGlobalStateRule:
         "randomness must flow from default_rng(seed); np.random.* module "
         "functions and the stdlib random module share hidden global state"
     )
-    exit_bit: int = EXIT_RNG
     scope: tuple[str, ...] = ()
 
     #: ``np.random`` attributes that are legitimate, stateless entry points.
@@ -184,7 +174,6 @@ class RngUnseededRule:
         "site must show where the seed flows from (a SeedSequence-derived "
         "value, even when it is None at the API boundary)"
     )
-    exit_bit: int = EXIT_RNG
     scope: tuple[str, ...] = ()
 
     def check(self, ctx: FileContext) -> list[Violation]:
@@ -215,7 +204,6 @@ class WallClockRule:
         "VirtualClock owns simulated time; telemetry wall timers carry "
         "# repro: allow[wall-clock]"
     )
-    exit_bit: int = EXIT_WALL_CLOCK
     scope: tuple[str, ...] = CLOCKED_PACKAGES
 
     TIME_FUNCTIONS: tuple[str, ...] = (
@@ -299,7 +287,6 @@ class SilentFallbackRule:
         "with hard-coded tuple or gate/config-keyed string defaults — "
         "failed lookups must fail loudly"
     )
-    exit_bit: int = EXIT_SILENT_FALLBACK
     scope: tuple[str, ...] = ()
 
     def check(self, ctx: FileContext) -> list[Violation]:
@@ -402,7 +389,6 @@ class StrictJsonRule:
         "NaN/Infinity tokens that break strict parsers and the record "
         "round-trip contract"
     )
-    exit_bit: int = EXIT_STRICT_JSON
     scope: tuple[str, ...] = ()
 
     def check(self, ctx: FileContext) -> list[Violation]:
@@ -442,7 +428,6 @@ class NanRecordFieldRule:
         "keywords need the tagged-JSON and NaN-aware-equality contracts; "
         "each site carries a pragma naming the contract that makes it safe"
     )
-    exit_bit: int = EXIT_NAN_RECORD
     scope: tuple[str, ...] = ()
 
     def check(self, ctx: FileContext) -> list[Violation]:
@@ -555,7 +540,6 @@ class LayerOrderRule:
         "(repro.lint.ast_rules), at module level or inside a function; no "
         "pragma waives it"
     )
-    exit_bit: int = EXIT_LAYER
     scope: tuple[str, ...] = ()
 
     def check(self, ctx: FileContext) -> list[Violation]:

@@ -10,10 +10,10 @@ Gate CI (pragmas need justifications)::
 
     python -m repro.lint --strict
 
-The exit code ORs one bit per regressed rule class (see
-:mod:`repro.lint.rules`): 1 RNG, 2 wall-clock, 4 silent-fallback,
-8 strict-JSON, 16 NaN-record-field, 32 contract audit, 64 pragma hygiene,
-128 layer order; 120 marks a usage error.
+Exit codes: 0 when the report is clean, 1 when it holds any violation
+(the report's ``counts`` name the rules that fired), and 2 on a usage
+error: an unknown flag (argparse's own code), a missing root or an unknown
+``--rules`` name.
 """
 
 from __future__ import annotations
@@ -25,9 +25,6 @@ from pathlib import Path
 from ..exceptions import ConfigurationError
 from .engine import run_lint
 from .rules import rule_catalogue
-
-#: Exit code for configuration mistakes, outside the rule-class bit space.
-USAGE_ERROR = 120
 
 
 def _default_root() -> Path:
@@ -96,7 +93,7 @@ def main(argv: list[str] | None = None) -> int:
         )
     except ConfigurationError as exc:
         print(f"repro.lint: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return 2
     print(report.format_json() if args.json else report.format_text())
     return report.exit_code
 

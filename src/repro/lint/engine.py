@@ -17,12 +17,12 @@ from pathlib import Path
 from ..exceptions import ConfigurationError
 from .ast_rules import LayerOrderRule
 from .contracts import run_contract_audit
-from .rules import FileContext, LintRule, all_rules, exit_code_for, rule_names
+from .rules import FileContext, LintRule, all_rules, rule_names
 from .violations import Violation
 
 __all__ = ["LintReport", "lint_paths", "run_lint"]
 
-#: Reserved rule name for pragma-hygiene findings (exit bit EXIT_PRAGMA).
+#: Reserved rule name for pragma-hygiene findings.
 PRAGMA_RULE = "pragma-hygiene"
 
 
@@ -37,8 +37,8 @@ class LintReport:
 
     @property
     def exit_code(self) -> int:
-        """OR of the exit bits of every reported rule class (0 = clean)."""
-        return exit_code_for(list(self.violations))
+        """0 for a clean report, 1 when it holds any violation."""
+        return int(bool(self.violations))
 
     @property
     def counts(self) -> dict[str, int]:

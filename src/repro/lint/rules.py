@@ -7,21 +7,10 @@ built-ins in :mod:`repro.lint.ast_rules` register themselves on import, and
 a project can register extra rules the same way it registers extra
 scenarios.
 
-Every rule belongs to an *exit class* — a bit in the CLI's exit code — so
-CI logs show at a glance which invariant family regressed:
-
-==========================  ===  ============================================
-exit bit                    val  rule class
-==========================  ===  ============================================
-``EXIT_RNG``                  1  RNG discipline (seeds flow from SeedSequence)
-``EXIT_WALL_CLOCK``           2  wall-clock discipline (VirtualClock owns time)
-``EXIT_SILENT_FALLBACK``      4  silent fallback defaults / swallowed errors
-``EXIT_STRICT_JSON``          8  strict-JSON hygiene (``allow_nan=False``)
-``EXIT_NAN_RECORD``          16  NaN literals entering record fields
-``EXIT_CONTRACT``            32  import-time contract audit
-``EXIT_PRAGMA``              64  pragma hygiene (unknown rule, bare pragma)
-``EXIT_LAYER``              128  layer order (every import points down)
-==========================  ===  ============================================
+A rule is known by its name alone: the CLI exits 1 whichever rules fired,
+and the text and JSON reports count the violations per rule name
+(:attr:`~repro.lint.engine.LintReport.counts`), so CI logs show which
+invariant regressed.
 """
 
 from __future__ import annotations
@@ -31,40 +20,20 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol, runtime_checkable
 
-from ..exceptions import ConfigurationError
 from ..registry import Registry
 from .pragmas import PragmaIndex
 from .violations import Violation
 
 __all__ = [
-    "EXIT_CONTRACT",
-    "EXIT_LAYER",
-    "EXIT_NAN_RECORD",
-    "EXIT_PRAGMA",
-    "EXIT_RNG",
-    "EXIT_SILENT_FALLBACK",
-    "EXIT_STRICT_JSON",
-    "EXIT_WALL_CLOCK",
     "FileContext",
     "LintRule",
     "RULES",
     "all_rules",
-    "exit_code_for",
     "get_rule",
     "register_rule",
     "rule_catalogue",
     "rule_names",
 ]
-
-EXIT_RNG = 1
-EXIT_WALL_CLOCK = 2
-EXIT_SILENT_FALLBACK = 4
-EXIT_STRICT_JSON = 8
-EXIT_NAN_RECORD = 16
-EXIT_CONTRACT = 32
-EXIT_PRAGMA = 64
-EXIT_LAYER = 128
-
 
 @dataclass(frozen=True)
 class FileContext:
@@ -116,8 +85,6 @@ class LintRule(Protocol):
         Registry key, and the name pragmas suppress (``"wall-clock"``).
     description:
         One line for ``--list-rules`` and the README table.
-    exit_bit:
-        The rule's exit class (one of the ``EXIT_*`` constants).
     scope:
         Package-directory names the rule is confined to (empty = every
         file).  A file is in scope when any of its path parts, relative
@@ -128,7 +95,6 @@ class LintRule(Protocol):
 
     name: str
     description: str
-    exit_bit: int
     scope: tuple[str, ...]
 
     def check(self, ctx: FileContext) -> list[Violation]:
@@ -152,27 +118,11 @@ all_rules = RULES.values
 
 
 def rule_catalogue() -> str:
-    """Plain-text table of every registered rule (name, exit bit, summary)."""
+    """Plain-text table of every registered rule (name, summary, scope)."""
     lines = ["Lint rule catalogue", "=" * 19]
     width = max((len(name) for name in rule_names()), default=0)
     for rule in all_rules():
         scope = ", ".join(rule.scope) if rule.scope else "everywhere"
-        lines.append(f"{rule.name:<{width}}  [exit {rule.exit_bit:>3}]  {rule.description}")
-        lines.append(f"{'':<{width}}              scope: {scope}")
+        lines.append(f"{rule.name:<{width}}  {rule.description}")
+        lines.append(f"{'':<{width}}  scope: {scope}")
     return "\n".join(lines)
-
-
-def exit_code_for(violations: list[Violation]) -> int:
-    """OR together the exit bits of every rule that fired."""
-    code = 0
-    for violation in violations:
-        try:
-            code |= get_rule(violation.rule).exit_bit
-        except ConfigurationError:
-            # Contract and pragma findings use reserved rule names that are
-            # not in the registry; map them by prefix.
-            if violation.rule.startswith("contract-"):
-                code |= EXIT_CONTRACT
-            else:
-                code |= EXIT_PRAGMA
-    return code

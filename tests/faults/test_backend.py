@@ -16,6 +16,7 @@ from repro.faults import (
     probe_fault_models,
 )
 from repro.instrument import DeviceBackend, ExperimentSession, ProbeRetryPolicy
+from repro.kernelcache import configure_kernel_cache
 from repro.physics import DotArrayDevice
 from repro.scenarios import DeviceSpec
 
@@ -26,15 +27,24 @@ def _device():
     return DeviceSpec.of("double_dot", cross_coupling=(0.25, 0.22)).build()
 
 
-def _session(faults=None, probe_retry=None, seed=7, resolution=24, kernel_cache=True):
+def _session(faults=None, probe_retry=None, seed=7, resolution=24):
     return ExperimentSession.from_device(
         _device(),
         resolution=resolution,
         seed=seed,
         faults=faults,
         probe_retry=probe_retry,
-        kernel_cache=kernel_cache,
     )
+
+
+@pytest.fixture
+def kernel_cache_off():
+    """The process-wide kernel cache switched off for one test."""
+    configure_kernel_cache(enabled=False)
+    try:
+        yield
+    finally:
+        configure_kernel_cache(enabled=True)
 
 
 @pytest.fixture
@@ -150,11 +160,11 @@ class TestFaultyBackendSurface:
         ids=["clean", "error-first", "stall-first"],
     )
     def test_plan_values_cover_only_committable_probes(
-        self, fault, n_values, stall_s, solved_points
+        self, fault, n_values, stall_s, solved_points, kernel_cache_off
     ):
         # An error's probe gets no value; a stalled read lands late, so the
         # meter keeps its value.  Nothing after the disruption is read.
-        backend = _session(faults=fault, probe_retry=RETRY, kernel_cache=False).meter.backend
+        backend = _session(faults=fault, probe_retry=RETRY).meter.backend
         times = np.linspace(0.03, 0.12, 4)
         plan = backend.plan_batch(np.arange(4), np.arange(4), times)
         assert plan.values.size == n_values
@@ -165,7 +175,7 @@ class TestFaultyBackendSurface:
             assert plan.disruption.index == 0
             assert plan.disruption.stall_s == stall_s
             assert (plan.disruption.error is None) == (stall_s > 0)
-        clean = _session(kernel_cache=False).meter.backend
+        clean = _session().meter.backend
         np.testing.assert_array_equal(
             plan.values, clean.currents(np.arange(n_values), np.arange(n_values))
         )
@@ -191,6 +201,8 @@ class TestIdentityGuarantees:
         assert backend_calls == {"plan_batch": 1, "currents": 1}
 
     def test_scalar_and_batched_paths_fail_identically(self):
+        # One fault loop serves both: one full-grid batch must fail, retry
+        # and read exactly like 576 one-pixel batches.
         batched = _session(faults="flaky-lab", probe_retry=RETRY)
         image = batched.meter.acquire_full_grid()
         scalar = _session(faults="flaky-lab", probe_retry=RETRY)
@@ -229,29 +241,31 @@ class TestIdentityGuarantees:
 
 class TestFaultPathWorkCounts:
     def test_flaky_lab_pays_per_fault_event_not_per_probe(
-        self, backend_calls, solved_points
+        self, backend_calls, solved_points, kernel_cache_off
     ):
         # A 63x63 full grid of the double dot, kernel cache off.  A clean
-        # grid is one planned batch; here each fault plans one probe per
-        # attempt and then re-plans the rest of the grid, while a tolerated
-        # stall is committed from the plan that found it, so 3,969 probes
-        # cost 283 plans.  A plan reads the inner backend only for the
-        # probes the meter can commit, and not at all when its first probe
-        # errors: 190 of them read.
+        # grid is one planned batch.  Here each plan covers every pending
+        # probe: a tolerated stall is committed from the plan that found it,
+        # an error is a failed attempt where the plan found it (never
+        # re-planned at its own timestamp), and each retry plans the rest
+        # of the grid, so 3,969 probes and 91 retries cost 115 plans.  A
+        # plan reads the inner backend only for the probes the meter can
+        # commit, and not at all when its first probe errors: 108 of them
+        # read.
         session = _session(
             faults="flaky-lab",
             probe_retry=ProbeRetryPolicy(max_attempts=6, backoff_s=0.05, timeout_s=10.0),
             resolution=63,
-            kernel_cache=False,
         )
         session.meter.acquire_full_grid()
         meter = session.meter
         assert meter.n_probes == 3969
-        assert backend_calls == {"plan_batch": 283, "currents": 190}
+        assert backend_calls == {"plan_batch": 115, "currents": 108}
         # Each committed probe is solved once, the 23 tolerated stalls
-        # included.  Re-planning those stalls in the retry loop solved them
-        # twice (3,969 + 23); planning whole batches solved 196,281 points.
-        assert len(solved_points) == 190
+        # included.  Re-planning those stalls in a per-probe retry loop
+        # solved them twice (3,969 + 23); planning whole batches and reading
+        # past the disruption solved 196,281 points.
+        assert len(solved_points) == 108
         assert sum(solved_points) == 3969
         assert meter.n_fault_events == 91
         assert meter.n_probe_retries == 91

@@ -347,22 +347,22 @@ class TestGlobalCache:
             clear_kernel_cache()
             device = DotArrayDevice.double_dot(cross_coupling=(0.25, 0.22))
 
-            def acquire(kernel_cache):
+            def acquire():
                 session = ExperimentSession.from_device(
-                    device,
-                    resolution=RESOLUTION,
-                    seed=11,
-                    noise=WhiteNoise(0.05),
-                    kernel_cache=kernel_cache,
+                    device, resolution=RESOLUTION, seed=11, noise=WhiteNoise(0.05)
                 )
                 return session.meter.acquire_full_grid()
 
-            warm = acquire(True)      # populates the global cache
-            cached = acquire(True)    # served from it
-            uncached = acquire(False)
+            warm = acquire()      # populates the global cache
+            cached = acquire()    # served from it
+            configure_kernel_cache(enabled=False)
+            uncached = acquire()  # bypasses it
             np.testing.assert_array_equal(warm, cached)
             np.testing.assert_array_equal(cached, uncached)
+            stats = default_kernel_cache().stats
+            assert (stats.pixel_solves, stats.pixel_hits) == (N_PIXELS, N_PIXELS)
         finally:
+            configure_kernel_cache(enabled=True)
             clear_kernel_cache()
 
     def test_repeat_heavy_campaign_solves_each_kernel_once(self, monkeypatch):

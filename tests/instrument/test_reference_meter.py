@@ -5,10 +5,13 @@ the two no longer checks the batch path against anything independent.
 `ReferenceMeter` below is the meter written the plain way, one request at a
 time: validate the pixel, check the cache, check the budget, charge the
 clock, then read one pixel through `backend.currents`, logging each request
-as it goes.  Hypothesis draws request sequences (repeats within and across
-batches, cache on and off, budgets running out mid-batch) and every one must
-leave both meters with equal values, log columns, clock, probe count and
-cache hits.
+as it goes.  Against a fault-capable backend each physical probe runs the
+retry policy on its own, one planned probe per attempt.  Hypothesis draws
+request sequences (repeats within and across batches, cache on and off,
+budgets running out mid-batch, and for flaky backends the retry policy) and
+every one must leave both meters with equal values, log columns, clock,
+probe count, cache hits, fault counters and breaker state, and raise the
+same errors.
 
 The meter's probe log queues each batch and expands it only when read; the
 second half of this file reads the log mid-run and after `reset()`, and
@@ -23,7 +26,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import MeasurementError, ProbeBudgetExceededError
+from repro.exceptions import (
+    CircuitBreakerOpenError,
+    InstrumentFault,
+    MeasurementError,
+    ProbeBudgetExceededError,
+    ProbeTimeoutError,
+)
 from repro.faults import FaultyBackend, ProbeHangFault, TransientReadFault
 from repro.instrument import (
     ChargeSensorMeter,
@@ -31,6 +40,7 @@ from repro.instrument import (
     DeviceBackend,
     MeasurementBackend,
     ProbeRecord,
+    ProbeRetryPolicy,
     TimingModel,
     VirtualClock,
 )
@@ -90,6 +100,14 @@ def fault_wrapped_backend() -> FaultyBackend:
     )
 
 
+def flaky_backend(error_rate, hang_rate, hang_s) -> FaultyBackend:
+    return FaultyBackend(
+        static_device_backend(),
+        (TransientReadFault(rate=error_rate), ProbeHangFault(rate=hang_rate, hang_s=hang_s)),
+        seed=7,
+    )
+
+
 BACKENDS = {
     "dataset": dataset_backend,
     "static-device": static_device_backend,
@@ -99,13 +117,24 @@ BACKENDS = {
 
 
 class ReferenceMeter:
-    """The meter's accounting, one request at a time, logged eagerly."""
+    """The meter's accounting, one request at a time, logged eagerly.
 
-    def __init__(self, backend, cache=True, max_probes=None):
+    Against a backend with ``plan_batch`` each physical probe runs the retry
+    policy on its own: charge a probe and plan that one probe at its
+    timestamp; commit it when it reads cleanly or stalls within the timeout
+    (waiting the stall out); otherwise count the failed attempt (an
+    over-timeout stall charges the timeout too), back off and try again.
+    ``breaker_failures`` consecutive failures open the breaker, which then
+    refuses every physical probe; a probe out of attempts raises its last
+    error.
+    """
+
+    def __init__(self, backend, cache=True, max_probes=None, retry=None):
         self.backend = backend
         self.clock = VirtualClock(TIMING)
         self.cache = cache
         self.max_probes = max_probes
+        self.retry = retry or ProbeRetryPolicy.no_retry()
         self.reset()
 
     def reset(self):
@@ -114,6 +143,63 @@ class ReferenceMeter:
         self.n_probes = 0
         self.clock.reset()
         self.log: list[tuple] = []
+        self.n_probe_retries = 0
+        self.n_fault_events = 0
+        self.n_probes_exhausted = 0
+        self.fault_delay_s = 0.0
+        self.consecutive_failures = 0
+        self.breaker_open = False
+
+    def _read(self, row, col):
+        """One physical probe's value; the clock ends at its completion."""
+        if not hasattr(self.backend, "plan_batch"):
+            self.clock.charge_probe()
+            times = np.array([self.clock.elapsed_s])
+            return float(self.backend.currents(np.array([row]), np.array([col]), times)[0])
+        if self.breaker_open:
+            raise CircuitBreakerOpenError(
+                "circuit breaker is open; reset() the meter to re-arm it"
+            )
+        policy = self.retry
+        backoff = policy.backoff_s
+        for attempt in range(1, policy.max_attempts + 1):
+            if attempt > 1:
+                self.n_probe_retries += 1
+                self.clock.advance(backoff)
+                self.fault_delay_s += backoff
+                backoff *= policy.backoff_factor
+            self.clock.charge_probe()
+            times = np.array([self.clock.elapsed_s])
+            plan = self.backend.plan_batch(np.array([row]), np.array([col]), times)
+            disruption = plan.disruption
+            if disruption is None:
+                self.consecutive_failures = 0
+                return float(plan.values[0])
+            timeout_s = policy.timeout_s
+            if disruption.error is None and (timeout_s is None or disruption.stall_s <= timeout_s):
+                self.clock.advance(disruption.stall_s)
+                self.fault_delay_s += disruption.stall_s
+                self.consecutive_failures = 0
+                return float(plan.values[0])
+            self.n_fault_events += 1
+            self.fault_delay_s += TIMING.cost_per_probe_s
+            error = disruption.error
+            if error is None:
+                self.clock.advance(timeout_s)
+                self.fault_delay_s += timeout_s
+                error = ProbeTimeoutError(
+                    f"probe ({row}, {col}) stalled {disruption.stall_s:.3f}s, "
+                    f"over the {timeout_s:.3f}s timeout budget"
+                )
+            self.consecutive_failures += 1
+            if policy.breaker_failures and self.consecutive_failures >= policy.breaker_failures:
+                self.breaker_open = True
+                raise CircuitBreakerOpenError(
+                    f"circuit breaker open after {self.consecutive_failures} "
+                    f"consecutive probe failures (last: {error})"
+                )
+        self.n_probes_exhausted += 1
+        raise error
 
     def get_current(self, row, col):
         n_rows, n_cols = self.backend.shape
@@ -126,13 +212,10 @@ class ReferenceMeter:
             self.log.append((row, col, vx, vy, value, self.clock.elapsed_s, True))
             return value
         if self.max_probes is not None and self.n_probes >= self.max_probes:
-            raise ProbeBudgetExceededError("budget exhausted")
-        self.clock.charge_probe()
-        value = float(
-            self.backend.currents(
-                np.array([row]), np.array([col]), times_s=np.array([self.clock.elapsed_s])
-            )[0]
-        )
+            raise ProbeBudgetExceededError(
+                f"probe budget of {self.max_probes} points exhausted"
+            )
+        value = self._read(row, col)
         if not self.measured[row, col]:
             self.n_probes += 1
         self.measured[row, col] = True
@@ -193,14 +276,22 @@ def assert_meters_match(meter: ChargeSensorMeter, reference: ReferenceMeter):
     assert_log_matches(meter.log, reference.log, meter.shape)
     expected_image = np.where(reference.measured, reference.values, np.nan)
     assert np.array_equal(meter.measured_image(), expected_image, equal_nan=True)
+    assert meter.n_probe_retries == reference.n_probe_retries
+    assert meter.n_fault_events == reference.n_fault_events
+    assert meter.n_probes_exhausted == reference.n_probes_exhausted
+    assert meter.fault_delay_s == reference.fault_delay_s
+    assert meter.breaker_open == reference.breaker_open
 
 
 def run_both(meter, reference, batches):
-    """Send each batch to both meters; budget errors must coincide.
+    """Send each batch to both meters; their errors must coincide.
 
-    Pixels are wrapped onto the meter's grid.
+    A budget error or an instrument fault is raised by both, with the same
+    type and message.  Pixels are wrapped onto the meter's grid.  Returns
+    each batch's outcome: its values, or the error's ``(type, message)``.
     """
     n_rows, n_cols = meter.shape
+    outcomes = []
     for batch in batches:
         rows = np.array([pixel[0] % n_rows for pixel in batch], dtype=np.int64)
         cols = np.array([pixel[1] % n_cols for pixel in batch], dtype=np.int64)
@@ -208,12 +299,14 @@ def run_both(meter, reference, batches):
         for measure in (meter.get_currents, reference.get_currents):
             try:
                 outcome.append(measure(rows, cols))
-            except ProbeBudgetExceededError:
-                outcome.append(None)
-        if outcome[0] is None or outcome[1] is None:
-            assert outcome[0] is None and outcome[1] is None
+            except (ProbeBudgetExceededError, InstrumentFault) as exc:
+                outcome.append((type(exc), str(exc)))
+        if isinstance(outcome[0], tuple) or isinstance(outcome[1], tuple):
+            assert outcome[0] == outcome[1]
         else:
             assert np.array_equal(outcome[0], outcome[1])
+        outcomes.append(outcome[0])
+    return outcomes
 
 
 # A small window makes repeats within and across batches common; the
@@ -224,6 +317,25 @@ pixels = st.one_of(
 )
 batches = st.lists(st.lists(pixels, max_size=14), min_size=1, max_size=6)
 budgets = st.one_of(st.none(), st.integers(0, 24))
+retry_policies = st.one_of(
+    st.none(),
+    st.just(ProbeRetryPolicy.no_retry()),
+    st.builds(
+        ProbeRetryPolicy,
+        max_attempts=st.integers(1, 5),
+        backoff_s=st.sampled_from([0.0, 0.02, 0.3]),
+        backoff_factor=st.sampled_from([1.0, 1.5, 2.0]),
+        timeout_s=st.one_of(st.none(), st.sampled_from([0.0, 0.5, 1.0, 1.2, 4.0])),
+        breaker_failures=st.integers(0, 6),
+    ),
+)
+# ``flaky_backend`` arguments: against the drawn timeouts, hangs of 0.4-3 s
+# stall within, exactly at and over the budget.
+flaky_faults = st.tuples(
+    st.sampled_from([0.1, 0.3, 0.6]),
+    st.sampled_from([0.1, 0.3]),
+    st.sampled_from([0.4, 1.0, 3.0]),
+)
 
 
 class TestAgainstReferenceMeter:
@@ -238,6 +350,63 @@ class TestAgainstReferenceMeter:
         reference = ReferenceMeter(make(), cache=cache, max_probes=max_probes)
         run_both(meter, reference, batches)
         assert_meters_match(meter, reference)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        faults=flaky_faults,
+        retry=retry_policies,
+        batches=batches,
+        cache=st.booleans(),
+        max_probes=budgets,
+    )
+    def test_flaky_request_sequences(self, faults, retry, batches, cache, max_probes):
+        meter = ChargeSensorMeter(
+            flaky_backend(*faults),
+            clock=VirtualClock(TIMING),
+            cache=cache,
+            max_probes=max_probes,
+            retry=retry,
+        )
+        reference = ReferenceMeter(
+            flaky_backend(*faults), cache=cache, max_probes=max_probes, retry=retry
+        )
+        run_both(meter, reference, batches)
+        assert_meters_match(meter, reference)
+
+    @pytest.mark.parametrize(
+        "faults, retry, error",
+        [
+            (
+                (0.3, 0.2, 1.0),
+                # Every stall lasts exactly the timeout, so it is waited out.
+                ProbeRetryPolicy(max_attempts=8, backoff_s=0.05, timeout_s=1.0),
+                None,
+            ),
+            (
+                (0.0, 0.3, 1.0),
+                ProbeRetryPolicy(max_attempts=3, timeout_s=0.5, breaker_failures=0),
+                ProbeTimeoutError,
+            ),
+            (
+                (0.6, 0.0, 1.0),
+                ProbeRetryPolicy(max_attempts=4, breaker_failures=3),
+                CircuitBreakerOpenError,
+            ),
+        ],
+        ids=["rides-out", "times-out", "breaker"],
+    )
+    def test_flaky_full_grid_scan(self, faults, retry, error):
+        meter = ChargeSensorMeter(flaky_backend(*faults), clock=VirtualClock(TIMING), retry=retry)
+        reference = ReferenceMeter(flaky_backend(*faults), retry=retry)
+        n_pixels = meter.backend.n_pixels
+        rows, cols = np.divmod(np.arange(n_pixels), meter.shape[1])
+        (outcome,) = run_both(meter, reference, [list(zip(rows, cols))])
+        assert_meters_match(meter, reference)
+        assert meter.n_probe_retries > 0
+        if error is None:
+            assert meter.n_probes == n_pixels
+        else:
+            assert outcome[0] is error
 
     @pytest.mark.parametrize("kind", sorted(BACKENDS))
     def test_full_grid_scan(self, kind):

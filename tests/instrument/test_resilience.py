@@ -1,4 +1,8 @@
-"""Tests for the probe retry policy and the meter's resilient probe loop."""
+"""Tests for the probe retry policy and the meter's one fault loop.
+
+`tests/instrument/test_reference_meter.py` checks the same loop against an
+independent per-probe reference; the tests here pin its named behaviours.
+"""
 
 from __future__ import annotations
 
@@ -210,26 +214,44 @@ class TestCircuitBreaker:
 class _FailsColumnZero(DatasetBackend):
     """A scripted fault-capable backend: every read in column 0 fails."""
 
-    def __init__(self) -> None:
+    def __init__(self, error_type=TransientReadError) -> None:
         axis = np.linspace(0.0, 1.0, 4)
         super().__init__(
             ChargeStabilityDiagram(data=np.ones((4, 4)), x_voltages=axis, y_voltages=axis)
         )
+        self.error_type = error_type
 
     def plan_batch(self, rows, cols, times_s) -> BatchPlan:
         values = self.currents(rows, cols)
         failing = np.flatnonzero(np.asarray(cols) == 0)
         if failing.size == 0:
             return BatchPlan(values=values)
-        error = TransientReadError("scripted read failure in column 0")
+        error = self.error_type("scripted read failure in column 0")
         return BatchPlan(
             values=values, disruption=ProbeDisruption(index=int(failing[0]), error=error)
         )
 
 
+class TestFailedBatchCommitsItsPrefix:
+    @pytest.mark.parametrize("error_type", [TransientReadError, RuntimeError])
+    def test_probes_before_the_failure_commit(self, error_type):
+        # Whatever the planned error's type, the probes the batch paid for
+        # before the probe that ran out of attempts are measured and logged.
+        meter = ChargeSensorMeter(
+            _FailsColumnZero(error_type),
+            retry=ProbeRetryPolicy(max_attempts=2, breaker_failures=0),
+        )
+        with pytest.raises(error_type, match="column 0"):
+            meter.get_currents([1, 2, 3, 3], [1, 2, 0, 1])
+        assert meter.n_probes == len(meter.log) == 2
+        assert meter.n_fault_events == 2
+        assert meter.n_probes_exhausted == 1
+
+
 class TestBreakerOnBothProbePaths:
-    """A clean batched read resets the breaker count and an open breaker
-    refuses batched reads, exactly as on the scalar path."""
+    """A clean read resets the breaker count and an open breaker refuses the
+    next read, whether it comes as ``get_current`` or as a one-pixel
+    ``get_currents`` batch."""
 
     PIXELS = ((0, 0), (0, 1), (1, 0), (2, 0), (2, 1))
     EXPECTED = (

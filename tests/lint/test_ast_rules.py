@@ -15,16 +15,7 @@ import pytest
 import repro
 from repro.lint.ast_rules import LAYERS
 from repro.lint.engine import run_lint
-from repro.lint.rules import (
-    EXIT_LAYER,
-    EXIT_NAN_RECORD,
-    EXIT_PRAGMA,
-    EXIT_RNG,
-    EXIT_SILENT_FALLBACK,
-    EXIT_STRICT_JSON,
-    EXIT_WALL_CLOCK,
-    rule_names,
-)
+from repro.lint.rules import rule_names
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -94,16 +85,18 @@ class TestTriggerCorpus:
         }
         assert any("worst_error" in snippet for snippet in lines.values())
 
-    def test_exit_code_is_the_or_of_regressed_bits(self, report):
-        assert report.exit_code == (
-            EXIT_RNG
-            | EXIT_WALL_CLOCK
-            | EXIT_SILENT_FALLBACK
-            | EXIT_STRICT_JSON
-            | EXIT_NAN_RECORD
-            | EXIT_PRAGMA  # fixtures/pragma_unknown.py
-            | EXIT_LAYER
-        )
+    def test_report_counts_every_rule_and_exits_one(self, report):
+        assert set(report.counts) == {
+            "rng-global-state",
+            "rng-unseeded",
+            "wall-clock",
+            "silent-fallback",
+            "strict-json",
+            "nan-record-field",
+            "pragma-hygiene",  # fixtures/pragma_unknown.py
+            "layer-order",
+        }
+        assert report.exit_code == 1
 
 
 class TestNoTriggerCorpus:
