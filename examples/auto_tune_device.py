@@ -2,13 +2,15 @@
 
 The paper's benchmarks start from charge-stability diagrams that were already
 cropped around the lowest charge states.  This example starts one step
-earlier: given only the safe plunger-gate ranges of a simulated double dot, it
+earlier: given only the safe plunger-gate ranges of a simulated double dot —
+described, with its noise, by one ``SessionFactory`` — it
 
 1. runs the coarse transition-window search (a 24x24 scan over the full range),
 2. opens a fine measurement window around the first charge transitions,
 3. runs the fast virtual gate extraction inside that window,
 
-and reports the combined probe/time budget of the whole bring-up.
+and reports the combined probe/time budget of the whole bring-up.  Both scans
+open through the same factory, so they measure the same lab.
 
 Run with::
 
@@ -17,7 +19,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro import DotArrayDevice, standard_lab_noise
+from repro import DotArrayDevice, SessionFactory, standard_lab_noise
 from repro.pipeline import AutoTuningWorkflow
 from repro.visualization import ascii_heatmap
 
@@ -26,8 +28,8 @@ def main() -> None:
     device = DotArrayDevice.double_dot(
         cross_coupling=(0.35, 0.30), voltage_range=(0.0, 0.06), name="uncharted-device"
     )
-    workflow = AutoTuningWorkflow(resolution=100, noise=standard_lab_noise(), seed=4)
-    outcome = workflow.run(device)
+    lab = SessionFactory(device, resolution=100, noise=standard_lab_noise())
+    outcome = AutoTuningWorkflow(lab, seed=4).run()
 
     search = outcome.window_search
     print("1. coarse window search")

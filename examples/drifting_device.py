@@ -25,9 +25,9 @@ def main() -> None:
     print(f"          {scenario.story}")
     print()
 
-    workflow = AutoTuningWorkflow.for_scenario(scenario, resolution=64, seed=11)
+    # The scenario's lab (device, noise, drift, timing) at a 64x64 fine grid.
+    workflow = AutoTuningWorkflow(scenario.session_factory(resolution=64), seed=11)
     outcome = workflow.run_with_retuning(
-        scenario.build_device(),
         idle_time_s=1800.0,          # half an hour between looks
         n_cycles=3,
         staleness_threshold_na=0.08,  # ~8x the white-noise floor

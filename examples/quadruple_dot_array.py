@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import ArrayVirtualGateExtractor, DotArrayDevice
+from repro import ArrayVirtualGateExtractor, DotArrayDevice, SessionFactory
 from repro.physics import ChannelPotential, standard_lab_noise
 
 
@@ -39,10 +39,8 @@ def main() -> None:
     device = DotArrayDevice.quadruple_dot(
         nearest_cross_fraction=0.28, next_nearest_cross_fraction=0.06
     )
-    extractor = ArrayVirtualGateExtractor(
-        resolution=100, noise=standard_lab_noise(), seed=2024
-    )
-    outcome = extractor.extract(device)
+    lab = SessionFactory(device, resolution=100, noise=standard_lab_noise())
+    outcome = ArrayVirtualGateExtractor(lab, seed=2024).extract()
 
     print(f"device: {device.name} with gates {', '.join(device.gate_names)}")
     print(f"pairwise extractions run: {outcome.n_pairs}")

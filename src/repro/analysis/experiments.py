@@ -17,7 +17,7 @@ from ..core.config import AnchorConfig, ExtractionConfig
 from ..core.extraction import METHOD_NAME
 from ..datasets.qflow import load_benchmark, load_suite
 from ..datasets.synthetic import NoiseRecipe, SyntheticCSDConfig
-from ..instrument.session import ExperimentSession
+from ..instrument.session import ExperimentSession, SessionFactory
 from ..physics.dot_array import DotArrayDevice
 from ..pipeline.array_extraction import ArrayVirtualGateExtractor
 from ..pipeline.registry import FastVirtualGateExtractor, get_pipeline
@@ -354,9 +354,10 @@ def run_array_scaling(
     """Sequential pairwise extraction cost for growing linear arrays (§2.3)."""
     rows = []
     for n_dots in dot_counts:
-        device = DotArrayDevice.linear_array(n_dots=n_dots)
-        extractor = ArrayVirtualGateExtractor(resolution=resolution, seed=42)
-        outcome = extractor.extract(device)
+        factory = SessionFactory(
+            DotArrayDevice.linear_array(n_dots=n_dots), resolution=resolution
+        )
+        outcome = ArrayVirtualGateExtractor(factory, seed=42).extract()
         rows.append(
             ArrayScalingRow(
                 n_dots=n_dots,

@@ -168,19 +168,6 @@ class CampaignResult:
             out = tuple(r for r in out if r.scenario == scenario)
         return out
 
-    def success_by_scenario(self) -> dict[str, tuple[int, int]]:
-        """``{scenario_label: (n_succeeded, n_jobs)}`` over the campaign.
-
-        Scenario-less jobs are grouped under ``"static"``.
-        """
-        grouped: dict[str, list[bool]] = {}
-        for record in self.records:
-            grouped.setdefault(record.scenario or "static", []).append(record.success)
-        return {
-            label: (sum(outcomes), len(outcomes))
-            for label, outcomes in grouped.items()
-        }
-
     def mean_probe_fraction(self) -> float:
         """Average probe fraction over the successful jobs."""
         fractions = [r.probe_fraction for r in self.records if r.success]

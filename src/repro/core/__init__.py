@@ -9,7 +9,7 @@ Each step of Section 4 is here with its config and result types:
 * :class:`TransitionLineFitter` — the two-piece-wise linear fit (§4.3.3);
 * :class:`VirtualizationMatrix` / :class:`ArrayVirtualization` — the output
   objects, including the affine transformation to virtual gate space (§2.3);
-* :class:`TransitionWindowFinder` — the coarse window search;
+* :class:`TransitionWindowFinder` — the coarse window search over a meter;
 * :class:`ExtractionConfig` — every tunable with its paper default.
 
 The procedures built from these steps — ``FastVirtualGateExtractor``, the

@@ -5,10 +5,11 @@ been cropped around the lowest charge states — on a real device someone has to
 *find* that window first.  This module automates the step with the same
 philosophy as the paper's extraction: spend as few probes as possible.
 
-:class:`TransitionWindowFinder` runs one coarse scan (default 24x24 = 576
-probes, independent of how fine the final window will be sampled) over the
-full safe gate range and analyses the positively tilted gradient feature of
-the coarse image:
+:class:`TransitionWindowFinder` is a core step over a meter, like
+:class:`~repro.core.anchors.AnchorFinder`: it measures the meter's whole grid
+once — a coarse scan (24x24 = 576 probes by default, independent of how fine
+the final window will be sampled) over the full safe gate range — and
+analyses the positively tilted gradient feature of the coarse image:
 
 1. only pixels whose feature exceeds a fraction of the *maximum* feature count
    as transition pixels (charge-transition steps are by far the sharpest
@@ -21,10 +22,11 @@ the coarse image:
    (columns) estimates the addition-voltage spacing, which sets the window
    size.
 
-The result feeds straight into
-:class:`~repro.instrument.session.ExperimentSession.from_device`, and the
-procedure that runs this search and then extracts inside the found window
-is :class:`~repro.pipeline.workflow.AutoTuningWorkflow`, one layer up.
+The found window stays inside the scanned range.  The coarse meter comes
+from :meth:`~repro.instrument.session.SessionFactory.make` with the coarse
+resolution, and the found window feeds the next ``make`` at the fine one;
+the procedure that does both is
+:class:`~repro.pipeline.workflow.AutoTuningWorkflow`, one layer up.
 """
 
 from __future__ import annotations
@@ -34,11 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import ExtractionError
-from ..instrument.measurement import ChargeSensorMeter, DeviceBackend
-from ..instrument.timing import TimingModel, VirtualClock
-from ..physics.dot_array import DotArrayDevice
-from ..physics.drift import DeviceDrift
-from ..physics.noise import NoiseModel
+from ..instrument.measurement import ChargeSensorMeter
 
 
 @dataclass(frozen=True)
@@ -48,9 +46,10 @@ class WindowSearchConfig:
     Attributes
     ----------
     coarse_resolution:
-        Pixels per axis of the coarse scan.  576 probes (24x24) cost ~29 s of
-        dwell time — a small fraction of even one fast extraction — and locate
-        the first-transition corner to about one coarse pixel.
+        Pixels per axis of the coarse scan, the resolution the workflow opens
+        the coarse session at.  576 probes (24x24) cost ~29 s of dwell time —
+        a small fraction of even one fast extraction — and locate the
+        first-transition corner to about one coarse pixel.
     relative_threshold:
         Fraction of the maximum gradient feature a pixel must exceed to count
         as a transition pixel.
@@ -152,68 +151,33 @@ def _first_and_second_crossings(mask_line: np.ndarray) -> tuple[int | None, int 
 
 
 class TransitionWindowFinder:
-    """Locate a CSD window containing the lowest charge transitions."""
+    """Locate a CSD window containing the lowest charge transitions.
+
+    ``meter`` measures the coarse grid; its first and last voltages on each
+    axis bound the search and the window it returns.  A grid without
+    positive extent on either axis is refused before any probe.
+    """
 
     def __init__(
-        self,
-        device: DotArrayDevice,
-        gate_x: int | str = "P1",
-        gate_y: int | str = "P2",
-        x_range: tuple[float, float] | None = None,
-        y_range: tuple[float, float] | None = None,
-        fixed_voltages: np.ndarray | list | None = None,
-        noise: NoiseModel | None = None,
-        seed: int | np.random.SeedSequence | None = None,
-        timing: TimingModel | None = None,
-        config: WindowSearchConfig | None = None,
-        drift: DeviceDrift | None = None,
-        time_dependent_noise: bool = False,
+        self, meter: ChargeSensorMeter, config: WindowSearchConfig | None = None
     ) -> None:
-        self._device = device
-        self._gate_x = device.gate_index(gate_x)
-        self._gate_y = device.gate_index(gate_y)
-        spec_x = device.gate_specs[self._gate_x]
-        spec_y = device.gate_specs[self._gate_y]
-        self._x_range = x_range or (spec_x.min_voltage, spec_x.max_voltage)
-        self._y_range = y_range or (spec_y.min_voltage, spec_y.max_voltage)
-        if self._x_range[1] <= self._x_range[0] or self._y_range[1] <= self._y_range[0]:
+        xs = meter.x_voltages
+        ys = meter.y_voltages
+        if xs[-1] <= xs[0] or ys[-1] <= ys[0]:
             raise ExtractionError("search ranges must have positive extent")
-        self._fixed = fixed_voltages
-        self._noise = noise
-        self._seed = seed
-        self._timing = timing or TimingModel.paper_default()
+        self._meter = meter
+        self._x_range = (float(xs[0]), float(xs[-1]))
+        self._y_range = (float(ys[0]), float(ys[-1]))
         self._config = config or WindowSearchConfig()
-        self._drift = drift
-        self._time_dependent_noise = bool(time_dependent_noise)
 
     @property
     def config(self) -> WindowSearchConfig:
         """The search configuration."""
         return self._config
 
-    # ------------------------------------------------------------------
-    def _coarse_meter(self) -> ChargeSensorMeter:
-        n = self._config.coarse_resolution
-        xs = np.linspace(self._x_range[0], self._x_range[1], n)
-        ys = np.linspace(self._y_range[0], self._y_range[1], n)
-        backend = DeviceBackend(
-            self._device,
-            x_voltages=xs,
-            y_voltages=ys,
-            gate_x=self._gate_x,
-            gate_y=self._gate_y,
-            fixed_voltages=self._fixed,
-            noise=self._noise,
-            seed=self._seed,
-            drift=self._drift,
-            time_dependent_noise=self._time_dependent_noise,
-            probe_interval_s=self._timing.cost_per_probe_s,
-        )
-        return ChargeSensorMeter(backend, clock=VirtualClock(self._timing))
-
     def find(self) -> WindowSearchResult:
         """Run the coarse scan and return the transition window."""
-        meter = self._coarse_meter()
+        meter = self._meter
         image = meter.acquire_full_grid()
         gradient = tilted_gradient_image(image)
         xs = meter.x_voltages

@@ -37,10 +37,6 @@ class MeasurementError(ReproError):
     """A simulated measurement could not be performed."""
 
 
-class VoltageRangeError(MeasurementError):
-    """A requested gate voltage lies outside the instrument's limits."""
-
-
 class ProbeBudgetExceededError(MeasurementError):
     """The experiment session exceeded its configured probe budget."""
 
@@ -52,7 +48,7 @@ class InstrumentFault(MeasurementError):
     of the resilience machinery that tolerates it: exhausted retries, probe
     timeouts, and a tripped circuit breaker all raise a subclass, so callers
     can distinguish "the lab is misbehaving" from "the request was invalid"
-    (:class:`VoltageRangeError`) or "the budget ran out"
+    (a plain :class:`MeasurementError`) or "the budget ran out"
     (:class:`ProbeBudgetExceededError`).
     """
 

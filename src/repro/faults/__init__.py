@@ -19,15 +19,19 @@ supplies the misbehaviour — reproducibly:
 
 Typical use::
 
-    from repro.faults import models_for
-    from repro.instrument import ExperimentSession, ProbeRetryPolicy
+    from repro.instrument import ProbeRetryPolicy, SessionFactory
 
-    session = ExperimentSession.from_device(
+    factory = SessionFactory(
         device,
-        seed=7,
         faults="flaky-lab",
         probe_retry=ProbeRetryPolicy(max_attempts=4, backoff_s=0.1),
     )
+    session = factory.make(seed=7)
+
+Every session the factory opens carries the faults and the retry policy,
+so every procedure that measures through it —
+``AutoTuningWorkflow(factory)``'s coarse scan and extraction included —
+runs on the same misbehaving lab.
 """
 
 from .backend import BatchPlan, FaultyBackend, ProbeDisruption, probe_fault_models

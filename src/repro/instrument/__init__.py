@@ -1,4 +1,4 @@
-"""Instrument simulation: DACs, dwell-time accounting, and the probe log.
+"""Instrument simulation: sessions, dwell-time accounting, and the probe log.
 
 This subpackage reproduces the *cost model* of the real experiment: every
 probed voltage point takes a dwell time (50 ms in the paper), so runtime is
@@ -17,7 +17,6 @@ from .measurement import (
 from .resilience import ProbeRetryPolicy
 from .session import ExperimentSession, SessionFactory, SessionSummary
 from .timing import TimingModel, VirtualClock
-from .voltage_source import ChannelSpec, VoltageSource
 
 __all__ = [
     "ChargeSensorMeter",
@@ -33,6 +32,4 @@ __all__ = [
     "SessionSummary",
     "TimingModel",
     "VirtualClock",
-    "ChannelSpec",
-    "VoltageSource",
 ]

@@ -1,14 +1,18 @@
 """Experiment session: one tuning run against one device or dataset.
 
 An :class:`ExperimentSession` bundles the pieces an extraction algorithm needs
-— a measurement meter, a virtual clock, and (optionally) the ground truth of
-the underlying synthetic device — plus convenience constructors for the two
-ways the evaluation drives the library:
+— a measurement meter with its virtual clock, and (optionally) the ground
+truth of the underlying synthetic device.  Sessions come from two places:
 
 * :meth:`ExperimentSession.from_csd` replays a recorded diagram, exactly like
   the paper replays the qflow benchmarks;
-* :meth:`ExperimentSession.from_device` measures a simulated device on demand
-  over a chosen voltage window and resolution.
+* :meth:`SessionFactory.make` measures a simulated device on demand.  A
+  :class:`SessionFactory` is the one description of a simulated lab (device,
+  resolution, noise, timing, drift, faults); every procedure that measures a
+  simulated device — an extraction, an array run, the auto-tuning
+  workflow's coarse scan and fine window, a campaign job — opens its grid
+  through ``make``, the only place a
+  :class:`~repro.instrument.measurement.DeviceBackend` is built.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from .measurement import (
 )
 from .resilience import ProbeRetryPolicy
 from .timing import TimingModel, VirtualClock
-from .voltage_source import VoltageSource
 
 
 @dataclass(frozen=True)
@@ -61,12 +64,10 @@ class ExperimentSession:
         self,
         meter: ChargeSensorMeter,
         geometry: TransitionLineGeometry | None = None,
-        voltage_source: VoltageSource | None = None,
         label: str = "session",
     ) -> None:
         self._meter = meter
         self._geometry = geometry
-        self._voltage_source = voltage_source
         self._label = label
 
     # ------------------------------------------------------------------
@@ -79,11 +80,6 @@ class ExperimentSession:
     def geometry(self) -> TransitionLineGeometry | None:
         """Ground-truth line geometry when the source is synthetic."""
         return self._geometry
-
-    @property
-    def voltage_source(self) -> VoltageSource | None:
-        """The simulated DAC rack, when one was configured."""
-        return self._voltage_source
 
     @property
     def label(self) -> str:
@@ -125,119 +121,26 @@ class ExperimentSession:
         meter = ChargeSensorMeter(
             DatasetBackend(csd), clock=clock, cache=cache, max_probes=max_probes
         )
-        source = VoltageSource.for_gates((csd.gate_x, csd.gate_y))
         return cls(
             meter=meter,
             geometry=csd.geometry,
-            voltage_source=source,
             label=label or csd.metadata.get("name", "csd-session"),
-        )
-
-    @classmethod
-    def from_device(
-        cls,
-        device: DotArrayDevice,
-        resolution: int | tuple[int, int] = 100,
-        window: tuple[tuple[float, float], tuple[float, float]] | None = None,
-        gate_x: int | str = "P1",
-        gate_y: int | str = "P2",
-        dot_a: int = 0,
-        dot_b: int = 1,
-        noise: NoiseModel | None = None,
-        seed: int | np.random.SeedSequence | None = None,
-        timing: TimingModel | None = None,
-        cache: bool = True,
-        max_probes: int | None = None,
-        drift: DeviceDrift | None = None,
-        time_dependent_noise: bool = False,
-        faults=None,
-        probe_retry: ProbeRetryPolicy | None = None,
-        label: str | None = None,
-    ) -> "ExperimentSession":
-        """Measure a simulated device on demand over a voltage grid.
-
-        The backend serves its time-independent physics from the
-        process-wide :mod:`repro.kernelcache` — bit-identical values, shared
-        across sessions with the same device/window/resolution fingerprint.
-        A session without drift caches its noise-free currents,
-        time-dependent noise or not; under drift that moves only the sensor
-        it caches the base sensor detuning; lever-arm drift bypasses the
-        cache.  ``configure_kernel_cache(enabled=False)`` turns the cache
-        off for every session in the process.
-
-        ``drift`` and ``time_dependent_noise`` make the backend evolve with
-        the session's simulated clock (see
-        :class:`~repro.instrument.measurement.DeviceBackend`); the timing
-        model's per-probe cost doubles as the pixel-to-seconds conversion for
-        the time-dependent noise mechanisms.
-
-        ``faults`` injects deterministic lab misbehaviour: a registered
-        fault-condition name, a :class:`~repro.faults.FaultModel`, or an
-        iterable of either (see :func:`repro.faults.models_for`).  Probe-scope
-        models wrap the backend in a
-        :class:`~repro.faults.FaultyBackend` sharing the session seed
-        (reserved key branch — adding faults never reshuffles the device's
-        own noise/drift streams); worker-scope models are ignored here, the
-        campaign layer applies them.  ``probe_retry`` sets how the meter
-        rides out those faults.
-        """
-        simulator = CSDSimulator(
-            device, dot_a=dot_a, dot_b=dot_b, gate_x=gate_x, gate_y=gate_y
-        )
-        if window is None:
-            window = simulator.default_window()
-        if isinstance(resolution, int):
-            n_rows = n_cols = int(resolution)
-        else:
-            n_rows, n_cols = int(resolution[0]), int(resolution[1])
-        (x_min, x_max), (y_min, y_max) = window
-        xs = np.linspace(x_min, x_max, n_cols)
-        ys = np.linspace(y_min, y_max, n_rows)
-        timing = timing or TimingModel.paper_default()
-        backend: MeasurementBackend | FaultyBackend = DeviceBackend(
-            device,
-            x_voltages=xs,
-            y_voltages=ys,
-            gate_x=gate_x,
-            gate_y=gate_y,
-            noise=noise,
-            seed=seed,
-            drift=drift,
-            time_dependent_noise=time_dependent_noise,
-            probe_interval_s=timing.cost_per_probe_s,
-        )
-        if faults is not None:
-            probe_models = probe_fault_models(models_for(faults))
-            if probe_models:
-                backend = FaultyBackend(backend, probe_models, seed=seed)
-        clock = VirtualClock(timing)
-        meter = ChargeSensorMeter(
-            backend,
-            clock=clock,
-            cache=cache,
-            max_probes=max_probes,
-            retry=probe_retry,
-        )
-        source = VoltageSource.for_gates(device.gate_names)
-        return cls(
-            meter=meter,
-            geometry=simulator.geometry(),
-            voltage_source=source,
-            label=label or f"{device.name}-session",
         )
 
 
 @dataclass(frozen=True)
 class SessionFactory:
-    """Reusable recipe for opening device sessions with shared settings.
+    """The one description of a simulated measurement: a lab, minus the grid.
 
-    The array extractor opens one session per neighbouring gate pair and a
-    tuning campaign opens one per job; both vary only the gate pair, the
-    window, and the seed while the device, resolution, noise model, and
-    timing stay fixed.  A factory captures that fixed part once, so every
-    consumer builds sessions through the same code path (and the same
-    defaults) instead of repeating the :meth:`ExperimentSession.from_device`
-    argument list.
+    A factory captures what stays fixed while a procedure opens its grids —
+    the device, the resolution, the noise model, the timing, the drift, the
+    time-dependence, the faults and how the meter rides them out — and
+    :meth:`make` opens one session per gate pair, window and seed.  The
+    array extractor opens one per neighbouring pair, a campaign one per job,
+    the auto-tuning workflow its coarse scan (through a copy with the coarse
+    resolution, ``dataclasses.replace(factory, resolution=24)``) and its
+    fine window; :meth:`repro.scenarios.LabScenario.session_factory` builds
+    one from a named scenario.
 
     Frozen and picklable, so a factory can be shipped to worker processes.
     """
@@ -267,23 +170,74 @@ class SessionFactory:
         seed: int | np.random.SeedSequence | None = None,
         label: str | None = None,
     ) -> ExperimentSession:
-        """Open a session for one gate pair of the captured device."""
-        return ExperimentSession.from_device(
-            self.device,
-            resolution=self.resolution,
-            window=window,
+        """Open a session for one gate pair of the captured device.
+
+        ``window`` is ``((x_min, x_max), (y_min, y_max))`` in volts, sampled
+        at the factory's resolution (an int for a square grid, or
+        ``(n_rows, n_cols)``); ``None`` is the simulator's default window
+        around the pair's first transitions.
+
+        The backend serves its time-independent physics from the
+        process-wide :mod:`repro.kernelcache` — bit-identical values, shared
+        across sessions with the same device/window/resolution fingerprint.
+        A session without drift caches its noise-free currents,
+        time-dependent noise or not; under drift that moves only the sensor
+        it caches the base sensor detuning; lever-arm drift bypasses the
+        cache.  ``configure_kernel_cache(enabled=False)`` turns the cache
+        off for every session in the process.
+
+        ``drift`` and ``time_dependent_noise`` make the backend evolve with
+        the session's simulated clock (see
+        :class:`~repro.instrument.measurement.DeviceBackend`); the timing
+        model's per-probe cost doubles as the pixel-to-seconds conversion for
+        the time-dependent noise mechanisms.
+
+        ``faults`` injects deterministic lab misbehaviour: a registered
+        fault-condition name, a :class:`~repro.faults.FaultModel`, or an
+        iterable of either (see :func:`repro.faults.models_for`).  Probe-scope
+        models wrap the backend in a :class:`~repro.faults.FaultyBackend`
+        sharing the session seed (reserved key branch — adding faults never
+        reshuffles the device's own noise/drift streams); worker-scope models
+        are ignored here, the campaign layer applies them.  ``probe_retry``
+        sets how the meter rides out those faults.
+        """
+        device = self.device
+        simulator = CSDSimulator(
+            device, dot_a=dot_a, dot_b=dot_b, gate_x=gate_x, gate_y=gate_y
+        )
+        if window is None:
+            window = simulator.default_window()
+        if isinstance(self.resolution, int):
+            n_rows = n_cols = int(self.resolution)
+        else:
+            n_rows, n_cols = int(self.resolution[0]), int(self.resolution[1])
+        (x_min, x_max), (y_min, y_max) = window
+        timing = self.timing or TimingModel.paper_default()
+        backend: MeasurementBackend | FaultyBackend = DeviceBackend(
+            device,
+            x_voltages=np.linspace(x_min, x_max, n_cols),
+            y_voltages=np.linspace(y_min, y_max, n_rows),
             gate_x=gate_x,
             gate_y=gate_y,
-            dot_a=dot_a,
-            dot_b=dot_b,
             noise=self.noise,
             seed=seed,
-            timing=self.timing,
-            cache=self.cache,
-            max_probes=self.max_probes,
             drift=self.drift,
             time_dependent_noise=self.time_dependent_noise,
-            faults=self.faults,
-            probe_retry=self.probe_retry,
-            label=label or f"{self.device.name}:{gate_x}-{gate_y}",
+            probe_interval_s=timing.cost_per_probe_s,
+        )
+        if self.faults is not None:
+            probe_models = probe_fault_models(models_for(self.faults))
+            if probe_models:
+                backend = FaultyBackend(backend, probe_models, seed=seed)
+        meter = ChargeSensorMeter(
+            backend,
+            clock=VirtualClock(timing),
+            cache=self.cache,
+            max_probes=self.max_probes,
+            retry=self.probe_retry,
+        )
+        return ExperimentSession(
+            meter=meter,
+            geometry=simulator.geometry(),
+            label=label or f"{device.name}:{gate_x}-{gate_y}",
         )

@@ -2,9 +2,8 @@
 
 A quantum dot array at zero bias relaxes to the integer occupation vector that
 minimises the constant-interaction electrostatic energy.  This module finds
-that ground state — either by brute-force enumeration over a bounded occupation
-lattice (robust, used for small arrays and for tests) or by a local descent
-from an initial guess (fast, used when sweeping dense voltage grids).
+that ground state by enumeration over a bounded occupation lattice, batched
+over voltage points and pruned with a certificate when sweeping dense grids.
 
 The public surface is the :class:`ChargeStateSolver`, plus a couple of small
 helpers for naming charge states the way the paper does, e.g. ``(0, 1)``.
@@ -440,56 +439,6 @@ class ChargeStateSolver:
                     )
                 )
         return states
-
-    # ------------------------------------------------------------------
-    # Local descent (fast path for dense sweeps)
-    # ------------------------------------------------------------------
-    def ground_state_local(
-        self,
-        gate_voltages: np.ndarray | list,
-        initial_guess: tuple[int, ...] | None = None,
-        max_iterations: int = 64,
-    ) -> ChargeState:
-        """Ground state by greedy single-electron moves from an initial guess.
-
-        The constant-interaction energy is convex in the (relaxed) occupation
-        vector, so descending one electron at a time from a nearby guess finds
-        the same minimum as enumeration while probing only a handful of
-        configurations.  Used when rasterising large CSDs where neighbouring
-        pixels have nearly identical ground states.
-        """
-        vg = np.asarray(gate_voltages, dtype=float)
-        n_dots = self._model.n_dots
-        if initial_guess is None:
-            current = np.zeros(n_dots, dtype=int)
-        else:
-            current = np.asarray(initial_guess, dtype=int).copy()
-            if current.shape != (n_dots,):
-                raise ChargeStateError(
-                    f"initial_guess must have shape ({n_dots},), got {current.shape}"
-                )
-            current = np.clip(current, 0, self._max_n)
-        current_energy = self._model.electrostatic_energy(current, vg)
-        for _ in range(max_iterations):
-            best_move = None
-            best_energy = current_energy
-            for dot in range(n_dots):
-                for delta in (-1, +1):
-                    candidate = current.copy()
-                    candidate[dot] += delta
-                    if candidate[dot] < 0 or candidate[dot] > self._max_n:
-                        continue
-                    energy = self._model.electrostatic_energy(candidate, vg)
-                    if energy < best_energy - 1e-12:
-                        best_energy = energy
-                        best_move = candidate
-            if best_move is None:
-                break
-            current = best_move
-            current_energy = best_energy
-        return ChargeState(
-            occupations=tuple(int(v) for v in current), energy_mev=float(current_energy)
-        )
 
     # ------------------------------------------------------------------
     # Grid evaluation

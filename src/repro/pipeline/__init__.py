@@ -17,6 +17,9 @@ objects all the way into campaign records and report tables.
 * :class:`AutoTuningWorkflow` — window search, then extraction, with an
   optional drift-aware retuning mode.
 
+The last two take a :class:`~repro.instrument.session.SessionFactory`, the
+simulated lab, and open every grid they measure through its ``make``.
+
 Quick tour::
 
     from repro.pipeline import get_pipeline, pipeline_names

@@ -3,10 +3,11 @@
 The paper (§2.3) notes that virtual gates for an ``n``-dot array are obtained
 by applying the pairwise extraction to every pair of neighbouring plunger
 gates — ``n - 1`` extractions.  :class:`ArrayVirtualGateExtractor` automates
-exactly that against a simulated :class:`~repro.physics.dot_array.DotArrayDevice`:
-for each neighbouring pair it opens a measurement session over a window
-centred on that pair's first charge transitions (with all other plungers held
-at fixed voltages), runs the fast extractor, and accumulates the pairwise
+exactly that against the simulated device of a
+:class:`~repro.instrument.session.SessionFactory`: for each neighbouring pair
+it opens a measurement session (``factory.make``) over a window centred on
+that pair's first charge transitions (with all other plungers held at fixed
+voltages), runs the fast extractor, and accumulates the pairwise
 coefficients into a full :class:`~repro.core.virtualization.ArrayVirtualization`.
 
 The pairs run one after another, as the paper describes the procedure.
@@ -29,9 +30,6 @@ from ..core.result import ExtractionResult
 from ..core.virtualization import ArrayVirtualization
 from ..exceptions import ExtractionError
 from ..instrument.session import SessionFactory
-from ..instrument.timing import TimingModel
-from ..physics.dot_array import DotArrayDevice
-from ..physics.noise import NoiseModel
 from ..seeding import spawn_seeds
 from .registry import FastVirtualGateExtractor
 
@@ -82,27 +80,30 @@ class ArrayExtractionResult:
 
 
 class ArrayVirtualGateExtractor:
-    """Run the fast pairwise extraction on every neighbouring plunger pair, in order."""
+    """Run the fast pairwise extraction on every neighbouring plunger pair, in order.
+
+    ``factory`` is the simulated lab: the n-dot device, the resolution of
+    every pair's window, and the noise, timing, drift and faults each pair
+    is measured under.
+    """
 
     def __init__(
         self,
+        factory: SessionFactory,
         config: ExtractionConfig | None = None,
-        resolution: int = 100,
-        noise: NoiseModel | None = None,
-        timing: TimingModel | None = None,
         seed: int | np.random.SeedSequence | None = None,
     ) -> None:
-        if resolution < 16:
+        if min(np.ravel(factory.resolution)) < 16:
             raise ExtractionError("array extraction needs a resolution of at least 16")
+        self._factory = factory
         self._config = config or ExtractionConfig.paper_defaults()
-        self._resolution = int(resolution)
-        self._noise = noise
-        self._timing = timing or TimingModel.paper_default()
         self._seed = seed
 
     # ------------------------------------------------------------------
-    def extract(self, device: DotArrayDevice) -> ArrayExtractionResult:
-        """Extract the full virtualization matrix of an n-dot device."""
+    def extract(self) -> ArrayExtractionResult:
+        """Extract the full virtualization matrix of the factory's device."""
+        factory = self._factory
+        device = factory.device
         if device.n_dots < 2:
             raise ExtractionError("array extraction requires at least two dots")
         if device.n_gates < device.n_dots:
@@ -113,12 +114,6 @@ class ArrayVirtualGateExtractor:
         # pair's noise stream is independent of its neighbours and of runs
         # rooted at adjacent seeds.
         seeds = spawn_seeds(self._seed, len(pairs))
-        factory = SessionFactory(
-            device=device,
-            resolution=self._resolution,
-            noise=self._noise,
-            timing=self._timing,
-        )
         extractor = FastVirtualGateExtractor(self._config)
         virtualization = ArrayVirtualization(gate_names)
         records: list[PairExtractionRecord] = []
@@ -131,7 +126,6 @@ class ArrayVirtualGateExtractor:
                 dot_a=dot_a,
                 dot_b=dot_b,
                 seed=seed,
-                label=f"{device.name}:{gate_x}-{gate_y}",
             )
             result = extractor.extract(session)
             true_alpha_12, true_alpha_21 = device.ground_truth_alphas(
@@ -159,7 +153,7 @@ class ArrayVirtualGateExtractor:
             total_elapsed_s=total_elapsed,
             metadata={
                 "device": device.name,
-                "resolution": self._resolution,
+                "resolution": factory.resolution,
                 "n_dots": device.n_dots,
             },
         )

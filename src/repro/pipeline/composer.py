@@ -206,11 +206,9 @@ class TuningPipeline:
         gate_x, gate_y = gate_names_for(target)
         ctx = TuneContext(
             meter=meter,
-            session=target if isinstance(target, ExperimentSession) else None,
             config=config if config is not None else self.default_config(),
             gate_x=gate_x,
             gate_y=gate_y,
-            clock=meter.clock,
         )
         result, _ = self.execute(ctx)
         return result

@@ -7,7 +7,7 @@ per-stage cost accounting stop requiring copy-paste:
 * a :class:`Stage` is one step — it reads and writes the shared
   :class:`TuneContext` and reports a :class:`StageOutcome`;
 * a :class:`TuneContext` carries everything stages exchange: the measurement
-  meter/session, the configuration, and the accumulated artifacts (anchors,
+  meter, the configuration, and the accumulated artifacts (anchors,
   transition points, fit, matrix);
 * the composer (:mod:`repro.pipeline.composer`) wraps every stage with
   meter snapshot/diff accounting, producing one
@@ -35,8 +35,6 @@ from ..core.virtualization import VirtualizationMatrix
 from ..core.window_search import WindowSearchResult
 from ..exceptions import ConfigurationError
 from ..instrument.measurement import ChargeSensorMeter
-from ..instrument.session import ExperimentSession
-from ..instrument.timing import VirtualClock
 
 __all__ = ["Stage", "StageOutcome", "TuneContext"]
 
@@ -111,14 +109,12 @@ class TuneContext:
     """
 
     meter: ChargeSensorMeter | None = None
-    session: ExperimentSession | None = None
     config: Any = None
     # Resolved from the meter's backend by the composer when left unset;
     # an unset pair is *not* defaulted to ("P1", "P2") — that would silently
     # mislabel matrices from custom backends (see gate_names_for).
     gate_x: str | None = None
     gate_y: str | None = None
-    clock: VirtualClock | None = None
     # Accumulated artifacts ------------------------------------------------
     window: WindowSearchResult | None = None
     anchors: AnchorSearchResult | None = None

@@ -9,6 +9,13 @@ stage bodies are the *same code paths* the monolithic extractors ran: a
 seeded run through ``fast-extraction`` probes the device in exactly the
 same order, and produces bit-identical results, as the pre-pipeline
 ``FastVirtualGateExtractor.extract``.
+
+The workflow's setup stages measure nothing of their own making: the
+window search and the staleness check take a meter, and the open-session
+stage takes a :class:`~repro.instrument.session.SessionFactory`, so every
+grid they probe was opened by :meth:`SessionFactory.make
+<repro.instrument.session.SessionFactory.make>` under the factory's noise,
+drift, timing and faults.
 """
 
 from __future__ import annotations
@@ -28,8 +35,7 @@ from ..core.virtualization import VirtualizationMatrix
 from ..core.window_search import TransitionWindowFinder, WindowSearchConfig
 from ..exceptions import ConfigurationError, ExtractionError
 from ..instrument.measurement import ChargeSensorMeter
-from ..instrument.session import ExperimentSession
-from ..instrument.timing import TimingModel
+from ..instrument.session import SessionFactory
 from ..reprs import ContentRepr
 from .context import StageOutcome, TuneContext
 
@@ -286,42 +292,18 @@ class ValidateStage(ContentRepr):
 
 
 class WindowSearchStage(ContentRepr):
-    """Coarse transition-window search over the full safe gate range.
+    """Coarse transition-window search over the meter's whole grid.
 
-    Probes through a private coarse meter (the window search owns its own
-    grid), so the stage reports its cost explicitly instead of relying on
-    the composer's ``ctx.meter`` snapshot.  Sets ``ctx.window``.
+    Probes through the coarse meter it was given, not ``ctx.meter``, so it
+    reports its cost explicitly.  Sets ``ctx.window``.
     """
 
     name = "window-search"
 
     def __init__(
-        self,
-        device,
-        gate_x: int | str = "P1",
-        gate_y: int | str = "P2",
-        x_range: tuple[float, float] | None = None,
-        y_range: tuple[float, float] | None = None,
-        noise=None,
-        seed=None,
-        timing: TimingModel | None = None,
-        config: WindowSearchConfig | None = None,
-        drift=None,
-        time_dependent_noise: bool = False,
+        self, meter: ChargeSensorMeter, config: WindowSearchConfig | None = None
     ) -> None:
-        self._finder = TransitionWindowFinder(
-            device,
-            gate_x=gate_x,
-            gate_y=gate_y,
-            x_range=x_range,
-            y_range=y_range,
-            noise=noise,
-            seed=seed,
-            timing=timing,
-            config=config,
-            drift=drift,
-            time_dependent_noise=time_dependent_noise,
-        )
+        self._finder = TransitionWindowFinder(meter, config)
 
     def run(self, ctx: TuneContext) -> StageOutcome:
         result = self._finder.find()
@@ -338,38 +320,28 @@ class OpenSessionStage(ContentRepr):
     """Open the fine measurement session inside the found window.
 
     Cost-free (the session is opened, nothing is probed); installs the
-    session, its meter, and its clock into the context so the extraction
-    stages that follow probe the right grid.
+    session's meter into the context so the extraction stages that follow
+    probe the right grid.
     """
 
     name = "open-session"
 
     def __init__(
         self,
-        device,
-        resolution: int,
-        gate_x: int | str = "P1",
-        gate_y: int | str = "P2",
-        dot_a: int = 0,
-        dot_b: int = 1,
-        noise=None,
-        seed=None,
-        timing: TimingModel | None = None,
-        drift=None,
-        time_dependent_noise: bool = False,
-        label: str | None = None,
+        factory: SessionFactory,
+        gate_x: int | str,
+        gate_y: int | str,
+        dot_a: int,
+        dot_b: int,
+        seed: int | np.random.SeedSequence | None,
+        label: str,
     ) -> None:
-        self._device = device
-        self._resolution = resolution
+        self._factory = factory
         self._gate_x = gate_x
         self._gate_y = gate_y
         self._dot_a = dot_a
         self._dot_b = dot_b
-        self._noise = noise
         self._seed = seed
-        self._timing = timing
-        self._drift = drift
-        self._time_dependent_noise = time_dependent_noise
         self._label = label
 
     def run(self, ctx: TuneContext) -> StageOutcome:
@@ -378,24 +350,16 @@ class OpenSessionStage(ContentRepr):
                 "open-session stage needs a transition window; compose a "
                 "window-search stage first (or set ctx.window directly)"
             )
-        session = ExperimentSession.from_device(
-            self._device,
-            resolution=self._resolution,
-            window=ctx.window.window,
+        session = self._factory.make(
             gate_x=self._gate_x,
             gate_y=self._gate_y,
             dot_a=self._dot_a,
             dot_b=self._dot_b,
-            noise=self._noise,
+            window=ctx.window.window,
             seed=self._seed,
-            timing=self._timing,
-            drift=self._drift,
-            time_dependent_noise=self._time_dependent_noise,
-            label=self._label or f"{self._device.name}:autotune",
+            label=self._label,
         )
-        ctx.session = session
         ctx.meter = session.meter
-        ctx.clock = session.meter.clock
         if ctx.gate_x is None or ctx.gate_y is None:
             ctx.gate_x, ctx.gate_y = gate_names_for(session.meter)
         return StageOutcome()
@@ -419,9 +383,9 @@ class StalenessCheck:
 class StalenessCheckStage(ContentRepr):
     """Re-probe reference pixels at the device's current age (retuning mode).
 
-    Probes through a fresh cache-off meter on the shared timeline clock —
-    the whole point is paying for fresh values — and reports the outcome as
-    a :class:`StalenessCheck` in
+    Probes through a fresh cache-off meter on ``meter``'s backend, clock and
+    retry policy — the whole point is paying for fresh values on the shared
+    timeline — and reports the outcome as a :class:`StalenessCheck` in
     ``ctx.extras["staleness_check"]``.  Costs are reported explicitly
     because the probe goes through the stage's private meter.
     """
@@ -430,27 +394,28 @@ class StalenessCheckStage(ContentRepr):
 
     def __init__(
         self,
-        backend,
-        clock,
+        meter: ChargeSensorMeter,
         rows: np.ndarray,
         cols: np.ndarray,
         reference: np.ndarray,
         threshold_na: float,
     ) -> None:
-        self._backend = backend
-        self._clock = clock
+        self._meter = meter
         self._rows = rows
         self._cols = cols
         self._reference = reference
         self._threshold_na = threshold_na
 
     def run(self, ctx: TuneContext) -> StageOutcome:
-        started_s = self._clock.elapsed_s
-        check_meter = ChargeSensorMeter(self._backend, clock=self._clock, cache=False)
+        clock = self._meter.clock
+        started_s = clock.elapsed_s
+        check_meter = ChargeSensorMeter(
+            self._meter.backend, clock=clock, cache=False, retry=self._meter.retry
+        )
         fresh = check_meter.get_currents(self._rows, self._cols)
         deviation = float(np.max(np.abs(fresh - self._reference)))
         check = StalenessCheck(
-            checked_at_s=self._clock.elapsed_s,
+            checked_at_s=clock.elapsed_s,
             max_deviation_na=deviation,
             threshold_na=self._threshold_na,
             n_check_pixels=int(self._rows.size),
@@ -461,5 +426,5 @@ class StalenessCheckStage(ContentRepr):
             n_probes=check_meter.n_probes,
             n_requests=check_meter.n_requests,
             cache_hits=0,
-            sim_elapsed_s=self._clock.elapsed_s - started_s,
+            sim_elapsed_s=clock.elapsed_s - started_s,
         )

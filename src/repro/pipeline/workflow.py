@@ -1,16 +1,22 @@
 """End-to-end auto-tuning workflow: window search + fast extraction (+ retuning).
 
 Ties together the two probe-efficient stages a real bring-up needs for each
-plunger-gate pair:
+plunger-gate pair of one simulated lab, described by a
+:class:`~repro.instrument.session.SessionFactory`:
 
 1. :class:`~repro.core.window_search.TransitionWindowFinder` locates the
    voltage window containing the lowest charge transitions with a coarse scan
-   (a few hundred probes over the full safe gate range);
+   (a few hundred probes over the full safe gate range), on a session the
+   factory opens at the coarse resolution;
 2. the registered extraction pipeline (``fast-extraction`` by default; any
    :mod:`repro.pipeline` composition by name) extracts the virtualization
-   matrix inside that window at the requested resolution.
+   matrix inside that window, on a session the factory opens at its own
+   resolution.
 
-The workflow is a stage composition: the coarse search runs as a
+Both grids open through :meth:`SessionFactory.make
+<repro.instrument.session.SessionFactory.make>`, so the factory's noise,
+drift, timing, faults and retry policy reach every probe the workflow
+makes.  The workflow is a stage composition: the coarse search runs as a
 :class:`~repro.pipeline.stages.WindowSearchStage`, the fine session opens
 through an :class:`~repro.pipeline.stages.OpenSessionStage`, and the
 extraction stages follow on the same
@@ -21,8 +27,9 @@ benchmarks assume has already been paid — is accounted for explicitly.
 
 On a *time-dependent* device (:class:`~repro.physics.drift.DeviceDrift`
 and/or time-dependent noise, bundled conveniently by a
-:class:`~repro.scenarios.catalog.LabScenario`), a matrix extracted at time
-zero goes stale: the sensor wanders, charges jump, lever arms creep.
+:class:`~repro.scenarios.catalog.LabScenario`, whose
+``session_factory(resolution=...)`` is a ready factory), a matrix extracted
+at time zero goes stale: the sensor wanders, charges jump, lever arms creep.
 :meth:`AutoTuningWorkflow.run_with_retuning` is the drift-aware mode: it
 keeps one continuous simulated timeline, and after each idle period
 *detects* staleness by re-probing a handful of reference pixels it already
@@ -40,13 +47,9 @@ from ..core.config import ExtractionConfig
 from ..core.extraction import METHOD_NAME
 from ..core.result import ExtractionResult, StageTelemetry
 from ..core.window_search import WindowSearchConfig, WindowSearchResult
-from ..exceptions import ConfigurationError, ExtractionError
-from ..instrument.measurement import ChargeSensorMeter, DeviceBackend
-from ..instrument.timing import TimingModel, VirtualClock
-from ..physics.dot_array import DotArrayDevice
-from ..physics.drift import DeviceDrift
-from ..physics.noise import NoiseModel
-from ..scenarios.catalog import LabScenario, get_scenario
+from ..exceptions import ExtractionError
+from ..instrument.measurement import ChargeSensorMeter
+from ..instrument.session import SessionFactory
 from ..seeding import spawn_seeds
 from .composer import TuningPipeline, run_stage
 from .context import TuneContext
@@ -165,78 +168,36 @@ class DriftAwareTuneResult:
 class AutoTuningWorkflow:
     """Find the transition window of a gate pair, then extract virtual gates.
 
-    ``noise``, ``drift``, and ``time_dependent_noise`` describe the simulated
-    environment every stage runs under; :meth:`for_scenario` fills them from
-    a registered :class:`~repro.scenarios.catalog.LabScenario`.  ``pipeline``
-    names the registered extraction composition to run inside the window —
-    ``"fast-extraction"`` by default, any :func:`repro.pipeline.get_pipeline`
-    name (or a :class:`~repro.pipeline.composer.TuningPipeline` instance)
-    otherwise, which is how ablation variants ride the full workflow.
+    ``factory`` is the simulated lab every stage measures: the device, the
+    fine resolution, and the noise, timing, drift, time-dependence, faults
+    and retry policy of every session the workflow opens.  A registered
+    scenario's lab is ``scenario.session_factory(resolution=...)``.
+    ``pipeline`` names the registered extraction composition to run inside
+    the window — ``"fast-extraction"`` by default, any
+    :func:`repro.pipeline.get_pipeline` name (or a
+    :class:`~repro.pipeline.composer.TuningPipeline` instance) otherwise,
+    which is how ablation variants ride the full workflow.
     """
 
     def __init__(
         self,
-        resolution: int = 100,
+        factory: SessionFactory,
         extraction_config: ExtractionConfig | None = None,
         window_config: WindowSearchConfig | None = None,
-        noise: NoiseModel | None = None,
-        timing: TimingModel | None = None,
         seed: int | np.random.SeedSequence | None = None,
-        drift: DeviceDrift | None = None,
-        time_dependent_noise: bool = False,
         pipeline: str | object | None = None,
     ) -> None:
-        if resolution < 16:
+        if min(np.ravel(factory.resolution)) < 16:
             raise ExtractionError("resolution must be at least 16")
-        self._resolution = int(resolution)
+        self._factory = factory
         # None lets the pipeline's own default configuration win, which is
         # what makes non-ExtractionConfig compositions (the dense-grid
         # baseline) runnable through the workflow; the registered fast
         # pipelines default to ExtractionConfig.paper_defaults() anyway.
         self._extraction_config = extraction_config
         self._window_config = window_config or WindowSearchConfig()
-        self._noise = noise
-        self._timing = timing or TimingModel.paper_default()
         self._seed = seed
-        self._drift = drift
-        self._time_dependent_noise = bool(time_dependent_noise)
         self._pipeline_spec = pipeline or METHOD_NAME
-
-    @classmethod
-    def for_scenario(
-        cls,
-        scenario: LabScenario | str,
-        resolution: int = 100,
-        extraction_config: ExtractionConfig | None = None,
-        window_config: WindowSearchConfig | None = None,
-        seed: int | np.random.SeedSequence | None = None,
-        pipeline: str | object | None = None,
-    ) -> "AutoTuningWorkflow":
-        """A workflow configured for a (possibly named) lab scenario.
-
-        Raises :class:`ConfigurationError` for a scenario with fault
-        injection: no probe path of the workflow applies faults, so running
-        it would silently tune a fault-free lab.
-        """
-        if isinstance(scenario, str):
-            scenario = get_scenario(scenario)
-        if scenario.faults is not None:
-            raise ConfigurationError(
-                f"scenario {scenario.name!r} injects faults, which "
-                "AutoTuningWorkflow does not apply; run it through "
-                "LabScenario.open_session or a TuningCampaign instead"
-            )
-        return cls(
-            resolution=resolution,
-            extraction_config=extraction_config,
-            window_config=window_config,
-            noise=scenario.noise,
-            timing=scenario.timing,
-            seed=seed,
-            drift=scenario.drift,
-            time_dependent_noise=scenario.time_dependent_noise,
-            pipeline=pipeline,
-        )
 
     def _pipeline(self):
         """The extraction pipeline instance for this run."""
@@ -246,37 +207,40 @@ class AutoTuningWorkflow:
 
     def _window_search_stage(
         self,
-        device: DotArrayDevice,
         gate_x: int | str,
         gate_y: int | str,
         x_range: tuple[float, float] | None,
         y_range: tuple[float, float] | None,
         seed: np.random.SeedSequence,
-    ):
-        """The coarse-search stage under this workflow's environment.
+    ) -> WindowSearchStage:
+        """The coarse search over the gates' safe ranges (or the given ones).
 
-        One construction point for both :meth:`run` and
-        :meth:`run_with_retuning`, so the two modes cannot drift apart in
-        which noise/drift/timing the window is searched under.
+        The coarse session is the factory's lab at the coarse resolution,
+        so :meth:`run` and :meth:`run_with_retuning` search under the same
+        noise, drift, timing and faults as they extract.
         """
-        return WindowSearchStage(
-            device,
-            gate_x=gate_x,
-            gate_y=gate_y,
-            x_range=x_range,
-            y_range=y_range,
-            noise=self._noise,
-            seed=seed,
-            timing=self._timing,
-            config=self._window_config,
-            drift=self._drift,
-            time_dependent_noise=self._time_dependent_noise,
+        device = self._factory.device
+        spec_x = device.gate_specs[device.gate_index(gate_x)]
+        spec_y = device.gate_specs[device.gate_index(gate_y)]
+        window = (
+            x_range or (spec_x.min_voltage, spec_x.max_voltage),
+            y_range or (spec_y.min_voltage, spec_y.max_voltage),
         )
+        coarse = replace(self._factory, resolution=self._window_config.coarse_resolution)
+        session = coarse.make(gate_x=gate_x, gate_y=gate_y, window=window, seed=seed)
+        return WindowSearchStage(session.meter, self._window_config)
+
+    def _metadata(self, gate_x: int | str, gate_y: int | str) -> dict:
+        return {
+            "device": self._factory.device.name,
+            "gate_x": str(gate_x),
+            "gate_y": str(gate_y),
+            "resolution": self._factory.resolution,
+        }
 
     # ------------------------------------------------------------------
     def run(
         self,
-        device: DotArrayDevice,
         gate_x: int | str = "P1",
         gate_y: int | str = "P2",
         dot_a: int = 0,
@@ -284,7 +248,7 @@ class AutoTuningWorkflow:
         x_range: tuple[float, float] | None = None,
         y_range: tuple[float, float] | None = None,
     ) -> AutoTuneResult:
-        """Run the full stage composition against a simulated device."""
+        """Run the full stage composition against the factory's device."""
         # Spawned children keep the two stages' noise streams independent of
         # each other and of neighbouring root seeds (seed + 1 would collide
         # with the window-search stream of a run rooted at seed + 1).
@@ -292,26 +256,19 @@ class AutoTuningWorkflow:
         ctx = TuneContext(config=self._extraction_config)
         setup_telemetry: list[StageTelemetry] = []
         run_stage(
-            self._window_search_stage(
-                device, gate_x, gate_y, x_range, y_range, window_seed
-            ),
+            self._window_search_stage(gate_x, gate_y, x_range, y_range, window_seed),
             ctx,
             setup_telemetry,
         )
         run_stage(
             OpenSessionStage(
-                device,
-                resolution=self._resolution,
-                gate_x=gate_x,
-                gate_y=gate_y,
-                dot_a=dot_a,
-                dot_b=dot_b,
-                noise=self._noise,
-                seed=extraction_seed,
-                timing=self._timing,
-                drift=self._drift,
-                time_dependent_noise=self._time_dependent_noise,
-                label=f"{device.name}:autotune",
+                self._factory,
+                gate_x,
+                gate_y,
+                dot_a,
+                dot_b,
+                extraction_seed,
+                f"{self._factory.device.name}:autotune",
             ),
             ctx,
             setup_telemetry,
@@ -320,18 +277,12 @@ class AutoTuningWorkflow:
         return AutoTuneResult(
             window_search=ctx.window,
             extraction=extraction,
-            metadata={
-                "device": device.name,
-                "gate_x": str(gate_x),
-                "gate_y": str(gate_y),
-                "resolution": self._resolution,
-            },
+            metadata=self._metadata(gate_x, gate_y),
             stage_telemetry=tuple(setup_telemetry) + extraction.stage_telemetry,
         )
 
     def run_with_retuning(
         self,
-        device: DotArrayDevice,
         gate_x: int | str = "P1",
         gate_y: int | str = "P2",
         idle_time_s: float = 600.0,
@@ -353,6 +304,10 @@ class AutoTuningWorkflow:
         declares the virtualization matrix stale and triggers a fresh
         extraction *at the device's current age* on the same window.
 
+        The fine window is one session the factory opens; every extraction
+        and check probes its backend on its clock, through a fresh meter
+        with the session meter's retry policy.
+
         Returns the initial result plus every check and re-extraction —
         with per-stage telemetry on one timeline — so callers can see both
         how often the environment forced a retune and what each retune cost.
@@ -369,42 +324,25 @@ class AutoTuningWorkflow:
         setup_ctx = TuneContext(config=self._extraction_config)
         setup_telemetry: list[StageTelemetry] = []
         run_stage(
-            self._window_search_stage(
-                device, gate_x, gate_y, x_range, y_range, window_seed
-            ),
+            self._window_search_stage(gate_x, gate_y, x_range, y_range, window_seed),
             setup_ctx,
             setup_telemetry,
         )
         window_result = setup_ctx.window
-        (x_min, x_max), (y_min, y_max) = window_result.window
-        backend = DeviceBackend(
-            device,
-            x_voltages=np.linspace(x_min, x_max, self._resolution),
-            y_voltages=np.linspace(y_min, y_max, self._resolution),
-            gate_x=gate_x,
-            gate_y=gate_y,
-            noise=self._noise,
-            seed=extraction_seed,
-            drift=self._drift,
-            time_dependent_noise=self._time_dependent_noise,
-            probe_interval_s=self._timing.cost_per_probe_s,
-        )
+        session_meter = self._factory.make(
+            gate_x=gate_x, gate_y=gate_y, window=window_result.window, seed=extraction_seed
+        ).meter
         # One clock for the whole timeline; the coarse search already spent
         # simulated time, so the fine stages start aged by that much.
-        clock = VirtualClock(self._timing)
+        clock = session_meter.clock
         clock.advance(window_result.elapsed_s)
         pipeline = self._pipeline()
 
-        initial_extraction, meter = self._extract_stage(pipeline, backend, clock)
+        initial_extraction, meter = self._extract_stage(pipeline, session_meter)
         initial = AutoTuneResult(
             window_search=window_result,
             extraction=initial_extraction,
-            metadata={
-                "device": device.name,
-                "gate_x": str(gate_x),
-                "gate_y": str(gate_y),
-                "resolution": self._resolution,
-            },
+            metadata=self._metadata(gate_x, gate_y),
             stage_telemetry=tuple(setup_telemetry)
             + initial_extraction.stage_telemetry,
         )
@@ -419,8 +357,7 @@ class AutoTuningWorkflow:
             cycle_telemetry: list[StageTelemetry] = []
             run_stage(
                 StalenessCheckStage(
-                    backend,
-                    clock,
+                    session_meter,
                     check_rows,
                     check_cols,
                     reference,
@@ -432,9 +369,7 @@ class AutoTuningWorkflow:
             check: StalenessCheck = cycle_ctx.extras["staleness_check"]
             extraction: ExtractionResult | None = None
             if check.stale:
-                extraction, retune_meter = self._extract_stage(
-                    pipeline, backend, clock
-                )
+                extraction, retune_meter = self._extract_stage(pipeline, session_meter)
                 cycle_telemetry.extend(extraction.stage_telemetry)
                 check_rows, check_cols, reference = self._reference_pixels(
                     retune_meter, n_check_pixels
@@ -451,7 +386,7 @@ class AutoTuningWorkflow:
             cycles=tuple(cycles),
             final_elapsed_s=clock.elapsed_s,
             metadata={
-                "device": device.name,
+                "device": self._factory.device.name,
                 "idle_time_s": idle_time_s,
                 "staleness_threshold_na": staleness_threshold_na,
             },
@@ -459,21 +394,22 @@ class AutoTuningWorkflow:
 
     # ------------------------------------------------------------------
     def _extract_stage(
-        self,
-        pipeline,
-        backend: DeviceBackend,
-        clock: VirtualClock,
+        self, pipeline, session_meter: ChargeSensorMeter
     ) -> tuple[ExtractionResult, ChargeSensorMeter]:
         """One extraction on the shared timeline, with *stage-local* cost.
 
-        The shared clock reads absolute timeline age, so the raw
-        ``probe_stats.elapsed_s`` would include everything that happened
-        before this stage (window search, earlier cycles); rewrite it to the
-        time this extraction itself consumed.  The per-stage telemetry is
-        snapshot-diffed and therefore already stage-local.
+        Probes through a fresh meter (its own pixel cache) on the session's
+        backend and clock.  The shared clock reads absolute timeline age, so
+        the raw ``probe_stats.elapsed_s`` would include everything that
+        happened before this stage (window search, earlier cycles); rewrite
+        it to the time this extraction itself consumed.  The per-stage
+        telemetry is snapshot-diffed and therefore already stage-local.
         """
+        clock = session_meter.clock
         started_s = clock.elapsed_s
-        meter = ChargeSensorMeter(backend, clock=clock)
+        meter = ChargeSensorMeter(
+            session_meter.backend, clock=clock, retry=session_meter.retry
+        )
         ctx = TuneContext(meter=meter, config=self._extraction_config)
         result, _ = pipeline.execute(ctx)
         stats = replace(result.probe_stats, elapsed_s=clock.elapsed_s - started_s)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ExtractionError
+from repro.instrument import SessionFactory
 from repro.physics import DotArrayDevice
 from repro.pipeline import ArrayVirtualGateExtractor
 
@@ -13,8 +14,8 @@ from repro.pipeline import ArrayVirtualGateExtractor
 @pytest.fixture(scope="module")
 def triple_dot_result():
     device = DotArrayDevice.linear_array(n_dots=3)
-    extractor = ArrayVirtualGateExtractor(resolution=63, seed=21)
-    return device, extractor.extract(device)
+    extractor = ArrayVirtualGateExtractor(SessionFactory(device, resolution=63), seed=21)
+    return device, extractor.extract()
 
 
 class TestTripleDot:
@@ -61,8 +62,9 @@ class TestValidation:
     def test_single_dot_rejected(self):
         device = DotArrayDevice.linear_array(n_dots=1)
         with pytest.raises(ExtractionError):
-            ArrayVirtualGateExtractor(resolution=32).extract(device)
+            ArrayVirtualGateExtractor(SessionFactory(device, resolution=32)).extract()
 
     def test_tiny_resolution_rejected(self):
+        device = DotArrayDevice.linear_array(n_dots=3)
         with pytest.raises(ExtractionError):
-            ArrayVirtualGateExtractor(resolution=4)
+            ArrayVirtualGateExtractor(SessionFactory(device, resolution=4))

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import ExtractionConfig, FitConfig
 from repro.exceptions import ExtractionError
-from repro.instrument import ExperimentSession
+from repro.instrument import ExperimentSession, SessionFactory
 from repro.physics import CSDSimulator, DotArrayDevice, WhiteNoise
 from repro.pipeline import FastVirtualGateExtractor
 
@@ -170,7 +170,7 @@ class TestConfiguration:
         assert results[1].matrix.alpha_21 > results[0].matrix.alpha_21
 
     def test_device_backend_session(self, double_dot_device):
-        session = ExperimentSession.from_device(double_dot_device, resolution=63, seed=2)
+        session = SessionFactory(double_dot_device, resolution=63).make(seed=2)
         result = FastVirtualGateExtractor().extract(session)
         assert result.success
         truth = double_dot_device.ground_truth_alphas(0, 1, "P1", "P2")

@@ -12,8 +12,20 @@ from repro.core import (
 )
 from repro.core.window_search import _first_and_second_crossings
 from repro.exceptions import ExtractionError
+from repro.instrument import SessionFactory
 from repro.physics import CSDSimulator, DotArrayDevice, standard_lab_noise
 from repro.pipeline import AutoTuningWorkflow
+from repro.seeding import spawn_seeds
+
+
+def _coarse_meter(device, seed, noise=None, window=None):
+    """A 24x24 meter over ``window``, by default the P1/P2 safe ranges."""
+    if window is None:
+        window = tuple(
+            (spec.min_voltage, spec.max_voltage) for spec in device.gate_specs[:2]
+        )
+    factory = SessionFactory(device, resolution=24, noise=noise)
+    return factory.make(window=window, seed=seed).meter
 
 
 class TestTiltedGradientImage:
@@ -71,8 +83,8 @@ class TestTransitionWindowFinder:
         device = DotArrayDevice.double_dot(
             cross_coupling=(0.25, 0.22), voltage_range=(0.0, 0.05)
         )
-        finder = TransitionWindowFinder(device, noise=standard_lab_noise(), seed=3)
-        result = finder.find()
+        meter = _coarse_meter(device, seed=3, noise=standard_lab_noise())
+        result = TransitionWindowFinder(meter).find()
         crossing = CSDSimulator(device).first_transition_crossing()
         assert result.contains(*crossing)
         # The window is a small part of the searched range, found with a
@@ -80,29 +92,32 @@ class TestTransitionWindowFinder:
         (x_min, x_max), (y_min, y_max) = result.window
         assert (x_max - x_min) < 0.05
         assert (y_max - y_min) < 0.05
-        assert result.n_probes == finder.config.coarse_resolution**2
+        assert result.n_probes == 24 * 24 == meter.n_probes
 
     def test_spacing_estimate_has_the_right_scale(self):
         device = DotArrayDevice.double_dot(
             cross_coupling=(0.3, 0.2), voltage_range=(0.0, 0.07)
         )
-        result = TransitionWindowFinder(device, seed=1).find()
+        result = TransitionWindowFinder(_coarse_meter(device, seed=1)).find()
         true_spans = CSDSimulator(device).addition_voltage_spans()
         assert result.estimated_spacing[0] == pytest.approx(true_spans[0], rel=0.6)
         assert result.estimated_spacing[1] == pytest.approx(true_spans[1], rel=0.6)
 
     def test_no_transitions_in_range_raises(self):
         device = DotArrayDevice.double_dot(voltage_range=(0.0, 1.0))
-        finder = TransitionWindowFinder(
-            device, x_range=(0.0, 0.004), y_range=(0.0, 0.004), seed=0
-        )
+        meter = _coarse_meter(device, seed=0, window=((0.0, 0.004), (0.0, 0.004)))
         with pytest.raises(ExtractionError):
-            finder.find()
+            TransitionWindowFinder(meter).find()
 
     def test_invalid_range_rejected(self):
         device = DotArrayDevice.double_dot()
-        with pytest.raises(ExtractionError):
-            TransitionWindowFinder(device, x_range=(0.1, 0.1))
+        meter = _coarse_meter(device, seed=0, window=((0.1, 0.1), (0.0, 0.1)))
+        with pytest.raises(ExtractionError, match="positive extent"):
+            TransitionWindowFinder(meter)
+        assert meter.n_probes == 0
+        workflow = AutoTuningWorkflow(SessionFactory(device, resolution=32), seed=0)
+        with pytest.raises(ExtractionError, match="positive extent"):
+            workflow.run(x_range=(0.1, 0.1))
 
     def test_centered_span_respects_bounds(self):
         low, high = TransitionWindowFinder._centered_span(0.01, 0.04, (0.0, 0.1))
@@ -118,10 +133,8 @@ class TestAutoTuningWorkflow:
         device = DotArrayDevice.double_dot(
             cross_coupling=(0.35, 0.30), voltage_range=(0.0, 0.06)
         )
-        workflow = AutoTuningWorkflow(
-            resolution=100, noise=standard_lab_noise(), seed=6
-        )
-        outcome = workflow.run(device)
+        factory = SessionFactory(device, resolution=100, noise=standard_lab_noise())
+        outcome = AutoTuningWorkflow(factory, seed=6).run()
         assert outcome.success
         truth = device.ground_truth_alphas(0, 1, "P1", "P2")
         assert outcome.extraction.alpha_12 == pytest.approx(truth[0], abs=0.08)
@@ -143,15 +156,46 @@ class TestAutoTuningWorkflow:
         device = DotArrayDevice.double_dot(
             cross_coupling=(0.30, 0.20), voltage_range=(0.0, 0.07)
         )
-        workflow = AutoTuningWorkflow(
-            resolution=100, noise=standard_lab_noise(), seed=13
-        )
-        outcome = workflow.run(device)
+        factory = SessionFactory(device, resolution=100, noise=standard_lab_noise())
+        outcome = AutoTuningWorkflow(factory, seed=13).run()
         assert outcome.success
         truth = device.ground_truth_alphas(0, 1, "P1", "P2")
         assert outcome.extraction.alpha_12 == pytest.approx(truth[0], abs=0.08)
         assert outcome.extraction.alpha_21 == pytest.approx(truth[1], abs=0.08)
 
-    def test_invalid_resolution(self):
-        with pytest.raises(ExtractionError):
-            AutoTuningWorkflow(resolution=4)
+    @pytest.mark.parametrize(
+        "ranges",
+        [None, ((0.005, 0.055), (0.0, 0.05))],
+        ids=["gate-safe-ranges", "given-ranges"],
+    )
+    def test_coarse_scan_is_the_factory_lab_at_the_coarse_resolution(self, ranges):
+        device = DotArrayDevice.double_dot(
+            cross_coupling=(0.35, 0.30), voltage_range=(0.0, 0.06)
+        )
+        config = WindowSearchConfig(coarse_resolution=20)
+        factory = SessionFactory(device, resolution=48, noise=standard_lab_noise())
+        workflow = AutoTuningWorkflow(factory, window_config=config, seed=6)
+        if ranges is None:
+            searched = workflow.run().window_search
+            ranges = ((0.0, 0.06), (0.0, 0.06))
+        else:
+            searched = workflow.run(x_range=ranges[0], y_range=ranges[1]).window_search
+        # The same search opened by hand: the factory's lab at the window
+        # config's resolution, on the run's first child seed, over the
+        # gates' safe ranges unless the caller gives others.
+        window_seed, _ = spawn_seeds(6, 2)
+        coarse = SessionFactory(device, resolution=20, noise=standard_lab_noise())
+        meter = coarse.make(window=ranges, seed=window_seed).meter
+        expected = TransitionWindowFinder(meter, config).find()
+        assert searched.window == expected.window
+        assert searched.corner_voltage == expected.corner_voltage
+        assert searched.estimated_spacing == expected.estimated_spacing
+        assert searched.n_probes == expected.n_probes == 20 * 20
+        assert searched.elapsed_s == expected.elapsed_s
+        np.testing.assert_array_equal(searched.coarse_image, expected.coarse_image)
+
+    @pytest.mark.parametrize("resolution", [4, 15, (15, 64), (64, 8)])
+    def test_invalid_resolution(self, resolution):
+        device = DotArrayDevice.double_dot()
+        with pytest.raises(ExtractionError, match="at least 16"):
+            AutoTuningWorkflow(SessionFactory(device, resolution=resolution))

@@ -15,7 +15,7 @@ from repro.faults import (
     WorkerCrashFault,
     probe_fault_models,
 )
-from repro.instrument import DeviceBackend, ExperimentSession, ProbeRetryPolicy
+from repro.instrument import DeviceBackend, ProbeRetryPolicy, SessionFactory
 from repro.kernelcache import configure_kernel_cache
 from repro.physics import DotArrayDevice
 from repro.scenarios import DeviceSpec
@@ -28,13 +28,9 @@ def _device():
 
 
 def _session(faults=None, probe_retry=None, seed=7, resolution=24):
-    return ExperimentSession.from_device(
-        _device(),
-        resolution=resolution,
-        seed=seed,
-        faults=faults,
-        probe_retry=probe_retry,
-    )
+    return SessionFactory(
+        _device(), resolution=resolution, faults=faults, probe_retry=probe_retry
+    ).make(seed=seed)
 
 
 @pytest.fixture

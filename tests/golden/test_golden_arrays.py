@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.instrument import SessionFactory
 from repro.physics import DotArrayDevice, WhiteNoise
 from repro.pipeline import ArrayVirtualGateExtractor
 
@@ -40,10 +41,10 @@ def _build_device(spec: dict) -> DotArrayDevice:
 def run_golden(label: str, spec: dict, seed: int, resolution: int) -> dict:
     """One seeded array extraction, condensed to the snapshotted keys."""
     device = _build_device(spec)
-    extractor = ArrayVirtualGateExtractor(
-        resolution=resolution, noise=WhiteNoise(sigma_na=0.01), seed=seed
+    factory = SessionFactory(
+        device, resolution=resolution, noise=WhiteNoise(sigma_na=0.01)
     )
-    result = extractor.extract(device)
+    result = ArrayVirtualGateExtractor(factory, seed=seed).extract()
     return {
         "label": label,
         "device": device.name,

@@ -20,7 +20,7 @@ import repro.kernelcache as kernelcache
 from repro.campaign import CampaignGrid, DeviceSpec, TuningCampaign
 from repro.campaign.worker import run_campaign_job
 from repro.exceptions import ConfigurationError
-from repro.instrument import ChargeSensorMeter, DeviceBackend, ExperimentSession
+from repro.instrument import ChargeSensorMeter, DeviceBackend, SessionFactory
 from repro.kernelcache import (
     KernelCache,
     KernelCacheEntry,
@@ -331,9 +331,7 @@ class TestGlobalCache:
             cache = configure_kernel_cache(enabled=True, max_entries=4)
             assert cache is default_kernel_cache()
             device = DotArrayDevice.double_dot(cross_coupling=(0.25, 0.22))
-            session = ExperimentSession.from_device(
-                device, resolution=RESOLUTION, seed=3
-            )
+            session = SessionFactory(device, resolution=RESOLUTION).make(seed=3)
             session.meter.acquire_full_grid()
             assert default_kernel_cache().stats.pixel_solves == RESOLUTION**2
             clear_kernel_cache()
@@ -348,9 +346,9 @@ class TestGlobalCache:
             device = DotArrayDevice.double_dot(cross_coupling=(0.25, 0.22))
 
             def acquire():
-                session = ExperimentSession.from_device(
-                    device, resolution=RESOLUTION, seed=11, noise=WhiteNoise(0.05)
-                )
+                session = SessionFactory(
+                    device, resolution=RESOLUTION, noise=WhiteNoise(0.05)
+                ).make(seed=11)
                 return session.meter.acquire_full_grid()
 
             warm = acquire()      # populates the global cache

@@ -20,8 +20,8 @@ from repro.faults import BatchPlan, ProbeDisruption, ProbeHangFault, TransientRe
 from repro.instrument import (
     ChargeSensorMeter,
     DatasetBackend,
-    ExperimentSession,
     ProbeRetryPolicy,
+    SessionFactory,
 )
 from repro.physics import ChargeStabilityDiagram
 from repro.scenarios import DeviceSpec
@@ -29,13 +29,9 @@ from repro.scenarios import DeviceSpec
 
 def _session(faults, probe_retry, seed=7, resolution=16):
     device = DeviceSpec.of("double_dot", cross_coupling=(0.25, 0.22)).build()
-    return ExperimentSession.from_device(
-        device,
-        resolution=resolution,
-        seed=seed,
-        faults=faults,
-        probe_retry=probe_retry,
-    )
+    return SessionFactory(
+        device, resolution=resolution, faults=faults, probe_retry=probe_retry
+    ).make(seed=seed)
 
 
 class TestProbeRetryPolicy:

@@ -37,37 +37,32 @@ class TestFromCsd:
         session.meter.get_current(0, 0)
         assert session.summary().elapsed_s == pytest.approx(0.1)
 
-    def test_voltage_source_has_gate_channels(self, clean_csd):
-        session = ExperimentSession.from_csd(clean_csd)
-        assert session.voltage_source is not None
-        assert session.voltage_source.channel_names == (clean_csd.gate_x, clean_csd.gate_y)
 
-
-class TestFromDevice:
+class TestMake:
     def test_measures_device_on_demand(self, double_dot_device):
-        session = ExperimentSession.from_device(
-            double_dot_device, resolution=24, noise=WhiteNoise(0.0), seed=0
-        )
+        session = SessionFactory(
+            double_dot_device, resolution=24, noise=WhiteNoise(0.0)
+        ).make(seed=0)
         assert session.shape == (24, 24)
         value = session.meter.get_current(12, 12)
         assert value > 0
         assert session.summary().n_probes == 1
 
     def test_geometry_matches_device(self, double_dot_device):
-        session = ExperimentSession.from_device(double_dot_device, resolution=24)
+        session = SessionFactory(double_dot_device, resolution=24).make()
         alpha_12, alpha_21 = double_dot_device.ground_truth_alphas(0, 1, "P1", "P2")
         assert session.geometry is not None
         assert session.geometry.alpha_12 == pytest.approx(alpha_12)
         assert session.geometry.alpha_21 == pytest.approx(alpha_21)
 
     def test_rectangular_resolution(self, double_dot_device):
-        session = ExperimentSession.from_device(double_dot_device, resolution=(20, 30))
+        session = SessionFactory(double_dot_device, resolution=(20, 30)).make()
         assert session.shape == (20, 30)
 
     def test_quadruple_dot_pair_selection(self):
         device = DotArrayDevice.quadruple_dot()
-        session = ExperimentSession.from_device(
-            device, resolution=20, gate_x="P2", gate_y="P3", dot_a=1, dot_b=2
+        session = SessionFactory(device, resolution=20).make(
+            gate_x="P2", gate_y="P3", dot_a=1, dot_b=2
         )
         assert session.shape == (20, 20)
         assert session.geometry is not None

@@ -12,6 +12,7 @@ from repro import (
     ExperimentSession,
     FastVirtualGateExtractor,
     HoughBaselineExtractor,
+    SessionFactory,
     standard_lab_noise,
 )
 from repro.analysis import SuccessCriterion, accuracy_metrics
@@ -112,8 +113,8 @@ class TestVirtualizedScan:
 class TestQuadrupleDotWorkflow:
     def test_full_array_extraction(self):
         device = DotArrayDevice.quadruple_dot()
-        extractor = ArrayVirtualGateExtractor(resolution=63, seed=3)
-        outcome = extractor.extract(device)
+        factory = SessionFactory(device, resolution=63)
+        outcome = ArrayVirtualGateExtractor(factory, seed=3).extract()
         assert outcome.n_pairs == 3
         assert outcome.all_pairs_succeeded
         assert outcome.max_alpha_error() < 0.1

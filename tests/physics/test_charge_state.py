@@ -57,26 +57,6 @@ class TestGroundState:
             ChargeStateSolver(model, max_electrons_per_dot=0)
 
 
-class TestLocalDescent:
-    def test_matches_enumeration(self, solver, rng):
-        for _ in range(25):
-            vg = rng.uniform(0.0, 0.06, size=2)
-            exact = solver.ground_state(vg)
-            local = solver.ground_state_local(vg, initial_guess=(0, 0))
-            assert exact.occupations == local.occupations
-
-    def test_matches_enumeration_from_far_guess(self, solver, rng):
-        for _ in range(10):
-            vg = rng.uniform(0.0, 0.06, size=2)
-            exact = solver.ground_state(vg)
-            local = solver.ground_state_local(vg, initial_guess=(3, 3))
-            assert exact.occupations == local.occupations
-
-    def test_invalid_guess_shape(self, solver):
-        with pytest.raises(ChargeStateError):
-            solver.ground_state_local([0.0, 0.0], initial_guess=(0, 0, 0))
-
-
 class TestOccupationMap:
     def test_map_shape_and_dtype(self, solver):
         xs = np.linspace(0.0, 0.05, 12)

@@ -7,7 +7,7 @@ import pytest
 from repro.analysis import format_stage_costs
 from repro.core import StageTelemetry
 from repro.exceptions import ConfigurationError, ExtractionError
-from repro.instrument import ExperimentSession
+from repro.instrument import ExperimentSession, SessionFactory
 from repro.pipeline import (
     AutoTuningWorkflow,
     FastVirtualGateExtractor,
@@ -297,7 +297,8 @@ class TestComposerSemantics:
 
 class TestWorkflowTelemetry:
     def test_autotune_threads_window_search_telemetry(self, double_dot_device):
-        result = AutoTuningWorkflow(resolution=48, seed=7).run(double_dot_device)
+        factory = SessionFactory(double_dot_device, resolution=48)
+        result = AutoTuningWorkflow(factory, seed=7).run()
         stages = [t.stage for t in result.stage_telemetry]
         assert stages[:2] == ["window-search", "open-session"]
         assert "anchors" in stages and "validate" in stages
@@ -318,10 +319,8 @@ class TestWorkflowTelemetry:
 
     def test_retuning_cycles_carry_staleness_telemetry(self):
         scenario = get_scenario("charge_jumpy")
-        workflow = AutoTuningWorkflow.for_scenario(scenario, resolution=48, seed=3)
-        result = workflow.run_with_retuning(
-            scenario.build_device(), idle_time_s=1800.0, n_cycles=2
-        )
+        workflow = AutoTuningWorkflow(scenario.session_factory(resolution=48), seed=3)
+        result = workflow.run_with_retuning(idle_time_s=1800.0, n_cycles=2)
         for cycle in result.cycles:
             assert cycle.stage_telemetry[0].stage == "staleness-check"
             assert (
@@ -334,9 +333,8 @@ class TestWorkflowTelemetry:
         assert sum(t.n_probes for t in timeline) == result.total_probes
 
     def test_workflow_accepts_ablation_pipeline_by_name(self, double_dot_device):
-        result = AutoTuningWorkflow(
-            resolution=48, seed=7, pipeline="no-anchors"
-        ).run(double_dot_device)
+        factory = SessionFactory(double_dot_device, resolution=48)
+        result = AutoTuningWorkflow(factory, seed=7, pipeline="no-anchors").run()
         assert result.extraction.method == "no-anchors"
         assert result.extraction.stage("anchors").n_probes == 0
 
@@ -344,9 +342,8 @@ class TestWorkflowTelemetry:
         # Regression: the workflow used to force ExtractionConfig.paper_defaults
         # into the context, crashing any pipeline whose stages expect a
         # different config type (the dense-grid baseline reads .canny).
-        result = AutoTuningWorkflow(
-            resolution=48, seed=7, pipeline="baseline"
-        ).run(double_dot_device)
+        factory = SessionFactory(double_dot_device, resolution=48)
+        result = AutoTuningWorkflow(factory, seed=7, pipeline="baseline").run()
         assert result.extraction.method == "hough-baseline"
         assert result.extraction.stage("full-scan").n_probes == 48 * 48
 
@@ -439,13 +436,12 @@ class TestInstrumentFaultDegradation:
         device = DeviceSpec.of("double_dot", cross_coupling=(0.25, 0.22)).build()
         policy = dict(max_attempts=2, breaker_failures=0)
         policy.update(policy_overrides)
-        return ExperimentSession.from_device(
+        return SessionFactory(
             device,
             resolution=24,
-            seed=7,
             faults=TransientReadFault(rate=1.0),
             probe_retry=ProbeRetryPolicy(**policy),
-        )
+        ).make(seed=7)
 
     def test_exhausted_retries_fail_the_stage_not_the_run(self):
         result = get_pipeline("fast-extraction").run(self._doomed_session())

@@ -6,10 +6,11 @@ import dataclasses
 
 import pytest
 
-from repro.exceptions import ConfigurationError, ExtractionError
+from repro.exceptions import ExtractionError, TransientReadError
 from repro.faults import TransientReadFault
+from repro.instrument import ProbeRetryPolicy, SessionFactory
 from repro.physics import DeviceDrift, WhiteNoise
-from repro.pipeline import AutoTuningWorkflow, FastVirtualGateExtractor
+from repro.pipeline import AutoTuningWorkflow
 from repro.scenarios import get_scenario
 
 RESOLUTION = 48
@@ -22,16 +23,15 @@ def drifting_outcome():
     # 3 mV modulo the sensor's 4 mV peak spacing — a large, *visible* shift.
     # (A rate whose per-idle drift is a multiple of the spacing would wrap
     # back onto the original flank and hide.)
-    workflow = AutoTuningWorkflow(
+    factory = SessionFactory(
+        get_scenario("drifting_sensor").build_device(),
         resolution=RESOLUTION,
         noise=WhiteNoise(sigma_na=0.01),
         drift=DeviceDrift(operating_point_mv_per_hour=30.0),
         time_dependent_noise=True,
-        seed=11,
     )
-    device = get_scenario("drifting_sensor").build_device()
-    return workflow.run_with_retuning(
-        device, idle_time_s=1800.0, n_cycles=2, staleness_threshold_na=0.08
+    return AutoTuningWorkflow(factory, seed=11).run_with_retuning(
+        idle_time_s=1800.0, n_cycles=2, staleness_threshold_na=0.08
     )
 
 
@@ -90,15 +90,14 @@ class TestDriftTriggersRetunes:
 
 class TestStableDeviceStaysFresh:
     def test_no_retunes_without_drift(self):
-        workflow = AutoTuningWorkflow(
+        factory = SessionFactory(
+            get_scenario("quiet_lab").build_device(),
             resolution=RESOLUTION,
             noise=WhiteNoise(sigma_na=0.005),
             time_dependent_noise=True,
-            seed=11,
         )
-        device = get_scenario("quiet_lab").build_device()
-        outcome = workflow.run_with_retuning(
-            device, idle_time_s=1800.0, n_cycles=2, staleness_threshold_na=0.08
+        outcome = AutoTuningWorkflow(factory, seed=11).run_with_retuning(
+            idle_time_s=1800.0, n_cycles=2, staleness_threshold_na=0.08
         )
         assert outcome.n_retunes == 0
         for cycle in outcome.cycles:
@@ -111,34 +110,56 @@ class TestStableDeviceStaysFresh:
         assert check_probes <= 2 * 16
 
 
-class TestForScenario:
-    def test_accepts_names_and_instances(self):
-        by_name = AutoTuningWorkflow.for_scenario("drifting_sensor", resolution=48)
-        scenario = get_scenario("drifting_sensor")
-        by_instance = AutoTuningWorkflow.for_scenario(scenario, resolution=48)
-        for workflow in (by_name, by_instance):
-            assert workflow._drift is scenario.drift
-            assert workflow._noise is scenario.noise
-            assert workflow._time_dependent_noise
+class TestFactoryFaultsReachTheWorkflow:
+    """The factory's faults and retry policy reach every grid the workflow
+    opens: the coarse scan, the fine extraction and the retuning meters."""
 
-    def test_plain_run_carries_the_environment(self):
-        workflow = AutoTuningWorkflow.for_scenario(
-            "drifting_sensor", resolution=48, seed=4
-        )
-        outcome = workflow.run(get_scenario("drifting_sensor").build_device())
-        assert outcome.extraction.probe_stats.n_probes > 0
+    @staticmethod
+    def _factory(**kwargs):
+        device = get_scenario("quiet_lab").build_device()
+        return SessionFactory(device, resolution=32, **kwargs)
 
-    def test_refuses_a_scenario_with_faults(self):
-        # No probe path of the workflow applies faults, so a faulty lab
-        # would silently tune as a clean one; the scenario's own session
-        # applies them (every read fails at rate 1).
+    def test_unretried_faults_fail_the_coarse_scan(self):
+        factory = self._factory(faults=TransientReadFault(rate=1.0))
+        with pytest.raises(TransientReadError):
+            AutoTuningWorkflow(factory, seed=1).run()
+
+    def test_a_scenario_factory_carries_its_faults(self):
         scenario = dataclasses.replace(
             get_scenario("quiet_lab"), faults=TransientReadFault(rate=1.0)
         )
-        with pytest.raises(ConfigurationError, match="open_session.*TuningCampaign"):
-            AutoTuningWorkflow.for_scenario(scenario, resolution=32, seed=1)
-        session = scenario.open_session(resolution=32, seed=1)
-        assert not FastVirtualGateExtractor().extract(session).success
+        workflow = AutoTuningWorkflow(scenario.session_factory(resolution=32), seed=1)
+        with pytest.raises(TransientReadError):
+            workflow.run()
+
+    def test_retried_faults_cost_time_in_both_stages(self):
+        clean = AutoTuningWorkflow(self._factory(), seed=4).run()
+        faulty = AutoTuningWorkflow(
+            self._factory(faults="transient-reads", probe_retry=ProbeRetryPolicy()),
+            seed=4,
+        ).run()
+        assert faulty.window_search.n_probes == clean.window_search.n_probes
+        assert faulty.window_search.elapsed_s > clean.window_search.elapsed_s
+        assert (
+            faulty.extraction.probe_stats.elapsed_s
+            > clean.extraction.probe_stats.elapsed_s
+        )
+
+    def test_retuning_meters_take_the_session_retry_policy(self):
+        # Reads fail at rate 0.05.  The extraction and staleness meters are
+        # built on the session's backend; without the session meter's policy
+        # the first fault in an extraction or a check would raise.
+        factory = self._factory(
+            faults="transient-reads", probe_retry=ProbeRetryPolicy(max_attempts=8)
+        )
+        outcome = AutoTuningWorkflow(factory, seed=4).run_with_retuning(
+            idle_time_s=60.0, n_cycles=2
+        )
+        clean = AutoTuningWorkflow(self._factory(), seed=4).run_with_retuning(
+            idle_time_s=60.0, n_cycles=2
+        )
+        assert outcome.initial.success
+        assert outcome.final_elapsed_s > clean.final_elapsed_s
 
 
 class TestParameterValidation:
@@ -152,7 +173,6 @@ class TestParameterValidation:
         ],
     )
     def test_bad_arguments_rejected(self, kwargs):
-        workflow = AutoTuningWorkflow(resolution=RESOLUTION, seed=1)
-        device = get_scenario("quiet_lab").build_device()
+        factory = get_scenario("quiet_lab").session_factory(resolution=RESOLUTION)
         with pytest.raises(ExtractionError):
-            workflow.run_with_retuning(device, **kwargs)
+            AutoTuningWorkflow(factory, seed=1).run_with_retuning(**kwargs)

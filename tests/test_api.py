@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,14 @@ import repro
 SUBPACKAGES = sorted(
     f"repro.{info.name}" for info in pkgutil.iter_modules(repro.__path__) if info.ispkg
 )
+
+#: The package's source root; the AST checks below read every module in it.
+PACKAGE_ROOT = Path(repro.__file__).resolve().parent
+
+#: Ceiling on the options of the public API, counted by
+#: :func:`count_options`.  It may rise only for an option that two existing
+#: callers need; lower it when options go.
+MAX_OPTIONS = 311
 
 
 class TestTopLevelApi:
@@ -85,3 +95,56 @@ class TestImportGraph:
             [sys.executable, "-c", probe], capture_output=True, text=True, check=True
         )
         assert run.stdout.strip() == "[]"
+
+
+def _modules():
+    """``(path relative to the package, parsed module)`` of every module."""
+    for path in sorted(PACKAGE_ROOT.rglob("*.py")):
+        yield path.relative_to(PACKAGE_ROOT).as_posix(), ast.parse(path.read_text())
+
+
+def _n_defaults(function: ast.FunctionDef | ast.AsyncFunctionDef) -> int:
+    args = function.args
+    return len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+
+
+def count_options() -> int:
+    """Defaulted parameters of the public API.
+
+    Counted over public module-level functions, and over the public
+    methods and ``__init__`` of public module-level classes; a name is
+    public when it does not start with an underscore.
+    """
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    total = 0
+    for _, module in _modules():
+        for node in module.body:
+            if isinstance(node, functions) and not node.name.startswith("_"):
+                total += _n_defaults(node)
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                total += sum(
+                    _n_defaults(item)
+                    for item in node.body
+                    if isinstance(item, functions)
+                    and (item.name == "__init__" or not item.name.startswith("_"))
+                )
+    return total
+
+
+class TestOneWayToMeasure:
+    def test_only_the_session_factory_builds_a_device_backend(self):
+        # SessionFactory.make is the one description of a simulated
+        # measurement; a procedure that built its own DeviceBackend would
+        # skip the factory's faults and retry policy.
+        callers = sorted(
+            f"{name}:{node.lineno}"
+            for name, module in _modules()
+            for node in ast.walk(module)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            == "DeviceBackend"
+        )
+        assert [site.split(":")[0] for site in callers] == ["instrument/session.py"], callers
+
+    def test_public_options_stay_under_the_ceiling(self):
+        assert count_options() <= MAX_OPTIONS

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.instrument import SessionFactory
 from repro.instrument.measurement import DeviceBackend
 from repro.physics import DotArrayDevice, standard_lab_noise
 from repro.pipeline import ArrayVirtualGateExtractor
@@ -105,13 +106,13 @@ class TestChildStreamIndependence:
         assert not np.array_equal(field_21_1, field_22_0)
 
     def test_array_extraction_reproducible(self):
-        device = DotArrayDevice.linear_array(n_dots=3)
-        first = ArrayVirtualGateExtractor(
-            resolution=63, seed=21, noise=standard_lab_noise()
-        ).extract(device)
-        second = ArrayVirtualGateExtractor(
-            resolution=63, seed=21, noise=standard_lab_noise()
-        ).extract(device)
+        factory = SessionFactory(
+            DotArrayDevice.linear_array(n_dots=3),
+            resolution=63,
+            noise=standard_lab_noise(),
+        )
+        first = ArrayVirtualGateExtractor(factory, seed=21).extract()
+        second = ArrayVirtualGateExtractor(factory, seed=21).extract()
         assert np.array_equal(
             first.virtualization.matrix, second.virtualization.matrix
         )
