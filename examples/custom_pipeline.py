@@ -93,9 +93,7 @@ def main() -> None:
     print(f"registered pipelines: {', '.join(pipeline_names())}\n")
 
     for name in ("fast-extraction", "no-anchors", "no-postprocess"):
-        session = get_scenario(SCENARIO).open_session(
-            resolution=RESOLUTION, seed=SEED
-        )
+        session = get_scenario(SCENARIO).session_factory(resolution=RESOLUTION).make(seed=SEED)
         result = get_pipeline(name).run(session)
         verdict = "success" if result.success else f"FAILED ({result.failure_reason})"
         print(f"== {name}: {verdict}")

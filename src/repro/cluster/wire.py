@@ -10,8 +10,7 @@ Every frame on a coordinator/worker TCP connection is::
 :class:`Crash`, or :class:`Shutdown` — encoded as strict JSON by the same
 :mod:`repro.strictjson` record codec as every record class in the library,
 and type-checked field by field on receipt (a wrong-typed field is a
-malformed frame, like a missing one).  The classes are registered with
-:func:`repro.lint.register_contract_sample`.  The payload carries whatever
+malformed frame, like a missing one).  The payload carries whatever
 bulk bytes the message needs, always as a pickle: the ``run_one`` callable
 for a task, the leased jobs for a lease, the record for a result, the
 exception for a crash.  Pickle carries every record value-identically,
@@ -76,10 +75,11 @@ def wire_message(cls: type) -> type:
     """Make ``cls`` a frozen wire-message dataclass and register its kind.
 
     ``as_dict``/``from_dict`` go through :mod:`repro.strictjson`'s record
-    codec, installed *on each class* (not a shared base) so
-    :mod:`repro.lint`'s record discovery — which looks for the pair in a
-    class's own ``vars()`` — walks every message type through the
-    strict-JSON round-trip, pickle, and address-free-repr audits.
+    codec, installed *on each class* (not a shared base), as
+    :func:`~repro.strictjson.record` installs them: the test suite's
+    record-class walk looks for the pair in a class's own ``vars()``, so
+    every message type gets its own sample, pinned JSON and spawn
+    round-trip.
     """
     cls = dataclass(frozen=True)(cls)
     cls.as_dict = _message_as_dict

@@ -15,7 +15,7 @@ from .measurement import (
     ProbeRecord,
 )
 from .resilience import ProbeRetryPolicy
-from .session import ExperimentSession, SessionFactory, SessionSummary
+from .session import ExperimentSession, SessionFactory
 from .timing import TimingModel, VirtualClock
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "ProbeRetryPolicy",
     "ExperimentSession",
     "SessionFactory",
-    "SessionSummary",
     "TimingModel",
     "VirtualClock",
 ]

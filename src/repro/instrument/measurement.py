@@ -586,7 +586,6 @@ class DeviceBackend(MeasurementBackend):
         y_voltages: np.ndarray,
         gate_x: int | str = "P1",
         gate_y: int | str = "P2",
-        fixed_voltages: np.ndarray | list | None = None,
         noise: NoiseModel | None = None,
         seed: int | np.random.SeedSequence | None = None,
         drift: DeviceDrift | None = None,
@@ -603,15 +602,6 @@ class DeviceBackend(MeasurementBackend):
             raise MeasurementError("measurement grid must be at least 2x2")
         self._gate_x = device.gate_index(gate_x)
         self._gate_y = device.gate_index(gate_y)
-        self._fixed = (
-            np.zeros(device.n_gates)
-            if fixed_voltages is None
-            else np.asarray(fixed_voltages, dtype=float).copy()
-        )
-        if self._fixed.shape != (device.n_gates,):
-            raise MeasurementError(
-                f"fixed_voltages must have shape ({device.n_gates},)"
-            )
         self._shape = (self._ys.size, self._xs.size)
         self._n_cols = self._xs.size
         self._noise = noise or NoNoise()
@@ -749,15 +739,16 @@ class DeviceBackend(MeasurementBackend):
                 self._ys,
                 self._gate_x,
                 self._gate_y,
-                self._fixed,
             )
             self._kernel_key = f"{self._kernel_layer}:{fingerprint}"
         return cache.entry(self._kernel_key, self._shape)
 
     def _points(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Gate-voltage points of the given pixels, shape ``(n, n_gates)``."""
-        points = np.empty((rows.size, self._fixed.size))
-        points[:] = self._fixed
+        """Gate-voltage points of the given pixels, shape ``(n, n_gates)``.
+
+        The unswept gates sit at 0 V.
+        """
+        points = np.zeros((rows.size, self._device.n_gates))
         points[:, self._gate_x] = self._xs[cols]
         points[:, self._gate_y] = self._ys[rows]
         return points

@@ -36,27 +36,6 @@ from .resilience import ProbeRetryPolicy
 from .timing import TimingModel, VirtualClock
 
 
-@dataclass(frozen=True)
-class SessionSummary:
-    """Aggregate statistics of a session after an extraction run."""
-
-    n_probes: int
-    n_requests: int
-    n_pixels: int
-    probe_fraction: float
-    elapsed_s: float
-
-    def as_dict(self) -> dict:
-        """Plain-dict view (handy for report tables)."""
-        return {
-            "n_probes": self.n_probes,
-            "n_requests": self.n_requests,
-            "n_pixels": self.n_pixels,
-            "probe_fraction": self.probe_fraction,
-            "elapsed_s": self.elapsed_s,
-        }
-
-
 class ExperimentSession:
     """A measurement meter plus provenance and ground truth."""
 
@@ -90,17 +69,6 @@ class ExperimentSession:
     def shape(self) -> tuple[int, int]:
         """Measurement grid shape."""
         return self._meter.shape
-
-    def summary(self) -> SessionSummary:
-        """Probe-count and timing statistics accumulated so far."""
-        meter = self._meter
-        return SessionSummary(
-            n_probes=meter.n_probes,
-            n_requests=meter.n_requests,
-            n_pixels=meter.backend.n_pixels,
-            probe_fraction=meter.probe_fraction,
-            elapsed_s=meter.elapsed_s,
-        )
 
     def reset(self) -> None:
         """Clear probe history so another algorithm can run on the same data."""

@@ -11,7 +11,6 @@ so reproducing the paper's Table 1 runtimes requires an explicit cost model.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +60,6 @@ class VirtualClock:
     def __init__(self, timing: TimingModel | None = None) -> None:
         self._timing = timing or TimingModel.paper_default()
         self._elapsed_s = 0.0
-        self._started_wall = time.monotonic()  # repro: allow[wall-clock] -- anchors the wall_time_s telemetry property; simulated time never reads it
 
     @property
     def timing(self) -> TimingModel:
@@ -72,11 +70,6 @@ class VirtualClock:
     def elapsed_s(self) -> float:
         """Total simulated experiment time accumulated so far, in seconds."""
         return self._elapsed_s
-
-    @property
-    def wall_time_s(self) -> float:
-        """Real wall-clock time since the clock was created."""
-        return time.monotonic() - self._started_wall  # repro: allow[wall-clock] -- wall_time_s is profiling telemetry, not simulated time
 
     def advance(self, seconds: float) -> None:
         """Advance the simulated clock by an arbitrary amount."""
@@ -125,4 +118,3 @@ class VirtualClock:
     def reset(self) -> None:
         """Reset the accumulated simulated time to zero."""
         self._elapsed_s = 0.0
-        self._started_wall = time.monotonic()  # repro: allow[wall-clock] -- re-anchors the telemetry timer only

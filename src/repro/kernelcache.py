@@ -103,14 +103,13 @@ def kernel_fingerprint(
     y_voltages: np.ndarray,
     gate_x: int,
     gate_y: int,
-    fixed_voltages: np.ndarray,
 ) -> str:
     """Content fingerprint of one noise-free CSD rasterisation.
 
     Covers everything the pure pixel values depend on — capacitance matrices,
     gate names and specs, sensor configuration, the solver's occupation bound,
-    the swept-gate indices, both voltage axes, and the fixed voltages of the
-    unswept gates.  Deliberately excludes seeds, noise models, timing, drift,
+    the swept-gate indices and both voltage axes (the unswept gates sit at
+    0 V).  Deliberately excludes seeds, noise models, timing, drift,
     and solver pruning flags: none of them change the noise-free values
     (pruning is bit-identical by proof, the rest enter downstream of the
     kernel), so jobs differing only in those share one entry.  Both cached
@@ -131,7 +130,6 @@ def kernel_fingerprint(
         str(int(gate_y)).encode(),
         _array_bytes(x_voltages),
         _array_bytes(y_voltages),
-        _array_bytes(fixed_voltages),
     ]
     for part in parts:
         h.update(part)

@@ -4,8 +4,8 @@
 engine owns everything that is *not* a rule's business: which files are in
 a rule's scope, whether a violation is suppressed by an inline pragma (the
 ``layer-order`` rule never is), pragma hygiene (unknown rule names always;
-justification-less pragmas in strict mode), and folding the contract audit
-into the same report.
+justification-less pragmas in strict mode), and folding the registry contract
+audit into the same report.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from pathlib import Path
 
 from ..exceptions import ConfigurationError
 from .ast_rules import LayerOrderRule
-from .contracts import run_contract_audit
+from .contracts import audit_registry_contracts
 from .rules import FileContext, LintRule, all_rules, rule_names
 from .violations import Violation
 
@@ -167,7 +167,7 @@ def run_lint(
     strict: bool = False,
     contracts: bool = True,
 ) -> LintReport:
-    """Lint every ``.py`` file under ``root`` (plus the contract audit).
+    """Lint every ``.py`` file under ``root`` (plus the registry contract audit).
 
     Parameters
     ----------
@@ -178,7 +178,8 @@ def run_lint(
     strict:
         Fail justification-less pragmas too.
     contracts:
-        Whether to fold the import-time contract audit into the report.
+        Whether to fold the import-time registry contract audit into the
+        report.
     """
     root = Path(root)
     if not root.exists():
@@ -214,7 +215,7 @@ def run_lint(
     live.extend(_pragma_hygiene(findings, strict, rule_names()))
 
     if contracts:
-        live.extend(run_contract_audit())
+        live.extend(audit_registry_contracts())
     return LintReport(
         violations=tuple(live),
         suppressed=tuple(suppressed),

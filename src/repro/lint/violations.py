@@ -1,10 +1,9 @@
 """The one currency every lint half trades in: a :class:`Violation`.
 
-AST rules, the contract audit, and pragma hygiene all report through this
+AST rules, the registry audit, and pragma hygiene all report through this
 record, so the CLI's text and JSON reports share one shape.  Like every
 other record in the library it is strict-JSON round-trippable
-(``as_dict`` / ``from_dict``) — and it is itself covered by the contract
-audit it feeds.
+(``as_dict`` / ``from_dict``), and its exact JSON is pinned with theirs.
 """
 
 from __future__ import annotations

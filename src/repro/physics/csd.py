@@ -282,7 +282,6 @@ class CSDSimulator:
         dot_b: int = 1,
         gate_x: int | str = "P1",
         gate_y: int | str = "P2",
-        fixed_voltages: np.ndarray | list | None = None,
     ) -> None:
         if device.n_dots < 2:
             raise DeviceModelError("CSDSimulator requires a device with at least two dots")
@@ -295,14 +294,6 @@ class CSDSimulator:
         self._gate_y = device.gate_index(gate_y)
         if self._gate_x == self._gate_y:
             raise DeviceModelError("gate_x and gate_y must differ")
-        if fixed_voltages is None:
-            self._fixed = np.zeros(device.n_gates)
-        else:
-            self._fixed = np.asarray(fixed_voltages, dtype=float).copy()
-            if self._fixed.shape != (device.n_gates,):
-                raise DeviceModelError(
-                    f"fixed_voltages must have shape ({device.n_gates},)"
-                )
 
     @property
     def device(self) -> DotArrayDevice:
@@ -346,8 +337,8 @@ class CSDSimulator:
 
         The (0,0)->(1,0) boundary is ``(A Vg)_a = 0.5 e (Cdd^-1)_aa`` and the
         (0,0)->(0,1) boundary is ``(A Vg)_b = 0.5 e (Cdd^-1)_bb`` (with the
-        non-swept gates at their fixed values); solving the 2x2 linear system
-        gives the crossing in the swept-gate plane.
+        non-swept gates at 0 V); solving the 2x2 linear system gives the
+        crossing in the swept-gate plane.
         """
         capacitance = self._device.capacitance
         inv = capacitance.inverse_dot_dot
@@ -359,18 +350,12 @@ class CSDSimulator:
                 [lever[self._dot_b, self._gate_x], lever[self._dot_b, self._gate_y]],
             ]
         )
-        fixed_contribution = np.zeros(2)
-        for gate in range(capacitance.n_gates):
-            if gate in (self._gate_x, self._gate_y):
-                continue
-            fixed_contribution[0] += lever[self._dot_a, gate] * self._fixed[gate]
-            fixed_contribution[1] += lever[self._dot_b, gate] * self._fixed[gate]
         rhs = np.array(
             [
                 0.5 * inv[self._dot_a, self._dot_a] * e_afv,
                 0.5 * inv[self._dot_b, self._dot_b] * e_afv,
             ]
-        ) - fixed_contribution
+        )
         solution = np.linalg.solve(pair, rhs)
         return float(solution[0]), float(solution[1])
 
@@ -410,7 +395,7 @@ class CSDSimulator:
     # ------------------------------------------------------------------
     def ideal_current(self, vx: float, vy: float) -> float:
         """Noise-free sensor current at a single voltage point."""
-        vg = self._fixed.copy()
+        vg = np.zeros(self._device.n_gates)
         vg[self._gate_x] = vx
         vg[self._gate_y] = vy
         return self._device.sensor_current(vg)
@@ -451,7 +436,7 @@ class CSDSimulator:
         xs = np.linspace(x_min, x_max, n_cols)
         ys = np.linspace(y_min, y_max, n_rows)
         occupations = self._device.solver.occupation_map(
-            self._gate_x, self._gate_y, xs, ys, fixed_voltages=self._fixed
+            self._gate_x, self._gate_y, xs, ys
         )
         data = self._sensor_currents(xs, ys, occupations)
         noise_model = noise or NoNoise()
@@ -482,7 +467,7 @@ class CSDSimulator:
         # Flatten the grid to explicit voltage points and evaluate through
         # the device's shared batch kernel (the same one the instrument
         # layer's batch probe path uses).
-        points = np.tile(self._fixed, (ys.size * xs.size, 1))
+        points = np.zeros((ys.size * xs.size, self._device.n_gates))
         points[:, self._gate_x] = np.tile(xs, ys.size)
         points[:, self._gate_y] = np.repeat(ys, xs.size)
         flat_occupations = occupations.reshape(-1, occupations.shape[-1])

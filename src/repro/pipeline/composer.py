@@ -42,9 +42,9 @@ def run_stage(
 ) -> StageOutcome:
     """Run one stage with cost accounting; append its telemetry row.
 
-    Costs come from diffing ``ctx.meter`` snapshots around the stage unless
-    the stage's outcome carries explicit overrides (stages probing through a
-    private meter).  A stage that raises :class:`ExtractionError` — or an
+    Costs come from diffing ``ctx.meter`` snapshots around the stage; a
+    stage that swaps ``ctx.meter`` out (the workflow's open-session stage)
+    is charged nothing.  A stage that raises :class:`ExtractionError` — or an
     :class:`~repro.exceptions.InstrumentFault`, the typed surface of an
     injected fault that exhausted the meter's retry budget — still gets its
     telemetry row (outcome ``"failed"``, costs up to the raise) before the
@@ -84,13 +84,8 @@ def _telemetry_row(
     ctx: TuneContext,
     wall_s: float,
 ) -> StageTelemetry:
-    """Build one telemetry row from snapshots and/or outcome overrides."""
-    if outcome.has_cost_override:
-        n_probes = outcome.n_probes or 0
-        n_requests = outcome.n_requests or 0
-        cache_hits = outcome.cache_hits or 0
-        sim_s = outcome.sim_elapsed_s or 0.0
-    elif before is not None and ctx.meter is meter_before:
+    """Build one telemetry row from the meter snapshots around the stage."""
+    if before is not None and ctx.meter is meter_before:
         delta = before.delta(ctx.meter.snapshot())
         n_probes = delta.n_probes
         n_requests = delta.n_requests
@@ -98,7 +93,7 @@ def _telemetry_row(
         sim_s = delta.elapsed_s
     else:
         # No meter existed around the stage (or the stage swapped it out):
-        # without overrides there is nothing to charge.
+        # there is nothing to charge.
         n_probes = n_requests = cache_hits = 0
         sim_s = 0.0
     return StageTelemetry(

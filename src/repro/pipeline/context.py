@@ -45,18 +45,13 @@ class StageOutcome:
 
     ``status`` is ``"ok"``, ``"failed"`` (the stage completed but rejects
     the run — artifacts are kept), or ``"skipped"`` (the stage decided it
-    had nothing to do).  The optional cost fields override the composer's
-    meter snapshot/diff accounting — only stages that probe through a
-    *private* meter (the coarse window search, the staleness re-probe) need
-    them; ordinary stages probe through ``ctx.meter`` and leave them unset.
+    had nothing to do).  A stage's cost is not reported here: every stage
+    probes through ``ctx.meter``, and the composer charges it the meter's
+    snapshot/diff.
     """
 
     status: str = "ok"
     detail: str = ""
-    n_probes: int | None = None
-    n_requests: int | None = None
-    cache_hits: int | None = None
-    sim_elapsed_s: float | None = None
 
     def __post_init__(self) -> None:
         if self.status not in ("ok", "failed", "skipped"):
@@ -64,19 +59,6 @@ class StageOutcome:
                 f"stage outcome status must be 'ok', 'failed', or 'skipped'; "
                 f"got {self.status!r}"
             )
-
-    @property
-    def has_cost_override(self) -> bool:
-        """Whether the stage supplied its own cost accounting."""
-        return any(
-            value is not None
-            for value in (
-                self.n_probes,
-                self.n_requests,
-                self.cache_hits,
-                self.sim_elapsed_s,
-            )
-        )
 
 
 @runtime_checkable

@@ -11,11 +11,13 @@ same order, and produces bit-identical results, as the pre-pipeline
 ``FastVirtualGateExtractor.extract``.
 
 The workflow's setup stages measure nothing of their own making: the
-window search and the staleness check take a meter, and the open-session
-stage takes a :class:`~repro.instrument.session.SessionFactory`, so every
-grid they probe was opened by :meth:`SessionFactory.make
+window search and the staleness check probe ``ctx.meter``, and the
+open-session stage takes a
+:class:`~repro.instrument.session.SessionFactory`, so every grid they probe
+was opened by :meth:`SessionFactory.make
 <repro.instrument.session.SessionFactory.make>` under the factory's noise,
-drift, timing and faults.
+drift, timing and faults.  Like every other stage they are charged by the
+composer's snapshot/diff of ``ctx.meter``.
 """
 
 from __future__ import annotations
@@ -292,28 +294,21 @@ class ValidateStage(ContentRepr):
 
 
 class WindowSearchStage(ContentRepr):
-    """Coarse transition-window search over the meter's whole grid.
+    """Coarse transition-window search over the whole grid of ``ctx.meter``.
 
-    Probes through the coarse meter it was given, not ``ctx.meter``, so it
-    reports its cost explicitly.  Sets ``ctx.window``.
+    The workflow runs it on the coarse session's meter.  Sets
+    ``ctx.window``.
     """
 
     name = "window-search"
 
-    def __init__(
-        self, meter: ChargeSensorMeter, config: WindowSearchConfig | None = None
-    ) -> None:
-        self._finder = TransitionWindowFinder(meter, config)
+    def __init__(self, config: WindowSearchConfig | None = None) -> None:
+        self._config = config
 
     def run(self, ctx: TuneContext) -> StageOutcome:
-        result = self._finder.find()
-        ctx.window = result
-        return StageOutcome(
-            n_probes=result.n_probes,
-            n_requests=result.n_probes,
-            cache_hits=0,
-            sim_elapsed_s=result.elapsed_s,
-        )
+        meter = _require_meter(ctx, self.name)
+        ctx.window = TransitionWindowFinder(meter, self._config).find()
+        return StageOutcome()
 
 
 class OpenSessionStage(ContentRepr):
@@ -383,48 +378,36 @@ class StalenessCheck:
 class StalenessCheckStage(ContentRepr):
     """Re-probe reference pixels at the device's current age (retuning mode).
 
-    Probes through a fresh cache-off meter on ``meter``'s backend, clock and
-    retry policy — the whole point is paying for fresh values on the shared
-    timeline — and reports the outcome as a :class:`StalenessCheck` in
-    ``ctx.extras["staleness_check"]``.  Costs are reported explicitly
-    because the probe goes through the stage's private meter.
+    Probes through ``ctx.meter`` — the workflow gives it a fresh cache-off
+    meter on the session's backend, clock and retry policy, since the whole
+    point is paying for fresh values on the shared timeline — and reports
+    the outcome as a :class:`StalenessCheck` in
+    ``ctx.extras["staleness_check"]``.
     """
 
     name = "staleness-check"
 
     def __init__(
         self,
-        meter: ChargeSensorMeter,
         rows: np.ndarray,
         cols: np.ndarray,
         reference: np.ndarray,
         threshold_na: float,
     ) -> None:
-        self._meter = meter
         self._rows = rows
         self._cols = cols
         self._reference = reference
         self._threshold_na = threshold_na
 
     def run(self, ctx: TuneContext) -> StageOutcome:
-        clock = self._meter.clock
-        started_s = clock.elapsed_s
-        check_meter = ChargeSensorMeter(
-            self._meter.backend, clock=clock, cache=False, retry=self._meter.retry
-        )
-        fresh = check_meter.get_currents(self._rows, self._cols)
+        meter = _require_meter(ctx, self.name)
+        fresh = meter.get_currents(self._rows, self._cols)
         deviation = float(np.max(np.abs(fresh - self._reference)))
         check = StalenessCheck(
-            checked_at_s=clock.elapsed_s,
+            checked_at_s=meter.elapsed_s,
             max_deviation_na=deviation,
             threshold_na=self._threshold_na,
             n_check_pixels=int(self._rows.size),
         )
         ctx.extras["staleness_check"] = check
-        return StageOutcome(
-            detail="stale" if check.stale else "fresh",
-            n_probes=check_meter.n_probes,
-            n_requests=check_meter.n_requests,
-            cache_hits=0,
-            sim_elapsed_s=clock.elapsed_s - started_s,
-        )
+        return StageOutcome(detail="stale" if check.stale else "fresh")

@@ -205,15 +205,15 @@ class AutoTuningWorkflow:
             return self._pipeline_spec
         return get_pipeline(str(self._pipeline_spec))
 
-    def _window_search_stage(
+    def _coarse_meter(
         self,
         gate_x: int | str,
         gate_y: int | str,
         x_range: tuple[float, float] | None,
         y_range: tuple[float, float] | None,
         seed: np.random.SeedSequence,
-    ) -> WindowSearchStage:
-        """The coarse search over the gates' safe ranges (or the given ones).
+    ) -> ChargeSensorMeter:
+        """The coarse scan's meter over the gates' safe ranges (or the given ones).
 
         The coarse session is the factory's lab at the coarse resolution,
         so :meth:`run` and :meth:`run_with_retuning` search under the same
@@ -227,8 +227,7 @@ class AutoTuningWorkflow:
             y_range or (spec_y.min_voltage, spec_y.max_voltage),
         )
         coarse = replace(self._factory, resolution=self._window_config.coarse_resolution)
-        session = coarse.make(gate_x=gate_x, gate_y=gate_y, window=window, seed=seed)
-        return WindowSearchStage(session.meter, self._window_config)
+        return coarse.make(gate_x=gate_x, gate_y=gate_y, window=window, seed=seed).meter
 
     def _metadata(self, gate_x: int | str, gate_y: int | str) -> dict:
         return {
@@ -253,13 +252,12 @@ class AutoTuningWorkflow:
         # each other and of neighbouring root seeds (seed + 1 would collide
         # with the window-search stream of a run rooted at seed + 1).
         window_seed, extraction_seed = spawn_seeds(self._seed, 2)
-        ctx = TuneContext(config=self._extraction_config)
-        setup_telemetry: list[StageTelemetry] = []
-        run_stage(
-            self._window_search_stage(gate_x, gate_y, x_range, y_range, window_seed),
-            ctx,
-            setup_telemetry,
+        ctx = TuneContext(
+            meter=self._coarse_meter(gate_x, gate_y, x_range, y_range, window_seed),
+            config=self._extraction_config,
         )
+        setup_telemetry: list[StageTelemetry] = []
+        run_stage(WindowSearchStage(self._window_config), ctx, setup_telemetry)
         run_stage(
             OpenSessionStage(
                 self._factory,
@@ -321,13 +319,12 @@ class AutoTuningWorkflow:
         if n_check_pixels < 1:
             raise ExtractionError("n_check_pixels must be at least 1")
         window_seed, extraction_seed = spawn_seeds(self._seed, 2)
-        setup_ctx = TuneContext(config=self._extraction_config)
-        setup_telemetry: list[StageTelemetry] = []
-        run_stage(
-            self._window_search_stage(gate_x, gate_y, x_range, y_range, window_seed),
-            setup_ctx,
-            setup_telemetry,
+        setup_ctx = TuneContext(
+            meter=self._coarse_meter(gate_x, gate_y, x_range, y_range, window_seed),
+            config=self._extraction_config,
         )
+        setup_telemetry: list[StageTelemetry] = []
+        run_stage(WindowSearchStage(self._window_config), setup_ctx, setup_telemetry)
         window_result = setup_ctx.window
         session_meter = self._factory.make(
             gate_x=gate_x, gate_y=gate_y, window=window_result.window, seed=extraction_seed
@@ -353,15 +350,19 @@ class AutoTuningWorkflow:
         cycles: list[RetuneCycle] = []
         for _ in range(n_cycles):
             clock.advance(idle_time_s)
-            cycle_ctx = TuneContext(config=self._extraction_config)
+            cycle_ctx = TuneContext(
+                meter=ChargeSensorMeter(
+                    session_meter.backend,
+                    clock=clock,
+                    cache=False,
+                    retry=session_meter.retry,
+                ),
+                config=self._extraction_config,
+            )
             cycle_telemetry: list[StageTelemetry] = []
             run_stage(
                 StalenessCheckStage(
-                    session_meter,
-                    check_rows,
-                    check_cols,
-                    reference,
-                    staleness_threshold_na,
+                    check_rows, check_cols, reference, staleness_threshold_na
                 ),
                 cycle_ctx,
                 cycle_telemetry,

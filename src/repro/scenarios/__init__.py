@@ -9,8 +9,8 @@ simulated labs with a name and a physical story:
 * :class:`~repro.scenarios.devices.DeviceSpec` — declarative device recipes
   (shared with the campaign grid);
 * :class:`~repro.scenarios.catalog.LabScenario` — device + noise + drift +
-  timing behind one constructor, with ``open_session`` /
-  ``session_factory`` entry points;
+  timing behind one constructor, measured through its
+  ``session_factory``;
 * the registry (:func:`~repro.scenarios.catalog.get_scenario`,
   :func:`~repro.scenarios.catalog.register_scenario`,
   :func:`~repro.scenarios.catalog.scenario_names`) with ~10 built-in
@@ -20,7 +20,8 @@ Typical use::
 
     from repro.scenarios import get_scenario
 
-    session = get_scenario("drifting_sensor").open_session(resolution=100, seed=7)
+    factory = get_scenario("drifting_sensor").session_factory(resolution=100)
+    session = factory.make(seed=7)
     result = FastVirtualGateExtractor().extract(session)
 """
 

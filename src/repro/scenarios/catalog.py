@@ -3,7 +3,8 @@
 A :class:`LabScenario` bundles everything that distinguishes one simulated
 lab from another — which device is bonded in, what corrupts its sensor
 signal, how the device itself evolves with time, and how long a probe takes —
-behind a single constructor, so workloads can say ``open_session("charge_jumpy")``
+behind a single constructor, so workloads can say
+``get_scenario("charge_jumpy").session_factory(resolution=100).make(seed=7)``
 instead of assembling five objects by hand.  The catalogue registered here is
 the library's standing answer to "which conditions has this been tried
 under?": every entry is constructible by name, sweepable as a campaign axis
@@ -24,7 +25,7 @@ import numpy as np
 from ..exceptions import ConfigurationError
 from ..faults import models_for
 from ..instrument.resilience import ProbeRetryPolicy
-from ..instrument.session import ExperimentSession, SessionFactory
+from ..instrument.session import SessionFactory
 from ..instrument.timing import TimingModel
 from ..physics.dot_array import DotArrayDevice
 from ..physics.drift import DeviceDrift
@@ -126,32 +127,6 @@ class LabScenario:
             time_dependent_noise=self.time_dependent_noise,
             faults=self.faults,
             probe_retry=self.probe_retry,
-        )
-
-    def open_session(
-        self,
-        resolution: int | tuple[int, int] = 100,
-        window: tuple[tuple[float, float], tuple[float, float]] | None = None,
-        gate_x: int | str = "P1",
-        gate_y: int | str = "P2",
-        dot_a: int = 0,
-        dot_b: int = 1,
-        seed: int | np.random.SeedSequence | None = None,
-        cache: bool = True,
-        max_probes: int | None = None,
-        label: str | None = None,
-    ) -> ExperimentSession:
-        """Open a measurement session on the scenario's device."""
-        return self.session_factory(
-            resolution=resolution, cache=cache, max_probes=max_probes
-        ).make(
-            gate_x=gate_x,
-            gate_y=gate_y,
-            dot_a=dot_a,
-            dot_b=dot_b,
-            window=window,
-            seed=seed,
-            label=label or f"{self.name}:{gate_x}-{gate_y}",
         )
 
     def scaled(self, noise_scale: float) -> "LabScenario":

@@ -50,7 +50,7 @@ def _open_session(run: tuple) -> ExperimentSession:
     if run[0] == "csd":
         return ExperimentSession.from_csd(load_benchmark(run[1]))
     _, name, seed, resolution = run
-    return get_scenario(name).open_session(resolution=resolution, seed=seed)
+    return get_scenario(name).session_factory(resolution=resolution).make(seed=seed)
 
 
 def run_golden(run: tuple) -> dict:

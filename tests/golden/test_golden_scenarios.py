@@ -38,9 +38,7 @@ GOLDEN_RUNS: tuple[tuple[str, int, int], ...] = (
 
 def run_golden(scenario_name: str, seed: int, resolution: int) -> dict:
     """One seeded end-to-end extraction, condensed to the snapshotted keys."""
-    session = get_scenario(scenario_name).open_session(
-        resolution=resolution, seed=seed
-    )
+    session = get_scenario(scenario_name).session_factory(resolution=resolution).make(seed=seed)
     result = FastVirtualGateExtractor().extract(session)
     meter = session.meter
     return {

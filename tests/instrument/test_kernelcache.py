@@ -239,17 +239,16 @@ class TestCacheBypass:
 
 class TestFingerprint:
     def _fingerprint(self, device=None, span=0.05, resolution=RESOLUTION,
-                     gate_x=0, gate_y=1, fixed=None):
+                     gate_x=0, gate_y=1):
         device = device or DotArrayDevice.double_dot(cross_coupling=(0.25, 0.22))
         xs = np.linspace(0.0, span, resolution)
         ys = np.linspace(0.0, span, resolution)
-        fixed_voltages = np.zeros(device.n_gates) if fixed is None else fixed
-        return kernel_fingerprint(device, xs, ys, gate_x, gate_y, fixed_voltages)
+        return kernel_fingerprint(device, xs, ys, gate_x, gate_y)
 
     def test_identical_inputs_identical_fingerprint(self):
         assert self._fingerprint() == self._fingerprint()
 
-    def test_device_window_resolution_fixed_all_discriminate(self):
+    def test_device_window_resolution_gates_all_discriminate(self):
         fingerprints = {
             "base": self._fingerprint(),
             "device": self._fingerprint(
@@ -258,9 +257,6 @@ class TestFingerprint:
             "window": self._fingerprint(span=0.06),
             "resolution": self._fingerprint(resolution=RESOLUTION + 1),
             "gates": self._fingerprint(gate_x=1, gate_y=0),
-            "fixed": self._fingerprint(
-                fixed=np.full(2, 0.01)
-            ),
         }
         assert len(set(fingerprints.values())) == len(fingerprints)
 

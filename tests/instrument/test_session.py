@@ -16,26 +16,24 @@ class TestFromCsd:
         assert session.geometry.alpha_12 > 0
         assert session.shape == clean_csd.shape
 
-    def test_summary_tracks_probes(self, clean_session):
+    def test_meter_tracks_probes(self, clean_session):
         meter = clean_session.meter
         meter.get_current(0, 0)
         meter.get_current(0, 1)
-        summary = clean_session.summary()
-        assert summary.n_probes == 2
-        assert summary.n_pixels == clean_session.shape[0] * clean_session.shape[1]
-        assert summary.probe_fraction == pytest.approx(2 / summary.n_pixels)
-        assert summary.elapsed_s == pytest.approx(0.1)
-        assert summary.as_dict()["n_probes"] == 2
+        assert meter.n_probes == 2
+        assert meter.backend.n_pixels == clean_session.shape[0] * clean_session.shape[1]
+        assert meter.probe_fraction == pytest.approx(2 / meter.backend.n_pixels)
+        assert meter.elapsed_s == pytest.approx(0.1)
 
     def test_reset(self, clean_session):
         clean_session.meter.get_current(0, 0)
         clean_session.reset()
-        assert clean_session.summary().n_probes == 0
+        assert clean_session.meter.n_probes == 0
 
     def test_custom_timing(self, clean_csd):
         session = ExperimentSession.from_csd(clean_csd, timing=TimingModel(dwell_time_s=0.1))
         session.meter.get_current(0, 0)
-        assert session.summary().elapsed_s == pytest.approx(0.1)
+        assert session.meter.elapsed_s == pytest.approx(0.1)
 
 
 class TestMake:
@@ -46,7 +44,7 @@ class TestMake:
         assert session.shape == (24, 24)
         value = session.meter.get_current(12, 12)
         assert value > 0
-        assert session.summary().n_probes == 1
+        assert session.meter.n_probes == 1
 
     def test_geometry_matches_device(self, double_dot_device):
         session = SessionFactory(double_dot_device, resolution=24).make()

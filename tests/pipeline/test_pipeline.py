@@ -67,7 +67,7 @@ class TestRegistry:
         for pipeline in all_pipelines():
             for source, session in (
                 ("csd", ExperimentSession.from_csd(clean_csd)),
-                ("device", get_scenario("quiet_lab").open_session(resolution=48, seed=7)),
+                ("device", get_scenario("quiet_lab").session_factory(resolution=48).make(seed=7)),
             ):
                 result = pipeline.run(session)
                 where = f"{pipeline.name} on {source}"

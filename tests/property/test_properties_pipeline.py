@@ -30,7 +30,7 @@ SCENARIO = "telegraph_storm"
 
 
 def _run(seed: int, pipeline_name: str = "fast-extraction"):
-    session = get_scenario(SCENARIO).open_session(resolution=RESOLUTION, seed=seed)
+    session = get_scenario(SCENARIO).session_factory(resolution=RESOLUTION).make(seed=seed)
     return get_pipeline(pipeline_name).run(session)
 
 
@@ -81,9 +81,7 @@ class TestFailureIsolation:
             stages[:position] + [_BoomStage()] + stages[position:],
             default_config=fast.default_config,
         )
-        session = get_scenario(SCENARIO).open_session(
-            resolution=RESOLUTION, seed=seed
-        )
+        session = get_scenario(SCENARIO).session_factory(resolution=RESOLUTION).make(seed=seed)
         result = broken.run(session)
         assert not result.success
         assert result.failure_reason == "injected failure"
@@ -112,9 +110,7 @@ class TestFailureIsolation:
             stages[:2] + [_BoomStage()],
             default_config=fast.default_config,
         )
-        session = get_scenario(SCENARIO).open_session(
-            resolution=RESOLUTION, seed=11
-        )
+        session = get_scenario(SCENARIO).session_factory(resolution=RESOLUTION).make(seed=11)
         result = broken.run(session)
         assert not result.success
         assert result.anchors is not None

@@ -81,7 +81,7 @@ class TestEveryScenario:
         assert scenario.build_device().n_dots >= 2
 
     def test_open_session_and_probe(self, name):
-        session = get_scenario(name).open_session(resolution=24, seed=5)
+        session = get_scenario(name).session_factory(resolution=24).make(seed=5)
         values = session.meter.get_currents(np.arange(10), np.arange(10))
         assert values.shape == (10,)
         assert np.all(np.isfinite(values))
@@ -91,7 +91,7 @@ class TestEveryScenario:
         scenario = get_scenario(name)
         images = []
         for _ in range(2):
-            session = scenario.open_session(resolution=20, seed=9)
+            session = scenario.session_factory(resolution=20).make(seed=9)
             images.append(session.meter.acquire_full_grid())
         assert np.array_equal(images[0], images[1])
 
@@ -117,14 +117,14 @@ class TestScenarioSemantics:
         scenario = get_scenario("quiet_lab")
         assert scenario.noise is None
         assert not scenario.is_time_dependent
-        session = scenario.open_session(resolution=24, seed=1)
+        session = scenario.session_factory(resolution=24).make(seed=1)
         assert not session.meter.backend.is_time_dependent
 
     def test_drifting_scenarios_are_time_dependent(self):
         for name in ("drifting_sensor", "charge_jumpy", "overnight_run"):
             scenario = get_scenario(name)
             assert scenario.is_time_dependent
-            session = scenario.open_session(resolution=24, seed=1)
+            session = scenario.session_factory(resolution=24).make(seed=1)
             assert session.meter.backend.is_time_dependent
 
     def test_overnight_run_has_slow_probes(self):
@@ -134,7 +134,7 @@ class TestScenarioSemantics:
         )
 
     def test_extraction_succeeds_in_the_quiet_lab(self):
-        session = get_scenario("quiet_lab").open_session(resolution=64, seed=4)
+        session = get_scenario("quiet_lab").session_factory(resolution=64).make(seed=4)
         result = FastVirtualGateExtractor().extract(session)
         assert result.success
 
