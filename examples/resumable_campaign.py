@@ -9,10 +9,11 @@ scale.  This example runs the same grid three ways:
    a JSONL journal holding a strict prefix of the records — which we then
    inspect as a *partial* result, exactly the way an operator would look at
    a dead run's journal;
-3. a resume of that journal, which skips the already-completed job ids,
-   runs only the remainder, and merges into a result **bit-identical** to
-   the uninterrupted reference (compare through ``normalized()``, which
-   pins the wall-clock fields — everything else is deterministic).
+3. a resume: ``run(checkpoint=...)`` again on that journal, which skips
+   the already-completed job ids, runs only the remainder, and merges into
+   a result **bit-identical** to the uninterrupted reference (compare
+   through ``normalized()``, which pins the wall-clock fields — everything
+   else is deterministic).
 
 Run with::
 
@@ -70,13 +71,14 @@ def main() -> None:
         f"(partial={partial.is_partial})"
     )
 
-    # 3. Resume: journaled job ids are skipped, the rest runs, and the
-    #    merged result equals the uninterrupted one bit-for-bit.
+    # 3. Resume by running on the same journal: journaled job ids are
+    #    skipped, the rest runs, and the merged result equals the
+    #    uninterrupted one bit-for-bit.
     print("\nresuming from the journal ...")
     resumed = TuningCampaign(
         grid,
         progress=lambda done, total, rec: print(f"  [{done}/{total}] job #{rec.job_id}"),
-    ).resume(journal)
+    ).run(checkpoint=journal)
 
     identical = resumed.normalized() == reference.normalized()
     print(f"\nresumed result bit-identical to uninterrupted run: {identical}")

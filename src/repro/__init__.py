@@ -44,8 +44,6 @@ from .execution import (
     CheckpointJournal,
     ExecutionBackend,
     ProcessPoolBackend,
-    RetryPolicy,
-    RunController,
     SerialBackend,
 )
 from .faults import (
@@ -133,8 +131,6 @@ __all__ = [
     "ExecutionBackend",
     "LocalCluster",
     "ProcessPoolBackend",
-    "RetryPolicy",
-    "RunController",
     "SerialBackend",
     "FaultModel",
     "FaultyBackend",

@@ -16,9 +16,8 @@ the managed layer for that workload:
   through the :mod:`repro.execution` backend its one ``backend=`` spec
   names (``None`` for serial, ``"process:N"``, ``"cluster:local:N"`` —
   results are bit-identical on every backend),
-  journals records to an optional JSONL checkpoint it can
-  :meth:`~repro.campaign.engine.TuningCampaign.resume` from, and
-  aggregates everything into a
+  journals records to an optional JSONL checkpoint that a later
+  ``run(checkpoint=...)`` resumes from, and aggregates everything into a
   :class:`~repro.campaign.results.CampaignResult` that renders through the
   :mod:`repro.analysis.reporting` tables and round-trips through JSON
   (:meth:`~repro.campaign.results.CampaignResult.save` /
@@ -41,7 +40,7 @@ Typical use::
 """
 
 from .engine import TuningCampaign, campaign_fingerprint
-from .grid import KNOWN_METHODS, CampaignGrid, CampaignJob, DeviceSpec
+from .grid import CampaignGrid, CampaignJob, DeviceSpec
 from .results import CampaignJobRecord, CampaignResult
 from .worker import (
     DEFAULT_FAULT_RETRY,
@@ -56,7 +55,6 @@ __all__ = [
     "CampaignJob",
     "DEFAULT_FAULT_RETRY",
     "DeviceSpec",
-    "KNOWN_METHODS",
     "CampaignJobRecord",
     "CampaignResult",
     "campaign_fingerprint",

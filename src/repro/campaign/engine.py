@@ -3,18 +3,19 @@
 :class:`TuningCampaign` owns *what* runs — the expanded job list, resolved
 once per run into jobs that carry their scenario, pipeline and fault models
 (:func:`~repro.campaign.grid.resolve_jobs`), the success criterion — and
-delegates *how* it runs to the
-:mod:`repro.execution` layer, chosen by one ``backend=`` spec: an
-:class:`~repro.execution.base.ExecutionBackend` schedules jobs and streams
-``(job_id, record)`` pairs back in completion order, while a
-:class:`~repro.execution.controller.RunController` wraps the runner with
-per-job fault isolation (a raising job becomes a ``"worker_error"`` record
-instead of aborting the campaign), applies the retry policy, journals each
-record to an optional JSONL checkpoint, and fires progress callbacks.
+hands *how* it runs to the :class:`~repro.execution.base.ExecutionBackend`
+its one ``backend=`` spec names, which schedules the jobs and streams
+``(job_id, record)`` pairs back in completion order.  Around that stream
+:meth:`TuningCampaign.run` is the one campaign loop: it skips the job ids
+an optional JSONL checkpoint journal already holds, submits the rest
+through :func:`~repro.campaign.worker.run_guarded` (a raising runner
+becomes a ``"worker_error"`` record instead of aborting the campaign),
+turns each :class:`~repro.execution.base.WorkerCrash` marker into the
+same record, journals every new record, then fires progress.
 
 Seeds are bound to jobs at grid expansion and records are reassembled in
 job-id order, so every backend at every worker count returns bit-identical
-results; :meth:`TuningCampaign.resume` extends the same guarantee across
+results; ``run(checkpoint=path)`` extends the same guarantee across
 process death — journaled job ids are skipped and the merged result equals
 an uninterrupted run.
 """
@@ -28,19 +29,19 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from ..analysis.metrics import SuccessCriterion
-from ..exceptions import ConfigurationError
+from ..exceptions import ConfigurationError, WorkerCrashError
 from ..execution import (
     CheckpointJournal,
     ExecutionBackend,
     ProgressCallback,
-    RetryPolicy,
-    RunController,
+    WorkerCrash,
     backend_from_spec,
+    crash_message,
 )
 from ..reprs import ADDRESS_REPR as _ADDRESS_REPR
 from .grid import CampaignGrid, CampaignJob, resolve_jobs
 from .results import CampaignJobRecord, CampaignResult
-from .worker import run_campaign_job, worker_error_record
+from .worker import run_campaign_job, run_guarded, worker_error_record
 
 
 def campaign_fingerprint(
@@ -137,15 +138,6 @@ class TuningCampaign:
     criterion:
         Ground-truth success criterion applied to every job; the paper
         defaults when omitted.
-    retry:
-        A :class:`~repro.execution.controller.RetryPolicy`, or an int
-        shorthand for ``RetryPolicy(max_attempts=...)``; attempts per job
-        before a raising runner becomes a ``"worker_error"`` record.  Only
-        a *raising* runner retries: the default
-        :func:`~repro.campaign.worker.run_campaign_job` converts pipeline
-        exceptions into ``"crash"`` records itself (deterministic failures
-        that a re-run would only repeat), so the budget matters for custom
-        runners and infrastructure-level faults.
     progress:
         Optional ``(n_done, n_total, record)`` callback fired in the parent
         process after every completed job, in completion order.
@@ -155,7 +147,8 @@ class TuningCampaign:
         with a resolved job (one that carries its scenario, pipeline and
         fault models), must return a
         :class:`~repro.campaign.results.CampaignJobRecord`, and must be
-        picklable for process-based backends.
+        picklable for process-based backends.  An exception it raises
+        becomes the job's ``"worker_error"`` record.
     """
 
     def __init__(
@@ -164,7 +157,6 @@ class TuningCampaign:
         *,
         backend: str | ExecutionBackend | None = None,
         criterion: SuccessCriterion | None = None,
-        retry: RetryPolicy | int | None = None,
         progress: ProgressCallback | None = None,
         job_runner: Callable[..., CampaignJobRecord] = run_campaign_job,
     ) -> None:
@@ -182,9 +174,6 @@ class TuningCampaign:
         self._backend_spec = (
             backend if isinstance(backend, str) else self._backend.name
         )
-        if isinstance(retry, int):
-            retry = RetryPolicy(max_attempts=retry)
-        self._retry = retry or RetryPolicy()
         self._progress = progress
         self._job_runner = job_runner
 
@@ -200,58 +189,57 @@ class TuningCampaign:
         return self._backend
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        checkpoint: str | Path | None = None,
-        rerun_failures: bool | tuple[str, ...] = False,
-    ) -> CampaignResult:
+    def run(self, checkpoint: str | Path | None = None) -> CampaignResult:
         """Execute every job and aggregate the records.
 
-        With ``checkpoint`` set, every completed record is appended to a
-        JSONL journal at that path as it streams in, and job ids already
-        present in the journal are skipped — so ``run`` on an existing
-        journal *is* a resume (see :meth:`resume` for the intent-revealing
-        spelling).  ``rerun_failures`` names journaled failure categories
-        to re-run instead of adopt: ``True`` means ``("worker_error",)``,
-        a tuple selects specific categories.
+        With ``checkpoint`` set, job ids already in the JSONL journal at
+        that path are skipped and their records adopted verbatim (they
+        round-trip through JSON bit-identically), and every new record is
+        appended the moment it streams in — so ``run`` on an existing
+        journal *is* a resume, and a missing journal starts fresh.  The
+        merged result equals an uninterrupted run of the same campaign,
+        modulo wall-clock timing; compare through
+        :meth:`~repro.campaign.results.CampaignResult.normalized`.
+        Journaled failures are adopted too, ``"worker_error"`` records
+        included.
+
+        Progress fires after each new record is journaled; journaled jobs
+        count toward ``n_done`` without firing.
         """
-        if rerun_failures and checkpoint is None:
-            raise ConfigurationError(
-                "rerun_failures only makes sense with a checkpoint journal "
-                "to re-run failures from; pass checkpoint= as well"
-            )
         started = time.perf_counter()
         # One lookup per name, here in the parent: the jobs then carry what
         # they run, including entries registered only in this process.
         jobs = resolve_jobs(self._jobs)
-        journal = (
-            CheckpointJournal(
+        journal = None
+        completed: dict[int, CampaignJobRecord] = {}
+        if checkpoint is not None:
+            journal = CheckpointJournal(
                 checkpoint,
                 serialize=CampaignJobRecord.as_dict,
                 deserialize=CampaignJobRecord.from_dict,
                 fingerprint=campaign_fingerprint(jobs, self._criterion),
             )
-            if checkpoint is not None
-            else None
-        )
-        if rerun_failures:
-            categories = (
-                ("worker_error",)
-                if rerun_failures is True
-                else tuple(rerun_failures)
-            )
-            adopt = lambda record: record.failure_category not in categories  # noqa: E731
-        else:
-            adopt = None
-        controller = RunController(
-            self._backend,
-            retry=self._retry,
-            progress=self._progress,
-            journal=journal,
-            adopt=adopt,
-        )
-        run_one = partial(self._job_runner, criterion=self._criterion)
-        completed = controller.run(jobs, run_one, on_error=worker_error_record)
+            wanted = {job.job_id for job in jobs}
+            completed = {
+                job_id: record
+                for job_id, record in journal.load().items()
+                if job_id in wanted
+            }
+        pending = tuple(job for job in jobs if job.job_id not in completed)
+        by_id = {job.job_id: job for job in pending}
+        run_one = partial(run_guarded, self._job_runner, self._criterion)
+        n_done = len(completed)
+        for job_id, record in self._backend.submit(pending, run_one):
+            if isinstance(record, WorkerCrash):
+                record = worker_error_record(
+                    by_id[job_id], WorkerCrashError(crash_message(job_id))
+                )
+            completed[job_id] = record
+            if journal is not None:
+                journal.append(job_id, record)
+            n_done += 1
+            if self._progress is not None:
+                self._progress(n_done, len(jobs), record)
         ordered: tuple[CampaignJobRecord, ...] = tuple(
             completed[job_id] for job_id in sorted(completed)
         )
@@ -266,28 +254,3 @@ class TuningCampaign:
                 "backend_spec": self._backend_spec,
             },
         )
-
-    def resume(
-        self,
-        checkpoint: str | Path,
-        rerun_failures: bool | tuple[str, ...] = False,
-    ) -> CampaignResult:
-        """Resume an interrupted campaign from its checkpoint journal.
-
-        Records already journaled are adopted verbatim (they round-trip
-        through JSON bit-identically) and their job ids are skipped; only
-        the remainder runs.  The merged result equals an uninterrupted run
-        of the same campaign, modulo wall-clock timing — compare through
-        :meth:`~repro.campaign.results.CampaignResult.normalized`.  A
-        missing journal file simply starts the campaign fresh, journaling
-        as it goes.
-
-        One caveat to the equality claim: journaled failures are adopted
-        too, including ``"worker_error"`` records born from *transient*
-        faults (a custom runner's network blip) that an uninterrupted run
-        might not have hit.  Pass ``rerun_failures=True`` to re-run
-        journaled ``worker_error`` jobs instead of adopting them, or a
-        tuple of failure categories to choose precisely; re-run outcomes
-        supersede the old journal lines.
-        """
-        return self.run(checkpoint=checkpoint, rerun_failures=rerun_failures)

@@ -48,15 +48,11 @@ from ..scenarios.catalog import LabScenario, get_scenario
 from ..scenarios.devices import DEVICE_FACTORIES, DeviceSpec
 from ..seeding import spawn_seeds
 
-#: Historical shorthand methods (any registered pipeline name also works).
-KNOWN_METHODS: tuple[str, ...] = ("fast", "baseline")
-
 __all__ = [
     "CampaignGrid",
     "CampaignJob",
     "DeviceSpec",
     "DEVICE_FACTORIES",
-    "KNOWN_METHODS",
     "noise_for_scale",
     "resolve_jobs",
 ]

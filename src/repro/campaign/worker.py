@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
+from typing import Callable
 
 from ..analysis.metrics import SuccessCriterion, accuracy_metrics
 from ..core.result import ExtractionResult
@@ -213,13 +214,31 @@ def worker_error_record(job: CampaignJob, exc: BaseException) -> CampaignJobReco
     :func:`run_campaign_job` already converts exceptions from inside the
     extraction pipeline into ``"crash"`` records; this covers the layer
     *around* it — any exception a (custom) job runner raises in the
-    worker.  The :class:`~repro.execution.controller.RunController`
-    installs it as the ``on_error`` hook, so one broken job yields a
-    failure record and the campaign keeps every other result instead of
-    aborting wholesale.  Faults that escape the worker entirely (a record
-    that cannot pickle back, a worker killed by the OS breaking the pool)
-    still propagate and abort the run — there the checkpoint journal plus
-    :meth:`~repro.campaign.engine.TuningCampaign.resume` is the recovery
-    path.
+    worker (:func:`run_guarded`), and a worker that died with its job
+    (:class:`~repro.execution.base.WorkerCrash`, condensed by
+    :meth:`~repro.campaign.engine.TuningCampaign.run`).  One broken job
+    yields a failure record and the campaign keeps every other result
+    instead of aborting wholesale.  Faults that escape the worker entirely
+    (a record that cannot pickle back) still propagate and abort the run —
+    there the checkpoint journal, run again through ``run(checkpoint=)``,
+    is the recovery path.
     """
     return _failure_record(job, category="worker_error", exc=exc)
+
+
+def run_guarded(
+    job_runner: Callable[..., CampaignJobRecord],
+    criterion: SuccessCriterion,
+    job: CampaignJob,
+) -> CampaignJobRecord:
+    """``job_runner(job, criterion=criterion)``, or its ``"worker_error"`` record.
+
+    The form a campaign submits to its backend.  Module-level, so a
+    :func:`functools.partial` binding of it stays picklable for
+    process-based backends; it runs *inside* the worker, so a raising
+    runner never sends an exception across the process boundary.
+    """
+    try:
+        return job_runner(job, criterion=criterion)
+    except Exception as exc:
+        return worker_error_record(job, exc)

@@ -17,9 +17,8 @@ most recently leased.  The scheduling loop is event-driven off the wire:
   Its outstanding jobs are re-leased *one per lease* as suspects; a worker
   that dies holding a single suspect job convicts it, and the job condenses
   into the canonical :class:`~repro.execution.base.WorkerCrash` marker —
-  exactly the process pool's rescue semantics, so
-  :class:`~repro.execution.controller.RunController` and checkpoint
-  journals need no cluster-specific handling.
+  exactly the process pool's rescue semantics, so the campaign loop and
+  checkpoint journals need no cluster-specific handling.
 
 Determinism: the coordinator never reorders, drops, or duplicates job ids
 (the done-set dedups steal/re-lease races), and jobs carry their seeds, so

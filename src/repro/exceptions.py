@@ -68,10 +68,11 @@ class CircuitBreakerOpenError(InstrumentFault):
 class WorkerCrashError(ReproError):
     """An execution worker died (or was deterministically made to die).
 
-    Raised in-process by the serial backend when a crash fault fires,
-    and synthesised by :class:`~repro.execution.backends.ProcessPoolBackend`
-    when a pool worker hard-exits; the run controller converts it into a
-    ``worker_error`` record instead of aborting the campaign.
+    Raised in-process by the serial backend when a crash fault fires, and
+    synthesised by the campaign loop from the
+    :class:`~repro.execution.base.WorkerCrash` marker a backend yields when
+    a worker hard-exits; either way the job becomes a ``worker_error``
+    record instead of aborting the campaign.
     """
 
 

@@ -10,9 +10,9 @@ The contract is deliberately tiny:
 ``submit(jobs, run_one)`` returns an **iterator of** ``(job_id, record)``
 **pairs in completion order**.  Streaming is the load-bearing part: records
 become available one at a time as jobs finish, which is what lets the
-:class:`~repro.execution.controller.RunController` journal each record to a
-checkpoint, fire progress callbacks, and keep a partial result when the
-process dies mid-run.  Backends make no ordering promise — callers that
+campaign loop (:meth:`~repro.campaign.engine.TuningCampaign.run`) journal
+each record to a checkpoint, fire progress callbacks, and keep a partial
+result when the process dies mid-run.  Backends make no ordering promise — callers that
 need job-id order sort after draining the iterator.
 
 Backends are generic over the job and record types: a job only needs a
@@ -73,11 +73,9 @@ class WorkerCrash:
     A backend that can *observe* worker death without being able to get a
     real record out of the corpse (the process pool after a hard ``os._exit``
     or OOM kill) yields ``(job_id, WorkerCrash(job_id))`` instead of raising
-    and abandoning the batch.  The
-    :class:`~repro.execution.controller.RunController` converts the marker
-    through its ``on_error`` hook into an ordinary failure record (or raises
-    :class:`~repro.exceptions.WorkerCrashError` when no hook is set), so
-    crashes journal and resume exactly like any other failed job.
+    and abandoning the batch.  The campaign loop converts the marker into
+    an ordinary ``"worker_error"`` record carrying :func:`crash_message`,
+    so crashes journal and resume exactly like any other failed job.
     """
 
     job_id: int
@@ -91,9 +89,8 @@ class WorkerCrash:
 class ExecutionBackend(ContentRepr, abc.ABC):
     """Execution policy for a batch of independent jobs.
 
-    Subclasses implement :meth:`submit`; everything else (retries, fault
-    isolation, journaling, progress) lives in
-    :class:`~repro.execution.controller.RunController` so each backend stays
+    Subclasses implement :meth:`submit`; everything else (fault isolation,
+    journaling, progress) lives in the campaign loop, so each backend stays
     a few dozen lines of pure scheduling.
     """
 
@@ -115,8 +112,8 @@ class ExecutionBackend(ContentRepr, abc.ABC):
         Implementations must tolerate an empty job list (yield nothing) and
         must not reorder, drop, or duplicate job ids.  Exceptions raised by
         ``run_one`` propagate to the consumer; callers that want per-job
-        fault isolation wrap ``run_one`` first (see
-        :func:`~repro.execution.controller.guarded_runner`).
+        fault isolation wrap ``run_one`` first (as a campaign does with
+        :func:`~repro.campaign.worker.run_guarded`).
         """
 
 

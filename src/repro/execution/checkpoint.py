@@ -2,8 +2,8 @@
 
 A journal is the crash-safety half of the streaming contract: as records
 arrive from an :class:`~repro.execution.base.ExecutionBackend`, the
-:class:`~repro.execution.controller.RunController` appends one JSON line per
-record.  Each append is written and flushed atomically enough that a killed
+campaign loop (:meth:`~repro.campaign.engine.TuningCampaign.run`) appends
+one JSON line per record.  Each append is written and flushed atomically enough that a killed
 run leaves a *strict prefix* of complete lines plus at most one truncated
 tail line, which :meth:`CheckpointJournal.load` tolerates by stopping at the
 first unparsable line.  The next :meth:`append` then truncates the file back

@@ -29,16 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import ConfigurationError, MeasurementError
+from ..seeding import FAULT_INDEX, reserved_seeds
 from .models import FaultModel
 
 __all__ = ["BatchPlan", "FaultyBackend", "ProbeDisruption", "probe_fault_models"]
-
-#: Spawn-key branch for fault streams.  DeviceBackend derives its temporal
-#: noise and drift children at (2**31, 0) and (2**31, 1) off the same root,
-#: so fault keys start at (2**31, 2): sharing one seed between the inner
-#: backend and its fault wrapper never collides streams.
-_FAULT_SPAWN_OFFSET = 2
-
 
 @dataclass(frozen=True)
 class ProbeDisruption:
@@ -146,17 +140,10 @@ class FaultyBackend:
 
     def _keys(self) -> tuple[np.uint64, ...]:
         if self._keys_cache is None:
-            root = (
-                self._seed
-                if isinstance(self._seed, np.random.SeedSequence)
-                else np.random.SeedSequence(self._seed)
-            )
+            indices = range(FAULT_INDEX, FAULT_INDEX + len(self._models))
             self._keys_cache = tuple(
-                np.random.SeedSequence(
-                    entropy=root.entropy,
-                    spawn_key=root.spawn_key + (2**31, _FAULT_SPAWN_OFFSET + i),
-                ).generate_state(1, dtype=np.uint64)[0]
-                for i in range(len(self._models))
+                child.generate_state(1, dtype=np.uint64)[0]
+                for child in reserved_seeds(self._seed, indices)
             )
         return self._keys_cache
 

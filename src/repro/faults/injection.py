@@ -28,13 +28,10 @@ import numpy as np
 
 from ..exceptions import WorkerCrashError
 from ..execution.base import crash_message
+from ..seeding import WORKER_CRASH_INDEX, reserved_seeds
 from .models import FaultModel
 
 __all__ = ["crash_message", "inject_worker_faults", "worker_fault_models"]
-
-#: Spawn-key branch for the per-job crash draw; clear of DeviceBackend's
-#: (2**31, 0..1) and FaultyBackend's (2**31, 2..) children.
-_CRASH_SPAWN_INDEX = 2**31 - 1
 
 #: Exit code of an injected hard crash (distinguishable from signal deaths).
 CRASH_EXIT_CODE = 113
@@ -43,13 +40,6 @@ CRASH_EXIT_CODE = 113
 def worker_fault_models(models) -> tuple[FaultModel, ...]:
     """The worker-scope subset of a fault model collection."""
     return tuple(m for m in models if m.scope == "worker")
-
-
-def _crash_key(seed: np.random.SeedSequence) -> np.uint64:
-    child = np.random.SeedSequence(
-        entropy=seed.entropy, spawn_key=seed.spawn_key + (2**31, _CRASH_SPAWN_INDEX)
-    )
-    return child.generate_state(1, dtype=np.uint64)[0]
 
 
 def inject_worker_faults(
@@ -65,12 +55,8 @@ def inject_worker_faults(
     crashers = worker_fault_models(models)
     if not crashers:
         return
-    root = (
-        seed
-        if isinstance(seed, np.random.SeedSequence)
-        else np.random.SeedSequence(seed)
-    )
-    key = _crash_key(root)
+    (child,) = reserved_seeds(seed, (WORKER_CRASH_INDEX,))
+    key = child.generate_state(1, dtype=np.uint64)[0]
     if not any(model.crashes(int(job_id), key) for model in crashers):
         return
     if multiprocessing.parent_process() is not None:

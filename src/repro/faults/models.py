@@ -239,7 +239,7 @@ class WorkerCrashFault(FaultModel):
     job (the token is the job id) and, when it fires, hard-exits the worker
     process (spawned pools) or raises
     :class:`~repro.exceptions.WorkerCrashError` (in-process backends) —
-    either way the run controller turns the job into a ``worker_error``
+    either way the campaign loop turns the job into a ``worker_error``
     record rather than aborting the campaign.
     """
 

@@ -65,6 +65,7 @@ from ..physics.csd import ChargeStabilityDiagram, nearest_axis_index, uniform_ax
 from ..physics.dot_array import DotArrayDevice
 from ..physics.drift import DeviceDrift, DeviceDriftState
 from ..physics.noise import NoiseModel, NoNoise, TimeDependentNoise
+from ..seeding import DRIFT_INDEX, TEMPORAL_NOISE_INDEX, reserved_seeds
 from .resilience import ProbeRetryPolicy
 from .timing import TimingModel, VirtualClock
 
@@ -677,24 +678,11 @@ class DeviceBackend(MeasurementBackend):
         return self._noise_field
 
     def _seed_children(self) -> tuple[np.random.SeedSequence, ...]:
-        # Independent child streams for the temporal noise sampler and the
-        # drift state, so the two mechanisms never share randomness.  The
-        # children are derived by extending the spawn key directly rather
-        # than through SeedSequence.spawn(), which would mutate a
-        # caller-supplied SeedSequence's child counter and make two backends
-        # seeded with the same object diverge.  The large constant keeps the
-        # keys clear of anything the caller's own spawn() will hand out.
+        # Independent reserved streams for the temporal noise sampler and
+        # the drift state, so the two mechanisms never share randomness.
         if self._seed_children_cache is None:
-            root = (
-                self._seed
-                if isinstance(self._seed, np.random.SeedSequence)
-                else np.random.SeedSequence(self._seed)
-            )
-            self._seed_children_cache = tuple(
-                np.random.SeedSequence(
-                    entropy=root.entropy, spawn_key=root.spawn_key + (2**31, i)
-                )
-                for i in (0, 1)
+            self._seed_children_cache = reserved_seeds(
+                self._seed, (TEMPORAL_NOISE_INDEX, DRIFT_INDEX)
             )
         return self._seed_children_cache
 

@@ -11,8 +11,7 @@ Everything here is *simulated-time* resilience: backoffs, stalls, and
 timeout budgets are charged to the session's
 :class:`~repro.instrument.timing.VirtualClock`, never to the wall clock, so
 a chaos run with thousands of injected faults still executes in milliseconds
-and is bit-reproducible.  (Runner-level retry of whole jobs — which *is*
-wall-clock — lives in :class:`repro.execution.controller.RetryPolicy`.)
+and is bit-reproducible.
 """
 
 from __future__ import annotations

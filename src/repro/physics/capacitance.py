@@ -343,37 +343,25 @@ class CapacitanceModel:
     ) -> "CapacitanceModel":
         """Build an ``n_dots`` linear array with one plunger gate per dot.
 
-        Cross capacitances decay with distance: each plunger couples to its own
-        dot, to nearest-neighbour dots with ``nearest_cross_fraction`` of the
-        plunger capacitance, and to next-nearest neighbours with
-        ``next_nearest_cross_fraction``.  This mirrors the quadruple-dot layout
-        of the paper's Figure 1.
+        The ``rows == 1`` case of :meth:`grid_lattice`: cross capacitances
+        decay with distance along the chain, each plunger coupling to its
+        own dot, to nearest-neighbour dots with ``nearest_cross_fraction``
+        of the plunger capacitance, and to next-nearest neighbours with
+        ``next_nearest_cross_fraction``.  This mirrors the quadruple-dot
+        layout of the paper's Figure 1.
         """
         if n_dots < 1:
             raise CapacitanceModelError("n_dots must be at least 1")
-        if charging_energy_mev <= 0:
-            raise CapacitanceModelError("charging energy must be positive")
-        c_total = constants.E_SQUARED_OVER_AF_IN_MEV / charging_energy_mev
-        cm = mutual_fraction * c_total
-        cdd = np.zeros((n_dots, n_dots))
-        for i in range(n_dots):
-            cdd[i, i] = c_total
-            if i + 1 < n_dots:
-                cdd[i, i + 1] = -cm
-                cdd[i + 1, i] = -cm
-        cg = plunger_lever_arm * c_total
-        cdg = np.zeros((n_dots, n_dots))
-        for i in range(n_dots):
-            for j in range(n_dots):
-                distance = abs(i - j)
-                if distance == 0:
-                    cdg[i, j] = cg
-                elif distance == 1:
-                    cdg[i, j] = nearest_cross_fraction * cg
-                elif distance == 2:
-                    cdg[i, j] = next_nearest_cross_fraction * cg
-        names = tuple(f"{gate_prefix}{i + 1}" for i in range(n_dots))
-        return cls(dot_dot=cdd, dot_gate=cdg, gate_names=names)
+        return cls.grid_lattice(
+            1,
+            n_dots,
+            charging_energy_mev=charging_energy_mev,
+            mutual_fraction=mutual_fraction,
+            plunger_lever_arm=plunger_lever_arm,
+            nearest_cross_fraction=nearest_cross_fraction,
+            next_nearest_cross_fraction=next_nearest_cross_fraction,
+            gate_prefix=gate_prefix,
+        )
 
     @classmethod
     def grid_lattice(
@@ -391,9 +379,10 @@ class CapacitanceModel:
 
         Dots are indexed row-major (dot ``r * cols + c`` sits at lattice site
         ``(r, c)``); mutual capacitance couples 4-connected neighbours, and
-        plunger cross-capacitance decays with Manhattan distance exactly as
-        :meth:`linear_array` decays it with chain distance — a linear array
-        is the ``rows == 1`` special case.
+        each plunger couples to its own dot, to dots at Manhattan distance 1
+        with ``nearest_cross_fraction`` of the plunger capacitance and to
+        dots at distance 2 with ``next_nearest_cross_fraction``.  A linear
+        array (:meth:`linear_array`) is the ``rows == 1`` case.
         """
         if rows < 1 or cols < 1:
             raise CapacitanceModelError("grid_lattice needs rows >= 1 and cols >= 1")

@@ -449,7 +449,6 @@ class ChargeStateSolver:
         gate_y: int | str,
         x_voltages: np.ndarray,
         y_voltages: np.ndarray,
-        fixed_voltages: np.ndarray | list | None = None,
     ) -> np.ndarray:
         """Ground-state occupations over a 2-D voltage grid.
 
@@ -458,11 +457,9 @@ class ChargeStateSolver:
         gate_x, gate_y:
             The two swept gates (index or name). ``gate_x`` varies along the
             column axis of the returned array, ``gate_y`` along the row axis.
+            Every other gate sits at 0 V.
         x_voltages, y_voltages:
             1-D arrays of voltages for the swept gates.
-        fixed_voltages:
-            Voltages of all gates that are not swept (length ``n_gates``);
-            the swept entries of this vector are overwritten.  Defaults to 0 V.
 
         Returns
         -------
@@ -476,19 +473,10 @@ class ChargeStateSolver:
             raise ChargeStateError("gate_x and gate_y must be different gates")
         xs = np.asarray(x_voltages, dtype=float)
         ys = np.asarray(y_voltages, dtype=float)
-        base = (
-            np.zeros(model.n_gates)
-            if fixed_voltages is None
-            else np.asarray(fixed_voltages, dtype=float).copy()
-        )
-        if base.shape != (model.n_gates,):
-            raise ChargeStateError(
-                f"fixed_voltages must have shape ({model.n_gates},), got {base.shape}"
-            )
         # Expand the grid to explicit voltage points and score them through
         # the shared batch kernel, so grid rasterisation, batched probes, and
         # scalar ground-state queries all run exactly one physics kernel.
-        points = np.tile(base, (ys.size * xs.size, 1))
+        points = np.zeros((ys.size * xs.size, model.n_gates))
         points[:, ix] = np.tile(xs, ys.size)
         points[:, iy] = np.repeat(ys, xs.size)
         occupations = self.occupations_at(points)

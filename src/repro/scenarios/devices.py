@@ -15,16 +15,16 @@ from dataclasses import dataclass
 from ..exceptions import ConfigurationError
 from ..physics.dot_array import DotArrayDevice
 
-#: Device factory registry: every entry is a classmethod of
+#: The device factories a spec may name: each is a classmethod of
 #: :class:`~repro.physics.dot_array.DotArrayDevice` that builds a device from
-#: keyword arguments.  Registering by name keeps specs declarative and
+#: keyword arguments.  Naming the factory keeps specs declarative and
 #: trivially picklable.
-DEVICE_FACTORIES: dict[str, str] = {
-    "double_dot": "double_dot",
-    "linear_array": "linear_array",
-    "quadruple_dot": "quadruple_dot",
-    "grid_array": "grid_array",
-}
+DEVICE_FACTORIES: tuple[str, ...] = (
+    "double_dot",
+    "linear_array",
+    "quadruple_dot",
+    "grid_array",
+)
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class DeviceSpec:
 
     def build(self) -> DotArrayDevice:
         """Construct the device."""
-        builder = getattr(DotArrayDevice, DEVICE_FACTORIES[self.factory])
+        builder = getattr(DotArrayDevice, self.factory)
         return builder(**dict(self.kwargs))
 
     @property

@@ -15,13 +15,30 @@ All seed-accepting entry points in this library take
 ``int | numpy.random.SeedSequence | None`` and pass the value straight to
 :func:`numpy.random.default_rng`, so spawned children flow through the
 existing plumbing unchanged.
+
+Streams that one run's seed drives side by side (a backend's temporal
+noise and drift, its fault wrapper's keys, a job's crash draw) come from
+:func:`reserved_seeds`, each at its own index of the table below.
 """
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
 from .exceptions import ConfigurationError
+
+#: Spawn-key branch of the reserved streams: ``(RESERVED_BRANCH, index)``
+#: extends a seed's own spawn key, clear of anything ``spawn()`` hands out.
+RESERVED_BRANCH = 2**31
+
+# The reserved indices: one per stream a run's seed drives, so no two
+# consumers of one seed share randomness.
+TEMPORAL_NOISE_INDEX = 0  # DeviceBackend's time-dependent noise sampler
+DRIFT_INDEX = 1  # DeviceBackend's drift state
+FAULT_INDEX = 2  # FaultyBackend's fault model i reads FAULT_INDEX + i
+WORKER_CRASH_INDEX = 2**31 - 1  # inject_worker_faults' per-job crash draw
 
 
 def as_seed_sequence(seed: int | np.random.SeedSequence) -> np.random.SeedSequence:
@@ -52,3 +69,26 @@ def spawn_seeds(
     root = as_seed_sequence(seed)
     root = np.random.SeedSequence(entropy=root.entropy, spawn_key=root.spawn_key)
     return tuple(root.spawn(n_children))
+
+
+def reserved_seeds(
+    seed: int | np.random.SeedSequence | None, indices: Iterable[int]
+) -> tuple[np.random.SeedSequence, ...]:
+    """The reserved-branch children of ``seed``, one per index.
+
+    Each child extends the root's spawn key by ``(RESERVED_BRANCH, index)``
+    directly rather than through :meth:`~numpy.random.SeedSequence.spawn`,
+    which would advance a caller-supplied SeedSequence's child counter and
+    make two consumers seeded with the same object diverge.  ``None`` draws
+    fresh OS entropy once, shared by the children: an unseeded run stays
+    unseeded.
+    """
+    root = (
+        seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    )
+    return tuple(
+        np.random.SeedSequence(
+            entropy=root.entropy, spawn_key=root.spawn_key + (RESERVED_BRANCH, index)
+        )
+        for index in indices
+    )

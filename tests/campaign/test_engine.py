@@ -2,18 +2,26 @@
 
 from __future__ import annotations
 
+import dataclasses
+import os
+import pickle
+from functools import partial
+
 import pytest
 
 from repro.analysis import SuccessCriterion
 from repro.campaign import (
     CampaignGrid,
+    CampaignJobRecord,
     DeviceSpec,
     TuningCampaign,
     classify_failure,
     run_campaign_job,
+    worker_error_record,
 )
+from repro.campaign.worker import run_guarded
 from repro.exceptions import ConfigurationError
-from repro.execution import ProcessPoolBackend, SerialBackend
+from repro.execution import CheckpointJournal, ProcessPoolBackend, SerialBackend, crash_message
 
 POISONED_JOB_ID = 1
 
@@ -28,6 +36,13 @@ def poisoned_job_runner(job, criterion=None):
     """
     if job.job_id == POISONED_JOB_ID:
         raise RuntimeError("poisoned payload")
+    return run_campaign_job(job, criterion=criterion)
+
+
+def lethal_job_runner(job, criterion=None):
+    """Module-level (picklable) runner whose worker dies on one job id."""
+    if job.job_id == POISONED_JOB_ID:
+        os._exit(1)  # hard death: no exception, no record
     return run_campaign_job(job, criterion=criterion)
 
 
@@ -85,10 +100,6 @@ class TestTuningCampaign:
         with pytest.raises(ConfigurationError):
             TuningCampaign(small_grid, backend="teleport")
 
-    def test_rerun_failures_without_checkpoint_rejected(self, small_grid):
-        with pytest.raises(ConfigurationError, match="rerun_failures"):
-            TuningCampaign(small_grid.expand()[:1]).run(rerun_failures=True)
-
     def test_accepts_pre_expanded_jobs(self, small_grid, sequential_result):
         jobs = small_grid.expand()
         rerun = TuningCampaign(jobs[:2]).run()
@@ -131,21 +142,38 @@ class TestFaultIsolation:
             if record.job_id != POISONED_JOB_ID:
                 assert record == dataclasses_replace_wall(record, reference)
 
-    def test_retry_budget_reruns_before_conceding(self, small_grid):
-        attempts = []
+    def test_guard_runs_standalone_and_pickles(self, small_grid):
+        # The guard ships to workers as a partial, so it must pickle.
+        guard = pickle.loads(
+            pickle.dumps(partial(run_guarded, poisoned_job_runner, SuccessCriterion()))
+        )
+        jobs = small_grid.expand()
+        assert guard(jobs[POISONED_JOB_ID]).failure_category == "worker_error"
+        assert guard(jobs[0]).success
 
-        def counting_runner(job, criterion=None):
-            attempts.append(job.job_id)
-            raise RuntimeError("always down")
+    def test_guard_lets_interrupts_through(self, small_grid):
+        # Only an Exception becomes a record: a KeyboardInterrupt raised in
+        # a job stops the campaign instead of being filed as worker_error.
+        def interrupted_runner(job, criterion=None):
+            raise KeyboardInterrupt
 
+        with pytest.raises(KeyboardInterrupt):
+            TuningCampaign(
+                small_grid.expand()[:2], job_runner=interrupted_runner
+            ).run()
+
+    def test_worker_crash_marker_becomes_worker_error_record(self, small_grid):
+        # The pool yields a WorkerCrash marker for the job whose worker
+        # died; the campaign condenses it into the canonical record.
         result = TuningCampaign(
-            small_grid.expand()[:2],
-            retry=3,
-            job_runner=counting_runner,
-            backend=SerialBackend(),
+            small_grid.expand()[:2], backend="process:2", job_runner=lethal_job_runner
         ).run()
-        assert attempts == [0, 0, 0, 1, 1, 1]
-        assert all(r.failure_category == "worker_error" for r in result.records)
+        crashed = result.records[POISONED_JOB_ID]
+        assert crashed.failure_category == "worker_error"
+        assert crashed.failure_reason == (
+            f"WorkerCrashError: {crash_message(POISONED_JOB_ID)}"
+        )
+        assert result.records[0].success
 
 
 def dataclasses_replace_wall(record, reference):
@@ -154,8 +182,6 @@ def dataclasses_replace_wall(record, reference):
     Wall clocks are the only nondeterministic record content: the job-level
     ``wall_elapsed_s`` and each stage-telemetry row's ``wall_s``.
     """
-    import dataclasses
-
     return dataclasses.replace(
         reference,
         wall_elapsed_s=record.wall_elapsed_s,
@@ -177,6 +203,26 @@ class TestProgressCallbacks:
         ).run()
         assert [done for done, _, _ in calls] == list(range(1, small_grid.n_jobs + 1))
         assert all(total == small_grid.n_jobs for _, total, _ in calls)
+        # Each call carries the record just completed, in completion order.
+        assert [job_id for _, _, job_id in calls] == list(range(small_grid.n_jobs))
+
+    @pytest.mark.parametrize("backend", [None, "process:2"])
+    def test_journaled_jobs_count_as_done_without_firing(
+        self, small_grid, tmp_path, backend
+    ):
+        journal_path = tmp_path / "campaign.jsonl"
+        with pytest.raises(KeyboardInterrupt):
+            TuningCampaign(small_grid, progress=_InterruptAfter(2)).run(
+                checkpoint=journal_path
+            )
+        calls = []
+        TuningCampaign(
+            small_grid,
+            backend=backend,
+            progress=lambda done, total, record: calls.append((done, total)),
+        ).run(checkpoint=journal_path)
+        n_jobs = small_grid.n_jobs
+        assert calls == [(done, n_jobs) for done in range(3, n_jobs + 1)]
 
 
 class _InterruptAfter:
@@ -206,7 +252,7 @@ class TestCheckpointResume:
         # loader must survive that too.
         with open(journal_path, "a", encoding="utf-8") as handle:
             handle.write('{"job_id": 3, "record": {"job_id"')
-        resumed = TuningCampaign(small_grid).resume(journal_path)
+        resumed = TuningCampaign(small_grid).run(checkpoint=journal_path)
         # Bit-identical to the uninterrupted serial run: whole records,
         # the summary, and the rendered report (modulo wall-clock time).
         assert resumed.normalized() == sequential_result.normalized()
@@ -228,12 +274,12 @@ class TestCheckpointResume:
             ran.append(job.job_id)
             return run_campaign_job(job, criterion=criterion)
 
-        TuningCampaign(small_grid, job_runner=spying_runner).resume(journal_path)
+        TuningCampaign(small_grid, job_runner=spying_runner).run(checkpoint=journal_path)
         assert sorted(ran) == list(range(2, small_grid.n_jobs))
 
     def test_resume_on_missing_journal_runs_fresh(self, small_grid, tmp_path):
         journal_path = tmp_path / "fresh.jsonl"
-        result = TuningCampaign(small_grid).resume(journal_path)
+        result = TuningCampaign(small_grid).run(checkpoint=journal_path)
         assert result.n_jobs == small_grid.n_jobs
         # One fingerprint header plus one line per record.
         assert (
@@ -252,7 +298,7 @@ class TestCheckpointResume:
         # Same path, different campaign: the job ids overlap, so adopting
         # the journal would silently merge the wrong records.
         with pytest.raises(ConfigurationError, match="different run"):
-            TuningCampaign(other_grid).resume(journal_path)
+            TuningCampaign(other_grid).run(checkpoint=journal_path)
 
     def test_fingerprint_stable_across_processes(self):
         # The fingerprint must be content-based: any memory-address repr
@@ -284,8 +330,6 @@ class TestCheckpointResume:
         assert "0x" not in first
 
     def test_fingerprint_distinguishes_dot_pairs(self, small_grid):
-        import dataclasses
-
         from repro.analysis import SuccessCriterion
         from repro.campaign import campaign_fingerprint
 
@@ -300,8 +344,6 @@ class TestCheckpointResume:
         )
 
     def test_fingerprint_rejects_address_bearing_scenario_reprs(self, small_grid):
-        import dataclasses
-
         from repro.analysis import SuccessCriterion
         from repro.campaign import campaign_fingerprint
 
@@ -347,26 +389,61 @@ class TestCheckpointResume:
                 dc.replace(scenario, story="redefined physics"), overwrite=True
             )
             with pytest.raises(ConfigurationError, match="different run"):
-                TuningCampaign(jobs).resume(journal_path)
+                TuningCampaign(jobs).run(checkpoint=journal_path)
         finally:
             unregister_scenario("retune_test_lab")
 
-    def test_resume_can_rerun_journaled_worker_errors(self, small_grid, tmp_path):
+    def test_journaled_worker_errors_are_adopted(self, small_grid, tmp_path):
         journal_path = tmp_path / "campaign.jsonl"
         jobs = small_grid.expand()[:3]
         poisoned = TuningCampaign(jobs, job_runner=poisoned_job_runner).run(
             checkpoint=journal_path
         )
         assert poisoned.records[POISONED_JOB_ID].failure_category == "worker_error"
-        # Plain resume adopts the journaled failure verbatim...
-        adopted = TuningCampaign(jobs).resume(journal_path)
-        assert adopted.records[POISONED_JOB_ID].failure_category == "worker_error"
-        # ... rerun_failures re-runs it with the (now healthy) runner, and
-        # the fresh record supersedes the old journal line.
-        healed = TuningCampaign(jobs).resume(journal_path, rerun_failures=True)
-        assert healed.records[POISONED_JOB_ID].success
-        again = TuningCampaign(jobs).resume(journal_path)
-        assert again.records[POISONED_JOB_ID].success
+        # A resume with a healthy runner adopts the journaled failure verbatim.
+        adopted = TuningCampaign(jobs).run(checkpoint=journal_path)
+        assert adopted.records[POISONED_JOB_ID] == poisoned.records[POISONED_JOB_ID]
+
+    def test_journaled_records_are_adopted_verbatim(self, small_grid, tmp_path):
+        journal_path = tmp_path / "campaign.jsonl"
+        jobs = small_grid.expand()[:2]
+        marker = worker_error_record(jobs[1], RuntimeError("adopted-from-journal"))
+        CheckpointJournal(journal_path, serialize=CampaignJobRecord.as_dict).append(
+            1, marker
+        )
+        ran = []
+
+        def spying_runner(job, criterion=None):
+            ran.append(job.job_id)
+            return run_campaign_job(job, criterion=criterion)
+
+        result = TuningCampaign(jobs, job_runner=spying_runner).run(
+            checkpoint=journal_path
+        )
+        assert ran == [0]
+        assert result.records[1] == marker
+
+    @pytest.mark.parametrize("backend", [None, "process:2"])
+    def test_unknown_journal_ids_are_ignored(self, small_grid, tmp_path, backend):
+        journal_path = tmp_path / "campaign.jsonl"
+        jobs = small_grid.expand()[:2]
+        stale = dataclasses.replace(
+            worker_error_record(jobs[0], RuntimeError("stale")), job_id=999
+        )
+        CheckpointJournal(journal_path, serialize=CampaignJobRecord.as_dict).append(
+            999, stale
+        )
+        result = TuningCampaign(jobs, backend=backend).run(checkpoint=journal_path)
+        assert [record.job_id for record in result.records] == [0, 1]
+
+    @pytest.mark.parametrize("backend", [None, "process:2"])
+    def test_every_new_record_is_appended(self, small_grid, tmp_path, backend):
+        journal_path = tmp_path / "campaign.jsonl"
+        result = TuningCampaign(small_grid, backend=backend).run(checkpoint=journal_path)
+        journal = CheckpointJournal(
+            journal_path, deserialize=CampaignJobRecord.from_dict
+        )
+        assert journal.load() == {record.job_id: record for record in result.records}
 
     def test_reported_workers_clamp_to_job_count(self, small_grid):
         result = TuningCampaign(small_grid.expand()[:2], backend="process:8").run()
@@ -381,8 +458,8 @@ class TestCheckpointResume:
             ran.append(job.job_id)
             return run_campaign_job(job, criterion=criterion)
 
-        rerun = TuningCampaign(small_grid, job_runner=spying_runner).resume(
-            journal_path
+        rerun = TuningCampaign(small_grid, job_runner=spying_runner).run(
+            checkpoint=journal_path
         )
         assert ran == []
         assert rerun.normalized() == first.normalized()
@@ -416,8 +493,6 @@ class TestCampaignResult:
 
 class TestWorker:
     def test_crashing_job_becomes_failed_record(self, small_grid):
-        import dataclasses
-
         # A 1-pixel grid cannot even open a session; the worker converts the
         # raised MeasurementError into a failed record instead of propagating.
         job = dataclasses.replace(small_grid.expand()[0], resolution=1)
@@ -438,8 +513,6 @@ class TestWorker:
         assert strict.failure_category == "truth-mismatch"
 
     def test_baseline_method_runs(self, small_grid):
-        import dataclasses
-
         job = dataclasses.replace(small_grid.expand()[0], method="baseline")
         record = run_campaign_job(job)
         # The Hough baseline scans the full grid.

@@ -155,7 +155,7 @@ class TestResumeUnderFaults:
             TuningCampaign(faulty_grid, progress=_InterruptAfter(3)).run(
                 checkpoint=journal_path
             )
-        resumed = TuningCampaign(faulty_grid).resume(journal_path)
+        resumed = TuningCampaign(faulty_grid).run(checkpoint=journal_path)
         assert resumed.normalized() == serial_result.normalized()
         # Retry counts survive the journal round trip exactly.
         assert [r.n_probe_retries for r in resumed.records] == [
@@ -173,4 +173,4 @@ class TestResumeUnderFaults:
                 checkpoint=journal_path
             )
         with pytest.raises(ConfigurationError, match="fingerprint"):
-            TuningCampaign(_grid(faults=(None,))).resume(journal_path)
+            TuningCampaign(_grid(faults=(None,))).run(checkpoint=journal_path)

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from repro.campaign import CampaignGrid, DeviceSpec
-from repro.campaign.grid import noise_for_scale, resolve_jobs
+from repro.campaign.grid import DEVICE_FACTORIES, noise_for_scale, resolve_jobs
 from repro.exceptions import ConfigurationError
 from repro.faults.registry import get_fault
+from repro.physics import DotArrayDevice
 from repro.physics.noise import CompositeNoise
 from repro.pipeline.registry import get_pipeline
 
@@ -22,6 +23,15 @@ class TestDeviceSpec:
         assert device.n_dots == 2
         device = DeviceSpec.of("linear_array", n_dots=3).build()
         assert device.n_dots == 3
+
+    @pytest.mark.parametrize("factory", DEVICE_FACTORIES)
+    def test_every_listed_factory_builds_its_device(self, factory):
+        # Each name is a DotArrayDevice factory that builds from its defaults.
+        device = DeviceSpec.of(factory).build()
+        direct = getattr(DotArrayDevice, factory)()
+        assert device.name == direct.name
+        assert device.gate_names == direct.gate_names
+        assert np.array_equal(device.capacitance.dot_gate, direct.capacitance.dot_gate)
 
     def test_unknown_factory_rejected(self):
         with pytest.raises(ConfigurationError):

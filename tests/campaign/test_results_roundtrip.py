@@ -132,7 +132,7 @@ class TestStageTelemetryRoundTrip:
         first = TuningCampaign(grid).run(checkpoint=journal_path)
         # Journaled records adopt verbatim on resume: telemetry included,
         # bit-identical down to the wall clock the journal recorded.
-        resumed = TuningCampaign(grid).resume(journal_path)
+        resumed = TuningCampaign(grid).run(checkpoint=journal_path)
         for old, new in zip(first.records, resumed.records):
             assert new.stage_telemetry == old.stage_telemetry
         assert resumed.normalized() == first.normalized()
@@ -247,7 +247,7 @@ class TestJournalTyping:
         lines[middle] = json.dumps(entry) + "\n"
         journal_path.write_text("".join(lines))
         with pytest.raises(ConfigurationError, match="corrupt mid-file"):
-            TuningCampaign(grid).resume(journal_path)
+            TuningCampaign(grid).run(checkpoint=journal_path)
 
 
 class TestJournalView:

@@ -207,8 +207,8 @@ class TestCoordinatorDeathAndResume:
             TuningCampaign(
                 grid, backend="cluster:local:2", progress=_InterruptAfter(2)
             ).run(checkpoint=journal_path)
-        resumed = TuningCampaign(grid, backend="cluster:local:2").resume(
-            journal_path
+        resumed = TuningCampaign(grid, backend="cluster:local:2").run(
+            checkpoint=journal_path
         )
         assert resumed.normalized() == serial_result.normalized()
         assert (
@@ -226,7 +226,7 @@ class TestCoordinatorDeathAndResume:
             TuningCampaign(
                 grid, backend="cluster:local:2", progress=_InterruptAfter(1)
             ).run(checkpoint=journal_path)
-        resumed = TuningCampaign(grid).resume(journal_path)
+        resumed = TuningCampaign(grid).run(checkpoint=journal_path)
         assert resumed.normalized() == serial_result.normalized()
 
     def test_threaded_consumers_do_not_deadlock_teardown(self, grid):

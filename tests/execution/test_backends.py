@@ -81,7 +81,7 @@ class TestStreamingContract:
         assert list(backend.submit((FakeJob(7),), echo_runner)) == [(7, "record-7")]
 
     def test_runner_exception_propagates(self, backend):
-        # Fault isolation is the RunController's job, not the backend's.
+        # Fault isolation is the campaign loop's job, not the backend's.
         with pytest.raises(Exception):
             list(backend.submit(JOBS, raising_runner))
 

@@ -3,22 +3,13 @@
 from __future__ import annotations
 
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor, wait
 from dataclasses import dataclass
 
 import pytest
 
-from repro.exceptions import ConfigurationError, WorkerCrashError
-from repro.execution import backends
-from repro.execution import (
-    ProcessPoolBackend,
-    RetryPolicy,
-    RunController,
-    SerialBackend,
-    WorkerCrash,
-    crash_message,
-)
+from repro.exceptions import WorkerCrashError
+from repro.execution import ProcessPoolBackend, WorkerCrash, backends, crash_message
 from repro.faults import WorkerCrashFault, inject_worker_faults
 
 
@@ -34,10 +25,6 @@ def crashy_runner(job: CrashyJob) -> str:
     if job.lethal:
         os._exit(1)  # hard death: no exception, no cleanup, no record
     return f"record-{job.job_id}"
-
-
-def failure_record(job: CrashyJob, error: BaseException) -> str:
-    return f"error-{job.job_id}:{error}"
 
 
 # 16 jobs on two workers ship in 2-job chunks (``n_jobs // 8``), so the
@@ -92,101 +79,10 @@ class TestProcessPoolCrashRecovery:
 
         monkeypatch.setattr(backends, "ProcessPoolExecutor", DyingWhileQueueingPool)
         jobs = tuple(CrashyJob(job_id=i, lethal=(i == 0)) for i in range(16))
-        records = RunController(ProcessPoolBackend(max_workers=2)).run(
-            jobs, crashy_runner, on_error=failure_record
-        )
-        assert records[0] == f"error-0:{crash_message(0)}"
+        records = dict(ProcessPoolBackend(max_workers=2).submit(jobs, crashy_runner))
+        assert records[0] == WorkerCrash(job_id=0)
         for job in jobs[1:]:
             assert records[job.job_id] == f"record-{job.job_id}"
-
-
-class TestControllerCrashConversion:
-    def test_marker_converted_through_on_error(self):
-        controller = RunController(ProcessPoolBackend(max_workers=2))
-        records = controller.run(JOBS, crashy_runner, on_error=failure_record)
-        assert records[4] == f"error-4:{crash_message(4)}"
-        assert records[0] == "record-0"
-
-    def test_marker_raises_without_on_error(self):
-        controller = RunController(ProcessPoolBackend(max_workers=2))
-        with pytest.raises(WorkerCrashError, match="job 4"):
-            controller.run(JOBS, crashy_runner)
-
-
-class TestRetryPolicy:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"backoff_s": -1.0},
-            {"max_elapsed_s": -0.5},
-            # An infinite backoff is a sleep that never ends; NaN would
-            # silently mean no backoff and no budget.
-            {"max_attempts": 3, "backoff_s": float("inf")},
-            {"backoff_s": float("nan")},
-            {"max_elapsed_s": float("nan")},
-        ],
-    )
-    def test_invalid_parameters_rejected(self, kwargs):
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(**kwargs)
-
-    def test_defaults_do_not_wait(self):
-        policy = RetryPolicy()
-        assert policy.backoff_s == 0.0
-        assert policy.max_elapsed_s == 0.0
-
-    def test_backoff_waits_between_attempts(self):
-        calls: list[float] = []
-
-        def flaky(job):
-            calls.append(time.monotonic())
-            if len(calls) < 3:
-                raise RuntimeError("transient")
-            return "ok"
-
-        controller = RunController(
-            SerialBackend(), retry=RetryPolicy(max_attempts=3, backoff_s=0.05)
-        )
-        records = controller.run((CrashyJob(0),), flaky)
-        assert records[0] == "ok"
-        # Doubling backoff: >=0.05s then >=0.1s between the attempts.
-        assert calls[1] - calls[0] >= 0.05
-        assert calls[2] - calls[1] >= 0.1
-
-    def test_max_elapsed_cuts_the_retry_budget(self):
-        attempts: list[int] = []
-
-        def always_fails(job):
-            attempts.append(len(attempts))
-            time.sleep(0.05)
-            raise RuntimeError("permanent")
-
-        controller = RunController(
-            SerialBackend(),
-            retry=RetryPolicy(max_attempts=50, max_elapsed_s=0.1),
-        )
-        records = controller.run(
-            (CrashyJob(0),), always_fails, on_error=failure_record
-        )
-        assert records[0].startswith("error-0:")
-        assert len(attempts) < 50
-
-    def test_infinite_budget_means_no_limit(self):
-        attempts: list[int] = []
-
-        def always_fails(job):
-            attempts.append(len(attempts))
-            raise RuntimeError("permanent")
-
-        controller = RunController(
-            SerialBackend(),
-            retry=RetryPolicy(max_attempts=3, max_elapsed_s=float("inf")),
-        )
-        records = controller.run(
-            (CrashyJob(0),), always_fails, on_error=failure_record
-        )
-        assert records[0].startswith("error-0:")
-        assert len(attempts) == 3
 
 
 class TestInProcessCrashInjection:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import CapacitanceModelError
-from repro.physics import CapacitanceModel
+from repro.physics import CapacitanceModel, constants
 
 
 def make_symmetric_double_dot(cross: float = 0.25) -> CapacitanceModel:
@@ -166,8 +166,57 @@ class TestLinearArray:
         cdg = model.dot_gate
         assert cdg[0, 0] > cdg[0, 1] > cdg[0, 2] > cdg[0, 3] >= 0.0
 
+    @pytest.mark.parametrize("n_dots", range(1, 9))
+    def test_matches_the_chain_formula(self, n_dots):
+        # The chain written out on its own (tridiagonal mutual capacitance,
+        # plunger cross-coupling by chain distance), the oracle for
+        # linear_array building through grid_lattice: bit-identical, for
+        # the default parameters and for non-default ones.
+        for kwargs in (
+            {},
+            {
+                "charging_energy_mev": 2.5,
+                "mutual_fraction": 0.2,
+                "plunger_lever_arm": 0.13,
+                "nearest_cross_fraction": 0.3,
+                "next_nearest_cross_fraction": 0.07,
+                "gate_prefix": "G",
+            },
+        ):
+            params = {
+                "charging_energy_mev": 3.0,
+                "mutual_fraction": 0.12,
+                "plunger_lever_arm": 0.10,
+                "nearest_cross_fraction": 0.25,
+                "next_nearest_cross_fraction": 0.05,
+                "gate_prefix": "P",
+                **kwargs,
+            }
+            c_total = constants.E_SQUARED_OVER_AF_IN_MEV / params["charging_energy_mev"]
+            cg = params["plunger_lever_arm"] * c_total
+            cdd = np.zeros((n_dots, n_dots))
+            cdg = np.zeros((n_dots, n_dots))
+            for i in range(n_dots):
+                cdd[i, i] = c_total
+                if i + 1 < n_dots:
+                    cdd[i, i + 1] = cdd[i + 1, i] = -params["mutual_fraction"] * c_total
+                for j in range(n_dots):
+                    fraction = {
+                        0: 1.0,
+                        1: params["nearest_cross_fraction"],
+                        2: params["next_nearest_cross_fraction"],
+                    }.get(abs(i - j))
+                    if fraction is not None:
+                        cdg[i, j] = fraction * cg
+            model = CapacitanceModel.linear_array(n_dots, **kwargs)
+            assert np.array_equal(model.dot_dot, cdd)
+            assert np.array_equal(model.dot_gate, cdg)
+            assert model.gate_names == tuple(
+                f"{params['gate_prefix']}{i + 1}" for i in range(n_dots)
+            )
+
     def test_invalid_parameters(self):
-        with pytest.raises(CapacitanceModelError):
+        with pytest.raises(CapacitanceModelError, match="n_dots must be at least 1"):
             CapacitanceModel.linear_array(n_dots=0)
         with pytest.raises(CapacitanceModelError):
             CapacitanceModel.grid_lattice(rows=0, cols=3)

@@ -90,15 +90,3 @@ class TestOccupationMap:
         xs = np.linspace(0.0, 0.05, 5)
         with pytest.raises(ChargeStateError):
             solver.occupation_map("P1", "P1", xs, xs)
-
-    def test_fixed_voltages_shift_transitions(self, solver):
-        xs = np.linspace(0.0, 0.05, 20)
-        ys = np.linspace(0.0, 0.05, 20)
-        base = solver.occupation_map("P1", "P2", xs, ys)
-        shifted = solver.occupation_map("P1", "P2", xs, ys, fixed_voltages=[0.0, 0.0])
-        assert np.array_equal(base, shifted)
-
-    def test_fixed_voltage_wrong_shape(self, solver):
-        xs = np.linspace(0.0, 0.05, 5)
-        with pytest.raises(ChargeStateError):
-            solver.occupation_map("P1", "P2", xs, xs, fixed_voltages=[0.0])

@@ -22,7 +22,7 @@ PACKAGE_ROOT = Path(repro.__file__).resolve().parent
 #: Ceiling on the options of the public API, counted by
 #: :func:`count_options`.  It may rise only for an option that two existing
 #: callers need; lower it when options go.
-MAX_OPTIONS = 299
+MAX_OPTIONS = 289
 
 
 class TestTopLevelApi:
@@ -145,6 +145,42 @@ class TestOneWayToMeasure:
             == "DeviceBackend"
         )
         assert [site.split(":")[0] for site in callers] == ["instrument/session.py"], callers
+
+    def test_only_the_campaign_loop_submits_to_a_backend(self):
+        # TuningCampaign.run is the one loop around a backend's stream:
+        # journal, crash markers and progress live nowhere else.  The
+        # process pool's own submits to its executor are the other caller.
+        callers = sorted(
+            {
+                name
+                for name, module in _modules()
+                for node in ast.walk(module)
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "submit"
+            }
+        )
+        assert callers == ["campaign/engine.py", "execution/backends.py"], callers
+
+    def test_execution_waits_on_no_wall_clock(self):
+        # Every wait in a run is simulated (the meter's probe retries);
+        # the execution layer neither sleeps nor keeps a wall-clock budget.
+        waits = sorted(
+            f"{name}:{node.lineno}"
+            for name, module in _modules()
+            if name.startswith("execution/")
+            for node in ast.walk(module)
+            if (
+                isinstance(node, ast.Attribute)
+                and getattr(node.value, "id", None) == "time"
+                and node.attr in {"sleep", "monotonic"}
+            )
+            or (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "time"
+                and {alias.name for alias in node.names} & {"sleep", "monotonic"}
+            )
+        )
+        assert waits == [], waits
 
     def test_public_options_stay_under_the_ceiling(self):
         assert count_options() <= MAX_OPTIONS

@@ -13,11 +13,26 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.faults import (
+    FaultyBackend,
+    ProbeHangFault,
+    TransientReadFault,
+    WorkerCrashFault,
+    inject_worker_faults,
+)
 from repro.instrument import SessionFactory
 from repro.instrument.measurement import DeviceBackend
 from repro.physics import DotArrayDevice, standard_lab_noise
 from repro.pipeline import ArrayVirtualGateExtractor
-from repro.seeding import as_seed_sequence, spawn_seeds
+from repro.seeding import (
+    DRIFT_INDEX,
+    FAULT_INDEX,
+    TEMPORAL_NOISE_INDEX,
+    WORKER_CRASH_INDEX,
+    as_seed_sequence,
+    reserved_seeds,
+    spawn_seeds,
+)
 
 
 class TestSpawnSeeds:
@@ -117,3 +132,90 @@ class TestChildStreamIndependence:
             first.virtualization.matrix, second.virtualization.matrix
         )
         assert first.total_probes == second.total_probes
+
+
+def _by_hand(seed, index) -> np.random.SeedSequence:
+    """A reserved child derived inline, as each consumer once did: the oracle."""
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return np.random.SeedSequence(
+        entropy=root.entropy, spawn_key=root.spawn_key + (2**31, index)
+    )
+
+
+def _key(child: np.random.SeedSequence) -> np.uint64:
+    return child.generate_state(1, dtype=np.uint64)[0]
+
+
+def _small_backend(seed) -> DeviceBackend:
+    return DeviceBackend(
+        DotArrayDevice.double_dot(),
+        x_voltages=np.linspace(0.0, 0.05, 4),
+        y_voltages=np.linspace(0.0, 0.05, 4),
+        seed=seed,
+    )
+
+
+class TestReservedSeeds:
+    """Every stream one seed drives keeps the branch it has always read."""
+
+    SEEDS = (7, spawn_seeds(11, 2)[1])
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_device_backend_noise_and_drift(self, seed):
+        noise, drift = _small_backend(seed)._seed_children()
+        assert _key(noise) == _key(_by_hand(seed, 0))
+        assert _key(drift) == _key(_by_hand(seed, 1))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_fault_keys(self, seed):
+        models = (TransientReadFault(rate=0.1), ProbeHangFault(rate=0.1))
+        faulty = FaultyBackend(_small_backend(seed), models, seed=seed)
+        assert faulty._keys() == (_key(_by_hand(seed, 2)), _key(_by_hand(seed, 3)))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_worker_crash_draw(self, seed):
+        keys = []
+
+        class RecordingCrash(WorkerCrashFault):
+            def crashes(self, token, key):
+                keys.append(key)
+                return False
+
+        inject_worker_faults(5, (RecordingCrash(rate=0.5),), seed)
+        assert keys == [_key(_by_hand(seed, 2**31 - 1))]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_reserved_streams_clear_of_each_other_and_of_spawned_children(self, seed):
+        # No two consumers of one seed share randomness: each reserved
+        # stream differs from the others, from the seed's own stream and
+        # from every child spawn_seeds hands out.
+        indices = (
+            TEMPORAL_NOISE_INDEX,
+            DRIFT_INDEX,
+            FAULT_INDEX,
+            FAULT_INDEX + 1,
+            WORKER_CRASH_INDEX,
+        )
+        streams = [
+            *reserved_seeds(seed, indices),
+            as_seed_sequence(seed),
+            *spawn_seeds(seed, 8),
+        ]
+        states = {tuple(s.generate_state(4).tolist()) for s in streams}
+        assert len(states) == len(streams)
+
+    def test_caller_seed_sequence_is_not_advanced(self):
+        # Two consumers handed the same SeedSequence must read the same
+        # reserved streams, so deriving them must not spawn from it.
+        root = spawn_seeds(11, 2)[1]
+        first = reserved_seeds(root, (DRIFT_INDEX, FAULT_INDEX))
+        second = reserved_seeds(root, (DRIFT_INDEX, FAULT_INDEX))
+        assert root.n_children_spawned == 0
+        assert [_key(c) for c in first] == [_key(c) for c in second]
+
+    def test_unseeded_stays_unseeded(self):
+        first = reserved_seeds(None, (0, 1))
+        second = reserved_seeds(None, (0, 1))
+        # One fresh root per call, shared by its children.
+        assert first[0].entropy == first[1].entropy
+        assert first[0].entropy != second[0].entropy
