@@ -9,6 +9,9 @@ for both the fast extraction and the Canny/Hough baseline,
 * the mean coefficient error of the successful runs,
 * the probe fraction the fast method needed.
 
+Every diagram runs through both methods as campaign jobs, so the campaign
+worker scores them, as it scores Table 1.
+
 Run with::
 
     python examples/noise_robustness_study.py
@@ -18,8 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import ExperimentSession, FastVirtualGateExtractor, HoughBaselineExtractor
-from repro.analysis import SuccessCriterion, accuracy_metrics, format_table
+from repro.analysis import format_table
+from repro.campaign import TABLE1_METHODS, TuningCampaign, diagram_jobs
 from repro.datasets import NoiseRecipe, SyntheticCSDConfig
 
 
@@ -28,8 +31,8 @@ N_SEEDS = 3
 RESOLUTION = 100
 
 
-def run_one(scale: float, seed: int):
-    config = SyntheticCSDConfig(
+def build_diagram(scale: float, seed: int):
+    return SyntheticCSDConfig(
         name=f"noise-study-{scale:g}-{seed}",
         resolution=RESOLUTION,
         cross_coupling=(0.26, 0.22),
@@ -39,36 +42,25 @@ def run_one(scale: float, seed: int):
             drift_na=0.02 * scale,
         ),
         seed=3000 + seed,
-    )
-    csd = config.build_csd()
-    fast = FastVirtualGateExtractor().extract(ExperimentSession.from_csd(csd))
-    baseline = HoughBaselineExtractor().extract(ExperimentSession.from_csd(csd))
-    return csd, fast, baseline
+    ).build_csd()
 
 
 def main() -> None:
-    criterion = SuccessCriterion()
+    # One campaign: every diagram through the fast method, then the baseline.
+    diagrams = [build_diagram(scale, seed) for scale in NOISE_SCALES for seed in range(N_SEEDS)]
+    records = TuningCampaign(diagram_jobs(diagrams, TABLE1_METHODS)).run().records
     rows = []
-    for scale in NOISE_SCALES:
-        fast_success = 0
-        baseline_success = 0
-        fast_errors = []
-        fractions = []
-        for seed in range(N_SEEDS):
-            csd, fast, baseline = run_one(scale, seed)
-            if criterion.evaluate(fast, csd.geometry):
-                fast_success += 1
-                fast_errors.append(accuracy_metrics(fast, csd.geometry).max_alpha_error)
-            if criterion.evaluate(baseline, csd.geometry):
-                baseline_success += 1
-            fractions.append(fast.probe_stats.probe_fraction)
+    for k, scale in enumerate(NOISE_SCALES):
+        group = records[2 * N_SEEDS * k : 2 * N_SEEDS * (k + 1)]
+        fast, baseline = group[::2], group[1::2]
+        fast_errors = [r.max_alpha_error for r in fast if r.success]
         rows.append(
             [
                 f"{scale:g}x",
-                f"{fast_success}/{N_SEEDS}",
-                f"{baseline_success}/{N_SEEDS}",
+                f"{sum(r.success for r in fast)}/{N_SEEDS}",
+                f"{sum(r.success for r in baseline)}/{N_SEEDS}",
                 f"{np.mean(fast_errors):.4f}" if fast_errors else "-",
-                f"{100 * np.mean(fractions):.1f}%",
+                f"{100 * np.mean([r.probe_fraction for r in fast]):.1f}%",
             ]
         )
     print(

@@ -1,21 +1,5 @@
-"""Evaluation machinery: success metrics, method comparison, and reports."""
+"""Evaluation machinery: success metrics and report tables."""
 
-from .comparison import BenchmarkRecord, ComparisonRunner, MethodRecord
-from .experiments import (
-    ABLATION_INDICES,
-    AblationRow,
-    ArrayScalingRow,
-    NoiseSweepRow,
-    ProbeMapResult,
-    ResolutionScalingRow,
-    run_ablation_anchors,
-    run_ablation_sweeps,
-    run_array_scaling,
-    run_figure7,
-    run_noise_sweep,
-    run_resolution_scaling,
-    run_table1,
-)
 from .metrics import (
     AccuracyMetrics,
     SuccessCriterion,
@@ -35,27 +19,12 @@ from .reporting import (
     format_summary,
     format_table,
     format_table1,
+    pair_speedup,
     summarize_suite,
     table1_rows,
 )
 
 __all__ = [
-    "BenchmarkRecord",
-    "ComparisonRunner",
-    "MethodRecord",
-    "ABLATION_INDICES",
-    "AblationRow",
-    "ArrayScalingRow",
-    "NoiseSweepRow",
-    "ProbeMapResult",
-    "ResolutionScalingRow",
-    "run_ablation_anchors",
-    "run_ablation_sweeps",
-    "run_array_scaling",
-    "run_figure7",
-    "run_noise_sweep",
-    "run_resolution_scaling",
-    "run_table1",
     "AccuracyMetrics",
     "SuccessCriterion",
     "accuracy_metrics",
@@ -72,6 +41,7 @@ __all__ = [
     "format_summary",
     "format_table",
     "format_table1",
+    "pair_speedup",
     "summarize_suite",
     "table1_rows",
 ]

@@ -9,10 +9,11 @@ summary block with the aggregate numbers the paper quotes in its abstract
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .comparison import BenchmarkRecord
+from .metrics import speedup
 
 
 def format_table(headers: list[str], rows: list[list[str]], title: str | None = None) -> str:
@@ -36,32 +37,50 @@ def _success_label(success: bool) -> str:
     return "Success" if success else "Fail"
 
 
-def _format_speedup(record: BenchmarkRecord) -> str:
-    value = record.speedup
-    if value is None or not record.baseline.success and not record.fast.success:
-        return "N/A"
-    if value is None:
-        return "N/A"
-    return f"{value:.2f}x"
+def pair_speedup(fast, baseline) -> float | None:
+    """Baseline over fast simulated runtime of one diagram's two records.
+
+    ``None`` unless the fast method succeeded: a failed fast run has no
+    speedup to claim.
+    """
+    if not fast.success:
+        return None
+    return speedup(baseline.sim_elapsed_s, fast.sim_elapsed_s)
 
 
-def table1_rows(records: list[BenchmarkRecord]) -> list[list[str]]:
-    """Rows of the reproduced Table 1."""
+def _table1_pairs(records: Sequence) -> list[tuple]:
+    """``(CSD number, fast record, baseline record)`` per Table-1 diagram.
+
+    ``records`` are the records of a Table-1 campaign in job-id order
+    (:func:`repro.campaign.experiments.run_table1`), which numbers its jobs
+    as :func:`~repro.campaign.experiments.diagram_jobs` does: CSD ``i``
+    runs through the fast method as job ``2(i - 1)`` and through the
+    baseline as job ``2(i - 1) + 1``.
+    """
+    return [
+        (fast.job_id // 2 + 1, fast, baseline)
+        for fast, baseline in zip(records[::2], records[1::2])
+    ]
+
+
+def table1_rows(records: Sequence) -> list[list[str]]:
+    """Rows of the reproduced Table 1 from a Table-1 campaign's records."""
     rows = []
-    for record in records:
-        n_pixels = record.fast.result.probe_stats.n_pixels
-        fast_probes = record.fast.n_probes
+    for index, fast, baseline in _table1_pairs(records):
+        # Table-1 diagrams are square: a record's resolution is its side.
+        size = fast.resolution
+        value = pair_speedup(fast, baseline)
         rows.append(
             [
-                str(record.index),
-                record.size_label,
-                _success_label(record.fast.success),
-                _success_label(record.baseline.success),
-                f"{fast_probes} ({100.0 * fast_probes / n_pixels:.2f}%)",
-                f"{record.baseline.n_probes} (100%)",
-                f"{record.fast.elapsed_s:.2f}s",
-                f"{record.baseline.elapsed_s:.2f}s",
-                _format_speedup(record),
+                str(index),
+                f"{size}x{size}",
+                _success_label(fast.success),
+                _success_label(baseline.success),
+                f"{fast.n_probes} ({100.0 * fast.n_probes / size**2:.2f}%)",
+                f"{baseline.n_probes} (100%)",
+                f"{fast.sim_elapsed_s:.2f}s",
+                f"{baseline.sim_elapsed_s:.2f}s",
+                "N/A" if value is None else f"{value:.2f}x",
             ]
         )
     return rows
@@ -80,7 +99,7 @@ TABLE1_HEADERS = [
 ]
 
 
-def format_table1(records: list[BenchmarkRecord]) -> str:
+def format_table1(records: Sequence) -> str:
     """The reproduced Table 1 as a plain-text table."""
     return format_table(
         TABLE1_HEADERS,
@@ -100,26 +119,17 @@ class SuiteSummary:
     max_speedup: float
     mean_probe_fraction: float
 
-    def as_dict(self) -> dict:
-        """Plain-dict view."""
-        return {
-            "n_benchmarks": self.n_benchmarks,
-            "fast_successes": self.fast_successes,
-            "baseline_successes": self.baseline_successes,
-            "min_speedup": self.min_speedup,
-            "max_speedup": self.max_speedup,
-            "mean_probe_fraction": self.mean_probe_fraction,
-        }
 
-
-def summarize_suite(records: list[BenchmarkRecord]) -> SuiteSummary:
-    """Aggregate a suite of benchmark records."""
-    speedups = [r.speedup for r in records if r.speedup is not None and r.fast.success]
-    fractions = [r.fast.probe_fraction for r in records if r.fast.success]
+def summarize_suite(records: Sequence) -> SuiteSummary:
+    """Aggregate a Table-1 campaign's records."""
+    pairs = _table1_pairs(records)
+    succeeded = [(fast, baseline) for _, fast, baseline in pairs if fast.success]
+    speedups = [pair_speedup(fast, baseline) for fast, baseline in succeeded]
+    fractions = [fast.probe_fraction for fast, _ in succeeded]
     return SuiteSummary(
-        n_benchmarks=len(records),
-        fast_successes=sum(1 for r in records if r.fast.success),
-        baseline_successes=sum(1 for r in records if r.baseline.success),
+        n_benchmarks=len(pairs),
+        fast_successes=len(succeeded),
+        baseline_successes=sum(1 for _, _, baseline in pairs if baseline.success),
         min_speedup=float(min(speedups)) if speedups else float("nan"),
         max_speedup=float(max(speedups)) if speedups else float("nan"),
         mean_probe_fraction=float(np.mean(fractions)) if fractions else float("nan"),
@@ -139,7 +149,7 @@ def format_summary(summary: SuiteSummary) -> str:
     return "\n".join(lines)
 
 
-def format_accuracy_table(records: list[BenchmarkRecord]) -> str:
+def format_accuracy_table(records: Sequence) -> str:
     """Extra table: extracted-vs-true coefficients per benchmark (both methods)."""
     headers = [
         "CSD",
@@ -150,21 +160,18 @@ def format_accuracy_table(records: list[BenchmarkRecord]) -> str:
         "baseline a12",
         "baseline a21",
     ]
-    rows = []
-    for record in records:
-        fast_matrix = record.fast.result.matrix
-        base_matrix = record.baseline.result.matrix
-        rows.append(
-            [
-                str(record.index),
-                _fmt(record.metadata.get("true_alpha_12")),
-                _fmt(record.metadata.get("true_alpha_21")),
-                _fmt(fast_matrix.alpha_12 if fast_matrix else None),
-                _fmt(fast_matrix.alpha_21 if fast_matrix else None),
-                _fmt(base_matrix.alpha_12 if base_matrix else None),
-                _fmt(base_matrix.alpha_21 if base_matrix else None),
-            ]
-        )
+    rows = [
+        [
+            str(index),
+            _fmt(fast.true_alpha_12),
+            _fmt(fast.true_alpha_21),
+            _fmt(fast.alpha_12),
+            _fmt(fast.alpha_21),
+            _fmt(baseline.alpha_12),
+            _fmt(baseline.alpha_21),
+        ]
+        for index, fast, baseline in _table1_pairs(records)
+    ]
     return format_table(headers, rows, title="Extracted vs true virtualization coefficients")
 
 

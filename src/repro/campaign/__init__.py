@@ -10,8 +10,9 @@ the managed layer for that workload:
   into :class:`~repro.campaign.grid.CampaignJob` specs with independent
   spawned seeds;
 * :func:`~repro.campaign.worker.run_campaign_job` executes one job in
-  isolation and condenses the outcome into a picklable record with a failure
-  taxonomy;
+  isolation — measuring its device, or replaying the stored diagram it
+  carries — and condenses the outcome into a picklable record with a
+  failure taxonomy; it is the one place an extraction is scored;
 * :class:`~repro.campaign.engine.TuningCampaign` dispatches the jobs
   through the :mod:`repro.execution` backend its one ``backend=`` spec
   names (``None`` for serial, ``"process:N"``, ``"cluster:local:N"`` —
@@ -21,7 +22,12 @@ the managed layer for that workload:
   :class:`~repro.campaign.results.CampaignResult` that renders through the
   :mod:`repro.analysis.reporting` tables and round-trips through JSON
   (:meth:`~repro.campaign.results.CampaignResult.save` /
-  :meth:`~repro.campaign.results.CampaignResult.load`).
+  :meth:`~repro.campaign.results.CampaignResult.load`);
+* :mod:`~repro.campaign.experiments` runs the paper's experiments as
+  campaigns of diagram jobs (:func:`~repro.campaign.experiments.diagram_jobs`):
+  Table 1 is 24 jobs, each of the twelve CSDs through the fast method and
+  the Canny+Hough baseline, so it runs on any backend and its records
+  carry the failure taxonomy.
 
 Typical use::
 
@@ -37,9 +43,35 @@ Typical use::
     campaign = TuningCampaign(grid, backend="process:4")
     result = campaign.run(checkpoint="campaign.jsonl")  # resumable
     print(result.format_report())
+
+Table 1 on two worker processes::
+
+    from repro.analysis import format_table1
+    from repro.campaign import TABLE1_METHODS, TuningCampaign, diagram_jobs
+    from repro.datasets import load_suite
+
+    jobs = diagram_jobs(load_suite(), TABLE1_METHODS)
+    print(format_table1(TuningCampaign(jobs, backend="process:2").run().records))
 """
 
 from .engine import TuningCampaign, campaign_fingerprint
+from .experiments import (
+    ABLATION_INDICES,
+    TABLE1_METHODS,
+    AblationRow,
+    ArrayScalingRow,
+    NoiseSweepRow,
+    ProbeMapResult,
+    ResolutionScalingRow,
+    diagram_jobs,
+    run_ablation_anchors,
+    run_ablation_sweeps,
+    run_array_scaling,
+    run_figure7,
+    run_noise_sweep,
+    run_resolution_scaling,
+    run_table1,
+)
 from .grid import CampaignGrid, CampaignJob, DeviceSpec
 from .results import CampaignJobRecord, CampaignResult
 from .worker import (
@@ -61,4 +93,19 @@ __all__ = [
     "classify_failure",
     "run_campaign_job",
     "worker_error_record",
+    "ABLATION_INDICES",
+    "TABLE1_METHODS",
+    "AblationRow",
+    "ArrayScalingRow",
+    "NoiseSweepRow",
+    "ProbeMapResult",
+    "ResolutionScalingRow",
+    "diagram_jobs",
+    "run_ablation_anchors",
+    "run_ablation_sweeps",
+    "run_array_scaling",
+    "run_figure7",
+    "run_noise_sweep",
+    "run_resolution_scaling",
+    "run_table1",
 ]

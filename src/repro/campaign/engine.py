@@ -38,10 +38,19 @@ from ..execution import (
     backend_from_spec,
     crash_message,
 )
+from ..physics.csd import ChargeStabilityDiagram
 from ..reprs import ADDRESS_REPR as _ADDRESS_REPR
 from .grid import CampaignGrid, CampaignJob, resolve_jobs
 from .results import CampaignJobRecord, CampaignResult
 from .worker import run_campaign_job, run_guarded, worker_error_record
+
+
+def _diagram_digest(diagram: ChargeStabilityDiagram) -> str:
+    """Content digest of a stored diagram: its data, axes and ground truth."""
+    digest = hashlib.sha256(repr(diagram.geometry).encode("utf-8"))
+    for array in (diagram.data, diagram.x_voltages, diagram.y_voltages):
+        digest.update(array.tobytes())
+    return digest.hexdigest()[:16]
 
 
 def campaign_fingerprint(
@@ -57,7 +66,10 @@ def campaign_fingerprint(
     repr, and the repr of every scenario and fault-condition *definition*
     the (resolved) jobs carry — a scenario or condition re-registered with
     different physics under the same name changes the fingerprint, because
-    the name alone would let stale records slip through.
+    the name alone would let stale records slip through.  A job that
+    replays a stored diagram adds a digest of the diagram's data, axes and
+    ground truth, for the same reason: its name alone says nothing about
+    what was recorded.
     """
     criterion_part = repr(criterion)
     if _ADDRESS_REPR.search(criterion_part):
@@ -102,9 +114,10 @@ def campaign_fingerprint(
         # dot_a/dot_b are spelled out because job.label omits them: two
         # hand-crafted job lists can share gates and seeds while targeting
         # different dot pairs.
-        parts.append(
-            f"{job.label}|{job.device.label}|d{job.dot_a}-{job.dot_b}|{seed_key}"
-        )
+        part = f"{job.label}|{job.device.label}|d{job.dot_a}-{job.dot_b}|{seed_key}"
+        if job.diagram is not None:
+            part += f"|{_diagram_digest(job.diagram)}"
+        parts.append(part)
     payload = "\n".join(parts)
     if _ADDRESS_REPR.search(payload):
         # Criterion and scenarios were checked above with targeted errors;

@@ -41,6 +41,7 @@ import numpy as np
 from ..exceptions import ConfigurationError
 from ..faults.models import FaultModel
 from ..faults.registry import get_fault
+from ..physics.csd import ChargeStabilityDiagram
 from ..physics.noise import NoiseModel, standard_lab_noise
 from ..pipeline.composer import TuningPipeline
 from ..pipeline.registry import get_pipeline, resolve_method
@@ -88,6 +89,13 @@ class CampaignJob:
     equality, ``repr`` or :attr:`label`, and a resolved job's objects win
     over its names: ``replace(resolved_job, method=...)`` still runs the
     old pipeline, so rename before resolving (or clear the field).
+
+    ``diagram`` is a stored charge-stability diagram the job replays
+    instead of measuring its device (a Table-1 CSD, say); such a job takes
+    no scenario or fault condition, and its device spec, noise scale and
+    seed go unused.  Its :attr:`device_name` and :attr:`label` name the
+    diagram.  Like the resolved objects it takes no part in equality or
+    ``repr``.
     """
 
     job_id: int
@@ -106,10 +114,23 @@ class CampaignJob:
     environment: LabScenario | None = field(default=None, compare=False, repr=False)
     pipeline: TuningPipeline | None = field(default=None, compare=False, repr=False)
     fault_models: tuple[FaultModel, ...] = field(default=(), compare=False, repr=False)
+    diagram: ChargeStabilityDiagram | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def device_name(self) -> str:
+        """What the job measures: its diagram's name, or its device's label."""
+        if self.diagram is None:
+            return self.device.label
+        return str(self.diagram.metadata.get("name", "diagram"))
 
     @property
     def label(self) -> str:
         """Stable identifier used in reports and failure listings."""
+        if self.diagram is not None:
+            return (
+                f"#{self.job_id} {self.device_name}:{self.gate_x}-{self.gate_y}"
+                f" r{self.resolution} {self.method} x{self.repeat}"
+            )
         environment = (
             f"n{self.noise_scale:g}"
             if self.scenario is None
@@ -129,7 +150,8 @@ def resolve_jobs(jobs: Iterable[CampaignJob]) -> tuple[CampaignJob, ...]:
     Fills only the fields a job is missing, with one registry lookup per
     distinct name, so jobs that share a name share one object (and a
     pickled batch of them carries it once).  An object a job already
-    carries wins over its name.  Unknown names raise
+    carries wins over its name.  Unknown names, and a diagram job that
+    names a scenario or fault condition, raise
     :class:`~repro.exceptions.ConfigurationError`.
     """
     scenario_for, pipeline_for, faults_for = (
@@ -137,6 +159,11 @@ def resolve_jobs(jobs: Iterable[CampaignJob]) -> tuple[CampaignJob, ...]:
     )
     resolved = []
     for job in jobs:
+        if job.diagram is not None and (job.scenario is not None or job.fault is not None):
+            raise ConfigurationError(
+                f"job {job.job_id} replays a stored diagram; scenarios and "
+                "fault conditions apply only to simulated devices"
+            )
         updates = {}
         if job.scenario is not None and job.environment is None:
             updates["environment"] = scenario_for(job.scenario)

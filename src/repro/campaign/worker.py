@@ -1,9 +1,12 @@
 """Execution of a single campaign job, isolated and picklable.
 
 :func:`run_campaign_job` is the unit of work a :class:`~repro.campaign.engine.TuningCampaign`
-dispatches: build the device and session from the job, run the job's
-pipeline, score it against the session's ground truth, and condense
-everything into a flat :class:`~repro.campaign.results.CampaignJobRecord`.
+dispatches: open the job's session (replay its stored diagram, or measure
+its device), run the job's pipeline, score it against the session's ground
+truth, and condense everything into a flat
+:class:`~repro.campaign.results.CampaignJobRecord`.  It is the one place an
+extraction is scored: grids, scenario spaces, Table 1 and the paper's other
+experiments (:mod:`repro.campaign.experiments`) all run through it.
 The job carries its resolved scenario, pipeline and fault models
 (:func:`~repro.campaign.grid.resolve_jobs`), so the worker reads only the
 job and never a registry.  It is a module-level function of picklable
@@ -22,7 +25,7 @@ from ..analysis.metrics import SuccessCriterion, accuracy_metrics
 from ..core.result import ExtractionResult
 from ..faults import inject_worker_faults, models_for, probe_fault_models
 from ..instrument.resilience import ProbeRetryPolicy
-from ..instrument.session import SessionFactory
+from ..instrument.session import ExperimentSession, SessionFactory
 from .grid import CampaignJob, noise_for_scale, resolve_jobs
 from .results import CampaignJobRecord
 
@@ -74,7 +77,7 @@ def _base_record_fields(job: CampaignJob) -> dict:
     return {
         "job_id": job.job_id,
         "label": job.label,
-        "device": job.device.label,
+        "device": job.device_name,
         "method": job.method,
         "resolution": job.resolution,
         "noise_scale": job.noise_scale,
@@ -86,12 +89,52 @@ def _base_record_fields(job: CampaignJob) -> dict:
     }
 
 
+def _open_device_session(job: CampaignJob) -> ExperimentSession:
+    """A session measuring the job's device in its environment and faults."""
+    device = job.device.build()
+    if job.environment is not None:
+        # The scenario supplies the environment (noise, drift, timing,
+        # time-dependence); the grid supplies the device under test.
+        # Grid-expanded scenario jobs carry noise_scale 1 (the scenario
+        # as registered); hand-crafted jobs may scale the scenario noise.
+        factory = job.environment.scaled(job.noise_scale).session_factory(
+            device=device, resolution=job.resolution
+        )
+    else:
+        factory = SessionFactory(
+            device=device,
+            resolution=job.resolution,
+            noise=noise_for_scale(job.noise_scale),
+        )
+    probe_models = probe_fault_models(job.fault_models)
+    if probe_models:
+        # Compose with (not replace) any faults the scenario itself
+        # bakes in; the scenario's own retry policy wins when set.
+        factory = replace(
+            factory,
+            faults=models_for(factory.faults) + probe_models,
+            probe_retry=factory.probe_retry or DEFAULT_FAULT_RETRY,
+        )
+    return factory.make(
+        gate_x=job.gate_x,
+        gate_y=job.gate_y,
+        dot_a=job.dot_a,
+        dot_b=job.dot_b,
+        seed=job.seed,
+        label=job.label,
+    )
+
+
 def run_campaign_job(
     job: CampaignJob, criterion: SuccessCriterion | None = None
 ) -> CampaignJobRecord:
     """Run one campaign job and return its condensed, picklable record.
 
-    Reads only the job: its ``environment`` scenario (scaled by the job's
+    A job with a stored ``diagram`` replays it through
+    :meth:`~repro.instrument.session.ExperimentSession.from_csd` at the
+    paper's timing; any other job measures its device through a
+    :class:`~repro.instrument.session.SessionFactory`.  The worker reads
+    only the job: its ``environment`` scenario (scaled by the job's
     ``noise_scale``), its ``pipeline`` and its ``fault_models``.  The
     engine resolves them in the parent, so entries registered only there
     reach spawn-start workers too; an unresolved job from a direct call
@@ -114,38 +157,10 @@ def run_campaign_job(
     inject_worker_faults(job.job_id, job.fault_models, job.seed)
     started = time.perf_counter()
     try:
-        device = job.device.build()
-        if job.environment is not None:
-            # The scenario supplies the environment (noise, drift, timing,
-            # time-dependence); the grid supplies the device under test.
-            # Grid-expanded scenario jobs carry noise_scale 1 (the scenario
-            # as registered); hand-crafted jobs may scale the scenario noise.
-            factory = job.environment.scaled(job.noise_scale).session_factory(
-                device=device, resolution=job.resolution
-            )
+        if job.diagram is not None:
+            session = ExperimentSession.from_csd(job.diagram, label=job.label)
         else:
-            factory = SessionFactory(
-                device=device,
-                resolution=job.resolution,
-                noise=noise_for_scale(job.noise_scale),
-            )
-        probe_models = probe_fault_models(job.fault_models)
-        if probe_models:
-            # Compose with (not replace) any faults the scenario itself
-            # bakes in; the scenario's own retry policy wins when set.
-            factory = replace(
-                factory,
-                faults=models_for(factory.faults) + probe_models,
-                probe_retry=factory.probe_retry or DEFAULT_FAULT_RETRY,
-            )
-        session = factory.make(
-            gate_x=job.gate_x,
-            gate_y=job.gate_y,
-            dot_a=job.dot_a,
-            dot_b=job.dot_b,
-            seed=job.seed,
-            label=job.label,
-        )
+            session = _open_device_session(job)
         result: ExtractionResult = job.pipeline.run(session)
         geometry = session.geometry
         matched = criterion.evaluate(result, geometry)

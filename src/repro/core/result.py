@@ -127,16 +127,6 @@ class ProbeStatistics:
             return 0.0
         return self.n_probes / float(self.n_pixels)
 
-    def as_dict(self) -> dict:
-        """Plain-dict view for report tables."""
-        return {
-            "n_probes": self.n_probes,
-            "n_requests": self.n_requests,
-            "n_pixels": self.n_pixels,
-            "probe_fraction": self.probe_fraction,
-            "elapsed_s": self.elapsed_s,
-        }
-
 
 @dataclass(frozen=True)
 class ExtractionResult:
@@ -172,7 +162,7 @@ class ExtractionResult:
         return None
 
     def summary(self) -> dict:
-        """Flat summary used by the comparison harness and reports."""
+        """Flat summary, as an auto-tuning outcome's ``summary()`` embeds it."""
         return {
             "method": self.method,
             "success": self.success,

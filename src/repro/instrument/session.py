@@ -80,15 +80,11 @@ class ExperimentSession:
         cls,
         csd: ChargeStabilityDiagram,
         timing: TimingModel | None = None,
-        cache: bool = True,
-        max_probes: int | None = None,
         label: str | None = None,
     ) -> "ExperimentSession":
         """Replay a recorded or simulated charge-stability diagram."""
         clock = VirtualClock(timing or TimingModel.paper_default())
-        meter = ChargeSensorMeter(
-            DatasetBackend(csd), clock=clock, cache=cache, max_probes=max_probes
-        )
+        meter = ChargeSensorMeter(DatasetBackend(csd), clock=clock)
         return cls(
             meter=meter,
             geometry=csd.geometry,

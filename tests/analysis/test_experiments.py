@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis import (
+from repro.campaign import (
     run_ablation_anchors,
     run_ablation_sweeps,
     run_array_scaling,
@@ -25,8 +25,14 @@ from repro.datasets import load_benchmark
 class TestTable1Subset:
     def test_subset_of_small_benchmarks(self):
         records, report = run_table1(indices=(3, 4))
-        assert len(records) == 2
-        assert all(record.fast.success for record in records)
+        # Each CSD runs through the fast method, then the baseline.
+        assert [(r.device, r.method) for r in records] == [
+            ("qflow-like-03", "fast"),
+            ("qflow-like-03", "baseline"),
+            ("qflow-like-04", "fast"),
+            ("qflow-like-04", "baseline"),
+        ]
+        assert all(record.success for record in records[::2])
         assert "Table 1" in report
         assert "Summary" in report
 

@@ -22,7 +22,7 @@ PACKAGE_ROOT = Path(repro.__file__).resolve().parent
 #: Ceiling on the options of the public API, counted by
 #: :func:`count_options`.  It may rise only for an option that two existing
 #: callers need; lower it when options go.
-MAX_OPTIONS = 289
+MAX_OPTIONS = 281
 
 
 class TestTopLevelApi:
@@ -160,6 +160,25 @@ class TestOneWayToMeasure:
             }
         )
         assert callers == ["campaign/engine.py", "execution/backends.py"], callers
+
+    def test_only_the_campaign_worker_scores_an_extraction(self):
+        # run_campaign_job is the one path from an extraction to a verdict
+        # against the truth: Table 1, the experiments and every grid get
+        # the same record and failure taxonomy from it.
+        scorers = sorted(
+            {
+                name
+                for name, module in _modules()
+                for node in ast.walk(module)
+                if isinstance(node, ast.Call)
+                and (
+                    getattr(node.func, "id", getattr(node.func, "attr", None))
+                    == "accuracy_metrics"
+                    or getattr(node.func, "attr", None) == "evaluate"
+                )
+            }
+        )
+        assert scorers == ["campaign/worker.py"], scorers
 
     def test_execution_waits_on_no_wall_clock(self):
         # Every wait in a run is simulated (the meter's probe retries);
