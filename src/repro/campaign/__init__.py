@@ -23,8 +23,9 @@ the managed layer for that workload:
   :mod:`repro.analysis.reporting` tables and round-trips through JSON
   (:meth:`~repro.campaign.results.CampaignResult.save` /
   :meth:`~repro.campaign.results.CampaignResult.load`);
-* :mod:`~repro.campaign.experiments` runs the paper's experiments as
-  campaigns of diagram jobs (:func:`~repro.campaign.experiments.diagram_jobs`):
+* :mod:`~repro.campaign.experiments` runs the paper's experiments;
+  Table 1, the ablations and the noise and resolution sweeps are campaigns
+  of diagram jobs (:func:`~repro.campaign.experiments.diagram_jobs`).
   Table 1 is 24 jobs, each of the twelve CSDs through the fast method and
   the Canny+Hough baseline, so it runs on any backend and its records
   carry the failure taxonomy.

@@ -1,11 +1,14 @@
 """Experiment runners: one function per reproduced table, figure, or ablation.
 
-Each runner builds its diagrams from the synthetic substrate, replays them
-as campaign jobs (:func:`diagram_jobs`) through the same worker, record and
-failure taxonomy as every other campaign, and returns plain data
-structures plus a formatted text report.  The runners run serially; a
+Each runner builds its workload from the synthetic substrate and returns
+plain data structures plus a formatted text report.  Table 1, the
+ablations and the noise and resolution sweeps replay their diagrams as
+campaign jobs (:func:`diagram_jobs`), scored by the same worker, record
+and failure taxonomy as every other campaign; they run serially, and a
 caller who wants a backend hands the same job list to
-``TuningCampaign(jobs, backend=...)``.  ``tests/analysis/test_experiments.py``
+``TuningCampaign(jobs, backend=...)``.  Figure 7 needs the meter's probe
+mask and the array extension measures a simulated array, so those two
+call their extractors directly.  ``tests/analysis/test_experiments.py``
 runs every runner at its experiment's full input and asserts the property
 the paper draws from it; Table 1 itself is replayed exactly by perfbench's
 ``table1`` workload.

@@ -5,8 +5,9 @@ dispatches: open the job's session (replay its stored diagram, or measure
 its device), run the job's pipeline, score it against the session's ground
 truth, and condense everything into a flat
 :class:`~repro.campaign.results.CampaignJobRecord`.  It is the one place an
-extraction is scored: grids, scenario spaces, Table 1 and the paper's other
-experiments (:mod:`repro.campaign.experiments`) all run through it.
+extraction is scored: grids, scenario spaces, Table 1, the ablations and the
+noise and resolution sweeps (:mod:`repro.campaign.experiments`) all run
+through it.
 The job carries its resolved scenario, pipeline and fault models
 (:func:`~repro.campaign.grid.resolve_jobs`), so the worker reads only the
 job and never a registry.  It is a module-level function of picklable
