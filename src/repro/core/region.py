@@ -5,7 +5,8 @@ triangle whose hypotenuse connects the two anchor points (one on each line)
 and whose right-angle corner sits at the row of the shallow-line anchor and
 the column of the steep-line anchor.  :class:`TriangularRegion` captures that
 geometry, answers pixel-membership queries using pixel centres (as the paper
-specifies), and yields the per-row / per-column probe segments the sweeps use.
+specifies), and yields the per-row / per-column probe segments (a column
+sweep walks the rows of :meth:`TriangularRegion.transposed`).
 
 Conventions: rows index the y-axis gate bottom-up, columns index the x-axis
 gate left-to-right (DESIGN.md §2).  The steep-line anchor is the one at the
@@ -73,6 +74,13 @@ class TriangularRegion:
         """Copy of the region with the shallow-line anchor replaced (shrinking)."""
         return TriangularRegion(steep_anchor=self._steep, shallow_anchor=anchor)
 
+    def transposed(self) -> "TriangularRegion":
+        """The region with rows and columns swapped (its rows are this one's columns)."""
+        return TriangularRegion(
+            steep_anchor=PixelPoint(row=self._shallow.col, col=self._shallow.row),
+            shallow_anchor=PixelPoint(row=self._steep.col, col=self._steep.row),
+        )
+
     # ------------------------------------------------------------------
     def hypotenuse_col_at_row(self, row: float) -> float:
         """Column of the hypotenuse at a given (fractional) row."""
@@ -94,15 +102,16 @@ class TriangularRegion:
             return False
         return col >= self.hypotenuse_col_at_row(row) - 1e-9
 
+    def row_bounds(self, row: int) -> tuple[int, int]:
+        """First and last column inside the region at a row (first > last: none)."""
+        if not (self._steep.row <= row <= self._shallow.row):
+            return 0, -1
+        lower = self.hypotenuse_col_at_row(row)
+        return int(max(self._shallow.col, _ceil(lower))), int(self._steep.col)
+
     def row_segment(self, row: int) -> list[int]:
         """Columns inside the region at a given row, left to right."""
-        if not (self._steep.row <= row <= self._shallow.row):
-            return []
-        lower = self.hypotenuse_col_at_row(row)
-        start = int(max(self._shallow.col, _ceil(lower)))
-        end = int(self._steep.col)
-        if start > end:
-            return []
+        start, end = self.row_bounds(row)
         return list(range(start, end + 1))
 
     def column_segment(self, col: int) -> list[int]:

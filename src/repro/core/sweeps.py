@@ -16,12 +16,21 @@ transition line.
   anchor and marches right towards the steep-line anchor's column, accurately
   tracking the shallow (nearly horizontal) line.
 
-Both sweeps probe through the same cached meter, so pixels shared between the
-anchor search, the two sweeps and the gradient finite differences are paid
-for only once.
+Each sweep moves only its own anchor, so the two never read each other's
+results and run together: step k probes the row sweep's k-th segment, then
+the column sweep's, in one batched gradient evaluation (one meter call), and
+a sweep drops out when it runs out of lines.  On a static backend a pixel
+reads the same whenever it is probed, so the probed pixels, probe counts and
+simulated time are those of the two sweeps run one after the other.  A
+time-dependent backend (drift, temporal noise, injected faults) sees the
+probes at other timestamps, and a meter's ``max_probes`` budget cuts across
+both sweeps.  Pixels shared between the anchor search, the two sweeps and the
+gradient finite differences are probed once, through the meter's cache.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -31,6 +40,44 @@ from .config import SweepConfig
 from .gradient import FeatureGradient
 from .region import PixelPoint, TriangularRegion
 from .result import SweepTrace
+
+
+class _Walker:
+    """One sweep: walks its region's rows and moves the region's steep anchor.
+
+    The column-major sweep walks the transposed region (``axis=1``: its rows
+    are pixel columns), whose steep-role anchor is the shallow-line anchor.
+    """
+
+    def __init__(self, direction: str, region: TriangularRegion, axis: int = 0) -> None:
+        self.direction = direction
+        self.region = region
+        self.axis = axis
+        self.rows = iter(range(region.steep_anchor.row + 1, region.shallow_anchor.row))
+        self.points: list[tuple[int, int]] = []
+        self.lengths: list[int] = []
+
+    def advance(self) -> bool:
+        """Take the next row's segment bounds; false when no row is left.
+
+        A row strictly between the anchors always holds a pixel.
+        """
+        self.row = next(self.rows, None)
+        if self.row is None:
+            return False
+        self.start, end = self.region.row_bounds(self.row)
+        self.lengths.append(end + 1 - self.start)
+        return True
+
+    def settle(self, gradients: np.ndarray) -> None:
+        """Keep the segment's best pixel and move the steep anchor onto it."""
+        col = self.start + int(gradients.argmax())
+        self.points.append((self.row, col))
+        self.region = self.region.with_steep_anchor(PixelPoint(row=self.row, col=col))
+
+    def trace(self) -> SweepTrace:
+        points = [point[::-1] for point in self.points] if self.axis else self.points
+        return SweepTrace(self.direction, tuple(points), tuple(self.lengths))
 
 
 class TransitionLineSweeper:
@@ -55,71 +102,6 @@ class TransitionLineSweeper:
         """The feature-gradient evaluator used by both sweeps."""
         return self._gradient
 
-    # ------------------------------------------------------------------
-    def row_major_sweep(
-        self, steep_anchor: PixelPoint, shallow_anchor: PixelPoint
-    ) -> SweepTrace:
-        """Sweep rows bottom-to-top, tracking the steep transition line.
-
-        The shallow-line anchor stays fixed; the steep-line anchor is moved to
-        the best point of every row, shrinking the triangle as the sweep
-        climbs.
-        """
-        region = TriangularRegion(steep_anchor=steep_anchor, shallow_anchor=shallow_anchor)
-        transition_points: list[tuple[int, int]] = []
-        segment_lengths: list[int] = []
-        for row in range(steep_anchor.row + 1, shallow_anchor.row):
-            segment = region.row_segment(row)
-            segment_lengths.append(len(segment))
-            if not segment:
-                continue
-            # A segment is a run of consecutive columns.
-            columns = np.arange(segment[0], segment[-1] + 1)
-            rows = np.empty(columns.size, dtype=np.int64)
-            rows.fill(row)
-            # One batched gradient evaluation serves the whole segment.
-            gradients = self._gradient.values(rows, columns)
-            best_col = segment[0] + int(gradients.argmax())
-            transition_points.append((row, best_col))
-            region = region.with_steep_anchor(PixelPoint(row=row, col=best_col))
-        return SweepTrace(
-            direction="row-major",
-            transition_points=tuple(transition_points),
-            segment_lengths=tuple(segment_lengths),
-        )
-
-    def column_major_sweep(
-        self, steep_anchor: PixelPoint, shallow_anchor: PixelPoint
-    ) -> SweepTrace:
-        """Sweep columns left-to-right, tracking the shallow transition line.
-
-        The steep-line anchor stays fixed; the shallow-line anchor is moved to
-        the best point of every column.
-        """
-        region = TriangularRegion(steep_anchor=steep_anchor, shallow_anchor=shallow_anchor)
-        transition_points: list[tuple[int, int]] = []
-        segment_lengths: list[int] = []
-        for col in range(shallow_anchor.col + 1, steep_anchor.col):
-            segment = region.column_segment(col)
-            segment_lengths.append(len(segment))
-            if not segment:
-                continue
-            # A segment is a run of consecutive rows.
-            rows = np.arange(segment[0], segment[-1] + 1)
-            columns = np.empty(rows.size, dtype=np.int64)
-            columns.fill(col)
-            # One batched gradient evaluation serves the whole segment.
-            gradients = self._gradient.values(rows, columns)
-            best_row = segment[0] + int(gradients.argmax())
-            transition_points.append((best_row, col))
-            region = region.with_shallow_anchor(PixelPoint(row=best_row, col=col))
-        return SweepTrace(
-            direction="column-major",
-            transition_points=tuple(transition_points),
-            segment_lengths=tuple(segment_lengths),
-        )
-
-    # ------------------------------------------------------------------
     def run(
         self,
         steep_anchor: PixelPoint,
@@ -134,20 +116,24 @@ class TransitionLineSweeper:
         :class:`SweepError` when both enabled sweeps come back empty, since
         the fit cannot proceed without transition points.
         """
-        empty_row = SweepTrace(direction="row-major", transition_points=(), segment_lengths=())
-        empty_col = SweepTrace(
-            direction="column-major", transition_points=(), segment_lengths=()
+        region = TriangularRegion(steep_anchor=steep_anchor, shallow_anchor=shallow_anchor)
+        walkers = (
+            _Walker("row-major", region),
+            _Walker("column-major", region.transposed(), axis=1),
         )
-        row_trace = (
-            self.row_major_sweep(steep_anchor, shallow_anchor)
-            if run_row
-            else empty_row
-        )
-        column_trace = (
-            self.column_major_sweep(steep_anchor, shallow_anchor)
-            if run_column
-            else empty_col
-        )
+        live = [walker for walker, enabled in zip(walkers, (run_row, run_column)) if enabled]
+        while live := [walker for walker in live if walker.advance()]:
+            # One gradient evaluation per step: the row sweep's segment first.
+            offsets = list(accumulate((walker.lengths[-1] for walker in live), initial=0))
+            segments = list(zip(live, offsets, offsets[1:]))
+            pixels = np.empty((2, offsets[-1]), dtype=np.int64)
+            for walker, lo, hi in segments:
+                pixels[walker.axis, lo:hi] = walker.row
+                pixels[1 - walker.axis, lo:hi] = np.arange(walker.start, walker.start + hi - lo)
+            gradients = self._gradient.values(*pixels)
+            for walker, lo, hi in segments:
+                walker.settle(gradients[lo:hi])
+        row_trace, column_trace = (walker.trace() for walker in walkers)
         if row_trace.n_points == 0 and column_trace.n_points == 0:
             raise SweepError(
                 "both sweeps returned no transition points; the anchor points "

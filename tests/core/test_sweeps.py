@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import zip_longest
+
 import numpy as np
 import pytest
 
@@ -42,7 +44,7 @@ class TestRowSweep:
     def test_tracks_steep_line(self, clean_csd, anchors_and_meter):
         anchors, meter = anchors_and_meter
         sweeper = TransitionLineSweeper(meter)
-        trace = sweeper.row_major_sweep(anchors.steep_anchor, anchors.shallow_anchor)
+        trace, _ = sweeper.run(anchors.steep_anchor, anchors.shallow_anchor, run_column=False)
         assert trace.direction == "row-major"
         assert trace.n_points > 10
         geometry = clean_csd.geometry
@@ -63,16 +65,16 @@ class TestRowSweep:
 
     def test_one_point_per_swept_row(self, anchors_and_meter):
         anchors, meter = anchors_and_meter
-        trace = TransitionLineSweeper(meter).row_major_sweep(
-            anchors.steep_anchor, anchors.shallow_anchor
+        trace, _ = TransitionLineSweeper(meter).run(
+            anchors.steep_anchor, anchors.shallow_anchor, run_column=False
         )
         rows = [p[0] for p in trace.transition_points]
         assert len(rows) == len(set(rows))
 
     def test_segments_stay_small_near_steep_line(self, anchors_and_meter):
         anchors, meter = anchors_and_meter
-        trace = TransitionLineSweeper(meter).row_major_sweep(
-            anchors.steep_anchor, anchors.shallow_anchor
+        trace, _ = TransitionLineSweeper(meter).run(
+            anchors.steep_anchor, anchors.shallow_anchor, run_column=False
         )
         # The shrinking triangle keeps early segments short (a few pixels).
         early = trace.segment_lengths[: max(3, len(trace.segment_lengths) // 4)]
@@ -82,8 +84,8 @@ class TestRowSweep:
 class TestColumnSweep:
     def test_tracks_shallow_line(self, clean_csd, anchors_and_meter):
         anchors, meter = anchors_and_meter
-        trace = TransitionLineSweeper(meter).column_major_sweep(
-            anchors.steep_anchor, anchors.shallow_anchor
+        _, trace = TransitionLineSweeper(meter).run(
+            anchors.steep_anchor, anchors.shallow_anchor, run_row=False
         )
         assert trace.direction == "column-major"
         assert trace.n_points > 10
@@ -104,8 +106,8 @@ class TestColumnSweep:
 
     def test_one_point_per_swept_column(self, anchors_and_meter):
         anchors, meter = anchors_and_meter
-        trace = TransitionLineSweeper(meter).column_major_sweep(
-            anchors.steep_anchor, anchors.shallow_anchor
+        _, trace = TransitionLineSweeper(meter).run(
+            anchors.steep_anchor, anchors.shallow_anchor, run_row=False
         )
         cols = [p[1] for p in trace.transition_points]
         assert len(cols) == len(set(cols))
@@ -144,3 +146,56 @@ class TestRunBoth:
         anchors, meter = anchors_and_meter
         TransitionLineSweeper(meter).run(anchors.steep_anchor, anchors.shallow_anchor)
         assert meter.probe_fraction < 0.25
+
+
+class TestSweepsInLockstep:
+    """Both sweeps step together: one meter call per step serves both."""
+
+    def test_two_walkers_equal_two_single_sweeps(self, noisy_csd):
+        anchors = AnchorFinder(ExperimentSession.from_csd(noisy_csd).meter).find()
+        meters = [ChargeSensorMeter(DatasetBackend(noisy_csd)) for _ in range(3)]
+        both, row_only, column_only = (
+            TransitionLineSweeper(meter).run(
+                anchors.steep_anchor,
+                anchors.shallow_anchor,
+                run_row=run_row,
+                run_column=run_column,
+            )
+            for meter, (run_row, run_column) in zip(
+                meters, ((True, True), (True, False), (False, True))
+            )
+        )
+        assert both == (row_only[0], column_only[1])
+        both_pixels, row_pixels, column_pixels = (
+            set(meter.log.unique_pixels()) for meter in meters
+        )
+        assert row_pixels - column_pixels and column_pixels - row_pixels
+        assert both_pixels == row_pixels | column_pixels
+        assert meters[0].n_probes == len(both_pixels)
+
+    @pytest.mark.parametrize(
+        ("run_row", "run_column"), [(True, True), (True, False), (False, True)]
+    )
+    def test_one_meter_call_per_step(self, monkeypatch, anchors_and_meter, run_row, run_column):
+        anchors, meter = anchors_and_meter
+        requests = []
+        get_currents = meter.get_currents
+
+        def counting_get_currents(rows, cols):
+            requests.append(len(rows))
+            return get_currents(rows, cols)
+
+        monkeypatch.setattr(meter, "get_currents", counting_get_currents)
+        row_trace, column_trace = TransitionLineSweeper(meter).run(
+            anchors.steep_anchor,
+            anchors.shallow_anchor,
+            run_row=run_row,
+            run_column=run_column,
+        )
+        steps = list(
+            zip_longest(row_trace.segment_lengths, column_trace.segment_lengths, fillvalue=0)
+        )
+        assert len(steps) == max(row_trace.n_points, column_trace.n_points) > 10
+        # Each step with a segment to probe is one call of three probes (the
+        # gradient's centre, right and upper-right) per candidate pixel.
+        assert requests == [3 * (row + column) for row, column in steps if row + column]

@@ -15,11 +15,11 @@ from repro.core import (
 
 
 @st.composite
-def anchors(draw):
-    steep_row = draw(st.integers(min_value=0, max_value=20))
-    shallow_row = draw(st.integers(min_value=steep_row + 2, max_value=60))
-    shallow_col = draw(st.integers(min_value=0, max_value=20))
-    steep_col = draw(st.integers(min_value=shallow_col + 2, max_value=60))
+def anchors(draw, extent=60):
+    steep_row = draw(st.integers(min_value=0, max_value=extent // 3))
+    shallow_row = draw(st.integers(min_value=steep_row + 2, max_value=extent))
+    shallow_col = draw(st.integers(min_value=0, max_value=extent // 3))
+    steep_col = draw(st.integers(min_value=shallow_col + 2, max_value=extent))
     return PixelPoint(row=steep_row, col=steep_col), PixelPoint(row=shallow_row, col=shallow_col)
 
 
@@ -63,6 +63,27 @@ class TestTriangularRegionProperties:
             len(region.column_segment(c)) for c in range(shallow.col, steep.col + 1)
         )
         assert by_rows == by_cols == region.pixel_count()
+
+    @given(data=anchors(extent=400))
+    @settings(max_examples=100, deadline=None)
+    def test_transposed_rows_are_column_segments(self, data):
+        # The column-major sweep walks the transposed region's rows.
+        steep, shallow = data
+        region = TriangularRegion(steep_anchor=steep, shallow_anchor=shallow)
+        transposed = region.transposed()
+        for col in range(shallow.col - 1, steep.col + 2):
+            assert transposed.row_segment(col) == region.column_segment(col)
+        assert transposed.transposed().steep_anchor == steep
+
+    @given(data=anchors(extent=400))
+    @settings(max_examples=100, deadline=None)
+    def test_rows_between_the_anchors_hold_a_pixel(self, data):
+        # Every row a sweep walks has a segment to probe.
+        steep, shallow = data
+        region = TriangularRegion(steep_anchor=steep, shallow_anchor=shallow)
+        for row in range(steep.row + 1, shallow.row):
+            start, end = region.row_bounds(row)
+            assert shallow.col < start <= end == steep.col
 
     @given(data=anchors())
     @settings(max_examples=60, deadline=None)
