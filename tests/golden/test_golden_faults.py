@@ -9,7 +9,7 @@ to 0) in ``fault_campaign_records.json``, asserted *bit-identical*:
 * ``registered`` — the first grid double dot (cross coupling 0.25, 0.22),
   P1-P2 at 63x63, under ``quiet_lab`` and ``drifting_sensor``, with the
   registered ``transient-reads``, ``probe-hangs`` and ``flaky-lab``
-  conditions, 2 repeats each: 12 jobs that ride out 166 retries.
+  conditions, 2 repeats each: 12 jobs that ride out 167 retries.
 * ``flood`` — the same two environments, 2 repeats, under a
   ``TransientReadFault(rate=0.5)`` condition the jobs carry as their
   ``fault_models`` (nothing is added to the global fault registry).  Every
@@ -114,7 +114,7 @@ def test_groups_exercise_retries_and_exhaustion():
     fixtures = load_fixtures()
     registered = fixtures["registered"]
     assert len(registered) == 12
-    assert sum(r["n_probe_retries"] for r in registered) == 166
+    assert sum(r["n_probe_retries"] for r in registered) == 167
     flood = fixtures["flood"]
     assert len(flood) == 4
     assert {r["failure_category"] for r in flood} == {"instrument-fault"}

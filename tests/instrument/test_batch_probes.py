@@ -634,23 +634,23 @@ class TestOnePassPerBatch:
         assert cold.success and cold.n_probes == warm.n_probes == 556
         # Absent keys were never called: the backend's validate_pixels.
         assert cold_counts == {
-            "get_currents": 69,
+            "get_currents": 37,
             # Once per batch, at the meter's boundary; never in the backend.
-            "_validated_pixels": 69,
-            "currents": 66,
-            "read_with_meter_keys": 66,
-            "fetch": 66,
+            "_validated_pixels": 37,
+            "currents": 37,
+            "read_with_meter_keys": 37,
+            "fetch": 37,
             # The meter's dedup on every batch, the kernel cache's only
             # where it has two or more pixels to solve.
-            "fetch_2plus_unsolved": 58,
-            "first_requests": 69 + 58,
+            "fetch_2plus_unsolved": 36,
+            "first_requests": 37 + 36,
         }
         assert counts == {
-            "get_currents": 69,
-            "_validated_pixels": 69,
-            "currents": 66,
-            "read_with_meter_keys": 66,
-            "fetch": 66,
+            "get_currents": 37,
+            "_validated_pixels": 37,
+            "currents": 37,
+            "read_with_meter_keys": 37,
+            "fetch": 37,
             "fetch_2plus_unsolved": 0,
-            "first_requests": 69,
+            "first_requests": 37,
         }

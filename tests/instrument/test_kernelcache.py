@@ -473,14 +473,14 @@ class TestRecordedDriftChaosSlice:
             probes.append(run_campaign_job(job).n_probes)
         # drifting_sensor: 10 jobs, then telegraph_storm: 10 jobs.
         assert probes == [
-            605, 583, 564, 574, 603, 576, 585, 612, 570, 174,
-            570, 616, 577, 611, 575, 580, 579, 334, 574, 583,
+            577, 590, 599, 606, 599, 573, 607, 569, 608, 174,
+            608, 579, 614, 576, 586, 566, 583, 328, 566, 584,
         ]
-        # Solving every probe afresh cost 11,045 points.  Now the first job
+        # Solving every probe afresh cost 11,092 points.  Now the first job
         # of each layer (the detuning entry, then the currents entry) solves
         # its probes, and later jobs solve only pixels no earlier job probed.
         assert solved == [
-            605, 15, 5, 0, 127, 0, 6, 0, 0, 0,
-            570, 172, 2, 3, 0, 0, 0, 206, 0, 0,
+            577, 35, 26, 16, 116, 1, 1, 0, 1, 0,
+            608, 133, 2, 4, 3, 0, 0, 203, 0, 3,
         ]
         assert kernelcache.default_kernel_cache().stats.n_entries == 2

@@ -130,14 +130,14 @@ class TestRetuningOutcome:
 
     def test_extractions(self, retune_outcome):
         assert _extraction(retune_outcome.initial.extraction) == (
-            True, 0.400000000000001, 0.6571428571428566, 147, 499, 2304,
-            7.34999999999981, "",
+            True, 0.5217391304347833, 0.25454545454545385, 141, 502, 2304,
+            7.049999999999827, "",
         )
         assert [_extraction(cycle.extraction) for cycle in retune_outcome.cycles] == [
             (False, None, None, 48, 94, 2304, 2.399999999997817,
              "need at least 4 transition points to fit, got 3"),
-            (True, 0.18181818181818163, 0.5273224043715844, 292, 1195, 2304,
-             14.600000000053114, ""),
+            (True, 0.6250000000000003, 0.9534412955465587, 318, 1222, 2304,
+             15.900000000057844, ""),
         ]
 
     def test_staleness_checks(self, retune_outcome):
@@ -145,8 +145,8 @@ class TestRetuningOutcome:
             (c.check.checked_at_s, c.check.max_deviation_na, c.check.n_check_pixels, c.check.stale)
             for c in retune_outcome.cycles
         ] == [
-            (1836.9499999999994, 0.6993834180767645, 16, True),
-            (3640.15, 0.6862590940612573, 16, True),
+            (1836.6499999999994, 0.7036656319724126, 16, True),
+            (3639.8500000000004, 0.6968116563150322, 16, True),
         ]
 
     def test_totals(self, retune_outcome):
@@ -154,7 +154,7 @@ class TestRetuningOutcome:
             retune_outcome.total_probes,
             retune_outcome.final_elapsed_s,
             retune_outcome.n_retunes,
-        ) == (1095, 3654.750000000053, 2)
+        ) == (1115, 3655.750000000058, 2)
         assert retune_outcome.metadata == {
             "device": "double-dot", "idle_time_s": 1800.0, "staleness_threshold_na": 0.08,
         }
@@ -166,7 +166,7 @@ class TestRetuningOutcome:
         assert _telemetry(retune_outcome.stage_telemetry) == [
             ("window-search", "ok", 576, 576, 0, 28.800000000000274, ""),
             ("anchors", "ok", 107, 400, 293, 5.349999999999923, ""),
-            ("sweeps", "ok", 40, 99, 59, 1.9999999999998863, ""),
+            ("sweeps", "ok", 34, 102, 68, 1.6999999999999034, ""),
             ("filter", "ok", 0, 0, 0, 0.0, ""),
             ("fit", "ok", 0, 0, 0, 0.0, ""),
             ("validate", "ok", 0, 0, 0, 0.0, ""),
@@ -177,7 +177,7 @@ class TestRetuningOutcome:
             ("fit", "failed", 0, 0, 0, 0.0, "need at least 4 transition points to fit, got 3"),
             ("staleness-check", "ok", 16, 16, 0, 0.8000000000029104, "stale"),
             ("anchors", "ok", 233, 1030, 797, 11.650000000042382, ""),
-            ("sweeps", "ok", 59, 165, 106, 2.950000000010732, ""),
+            ("sweeps", "ok", 85, 192, 107, 4.250000000015461, ""),
             ("filter", "ok", 0, 0, 0, 0.0, ""),
             ("fit", "ok", 0, 0, 0, 0.0, ""),
             ("validate", "ok", 0, 0, 0, 0.0, ""),
