@@ -59,10 +59,11 @@ def job_affinity(job: Any) -> str | None:
     :func:`~repro.kernelcache.kernel_fingerprint` — computing the real
     fingerprint needs the voltage axes, which only exist inside the job —
     but a proxy collision merely costs one redundant rasterisation, never
-    correctness.
+    correctness.  A job that replays a stored ``diagram`` reads no kernel
+    cache, so it has no key.
     """
     device = getattr(job, "device", None)
-    if device is None:
+    if device is None or getattr(job, "diagram", None) is not None:
         return None
     return "|".join(
         (

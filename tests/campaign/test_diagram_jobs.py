@@ -16,11 +16,14 @@ import pytest
 from repro.analysis import SuccessCriterion, pair_speedup, table1_rows
 from repro.campaign import (
     TABLE1_METHODS,
+    CampaignGrid,
+    DeviceSpec,
     TuningCampaign,
     campaign_fingerprint,
     diagram_jobs,
     run_campaign_job,
 )
+from repro.cluster import job_affinity
 from repro.datasets import NoiseRecipe, SyntheticCSDConfig
 from repro.exceptions import ConfigurationError
 from repro.instrument import ExperimentSession
@@ -176,3 +179,32 @@ class TestDiagramFingerprint:
 
 def _never_runs(job, criterion=None):
     raise RuntimeError(f"job {job.job_id} should have come from the journal")
+
+
+class TestClusterAffinity:
+    def test_diagram_jobs_have_no_key(self):
+        # A replay reads no kernel cache: no placement saves a rasterisation.
+        jobs = diagram_jobs([_mini(0), _mini(1), _mini(2, resolution=48)], TABLE1_METHODS)
+        assert [job_affinity(job) for job in jobs] == [None] * 6
+
+    def test_grid_job_keys_are_unchanged(self):
+        jobs = CampaignGrid(
+            devices=(
+                DeviceSpec.of("double_dot", cross_coupling=(0.25, 0.22)),
+                DeviceSpec.of("linear_array", n_dots=4),
+            ),
+            resolutions=(63,),
+            noise_scales=(0.0, 1.0),
+            scenarios=(None, "drifting_sensor"),
+            seed=1,
+        ).expand()
+        double_dot = "DeviceSpec(factory='double_dot', kwargs=(('cross_coupling', (0.25, 0.22)),))"
+        chain = "DeviceSpec(factory='linear_array', kwargs=(('n_dots', 4),))"
+        # Device, gate pair, resolution and scenario split keys; noise does not.
+        assert [job_affinity(job) for job in jobs] == [
+            f"{device}|{pair}|63|{scenario}"
+            for device, pair in (
+                (double_dot, "P1|P2"), (chain, "P1|P2"), (chain, "P2|P3"), (chain, "P3|P4")
+            )
+            for scenario in ("None", "None", "drifting_sensor")
+        ]
