@@ -4,7 +4,6 @@ from .metrics import (
     AccuracyMetrics,
     SuccessCriterion,
     accuracy_metrics,
-    probe_reduction,
     speedup,
 )
 from .reporting import (
@@ -28,7 +27,6 @@ __all__ = [
     "AccuracyMetrics",
     "SuccessCriterion",
     "accuracy_metrics",
-    "probe_reduction",
     "speedup",
     "CAMPAIGN_HEADERS",
     "SuiteSummary",

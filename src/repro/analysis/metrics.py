@@ -115,16 +115,6 @@ def speedup(baseline_elapsed_s: float, fast_elapsed_s: float) -> float:
     return baseline_elapsed_s / fast_elapsed_s
 
 
-def probe_reduction(baseline_probes: int, fast_probes: int) -> float:
-    """Factor by which the number of probed points is reduced.
-
-    ``nan`` when both counts are zero, ``inf`` when only the fast count is.
-    """
-    if fast_probes <= 0:
-        return float("nan") if baseline_probes <= 0 else float("inf")
-    return baseline_probes / float(fast_probes)
-
-
 def wilson_interval(
     n_success: int, n_total: int, z: float = 1.96
 ) -> tuple[float, float]:

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.analysis import SuccessCriterion, accuracy_metrics, probe_reduction, speedup
+from repro.analysis import SuccessCriterion, accuracy_metrics, speedup
 from repro.core.result import ExtractionResult, ProbeStatistics
 from repro.core.virtualization import VirtualizationMatrix
 from repro.physics.csd import TransitionLineGeometry
@@ -124,19 +124,13 @@ class TestRatios:
         assert speedup(500.0, 50.0) == pytest.approx(10.0)
         assert speedup(100.0, 0.0) == float("inf")
 
-    def test_probe_reduction(self):
-        assert probe_reduction(10000, 1000) == pytest.approx(10.0)
-        assert probe_reduction(10, 0) == float("inf")
-
     def test_empty_runs_have_undefined_ratios(self):
         # Both costs zero means "nothing ran": nan, not an infinite speedup
         # that would poison campaign aggregate tables.
         assert math.isnan(speedup(0.0, 0.0))
-        assert math.isnan(probe_reduction(0, 0))
 
     def test_zero_baseline_with_real_fast_cost(self):
         assert speedup(0.0, 2.0) == 0.0
-        assert probe_reduction(0, 5) == 0.0
 
 
 class TestEndToEndConsistency:
