@@ -30,8 +30,6 @@ gradient finite differences are probed once, through the meter's cache.
 
 from __future__ import annotations
 
-from itertools import accumulate
-
 import numpy as np
 
 from ..exceptions import SweepError
@@ -66,12 +64,20 @@ class _Walker:
         if self.row is None:
             return False
         self.start, end = self.region.row_bounds(self.row)
-        self.lengths.append(end + 1 - self.start)
+        self.size = end + 1 - self.start
+        self.lengths.append(self.size)
         return True
+
+    def place(self, pixels: np.ndarray, offset: int) -> int:
+        """Write the segment's pixels into ``pixels`` from ``offset``; return its end."""
+        self.where = slice(offset, offset + self.size)
+        pixels[self.axis, self.where] = self.row
+        pixels[1 - self.axis, self.where] = np.arange(self.start, self.start + self.size)
+        return self.where.stop
 
     def settle(self, gradients: np.ndarray) -> None:
         """Keep the segment's best pixel and move the steep anchor onto it."""
-        col = self.start + int(gradients.argmax())
+        col = self.start + int(gradients[self.where].argmax())
         self.points.append((self.row, col))
         self.region = self.region.with_steep_anchor(PixelPoint(row=self.row, col=col))
 
@@ -124,15 +130,13 @@ class TransitionLineSweeper:
         live = [walker for walker, enabled in zip(walkers, (run_row, run_column)) if enabled]
         while live := [walker for walker in live if walker.advance()]:
             # One gradient evaluation per step: the row sweep's segment first.
-            offsets = list(accumulate((walker.lengths[-1] for walker in live), initial=0))
-            segments = list(zip(live, offsets, offsets[1:]))
-            pixels = np.empty((2, offsets[-1]), dtype=np.int64)
-            for walker, lo, hi in segments:
-                pixels[walker.axis, lo:hi] = walker.row
-                pixels[1 - walker.axis, lo:hi] = np.arange(walker.start, walker.start + hi - lo)
+            pixels = np.empty((2, sum(walker.size for walker in live)), dtype=np.int64)
+            end = 0
+            for walker in live:
+                end = walker.place(pixels, end)
             gradients = self._gradient.values(*pixels)
-            for walker, lo, hi in segments:
-                walker.settle(gradients[lo:hi])
+            for walker in live:
+                walker.settle(gradients)
         row_trace, column_trace = (walker.trace() for walker in walkers)
         if row_trace.n_points == 0 and column_trace.n_points == 0:
             raise SweepError(
