@@ -70,10 +70,6 @@ class TriangularRegion:
         """Copy of the region with the steep-line anchor replaced (shrinking)."""
         return TriangularRegion(steep_anchor=anchor, shallow_anchor=self._shallow)
 
-    def with_shallow_anchor(self, anchor: PixelPoint) -> "TriangularRegion":
-        """Copy of the region with the shallow-line anchor replaced (shrinking)."""
-        return TriangularRegion(steep_anchor=self._steep, shallow_anchor=anchor)
-
     def transposed(self) -> "TriangularRegion":
         """The region with rows and columns swapped (its rows are this one's columns)."""
         return TriangularRegion(
