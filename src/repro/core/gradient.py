@@ -16,13 +16,24 @@ Both features measure *on demand* through a
 :class:`~repro.instrument.measurement.ChargeSensorMeter`, so every pixel they
 touch is charged dwell time and logged — exactly how the real experiment pays
 for them.
+
+The sweeps score whole row and column segments through
+:meth:`FeatureGradient.segment_values`, one meter call per step, with a
+stencil built once per (fixed) meter grid: the coordinates along a segment,
+clamped at the right and top edges, are a slice of a template, and the line
+and its neighbour are filled in across it.  Requests go segment by segment,
+per pixel centre, right, upper-right: the per-pixel :meth:`value` order.
+They are written into one reused buffer, which is safe because the meter
+copies whatever it keeps of a request.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import numpy as np
 
-from ..exceptions import ConfigurationError
+from ..exceptions import ConfigurationError, MeasurementError
 from ..instrument.measurement import ChargeSensorMeter
 
 
@@ -43,19 +54,18 @@ class FeatureGradient:
             raise ConfigurationError("delta_pixels must be at least 1")
         self._meter = meter
         self._delta = int(delta_pixels)
-        # Offsets of the centre, right and upper-right probes.
-        self._row_steps = np.array([0, 0, self._delta])
-        self._col_steps = np.array([0, self._delta, self._delta])
-
-    @property
-    def meter(self) -> ChargeSensorMeter:
-        """The measurement meter."""
-        return self._meter
-
-    @property
-    def delta_pixels(self) -> int:
-        """Finite-difference step in pixels."""
-        return self._delta
+        n_rows, n_cols = meter.shape
+        self._last = (n_rows - 1, n_cols - 1)
+        # Along a row the stencil's columns are (k, k + d, k + d) for its
+        # k-th pixel from column 0, along a column its rows (k, k, k + d).
+        d = self._delta
+        self._along = tuple(
+            np.minimum(np.repeat(np.arange(n), 3) + np.tile(steps, n), n - 1)
+            for n, steps in ((n_cols, [0, d, d]), (n_rows, [0, 0, d]))
+        )
+        # Reused by every call; room for a row and a column segment.
+        self._rows = np.empty(3 * (n_rows + n_cols), dtype=np.int64)
+        self._cols = np.empty_like(self._rows)
 
     def _clamped(self, row: int, col: int) -> tuple[int, int]:
         rows, cols = self._meter.shape
@@ -70,33 +80,46 @@ class FeatureGradient:
         """
         row, col = self._clamped(row, col)
         center = self._meter.get_current(row, col)
-        right_row, right_col = self._clamped(row, col + self._delta)
-        upper_row, upper_col = self._clamped(row + self._delta, col + self._delta)
-        right = self._meter.get_current(right_row, right_col)
-        upper_right = self._meter.get_current(upper_row, upper_col)
+        right = self._meter.get_current(*self._clamped(row, col + self._delta))
+        upper_right = self._meter.get_current(*self._clamped(row + self._delta, col + self._delta))
         return (center - right) + (center - upper_right)
 
-    def values(self, rows: np.ndarray | list, cols: np.ndarray | list) -> np.ndarray:
-        """Feature gradients for a whole batch of pixels.
+    def segment_values(self, segments: Iterable[tuple[int, int, int, int]]) -> np.ndarray:
+        """Feature gradients of every pixel of some on-grid segments, in one meter call.
 
-        Equivalent to calling :meth:`value` per pixel — the probes are issued
-        in the same centre / right / upper-right order per pixel, through the
-        meter's batched path, so cache hits and probe accounting are
-        identical to the scalar loop while the measurement itself is served
-        by one vectorised backend evaluation per batch.
+        A segment ``(axis, line, start, size)`` is ``size`` pixels from
+        ``start`` along row ``line`` (``axis`` 0) or column ``line`` (1).
+        Requests, cache hits and values are those of :meth:`value` called
+        per pixel, segment by segment; the gradients come back in that order.
         """
-        rows = np.asarray(rows, dtype=int).reshape(-1)
-        cols = np.asarray(cols, dtype=int).reshape(-1)
-        grid_rows, grid_cols = self._meter.shape
-        # Columns: centre, right, upper-right.  min(max(x, 0) + step, edge)
-        # is the clamped centre plus the step, clamped again at the edge.
-        probe_rows = np.minimum(np.maximum(rows, 0)[:, None] + self._row_steps, grid_rows - 1)
-        probe_cols = np.minimum(np.maximum(cols, 0)[:, None] + self._col_steps, grid_cols - 1)
-        currents = self._meter.get_currents(probe_rows.ravel(), probe_cols.ravel())
+        rows, cols = self._rows, self._cols
+        last_row, last_col = self._last
+        d = self._delta
+        end = 0
+        for axis, line, start, size in segments:
+            last_line, last_along = self._last[axis], self._last[1 - axis]
+            if min(line, start, size) < 0 or line > last_line or start + size - 1 > last_along:
+                raise MeasurementError(f"segment {axis, line, start, size} is off the grid")
+            stop = end + 3 * size
+            if stop > rows.size:
+                grown = np.empty((2, 2 * stop), dtype=np.int64)
+                grown[:, :end] = rows[:end], cols[:end]
+                self._rows, self._cols = rows, cols = grown
+            along = self._along[axis][3 * start : 3 * (start + size)]
+            if axis == 0:
+                # Rows (r, r, r + d), clamped at the top edge.
+                rows[end:stop] = line
+                rows[end + 2 : stop : 3] = min(line + d, last_row)
+                cols[end:stop] = along
+            else:
+                # Columns (c, c + d, c + d), clamped at the right edge.
+                cols[end:stop] = min(line + d, last_col)
+                cols[end:stop:3] = line
+                rows[end:stop] = along
+            end = stop
+        currents = self._meter.get_currents(rows[:end], cols[:end])
         center = currents[0::3]
-        right = currents[1::3]
-        upper_right = currents[2::3]
-        return (center - right) + (center - upper_right)
+        return (center - currents[1::3]) + (center - currents[2::3])
 
 
 def oriented_mask(mask: np.ndarray | tuple) -> np.ndarray:
@@ -121,11 +144,6 @@ class MaskResponse:
     def __init__(self, meter: ChargeSensorMeter, mask: np.ndarray | tuple) -> None:
         self._meter = meter
         self._mask = oriented_mask(mask)
-
-    @property
-    def mask(self) -> np.ndarray:
-        """The oriented kernel."""
-        return self._mask.copy()
 
     def _responses(self, row0: np.ndarray, col0: np.ndarray) -> np.ndarray:
         """Responses with the kernel's lower-left corner at each ``(row0, col0)``."""

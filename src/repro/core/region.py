@@ -5,8 +5,12 @@ triangle whose hypotenuse connects the two anchor points (one on each line)
 and whose right-angle corner sits at the row of the shallow-line anchor and
 the column of the steep-line anchor.  :class:`TriangularRegion` captures that
 geometry, answers pixel-membership queries using pixel centres (as the paper
-specifies), and yields the per-row / per-column probe segments (a column
-sweep walks the rows of :meth:`TriangularRegion.transposed`).
+specifies), and yields the per-row / per-column probe segments.
+
+Segment bounds come from one function on plain ints, :func:`segment_bounds`,
+which :meth:`TriangularRegion.row_bounds` and both sweeps use (the column
+sweep with the anchors transposed); :meth:`TriangularRegion.column_segment`
+stays an independent reference computed from the other anchor.
 
 Conventions: rows index the y-axis gate bottom-up, columns index the x-axis
 gate left-to-right (DESIGN.md §2).  The steep-line anchor is the one at the
@@ -66,17 +70,6 @@ class TriangularRegion:
         """The right-angle corner (shallow anchor's row, steep anchor's column)."""
         return PixelPoint(row=self._shallow.row, col=self._steep.col)
 
-    def with_steep_anchor(self, anchor: PixelPoint) -> "TriangularRegion":
-        """Copy of the region with the steep-line anchor replaced (shrinking)."""
-        return TriangularRegion(steep_anchor=anchor, shallow_anchor=self._shallow)
-
-    def transposed(self) -> "TriangularRegion":
-        """The region with rows and columns swapped (its rows are this one's columns)."""
-        return TriangularRegion(
-            steep_anchor=PixelPoint(row=self._shallow.col, col=self._shallow.row),
-            shallow_anchor=PixelPoint(row=self._steep.col, col=self._steep.row),
-        )
-
     # ------------------------------------------------------------------
     def hypotenuse_col_at_row(self, row: float) -> float:
         """Column of the hypotenuse at a given (fractional) row."""
@@ -102,8 +95,8 @@ class TriangularRegion:
         """First and last column inside the region at a row (first > last: none)."""
         if not (self._steep.row <= row <= self._shallow.row):
             return 0, -1
-        lower = self.hypotenuse_col_at_row(row)
-        return int(max(self._shallow.col, _ceil(lower))), int(self._steep.col)
+        steep, shallow = self._steep, self._shallow
+        return segment_bounds(row, steep.row, steep.col, shallow.row, shallow.col)
 
     def row_segment(self, row: int) -> list[int]:
         """Columns inside the region at a given row, left to right."""
@@ -133,6 +126,17 @@ class TriangularRegion:
             f"TriangularRegion(steep={self._steep.as_tuple()}, "
             f"shallow={self._shallow.as_tuple()})"
         )
+
+
+def segment_bounds(
+    row: int, steep_row: int, steep_col: int, shallow_row: int, shallow_col: int
+) -> tuple[int, int]:
+    """First and last column of the anchors' triangle at ``row`` (transposed: a column's rows).
+
+    Strictly between the anchors' rows the segment always holds a pixel.
+    """
+    lower = steep_col + (row - steep_row) * (shallow_col - steep_col) / (shallow_row - steep_row)
+    return int(max(shallow_col, _ceil(lower))), int(steep_col)
 
 
 def _ceil(value: float) -> int:

@@ -26,6 +26,12 @@ time-dependent backend (drift, temporal noise, injected faults) sees the
 probes at other timestamps, and a meter's ``max_probes`` budget cuts across
 both sweeps.  Pixels shared between the anchor search, the two sweeps and the
 gradient finite differences are probed once, through the meter's cache.
+
+A step builds no region or pixel object: each sweep is a walker on plain
+ints (the column sweep's transposed) taking its bounds from
+:func:`~repro.core.region.segment_bounds`, and
+:meth:`~repro.core.gradient.FeatureGradient.segment_values` writes the
+step's stencil from templates into a buffer it reuses.
 """
 
 from __future__ import annotations
@@ -36,55 +42,44 @@ from ..exceptions import SweepError
 from ..instrument.measurement import ChargeSensorMeter
 from .config import SweepConfig
 from .gradient import FeatureGradient
-from .region import PixelPoint, TriangularRegion
+from .region import PixelPoint, TriangularRegion, segment_bounds
 from .result import SweepTrace
 
 
 class _Walker:
-    """One sweep: walks its region's rows and moves the region's steep anchor.
-
-    The column-major sweep walks the transposed region (``axis=1``: its rows
-    are pixel columns), whose steep-role anchor is the shallow-line anchor.
+    """One sweep: walks lines (rows, or columns with ``axis`` 1 and the
+    anchors as ``(col, row)``) from its anchor ``(line, across)``, which it
+    moves, towards the other anchor, ``far``.
     """
 
-    def __init__(self, direction: str, region: TriangularRegion, axis: int = 0) -> None:
-        self.direction = direction
-        self.region = region
-        self.axis = axis
-        self.rows = iter(range(region.steep_anchor.row + 1, region.shallow_anchor.row))
+    def __init__(self, direction: str, axis: int, anchor: tuple, far: tuple) -> None:
+        self.direction, self.axis, self.far = direction, axis, far
+        self.line, self.across = anchor
         self.points: list[tuple[int, int]] = []
         self.lengths: list[int] = []
 
     def advance(self) -> bool:
-        """Take the next row's segment bounds; false when no row is left.
+        """Take the next line's segment; false when no line is left.
 
-        A row strictly between the anchors always holds a pixel.
+        A line strictly between the anchors' lines always holds a pixel.
         """
-        self.row = next(self.rows, None)
-        if self.row is None:
+        if self.line + 1 >= self.far[0]:
             return False
-        self.start, end = self.region.row_bounds(self.row)
-        self.size = end + 1 - self.start
-        self.lengths.append(self.size)
+        start, end = segment_bounds(self.line + 1, self.line, self.across, *self.far)
+        self.segment = (self.axis, self.line + 1, start, end + 1 - start)
+        self.lengths.append(end + 1 - start)
         return True
 
-    def place(self, pixels: np.ndarray, offset: int) -> int:
-        """Write the segment's pixels into ``pixels`` from ``offset``; return its end."""
-        self.where = slice(offset, offset + self.size)
-        pixels[self.axis, self.where] = self.row
-        pixels[1 - self.axis, self.where] = np.arange(self.start, self.start + self.size)
-        return self.where.stop
-
-    def settle(self, gradients: np.ndarray) -> None:
-        """Keep the segment's best pixel and move the steep anchor onto it."""
-        col = self.start + int(gradients[self.where].argmax())
-        self.points.append((self.row, col))
-        self.region = self.region.with_steep_anchor(PixelPoint(row=self.row, col=col))
+    def settle(self, gradients: np.ndarray, offset: int) -> int:
+        """Move the anchor onto the segment's best pixel; return the segment's end."""
+        _, self.line, start, size = self.segment
+        self.across = start + int(gradients[offset : offset + size].argmax())
+        self.points.append((self.line, self.across))
+        return offset + size
 
     def trace(self) -> SweepTrace:
         points = [point[::-1] for point in self.points] if self.axis else self.points
         return SweepTrace(self.direction, tuple(points), tuple(self.lengths))
-
 
 class TransitionLineSweeper:
     """Run the two shrinking-triangle sweeps of the paper's Algorithm 3."""
@@ -103,11 +98,6 @@ class TransitionLineSweeper:
         """The sweep configuration."""
         return self._config
 
-    @property
-    def gradient(self) -> FeatureGradient:
-        """The feature-gradient evaluator used by both sweeps."""
-        return self._gradient
-
     def run(
         self,
         steep_anchor: PixelPoint,
@@ -122,21 +112,20 @@ class TransitionLineSweeper:
         :class:`SweepError` when both enabled sweeps come back empty, since
         the fit cannot proceed without transition points.
         """
-        region = TriangularRegion(steep_anchor=steep_anchor, shallow_anchor=shallow_anchor)
+        # Raises SweepError unless the anchors span a triangle.
+        TriangularRegion(steep_anchor=steep_anchor, shallow_anchor=shallow_anchor)
+        steep, shallow = steep_anchor.as_tuple(), shallow_anchor.as_tuple()
         walkers = (
-            _Walker("row-major", region),
-            _Walker("column-major", region.transposed(), axis=1),
+            _Walker("row-major", 0, steep, shallow),
+            _Walker("column-major", 1, shallow[::-1], steep[::-1]),
         )
         live = [walker for walker, enabled in zip(walkers, (run_row, run_column)) if enabled]
         while live := [walker for walker in live if walker.advance()]:
             # One gradient evaluation per step: the row sweep's segment first.
-            pixels = np.empty((2, sum(walker.size for walker in live)), dtype=np.int64)
-            end = 0
+            gradients = self._gradient.segment_values([walker.segment for walker in live])
+            offset = 0
             for walker in live:
-                end = walker.place(pixels, end)
-            gradients = self._gradient.values(*pixels)
-            for walker in live:
-                walker.settle(gradients)
+                offset = walker.settle(gradients, offset)
         row_trace, column_trace = (walker.trace() for walker in walkers)
         if row_trace.n_points == 0 and column_trace.n_points == 0:
             raise SweepError(

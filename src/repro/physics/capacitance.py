@@ -98,6 +98,10 @@ class CapacitanceModel:
             ) from exc
         object.__setattr__(self, "dot_dot", cdd)
         object.__setattr__(self, "dot_gate", cdg)
+        # Frozen model: one inverse, read-only because every caller shares it.
+        inverse = np.linalg.inv(cdd)
+        inverse.flags.writeable = False
+        object.__setattr__(self, "_inverse_dot_dot", inverse)
         names = tuple(self.gate_names) if self.gate_names else tuple(
             f"G{i}" for i in range(cdg.shape[1])
         )
@@ -122,8 +126,8 @@ class CapacitanceModel:
 
     @property
     def inverse_dot_dot(self) -> np.ndarray:
-        """Inverse of the Maxwell matrix, ``Cdd^-1`` (1/aF)."""
-        return np.linalg.inv(self.dot_dot)
+        """Inverse of the Maxwell matrix, ``Cdd^-1`` (1/aF); one shared read-only array."""
+        return self._inverse_dot_dot
 
     @property
     def lever_arm_matrix(self) -> np.ndarray:
@@ -157,10 +161,6 @@ class CapacitanceModel:
     def charging_energies_mev(self) -> np.ndarray:
         """Per-dot charging energies ``e^2 (Cdd^-1)_ii`` in meV."""
         return np.diag(self.inverse_dot_dot) * constants.E_SQUARED_OVER_AF_IN_MEV
-
-    def mutual_charging_energies_mev(self) -> np.ndarray:
-        """Matrix of mutual charging energies ``e^2 (Cdd^-1)_ij`` in meV."""
-        return self.inverse_dot_dot * constants.E_SQUARED_OVER_AF_IN_MEV
 
     def electrostatic_energy(
         self, occupations: np.ndarray | list, gate_voltages: np.ndarray | list

@@ -66,13 +66,6 @@ class SolverStats:
     n_pruned_points: int
     n_full_points: int
 
-    @property
-    def scores_per_point(self) -> float:
-        """Mean lattice evaluations per solved point (``nan`` if unused)."""
-        if self.n_points == 0:
-            return float("nan")
-        return self.n_state_scores / self.n_points
-
 
 class ChargeStateSolver:
     """Find ground-state occupations of a :class:`CapacitanceModel`.

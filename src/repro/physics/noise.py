@@ -234,7 +234,7 @@ class PinkNoise(NoiseModel):
         fy = np.fft.fftfreq(rows)[:, None]
         fx = np.fft.fftfreq(cols)[None, :]
         radius = np.sqrt(fy * fy + fx * fx)
-        radius[0, 0] = radius.flat[np.argsort(radius.flat)[1]]  # avoid divide by zero
+        radius[0, 0] = np.partition(radius.ravel(), 1)[1]  # avoid divide by zero
         spectrum = np.fft.fft2(white) / np.power(radius, self.exponent / 2.0)
         spectrum[0, 0] = 0.0
         field = np.real(np.fft.ifft2(spectrum))

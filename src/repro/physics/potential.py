@@ -105,11 +105,6 @@ class ChannelPotential:
         """The gate stack."""
         return self._gates
 
-    @property
-    def axis_nm(self) -> np.ndarray:
-        """Sample positions along the channel in nm."""
-        return self._axis_nm
-
     def gate_by_name(self, name: str) -> GateElectrode:
         """Look up a gate by name."""
         for gate in self._gates:

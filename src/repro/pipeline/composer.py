@@ -25,6 +25,7 @@ reproducing the pre-pipeline extractors' semantics exactly:
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import Callable, Iterable
 
 from ..core.extraction import gate_names_for, resolve_meter
@@ -148,16 +149,11 @@ class TuningPipeline:
     def __repr__(self) -> str:
         # Content-based (address-free) on purpose: pipelines ship to spawn
         # workers and feed checkpoint fingerprints, so the repr must be
-        # stable across processes.  The config factory renders by qualified
-        # name — a function object's default repr embeds its address.
-        config = (
-            getattr(self._default_config, "__qualname__", None)
-            if self._default_config is not None
-            else None
-        )
+        # stable across processes.
         return (
             f"TuningPipeline(name={self._name!r}, method={self._method_name!r}, "
-            f"stages={list(self._stages)!r}, default_config={config})"
+            f"stages={list(self._stages)!r}, "
+            f"default_config={_factory_repr(self._default_config)})"
         )
 
     # ------------------------------------------------------------------
@@ -272,3 +268,11 @@ class TuningPipeline:
             ),
             ctx,
         )
+
+
+def _factory_repr(factory: Callable[[], object] | None) -> str | None:
+    """A config factory by qualified name, or a ``functools.partial`` with its arguments."""
+    if isinstance(factory, partial):
+        arguments = [*map(repr, factory.args), *(f"{k}={v!r}" for k, v in factory.keywords.items())]
+        return f"partial({', '.join([str(_factory_repr(factory.func)), *arguments])})"
+    return getattr(factory, "__qualname__", None)

@@ -65,13 +65,6 @@ class MiningRoundRecord:
     n_failures: int
     accepted: bool
 
-    @property
-    def failure_rate(self) -> float:
-        """Fraction of the round's best-proposal jobs that failed."""
-        if self.n_jobs == 0:
-            return float("nan")
-        return self.n_failures / self.n_jobs
-
 
 @dataclass(frozen=True)
 class MiningResult:

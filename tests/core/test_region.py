@@ -87,7 +87,9 @@ class TestSegments:
 
     def test_segments_shrink_after_anchor_update(self, region):
         wide = region.row_segment(9)
-        shrunk = region.with_steep_anchor(PixelPoint(row=8, col=9)).row_segment(9)
+        shrunk = TriangularRegion(
+            steep_anchor=PixelPoint(row=8, col=9), shallow_anchor=region.shallow_anchor
+        ).row_segment(9)
         assert len(wide) >= len(shrunk) or shrunk == []
 
     def test_hypotenuse_endpoints(self, region):

@@ -1,7 +1,7 @@
 """Batch-split invariance of the probe path.
 
 A batch (`MeasurementBackend.currents`, `ChargeSensorMeter.get_currents`,
-`FeatureGradient.values`, `acquire_full_grid`) must be request-by-request
+`FeatureGradient.segment_values`, `acquire_full_grid`) must be request-by-request
 indistinguishable from the same requests made one pixel at a time: same
 values (bit-identical), same probe counts, same cache hits, same clock
 charges, same log contents, and the same budget-exhaustion point.
@@ -472,19 +472,58 @@ class TestVirtualClockBatch:
             clock.charge_probes(-1)
 
 
+def _segment_pixels(axis, line, start, size):
+    """The ``(row, col)`` pixels of a gradient segment, in request order."""
+    along = range(start, start + size)
+    return [(line, k) if axis == 0 else (k, line) for k in along]
+
+
 class TestFeatureGradientBatch:
-    def test_values_matches_scalar_loop(self, clean_csd, rng):
+    def test_segment_values_match_scalar_loop(self, clean_csd, rng):
         batch_meter, scalar_meter = _meter_pair(lambda: DatasetBackend(clean_csd))
         batch_gradient = FeatureGradient(batch_meter, delta_pixels=2)
         scalar_gradient = FeatureGradient(scalar_meter, delta_pixels=2)
-        rows = rng.integers(-1, clean_csd.shape[0] + 1, size=50)
-        cols = rng.integers(-1, clean_csd.shape[1] + 1, size=50)
-        batch = batch_gradient.values(rows, cols)
-        scalar = np.array(
-            [scalar_gradient.value(int(r), int(c)) for r, c in zip(rows, cols)]
-        )
-        assert np.array_equal(batch, scalar)
+        n_rows, n_cols = clean_csd.shape
+        # Segments on the top row and in the right column, and segments that
+        # end within delta of those edges, make the stencil clamp.
+        calls = [
+            [(0, n_rows - 1, 0, n_cols), (1, n_cols - 1, 0, n_rows)],
+            [(0, n_rows - 2, n_cols - 5, 5), (1, n_cols - 2, n_rows - 3, 3)],
+            [(1, 0, 0, 1), (0, 0, 0, 1)],
+            # Four full lines outgrow the buffer sized for one row and one column.
+            [(0, row, 0, n_cols) for row in (3, 30, 3, n_rows - 1)],
+        ]
+        for _ in range(40):
+            segments = []
+            for axis in rng.integers(0, 2, size=rng.integers(1, 4)):
+                n_lines, n_along = (n_rows, n_cols) if axis == 0 else (n_cols, n_rows)
+                line = int(rng.integers(0, n_lines))
+                start = int(rng.integers(0, n_along))
+                size = int(rng.integers(1, n_along - start + 1))
+                segments.append((int(axis), line, start, size))
+            calls.append(segments)
+        for segments in calls:
+            batch = batch_gradient.segment_values(segments)
+            scalar = np.array(
+                [
+                    scalar_gradient.value(row, col)
+                    for segment in segments
+                    for row, col in _segment_pixels(*segment)
+                ]
+            )
+            assert np.array_equal(batch, scalar)
         _assert_meters_identical(batch_meter, scalar_meter)
+
+    @pytest.mark.parametrize(
+        "segment",
+        [(0, -1, 0, 3), (0, 63, 0, 3), (0, 5, -1, 3), (0, 5, 61, 3), (1, 63, 5, 2), (1, 5, 62, 2)],
+    )
+    def test_off_grid_segment_refused_before_measuring(self, clean_csd, segment):
+        meter = ChargeSensorMeter(DatasetBackend(clean_csd))
+        gradient = FeatureGradient(meter)
+        with pytest.raises(MeasurementError, match="is off the grid"):
+            gradient.segment_values([(0, 10, 10, 4), segment])
+        assert meter.n_requests == 0
 
 
 class TestProbeLogColumnar:

@@ -111,6 +111,20 @@ class TestEnergies:
             model.chemical_potential(5, [0, 0], [0.0, 0.0])
 
 
+class TestInverseOnce:
+    def test_inverse_is_one_read_only_array(self):
+        model = CapacitanceModel.linear_array(n_dots=4)
+        inverse = model.inverse_dot_dot
+        assert inverse is model.inverse_dot_dot
+        assert not inverse.flags.writeable
+        with pytest.raises(ValueError):
+            inverse[0, 0] = 0.0
+        assert np.array_equal(inverse, np.linalg.inv(model.dot_dot))
+        assert np.array_equal(
+            model.lever_arm_matrix, np.linalg.inv(model.dot_dot) @ model.dot_gate
+        )
+
+
 class TestLeverArmsAndSlopes:
     def test_lever_arm_matrix_dominant_diagonal(self):
         model = CapacitanceModel.double_dot()

@@ -77,6 +77,30 @@ class TestPinkNoise:
             PinkNoise(exponent=0.0)
 
 
+def _argsort_pink_field(noise, shape, rng):
+    """PinkNoise.sample_grid as it was written with a full sort of the radii."""
+    rows, cols = shape
+    white = rng.normal(0.0, 1.0, size=shape)
+    fy = np.fft.fftfreq(rows)[:, None]
+    fx = np.fft.fftfreq(cols)[None, :]
+    radius = np.sqrt(fy * fy + fx * fx)
+    radius[0, 0] = radius.flat[np.argsort(radius.flat)[1]]
+    spectrum = np.fft.fft2(white) / np.power(radius, noise.exponent / 2.0)
+    spectrum[0, 0] = 0.0
+    field = np.real(np.fft.ifft2(spectrum))
+    return field * (noise.sigma_na / float(np.sqrt(np.mean(field**2))))
+
+
+class TestPinkFilterFloor:
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 2), (40, 63), (63, 63)])
+    @pytest.mark.parametrize("exponent", [1.0, 2.0])
+    def test_field_bit_identical_to_full_sort(self, shape, exponent):
+        noise = PinkNoise(sigma_na=0.05, exponent=exponent)
+        field = noise.sample_grid(shape, np.random.default_rng(11))
+        expected = _argsort_pink_field(noise, shape, np.random.default_rng(11))
+        assert np.array_equal(field, expected)
+
+
 class TestTelegraphNoise:
     def test_two_level_structure(self, rng):
         field = TelegraphNoise(amplitude_na=0.1, mean_dwell_pixels=50).sample_grid(SHAPE, rng)

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from repro.analysis import format_stage_costs
-from repro.core import StageTelemetry
+from repro.core import AnchorConfig, ExtractionConfig, StageTelemetry
 from repro.exceptions import ConfigurationError, ExtractionError
 from repro.instrument import ExperimentSession, SessionFactory
 from repro.pipeline import (
@@ -82,6 +84,112 @@ class TestRegistry:
     def test_empty_pipeline_rejected(self):
         with pytest.raises(ExtractionError, match="at least one stage"):
             TuningPipeline("empty", [])
+
+
+_FAST_STAGES = (
+    "SweepStage(run_column=True, run_row=True), FilterStage(apply_filter=True), "
+    "FitStage(), ValidateStage()"
+)
+
+
+def _paper_repr(name: str, stages: str) -> str:
+    return (
+        f"TuningPipeline(name={name!r}, method={name!r}, stages=[{stages}], "
+        "default_config=ExtractionConfig.paper_defaults)"
+    )
+
+
+class TestRepr:
+    def test_partial_config_factories_tell_apart(self):
+        from repro.campaign.experiments import _fast_pipeline_with
+
+        wide = _fast_pipeline_with(gaussian_sigma_fraction=2.0)
+        edge = _fast_pipeline_with(start_margin_fraction=0.0)
+        assert repr(wide) != repr(edge)
+        assert "default_config=partial(ExtractionConfig, anchors=AnchorConfig(" in repr(wide)
+        assert "gaussian_sigma_fraction=2.0" in repr(wide)
+        assert "start_margin_fraction=0.0" in repr(edge)
+        assert " at 0x" not in repr(wide) + repr(edge)
+        # Under one name only the factories differ, and the reprs still do.
+        same_name = [
+            TuningPipeline(
+                "variant",
+                wide.stages,
+                default_config=partial(ExtractionConfig, anchors=AnchorConfig(**settings)),
+            )
+            for settings in ({"gaussian_sigma_fraction": 2.0}, {"start_margin_fraction": 0.0})
+        ]
+        assert repr(same_name[0]) != repr(same_name[1])
+
+    def test_registered_reprs_unchanged(self):
+        assert {name: repr(get_pipeline(name)) for name in pipeline_names()} == {
+            "fast-extraction": _paper_repr("fast-extraction", f"AnchorStage(), {_FAST_STAGES}"),
+            "dense-grid-baseline": (
+                "TuningPipeline(name='dense-grid-baseline', method='hough-baseline', "
+                "stages=[FullScanStage(), EdgeDetectStage(), LineFitStage(), "
+                "BaselineValidateStage()], default_config=_baseline_config)"
+            ),
+            "no-anchors": _paper_repr("no-anchors", f"FixedCornerAnchorStage(), {_FAST_STAGES}"),
+            "no-filter": _paper_repr(
+                "no-filter",
+                f"AnchorStage(), {_FAST_STAGES}".replace("apply_filter=True", "apply_filter=False"),
+            ),
+            "row-sweep-only": _paper_repr(
+                "row-sweep-only",
+                f"AnchorStage(), {_FAST_STAGES}".replace("run_column=True", "run_column=False"),
+            ),
+            "column-sweep-only": _paper_repr(
+                "column-sweep-only",
+                f"AnchorStage(), {_FAST_STAGES}".replace("run_row=True", "run_row=False"),
+            ),
+        }
+
+    def test_campaign_fingerprints_unchanged(self):
+        from repro.analysis import SuccessCriterion
+        from repro.campaign import CampaignGrid, DeviceSpec, campaign_fingerprint
+        from repro.campaign.experiments import (
+            ABLATION_INDICES,
+            TABLE1_METHODS,
+            _fast_pipeline_with,
+            diagram_jobs,
+        )
+        from repro.datasets import load_benchmark, load_suite
+
+        # The benchmark's static and drift-chaos grids at seed 1, Table 1,
+        # and the anchor ablation, whose jobs carry partial-factory pipelines.
+        devices = (
+            DeviceSpec.of("double_dot", cross_coupling=(0.25, 0.22)),
+            DeviceSpec.of("double_dot", cross_coupling=(0.32, 0.27)),
+            DeviceSpec.of("linear_array", n_dots=4),
+        )
+        common = {"devices": devices, "resolutions": (63,), "methods": ("fast",), "seed": 1}
+        static = CampaignGrid(noise_scales=(0.0, 1.0), n_repeats=10, **common)
+        chaos = CampaignGrid(
+            scenarios=("drifting_sensor", "telegraph_storm"),
+            faults=(None, "transient-reads"),
+            n_repeats=5,
+            **common,
+        )
+        ablation = [
+            "fast",
+            _fast_pipeline_with(gaussian_sigma_fraction=2.0),
+            _fast_pipeline_with(start_margin_fraction=0.0),
+        ]
+        job_lists = {
+            "static": static.expand(),
+            "chaos": chaos.expand(),
+            "table1": diagram_jobs(load_suite(), TABLE1_METHODS),
+            "anchors": diagram_jobs([load_benchmark(i) for i in ABLATION_INDICES], ablation),
+        }
+        criterion = SuccessCriterion()
+        assert {
+            name: campaign_fingerprint(jobs, criterion) for name, jobs in job_lists.items()
+        } == {
+            "static": "d68b18784e163817",
+            "chaos": "143c57cde80abe79",
+            "table1": "7c79a8012c69c67b",
+            "anchors": "a8ffc7ba1a6edb7e",
+        }
 
 
 class TestEquivalence:
@@ -219,7 +327,7 @@ class TestComposerSemantics:
     def test_failed_status_stage_keeps_artifacts(self, clean_csd):
         # The validation stage rejects via status="failed" rather than
         # raising, so the rejected matrix stays visible.
-        from repro.core import ExtractionConfig, FitConfig
+        from repro.core import FitConfig
 
         config = ExtractionConfig.paper_defaults().replace(
             fit=FitConfig(max_alpha=1e-9)
@@ -355,7 +463,6 @@ class TestCampaignMethodAxis:
         # registered only in the parent's registry still runs under a
         # process pool (a spawn-start worker would miss it otherwise).
         from repro.campaign import CampaignGrid, DeviceSpec, TuningCampaign
-        from repro.core import ExtractionConfig
         from repro.pipeline import (
             AnchorStage,
             FilterStage,

@@ -12,6 +12,7 @@ from repro.core import (
     leftmost_point_per_row,
     lowest_point_per_column,
 )
+from repro.core.region import segment_bounds
 
 
 @st.composite
@@ -21,6 +22,15 @@ def anchors(draw, extent=60):
     shallow_col = draw(st.integers(min_value=0, max_value=extent // 3))
     steep_col = draw(st.integers(min_value=shallow_col + 2, max_value=extent))
     return PixelPoint(row=steep_row, col=steep_col), PixelPoint(row=shallow_row, col=shallow_col)
+
+
+def transposed(region: TriangularRegion) -> TriangularRegion:
+    """The region with rows and columns swapped (its rows are the region's columns)."""
+    steep, shallow = region.steep_anchor, region.shallow_anchor
+    return TriangularRegion(
+        steep_anchor=PixelPoint(row=shallow.col, col=shallow.row),
+        shallow_anchor=PixelPoint(row=steep.col, col=steep.row),
+    )
 
 
 points_strategy = st.lists(
@@ -67,13 +77,17 @@ class TestTriangularRegionProperties:
     @given(data=anchors(extent=400))
     @settings(max_examples=100, deadline=None)
     def test_transposed_rows_are_column_segments(self, data):
-        # The column-major sweep walks the transposed region's rows.
+        # The column-major sweep takes its bounds from segment_bounds with
+        # both anchors transposed: the transposed region's rows.
         steep, shallow = data
         region = TriangularRegion(steep_anchor=steep, shallow_anchor=shallow)
-        transposed = region.transposed()
+        flipped = transposed(region)
         for col in range(shallow.col - 1, steep.col + 2):
-            assert transposed.row_segment(col) == region.column_segment(col)
-        assert transposed.transposed().steep_anchor == steep
+            assert flipped.row_segment(col) == region.column_segment(col)
+        for col in range(shallow.col + 1, steep.col):
+            start, end = segment_bounds(col, shallow.col, shallow.row, steep.col, steep.row)
+            assert list(range(start, end + 1)) == region.column_segment(col)
+        assert transposed(flipped).steep_anchor == steep
 
     @given(data=anchors(extent=400))
     @settings(max_examples=100, deadline=None)
@@ -97,7 +111,7 @@ class TestTriangularRegionProperties:
         new_anchor = PixelPoint(row=mid_row, col=segment[len(segment) // 2])
         if new_anchor.row <= steep.row or new_anchor.col <= shallow.col:
             return
-        shrunk = region.with_steep_anchor(new_anchor)
+        shrunk = TriangularRegion(steep_anchor=new_anchor, shallow_anchor=shallow)
         assert shrunk.pixel_count() <= region.pixel_count()
 
 
