@@ -60,8 +60,8 @@ class FeatureGradient:
         # k-th pixel from column 0, along a column its rows (k, k, k + d).
         d = self._delta
         self._along = tuple(
-            np.minimum(np.repeat(np.arange(n), 3) + np.tile(steps, n), n - 1)
-            for n, steps in ((n_cols, [0, d, d]), (n_rows, [0, 0, d]))
+            np.minimum(np.arange(n)[:, None] + steps, n - 1).ravel()
+            for n, steps in ((n_cols, (0, d, d)), (n_rows, (0, 0, d)))
         )
         # Reused by every call; room for a row and a column segment.
         self._rows = np.empty(3 * (n_rows + n_cols), dtype=np.int64)

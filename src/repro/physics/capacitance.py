@@ -36,7 +36,9 @@ from . import constants
 
 
 def _as_matrix(values: np.ndarray | list, name: str) -> np.ndarray:
-    matrix = np.asarray(values, dtype=float)
+    # A read-only copy: the caller's array cannot change the frozen model.
+    matrix = np.array(values, dtype=float)
+    matrix.flags.writeable = False
     if matrix.ndim != 2:
         raise CapacitanceModelError(f"{name} must be a 2-D array, got shape {matrix.shape}")
     if not np.all(np.isfinite(matrix)):

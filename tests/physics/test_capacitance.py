@@ -124,6 +124,14 @@ class TestInverseOnce:
             model.lever_arm_matrix, np.linalg.inv(model.dot_dot) @ model.dot_gate
         )
 
+    def test_callers_array_cannot_stale_it(self):
+        dot_dot = np.array([[50.0, -5.0], [-5.0, 50.0]])
+        model = CapacitanceModel(dot_dot=dot_dot, dot_gate=np.array([[5.0, 1.0], [1.0, 5.0]]))
+        dot_dot[0, 0] = 80.0
+        assert model.dot_dot[0, 0] == 50.0
+        assert not model.dot_dot.flags.writeable and not model.dot_gate.flags.writeable
+        assert np.array_equal(model.inverse_dot_dot, np.linalg.inv(model.dot_dot))
+
 
 class TestLeverArmsAndSlopes:
     def test_lever_arm_matrix_dominant_diagonal(self):
