@@ -23,7 +23,7 @@ a sweep drops out when it runs out of lines.  On a static backend a pixel
 reads the same whenever it is probed, so the probed pixels, probe counts and
 simulated time are those of the two sweeps run one after the other.  A
 time-dependent backend (drift, temporal noise, injected faults) sees the
-probes at other timestamps, and a meter's ``max_probes`` budget cuts across
+probes at other timestamps, and a probe that runs out of fault retries stops
 both sweeps.  Pixels shared between the anchor search, the two sweeps and the
 gradient finite differences are probed once, through the meter's cache.
 

@@ -37,10 +37,6 @@ class MeasurementError(ReproError):
     """A simulated measurement could not be performed."""
 
 
-class ProbeBudgetExceededError(MeasurementError):
-    """The experiment session exceeded its configured probe budget."""
-
-
 class InstrumentFault(MeasurementError):
     """A probe failed for instrument reasons (as opposed to a bad request).
 
@@ -48,8 +44,7 @@ class InstrumentFault(MeasurementError):
     of the resilience machinery that tolerates it: exhausted retries, probe
     timeouts, and a tripped circuit breaker all raise a subclass, so callers
     can distinguish "the lab is misbehaving" from "the request was invalid"
-    (a plain :class:`MeasurementError`) or "the budget ran out"
-    (:class:`ProbeBudgetExceededError`).
+    (a plain :class:`MeasurementError`).
     """
 
 

@@ -7,19 +7,20 @@ probe timestamp (see :mod:`repro.faults.models`), so the wrapper is
 stateless between calls and a probe faults the same way whichever batch it
 is measured in.  The wrapper sits below the instrument layer, so it does
 not subclass the backend base class: it forwards the grid surface
-(``x_voltages``, ``shape``, ``validate_pixels``, ``pixel_at``, ...) to the
-inner backend.
+(``x_voltages``, ``shape``, ``validate_keys``, ...) to the inner backend.
 
 The meter does not call ``currents`` on this backend; it asks for a
-:class:`BatchPlan` via :meth:`FaultyBackend.plan_batch` — the first
-*disruption* of a candidate batch (a stall or a raising error), if any, and
-the corrupted values of the probes the meter can commit.  Every fault hook
-is a pure function of the probe timestamp, so the plan finds the disruption
-from the timestamps alone and then reads the inner backend only for the
-probes before it (and a stalled probe itself, whose late read lands).  The
-meter commits that prefix in one vectorised step; a disruption it does not
-wait out is a failed attempt of that probe, and the meter's next plan
-covers the retry and every probe after it.
+:class:`BatchPlan` via :meth:`FaultyBackend.plan_batch`, handing over the
+flat pixel keys of the pending probes, their timestamps and its stall
+timeout.  The plan holds the first *disruption* of the candidate batch (a
+stall or a raising error), if any, and the corrupted values of the probes
+the meter can commit.  Every fault hook is a pure function of the probe
+timestamp, so the plan finds the disruption from the timestamps alone and
+then reads the inner backend only for the probes before it, and for a
+stalled probe itself when the timeout tolerates the stall (its late read
+lands).  The meter commits the values in one vectorised step; a disruption
+the plan did not read is a failed attempt of that probe, and the meter's
+next plan covers the retry and every probe after it.
 """
 
 from __future__ import annotations
@@ -52,11 +53,12 @@ class BatchPlan:
     """What a candidate batch of probes would return.
 
     ``disruption`` is the first stall/error, or ``None`` for a clean batch.
-    ``values`` (corruptions applied) covers exactly the probes the meter may
-    commit: the whole batch when it is clean, the probes before an error,
-    and the probes up to and including a stall.  Probes after the
-    disruption get no value, because the disruption shifts the clock, which
-    shifts their timestamps and therefore their draws.
+    ``values`` (corruptions applied) covers exactly the probes the meter
+    commits: the whole batch when it is clean, the probes before an error
+    or an over-timeout stall, and the probes up to and including a stall
+    within the timeout.  Probes after the disruption get no value, because
+    the disruption shifts the clock, which shifts their timestamps and
+    therefore their draws.
     """
 
     values: np.ndarray
@@ -120,7 +122,7 @@ class FaultyBackend:
     x_voltages = property(lambda self: self._inner.x_voltages)
     y_voltages = property(lambda self: self._inner.y_voltages)
     shape = property(lambda self: self._inner.shape)
-    validate_pixels = property(lambda self: self._inner.validate_pixels)
+    validate_keys = property(lambda self: self._inner.validate_keys)
 
     @property
     def is_time_dependent(self) -> bool:
@@ -148,28 +150,24 @@ class FaultyBackend:
         return self._keys_cache
 
     # ------------------------------------------------------------------
-    def _validated(self, rows, cols, times_s) -> tuple[np.ndarray, ...]:
-        """Every pixel of the batch checked, and one timestamp per pixel.
-
-        A meter's checked pixels come back from the inner backend still
-        marked, so their slices pass through the inner ``currents`` unchecked.
-        """
-        rows, cols = self._inner.validate_pixels(rows, cols)
+    def _validated(self, keys, times_s) -> tuple[np.ndarray, np.ndarray]:
+        """Every key of the batch checked, and one timestamp per key."""
+        keys = self._inner.validate_keys(keys)
         times = np.ascontiguousarray(np.asarray(times_s, dtype=float)).ravel()
-        if times.size != rows.size:
+        if times.size != keys.size:
             raise MeasurementError(
-                f"expected {rows.size} probe timestamps, got {times.size}"
+                f"expected {keys.size} probe timestamps, got {times.size}"
             )
-        return rows, cols, times
+        return keys, times
 
     def _first_disruption(self, times: np.ndarray) -> ProbeDisruption | None:
         """The first stall or error among probes at ``times``, if any."""
         stalls = np.zeros(times.shape, dtype=float)
         erroring = np.zeros(times.shape, dtype=bool)
         masks = []
-        for model, key in zip(self._models, self._keys()):
-            stalls += model.stall_s(times, key)
-            masks.append(model.error_mask(times, key))
+        for model, fault_key in zip(self._models, self._keys()):
+            stalls += model.stall_s(times, fault_key)
+            masks.append(model.error_mask(times, fault_key))
             erroring |= masks[-1]
         disrupted = np.flatnonzero(erroring | (stalls > 0))
         if disrupted.size == 0:
@@ -181,48 +179,46 @@ class FaultyBackend:
             return ProbeDisruption(index=first, error=model.error_at(float(times[first])))
         return ProbeDisruption(index=first, stall_s=float(stalls[first]))
 
-    def _read(self, rows: np.ndarray, cols: np.ndarray, times: np.ndarray) -> np.ndarray:
+    def _read(self, keys: np.ndarray, times: np.ndarray) -> np.ndarray:
         """Corrupted inner values of validated probes; an empty batch reads nothing."""
         if not times.size:
             return np.zeros(0)
         inner_times = times if self._inner.is_time_dependent else None
-        values = np.asarray(
-            self._inner.currents(rows, cols, times_s=inner_times), dtype=float
-        )
-        for model, key in zip(self._models, self._keys()):
-            values = model.corrupt(values, times, key)
+        values = np.asarray(self._inner.currents(keys, times_s=inner_times), dtype=float)
+        for model, fault_key in zip(self._models, self._keys()):
+            values = model.corrupt(values, times, fault_key)
         return values
 
     def plan_batch(
-        self,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        times_s: np.ndarray,
+        self, keys: np.ndarray, times_s: np.ndarray, timeout_s: float | None
     ) -> BatchPlan:
-        """Plan a candidate batch scheduled at the given timestamps.
+        """Plan a candidate batch of flat pixel keys at the given timestamps.
 
         Returns the first disruption and the corrupted values of the probes
-        the meter may commit (see :class:`BatchPlan`).  Every pixel is
-        validated, even when the first probe errors, but the inner backend
-        reads only the committable probes.  Pure: the same ``(rows, cols,
-        times)`` always yield the same plan, so a campaign's probes fault
+        the meter commits (see :class:`BatchPlan`).  A stall is read when
+        ``timeout_s`` is ``None`` or the stall lasts at most ``timeout_s``;
+        a longer stall is a failed attempt, and its probe is not read.
+        Every key is validated, even when the first probe errors, but the
+        inner backend reads only the committable probes.  Pure: the same
+        arguments always yield the same plan, so a campaign's probes fault
         the same way on every run, however its batches are split.
         """
-        rows, cols, times = self._validated(rows, cols, times_s)
+        keys, times = self._validated(keys, times_s)
         disruption = self._first_disruption(times)
         if disruption is None:
-            return BatchPlan(values=self._read(rows, cols, times))
-        # A stalled read lands late, so the meter keeps its value.
-        n_read = disruption.index + (disruption.error is None)
-        values = self._read(rows[:n_read], cols[:n_read], times[:n_read])
-        return BatchPlan(values=values, disruption=disruption)
+            return BatchPlan(values=self._read(keys, times))
+        # A tolerated stall lands late, so the meter keeps its value.
+        landed = disruption.error is None and (
+            timeout_s is None or disruption.stall_s <= timeout_s
+        )
+        n_read = disruption.index + landed
+        return BatchPlan(
+            values=self._read(keys[:n_read], times[:n_read]), disruption=disruption
+        )
 
     # ------------------------------------------------------------------
     def currents(
-        self,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        times_s: np.ndarray | None = None,
+        self, keys: np.ndarray, times_s: np.ndarray | None = None
     ) -> np.ndarray:
         """Corrupted currents of a direct read, without a meter.
 
@@ -239,8 +235,8 @@ class FaultyBackend:
                 "per-probe timestamps — measure through a ChargeSensorMeter, "
                 "or pass times_s explicitly"
             )
-        rows, cols, times = self._validated(rows, cols, times_s)
+        keys, times = self._validated(keys, times_s)
         disruption = self._first_disruption(times)
         if disruption is not None and disruption.error is not None:
             raise disruption.error
-        return self._read(rows, cols, times)
+        return self._read(keys, times)

@@ -17,29 +17,28 @@ Two backends supply the current value:
   configured voltage grid, optionally adding a reproducible noise field.
 
 :class:`ChargeSensorMeter` wraps a backend with dwell-time accounting, a probe
-log (used to reproduce Figure 7), optional per-pixel caching (re-requesting an
+log (used to reproduce Figure 7) and a per-pixel cache: re-requesting an
 already measured pixel costs nothing, mirroring how an automation script keeps
-values it has already paid for), and an optional probe budget.
+values it has already paid for.
 
 The meter has one probe path, :meth:`ChargeSensorMeter.get_currents`, and
-backends implement one method, ``currents``: whole pixel-index arrays are
-served through one vectorised physics evaluation, so algorithms batch their
-hot loops without changing the paper's accounting.  The anchor search's
-diagonal probe and each of its two mask sweeps, every shrinking-triangle
-sweep row, and the baseline's full-grid scan are one ``get_currents`` call
-each; :meth:`~ChargeSensorMeter.get_current` is a one-pixel batch.  A batch
-behaves request by request like a sequential loop of single probes — same
-values, probe counts, cache and budget behaviour, clock readings and log
-contents — with every pixel validated up front.
+backends implement one method, ``currents``: whole arrays of flat pixel keys
+(``row * n_cols + col``) are served through one vectorised physics
+evaluation, so algorithms batch their hot loops without changing the paper's
+accounting.  The anchor search's diagonal probe and each of its two mask
+sweeps, every shrinking-triangle sweep step, and the baseline's full-grid
+scan are one ``get_currents`` call each; :meth:`~ChargeSensorMeter.get_current`
+is a one-pixel batch.  A batch behaves request by request like a sequential
+loop of single probes — same values, probe counts, cache hits, clock
+readings and log contents — with every pixel validated up front.
 
-Each meter batch does its bookkeeping once.  The meter validates the
-requests at its boundary against the grid shape it read from the backend at
-construction, builds their flat pixel keys, and deduplicates them against its
-cache.  It hands the physical probes to the backend as views marked already
-checked, carrying their flat keys, with timestamps from its own clock.  The
-backend reads those without validating, re-keying or normalising them again,
-and a fault-injecting wrapper in between keeps the mark on the prefix it
-reads.  Any other caller of a backend's ``currents`` gets the full check.
+Each meter batch does its bookkeeping once.  The meter validates the rows
+and columns at its boundary against the grid shape it read from the backend
+at construction, builds their flat keys, and deduplicates them against its
+cache.  It hands the keys of the physical probes to the backend, with
+timestamps from its own clock; the backend checks them with one unsigned
+``max`` (:meth:`MeasurementBackend.validate_keys`) and reads them as they
+are.
 """
 
 from __future__ import annotations
@@ -48,12 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..exceptions import (
-    CircuitBreakerOpenError,
-    MeasurementError,
-    ProbeBudgetExceededError,
-    ProbeTimeoutError,
-)
+from ..exceptions import CircuitBreakerOpenError, MeasurementError, ProbeTimeoutError
 from ..kernelcache import (
     KernelCache,
     KernelCacheEntry,
@@ -61,7 +55,7 @@ from ..kernelcache import (
     first_requests,
     kernel_fingerprint,
 )
-from ..physics.csd import ChargeStabilityDiagram, nearest_axis_index, uniform_axis_step
+from ..physics.csd import ChargeStabilityDiagram
 from ..physics.dot_array import DotArrayDevice
 from ..physics.drift import DeviceDrift, DeviceDriftState
 from ..physics.noise import NoiseModel, NoNoise, TimeDependentNoise
@@ -71,34 +65,6 @@ from .timing import TimingModel, VirtualClock
 
 #: Initial column capacity of a probe log.
 _LOG_INITIAL_CAPACITY = 64
-
-
-class _CheckedPixels(np.ndarray):
-    """Pixel indices a :class:`ChargeSensorMeter` has already validated.
-
-    The meter checks every request at its boundary and passes the physical
-    probes on as views of this type; :meth:`MeasurementBackend.validate_pixels`
-    returns them unchanged, and the backends read them without checking
-    them again.  The meter's row view carries the probes' flat keys
-    (``row * n_cols + col``) in ``flat_keys``; a slice of it (a fault plan's
-    committable prefix) stays checked but has ``flat_keys`` ``None``.  Only
-    the meter creates these views, right before handing them to its backend.
-    """
-
-    flat_keys: np.ndarray | None = None
-
-
-def _checked(
-    rows: np.ndarray, cols: np.ndarray, keys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    checked_rows = rows.view(_CheckedPixels)
-    checked_rows.flat_keys = keys
-    return checked_rows, cols.view(_CheckedPixels)
-
-
-def _from_meter(rows, cols) -> bool:
-    """Whether a backend's pixels are a meter's checked probes."""
-    return type(rows) is _CheckedPixels and type(cols) is _CheckedPixels
 
 
 _INT64 = np.dtype(np.int64)
@@ -425,18 +391,16 @@ class MeasurementBackend:
         return False
 
     def currents(
-        self,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        times_s: np.ndarray | None = None,
+        self, keys: np.ndarray, times_s: np.ndarray | None = None
     ) -> np.ndarray:
-        """Sensor currents (nA) for arrays of pixel indices.
+        """Sensor currents (nA) for an array of flat pixel keys.
 
-        The one method a backend implements.  ``times_s``, when given,
-        carries the simulated timestamp at which each probe happens; static
-        backends ignore it, time-dependent ones require it.  Implementations
-        normalise the indices through :meth:`validate_pixels` and the
-        timestamps through :meth:`validate_times`.
+        The one method a backend implements.  A key is ``row * n_cols +
+        col``.  ``times_s``, when given, carries the simulated timestamp at
+        which each probe happens; static backends ignore it, time-dependent
+        ones require it.  Implementations check the keys through
+        :meth:`validate_keys` and the timestamps through
+        :meth:`validate_times`.
         """
         raise NotImplementedError
 
@@ -451,43 +415,27 @@ class MeasurementBackend:
         """Total number of grid pixels."""
         return int(self.shape[0] * self.shape[1])
 
-    def voltage_at(self, row: int, col: int) -> tuple[float, float]:
-        """Voltages ``(vx, vy)`` of a pixel."""
-        return float(self.x_voltages[col]), float(self.y_voltages[row])
+    def validate_keys(self, keys: np.ndarray | list) -> np.ndarray:
+        """Flat pixel keys as 1-D ``int64``, each checked against the grid.
 
-    def _axis_steps(self) -> tuple[float | None, float | None]:
-        steps = getattr(self, "_axis_steps_cache", None)
-        if steps is None:
-            steps = (
-                uniform_axis_step(self.x_voltages),
-                uniform_axis_step(self.y_voltages),
+        Raises :class:`MeasurementError` for non-integer keys or the first
+        off-grid key.  A 1-D ``int64`` array, what a meter sends, skips the
+        conversion.
+        """
+        if not (type(keys) is np.ndarray and keys.dtype is _INT64 and keys.ndim == 1):
+            keys = np.asarray(keys)
+            if keys.size and keys.dtype.kind not in "iu":
+                raise MeasurementError("pixel keys must be integers")
+            keys = keys.astype(np.int64, copy=False).reshape(-1)
+        n_rows, n_cols = self.shape
+        n_pixels = n_rows * n_cols
+        # Viewed unsigned, a negative key is huge: one max() checks both bounds.
+        if keys.size and np.maximum.reduce(keys.view(np.uint64)) >= n_pixels:
+            key = int(keys[(keys < 0) | (keys >= n_pixels)][0])
+            raise MeasurementError(
+                f"pixel key {key} outside the {n_rows}x{n_cols} measurement grid"
             )
-            self._axis_steps_cache = steps
-        return steps
-
-    def pixel_at(self, vx: float, vy: float) -> tuple[int, int]:
-        """Nearest pixel ``(row, col)`` to a voltage point.
-
-        O(1) round-and-clip arithmetic on uniformly spaced axes (the common
-        case); falls back to an ``argmin`` scan on irregular axes.
-        """
-        x_step, y_step = self._axis_steps()
-        col = nearest_axis_index(self.x_voltages, vx, x_step)
-        row = nearest_axis_index(self.y_voltages, vy, y_step)
-        return row, col
-
-    def validate_pixels(
-        self, rows: np.ndarray | list, cols: np.ndarray | list
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Validate whole pixel-index arrays; returns them as 1-D ``int64``.
-
-        Raises :class:`MeasurementError` naming the first off-grid pixel.
-        Indices a meter has already checked come back unchanged, still
-        marked, so a wrapper that slices them keeps them checked.
-        """
-        if _from_meter(rows, cols):
-            return rows, cols
-        return _validated_pixels(rows, cols, self.shape)
+        return keys
 
     def validate_times(
         self, times_s: np.ndarray | list | None, n: int
@@ -535,16 +483,12 @@ class DatasetBackend(MeasurementBackend):
         return self._csd.y_voltages
 
     def currents(
-        self,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        times_s: np.ndarray | None = None,
+        self, keys: np.ndarray, times_s: np.ndarray | None = None
     ) -> np.ndarray:
-        """Batched replay: one fancy-index into the stored pixel grid."""
-        if not _from_meter(rows, cols):
-            rows, cols = self.validate_pixels(rows, cols)
-            self.validate_times(times_s, rows.size)
-        return self._csd.data[rows, cols].astype(float, copy=False)
+        """Batched replay: one ``take`` from the stored pixel grid."""
+        keys = self.validate_keys(keys)
+        self.validate_times(times_s, keys.size)
+        return self._csd.data.take(keys).astype(float, copy=False)
 
 
 class DeviceBackend(MeasurementBackend):
@@ -731,23 +675,18 @@ class DeviceBackend(MeasurementBackend):
             self._kernel_key = f"{self._kernel_layer}:{fingerprint}"
         return cache.entry(self._kernel_key, self._shape)
 
-    def _points(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    def _points(self, keys: np.ndarray) -> np.ndarray:
         """Gate-voltage points of the given pixels, shape ``(n, n_gates)``.
 
         The unswept gates sit at 0 V.
         """
-        points = np.zeros((rows.size, self._device.n_gates))
+        rows, cols = np.divmod(keys, self._n_cols)
+        points = np.zeros((keys.size, self._device.n_gates))
         points[:, self._gate_x] = self._xs[cols]
         points[:, self._gate_y] = self._ys[rows]
         return points
 
-    def _pure_currents(
-        self,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        keys: np.ndarray,
-        times: np.ndarray | None,
-    ) -> np.ndarray:
+    def _pure_currents(self, keys: np.ndarray, times: np.ndarray | None) -> np.ndarray:
         """Noise-free currents at the probe times, through the cached layer.
 
         On a cache hit no gate-voltage point is built: points are built only
@@ -760,9 +699,9 @@ class DeviceBackend(MeasurementBackend):
         """
         entry = self._kernel_entry()
         if entry is None:
-            points = self._points(rows, cols)
+            points = self._points(keys)
             detuning_offset_mv: np.ndarray | float = 0.0
-            if self._drifting_device and rows.size:
+            if self._drifting_device and keys.size:
                 state = self._drifting()
                 scale = state.gate_scale(times)
                 points[:, self._gate_x] *= scale
@@ -772,25 +711,18 @@ class DeviceBackend(MeasurementBackend):
                 points, detuning_offset_mv=detuning_offset_mv
             )
         if not self._drifting_device:
-            return self._fetch(entry, rows, cols, keys, self._device.sensor_currents)
-        detunings = self._fetch(entry, rows, cols, keys, self._device.sensor_detunings)
+            return self._fetch(entry, keys, self._device.sensor_currents)
+        detunings = self._fetch(entry, keys, self._device.sensor_detunings)
         offsets = self._drifting().detuning_offset_mv(times)
         return self._device.sensor.current_from_detuning(detunings + offsets)
 
-    def _fetch(
-        self,
-        entry: "KernelCacheEntry",
-        rows: np.ndarray,
-        cols: np.ndarray,
-        keys: np.ndarray,
-        solve,
-    ) -> np.ndarray:
+    def _fetch(self, entry: "KernelCacheEntry", keys: np.ndarray, solve) -> np.ndarray:
         """The entry's values for the pixels, ``solve``-ing its misses."""
         before = entry.n_pixel_solves
-        values = entry.fetch(keys, lambda idx: solve(self._points(rows[idx], cols[idx])))
+        values = entry.fetch(keys, lambda idx: solve(self._points(keys[idx])))
         solved = entry.n_pixel_solves - before
         self._kernel_solves += solved
-        self._kernel_hits += rows.size - solved
+        self._kernel_hits += keys.size - solved
         return values
 
     def _drifting(self) -> DeviceDriftState:
@@ -803,10 +735,7 @@ class DeviceBackend(MeasurementBackend):
         return self._drift_state
 
     def currents(
-        self,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        times_s: np.ndarray | None = None,
+        self, keys: np.ndarray, times_s: np.ndarray | None = None
     ) -> np.ndarray:
         """Batched physics evaluation of an arbitrary set of pixels.
 
@@ -822,17 +751,9 @@ class DeviceBackend(MeasurementBackend):
         bit-for-bit regardless of batch splitting and of which layer the
         kernel cache holds.
         """
-        if _from_meter(rows, cols):
-            # Checked, keyed and timed by the meter.
-            keys = rows.flat_keys
-            rows, cols, times = rows.view(np.ndarray), cols.view(np.ndarray), times_s
-            if keys is None:
-                keys = rows * self._n_cols + cols
-        else:
-            rows, cols = self.validate_pixels(rows, cols)
-            times = self.validate_times(times_s, rows.size)
-            keys = rows * self._n_cols + cols
-        values = self._pure_currents(rows, cols, keys, times)
+        keys = self.validate_keys(keys)
+        times = self.validate_times(times_s, keys.size)
+        values = self._pure_currents(keys, times)
         if self._time_dependent_noise:
             return values + self._temporal().sample_at(times)
         return values + self._static_noise()[keys]
@@ -841,6 +762,14 @@ class DeviceBackend(MeasurementBackend):
 class ChargeSensorMeter:
     """The paper's ``getCurrent`` with dwell-time accounting and a probe log.
 
+    Re-requesting an already measured pixel returns the stored value without
+    charging dwell time — this is how an automation script would behave, and
+    it is what makes the probe counts comparable to the paper's "number of
+    data points probed".  The meter owns this cache; backends stay stateless
+    value sources.  A procedure that must pay for fresh values of pixels it
+    has measured (the workflow's staleness check) opens a fresh meter on the
+    same backend and clock.
+
     Parameters
     ----------
     backend:
@@ -848,15 +777,6 @@ class ChargeSensorMeter:
     clock:
         Virtual clock charged for every physical probe; a fresh paper-default
         clock is created when omitted.
-    cache:
-        When true (default), re-requesting an already measured pixel returns
-        the stored value without charging dwell time — this is how an
-        automation script would behave, and it is what makes the probe counts
-        comparable to the paper's "number of data points probed".  The meter
-        owns this cache; backends stay stateless value sources.
-    max_probes:
-        Optional hard budget on physical probes; exceeding it raises
-        :class:`ProbeBudgetExceededError`.
     retry:
         Optional :class:`~repro.instrument.resilience.ProbeRetryPolicy` for
         a fault-injecting backend (one exposing ``plan_batch``, i.e.
@@ -866,7 +786,7 @@ class ChargeSensorMeter:
         :meth:`~repro.instrument.resilience.ProbeRetryPolicy.no_retry`, so
         the first fault fails the probe; with an ordinary backend the
         policy is inert.  Failed attempts, backoffs, and tolerated stalls
-        all charge the virtual clock but never the probe budget or the
+        all charge the virtual clock but never the probe count or the
         log — only the attempt that returns a value is a probe.
     """
 
@@ -874,14 +794,10 @@ class ChargeSensorMeter:
         self,
         backend: MeasurementBackend,
         clock: VirtualClock | None = None,
-        cache: bool = True,
-        max_probes: int | None = None,
         retry: ProbeRetryPolicy | None = None,
     ) -> None:
         self._backend = backend
         self._clock = clock or VirtualClock(TimingModel.paper_default())
-        self._cache_enabled = bool(cache)
-        self._max_probes = max_probes
         self._log = ProbeLog()
         # The grid is fixed for the meter's lifetime: read it once.
         n_rows, n_cols = backend.shape
@@ -895,8 +811,8 @@ class ChargeSensorMeter:
         self._n_probes = 0
         # Resilience state.  Only the measuring step of a batch differs for
         # a backend that can plan faults (``_measure_faulty`` plans, commits
-        # and retries); caching, budget, clock and log are shared with
-        # clean backends.
+        # and retries); caching, clock and log are shared with clean
+        # backends.
         self._retry = retry
         self._fault_capable = hasattr(backend, "plan_batch")
         self._n_probe_retries = 0
@@ -1029,27 +945,27 @@ class ChargeSensorMeter:
     # Probing a fault-capable backend
     # ------------------------------------------------------------------
     def _measure_faulty(
-        self, probe_rows: np.ndarray, probe_cols: np.ndarray, probe_keys: np.ndarray
+        self, probe_keys: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, Exception | None]:
         """Measure a batch's physical probes against a fault-capable backend.
 
         Each pass plans every pending probe at the timestamps it *would* get
-        (:meth:`VirtualClock.preview_probes`) in one backend call and
-        commits the plan's readable prefix with bit-identical clock
-        arithmetic (``charge_probes``).  A stall the retry policy tolerates
-        (no timeout, or a stall within it) is committed from the same plan,
-        with the value read at its scheduled timestamp, and waited out.  Any
-        other disruption is a failed attempt of the first pending probe,
-        charged where the plan found it: plans are pure, so re-planning it
-        there could only find the same fault.  After the backoff, the next
-        plan covers the retry and every probe behind it; the retry samples a
-        *later* timestamp, and so fresh fault luck, as on real hardware.
-        Returns the committed probes' values and completion times, and the
-        fault that stopped the batch (a probe out of attempts, or the
-        circuit breaker), if any.
+        (:meth:`VirtualClock.preview_probes`) in one backend call, handing
+        the plan the policy's stall timeout, and commits the plan's values
+        with bit-identical clock arithmetic (``charge_probes``).  A plan
+        reads a stall the timeout tolerates (no timeout, or a stall within
+        it), so it is committed from the same plan, with the value read at
+        its scheduled timestamp, and waited out.  Any other disruption is a
+        failed attempt of the first pending probe, charged where the plan
+        found it: plans are pure, so re-planning it there could only find
+        the same fault.  After the backoff, the next plan covers the retry
+        and every probe behind it; the retry samples a *later* timestamp,
+        and so fresh fault luck, as on real hardware.  Returns the committed
+        probes' values and completion times, and the fault that stopped the
+        batch (a probe out of attempts, or the circuit breaker), if any.
         """
         policy = self._retry or ProbeRetryPolicy.no_retry()
-        n_physical = probe_rows.size
+        n_physical = probe_keys.size
         values = np.empty(n_physical, dtype=float)
         times = np.empty(n_physical, dtype=float)
         if self._breaker_open:
@@ -1067,29 +983,26 @@ class ChargeSensorMeter:
                 self._fault_delay_s += backoff
                 backoff *= policy.backoff_factor
             plan = self._backend.plan_batch(
-                *_checked(probe_rows[done:], probe_cols[done:], probe_keys[done:]),
+                probe_keys[done:],
                 self._clock.preview_probes(n_physical - done),
+                policy.timeout_s,
             )
             disruption = plan.disruption
-            clean = (n_physical - done) if disruption is None else disruption.index
-            landed = (
-                disruption is not None
-                and disruption.error is None
-                and (policy.timeout_s is None or disruption.stall_s <= policy.timeout_s)
-            )
-            committed = clean + int(landed)
+            committed = plan.values.size
+            # The plan read the disrupted probe itself: a stall that lands.
+            landed = disruption is not None and committed > disruption.index
             if committed:
                 # Reads that land are successes: they reset the breaker count
                 # and give the next pending probe a fresh set of attempts.
                 self._consecutive_failures = 0
                 attempt, backoff = 1, policy.backoff_s
                 times[done : done + committed] = self._clock.charge_probes(committed)
-                values[done : done + committed] = plan.values[:committed]
+                values[done : done + committed] = plan.values
+                done += committed
                 if landed:
                     self._clock.advance(disruption.stall_s)
                     self._fault_delay_s += disruption.stall_s
-                    times[done + clean] = self._clock.elapsed_s
-                done += committed
+                    times[done - 1] = self._clock.elapsed_s
             if disruption is None or landed:
                 continue
             # A failed attempt of the first pending probe: the dwell bought nothing.
@@ -1100,9 +1013,9 @@ class ChargeSensorMeter:
             if error is None:
                 self._clock.advance(policy.timeout_s)
                 self._fault_delay_s += policy.timeout_s
+                row, col = divmod(int(probe_keys[done]), self._n_cols)
                 error = ProbeTimeoutError(
-                    f"probe ({int(probe_rows[done])}, {int(probe_cols[done])}) "
-                    f"stalled {disruption.stall_s:.3f}s, "
+                    f"probe ({row}, {col}) stalled {disruption.stall_s:.3f}s, "
                     f"over the {policy.timeout_s:.3f}s timeout budget"
                 )
             self._consecutive_failures += 1
@@ -1121,27 +1034,6 @@ class ChargeSensorMeter:
             attempt += 1
         return values, times, None
 
-    def _budget_stop(self, new: np.ndarray, n: int) -> int:
-        """Index of the first request the probe budget refuses (``n``: none).
-
-        ``new`` holds the ascending positions of the batch's first requests
-        for never-measured pixels; the ``j``-th of them is preceded by ``j``
-        new pixels.  With the cache on, the new pixels are the physical
-        probes, so the batch stops at the first one past the budget.  With
-        it off every request is physical, so the batch stops at the first
-        request after the one that filled the budget, even a re-probe.
-        """
-        if self._max_probes is None:
-            return n
-        remaining = max(self._max_probes - self._n_probes, 0)
-        if self._cache_enabled:
-            return int(new[remaining]) if remaining < new.size else n
-        if remaining == 0:
-            return 0
-        if remaining <= new.size:
-            return min(int(new[remaining - 1]) + 1, n)
-        return n
-
     # ------------------------------------------------------------------
     def get_current(self, row: int, col: int) -> float:
         """Measure the pixel at ``(row, col)`` — the paper's Algorithm 1."""
@@ -1156,16 +1048,14 @@ class ChargeSensorMeter:
         clock, and the log are all array operations, so large acquisitions
         cost one vectorised pass instead of per-pixel Python overhead.
 
-        Duplicate pixels within a batch behave exactly like repeated single
-        requests: the first occurrence is a physical probe and later ones
-        are cache hits (when caching is enabled).  Each physical probe
-        charges the clock before it is evaluated, so time-dependent backends
-        measure at the elapsed time after its dwell.  When the probe budget
-        runs out mid-batch, every request before the violating one is
-        committed and :class:`ProbeBudgetExceededError` is raised; a probe
-        that exhausts its fault retries likewise commits everything before
-        it and re-raises.  All pixels are validated up front, before
-        anything is measured.
+        The batch's physical probes are exactly the first requests of pixels
+        the meter has not measured; later requests of a pixel, in this batch
+        or an earlier one, are cache hits.  Each physical probe charges the
+        clock before it is evaluated, so time-dependent backends measure at
+        the elapsed time after its dwell.  A probe that exhausts its fault
+        retries, or trips the circuit breaker, commits every request before
+        it and re-raises; nothing else stops a batch early.  All pixels are
+        validated up front, before anything is measured.
 
         Parameters
         ----------
@@ -1182,37 +1072,29 @@ class ChargeSensorMeter:
         if n == 0:
             return np.zeros(0)
         keys = rows * self._n_cols + cols
-        # The first request of each never-measured pixel adds a new pixel;
-        # with the cache on, those are the physical probes.
-        new = first_requests(keys, (~self._measured[keys]).nonzero()[0])
-        stop = self._budget_stop(new, n)
-        n_new = new.size if stop == n else int(np.searchsorted(new, stop))
-        probes = new[:n_new] if self._cache_enabled else np.arange(stop)
+        # The first request of each never-measured pixel is a physical probe.
+        probes = first_requests(keys, (~self._measured[keys]).nonzero()[0])
         probe_keys = keys[probes]
         base_time = self._clock.elapsed_s
+        stop = n
         failure = None
         if not probes.size:
             measured = probe_times = np.zeros(0)
         elif self._fault_capable:
-            measured, probe_times, failure = self._measure_faulty(
-                rows[probes], cols[probes], probe_keys
-            )
+            measured, probe_times, failure = self._measure_faulty(probe_keys)
             if failure is not None:
                 # Requests before the first uncommitted probe are final.
                 stop = int(probes[measured.size])
                 probes = probes[: measured.size]
                 probe_keys = probe_keys[: measured.size]
-                n_new = int(np.searchsorted(new, stop))
         else:
             probe_times = self._clock.charge_probes(probes.size)
-            measured = self._backend.currents(
-                *_checked(rows[probes], cols[probes], probe_keys), times_s=probe_times
-            )
+            measured = self._backend.currents(probe_keys, times_s=probe_times)
         self._values[probe_keys] = measured
         self._measured[probe_keys] = True
-        self._n_probes += n_new
-        # When every committed request was a probe (always, with the cache
-        # off), the values are the measurements themselves.
+        self._n_probes += probes.size
+        # When every committed request was a probe, the values are the
+        # measurements themselves.
         values = measured if probes.size == stop else self._values[keys[:stop]]
         if stop:
             self._log.queue_batch(
@@ -1226,16 +1108,7 @@ class ChargeSensorMeter:
             )
         if failure is not None:
             raise failure
-        if stop < n:
-            raise ProbeBudgetExceededError(
-                f"probe budget of {self._max_probes} points exhausted"
-            )
         return values
-
-    def get_current_at_voltage(self, vx: float, vy: float) -> float:
-        """Measure the pixel nearest to a voltage point."""
-        row, col = self._backend.pixel_at(vx, vy)
-        return self.get_current(row, col)
 
     def acquire_full_grid(self) -> np.ndarray:
         """Measure every pixel (what the Hough baseline does) and return the image.

@@ -113,8 +113,6 @@ class SessionFactory:
     resolution: int | tuple[int, int] = 100
     noise: NoiseModel | None = None
     timing: TimingModel | None = None
-    cache: bool = True
-    max_probes: int | None = None
     drift: DeviceDrift | None = None
     time_dependent_noise: bool = False
     #: Fault injection: a registered condition name or fault model(s); probe
@@ -194,11 +192,7 @@ class SessionFactory:
             if probe_models:
                 backend = FaultyBackend(backend, probe_models, seed=seed)
         meter = ChargeSensorMeter(
-            backend,
-            clock=VirtualClock(timing),
-            cache=self.cache,
-            max_probes=self.max_probes,
-            retry=self.probe_retry,
+            backend, clock=VirtualClock(timing), retry=self.probe_retry
         )
         return ExperimentSession(
             meter=meter,

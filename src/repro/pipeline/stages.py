@@ -378,9 +378,10 @@ class StalenessCheck:
 class StalenessCheckStage(ContentRepr):
     """Re-probe reference pixels at the device's current age (retuning mode).
 
-    Probes through ``ctx.meter`` — the workflow gives it a fresh cache-off
-    meter on the session's backend, clock and retry policy, since the whole
-    point is paying for fresh values on the shared timeline — and reports
+    Probes through ``ctx.meter`` — the workflow gives it a fresh meter on
+    the session's backend, clock and retry policy, whose empty cache pays
+    for a fresh value of every (distinct) reference pixel on the shared
+    timeline — and reports
     the outcome as a :class:`StalenessCheck` in
     ``ctx.extras["staleness_check"]``.
     """

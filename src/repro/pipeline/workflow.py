@@ -350,12 +350,11 @@ class AutoTuningWorkflow:
         cycles: list[RetuneCycle] = []
         for _ in range(n_cycles):
             clock.advance(idle_time_s)
+            # A fresh meter pays for every reference pixel: they are
+            # distinct, so each is one physical probe on the shared clock.
             cycle_ctx = TuneContext(
                 meter=ChargeSensorMeter(
-                    session_meter.backend,
-                    clock=clock,
-                    cache=False,
-                    retry=session_meter.retry,
+                    session_meter.backend, clock=clock, retry=session_meter.retry
                 ),
                 config=self._extraction_config,
             )

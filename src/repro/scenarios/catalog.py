@@ -106,8 +106,6 @@ class LabScenario:
         self,
         device: DotArrayDevice | None = None,
         resolution: int | tuple[int, int] = 100,
-        cache: bool = True,
-        max_probes: int | None = None,
     ) -> SessionFactory:
         """A :class:`~repro.instrument.session.SessionFactory` under this
         scenario's environment.
@@ -121,8 +119,6 @@ class LabScenario:
             resolution=resolution,
             noise=self.noise,
             timing=self.timing,
-            cache=cache,
-            max_probes=max_probes,
             drift=self.drift,
             time_dependent_noise=self.time_dependent_noise,
             faults=self.faults,

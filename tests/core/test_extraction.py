@@ -77,9 +77,8 @@ class TestOnCleanData:
             def y_voltages(self):
                 return clean_csd.y_voltages
 
-            def currents(self, rows, cols, times_s=None):
-                rows, cols = self.validate_pixels(rows, cols)
-                return clean_csd.data[rows, cols].astype(float)
+            def currents(self, keys, times_s=None):
+                return clean_csd.data.take(self.validate_keys(keys)).astype(float)
 
         meter = ChargeSensorMeter(NamelessBackend())
         with pytest.raises(ExtractionError, match="gate names"):
@@ -101,9 +100,8 @@ class TestOnCleanData:
             def y_voltages(self):
                 return clean_csd.y_voltages
 
-            def currents(self, rows, cols, times_s=None):
-                rows, cols = self.validate_pixels(rows, cols)
-                return clean_csd.data[rows, cols].astype(float)
+            def currents(self, keys, times_s=None):
+                return clean_csd.data.take(self.validate_keys(keys)).astype(float)
 
         with pytest.raises(ExtractionError, match="gate names"):
             gate_names_for(ChargeSensorMeter(HalfNamedBackend()))

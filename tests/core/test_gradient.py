@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import FeatureGradient, MaskResponse, gaussian_window, oriented_mask
 from repro.core.config import PAPER_MASK_X, PAPER_MASK_Y
-from repro.exceptions import ConfigurationError, InstrumentFault, ProbeBudgetExceededError
+from repro.exceptions import ConfigurationError, InstrumentFault
 from repro.faults import FaultyBackend, TransientReadFault
 from repro.instrument import (
     ChargeSensorMeter,
@@ -168,35 +168,32 @@ def _both_sweeps(meter, batched):
 
 
 class TestMaskSweepMatchesScalarReference:
-    @pytest.mark.parametrize("case", ["dataset", "drifting", "faulty", "budget"])
+    @pytest.mark.parametrize("case", ["dataset", "drifting", "faulty"])
     def test_sweeps(self, case, clean_csd, double_dot_device):
         def make_meter():
             if case == "dataset":
                 return ChargeSensorMeter(DatasetBackend(clean_csd))
             if case == "drifting":
                 return ChargeSensorMeter(_drifting_backend(double_dot_device))
-            if case == "faulty":
-                backend = FaultyBackend(
-                    DatasetBackend(clean_csd), (TransientReadFault(rate=0.2),), seed=5
-                )
-                policy = ProbeRetryPolicy(max_attempts=2, breaker_failures=0)
-                return ChargeSensorMeter(backend, retry=policy)
-            return ChargeSensorMeter(DatasetBackend(clean_csd), max_probes=150)
+            backend = FaultyBackend(
+                DatasetBackend(clean_csd), (TransientReadFault(rate=0.2),), seed=5
+            )
+            policy = ProbeRetryPolicy(max_attempts=2, breaker_failures=0)
+            return ChargeSensorMeter(backend, retry=policy)
 
         outcomes = []
         for batched in (True, False):
             meter = make_meter()
             try:
                 result = _both_sweeps(meter, batched)
-            except (InstrumentFault, ProbeBudgetExceededError) as exc:
+            except InstrumentFault as exc:
                 result = type(exc)
             outcomes.append((meter, result))
         (batch_meter, batch_result), (scalar_meter, scalar_result) = outcomes
-        if case in ("faulty", "budget"):
+        if case == "faulty":
             # The run stops mid-sweep, after some probes were committed.
             assert isinstance(batch_result, type)
             assert scalar_meter.n_probes > 0
-        if case == "faulty":
             assert batch_meter.n_probes_exhausted == scalar_meter.n_probes_exhausted == 1
             assert batch_meter.n_probe_retries == scalar_meter.n_probe_retries > 0
             assert batch_meter.fault_delay_s == scalar_meter.fault_delay_s

@@ -103,11 +103,10 @@ class TestFaultyBackendSurface:
     def test_plan_batch_is_pure(self):
         session = _session(faults="flaky-lab", probe_retry=RETRY)
         backend = session.meter.backend
-        rows = np.arange(10)
-        cols = np.arange(10)
+        keys = np.arange(10) * 25
         times = np.linspace(0.03, 40.0, 10)
-        first = backend.plan_batch(rows, cols, times)
-        second = backend.plan_batch(rows, cols, times)
+        first = backend.plan_batch(keys, times, RETRY.timeout_s)
+        second = backend.plan_batch(keys, times, RETRY.timeout_s)
         np.testing.assert_array_equal(first.values, second.values)
         assert (first.disruption is None) == (second.disruption is None)
         if first.disruption is not None:
@@ -121,13 +120,11 @@ class TestFaultyBackendSurface:
         )
         backend = session.meter.backend
         with pytest.raises(TransientReadError, match="injected"):
-            backend.currents(
-                np.array([0, 1]), np.array([0, 1]), np.linspace(0.03, 0.06, 2)
-            )
+            backend.currents(np.array([0, 25]), np.linspace(0.03, 0.06, 2))
         with pytest.raises(TransientReadError):
-            backend.currents([0], [0], [0.03])
+            backend.currents([0], [0.03])
         with pytest.raises(MeasurementError, match="timestamps"):
-            backend.currents([0], [0])
+            backend.currents([0])
 
     @pytest.mark.parametrize(
         "faults",
@@ -135,34 +132,51 @@ class TestFaultyBackendSurface:
         ["transient-reads", TransientReadFault(rate=1.0)],
         ids=["transient-reads", "every-read-fails"],
     )
-    def test_direct_calls_validate_pixels(self, faults):
+    def test_direct_calls_validate_keys(self, faults):
         backend = _session(faults=faults, probe_retry=RETRY).meter.backend
         times = np.linspace(0.03, 0.06, 2)
-        for rows, cols in [([0, 1000], [0, 0]), ([-1, 0], [0, 0]), ([0.5, 1.5], [0, 1])]:
-            with pytest.raises(MeasurementError):
-                backend.currents(rows, cols, times)
-            with pytest.raises(MeasurementError):
-                backend.plan_batch(np.array(rows), np.array(cols), times)
+        for keys, match in [
+            ([0, 24 * 24], "outside"),
+            ([-1, 0], "outside"),
+            ([0.5, 1.5], "integers"),
+        ]:
+            with pytest.raises(MeasurementError, match=match):
+                backend.currents(keys, times)
+            with pytest.raises(MeasurementError, match=match):
+                backend.plan_batch(np.array(keys), times, RETRY.timeout_s)
         with pytest.raises(MeasurementError, match="expected 3 probe timestamps"):
-            backend.plan_batch(np.arange(3), np.arange(3), times)
+            backend.plan_batch(np.arange(3), times, RETRY.timeout_s)
 
     @pytest.mark.parametrize(
-        "fault, n_values, stall_s",
+        "fault, timeout_s, n_values, stall_s",
         [
-            (TransientReadFault(rate=0.0), 4, None),
-            (TransientReadFault(rate=1.0), 0, 0.0),
-            (ProbeHangFault(rate=1.0, hang_s=2.0), 1, 2.0),
+            (TransientReadFault(rate=0.0), 3.0, 4, None),
+            (TransientReadFault(rate=1.0), 3.0, 0, 0.0),
+            (ProbeHangFault(rate=1.0, hang_s=2.0), 3.0, 1, 2.0),
+            (ProbeHangFault(rate=1.0, hang_s=3.0), 3.0, 1, 3.0),
+            (ProbeHangFault(rate=1.0, hang_s=5.0), None, 1, 5.0),
+            (ProbeHangFault(rate=1.0, hang_s=5.0), 3.0, 0, 5.0),
         ],
-        ids=["clean", "error-first", "stall-first"],
+        ids=[
+            "clean",
+            "error-first",
+            "stall-first",
+            "stall-at-timeout",
+            "stall-no-timeout",
+            "stall-over-timeout",
+        ],
     )
     def test_plan_values_cover_only_committable_probes(
-        self, fault, n_values, stall_s, solved_points, kernel_cache_off
+        self, fault, timeout_s, n_values, stall_s, solved_points, kernel_cache_off
     ):
-        # An error's probe gets no value; a stalled read lands late, so the
-        # meter keeps its value.  Nothing after the disruption is read.
+        # An error's probe gets no value; a stall within the timeout (or
+        # with none) lands late, so the meter keeps its value, and a longer
+        # one is a failed attempt the plan does not read.  Nothing after the
+        # disruption is read.
         backend = _session(faults=fault, probe_retry=RETRY).meter.backend
         times = np.linspace(0.03, 0.12, 4)
-        plan = backend.plan_batch(np.arange(4), np.arange(4), times)
+        keys = np.arange(4) * 25
+        plan = backend.plan_batch(keys, times, timeout_s)
         assert plan.values.size == n_values
         assert sum(solved_points) == n_values
         if stall_s is None:
@@ -172,9 +186,7 @@ class TestFaultyBackendSurface:
             assert plan.disruption.stall_s == stall_s
             assert (plan.disruption.error is None) == (stall_s > 0)
         clean = _session().meter.backend
-        np.testing.assert_array_equal(
-            plan.values, clean.currents(np.arange(n_values), np.arange(n_values))
-        )
+        np.testing.assert_array_equal(plan.values, clean.currents(keys[:n_values]))
 
 
 class TestIdentityGuarantees:
@@ -267,3 +279,19 @@ class TestFaultPathWorkCounts:
         assert meter.n_probe_retries == 91
         assert meter.n_probes_exhausted == 0
         assert meter.fault_delay_s == pytest.approx(56.95, abs=1e-9)
+
+    def test_over_timeout_stalls_are_not_read(self, solved_points, kernel_cache_off):
+        # Every stall outlasts the 1 s timeout, so each is a failed attempt:
+        # the plans read only the probes the meter commits, one solve each.
+        session = _session(
+            faults=ProbeHangFault(rate=0.3, hang_s=5.0),
+            probe_retry=ProbeRetryPolicy(max_attempts=8, timeout_s=1.0, breaker_failures=0),
+            seed=3,
+        )
+        meter = session.meter
+        meter.acquire_full_grid()
+        assert meter.n_probes == 576
+        assert sum(solved_points) == meter.n_probes
+        assert meter.n_fault_events == meter.n_probe_retries == 234
+        assert meter.n_probes_exhausted == 0
+        assert meter.elapsed_s == pytest.approx(274.5, abs=1e-9)

@@ -4,9 +4,11 @@ A batch (`MeasurementBackend.currents`, `ChargeSensorMeter.get_currents`,
 `FeatureGradient.segment_values`, `acquire_full_grid`) must be request-by-request
 indistinguishable from the same requests made one pixel at a time: same
 values (bit-identical), same probe counts, same cache hits, same clock
-charges, same log contents, and the same budget-exhaustion point.
-`get_current` is a one-pixel `get_currents`; `test_reference_meter.py`
-checks the meter against an independent per-pixel implementation.
+charges and same log contents.  The meter takes rows and columns and checks
+them at its boundary; a backend takes flat pixel keys (`row * n_cols +
+col`) and checks those.  `get_current` is a one-pixel `get_currents`;
+`test_reference_meter.py` checks the meter against an independent
+per-pixel implementation.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import repro.kernelcache as kernelcache
 from repro.campaign import CampaignGrid
 from repro.campaign.worker import run_campaign_job
 from repro.core.gradient import FeatureGradient
-from repro.exceptions import MeasurementError, ProbeBudgetExceededError
+from repro.exceptions import MeasurementError
 from repro.instrument import (
     ChargeSensorMeter,
     DatasetBackend,
@@ -46,12 +48,9 @@ def _device_backend(device, noise=True):
     )
 
 
-def _meter_pair(backend_factory, **meter_kwargs):
+def _meter_pair(backend_factory):
     """Two meters over identically configured backends."""
-    return (
-        ChargeSensorMeter(backend_factory(), **meter_kwargs),
-        ChargeSensorMeter(backend_factory(), **meter_kwargs),
-    )
+    return ChargeSensorMeter(backend_factory()), ChargeSensorMeter(backend_factory())
 
 
 def _request_pattern(rng, shape, n):
@@ -62,6 +61,12 @@ def _request_pattern(rng, shape, n):
     rows[n // 2 : n // 2 + n // 4] = rows[: n // 4]
     cols[n // 2 : n // 2 + n // 4] = cols[: n // 4]
     return rows, cols
+
+
+def _key_pattern(rng, shape, n):
+    """The flat pixel keys of a random request pattern."""
+    rows, cols = _request_pattern(rng, shape, n)
+    return rows * shape[1] + cols
 
 
 def _pixel_form(indices: list[int], form: str):
@@ -97,29 +102,30 @@ def _assert_meters_identical(batch_meter, scalar_meter):
 
 
 class TestBackendCurrents:
+    """Key cases test a backend; row and column cases test the meter's
+    boundary, the only place rows and columns are taken."""
+
     def test_dataset_backend_matches_scalar(self, clean_csd, rng):
         backend = DatasetBackend(clean_csd)
-        rows, cols = _request_pattern(rng, backend.shape, 200)
-        batch = backend.currents(rows, cols)
-        assert np.array_equal(batch, clean_csd.data[rows, cols])
-        single = np.array([backend.currents([r], [c])[0] for r, c in zip(rows, cols)])
+        keys = _key_pattern(rng, backend.shape, 200)
+        batch = backend.currents(keys)
+        assert np.array_equal(batch, clean_csd.data.ravel()[keys])
+        single = np.array([backend.currents([key])[0] for key in keys])
         assert np.array_equal(batch, single)
 
     def test_device_backend_matches_scalar(self, double_dot_device, rng):
         backend = _device_backend(double_dot_device)
-        rows, cols = _request_pattern(rng, backend.shape, 200)
-        batch = backend.currents(rows, cols)
-        single = np.array([backend.currents([r], [c])[0] for r, c in zip(rows, cols)])
+        keys = _key_pattern(rng, backend.shape, 200)
+        batch = backend.currents(keys)
+        single = np.array([backend.currents([key])[0] for key in keys])
         assert np.array_equal(batch, single)
 
     def test_device_backend_batch_split_invariance(self, double_dot_device, rng):
         """The same requests give the same bits regardless of batching."""
         backend = _device_backend(double_dot_device)
-        rows, cols = _request_pattern(rng, backend.shape, 500)
-        whole = backend.currents(rows, cols)
-        parts = np.concatenate(
-            [backend.currents(rows[i : i + 37], cols[i : i + 37]) for i in range(0, 500, 37)]
-        )
+        keys = _key_pattern(rng, backend.shape, 500)
+        whole = backend.currents(keys)
+        parts = np.concatenate([backend.currents(keys[i : i + 37]) for i in range(0, 500, 37)])
         assert np.array_equal(whole, parts)
 
     @pytest.mark.parametrize(
@@ -136,11 +142,39 @@ class TestBackendCurrents:
         backend = DatasetBackend(clean_csd)
         meter = ChargeSensorMeter(backend)
         rows, cols = _pixel_form([0, pixel[0]], form), _pixel_form([0, pixel[1]], form)
-        with pytest.raises(MeasurementError, match="outside"):
-            backend.currents(rows, cols)
         with _refusal_leaves_meter_untouched(meter, "outside"):
             meter.get_currents(rows, cols)
-        assert np.array_equal(backend.currents([62, 0], [0, 62]), clean_csd.data[[62, 0], [0, 62]])
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            [0, 63 * 63],
+            [0, 10**6],
+            [-1, 0],
+            [0, -63 * 63],
+            np.array([0, 63 * 63], dtype=np.uint64),
+            np.array([[5], [63 * 63]], dtype=np.int32),
+            np.array([0, 2**63], dtype=np.uint64),
+        ],
+        ids=["past-end", "far", "negative", "very-negative", "uint64", "2-D-int32", "2**63"],
+    )
+    def test_off_grid_keys_rejected(self, clean_csd, double_dot_device, keys):
+        for backend in (DatasetBackend(clean_csd), _device_backend(double_dot_device)):
+            with pytest.raises(MeasurementError, match="outside"):
+                backend.currents(keys)
+        assert np.array_equal(
+            DatasetBackend(clean_csd).currents([62 * 63, 62]), clean_csd.data[[62, 0], [0, 62]]
+        )
+
+    @pytest.mark.parametrize(
+        "keys",
+        [[0.5, 1.5], np.array([0.0, 1.0]), np.array([True, False]), np.array(1.0)],
+        ids=["list", "float", "bool", "0-d-float"],
+    )
+    def test_non_integer_keys_rejected(self, clean_csd, double_dot_device, keys):
+        for backend in (DatasetBackend(clean_csd), _device_backend(double_dot_device)):
+            with pytest.raises(MeasurementError, match="integers"):
+                backend.currents(keys)
 
     @pytest.mark.parametrize("form", ["list", "int64", "int32", "uint64", "2-D", "0-d"])
     def test_array_forms_match_list_form(self, clean_csd, form):
@@ -149,7 +183,8 @@ class TestBackendCurrents:
         expected = listed.get_currents(*pixels)
         rows, cols = (_pixel_form(axis, form) for axis in pixels)
         assert np.array_equal(shaped.get_currents(rows, cols), expected)
-        assert np.array_equal(DatasetBackend(clean_csd).currents(rows, cols), expected)
+        keys = _pixel_form([row * 63 + col for row, col in zip(*pixels)], form)
+        assert np.array_equal(DatasetBackend(clean_csd).currents(keys), expected)
         _assert_meters_identical(shaped, listed)
 
     @pytest.mark.parametrize(
@@ -163,10 +198,7 @@ class TestBackendCurrents:
         ids=["list", "int64", "2-D", "0-d"],
     )
     def test_shape_mismatch_rejected(self, clean_csd, rows, cols):
-        backend = DatasetBackend(clean_csd)
-        with pytest.raises(MeasurementError, match="matching shapes"):
-            backend.currents(rows, cols)
-        meter = ChargeSensorMeter(backend)
+        meter = ChargeSensorMeter(DatasetBackend(clean_csd))
         with _refusal_leaves_meter_untouched(meter, "matching shapes"):
             meter.get_currents(rows, cols)
 
@@ -184,24 +216,18 @@ class TestBackendCurrents:
         ids=["list", "float-rows", "float-cols", "bool-rows", "bool-cols", "bool", "0-d-float"],
     )
     def test_non_integer_indices_rejected(self, clean_csd, rows, cols):
-        backend = DatasetBackend(clean_csd)
-        with pytest.raises(MeasurementError, match="integers"):
-            backend.currents(rows, cols)
-        meter = ChargeSensorMeter(backend)
+        meter = ChargeSensorMeter(DatasetBackend(clean_csd))
         with _refusal_leaves_meter_untouched(meter, "integers"):
             meter.get_currents(rows, cols)
 
     def test_empty_batch(self, clean_csd):
         backend = DatasetBackend(clean_csd)
-        assert backend.currents([], []).shape == (0,)
+        assert backend.currents([]).shape == (0,)
 
 
 class TestGetCurrentsEquivalence:
-    @pytest.mark.parametrize("cache", [True, False])
-    def test_dataset_backend(self, clean_csd, rng, cache):
-        batch_meter, scalar_meter = _meter_pair(
-            lambda: DatasetBackend(clean_csd), cache=cache
-        )
+    def test_dataset_backend(self, clean_csd, rng):
+        batch_meter, scalar_meter = _meter_pair(lambda: DatasetBackend(clean_csd))
         rows, cols = _request_pattern(rng, clean_csd.shape, 300)
         batch = batch_meter.get_currents(rows, cols)
         scalar = np.array(
@@ -210,11 +236,8 @@ class TestGetCurrentsEquivalence:
         assert np.array_equal(batch, scalar)
         _assert_meters_identical(batch_meter, scalar_meter)
 
-    @pytest.mark.parametrize("cache", [True, False])
-    def test_device_backend(self, double_dot_device, rng, cache):
-        batch_meter, scalar_meter = _meter_pair(
-            lambda: _device_backend(double_dot_device), cache=cache
-        )
+    def test_device_backend(self, double_dot_device, rng):
+        batch_meter, scalar_meter = _meter_pair(lambda: _device_backend(double_dot_device))
         rows, cols = _request_pattern(rng, batch_meter.shape, 300)
         batch = batch_meter.get_currents(rows, cols)
         scalar = np.array(
@@ -256,45 +279,6 @@ class TestGetCurrentsEquivalence:
         _assert_meters_identical(batch_meter, scalar_meter)
 
 
-class TestGetCurrentsBudget:
-    def _run_scalar(self, meter, rows, cols):
-        values = []
-        for r, c in zip(rows, cols):
-            values.append(meter.get_current(int(r), int(c)))
-        return values
-
-    @pytest.mark.parametrize("cache", [True, False])
-    def test_budget_exhaustion_point_matches(self, clean_csd, rng, cache):
-        rows, cols = _request_pattern(rng, clean_csd.shape, 120)
-        batch_meter, scalar_meter = _meter_pair(
-            lambda: DatasetBackend(clean_csd), cache=cache, max_probes=40
-        )
-        with pytest.raises(ProbeBudgetExceededError):
-            batch_meter.get_currents(rows, cols)
-        with pytest.raises(ProbeBudgetExceededError):
-            self._run_scalar(scalar_meter, rows, cols)
-        # Everything before the violating request was committed identically.
-        _assert_meters_identical(batch_meter, scalar_meter)
-        assert batch_meter.n_probes == 40
-
-    def test_cached_requests_allowed_after_exhaustion(self, clean_csd):
-        meter = ChargeSensorMeter(DatasetBackend(clean_csd), max_probes=3)
-        meter.get_currents([0, 0, 0], [0, 1, 2])
-        # Re-requesting measured pixels is free and still allowed.
-        values = meter.get_currents([0, 0], [1, 2])
-        assert np.array_equal(values, clean_csd.data[0, 1:3])
-        with pytest.raises(ProbeBudgetExceededError):
-            meter.get_currents([0], [3])
-
-    def test_budget_hit_on_first_request_commits_nothing(self, clean_csd):
-        meter = ChargeSensorMeter(DatasetBackend(clean_csd), max_probes=2)
-        meter.get_currents([0, 0], [0, 1])
-        with pytest.raises(ProbeBudgetExceededError):
-            meter.get_currents([1, 2], [0, 0])
-        assert meter.n_probes == 2
-        assert meter.n_requests == 2
-
-
 def _time_dependent_backend(device):
     """A backend whose noise AND device evolve with the probe timestamps."""
     xs = np.linspace(0.0, 0.04, 40)
@@ -321,10 +305,9 @@ class TestTimeDependentEquivalence:
     """Batched and scalar probe paths stay bit-identical when the noise (and
     the device itself) depend on the per-probe simulated timestamps."""
 
-    @pytest.mark.parametrize("cache", [True, False])
-    def test_get_currents_matches_scalar_loop(self, double_dot_device, rng, cache):
+    def test_get_currents_matches_scalar_loop(self, double_dot_device, rng):
         batch_meter, scalar_meter = _meter_pair(
-            lambda: _time_dependent_backend(double_dot_device), cache=cache
+            lambda: _time_dependent_backend(double_dot_device)
         )
         rows, cols = _request_pattern(rng, batch_meter.shape, 300)
         batch = batch_meter.get_currents(rows, cols)
@@ -351,26 +334,26 @@ class TestTimeDependentEquivalence:
         _assert_meters_identical(whole_meter, split_meter)
 
     def test_revisiting_a_pixel_later_sees_an_evolved_device(self, double_dot_device):
+        # A fresh meter per re-probe on one shared clock, as the workflow's
+        # staleness check re-probes its reference pixels.
         backend = _time_dependent_backend(double_dot_device)
-        meter = ChargeSensorMeter(backend, cache=False)
-        first = meter.get_current(7, 9)
-        meter.clock.advance(3600.0)  # an hour of drift
-        second = meter.get_current(7, 9)
+        clock = VirtualClock()
+        first = ChargeSensorMeter(backend, clock=clock).get_current(7, 9)
+        clock.advance(3600.0)  # an hour of drift
+        second = ChargeSensorMeter(backend, clock=clock).get_current(7, 9)
         assert first != second
 
     def test_direct_probe_without_timestamps_is_refused(self, double_dot_device):
         backend = _time_dependent_backend(double_dot_device)
         assert backend.is_time_dependent
         with pytest.raises(MeasurementError):
-            backend.currents(np.array([0]), np.array([0]))
+            backend.currents(np.array([0]))
 
     def test_static_backend_ignores_timestamps(self, double_dot_device):
         backend = _device_backend(double_dot_device)
         assert not backend.is_time_dependent
-        plain = backend.currents(np.array([3, 4]), np.array([5, 6]))
-        timed = backend.currents(
-            np.array([3, 4]), np.array([5, 6]), times_s=np.array([0.05, 0.10])
-        )
+        plain = backend.currents(np.array([125, 166]))
+        timed = backend.currents(np.array([125, 166]), times_s=np.array([0.05, 0.10]))
         assert np.array_equal(plain, timed)
 
     def test_shared_seed_sequence_not_mutated(self, double_dot_device):
@@ -392,11 +375,10 @@ class TestTimeDependentEquivalence:
             time_dependent_noise=True,
         )
         first, second = make(), make()
-        rows = np.arange(20)
-        times = (rows + 1) * 0.05
+        keys = np.arange(20) * 41
+        times = np.arange(1, 21) * 0.05
         assert np.array_equal(
-            first.currents(rows, rows, times_s=times),
-            second.currents(rows, rows, times_s=times),
+            first.currents(keys, times_s=times), second.currents(keys, times_s=times)
         )
         assert root.n_children_spawned == 0
 
@@ -413,12 +395,15 @@ class TestTimeDependentEquivalence:
                 probe_interval_s=0.0,
             )
 
-    def test_timestamp_count_mismatch_rejected(self, double_dot_device):
-        backend = _time_dependent_backend(double_dot_device)
-        with pytest.raises(MeasurementError):
-            backend.currents(
-                np.array([0, 1]), np.array([0, 1]), times_s=np.array([0.05])
-            )
+    def test_timestamp_count_mismatch_rejected(self, double_dot_device, clean_csd):
+        for backend in (
+            _time_dependent_backend(double_dot_device),
+            _device_backend(double_dot_device),
+            DatasetBackend(clean_csd),
+        ):
+            with pytest.raises(MeasurementError, match="expected 2 probe timestamps"):
+                backend.currents(np.array([0, 41]), times_s=np.array([0.05]))
+            assert backend.currents([0, 41], times_s=[0.05, 0.1]).shape == (2,)
 
     def test_acquire_full_grid_matches_scalar_loop(self, double_dot_device):
         batch_meter, scalar_meter = _meter_pair(
@@ -431,22 +416,6 @@ class TestTimeDependentEquivalence:
         )
         assert np.array_equal(image_batch, image_scalar)
         _assert_meters_identical(batch_meter, scalar_meter)
-
-    @pytest.mark.parametrize("cache", [True, False])
-    def test_budget_exhaustion_point_matches(self, double_dot_device, rng, cache):
-        rows, cols = _request_pattern(rng, (40, 40), 120)
-        batch_meter, scalar_meter = _meter_pair(
-            lambda: _time_dependent_backend(double_dot_device),
-            cache=cache,
-            max_probes=40,
-        )
-        with pytest.raises(ProbeBudgetExceededError):
-            batch_meter.get_currents(rows, cols)
-        with pytest.raises(ProbeBudgetExceededError):
-            for r, c in zip(rows, cols):
-                scalar_meter.get_current(int(r), int(c))
-        _assert_meters_identical(batch_meter, scalar_meter)
-        assert batch_meter.n_probes == 40
 
 
 class TestVirtualClockBatch:
@@ -562,7 +531,6 @@ class TestProbeLogColumnar:
 
 class TestPixelAtFastPath:
     def test_uniform_axis_matches_argmin(self, clean_csd, rng):
-        backend = DatasetBackend(clean_csd)
         for _ in range(100):
             vx = float(rng.uniform(clean_csd.x_voltages[0] - 0.01, clean_csd.x_voltages[-1] + 0.01))
             vy = float(rng.uniform(clean_csd.y_voltages[0] - 0.01, clean_csd.y_voltages[-1] + 0.01))
@@ -570,25 +538,21 @@ class TestPixelAtFastPath:
                 int(np.argmin(np.abs(clean_csd.y_voltages - vy))),
                 int(np.argmin(np.abs(clean_csd.x_voltages - vx))),
             )
-            assert backend.pixel_at(vx, vy) == expected
             assert clean_csd.pixel_at(vx, vy) == expected
 
-    def test_non_uniform_axis_falls_back_to_argmin(self, double_dot_device):
-        xs = np.array([0.0, 0.01, 0.03, 0.07, 0.15])
-        ys = np.array([0.0, 0.02, 0.03, 0.08, 0.20])
-        backend = DeviceBackend(double_dot_device, xs, ys)
-        for vx, vy in [(0.02, 0.05), (0.069, 0.001), (0.5, -0.5)]:
-            expected = (
-                int(np.argmin(np.abs(ys - vy))),
-                int(np.argmin(np.abs(xs - vx))),
-            )
-            assert backend.pixel_at(vx, vy) == expected
+    def test_non_uniform_axis_falls_back_to_argmin(self):
+        from repro.physics.csd import nearest_axis_index, uniform_axis_step
+
+        axis = np.array([0.0, 0.01, 0.03, 0.07, 0.15])
+        assert uniform_axis_step(axis) is None
+        for value in (0.02, 0.05, 0.069, 0.001, 0.5, -0.5):
+            expected = int(np.argmin(np.abs(axis - value)))
+            assert nearest_axis_index(axis, value, None) == expected
 
     def test_round_trip_through_voltage_at(self, clean_csd):
-        backend = DatasetBackend(clean_csd)
         for row, col in [(0, 0), (31, 17), (62, 62)]:
-            vx, vy = backend.voltage_at(row, col)
-            assert backend.pixel_at(vx, vy) == (row, col)
+            vx, vy = clean_csd.voltage_at(row, col)
+            assert clean_csd.pixel_at(vx, vy) == (row, col)
 
     def test_midpoint_ties_match_argmin_path(self, clean_csd):
         """Exact and ulp-perturbed midpoints resolve like the argmin scan."""
@@ -608,18 +572,17 @@ class TestPixelAtFastPath:
                 assert nearest_axis_index(axis, float(value), step) == expected
 
     def test_non_finite_voltage_matches_argmin_path(self, clean_csd):
-        backend = DatasetBackend(clean_csd)
         for value in [float("nan"), float("inf"), float("-inf")]:
             expected = (
                 int(np.argmin(np.abs(clean_csd.y_voltages - value))),
                 int(np.argmin(np.abs(clean_csd.x_voltages - value))),
             )
-            assert backend.pixel_at(value, value) == expected
             assert clean_csd.pixel_at(value, value) == expected
 
 
 class TestOnePassPerBatch:
-    """A meter batch validates, keys and deduplicates its pixels once.
+    """A meter batch validates, keys and deduplicates its pixels once, and
+    the backend checks the keys it is handed with one unsigned max per call.
 
     The job is the first fast-method job of perfbench's seed-1
     ``grid-fast-serial`` grid (double dot P1-P2, noise-free), run twice on a
@@ -653,31 +616,26 @@ class TestOnePassPerBatch:
             # Only a batch with two or more unsolved pixels can repeat one.
             counts["fetch_2plus_unsolved"] += int((~entry.solved.ravel()[keys]).sum() >= 2)
 
-        def note_read(backend, rows, cols, times_s=None):
-            keys = getattr(rows, "flat_keys", None)
-            handed = keys is not None and np.array_equal(keys, rows * backend.shape[1] + cols)
-            counts["read_with_meter_keys"] += handed
-
         count(measurement.ChargeSensorMeter, "get_currents")
         count(measurement, "_validated_pixels")
-        count(measurement.MeasurementBackend, "validate_pixels")
+        count(measurement.MeasurementBackend, "validate_keys")
         count(measurement, "first_requests")
         count(kernelcache, "first_requests")
         count(kernelcache.KernelCacheEntry, "fetch", note_fetch)
-        count(measurement.DeviceBackend, "currents", note_read)
+        count(measurement.DeviceBackend, "currents")
         monkeypatch.setattr(kernelcache, "_default_cache", kernelcache.KernelCache())
 
         cold = run_campaign_job(self.JOB)
         cold_counts, counts = counts, Counter()
         warm = run_campaign_job(self.JOB)
         assert cold.success and cold.n_probes == warm.n_probes == 556
-        # Absent keys were never called: the backend's validate_pixels.
         assert cold_counts == {
             "get_currents": 37,
-            # Once per batch, at the meter's boundary; never in the backend.
+            # Rows and columns once per batch, at the meter's boundary.
             "_validated_pixels": 37,
             "currents": 37,
-            "read_with_meter_keys": 37,
+            # The handed-over keys once per backend call.
+            "validate_keys": 37,
             "fetch": 37,
             # The meter's dedup on every batch, the kernel cache's only
             # where it has two or more pixels to solve.
@@ -688,7 +646,7 @@ class TestOnePassPerBatch:
             "get_currents": 37,
             "_validated_pixels": 37,
             "currents": 37,
-            "read_with_meter_keys": 37,
+            "validate_keys": 37,
             "fetch": 37,
             "fetch_2plus_unsolved": 0,
             "first_requests": 37,

@@ -20,7 +20,13 @@ import repro.kernelcache as kernelcache
 from repro.campaign import CampaignGrid, DeviceSpec, TuningCampaign
 from repro.campaign.worker import run_campaign_job
 from repro.exceptions import ConfigurationError
-from repro.instrument import ChargeSensorMeter, DeviceBackend, SessionFactory
+from repro.instrument import (
+    ChargeSensorMeter,
+    DeviceBackend,
+    SessionFactory,
+    TimingModel,
+    VirtualClock,
+)
 from repro.kernelcache import (
     KernelCache,
     KernelCacheEntry,
@@ -124,9 +130,12 @@ class TestCacheHits:
 
 
 def probe_one_by_one(backend, rows, cols):
-    """Single-pixel meter probes, each a physical probe at its own time."""
-    meter = ChargeSensorMeter(backend, cache=False)
-    return np.array([meter.get_current(r, c) for r, c in zip(rows, cols)])
+    """Single-pixel probes, each a physical probe at its own time: a fresh
+    meter per probe on one shared clock, as the workflow re-probes."""
+    clock = VirtualClock(TimingModel.paper_default())
+    return np.array(
+        [ChargeSensorMeter(backend, clock=clock).get_current(r, c) for r, c in zip(rows, cols)]
+    )
 
 
 class TestCachedLayers:

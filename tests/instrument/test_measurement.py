@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exceptions import MeasurementError, ProbeBudgetExceededError
+from repro.exceptions import MeasurementError
 from repro.instrument import (
     ChargeSensorMeter,
     DatasetBackend,
@@ -20,17 +20,12 @@ class TestDatasetBackend:
     def test_replays_pixels(self, clean_csd):
         backend = DatasetBackend(clean_csd)
         assert backend.shape == clean_csd.shape
-        assert backend.currents([5], [7])[0] == pytest.approx(clean_csd.data[5, 7])
+        assert backend.currents([5 * 63 + 7])[0] == pytest.approx(clean_csd.data[5, 7])
 
     def test_off_grid_rejected(self, clean_csd):
         backend = DatasetBackend(clean_csd)
         with pytest.raises(MeasurementError):
-            backend.currents([1000], [0])
-
-    def test_pixel_at_voltage(self, clean_csd):
-        backend = DatasetBackend(clean_csd)
-        vx, vy = backend.voltage_at(3, 9)
-        assert backend.pixel_at(vx, vy) == (3, 9)
+            backend.currents([1000 * 63])
 
 
 class TestDeviceBackend:
@@ -39,7 +34,7 @@ class TestDeviceBackend:
         ys = np.linspace(0.0, 0.03, 20)
         backend = DeviceBackend(double_dot_device, xs, ys)
         vg = np.array([xs[4], ys[11]])
-        assert backend.currents([11], [4])[0] == pytest.approx(
+        assert backend.currents([11 * 20 + 4])[0] == pytest.approx(
             double_dot_device.sensor_current(vg)
         )
 
@@ -48,13 +43,13 @@ class TestDeviceBackend:
         ys = np.linspace(0.0, 0.03, 10)
         a = DeviceBackend(double_dot_device, xs, ys, noise=WhiteNoise(0.1), seed=5)
         b = DeviceBackend(double_dot_device, xs, ys, noise=WhiteNoise(0.1), seed=5)
-        assert a.currents([3], [3])[0] == pytest.approx(b.currents([3], [3])[0])
+        assert a.currents([33])[0] == pytest.approx(b.currents([33])[0])
 
     def test_value_cached_between_calls(self, double_dot_device):
         xs = np.linspace(0.0, 0.03, 10)
         ys = np.linspace(0.0, 0.03, 10)
         backend = DeviceBackend(double_dot_device, xs, ys, noise=WhiteNoise(0.1), seed=1)
-        assert backend.currents([2], [2])[0] == backend.currents([2], [2])[0]
+        assert backend.currents([22])[0] == backend.currents([22])[0]
 
     def test_grid_validation(self, double_dot_device):
         with pytest.raises(MeasurementError):
@@ -81,26 +76,6 @@ class TestChargeSensorMeter:
         assert meter.n_requests == 2
         assert meter.elapsed_s == pytest.approx(0.05)
         assert meter.log.records[-1].cached is True
-
-    def test_cache_disabled_charges_every_request(self, clean_csd):
-        meter = ChargeSensorMeter(DatasetBackend(clean_csd), cache=False)
-        meter.get_current(3, 3)
-        meter.get_current(3, 3)
-        assert meter.elapsed_s == pytest.approx(0.10)
-
-    def test_probe_budget_enforced(self, clean_csd):
-        meter = ChargeSensorMeter(DatasetBackend(clean_csd), max_probes=3)
-        for i in range(3):
-            meter.get_current(0, i)
-        with pytest.raises(ProbeBudgetExceededError):
-            meter.get_current(0, 3)
-        # Cached pixels are still allowed after the budget is exhausted.
-        assert meter.get_current(0, 0) == pytest.approx(clean_csd.data[0, 0])
-
-    def test_get_current_at_voltage(self, clean_csd):
-        meter = ChargeSensorMeter(DatasetBackend(clean_csd))
-        vx, vy = clean_csd.voltage_at(8, 12)
-        assert meter.get_current_at_voltage(vx, vy) == pytest.approx(clean_csd.data[8, 12])
 
     def test_acquire_full_grid(self, clean_csd):
         meter = ChargeSensorMeter(DatasetBackend(clean_csd))

@@ -3,15 +3,15 @@
 `ChargeSensorMeter.get_current` is a one-pixel `get_currents`, so comparing
 the two no longer checks the batch path against anything independent.
 `ReferenceMeter` below is the meter written the plain way, one request at a
-time: validate the pixel, check the cache, check the budget, charge the
-clock, then read one pixel through `backend.currents`, logging each request
-as it goes.  Against a fault-capable backend each physical probe runs the
-retry policy on its own, one planned probe per attempt.  Hypothesis draws
-request sequences (repeats within and across batches, cache on and off,
-budgets running out mid-batch, and for flaky backends the retry policy) and
-every one must leave both meters with equal values, log columns, clock,
-probe count, cache hits, fault counters and breaker state, and raise the
-same errors.
+time: validate the pixel, check the cache, charge the clock, then read one
+pixel's flat key through `backend.currents`, logging each request as it
+goes.  Against a fault-capable backend each physical probe runs the retry
+policy on its own, one planned probe per attempt, and commits a stall by
+its own rule (within the timeout), not by what the plan read.  Hypothesis
+draws request sequences (repeats within and across batches, and for flaky
+backends the retry policy) and every one must leave both meters with equal
+values, log columns, clock, probe count, cache hits, fault counters and
+breaker state, and raise the same errors.
 
 The meter's probe log queues each batch and expands it only when read; the
 second half of this file reads the log mid-run and after `reset()`, and
@@ -30,7 +30,6 @@ from repro.exceptions import (
     CircuitBreakerOpenError,
     InstrumentFault,
     MeasurementError,
-    ProbeBudgetExceededError,
     ProbeTimeoutError,
 )
 from repro.faults import FaultyBackend, ProbeHangFault, TransientReadFault
@@ -57,8 +56,6 @@ TIMING = TimingModel(dwell_time_s=0.05, readout_s=0.003)
 DEVICE = DotArrayDevice.double_dot(cross_coupling=(0.25, 0.22))
 CSD = CSDSimulator(DEVICE).simulate(GRID, noise=WhiteNoise(0.05), seed=4)
 AXIS = np.linspace(0.0, 0.04, GRID)
-AXIS_X = CSD.x_voltages
-AXIS_Y = CSD.y_voltages
 
 
 def dataset_backend() -> MeasurementBackend:
@@ -129,11 +126,9 @@ class ReferenceMeter:
     error.
     """
 
-    def __init__(self, backend, cache=True, max_probes=None, retry=None):
+    def __init__(self, backend, retry=None):
         self.backend = backend
         self.clock = VirtualClock(TIMING)
-        self.cache = cache
-        self.max_probes = max_probes
         self.retry = retry or ProbeRetryPolicy.no_retry()
         self.reset()
 
@@ -152,10 +147,11 @@ class ReferenceMeter:
 
     def _read(self, row, col):
         """One physical probe's value; the clock ends at its completion."""
+        keys = np.array([row * self.backend.shape[1] + col])
         if not hasattr(self.backend, "plan_batch"):
             self.clock.charge_probe()
             times = np.array([self.clock.elapsed_s])
-            return float(self.backend.currents(np.array([row]), np.array([col]), times)[0])
+            return float(self.backend.currents(keys, times)[0])
         if self.breaker_open:
             raise CircuitBreakerOpenError(
                 "circuit breaker is open; reset() the meter to re-arm it"
@@ -170,7 +166,7 @@ class ReferenceMeter:
                 backoff *= policy.backoff_factor
             self.clock.charge_probe()
             times = np.array([self.clock.elapsed_s])
-            plan = self.backend.plan_batch(np.array([row]), np.array([col]), times)
+            plan = self.backend.plan_batch(keys, times, policy.timeout_s)
             disruption = plan.disruption
             if disruption is None:
                 self.consecutive_failures = 0
@@ -207,17 +203,12 @@ class ReferenceMeter:
             raise MeasurementError(f"pixel ({row}, {col}) off the grid")
         vx = float(self.backend.x_voltages[col])
         vy = float(self.backend.y_voltages[row])
-        if self.cache and self.measured[row, col]:
+        if self.measured[row, col]:
             value = float(self.values[row, col])
             self.log.append((row, col, vx, vy, value, self.clock.elapsed_s, True))
             return value
-        if self.max_probes is not None and self.n_probes >= self.max_probes:
-            raise ProbeBudgetExceededError(
-                f"probe budget of {self.max_probes} points exhausted"
-            )
         value = self._read(row, col)
-        if not self.measured[row, col]:
-            self.n_probes += 1
+        self.n_probes += 1
         self.measured[row, col] = True
         self.values[row, col] = value
         self.log.append((row, col, vx, vy, value, self.clock.elapsed_s, False))
@@ -229,12 +220,6 @@ class ReferenceMeter:
     @property
     def n_cache_hits(self):
         return sum(entry[-1] for entry in self.log)
-
-
-def _record(row, col, value, time_s, cached):
-    return ProbeRecord(
-        row, col, float(AXIS_X[col]), float(AXIS_Y[row]), value, time_s, cached
-    )
 
 
 def expected_records(log: list[tuple]) -> tuple[ProbeRecord, ...]:
@@ -286,8 +271,7 @@ def assert_meters_match(meter: ChargeSensorMeter, reference: ReferenceMeter):
 def run_both(meter, reference, batches):
     """Send each batch to both meters; their errors must coincide.
 
-    A budget error or an instrument fault is raised by both, with the same
-    type and message.  Pixels are wrapped onto the meter's grid.  Returns
+    An instrument fault is raised by both, with the same type and message.  Pixels are wrapped onto the meter's grid.  Returns
     each batch's outcome: its values, or the error's ``(type, message)``.
     """
     n_rows, n_cols = meter.shape
@@ -299,7 +283,7 @@ def run_both(meter, reference, batches):
         for measure in (meter.get_currents, reference.get_currents):
             try:
                 outcome.append(measure(rows, cols))
-            except (ProbeBudgetExceededError, InstrumentFault) as exc:
+            except InstrumentFault as exc:
                 outcome.append((type(exc), str(exc)))
         if isinstance(outcome[0], tuple) or isinstance(outcome[1], tuple):
             assert outcome[0] == outcome[1]
@@ -316,7 +300,6 @@ pixels = st.one_of(
     st.tuples(st.integers(0, GRID - 1), st.integers(0, GRID - 1)),
 )
 batches = st.lists(st.lists(pixels, max_size=14), min_size=1, max_size=6)
-budgets = st.one_of(st.none(), st.integers(0, 24))
 retry_policies = st.one_of(
     st.none(),
     st.just(ProbeRetryPolicy.no_retry()),
@@ -341,35 +324,21 @@ flaky_faults = st.tuples(
 class TestAgainstReferenceMeter:
     @pytest.mark.parametrize("kind", sorted(BACKENDS))
     @settings(max_examples=60, deadline=None)
-    @given(batches=batches, cache=st.booleans(), max_probes=budgets)
-    def test_request_sequences(self, kind, batches, cache, max_probes):
+    @given(batches=batches)
+    def test_request_sequences(self, kind, batches):
         make = BACKENDS[kind]
-        meter = ChargeSensorMeter(
-            make(), clock=VirtualClock(TIMING), cache=cache, max_probes=max_probes
-        )
-        reference = ReferenceMeter(make(), cache=cache, max_probes=max_probes)
+        meter = ChargeSensorMeter(make(), clock=VirtualClock(TIMING))
+        reference = ReferenceMeter(make())
         run_both(meter, reference, batches)
         assert_meters_match(meter, reference)
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        faults=flaky_faults,
-        retry=retry_policies,
-        batches=batches,
-        cache=st.booleans(),
-        max_probes=budgets,
-    )
-    def test_flaky_request_sequences(self, faults, retry, batches, cache, max_probes):
+    @given(faults=flaky_faults, retry=retry_policies, batches=batches)
+    def test_flaky_request_sequences(self, faults, retry, batches):
         meter = ChargeSensorMeter(
-            flaky_backend(*faults),
-            clock=VirtualClock(TIMING),
-            cache=cache,
-            max_probes=max_probes,
-            retry=retry,
+            flaky_backend(*faults), clock=VirtualClock(TIMING), retry=retry
         )
-        reference = ReferenceMeter(
-            flaky_backend(*faults), cache=cache, max_probes=max_probes, retry=retry
-        )
+        reference = ReferenceMeter(flaky_backend(*faults), retry=retry)
         run_both(meter, reference, batches)
         assert_meters_match(meter, reference)
 
@@ -420,53 +389,30 @@ class TestAgainstReferenceMeter:
         assert np.array_equal(image, expected)
         assert_meters_match(meter, reference)
 
-    def test_budget_refill_repeat_stops_batch_without_cache(self):
-        # The first request fills the one-probe budget; without a cache the
-        # repeat is a second physical probe, so the batch stops before it.
-        meter = ChargeSensorMeter(
-            dataset_backend(), clock=VirtualClock(TIMING), cache=False, max_probes=1
-        )
-        with pytest.raises(ProbeBudgetExceededError):
-            meter.get_currents([0, 0], [0, 0])
-        assert meter.n_requests == 1
-        assert meter.n_probes == 1
-        assert meter.elapsed_s == TIMING.cost_per_probe_s
-        assert meter.log.records == (
-            _record(0, 0, float(CSD.data[0, 0]), TIMING.cost_per_probe_s, False),
-        )
-
-    def test_budget_refill_repeat_is_a_free_hit_with_cache(self):
-        meter = ChargeSensorMeter(
-            dataset_backend(), clock=VirtualClock(TIMING), cache=True, max_probes=1
-        )
-        values = meter.get_currents([0, 0], [0, 0])
-        assert np.array_equal(values, [CSD.data[0, 0]] * 2)
-        assert (meter.n_requests, meter.n_probes, meter.n_cache_hits) == (2, 1, 1)
-
     def test_backend_implementing_only_currents(self):
         class ReplayOnly(MeasurementBackend):
             x_voltages = CSD.x_voltages
             y_voltages = CSD.y_voltages
 
-            def currents(self, rows, cols, times_s=None):
-                rows, cols = self.validate_pixels(rows, cols)
-                return CSD.data[rows, cols].astype(float)
+            def currents(self, keys, times_s=None):
+                return CSD.data.take(self.validate_keys(keys)).astype(float)
 
         meter = ChargeSensorMeter(ReplayOnly())
         assert meter.get_current(2, 3) == CSD.data[2, 3]
         assert np.array_equal(meter.get_currents([4, 2], [1, 3]), CSD.data[[4, 2], [1, 3]])
+        with pytest.raises(MeasurementError, match="outside"):
+            meter.get_current(GRID, 0)
         with pytest.raises(NotImplementedError):
-            MeasurementBackend().currents([0], [0])
+            MeasurementBackend().currents([0])
 
 
 class TestDeferredLog:
-    def _pair(self, cache=True):
-        meter = ChargeSensorMeter(dataset_backend(), clock=VirtualClock(TIMING), cache=cache)
-        return meter, ReferenceMeter(dataset_backend(), cache=cache)
+    def _pair(self):
+        meter = ChargeSensorMeter(dataset_backend(), clock=VirtualClock(TIMING))
+        return meter, ReferenceMeter(dataset_backend())
 
-    @pytest.mark.parametrize("cache", [True, False])
-    def test_reads_mid_run_and_after_reset(self, cache):
-        meter, reference = self._pair(cache)
+    def test_reads_mid_run_and_after_reset(self):
+        meter, reference = self._pair()
         script = [[(1, 1), (2, 2), (1, 1)], [(2, 2), (3, 3)], [(0, 5), (0, 5), (0, 5)]]
         for batch in script:
             run_both(meter, reference, [batch])
@@ -491,9 +437,8 @@ class TestDeferredLog:
         assert len(meter.log) == 3 and meter.log.n_cached == 1
         assert meter.log._pending, "counts should come from running counters"
 
-    @pytest.mark.parametrize("cache", [True, False])
-    def test_caller_mutations_do_not_reach_the_log(self, cache):
-        meter, reference = self._pair(cache)
+    def test_caller_mutations_do_not_reach_the_log(self):
+        meter, reference = self._pair()
         rows = np.array([3, 1, 3, 2], dtype=np.int64)
         cols = np.array([4, 1, 4, 0], dtype=np.int64)
         values = meter.get_currents(rows, cols)

@@ -217,14 +217,16 @@ class _FailsColumnZero(DatasetBackend):
         )
         self.error_type = error_type
 
-    def plan_batch(self, rows, cols, times_s) -> BatchPlan:
-        values = self.currents(rows, cols)
-        failing = np.flatnonzero(np.asarray(cols) == 0)
+    def plan_batch(self, keys, times_s, timeout_s) -> BatchPlan:
+        failing = np.flatnonzero(np.asarray(keys) % 4 == 0)
         if failing.size == 0:
-            return BatchPlan(values=values)
+            return BatchPlan(values=self.currents(keys))
+        # As the contract says: values only for the probes before the error.
+        index = int(failing[0])
         error = self.error_type("scripted read failure in column 0")
         return BatchPlan(
-            values=values, disruption=ProbeDisruption(index=int(failing[0]), error=error)
+            values=self.currents(keys[:index]),
+            disruption=ProbeDisruption(index=index, error=error),
         )
 
 

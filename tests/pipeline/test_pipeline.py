@@ -394,9 +394,8 @@ class TestComposerSemantics:
             def y_voltages(self):
                 return clean_csd.y_voltages
 
-            def currents(self, rows, cols, times_s=None):
-                rows, cols = self.validate_pixels(rows, cols)
-                return clean_csd.data[rows, cols].astype(float)
+            def currents(self, keys, times_s=None):
+                return clean_csd.data.take(self.validate_keys(keys)).astype(float)
 
         ctx = TuneContext(meter=ChargeSensorMeter(NamelessBackend()))
         with pytest.raises(ExtractionError, match="gate names"):

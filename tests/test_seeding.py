@@ -101,7 +101,7 @@ def _noise_field(seed, shape=(24, 24)) -> np.ndarray:
         noise=standard_lab_noise(),
         seed=seed,
     )
-    backend.currents([0], [0])  # force noise-field generation
+    backend.currents([0])  # force noise-field generation
     return backend._noise_field
 
 
