@@ -1068,15 +1068,13 @@ class ChargeSensorMeter:
             Measured currents (nA), one per request, in request order.
         """
         rows, cols = _validated_pixels(rows, cols, self._shape)
-        n = rows.size
-        if n == 0:
+        if rows.size == 0:
             return np.zeros(0)
         keys = rows * self._n_cols + cols
         # The first request of each never-measured pixel is a physical probe.
         probes = first_requests(keys, (~self._measured[keys]).nonzero()[0])
         probe_keys = keys[probes]
         base_time = self._clock.elapsed_s
-        stop = n
         failure = None
         if not probes.size:
             measured = probe_times = np.zeros(0)
@@ -1084,7 +1082,7 @@ class ChargeSensorMeter:
             measured, probe_times, failure = self._measure_faulty(probe_keys)
             if failure is not None:
                 # Requests before the first uncommitted probe are final.
-                stop = int(probes[measured.size])
+                keys = keys[: probes[measured.size]]
                 probes = probes[: measured.size]
                 probe_keys = probe_keys[: measured.size]
         else:
@@ -1095,10 +1093,10 @@ class ChargeSensorMeter:
         self._n_probes += probes.size
         # When every committed request was a probe, the values are the
         # measurements themselves.
-        values = measured if probes.size == stop else self._values[keys[:stop]]
-        if stop:
+        values = measured if probes.size == keys.size else self._values[keys]
+        if keys.size:
             self._log.queue_batch(
-                keys[:stop],
+                keys,
                 values.copy(),
                 base_time,
                 probe_times,

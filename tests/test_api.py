@@ -27,7 +27,7 @@ MAX_OPTIONS = 277
 #: Ceiling on the physical lines of the package's modules, counted by
 #: :func:`count_src_lines`.  Like :data:`MAX_OPTIONS` it may rise only with
 #: a stated reason, and is lowered when code goes.
-MAX_SRC_LINES = 19576
+MAX_SRC_LINES = 19574
 
 
 class TestTopLevelApi:
