@@ -224,6 +224,29 @@ class TestBackendCurrents:
         backend = DatasetBackend(clean_csd)
         assert backend.currents([]).shape == (0,)
 
+    def test_meter_hands_the_backend_only_first_requests(self, clean_csd):
+        # The backend sees the first request of each never-measured pixel,
+        # as a flat key, at its probe's timestamp; a batch of cache hits
+        # reaches no backend at all.
+        calls = []
+
+        class Recording(DatasetBackend):
+            def currents(self, keys, times_s=None):
+                calls.append((np.array(keys).tolist(), np.array(times_s).tolist()))
+                return super().currents(keys, times_s)
+
+        clock = VirtualClock(TimingModel(dwell_time_s=0.5))
+        meter = ChargeSensorMeter(Recording(clean_csd), clock=clock)
+        meter.get_currents([1, 2], [1, 2])
+        meter.get_currents([1, 4, 2, 4, 0], [1, 3, 2, 3, 7])
+        meter.get_currents([4, 1], [3, 1])
+        n_cols = meter.shape[1]
+        assert calls == [
+            ([n_cols + 1, 2 * n_cols + 2], [0.5, 1.0]),
+            ([4 * n_cols + 3, 7], [1.5, 2.0]),
+        ]
+        assert (meter.n_probes, meter.n_requests, meter.elapsed_s) == (4, 9, 2.0)
+
 
 class TestGetCurrentsEquivalence:
     def test_dataset_backend(self, clean_csd, rng):

@@ -245,6 +245,27 @@ class TestFailedBatchCommitsItsPrefix:
         assert meter.n_fault_events == 2
         assert meter.n_probes_exhausted == 1
 
+    def test_requests_after_the_failure_stay_unmeasured(self):
+        # The batch stops at its first uncommitted probe, (3, 0): the repeat
+        # of (1, 1) before it commits as a cache hit, and (2, 2) after it
+        # stays unmeasured until a later request pays for it.
+        meter = ChargeSensorMeter(
+            _FailsColumnZero(),
+            retry=ProbeRetryPolicy(max_attempts=1, breaker_failures=0),
+        )
+        with pytest.raises(TransientReadError, match="column 0"):
+            meter.get_currents([1, 2, 1, 3, 2], [1, 1, 1, 0, 2])
+        assert (meter.n_probes, meter.n_requests) == (2, 3)
+        assert [(r.row, r.col, r.cached) for r in meter.log.records] == [
+            (1, 1, False),
+            (2, 1, False),
+            (1, 1, True),
+        ]
+        assert np.isnan(meter.measured_image()[[2, 3], [2, 0]]).all()
+        assert np.array_equal(meter.get_currents([1, 2], [1, 2]), [1.0, 1.0])
+        assert (meter.n_probes, meter.n_requests) == (3, 5)
+        assert [r.cached for r in meter.log.records[3:]] == [True, False]
+
 
 class TestBreakerOnBothProbePaths:
     """A clean read resets the breaker count and an open breaker refuses the

@@ -8,7 +8,7 @@ import pytest
 
 from repro.exceptions import ExtractionError, TransientReadError
 from repro.faults import TransientReadFault
-from repro.instrument import ProbeRetryPolicy, SessionFactory
+from repro.instrument import ProbeRetryPolicy, SessionFactory, TimingModel
 from repro.physics import DeviceDrift, WhiteNoise
 from repro.pipeline import AutoTuningWorkflow
 from repro.scenarios import get_scenario
@@ -108,6 +108,35 @@ class TestStableDeviceStaysFresh:
         # Checks are cheap: a handful of probes, not a rescan.
         check_probes = sum(c.check.n_check_pixels for c in outcome.cycles)
         assert check_probes <= 2 * 16
+
+
+class TestStalenessCheckCost:
+    """A check's reference pixels are distinct measured pixels, so the fresh
+    meter it runs on pays one dwell for each, and ``total_probes`` may count
+    ``n_check_pixels`` as probes."""
+
+    @pytest.mark.parametrize(
+        "n_check_pixels", [16, 10**5], ids=["default", "more-than-measured"]
+    )
+    def test_each_reference_pixel_is_one_probe(self, n_check_pixels):
+        factory = SessionFactory(
+            get_scenario("quiet_lab").build_device(),
+            resolution=32,
+            timing=TimingModel(dwell_time_s=0.25),
+        )
+        outcome = AutoTuningWorkflow(factory, seed=1).run_with_retuning(
+            idle_time_s=60.0, n_cycles=1, n_check_pixels=n_check_pixels
+        )
+        (cycle,) = outcome.cycles
+        n_checked = cycle.check.n_check_pixels
+        assert n_checked == min(n_check_pixels, outcome.initial.extraction.probe_stats.n_probes)
+        (telemetry,) = [t for t in cycle.stage_telemetry if t.stage == "staleness-check"]
+        assert (telemetry.n_probes, telemetry.n_requests, telemetry.cache_hits) == (
+            n_checked,
+            n_checked,
+            0,
+        )
+        assert telemetry.sim_elapsed_s == pytest.approx(0.25 * n_checked)
 
 
 class TestFactoryFaultsReachTheWorkflow:
