@@ -74,7 +74,7 @@ def main() -> None:
     print(
         ascii_probe_map(
             csd.shape,
-            session.meter.log.probe_mask(csd.shape),
+            session.meter.probe_mask(),
             max_rows=28,
             max_cols=56,
         )

@@ -165,13 +165,12 @@ def run_figure7(indices: tuple[int, ...] = (6, 10)) -> list[ProbeMapResult]:
         csd = load_benchmark(index)
         session = ExperimentSession.from_csd(csd)
         extraction = FastVirtualGateExtractor().extract(session)
-        mask = session.meter.log.probe_mask(csd.shape)
         results.append(
             ProbeMapResult(
                 index=index,
                 name=str(csd.metadata.get("name", f"benchmark-{index}")),
                 shape=csd.shape,
-                probe_mask=mask,
+                probe_mask=session.meter.probe_mask(),
                 n_probes=extraction.probe_stats.n_probes,
                 probe_fraction=extraction.probe_stats.probe_fraction,
                 success=extraction.success,

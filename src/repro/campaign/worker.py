@@ -40,9 +40,8 @@ DEFAULT_FAULT_RETRY = ProbeRetryPolicy()
 #: reasons.  First hit wins; the patterns mirror the messages raised by the
 #: extraction pipeline and its validators.
 _FAILURE_RULES: tuple[tuple[str, str], ...] = (
-    # Instrument-fault rules come first: their messages can contain words
-    # the generic extraction rules also match ("budget" in the probe
-    # timeout message), and first hit wins.
+    # Instrument-fault rules come first, the breaker's before the others:
+    # its message quotes the fault that tripped it, and first hit wins.
     ("circuit breaker", "circuit-breaker"),
     ("timeout budget", "probe-timeout"),
     ("injected", "instrument-fault"),
@@ -56,7 +55,6 @@ _FAILURE_RULES: tuple[tuple[str, str], ...] = (
     ("need at least", "too-few-points"),
     ("anchor", "anchor-search"),
     ("transition", "no-transition"),
-    ("budget", "probe-budget"),
 )
 
 

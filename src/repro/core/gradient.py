@@ -138,7 +138,7 @@ class MaskResponse:
     A whole sweep is one batched probe: the pixels under every kernel
     position are requested position by position, kernel row by kernel row,
     clamped at the grid edges — the order a per-pixel loop would probe them
-    in, so probe counts, cache hits and the log are the same.
+    in, so probe counts, cache hits and the probe order are the same.
     """
 
     def __init__(self, meter: ChargeSensorMeter, mask: np.ndarray | tuple) -> None:

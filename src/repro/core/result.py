@@ -32,7 +32,7 @@ class StageTelemetry:
     """
 
     stage: str
-    outcome: str  # "ok" | "failed" | "skipped"
+    outcome: str  # "ok" | "failed"
     n_probes: int = 0
     n_requests: int = 0
     cache_hits: int = 0

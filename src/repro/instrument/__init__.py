@@ -1,4 +1,4 @@
-"""Instrument simulation: sessions, dwell-time accounting, and the probe log.
+"""Instrument simulation: sessions, dwell-time accounting, and the meter's pixel cache.
 
 This subpackage reproduces the *cost model* of the real experiment: every
 probed voltage point takes a dwell time (50 ms in the paper), so runtime is
@@ -11,8 +11,6 @@ from .measurement import (
     DeviceBackend,
     MeasurementBackend,
     MeterSnapshot,
-    ProbeLog,
-    ProbeRecord,
 )
 from .resilience import ProbeRetryPolicy
 from .session import ExperimentSession, SessionFactory
@@ -24,8 +22,6 @@ __all__ = [
     "DeviceBackend",
     "MeasurementBackend",
     "MeterSnapshot",
-    "ProbeLog",
-    "ProbeRecord",
     "ProbeRetryPolicy",
     "ExperimentSession",
     "SessionFactory",

@@ -16,10 +16,12 @@ Two backends supply the current value:
 * :class:`DeviceBackend` evaluates the physics model on demand over a
   configured voltage grid, optionally adding a reproducible noise field.
 
-:class:`ChargeSensorMeter` wraps a backend with dwell-time accounting, a probe
-log (used to reproduce Figure 7) and a per-pixel cache: re-requesting an
-already measured pixel costs nothing, mirroring how an automation script keeps
-values it has already paid for.
+:class:`ChargeSensorMeter` wraps a backend with dwell-time accounting and a
+per-pixel cache: re-requesting an already measured pixel costs nothing,
+mirroring how an automation script keeps values it has already paid for.  The
+meter keeps no per-request log: the cache and the keys of its probes, in
+order, are its record of what it measured (the probe mask of Figure 7, the
+measured image and the probed pixels).
 
 The meter has one probe path, :meth:`ChargeSensorMeter.get_currents`, and
 backends implement one method, ``currents``: whole arrays of flat pixel keys
@@ -30,7 +32,7 @@ sweeps, every shrinking-triangle sweep step, and the baseline's full-grid
 scan are one ``get_currents`` call each; :meth:`~ChargeSensorMeter.get_current`
 is a one-pixel batch.  A batch behaves request by request like a sequential
 loop of single probes — same values, probe counts, cache hits, clock
-readings and log contents — with every pixel validated up front.
+readings and probed pixels — with every pixel validated up front.
 
 Each meter batch does its bookkeeping once.  The meter validates the rows
 and columns at its boundary against the grid shape it read from the backend
@@ -62,10 +64,6 @@ from ..physics.noise import NoiseModel, NoNoise, TimeDependentNoise
 from ..seeding import DRIFT_INDEX, TEMPORAL_NOISE_INDEX, reserved_seeds
 from .resilience import ProbeRetryPolicy
 from .timing import TimingModel, VirtualClock
-
-#: Initial column capacity of a probe log.
-_LOG_INITIAL_CAPACITY = 64
-
 
 _INT64 = np.dtype(np.int64)
 
@@ -119,227 +117,6 @@ def _validated_pixels(
             f"{n_rows}x{n_cols} measurement grid"
         )
     return rows, cols
-
-
-@dataclass(frozen=True)
-class ProbeRecord:
-    """One measured voltage point."""
-
-    row: int
-    col: int
-    voltage_x: float
-    voltage_y: float
-    current_na: float
-    time_s: float
-    cached: bool = False
-
-
-class ProbeLog:
-    """Ordered log of every measurement request.
-
-    Stored as growable columnar numpy arrays rather than one Python object
-    per request, so logging does not dominate batched acquisitions.  The
-    meter writes through one path, :meth:`queue_batch`: a batch is queued
-    as it was measured (flat pixel keys, values, probe times and the
-    positions of its physical probes) and expanded into the seven columns
-    only when something reads them; the request and cache-hit counts are
-    running counters, so the meter's snapshots never expand the queue.  The
-    record-oriented surface — :attr:`records`, iteration, indexing — reads
-    :class:`ProbeRecord` views of the columns.
-    """
-
-    _COLUMN_NAMES = (
-        "_rows",
-        "_cols",
-        "_voltage_x",
-        "_voltage_y",
-        "_currents",
-        "_times",
-        "_cached",
-    )
-
-    def __init__(self) -> None:
-        self._n = 0
-        self._rows = np.empty(_LOG_INITIAL_CAPACITY, dtype=np.int64)
-        self._cols = np.empty(_LOG_INITIAL_CAPACITY, dtype=np.int64)
-        self._voltage_x = np.empty(_LOG_INITIAL_CAPACITY, dtype=float)
-        self._voltage_y = np.empty(_LOG_INITIAL_CAPACITY, dtype=float)
-        self._currents = np.empty(_LOG_INITIAL_CAPACITY, dtype=float)
-        self._times = np.empty(_LOG_INITIAL_CAPACITY, dtype=float)
-        self._cached = np.empty(_LOG_INITIAL_CAPACITY, dtype=bool)
-        self._pending: list[tuple] = []
-        self._n_requests = 0
-        self._n_cached = 0
-
-    # ------------------------------------------------------------------
-    # Writes
-    # ------------------------------------------------------------------
-    def _reserve(self, extra: int) -> None:
-        need = self._n + extra
-        capacity = self._rows.size
-        if need <= capacity:
-            return
-        new_capacity = max(need, 2 * capacity)
-        for name in self._COLUMN_NAMES:
-            old = getattr(self, name)
-            grown = np.empty(new_capacity, dtype=old.dtype)
-            grown[: self._n] = old[: self._n]
-            setattr(self, name, grown)
-
-    def queue_batch(
-        self,
-        keys: np.ndarray,
-        currents_na: np.ndarray,
-        base_time_s: float,
-        probe_times_s: np.ndarray,
-        probe_positions: np.ndarray,
-        x_voltages: np.ndarray,
-        y_voltages: np.ndarray,
-    ) -> None:
-        """Queue one meter batch; it is expanded into columns when read.
-
-        ``keys`` are the requests' flat pixel indices ``row * n_cols + col``
-        on the grid spanned by ``x_voltages`` (columns) and ``y_voltages``
-        (rows).  The requests at ``probe_positions`` (ascending) were
-        physical probes, measured at ``probe_times_s``; every other request
-        was a cache hit, stamped with the time of the last probe before it
-        (``base_time_s`` before the first).  The caller hands over arrays it
-        will not touch again.
-        """
-        self._pending.append(
-            (
-                keys,
-                currents_na,
-                base_time_s,
-                probe_times_s,
-                probe_positions,
-                x_voltages,
-                y_voltages,
-            )
-        )
-        self._n_requests += keys.size
-        self._n_cached += keys.size - probe_positions.size
-
-    def _expand(self) -> None:
-        """Write every queued batch into the columns, in request order."""
-        if not self._pending:
-            return
-        pending, self._pending = self._pending, []
-        for keys, currents, base, probe_times, positions, xs, ys in pending:
-            rows, cols = np.divmod(keys, xs.size)
-            cached = np.ones(keys.size, dtype=bool)
-            cached[positions] = False
-            # A request's timestamp is the elapsed time after the last
-            # physical probe at or before it (cache hits cost nothing).
-            times = np.concatenate(([base], probe_times))[np.cumsum(~cached)]
-            self._reserve(keys.size)
-            grown = slice(self._n, self._n + keys.size)
-            self._rows[grown] = rows
-            self._cols[grown] = cols
-            self._voltage_x[grown] = xs[cols]
-            self._voltage_y[grown] = ys[rows]
-            self._currents[grown] = currents
-            self._times[grown] = times
-            self._cached[grown] = cached
-            self._n += keys.size
-
-    # ------------------------------------------------------------------
-    # Record-oriented views
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return self._n_requests
-
-    def __getitem__(self, index: int) -> ProbeRecord:
-        self._expand()
-        i = int(index)
-        if i < 0:
-            i += self._n
-        if not 0 <= i < self._n:
-            raise IndexError(f"log index {index} out of range for {self._n} records")
-        return ProbeRecord(
-            row=int(self._rows[i]),
-            col=int(self._cols[i]),
-            voltage_x=float(self._voltage_x[i]),
-            voltage_y=float(self._voltage_y[i]),
-            current_na=float(self._currents[i]),
-            time_s=float(self._times[i]),
-            cached=bool(self._cached[i]),
-        )
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
-
-    @property
-    def records(self) -> tuple[ProbeRecord, ...]:
-        """Materialised record view of the columns.
-
-        A fresh tuple per access — O(n), and deliberately immutable so that
-        code appending to it fails loudly instead of mutating a throwaway
-        copy.
-        """
-        return tuple(self[i] for i in range(len(self)))
-
-    # ------------------------------------------------------------------
-    # Statistics
-    # ------------------------------------------------------------------
-    @property
-    def n_requests(self) -> int:
-        """Total number of requests, including cache hits."""
-        return self._n_requests
-
-    def _measured_pairs(self) -> np.ndarray:
-        """``(row, col)`` of every physical probe, in request order."""
-        self._expand()
-        measured = ~self._cached[: self._n]
-        return np.column_stack(
-            [self._rows[: self._n][measured], self._cols[: self._n][measured]]
-        )
-
-    @property
-    def n_unique_pixels(self) -> int:
-        """Number of distinct pixels that were physically measured."""
-        pairs = self._measured_pairs()
-        if not pairs.size:
-            return 0
-        return int(np.unique(pairs, axis=0).shape[0])
-
-    def unique_pixels(self) -> list[tuple[int, int]]:
-        """Distinct physically measured pixels in first-probe order."""
-        pairs = self._measured_pairs()
-        if not pairs.size:
-            return []
-        _, first_seen = np.unique(pairs, axis=0, return_index=True)
-        ordered = pairs[np.sort(first_seen)]
-        return [(int(row), int(col)) for row, col in ordered]
-
-    @property
-    def n_cached(self) -> int:
-        """Number of requests answered from the meter cache."""
-        return self._n_cached
-
-    def as_arrays(self) -> dict[str, np.ndarray]:
-        """Columns of the log as independent numpy arrays (export/plotting)."""
-        self._expand()
-        n = self._n
-        return {
-            "row": self._rows[:n].astype(int),
-            "col": self._cols[:n].astype(int),
-            "voltage_x": self._voltage_x[:n].copy(),
-            "voltage_y": self._voltage_y[:n].copy(),
-            "current_na": self._currents[:n].copy(),
-            "time_s": self._times[:n].copy(),
-            "cached": self._cached[:n].copy(),
-        }
-
-    def probe_mask(self, shape: tuple[int, int]) -> np.ndarray:
-        """Boolean image of which pixels were physically measured."""
-        mask = np.zeros(shape, dtype=bool)
-        pairs = self._measured_pairs()
-        rows, cols = pairs[:, 0], pairs[:, 1]
-        in_bounds = (rows >= 0) & (rows < shape[0]) & (cols >= 0) & (cols < shape[1])
-        mask[rows[in_bounds], cols[in_bounds]] = True
-        return mask
 
 
 @dataclass(frozen=True)
@@ -760,7 +537,7 @@ class DeviceBackend(MeasurementBackend):
 
 
 class ChargeSensorMeter:
-    """The paper's ``getCurrent`` with dwell-time accounting and a probe log.
+    """The paper's ``getCurrent`` with dwell-time accounting and a pixel cache.
 
     Re-requesting an already measured pixel returns the stored value without
     charging dwell time — this is how an automation script would behave, and
@@ -768,7 +545,9 @@ class ChargeSensorMeter:
     data points probed".  The meter owns this cache; backends stay stateless
     value sources.  A procedure that must pay for fresh values of pixels it
     has measured (the workflow's staleness check) opens a fresh meter on the
-    same backend and clock.
+    same backend and clock.  :meth:`probe_mask` and :meth:`measured_image`
+    read the cache, :meth:`probed_pixels` the keys of its probes in order,
+    and a request counter gives the cache hits.
 
     Parameters
     ----------
@@ -787,7 +566,7 @@ class ChargeSensorMeter:
         the first fault fails the probe; with an ordinary backend the
         policy is inert.  Failed attempts, backoffs, and tolerated stalls
         all charge the virtual clock but never the probe count or the
-        log — only the attempt that returns a value is a probe.
+        cache — only the attempt that returns a value is a probe.
     """
 
     def __init__(
@@ -798,7 +577,6 @@ class ChargeSensorMeter:
     ) -> None:
         self._backend = backend
         self._clock = clock or VirtualClock(TimingModel.paper_default())
-        self._log = ProbeLog()
         # The grid is fixed for the meter's lifetime: read it once.
         n_rows, n_cols = backend.shape
         self._shape = (int(n_rows), int(n_cols))
@@ -809,10 +587,13 @@ class ChargeSensorMeter:
         self._measured = np.zeros(n_rows * n_cols, dtype=bool)
         self._values = np.zeros(n_rows * n_cols, dtype=float)
         self._n_probes = 0
+        self._n_requests = 0
+        # Keys of each batch's committed physical probes, in probe order; a
+        # pixel is probed at most once, so no key repeats.
+        self._probe_keys: list[np.ndarray] = []
         # Resilience state.  Only the measuring step of a batch differs for
         # a backend that can plan faults (``_measure_faulty`` plans, commits
-        # and retries); caching, clock and log are shared with clean
-        # backends.
+        # and retries); caching and clock are shared with clean backends.
         self._retry = retry
         self._fault_capable = hasattr(backend, "plan_batch")
         self._n_probe_retries = 0
@@ -832,11 +613,6 @@ class ChargeSensorMeter:
     def clock(self) -> VirtualClock:
         """The virtual clock."""
         return self._clock
-
-    @property
-    def log(self) -> ProbeLog:
-        """The probe log."""
-        return self._log
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -861,7 +637,7 @@ class ChargeSensorMeter:
     @property
     def n_requests(self) -> int:
         """Number of measurement requests including cache hits."""
-        return self._log.n_requests
+        return self._n_requests
 
     @property
     def probe_fraction(self) -> float:
@@ -876,23 +652,7 @@ class ChargeSensorMeter:
     @property
     def n_cache_hits(self) -> int:
         """Number of requests answered from the cache rather than measured."""
-        return self._log.n_cached
-
-    @property
-    def kernel_cache_hits(self) -> int:
-        """Pixels served from the cross-job kernel cache (0 if inapplicable).
-
-        Unwraps a fault-injecting backend, whose clean values come from the
-        wrapped device backend.
-        """
-        backend = getattr(self._backend, "inner", self._backend)
-        return int(getattr(backend, "kernel_cache_hits", 0))
-
-    @property
-    def kernel_cache_solves(self) -> int:
-        """Pixels solved fresh into the cross-job kernel cache."""
-        backend = getattr(self._backend, "inner", self._backend)
-        return int(getattr(backend, "kernel_cache_solves", 0))
+        return self._n_requests - self._n_probes
 
     def snapshot(self) -> MeterSnapshot:
         """Freeze the meter's cost counters (probes, requests, hits, time).
@@ -903,8 +663,8 @@ class ChargeSensorMeter:
         """
         return MeterSnapshot(
             n_probes=self._n_probes,
-            n_requests=self._log.n_requests,
-            n_cache_hits=self._log.n_cached,
+            n_requests=self._n_requests,
+            n_cache_hits=self._n_requests - self._n_probes,
             elapsed_s=self._clock.elapsed_s,
         )
 
@@ -944,9 +704,7 @@ class ChargeSensorMeter:
     # ------------------------------------------------------------------
     # Probing a fault-capable backend
     # ------------------------------------------------------------------
-    def _measure_faulty(
-        self, probe_keys: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, Exception | None]:
+    def _measure_faulty(self, probe_keys: np.ndarray) -> tuple[np.ndarray, Exception | None]:
         """Measure a batch's physical probes against a fault-capable backend.
 
         Each pass plans every pending probe at the timestamps it *would* get
@@ -961,16 +719,15 @@ class ChargeSensorMeter:
         the same fault.  After the backoff, the next plan covers the retry
         and every probe behind it; the retry samples a *later* timestamp,
         and so fresh fault luck, as on real hardware.  Returns the committed
-        probes' values and completion times, and the fault that stopped the
-        batch (a probe out of attempts, or the circuit breaker), if any.
+        probes' values and the fault that stopped the batch (a probe out of
+        attempts, or the circuit breaker), if any.
         """
         policy = self._retry or ProbeRetryPolicy.no_retry()
         n_physical = probe_keys.size
         values = np.empty(n_physical, dtype=float)
-        times = np.empty(n_physical, dtype=float)
         if self._breaker_open:
             # Refused without touching the backend or the clock.
-            return values[:0], times[:0], CircuitBreakerOpenError(
+            return values[:0], CircuitBreakerOpenError(
                 "circuit breaker is open; reset() the meter to re-arm it"
             )
         done = 0
@@ -996,13 +753,12 @@ class ChargeSensorMeter:
                 # and give the next pending probe a fresh set of attempts.
                 self._consecutive_failures = 0
                 attempt, backoff = 1, policy.backoff_s
-                times[done : done + committed] = self._clock.charge_probes(committed)
+                self._clock.charge_probes(committed)
                 values[done : done + committed] = plan.values
                 done += committed
                 if landed:
                     self._clock.advance(disruption.stall_s)
                     self._fault_delay_s += disruption.stall_s
-                    times[done - 1] = self._clock.elapsed_s
             if disruption is None or landed:
                 continue
             # A failed attempt of the first pending probe: the dwell bought nothing.
@@ -1024,15 +780,15 @@ class ChargeSensorMeter:
                 and self._consecutive_failures >= policy.breaker_failures
             ):
                 self._breaker_open = True
-                return values[:done], times[:done], CircuitBreakerOpenError(
+                return values[:done], CircuitBreakerOpenError(
                     f"circuit breaker open after {self._consecutive_failures} "
                     f"consecutive probe failures (last: {error})"
                 )
             if attempt == policy.max_attempts:
                 self._n_probes_exhausted += 1
-                return values[:done], times[:done], error
+                return values[:done], error
             attempt += 1
-        return values, times, None
+        return values, None
 
     # ------------------------------------------------------------------
     def get_current(self, row: int, col: int) -> float:
@@ -1044,9 +800,11 @@ class ChargeSensorMeter:
 
         Equivalent, request by request, to measuring the pixels one at a
         time — identical values, cache hits, probe counts, clock charges,
-        and log entries — but the cache split, the physics evaluation, the
-        clock, and the log are all array operations, so large acquisitions
-        cost one vectorised pass instead of per-pixel Python overhead.
+        and probed pixels — but the cache split, the physics evaluation and
+        the clock are array operations, so large acquisitions cost one
+        vectorised pass instead of per-pixel Python overhead.  Past the
+        cache, the counters and the probed keys, the meter keeps nothing of
+        a request: the caller may reuse its arrays and the returned values.
 
         The batch's physical probes are exactly the first requests of pixels
         the meter has not measured; later requests of a pixel, in this batch
@@ -1074,12 +832,11 @@ class ChargeSensorMeter:
         # The first request of each never-measured pixel is a physical probe.
         probes = first_requests(keys, (~self._measured[keys]).nonzero()[0])
         probe_keys = keys[probes]
-        base_time = self._clock.elapsed_s
         failure = None
         if not probes.size:
-            measured = probe_times = np.zeros(0)
+            measured = np.zeros(0)
         elif self._fault_capable:
-            measured, probe_times, failure = self._measure_faulty(probe_keys)
+            measured, failure = self._measure_faulty(probe_keys)
             if failure is not None:
                 # Requests before the first uncommitted probe are final.
                 keys = keys[: probes[measured.size]]
@@ -1091,19 +848,13 @@ class ChargeSensorMeter:
         self._values[probe_keys] = measured
         self._measured[probe_keys] = True
         self._n_probes += probes.size
+        self._n_requests += keys.size
+        if probes.size:
+            # ``keys[probes]`` is a fresh array, never a view of the request.
+            self._probe_keys.append(probe_keys)
         # When every committed request was a probe, the values are the
         # measurements themselves.
         values = measured if probes.size == keys.size else self._values[keys]
-        if keys.size:
-            self._log.queue_batch(
-                keys,
-                values.copy(),
-                base_time,
-                probe_times,
-                probes,
-                self._xs,
-                self._ys,
-            )
         if failure is not None:
             raise failure
         return values
@@ -1126,11 +877,24 @@ class ChargeSensorMeter:
         image[self._measured] = self._values[self._measured]
         return image.reshape(self._shape)
 
+    def probe_mask(self) -> np.ndarray:
+        """Boolean image of the pixels the meter has physically measured."""
+        return self._measured.reshape(self._shape).copy()
+
+    def probed_pixels(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, cols)`` of every physically measured pixel, in first-probe order.
+
+        Each pixel appears once: the meter probes a pixel at most once.
+        """
+        keys = np.concatenate([np.zeros(0, dtype=np.int64), *self._probe_keys])
+        return np.divmod(keys, self._n_cols)
+
     def reset(self) -> None:
-        """Clear the probe log, cache, clock, fault counters, and breaker."""
-        self._log = ProbeLog()
+        """Clear the cache, request counter, clock, fault counters, and breaker."""
         self._measured.fill(False)
         self._n_probes = 0
+        self._n_requests = 0
+        self._probe_keys = []
         self._clock.reset()
         self._n_probe_retries = 0
         self._n_fault_events = 0

@@ -43,21 +43,19 @@ __all__ = ["Stage", "StageOutcome", "TuneContext"]
 class StageOutcome:
     """What a stage reports back to the composer.
 
-    ``status`` is ``"ok"``, ``"failed"`` (the stage completed but rejects
-    the run — artifacts are kept), or ``"skipped"`` (the stage decided it
-    had nothing to do).  A stage's cost is not reported here: every stage
-    probes through ``ctx.meter``, and the composer charges it the meter's
-    snapshot/diff.
+    ``status`` is ``"ok"`` or ``"failed"`` (the stage completed but rejects
+    the run — artifacts are kept).  A stage's cost is not reported here:
+    every stage probes through ``ctx.meter``, and the composer charges it
+    the meter's snapshot/diff.
     """
 
     status: str = "ok"
     detail: str = ""
 
     def __post_init__(self) -> None:
-        if self.status not in ("ok", "failed", "skipped"):
+        if self.status not in ("ok", "failed"):
             raise ConfigurationError(
-                f"stage outcome status must be 'ok', 'failed', or 'skipped'; "
-                f"got {self.status!r}"
+                f"stage outcome status must be 'ok' or 'failed'; got {self.status!r}"
             )
 
 

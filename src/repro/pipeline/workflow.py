@@ -420,18 +420,15 @@ class AutoTuningWorkflow:
         meter: ChargeSensorMeter, n_check_pixels: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Evenly spaced sample of the meter's measured pixels + their values."""
-        measured = meter.log.unique_pixels()
-        if not measured:
+        rows, cols = meter.probed_pixels()
+        if not rows.size:
             raise ExtractionError(
                 "no measured pixels to build staleness references from"
             )
         indices = np.unique(
-            np.linspace(0, len(measured) - 1, min(n_check_pixels, len(measured)))
+            np.linspace(0, rows.size - 1, min(n_check_pixels, rows.size))
             .round()
             .astype(int)
         )
-        pixels = np.asarray(measured, dtype=np.int64)[indices]
-        rows = pixels[:, 0]
-        cols = pixels[:, 1]
-        image = meter.measured_image()
-        return rows, cols, image[rows, cols]
+        rows, cols = rows[indices], cols[indices]
+        return rows, cols, meter.measured_image()[rows, cols]

@@ -538,7 +538,10 @@ class TestClassifyFailure:
             ("alpha_12 = 1.9 outside [0, 1.5]", "alpha-range"),
             ("need at least 4 transition points to fit, got 2", "too-few-points"),
             ("no anchor found on the diagonal", "anchor-search"),
-            ("probe budget of 100 points exhausted", "probe-budget"),
+            (
+                "probe (3, 4) stalled 5.000s, over the 1.000s timeout budget",
+                "probe-timeout",
+            ),
             ("something unheard of", "other"),
         ],
     )

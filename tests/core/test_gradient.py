@@ -205,10 +205,12 @@ class TestMaskSweepMatchesScalarReference:
         assert batch_meter.elapsed_s == scalar_meter.elapsed_s
         assert batch_meter.n_probes == scalar_meter.n_probes
         assert batch_meter.n_cache_hits == scalar_meter.n_cache_hits > 0
-        batch_log = batch_meter.log.as_arrays()
-        scalar_log = scalar_meter.log.as_arrays()
-        for key in batch_log:
-            assert np.array_equal(batch_log[key], scalar_log[key]), key
+        assert batch_meter.n_requests == scalar_meter.n_requests
+        for batch, scalar in zip(batch_meter.probed_pixels(), scalar_meter.probed_pixels()):
+            assert np.array_equal(batch, scalar)
+        assert np.array_equal(
+            batch_meter.measured_image(), scalar_meter.measured_image(), equal_nan=True
+        )
 
 
 class TestGaussianWindow:

@@ -167,7 +167,7 @@ class TestSweepsInLockstep:
         )
         assert both == (row_only[0], column_only[1])
         both_pixels, row_pixels, column_pixels = (
-            set(meter.log.unique_pixels()) for meter in meters
+            set(zip(*meter.probed_pixels())) for meter in meters
         )
         assert row_pixels - column_pixels and column_pixels - row_pixels
         assert both_pixels == row_pixels | column_pixels

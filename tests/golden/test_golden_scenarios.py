@@ -50,7 +50,7 @@ def run_golden(scenario_name: str, seed: int, resolution: int) -> dict:
         "alpha_21": result.alpha_21,
         "n_probes": meter.n_probes,
         "n_requests": meter.n_requests,
-        "n_unique_pixels": meter.log.n_unique_pixels,
+        "n_unique_pixels": int(meter.probe_mask().sum()),
         "elapsed_s": meter.elapsed_s,
     }
 

@@ -4,11 +4,11 @@ A batch (`MeasurementBackend.currents`, `ChargeSensorMeter.get_currents`,
 `FeatureGradient.segment_values`, `acquire_full_grid`) must be request-by-request
 indistinguishable from the same requests made one pixel at a time: same
 values (bit-identical), same probe counts, same cache hits, same clock
-charges and same log contents.  The meter takes rows and columns and checks
-them at its boundary; a backend takes flat pixel keys (`row * n_cols +
-col`) and checks those.  `get_current` is a one-pixel `get_currents`;
-`test_reference_meter.py` checks the meter against an independent
-per-pixel implementation.
+charges, and the same measured pixels, probed in the same order.  The
+meter takes rows and columns and checks them at its boundary; a backend
+takes flat pixel keys (`row * n_cols + col`) and checks those.
+`get_current` is a one-pixel `get_currents`; `test_reference_meter.py`
+checks the meter against an independent per-pixel implementation.
 """
 
 from __future__ import annotations
@@ -81,24 +81,30 @@ def _pixel_form(indices: list[int], form: str):
     return np.array(indices, dtype=form)
 
 
+def _meter_state(meter):
+    """Everything a meter reports, as one comparable tuple."""
+    rows, cols = meter.probed_pixels()
+    return (
+        meter.snapshot(),
+        rows.tolist(),
+        cols.tolist(),
+        meter.probe_mask().tolist(),
+        meter.measured_image(fill_value=-1.0).tolist(),
+    )
+
+
 @contextlib.contextmanager
 def _refusal_leaves_meter_untouched(meter, match):
     """The body must raise MeasurementError and change nothing on ``meter``."""
     meter.get_currents([3, 4], [5, 6])
-    before = (meter.elapsed_s, meter.n_probes, meter.n_requests, meter.log.records)
+    before = _meter_state(meter)
     with pytest.raises(MeasurementError, match=match):
         yield
-    assert (meter.elapsed_s, meter.n_probes, meter.n_requests, meter.log.records) == before
+    assert _meter_state(meter) == before
 
 
 def _assert_meters_identical(batch_meter, scalar_meter):
-    assert batch_meter.n_probes == scalar_meter.n_probes
-    assert batch_meter.n_requests == scalar_meter.n_requests
-    assert batch_meter.elapsed_s == scalar_meter.elapsed_s
-    batch_arrays = batch_meter.log.as_arrays()
-    scalar_arrays = scalar_meter.log.as_arrays()
-    for key in batch_arrays:
-        assert np.array_equal(batch_arrays[key], scalar_arrays[key]), key
+    assert _meter_state(batch_meter) == _meter_state(scalar_meter)
 
 
 class TestBackendCurrents:
@@ -341,7 +347,7 @@ class TestTimeDependentEquivalence:
         _assert_meters_identical(batch_meter, scalar_meter)
 
     def test_batch_split_invariance_through_meter(self, double_dot_device, rng):
-        """Splitting one batch into many cannot change values, log, or clock."""
+        """Splitting one batch into many cannot change values, probes, or clock."""
         whole_meter, split_meter = _meter_pair(
             lambda: _time_dependent_backend(double_dot_device)
         )
@@ -518,38 +524,14 @@ class TestFeatureGradientBatch:
         assert meter.n_requests == 0
 
 
-class TestProbeLogColumnar:
-    def test_empty_log_arrays_are_independent(self):
-        from repro.instrument import ProbeLog
-
-        arrays = ProbeLog().as_arrays()
-        assert all(column.size == 0 for column in arrays.values())
-        # Regression: the float columns of an empty log used to be the same
-        # array object, so in-place mutation of one corrupted the others.
-        float_keys = ["voltage_x", "voltage_y", "current_na", "time_s"]
-        for i, first in enumerate(float_keys):
-            for second in float_keys[i + 1 :]:
-                assert arrays[first] is not arrays[second]
-
-    def test_record_view_round_trip(self, clean_csd):
-        meter = ChargeSensorMeter(DatasetBackend(clean_csd))
-        meter.get_current(2, 3)
-        meter.get_current(2, 3)
-        log = meter.log
-        assert len(log) == 2
-        assert log.records[0].cached is False
-        assert log[-1].cached is True
-        assert [record.row for record in log] == [2, 2]
-        with pytest.raises(IndexError):
-            log[2]
-
-    def test_growth_beyond_initial_capacity(self, clean_csd):
+class TestMeasuredPixels:
+    def test_full_grid_probes_every_pixel_in_row_major_order(self, clean_csd):
         meter = ChargeSensorMeter(DatasetBackend(clean_csd))
         meter.acquire_full_grid()
-        assert meter.log.n_requests == clean_csd.n_pixels
-        assert meter.log.n_unique_pixels == clean_csd.n_pixels
-        mask = meter.log.probe_mask(clean_csd.shape)
-        assert mask.all()
+        assert meter.n_requests == clean_csd.n_pixels
+        assert meter.probe_mask().all()
+        rows, cols = meter.probed_pixels()
+        assert np.array_equal(rows * clean_csd.shape[1] + cols, np.arange(clean_csd.n_pixels))
 
 
 class TestPixelAtFastPath:

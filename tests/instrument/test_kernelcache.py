@@ -125,8 +125,8 @@ class TestCacheHits:
         ChargeSensorMeter(build_backend(cache)).acquire_full_grid()  # warm
         meter = ChargeSensorMeter(build_backend(cache))
         meter.acquire_full_grid()
-        assert meter.kernel_cache_hits == RESOLUTION * RESOLUTION
-        assert meter.kernel_cache_solves == 0
+        assert meter.backend.kernel_cache_hits == RESOLUTION * RESOLUTION
+        assert meter.backend.kernel_cache_solves == 0
 
 
 def probe_one_by_one(backend, rows, cols):
@@ -243,7 +243,7 @@ class TestCacheBypass:
         meter = ChargeSensorMeter(build_backend(cache))
         meter.acquire_full_grid()
         assert len(cache) == 0
-        assert meter.kernel_cache_hits == 0
+        assert meter.backend.kernel_cache_hits == 0
 
 
 class TestFingerprint:

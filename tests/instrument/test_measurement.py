@@ -75,7 +75,7 @@ class TestChargeSensorMeter:
         assert meter.n_probes == 1
         assert meter.n_requests == 2
         assert meter.elapsed_s == pytest.approx(0.05)
-        assert meter.log.records[-1].cached is True
+        assert meter.n_cache_hits == 1
 
     def test_acquire_full_grid(self, clean_csd):
         meter = ChargeSensorMeter(DatasetBackend(clean_csd))
@@ -95,35 +95,38 @@ class TestChargeSensorMeter:
     def test_reset_clears_everything(self, clean_csd):
         meter = ChargeSensorMeter(DatasetBackend(clean_csd))
         meter.get_current(0, 0)
+        meter.get_current(0, 0)
         meter.reset()
-        assert meter.n_probes == 0
+        assert meter.n_probes == meter.n_requests == meter.n_cache_hits == 0
         assert meter.elapsed_s == 0.0
-        assert len(meter.log) == 0
+        assert not meter.probe_mask().any()
+        rows, cols = meter.probed_pixels()
+        assert rows.shape == cols.shape == (0,)
+        assert rows.dtype == cols.dtype == np.int64
 
 
-class TestProbeLog:
-    def test_unique_pixels_order_and_mask(self, clean_csd):
+class TestMeasuredPixels:
+    def test_probed_pixels_order_and_mask(self, clean_csd):
         meter = ChargeSensorMeter(DatasetBackend(clean_csd))
-        meter.get_current(2, 2)
         meter.get_current(4, 4)
         meter.get_current(2, 2)
-        log = meter.log
-        assert log.unique_pixels() == [(2, 2), (4, 4)]
-        mask = log.probe_mask(clean_csd.shape)
+        meter.get_current(4, 4)
+        rows, cols = meter.probed_pixels()
+        assert (rows.tolist(), cols.tolist()) == ([4, 2], [4, 2])
+        mask = meter.probe_mask()
+        assert mask.shape == clean_csd.shape
         assert mask.sum() == 2
         assert mask[2, 2] and mask[4, 4]
 
-    def test_as_arrays_columns(self, clean_csd):
+    def test_reads_are_copies_of_the_cache(self, clean_csd):
         meter = ChargeSensorMeter(DatasetBackend(clean_csd))
-        meter.get_current(0, 0)
-        meter.get_current(0, 0)
-        arrays = meter.log.as_arrays()
-        assert arrays["row"].shape == (2,)
-        assert arrays["cached"].tolist() == [False, True]
-
-    def test_empty_log_arrays(self):
-        from repro.instrument import ProbeLog
-
-        arrays = ProbeLog().as_arrays()
-        assert arrays["row"].size == 0
-        assert arrays["cached"].size == 0
+        meter.get_currents([1, 2], [1, 2])
+        meter.probe_mask()[...] = True
+        meter.measured_image()[...] = 0.0
+        meter.probed_pixels()[0][:] = 7
+        assert meter.probe_mask().sum() == 2
+        assert meter.measured_image()[1, 1] == clean_csd.data[1, 1]
+        assert meter.probed_pixels()[0].tolist() == [1, 2]
+        # The cache still holds (1, 1): its next request is a hit.
+        meter.get_current(1, 1)
+        assert (meter.n_probes, meter.n_cache_hits) == (2, 1)

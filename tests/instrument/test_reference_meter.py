@@ -1,4 +1,4 @@
-"""The meter against an independent per-pixel reference, and its deferred log.
+"""The meter against an independent per-pixel reference.
 
 `ChargeSensorMeter.get_current` is a one-pixel `get_currents`, so comparing
 the two no longer checks the batch path against anything independent.
@@ -10,13 +10,13 @@ policy on its own, one planned probe per attempt, and commits a stall by
 its own rule (within the timeout), not by what the plan read.  Hypothesis
 draws request sequences (repeats within and across batches, and for flaky
 backends the retry policy) and every one must leave both meters with equal
-values, log columns, clock, probe count, cache hits, fault counters and
-breaker state, and raise the same errors.
+values, clock, probe and request counts, cache hits, measured image, probe
+mask, probed pixels in first-probe order, fault counters and breaker
+state, and raise the same errors.
 
-The meter's probe log queues each batch and expands it only when read; the
-second half of this file reads the log mid-run and after `reset()`, and
-mutates what a caller got back or passed in, against the reference's
-eagerly built records.
+The second half of this file reads the meter mid-run and after `reset()`,
+and mutates what a caller got back or passed in, against the reference's
+eagerly built request list.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from repro.instrument import (
     DatasetBackend,
     DeviceBackend,
     MeasurementBackend,
-    ProbeRecord,
     ProbeRetryPolicy,
     TimingModel,
     VirtualClock,
@@ -222,35 +221,9 @@ class ReferenceMeter:
         return sum(entry[-1] for entry in self.log)
 
 
-def expected_records(log: list[tuple]) -> tuple[ProbeRecord, ...]:
-    return tuple(ProbeRecord(*entry) for entry in log)
-
-
-def assert_log_matches(log, reference: list[tuple], shape=(GRID, GRID)):
-    """Every read surface of ``log`` agrees with the eager reference list."""
-    assert len(log) == len(reference)
-    assert log.n_requests == len(reference)
-    assert log.n_cached == sum(entry[-1] for entry in reference)
-    records = expected_records(reference)
-    assert log.records == records
-    assert list(log) == list(records)
-    if reference:
-        assert log[-1] == records[-1]
-    arrays = log.as_arrays()
-    for key, column in zip(
-        ("row", "col", "voltage_x", "voltage_y", "current_na", "time_s", "cached"),
-        zip(*reference) if reference else [()] * 7,
-    ):
-        assert np.array_equal(arrays[key], np.array(column, dtype=arrays[key].dtype)), key
-    measured = [(entry[0], entry[1]) for entry in reference if not entry[-1]]
-    first_probe_order = list(dict.fromkeys(measured))
-    assert log.unique_pixels() == first_probe_order
-    assert log.n_unique_pixels == len(first_probe_order)
-    mask = np.zeros(shape, dtype=bool)
-    for row, col in first_probe_order:
-        if 0 <= row < shape[0] and 0 <= col < shape[1]:
-            mask[row, col] = True
-    assert np.array_equal(log.probe_mask(shape), mask)
+def probed_pixel_list(meter: ChargeSensorMeter) -> list[tuple[int, int]]:
+    rows, cols = meter.probed_pixels()
+    return list(zip(rows.tolist(), cols.tolist()))
 
 
 def assert_meters_match(meter: ChargeSensorMeter, reference: ReferenceMeter):
@@ -258,7 +231,11 @@ def assert_meters_match(meter: ChargeSensorMeter, reference: ReferenceMeter):
     assert meter.n_requests == len(reference.log)
     assert meter.n_cache_hits == reference.n_cache_hits
     assert meter.elapsed_s == reference.clock.elapsed_s
-    assert_log_matches(meter.log, reference.log, meter.shape)
+    # The reference logs a request as measured only the first time its
+    # pixel is probed, so its measured entries are the first-probe order.
+    first_probes = [(row, col) for row, col, *_, cached in reference.log if not cached]
+    assert probed_pixel_list(meter) == first_probes
+    assert np.array_equal(meter.probe_mask(), reference.measured)
     expected_image = np.where(reference.measured, reference.values, np.nan)
     assert np.array_equal(meter.measured_image(), expected_image, equal_nan=True)
     assert meter.n_probe_retries == reference.n_probe_retries
@@ -406,7 +383,7 @@ class TestAgainstReferenceMeter:
             MeasurementBackend().currents([0])
 
 
-class TestDeferredLog:
+class TestMeterReads:
     def _pair(self):
         meter = ChargeSensorMeter(dataset_backend(), clock=VirtualClock(TIMING))
         return meter, ReferenceMeter(dataset_backend())
@@ -417,27 +394,19 @@ class TestDeferredLog:
         for batch in script:
             run_both(meter, reference, [batch])
             assert_meters_match(meter, reference)
-        before_reset = meter.log
-        kept = list(reference.log)
+        mask, (rows, cols) = meter.probe_mask(), meter.probed_pixels()
         meter.reset()
         reference.reset()
-        assert len(meter.log) == 0 and meter.log.n_cached == 0
+        assert (meter.n_requests, meter.n_cache_hits, probed_pixel_list(meter)) == (0, 0, [])
         assert_meters_match(meter, reference)
         for batch in reversed(script):
             run_both(meter, reference, [batch])
             assert_meters_match(meter, reference)
-        # The log the meter dropped at reset() still reads what it held.
-        assert_log_matches(before_reset, kept)
+        # What the meter handed out before reset() still reads what it held.
+        assert list(zip(rows.tolist(), cols.tolist())) == [(1, 1), (2, 2), (3, 3), (0, 5)]
+        assert np.array_equal(np.argwhere(mask), [(0, 5), (1, 1), (2, 2), (3, 3)])
 
-    def test_counts_read_without_expanding(self):
-        meter, _ = self._pair()
-        meter.get_currents([1, 1, 2], [1, 1, 2])
-        snapshot = meter.snapshot()
-        assert (snapshot.n_requests, snapshot.n_cache_hits, snapshot.n_probes) == (3, 1, 2)
-        assert len(meter.log) == 3 and meter.log.n_cached == 1
-        assert meter.log._pending, "counts should come from running counters"
-
-    def test_caller_mutations_do_not_reach_the_log(self):
+    def test_caller_mutations_do_not_reach_the_meter(self):
         meter, reference = self._pair()
         rows = np.array([3, 1, 3, 2], dtype=np.int64)
         cols = np.array([4, 1, 4, 0], dtype=np.int64)

@@ -234,14 +234,16 @@ class TestFailedBatchCommitsItsPrefix:
     @pytest.mark.parametrize("error_type", [TransientReadError, RuntimeError])
     def test_probes_before_the_failure_commit(self, error_type):
         # Whatever the planned error's type, the probes the batch paid for
-        # before the probe that ran out of attempts are measured and logged.
+        # before the probe that ran out of attempts are measured and cached.
         meter = ChargeSensorMeter(
             _FailsColumnZero(error_type),
             retry=ProbeRetryPolicy(max_attempts=2, breaker_failures=0),
         )
         with pytest.raises(error_type, match="column 0"):
             meter.get_currents([1, 2, 3, 3], [1, 2, 0, 1])
-        assert meter.n_probes == len(meter.log) == 2
+        assert meter.n_probes == meter.n_requests == 2
+        assert meter.n_cache_hits == 0
+        assert [axis.tolist() for axis in meter.probed_pixels()] == [[1, 2], [1, 2]]
         assert meter.n_fault_events == 2
         assert meter.n_probes_exhausted == 1
 
@@ -255,16 +257,39 @@ class TestFailedBatchCommitsItsPrefix:
         )
         with pytest.raises(TransientReadError, match="column 0"):
             meter.get_currents([1, 2, 1, 3, 2], [1, 1, 1, 0, 2])
-        assert (meter.n_probes, meter.n_requests) == (2, 3)
-        assert [(r.row, r.col, r.cached) for r in meter.log.records] == [
-            (1, 1, False),
-            (2, 1, False),
-            (1, 1, True),
-        ]
+        assert (meter.n_probes, meter.n_requests, meter.n_cache_hits) == (2, 3, 1)
+        assert [axis.tolist() for axis in meter.probed_pixels()] == [[1, 2], [1, 1]]
         assert np.isnan(meter.measured_image()[[2, 3], [2, 0]]).all()
         assert np.array_equal(meter.get_currents([1, 2], [1, 2]), [1.0, 1.0])
-        assert (meter.n_probes, meter.n_requests) == (3, 5)
-        assert [r.cached for r in meter.log.records[3:]] == [True, False]
+        assert (meter.n_probes, meter.n_requests, meter.n_cache_hits) == (3, 5, 2)
+        assert [axis.tolist() for axis in meter.probed_pixels()] == [[1, 2, 2], [1, 1, 2]]
+
+    def test_a_batch_failing_at_its_first_probe_commits_only_hits(self):
+        # (1, 1) is cached; the batch's first probe, (2, 0), runs out of
+        # attempts, so only the hit before it commits and nothing is probed.
+        meter = ChargeSensorMeter(
+            _FailsColumnZero(),
+            retry=ProbeRetryPolicy(max_attempts=2, breaker_failures=0),
+        )
+        meter.get_current(1, 1)
+        with pytest.raises(TransientReadError):
+            meter.get_currents([1, 2, 1, 3], [1, 0, 1, 3])
+        assert (meter.n_probes, meter.n_requests, meter.n_cache_hits) == (1, 2, 1)
+        assert [axis.tolist() for axis in meter.probed_pixels()] == [[1], [1]]
+        assert meter.probe_mask().sum() == 1
+
+    def test_an_open_breaker_commits_the_hits_before_the_first_probe(self):
+        meter = ChargeSensorMeter(
+            _FailsColumnZero(),
+            retry=ProbeRetryPolicy(max_attempts=1, breaker_failures=1),
+        )
+        meter.get_current(1, 1)
+        with pytest.raises(CircuitBreakerOpenError, match="after 1 consecutive"):
+            meter.get_current(2, 0)
+        with pytest.raises(CircuitBreakerOpenError, match="is open"):
+            meter.get_currents([1, 1, 3, 1], [1, 1, 3, 1])
+        assert (meter.n_probes, meter.n_requests, meter.n_cache_hits) == (1, 3, 2)
+        assert [axis.tolist() for axis in meter.probed_pixels()] == [[1], [1]]
 
 
 class TestBreakerOnBothProbePaths:

@@ -48,7 +48,7 @@ class TestFastVsBaselineOnSameDevice:
         session = ExperimentSession.from_csd(csd)
         FastVirtualGateExtractor().extract(session)
         geometry = csd.geometry
-        mask = session.meter.log.probe_mask(csd.shape)
+        mask = session.meter.probe_mask()
         rows, cols = np.nonzero(mask)
         # Distance (in volts, vertically) of each probed pixel from the
         # nearest of the two ground-truth lines.

@@ -354,9 +354,10 @@ class TestComposerSemantics:
         assert result.stage_telemetry[0].detail == "noted"
         assert result.stage_telemetry[0].n_probes == 0
 
-    def test_invalid_outcome_status_rejected(self):
+    @pytest.mark.parametrize("status", ["exploded", "skipped"])
+    def test_invalid_outcome_status_rejected(self, status):
         with pytest.raises(ConfigurationError, match="ok"):
-            StageOutcome(status="exploded")
+            StageOutcome(status=status)
 
     def test_sweep_stage_with_both_sweeps_disabled_rejected(self):
         with pytest.raises(ConfigurationError, match="sweeps"):

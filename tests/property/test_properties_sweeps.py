@@ -6,8 +6,9 @@ a reused probe buffer.  Here a test-local reference walks
 with the per-pixel `FeatureGradient.value` (centre, right, upper-right,
 clamped at the grid edges) and moves each sweep's anchor onto its best
 pixel, one step at a time, the row sweep first.  Traces and the meter's
-whole log must match it: the log holds every request in order, so it also
-catches a meter that kept a view of the reused buffer.
+counts, measured image and probed pixels must match it: the probed pixels
+are in first-probe order, so they also catch a meter that kept a view of
+the reused buffer.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ def _meter(data):
 class TestSweepsFollowAlgorithm2:
     @given(case=sweep_cases())
     @settings(max_examples=150, deadline=None)
-    def test_traces_and_log_equal_the_per_pixel_reference(self, case):
+    def test_traces_and_probes_equal_the_per_pixel_reference(self, case):
         data, steep, shallow, delta, (run_row, run_column) = case
         meter, reference_meter = _meter(data), _meter(data)
         expected = reference_sweeps(reference_meter, delta, steep, shallow, run_row, run_column)
@@ -119,9 +120,9 @@ class TestSweepsFollowAlgorithm2:
         else:
             traces = sweeper.run(steep, shallow, run_row=run_row, run_column=run_column)
             assert traces == expected
-        assert meter.n_probes == reference_meter.n_probes
-        assert meter.elapsed_s == reference_meter.elapsed_s
-        log, reference_log = meter.log.as_arrays(), reference_meter.log.as_arrays()
-        assert log.keys() == reference_log.keys()
-        for key in log:
-            assert np.array_equal(log[key], reference_log[key]), key
+        assert meter.snapshot() == reference_meter.snapshot()
+        for axis, reference_axis in zip(meter.probed_pixels(), reference_meter.probed_pixels()):
+            assert np.array_equal(axis, reference_axis)
+        assert np.array_equal(
+            meter.measured_image(), reference_meter.measured_image(), equal_nan=True
+        )

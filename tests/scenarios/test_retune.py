@@ -4,12 +4,19 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ExtractionError, TransientReadError
 from repro.faults import TransientReadFault
-from repro.instrument import ProbeRetryPolicy, SessionFactory, TimingModel
-from repro.physics import DeviceDrift, WhiteNoise
+from repro.instrument import (
+    ChargeSensorMeter,
+    DatasetBackend,
+    ProbeRetryPolicy,
+    SessionFactory,
+    TimingModel,
+)
+from repro.physics import ChargeStabilityDiagram, DeviceDrift, WhiteNoise
 from repro.pipeline import AutoTuningWorkflow
 from repro.scenarios import get_scenario
 
@@ -137,6 +144,31 @@ class TestStalenessCheckCost:
             0,
         )
         assert telemetry.sim_elapsed_s == pytest.approx(0.25 * n_checked)
+
+
+class TestStalenessReferences:
+    """A check's reference pixels are an even sample of the extraction
+    meter's probed pixels, in first-probe order, with the values it read."""
+
+    @staticmethod
+    def _meter():
+        axis = np.linspace(0.0, 1.0, 6)
+        data = np.arange(36.0).reshape(6, 6)
+        csd = ChargeStabilityDiagram(data=data, x_voltages=axis, y_voltages=axis)
+        return ChargeSensorMeter(DatasetBackend(csd))
+
+    def test_evenly_spaced_in_first_probe_order(self):
+        meter = self._meter()
+        meter.get_currents([5, 1, 5, 3, 2, 4], [0, 1, 0, 3, 2, 4])
+        # Probe order (5, 0), (1, 1), (3, 3), (2, 2), (4, 4): take 0, 2, 4.
+        rows, cols, values = AutoTuningWorkflow._reference_pixels(meter, 3)
+        assert (rows.tolist(), cols.tolist()) == ([5, 3, 4], [0, 3, 4])
+        assert values.tolist() == [30.0, 21.0, 28.0]
+
+    def test_a_meter_that_probed_nothing_is_refused(self):
+        meter = self._meter()
+        with pytest.raises(ExtractionError, match="no measured pixels"):
+            AutoTuningWorkflow._reference_pixels(meter, 16)
 
 
 class TestFactoryFaultsReachTheWorkflow:
